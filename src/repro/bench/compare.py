@@ -7,7 +7,7 @@ metrics and their reference values::
       "schema_version": 1,
       "tolerance": 0.25,
       "gates": {
-        "system-memoized": {
+        "system-batched": {
           "simulated_cycles": 10024,
           "cache_hit_rate": 0.9688,
           "speedup_vs_sequential": 3.1
@@ -46,7 +46,6 @@ HIGHER_IS_BETTER = frozenset(
         "cycles_per_second",
         "cache_hit_rate",
         "speedup_vs_sequential",
-        "speedup_vs_memoized",
         "speedup_vs_cold",
     }
 )

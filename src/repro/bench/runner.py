@@ -7,11 +7,11 @@ Three suites cover the repository's hot paths:
   simulated cycle by cycle, once per registered engine (quick mode keeps
   only the default engine; the scalar golden engine joins in full mode).
 * ``system`` — the scale-out path: a tiled convolution workload on the
-  default :class:`~repro.system.SystemConfig`, run sequentially without the
-  timing cache (the PR-1 baseline), then with memoization, then with
-  memoization + the multiprocessing dispatcher.  Every variant verifies the
-  HMC outputs against the NumPy reference, so a benchmark run is also a
-  correctness run.
+  default :class:`~repro.system.SystemConfig`, run without the timing
+  cache (every tile fully simulated), then with it (misses simulated,
+  hits replayed in stacked groups).  Both variants verify the HMC outputs
+  against the NumPy reference, so a benchmark run is also a correctness
+  run.
 * ``scenarios`` — every scenario registered in :mod:`repro.scenarios`
   (quick mode runs the registered sizes, full mode scales the tile count
   up), so a newly registered workload family is perf-gated automatically.
@@ -78,9 +78,9 @@ __all__ = [
 #: Workload sizes per suite: quick keeps CI under a few seconds, full is
 #: what the measured numbers in docs/performance.md are taken from.
 _SYSTEM_SIZES = {
-    # (image shape, tiles, parallel workers)
-    True: ((24, 28), 32, 2),
-    False: ((48, 52), 48, 2),
+    # (image shape, tiles)
+    True: ((24, 28), 32),
+    False: ((48, 52), 48),
 }
 _CLUSTER_SIZES = {
     True: (32, 36),
@@ -106,14 +106,11 @@ def _scenario(
     return scenario
 
 
-def _run_system_variant(
-    quick: bool, parallel, memoize: bool, batch: bool = False
-) -> Tuple[float, "object"]:
+def _run_system_variant(quick: bool, memoize: bool) -> Tuple[float, "object"]:
     """One end-to-end system run; returns (wall seconds, SystemResult)."""
-    shape, tiles, _ = _SYSTEM_SIZES[quick]
+    shape, tiles = _SYSTEM_SIZES[quick]
     simulator = SystemSimulator(
-        SystemConfig(),
-        options=ExecutionOptions(parallel=parallel, memoize=memoize, batch=batch),
+        SystemConfig(), options=ExecutionOptions(memoize=memoize)
     )
     workload = conv_tiled_workload(
         simulator.hmc, num_tiles=tiles, image_shape=shape
@@ -126,31 +123,15 @@ def _run_system_variant(
 
 
 def _system_suite(quick: bool) -> List[Dict]:
-    _, _, workers = _SYSTEM_SIZES[quick]
-    wall_seq, result_seq = _run_system_variant(quick, parallel=None, memoize=False)
-    scenarios = [
+    wall_seq, result_seq = _run_system_variant(quick, memoize=False)
+    wall_batch, result_batch = _run_system_variant(quick, memoize=True)
+    return [
         _scenario(
             "system-sequential",
-            "default config, no timing cache (the PR-1 execution path)",
+            "default config, no timing cache (every tile fully simulated)",
             wall_seq,
             result_seq.makespan_cycles,
-        )
-    ]
-    wall_memo, result_memo = _run_system_variant(quick, parallel=None, memoize=True)
-    scenarios.append(
-        _scenario(
-            "system-memoized",
-            "default config with the tile-timing cache",
-            wall_memo,
-            result_memo.makespan_cycles,
-            cache_hit_rate=result_memo.cache_hit_rate,
-            speedup_vs_sequential=wall_seq / wall_memo if wall_memo else 0.0,
-        )
-    )
-    wall_batch, result_batch = _run_system_variant(
-        quick, parallel=None, memoize=True, batch=True
-    )
-    scenarios.append(
+        ),
         _scenario(
             "system-batched",
             "timing cache plus cross-tile batched cache-hit replay",
@@ -158,24 +139,8 @@ def _system_suite(quick: bool) -> List[Dict]:
             result_batch.makespan_cycles,
             cache_hit_rate=result_batch.cache_hit_rate,
             speedup_vs_sequential=wall_seq / wall_batch if wall_batch else 0.0,
-            speedup_vs_memoized=wall_memo / wall_batch if wall_batch else 0.0,
-        )
-    )
-    wall_par, result_par = _run_system_variant(
-        quick, parallel=workers, memoize=True, batch=True
-    )
-    scenarios.append(
-        _scenario(
-            "system-memoized-parallel",
-            f"timing cache and batched replay plus {workers} worker processes",
-            wall_par,
-            result_par.makespan_cycles,
-            cache_hit_rate=result_par.cache_hit_rate,
-            speedup_vs_sequential=wall_seq / wall_par if wall_par else 0.0,
-            workers=result_par.workers,
-        )
-    )
-    return scenarios
+        ),
+    ]
 
 
 def _run_cluster_variant(quick: bool, engine: str) -> Tuple[float, "object"]:
@@ -405,16 +370,10 @@ def _obs_suite(quick: bool) -> List[Dict]:
     try:
         REGISTRY.set_enabled(False)
         TRACER.set_enabled(False)
-        off = [
-            _run_system_variant(quick, parallel=None, memoize=True, batch=True)
-            for _ in range(repeats)
-        ]
+        off = [_run_system_variant(quick, memoize=True) for _ in range(repeats)]
         REGISTRY.set_enabled(True)
         TRACER.set_enabled(True)
-        on = [
-            _run_system_variant(quick, parallel=None, memoize=True, batch=True)
-            for _ in range(repeats)
-        ]
+        on = [_run_system_variant(quick, memoize=True) for _ in range(repeats)]
     finally:
         REGISTRY.set_enabled(was_metered)
         TRACER.set_enabled(was_tracing)
@@ -535,10 +494,6 @@ def derive_baseline(
             if "speedup_vs_sequential" in scenario:
                 gate["speedup_vs_sequential"] = round(
                     scenario["speedup_vs_sequential"] * speedup_headroom, 2
-                )
-            if "speedup_vs_memoized" in scenario:
-                gate["speedup_vs_memoized"] = round(
-                    scenario["speedup_vs_memoized"] * speedup_headroom, 2
                 )
             if "overhead_ratio" in scenario:
                 # Gated at the documented budget, not the measured value:

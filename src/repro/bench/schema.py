@@ -13,21 +13,20 @@ A benchmark document looks like::
       "quick": true,
       "scenarios": [
         {
-          "name": "system-memoized",
+          "name": "system-batched",
           "description": "...",
           "wall_time_s": 0.061,
           "simulated_cycles": 10024,
           "cycles_per_second": 164327.9,
           "cache_hit_rate": 0.969,          # optional
-          "speedup_vs_sequential": 5.2,      # optional
-          "workers": 1                        # optional
+          "speedup_vs_sequential": 5.2       # optional
         }
       ]
     }
 
-``simulated_cycles``, ``cache_hit_rate`` and ``workers`` are fully
-deterministic (the cycle engines are data-oblivious and scheduling is
-deterministic); ``wall_time_s``/``cycles_per_second`` depend on the host,
+``simulated_cycles`` and ``cache_hit_rate`` are fully deterministic (the
+cycle engines are data-oblivious and scheduling is deterministic);
+``wall_time_s``/``cycles_per_second`` depend on the host,
 and ``speedup_vs_sequential`` is a same-host ratio, which is what makes it
 usable as a portable regression gate.
 """
@@ -56,8 +55,6 @@ REQUIRED_METRICS = {
 OPTIONAL_METRICS = {
     "cache_hit_rate": lambda v: 0.0 <= v <= 1.0,
     "speedup_vs_sequential": lambda v: v > 0,
-    "speedup_vs_memoized": lambda v: v > 0,
-    "workers": lambda v: v >= 1,
     "points": lambda v: v >= 1,
     "speedup_vs_cold": lambda v: v > 0,
     "overhead_ratio": lambda v: v > 0,

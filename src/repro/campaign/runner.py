@@ -54,7 +54,7 @@ from repro.campaign.spec import CampaignPoint, SweepSpec, point_id
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs.logs import get_logger
-from repro.options import UNSET, ExecutionOptions, merge_legacy_options, parse_shard
+from repro.options import ExecutionOptions, parse_shard
 from repro.scenarios.runner import ScenarioOutcome, run_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.system.memo import TileTimingCache
@@ -162,9 +162,7 @@ class CampaignOutcome:
 _WORKER_CACHE: Optional[TileTimingCache] = None
 
 
-def _execute_point_remote(
-    spec_data: Dict[str, Any], batch: bool = True, trace: bool = False
-) -> Dict[str, Any]:
+def _execute_point_remote(spec_data: Dict[str, Any], trace: bool = False) -> Dict[str, Any]:
     """Worker entry point: run one point and return its picklable record.
 
     With ``trace`` the worker enables its process-local tracer and rides
@@ -180,9 +178,7 @@ def _execute_point_remote(
         _trace.TRACER.set_enabled(True)
     track = f"campaign-worker-{os.getpid()}"
     with _trace.TRACER.track(track), _trace.span("point", name=spec.name):
-        outcome = run_scenario(
-            spec, options=ExecutionOptions(batch=batch), timing_cache=_WORKER_CACHE
-        )
+        outcome = run_scenario(spec, timing_cache=_WORKER_CACHE)
     point = CampaignPoint(id=point_id(spec), axis_values={}, spec=spec)
     record = point_record(point, outcome, outcome.run_seconds)
     if trace:
@@ -243,8 +239,6 @@ def run_campaign(
     campaign: Union[str, SweepSpec],
     store_path: Optional[Path | str] = None,
     options: Optional[ExecutionOptions] = None,
-    quick=UNSET,
-    workers=UNSET,
     max_points: Optional[int] = None,
     on_point: Optional[Callable[[Dict[str, Any], bool], None]] = None,
     timing_cache: Optional[TileTimingCache] = None,
@@ -256,13 +250,10 @@ def run_campaign(
     block: ``options.quick`` applies the campaign's ``quick_overrides``
     to the base scenario (axes are never shrunk), ``options.workers >=
     1`` dispatches points onto a bounded process pool of that many
-    workers (``0``, the default, runs in-process), ``options.batch``
-    toggles batched cache-hit replay per point, and non-default
-    ``engine``/``parallel``/``memoize`` values override the *base*
-    scenario before expansion — which changes the expanded point ids,
-    exactly as editing the sweep definition would.  The bare
-    ``quick``/``workers`` keywords are the deprecated spelling and keep
-    working through the shim.
+    workers (``0``, the default, runs in-process), and non-default
+    ``engine``/``memoize`` values override the *base* scenario before
+    expansion — which changes the expanded point ids, exactly as editing
+    the sweep definition would.
 
     ``max_points`` caps how many pending points this call executes (the
     rest stay pending for the next call).  ``on_point(record, fresh)``
@@ -286,9 +277,7 @@ def run_campaign(
     """
     from repro.campaign.store import ResultStore
 
-    options = merge_legacy_options(
-        options, "run_campaign", quick=quick, workers=workers
-    )
+    options = options if options is not None else ExecutionOptions()
     sweep = get_campaign(campaign) if isinstance(campaign, str) else campaign
     base_overrides = options.spec_overrides()
     if base_overrides:
@@ -347,22 +336,18 @@ def run_campaign(
 
     start = time.perf_counter()
     executed = 0
-    point_options = ExecutionOptions(batch=options.batch)
     if pending and workers >= 1:
         with _trace.span(
             "campaign-pool", campaign=sweep.name, points=len(pending)
         ):
             executed = _run_pool(
-                pending, store, stored, workers, on_point, options.batch,
-                result_cache,
+                pending, store, stored, workers, on_point, result_cache
             )
     else:
         warm = timing_cache if timing_cache is not None else TileTimingCache()
         for point in pending:
             with _trace.span("point", name=point.spec.name):
-                outcome = run_scenario(
-                    point.spec, options=point_options, timing_cache=warm
-                )
+                outcome = run_scenario(point.spec, timing_cache=warm)
             record = store.append(
                 point_record(point, outcome, outcome.run_seconds)
             )
@@ -408,7 +393,6 @@ def _run_pool(
     stored,
     workers: int,
     on_point,
-    batch: bool,
     result_cache: Optional[GlobalResultCache] = None,
 ) -> int:
     """Dispatch ``pending`` onto a bounded pool with dynamic work-stealing.
@@ -437,7 +421,7 @@ def _run_pool(
                     _LOG.debug("pool: stealing next point %s", point.id[:12])
                 by_future[
                     pool.submit(
-                        _execute_point_remote, point.spec.to_dict(), batch, tracing
+                        _execute_point_remote, point.spec.to_dict(), tracing
                     )
                 ] = point
         for _ in range(pool_size):

@@ -2,7 +2,7 @@
 
 A :class:`SweepSpec` is a base :class:`~repro.scenarios.spec.ScenarioSpec`
 plus named **axes**: ordered value lists over spec fields (``num_vaults``,
-``clusters_per_vault``, ``num_tiles``, ``engine``, ``parallel``,
+``clusters_per_vault``, ``num_tiles``, ``engine``,
 ``memoize``, ...) or family shape parameters (``params.kernel``).  Two
 expansion modes turn the axes into concrete scenario points:
 

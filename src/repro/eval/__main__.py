@@ -30,8 +30,8 @@ from what is actually runnable.  The parsers themselves are exposed as
 ``docs/reference.md`` documents every flag without hand-maintained
 prose.
 
-Execution flags (``--engine/--parallel/--no-memoize/--no-batch/
---workers/--quick``) are no longer hand-copied per subcommand: they are
+Execution flags (``--engine/--no-memoize/--workers/--quick/...``) are
+no longer hand-copied per subcommand: they are
 derived from the :class:`~repro.options.ExecutionOptions` fields by
 :func:`add_execution_flags` and parsed back into one options object by
 :func:`options_from_args`, so the CLI surface cannot drift from the
@@ -77,7 +77,7 @@ _LOG = obs.get_logger("cli")
 
 def add_execution_flags(
     parser: argparse.ArgumentParser,
-    include: Sequence[str] = ("engine", "parallel", "memoize", "batch"),
+    include: Sequence[str] = ("engine", "memoize"),
     help_prefix: str = "",
 ) -> None:
     """Add the command-line flags derived from :class:`ExecutionOptions`.
@@ -145,7 +145,7 @@ class Experiment:
     reproduces: str
     formatter: Callable[..., str]
     #: Whether the formatter accepts the system-engine options
-    #: (``--parallel``/``--no-memoize``/``--no-batch``).
+    #: (``--no-memoize``).
     takes_engine_options: bool = False
 
 
@@ -252,7 +252,7 @@ def build_scenario_parser() -> argparse.ArgumentParser:
     )
     add_execution_flags(
         run_parser,
-        include=("engine", "parallel", "memoize", "batch", "trace", "trace_out"),
+        include=("engine", "memoize", "trace", "trace_out"),
     )
     obs.add_logging_flags(run_parser)
     return parser
@@ -319,8 +319,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     add_store_options(run_parser)
     add_execution_flags(
         run_parser,
-        include=("batch", "workers", "quick", "cache_dir", "shard", "trace",
-                 "trace_out"),
+        include=("workers", "quick", "cache_dir", "shard", "trace", "trace_out"),
     )
     obs.add_logging_flags(run_parser)
     run_parser.add_argument(
@@ -686,7 +685,7 @@ def build_submit_parser() -> argparse.ArgumentParser:
         help="how long --wait polls before giving up (default: 600)",
     )
     add_execution_flags(
-        parser, include=("engine", "parallel", "memoize", "batch", "workers", "quick")
+        parser, include=("engine", "memoize", "workers", "quick")
     )
     return parser
 
@@ -752,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_execution_flags(
         parser,
-        include=("parallel", "memoize", "batch"),
+        include=("memoize",),
         help_prefix="system experiment: ",
     )
     add_execution_flags(parser, include=("trace", "trace_out"))

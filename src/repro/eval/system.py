@@ -58,21 +58,17 @@ def run(
     num_tiles: int = 16,
     image_shape: Tuple[int, int] = (12, 14),
     engine: str = DEFAULT_ENGINE,
-    parallel: int | bool | None = None,
-    memoize: bool = True,
-    batch: bool = True,
     options: Optional[ExecutionOptions] = None,
 ) -> List[ScalingPoint]:
     """Run the fixed workload on every system size of ``sweep``.
 
-    ``options`` (or the individual ``engine``/``parallel``/``memoize``/
-    ``batch`` arguments it supersedes) selects the system-scale
-    execution engine (worker processes, tile-timing cache, batched
-    cache-hit replay); all are exact, so the reported cycle counts are
-    identical whichever combination is chosen — only wall time changes.
+    ``options`` selects the system-scale execution (a non-``None``
+    ``options.engine`` overrides ``engine``; ``options.memoize`` toggles
+    the tile-timing cache); both are exact, so the reported cycle counts
+    are identical whichever combination is chosen — only wall time
+    changes.
     """
-    if options is None:
-        options = ExecutionOptions(parallel=parallel, memoize=memoize, batch=batch)
+    options = options if options is not None else ExecutionOptions()
     if options.engine is not None:
         engine = options.engine
     points: List[ScalingPoint] = []
@@ -106,14 +102,11 @@ def run(
 
 def format_results(
     points: Optional[List[ScalingPoint]] = None,
-    parallel: int | bool | None = None,
-    memoize: bool = True,
-    batch: bool = True,
     options: Optional[ExecutionOptions] = None,
 ) -> str:
     """Render the scaling sweep with speedup/efficiency over the first point."""
     if points is None:
-        points = run(parallel=parallel, memoize=memoize, batch=batch, options=options)
+        points = run(options=options)
     baseline = points[0] if points else None
     rows = [
         (

@@ -6,8 +6,8 @@ owns three small, stdlib-only facilities:
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges and histograms with labels, rendered in the Prometheus text
   exposition format (the server's ``/metrics`` endpoint).  The
-  tile-timing cache, the global result cache, the campaign runner, the
-  shared-memory pools and the simulation phases all account here.
+  tile-timing cache, the global result cache, the campaign runner and
+  its process pool, and the simulation phases all account here.
 * :mod:`repro.obs.trace` — context-manager span tracing with per-track
   (per-worker, per-cluster) timelines, JSONL emission and Chrome
   ``chrome://tracing`` / Perfetto export (``--trace-out FILE`` or

@@ -5,8 +5,9 @@ phase, a single tile, a campaign point, a server job.  Spans carry a
 **track**: the horizontal row they render on in ``chrome://tracing`` /
 `Perfetto <https://ui.perfetto.dev>`_.  The current track is held in a
 :mod:`contextvars` variable so nested library code lands on whatever
-track its caller established — the shared-memory pool gives each worker
-process its own track and tile execution gets one track per cluster.
+track its caller established — the campaign process pool gives each
+worker process its own track and inline tile walks get one track per
+cluster.
 
 Timestamps are epoch microseconds (``time.time_ns() // 1000``) so spans
 recorded in worker *processes* line up with the parent's tracks once

@@ -1,28 +1,23 @@
 """The unified execution-options API shared by every entry point.
 
-Before this module existed every execution knob — cycle engine, worker
-processes, tile-timing memoization, batched cache-hit replay, campaign
-worker pools, quick mode — was threaded as a separate keyword argument
-through :class:`~repro.system.simulator.SystemSimulator`,
-:func:`~repro.scenarios.runner.run_scenario`,
-:func:`~repro.campaign.runner.run_campaign` and four hand-copied CLI flag
-blocks.  :class:`ExecutionOptions` folds them into one frozen,
-JSON-round-trippable object, which is what makes a *serializable* job
-submission possible: the :mod:`repro.server` payload embeds it verbatim,
-``python -m repro.eval`` derives its ``--engine/--parallel/--no-memoize/
---no-batch/--workers/--quick`` flags from its fields, and the redesigned
-entry points accept it as ``options=``.
+Every execution knob — cycle engine, tile-timing memoization, campaign
+worker pools, quick mode, the global result cache, sharding and tracing —
+lives in one frozen, JSON-round-trippable :class:`ExecutionOptions`
+object, which is what makes a *serializable* job submission possible:
+the :mod:`repro.server` payload embeds it verbatim, ``python -m
+repro.eval`` derives its ``--engine/--no-memoize/--workers/--quick/...``
+flags from its fields, and :class:`~repro.system.simulator.SystemSimulator`,
+:func:`~repro.scenarios.runner.run_scenario` and
+:func:`~repro.campaign.runner.run_campaign` accept it as ``options=`` —
+the only way to pass these knobs.  Unknown fields (including the retired
+``parallel`` and ``batch``) are rejected by :meth:`ExecutionOptions.from_dict`.
 
-Legacy keyword arguments (``SystemSimulator(parallel=2)``,
-``run_campaign(quick=True)``) keep working through one conversion helper,
-:func:`merge_legacy_options`, which emits a :class:`DeprecationWarning`
-and builds the equivalent :class:`ExecutionOptions` — behaviour is
-unchanged, as the parity tests assert.
-
-Every option is *exact*: engine choice, memoization, batching and
-parallel dispatch never change simulated cycle counts or HMC contents,
-only wall time — which is why two submissions differing only in these
-knobs may legitimately share one server-side result.
+Engine choice and memoization never change simulated cycle counts or HMC
+contents, only wall time — which is why two submissions differing only
+in execution knobs may legitimately share one server-side result.  There
+is a single execution path through the system simulator; whether it
+replays cache hits in stacked groups follows from the run itself (see
+:mod:`repro.system.batch`), never from an option.
 """
 
 from __future__ import annotations
@@ -30,11 +25,10 @@ from __future__ import annotations
 import json
 import os
 import re
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
-__all__ = ["UNSET", "ExecutionOptions", "merge_legacy_options", "parse_shard"]
+__all__ = ["ExecutionOptions", "parse_shard"]
 
 
 def parse_shard(shard: str) -> "tuple[int, int]":
@@ -59,27 +53,17 @@ def parse_shard(shard: str) -> "tuple[int, int]":
     return index, count
 
 
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from any real value."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "UNSET"
-
-
-#: Default of every legacy keyword in the shimmed signatures.
-UNSET = _Unset()
-
-
 @dataclass(frozen=True)
 class ExecutionOptions:
     """Every knob that selects *how* a simulation executes, as one value.
 
     All fields are execution-path choices, not workload definitions: any
     combination produces bit-identical simulated cycles and HMC contents
-    (`engine`, `parallel` and `memoize` also exist as
+    (``engine`` and ``memoize`` also exist as
     :class:`~repro.scenarios.spec.ScenarioSpec` fields and therefore
-    participate in campaign point identity; ``batch``, ``workers`` and
-    ``quick`` never do).  The ``metadata["cli"]`` of each field is the
+    participate in campaign point identity — turning memoization off
+    changes the recorded cache hits and misses; ``workers`` and ``quick``
+    never do).  The ``metadata["cli"]`` of each field is the
     help text of the derived command-line flag
     (:func:`repro.eval.__main__.add_execution_flags`).
     """
@@ -89,20 +73,10 @@ class ExecutionOptions:
         default=None,
         metadata={"cli": "override the cycle engine (default: the spec's own)"},
     )
-    #: Worker processes for cluster dispatch (0 = in-process).
-    parallel: int = field(
-        default=0,
-        metadata={"cli": "dispatch clusters onto N worker processes"},
-    )
     #: Tile-timing memoization (exact; see :mod:`repro.system.memo`).
     memoize: bool = field(
         default=True,
         metadata={"cli": "disable the tile-timing cache"},
-    )
-    #: Batched cache-hit replay (exact; see :mod:`repro.system.batch`).
-    batch: bool = field(
-        default=True,
-        metadata={"cli": "disable batched cache-hit replay (per-tile path)"},
     )
     #: Worker processes for campaign points (0 = in-process, shared cache).
     workers: int = field(
@@ -151,20 +125,11 @@ class ExecutionOptions:
             from repro.cluster.engine import get_engine  # avoid import cycle
 
             get_engine(self.engine)  # unknown names raise listing the choices
-        # ``parallel=True`` historically meant one worker per CPU and
-        # ``None``/``False`` meant in-process; normalize so the dict/JSON
-        # round trip always carries a plain count.
-        if self.parallel is True:
-            object.__setattr__(self, "parallel", os.cpu_count() or 1)
-        elif self.parallel is None or self.parallel is False:
-            object.__setattr__(self, "parallel", 0)
-        if not isinstance(self.parallel, int) or self.parallel < 0:
-            raise ValueError("parallel worker count must be non-negative")
         if isinstance(self.workers, bool) or not isinstance(self.workers, int):
             raise ValueError("worker count must be an integer")
         if self.workers < 0:
             raise ValueError("worker count must be non-negative")
-        for name in ("memoize", "batch", "quick", "trace"):
+        for name in ("memoize", "quick", "trace"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean")
         if self.trace_out is not None:
@@ -191,15 +156,13 @@ class ExecutionOptions:
         all-default options object never clobbers what a spec pins (a
         spec with ``memoize=False`` keeps it unless the options demand
         otherwise; to force memoization back on, override the spec
-        itself).  ``batch``, ``workers``, ``quick``, ``cache_dir``,
-        ``shard``, ``trace`` and ``trace_out`` are never spec fields
-        and never appear here.
+        itself).  ``workers``, ``quick``, ``cache_dir``, ``shard``,
+        ``trace`` and ``trace_out`` are never spec fields and never
+        appear here.
         """
         overrides: Dict[str, Any] = {}
         if self.engine is not None:
             overrides["engine"] = self.engine
-        if self.parallel:
-            overrides["parallel"] = self.parallel
         if not self.memoize:
             overrides["memoize"] = False
         return overrides
@@ -237,43 +200,3 @@ class ExecutionOptions:
         """Inverse of :meth:`to_json`."""
         return cls.from_dict(json.loads(text))
 
-
-def merge_legacy_options(
-    options: Optional["ExecutionOptions | Mapping[str, Any]"],
-    caller: str,
-    **legacy,
-) -> ExecutionOptions:
-    """The one conversion helper behind every redesigned entry point.
-
-    ``legacy`` holds the caller's deprecated keyword arguments with
-    :data:`UNSET` marking "not passed".  Passing both ``options`` and a
-    legacy keyword is ambiguous and raises ``TypeError``; legacy-only
-    calls emit a :class:`DeprecationWarning` and are converted to the
-    equivalent :class:`ExecutionOptions`, preserving behaviour exactly.
-    ``options`` may also be a plain mapping (a deserialized job payload),
-    which goes through :meth:`ExecutionOptions.from_dict`.
-    """
-    given = {name: value for name, value in legacy.items() if value is not UNSET}
-    if options is not None:
-        if given:
-            raise TypeError(
-                f"{caller}: pass options=ExecutionOptions(...) or the legacy "
-                f"keyword(s) {sorted(given)}, not both"
-            )
-        if isinstance(options, ExecutionOptions):
-            return options
-        if isinstance(options, Mapping):
-            return ExecutionOptions.from_dict(options)
-        raise TypeError(
-            f"{caller}: options must be an ExecutionOptions or a mapping, "
-            f"not {type(options).__name__}"
-        )
-    if not given:
-        return ExecutionOptions()
-    warnings.warn(
-        f"{caller}: the {sorted(given)} keyword(s) are deprecated; pass "
-        f"options=ExecutionOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionOptions(**given)

@@ -3,7 +3,7 @@
 The scenario subsystem is the "as many scenarios as you can imagine" seam
 of the roadmap: a workload is described as data (a
 :class:`~repro.scenarios.spec.ScenarioSpec` — family, shape, system
-geometry, engine/memoize/parallel knobs), built into HMC-staged tiles by
+geometry, engine/memoize knobs), built into HMC-staged tiles by
 its workload family, executed by the ordinary
 :class:`~repro.system.simulator.SystemSimulator`, and verified against a
 NumPy golden model.  Adding a workload means registering a family builder

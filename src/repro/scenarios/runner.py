@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.options import UNSET, ExecutionOptions, merge_legacy_options
+from repro.options import ExecutionOptions
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.workloads import ScenarioWorkload, build_workload
@@ -73,29 +73,23 @@ def run_scenario(
     verify: bool = True,
     options: Optional[ExecutionOptions] = None,
     timing_cache: Optional[TileTimingCache] = None,
-    batch=UNSET,
     **overrides,
 ) -> ScenarioOutcome:
     """Run ``scenario`` (a registered name or a spec) end to end.
 
     ``options`` is the unified :class:`~repro.options.ExecutionOptions`
-    block: its non-default ``engine``/``parallel``/``memoize`` values
-    override the corresponding spec fields (explicit ``overrides`` win
-    over both), and its ``batch`` flag toggles batched cache-hit replay
-    for this run — an execution knob, not a spec field, so scenario
-    identities (and campaign point ids) do not depend on it.  The
-    ``workers``/``quick`` fields are campaign-level and ignored here.
-    The bare ``batch=`` keyword is the deprecated spelling and keeps
-    working through the shim.
+    block: its non-default ``engine``/``memoize`` values override the
+    corresponding spec fields (explicit ``overrides`` win over both).
+    The ``workers``/``quick`` fields are campaign-level and ignored here.
 
     ``overrides`` replace spec fields for this run only (e.g.
-    ``engine="scalar"``, ``num_tiles=2``, ``parallel=2``); they go through
+    ``engine="scalar"``, ``num_tiles=2``, ``memoize=False``); they go through
     the same validation as a freshly constructed spec.  ``timing_cache``
     lets a caller that runs many scenarios (the campaign runner, the
     server) share one tile-timing cache across runs; it is only consulted
     when the spec has ``memoize`` enabled.
     """
-    options = merge_legacy_options(options, "run_scenario", batch=batch)
+    options = options if options is not None else ExecutionOptions()
     if options.trace:
         # Library callers opt in per options block; the enable sticks for
         # the process (the CLI scopes it with ``repro.obs.trace_session``).
@@ -107,9 +101,7 @@ def run_scenario(
     config = spec.system_config()
     simulator = SystemSimulator(
         config,
-        options=ExecutionOptions(
-            parallel=spec.parallel, memoize=spec.memoize, batch=options.batch
-        ),
+        options=ExecutionOptions(memoize=spec.memoize),
         timing_cache=timing_cache,
     )
     with _trace.span("scenario", name=spec.name, family=spec.family):

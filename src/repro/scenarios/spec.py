@@ -2,8 +2,8 @@
 
 A :class:`ScenarioSpec` pins everything a run needs — the workload family
 and its shape parameters, the system geometry (vaults x clusters per
-vault), and the execution knobs (cycle engine, tile-timing memoization,
-worker processes) — as plain data with a dict/JSON round trip.  Specs are
+vault), and the execution knobs that shape a run's record (cycle engine,
+tile-timing memoization) — as plain data with a dict/JSON round trip.  Specs are
 what the named-scenario registry stores, what ``python -m repro.eval
 scenario run`` resolves, and what the benchmark harness iterates; the
 same spec therefore *is* the reproduction recipe for a measurement.
@@ -64,8 +64,6 @@ class ScenarioSpec:
     engine: str = DEFAULT_ENGINE
     #: Tile-timing memoization (exact; see :mod:`repro.system.memo`).
     memoize: bool = True
-    #: Worker processes for cluster dispatch (0 = in-process).
-    parallel: int = 0
     #: Per-cluster NTX start stagger.
     stagger_cycles: int = 7
 
@@ -87,8 +85,6 @@ class ScenarioSpec:
         get_engine(self.engine)
         if self.num_tiles < 0:
             raise ValueError("tile count must be non-negative")
-        if self.parallel < 0:
-            raise ValueError("parallel worker count must be non-negative")
         merged = self.merged_params()  # unknown shape parameters fail here too
         validate = FAMILIES[self.family].validate
         if validate is not None:

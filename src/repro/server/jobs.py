@@ -5,9 +5,11 @@ hash** of everything that shapes its results — the fully resolved
 :class:`~repro.scenarios.spec.ScenarioSpec` (or
 :class:`~repro.campaign.spec.SweepSpec` plus quick flag) after the
 submission's :class:`~repro.options.ExecutionOptions` spec overrides are
-applied.  Execution-only knobs (``batch``, ``workers``) are *excluded*
-from the identity, because every execution path is exact: two
-submissions differing only in those knobs are one job with one result.
+applied.  Execution-only knobs such as ``workers`` are *excluded* from
+the identity, because every execution path is exact: two submissions
+differing only in those knobs are one job with one result.  A journaled
+job whose payload no longer parses (say, one carrying a retired option)
+fails when it is recovered; the daemon keeps serving.
 
 That deterministic id is what makes the daemon's three headline
 guarantees fall out of the existing campaign machinery:
@@ -146,7 +148,7 @@ def parse_submission(payload: Mapping[str, Any]) -> Submission:
     ``scenario`` name; campaign jobs either an inline ``sweep`` dict or
     a registered ``campaign`` name.  The optional ``options`` block is
     an :class:`ExecutionOptions` dict and is embedded verbatim; its
-    ``engine``/``parallel``/``memoize`` overrides are resolved into the
+    ``engine``/``memoize`` overrides are resolved into the
     spec/sweep here so they participate in the job's content hash.
     """
     if not isinstance(payload, Mapping):
@@ -538,11 +540,7 @@ class JobManager:
         if job.cancel_event.is_set():
             raise JobCancelled()
         self._events.inc(event="simulations")
-        outcome = run_scenario(
-            spec,
-            options=ExecutionOptions(batch=submission.options.batch),
-            timing_cache=self.timing_cache,
-        )
+        outcome = run_scenario(spec, timing_cache=self.timing_cache)
         point = CampaignPoint(id=pid, axis_values={}, spec=spec)
         record = self.scenario_store.append(
             point_record(point, outcome, outcome.run_seconds)
@@ -571,9 +569,7 @@ class JobManager:
         outcome = run_campaign(
             sweep,
             store_path=store_path,
-            options=ExecutionOptions(
-                batch=options.batch, workers=options.workers, quick=options.quick
-            ),
+            options=ExecutionOptions(workers=options.workers, quick=options.quick),
             on_point=on_point,
             timing_cache=self.timing_cache,
             cache=self.result_cache,

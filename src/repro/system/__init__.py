@@ -12,17 +12,15 @@
 * :mod:`repro.system.memo` — :class:`TileTimingCache`: tile-timing
   memoization so identical tiles pay for cycle simulation once (the data
   plane always re-executes — bit-exactness is never traded for speed).
-* :mod:`repro.system.batch` — cross-tile batched replay: cache-hit tiles
-  sharing one timing signature execute their data planes as a single
-  stacked NumPy dispatch, guarded by a per-group self-containment gate.
-* :mod:`repro.system.parallel` — multiprocessing dispatch of independent
-  clusters to worker processes over shared-memory staging segments, with
-  a deterministic merge.
+* :mod:`repro.system.batch` — the one tile walker every run goes
+  through, with cross-tile batched replay: cache-hit tiles sharing one
+  timing signature execute their data planes as a single stacked NumPy
+  dispatch, guarded by a self-containment gate.
 * :mod:`repro.system.workloads` — workload builders (tiles staged in the
   HMC, verified against NumPy references after the run).
 """
 
-from repro.system.batch import ClusterAssignment, run_cluster_groups_batched
+from repro.system.batch import ClusterAssignment, walk_tiles
 from repro.system.config import SystemConfig
 from repro.system.memo import CachedTiming, TileTimingCache
 from repro.system.scheduler import ShardPlan, WorkQueueScheduler, shard_round_robin
@@ -31,7 +29,7 @@ from repro.system.workloads import ConvWorkload, conv_tiled_workload
 
 __all__ = [
     "ClusterAssignment",
-    "run_cluster_groups_batched",
+    "walk_tiles",
     "SystemConfig",
     "CachedTiming",
     "TileTimingCache",

@@ -1,43 +1,52 @@
-"""Cross-tile batched replay of memoized system runs.
+"""The tile walker of system runs, with cross-tile batched cache-hit replay.
 
-A big tiled workload is dominated by *identical* tile programs: the timing
-cache (:mod:`repro.system.memo`) already collapses their cycle simulation
-to one run per timing class, but the cache-*hit* path still replays the
-data plane one tile at a time — hundreds of small NumPy dispatches that
-all walk the same command streams.  This module stacks them:
+:func:`walk_tiles` is the one execution path of
+:meth:`~repro.system.simulator.SystemSimulator.run`.  It visits tiles in
+(cluster, position) order and runs each one inline: the tile's DMA-in
+transfers, then its commands — a full cycle simulation on a timing-cache
+miss, only the data plane on a hit (:mod:`repro.system.memo`) — then its
+DMA-out transfers.  Without a timing cache every tile is fully simulated
+in that order, which is the reference every other configuration is
+tested against.
 
-1. after scheduling, every cache-hit tile is grouped under a **batch key**
-   — its engine timing signature plus everything the signature deliberately
-   leaves out but the data plane needs (per-command scalar immediates and
-   the TCDM-side layout of its DMA transfers);
+A big tiled workload is dominated by *identical* tile programs: the
+timing cache collapses their cycle simulation to one run per timing
+class, but replaying hits inline still costs one small NumPy dispatch per
+tile, all walking the same command streams.  So the walker defers hits
+and stacks them — only when a timing cache is present, the engine
+advertises ``supports_batched_replay``, and every tile of the run passes
+the self-containment gate below:
+
+1. every deferred hit is grouped under a **batch key** — its engine
+   timing signature plus everything the signature deliberately leaves out
+   but the data plane needs (per-command scalar immediates and the
+   TCDM-side layout of its DMA transfers);
 2. each group's data plane executes as **one stacked dispatch**: the HMC
    inputs of all member tiles are gathered into a ``(tiles, tcdm_words)``
    float32 image stack with one fancy-index per transfer row, the engine
    replays the shared command stream over the whole stack at once
    (:meth:`~repro.cluster.engine.Engine.run_data_plane_batched`), and the
-   outputs scatter back to each member's HMC region;
-3. cache misses still run the full cycle simulation immediately, in the
-   exact order the sequential dispatcher would, so hit/miss accounting and
-   cached timings are identical.
+   outputs scatter back to each member's HMC region; a group of one tile
+   runs the ordinary inline hit path;
+3. cache misses still run inline in walk order, so hit/miss accounting
+   and cached timings are identical to a walk that defers nothing.
 
 Bit-exactness rests on a conservative **self-containment gate** checked
-per batch key before anything executes: every word a tile's commands read
-must be covered by its own DMA-in transfers or by stores of earlier
-commands of the same tile (own-command RAW reads resolve like the
+per batch key, read-only, before anything executes: every word a tile's
+commands read must be covered by its own DMA-in transfers or by stores of
+earlier commands of the same tile (own-command RAW reads resolve like the
 unbatched fast path), and every byte its DMA-out transfers push back must
 be covered by its DMA-in data or its command stores.  A self-contained
 tile computes the same result on a zero-initialised private image as on
-the residue-carrying shared TCDM — which is also what the parallel
-dispatcher has always assumed when it rebuilds fresh scratchpads in worker
-processes.  If *any* tile of a run fails the gate (or stages outside the
-HMC↔TCDM address classes), the whole run falls back to the per-tile
-sequential path before any state was touched, so correctness never
-depends on the gate being clever.
+the residue-carrying shared TCDM.  If *any* tile of a run fails the gate
+(or stages outside the HMC↔TCDM address classes), the walk defers
+nothing and runs every tile inline, so correctness never depends on the
+gate being clever.
 
-Statistics are mirrored so a batched run's reports equal the sequential
-run's: DMA engine/AXI/memory counters are credited per member on its own
+Statistics are mirrored so a batched run's reports equal the inline
+walk's: DMA engine/AXI/memory counters are credited per member on its own
 cluster from the shared transfer geometry, and cached per-NTX active/stall
-cycles are credited exactly like the unbatched hit path.  Data-plane
+cycles are credited exactly like the inline hit path.  Data-plane
 access counters of a multi-cluster group are accounted wholesale on the
 group's representative cluster — aggregate totals match exactly; nothing
 in the system reports reads the per-cluster breakdown.
@@ -45,8 +54,9 @@ in the system reports reads the per-cluster breakdown.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +70,7 @@ from repro.obs import trace as _trace
 from repro.system.config import SystemConfig
 from repro.system.memo import CachedTiming, TileTimingCache
 
-__all__ = ["ClusterAssignment", "run_cluster_groups_batched"]
+__all__ = ["ClusterAssignment", "passes_gate", "plan_tiles", "walk_tiles"]
 
 _BATCH_GROUPS = _metrics.counter(
     "repro_batched_groups_total", "Stacked cache-hit groups replayed"
@@ -68,13 +78,19 @@ _BATCH_GROUPS = _metrics.counter(
 _BATCH_TILES = _metrics.counter(
     "repro_batched_tiles_total", "Tiles replayed through stacked groups"
 )
+# Fetches the histogram the simulator registers for its own phases.
+_PHASE_SECONDS = _metrics.histogram(
+    "repro_phase_seconds",
+    "Wall seconds per system-run phase",
+    labelnames=("phase",),
+)
 
 _WORD = 4
 
 
 @dataclass
 class ClusterAssignment:
-    """One cluster's share of a batched run."""
+    """One cluster's share of a system run."""
 
     cluster_id: int
     vault_id: int
@@ -84,19 +100,30 @@ class ClusterAssignment:
 
 
 @dataclass
+class _TilePlan:
+    """What the walk needs of one tile, derived read-only up front."""
+
+    tile: TileSchedule
+    jobs: List[Tuple[int, object]]
+    #: Timing signature (``None`` without a cache or without commands).
+    signature: Optional[tuple]
+    #: Batch key (``None`` without a cache).
+    key: Optional[tuple] = None
+
+
+@dataclass
 class _Member:
     """One cache-hit tile deferred into a batch group."""
 
     work_index: int
     position: int
-    tile: TileSchedule
+    plan: _TilePlan
 
 
 @dataclass
 class _Group:
     """All deferred hit tiles sharing one batch key."""
 
-    jobs: List[Tuple[int, object]]
     cached: CachedTiming
     members: List[_Member]
 
@@ -235,7 +262,7 @@ def _self_contained(
 
 
 # --------------------------------------------------------------------------- #
-# The batched dispatcher                                                      #
+# The walker                                                                  #
 # --------------------------------------------------------------------------- #
 
 
@@ -259,55 +286,94 @@ class _ReportSlots:
         ]
 
 
-def run_cluster_groups_batched(
-    config: SystemConfig,
-    work: Sequence[ClusterAssignment],
-    cache: TileTimingCache,
-) -> Optional[List["object"]]:
-    """Execute ``work`` with cache-hit tiles replayed in stacked groups.
+def plan_tiles(
+    config: SystemConfig, work: Sequence[ClusterAssignment], signed: bool
+) -> List[List[_TilePlan]]:
+    """Jobs, timing signature and batch key of every tile — read-only.
 
-    Returns one :class:`~repro.system.simulator.ClusterReport` per work
-    item (in order, ``busy_cycles`` left at zero exactly like
-    :func:`~repro.system.simulator.run_cluster_tiles`), or ``None`` —
-    *before any state is mutated* — when some tile is not self-contained,
-    in which case the caller must run the ordinary per-tile path.
-
-    Cache misses execute the full cycle simulation inline, walking tiles
-    in the same (cluster, position) order as the sequential dispatcher, so
-    hit/miss counters and discovered cache entries match it exactly.
-    Hits are deferred into batch groups; groups of at least two tiles on a
-    batch-capable engine replay as one stacked dispatch, everything else
-    replays through the ordinary per-tile hit path.
+    ``signed`` (the run has a cache) computes timing signatures and batch
+    keys; without it both stay ``None``.
     """
-    from repro.system.simulator import ClusterReport
-
-    engine = get_engine(config.engine)
-    cluster_cfg = config.cluster
-    num_ntx = cluster_cfg.num_ntx
-    core_ratio = cluster_cfg.ntx_frequency_hz / cluster_cfg.core_frequency_hz
-
-    # -- phase A: read-only analysis; bail out before touching anything ----
-    eligibility: Dict[tuple, bool] = {}
-    annotated: List[List[Tuple[TileSchedule, list, Optional[tuple], tuple]]] = []
+    num_ntx = config.cluster.num_ntx
+    plans: List[List[_TilePlan]] = []
     for item in work:
         signer = ClusterSimulator(item.cluster, engine=config.engine)
         infos = []
         for _, tile in item.assigned:
             jobs = tile.jobs(num_ntx) if tile.commands else []
-            signature = (
-                signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)
-                if tile.commands
-                else None
-            )
-            key = _group_key(tile, signature)
-            if key not in eligibility:
-                eligibility[key] = _self_contained(config, tile, jobs)
-            if not eligibility[key]:
-                return None
-            infos.append((tile, jobs, signature, key))
-        annotated.append(infos)
+            signature = key = None
+            if signed:
+                if tile.commands:
+                    signature = signer.timing_signature(
+                        jobs, stagger_cycles=config.stagger_cycles
+                    )
+                key = _group_key(tile, signature)
+            infos.append(_TilePlan(tile, jobs, signature, key))
+        plans.append(infos)
+    return plans
 
-    # -- phase B: walk tiles in sequential order; run misses, defer hits ----
+
+def passes_gate(config: SystemConfig, plans: List[List[_TilePlan]]) -> bool:
+    """Whether every tile of a signed plan is self-contained — read-only.
+
+    Checks each distinct batch key once and stops at the first refusal,
+    before any cluster, DMA or HMC state has been touched.
+    """
+    checked = set()
+    for infos in plans:
+        for plan in infos:
+            if plan.key not in checked:
+                if not _self_contained(config, plan.tile, plan.jobs):
+                    return False
+                checked.add(plan.key)
+    return True
+
+
+def walk_tiles(
+    config: SystemConfig,
+    work: Sequence[ClusterAssignment],
+    cache: Optional[TileTimingCache],
+) -> List["object"]:
+    """Execute ``work`` and return one report per work item, in order.
+
+    Returns :class:`~repro.system.simulator.ClusterReport` objects with
+    ``busy_cycles`` left at zero; the caller derives it (and the
+    bandwidth-contention stretch) from the per-tile cycle lists.
+
+    With ``cache`` present, a batch-capable engine and every tile passing
+    the self-containment gate, the walk runs inside a ``batched-replay``
+    span and defers hits into stacked groups.  Otherwise every tile runs
+    inline, each cluster inside a ``cluster-tiles`` span — after the
+    ``batched-replay`` span of the gate when the gate refused.
+    """
+    engine = get_engine(config.engine)
+    plans = None
+    if cache is not None and getattr(engine, "supports_batched_replay", False):
+        tiles = sum(len(item.assigned) for item in work)
+        with _PHASE_SECONDS.time(phase="batched-replay"), _trace.span(
+            "batched-replay", tiles=tiles
+        ):
+            plans = plan_tiles(config, work, signed=True)
+            if passes_gate(config, plans):
+                return _walk(config, work, cache, plans, defer=True)
+    with _PHASE_SECONDS.time(phase="cycle-sim"):
+        if plans is None:
+            plans = plan_tiles(config, work, signed=cache is not None)
+        return _walk(config, work, cache, plans, defer=False)
+
+
+def _walk(
+    config: SystemConfig,
+    work: Sequence[ClusterAssignment],
+    cache: Optional[TileTimingCache],
+    plans: List[List[_TilePlan]],
+    defer: bool,
+) -> List["object"]:
+    """Visit every tile in (cluster, position) order; see :func:`walk_tiles`."""
+    from repro.system.simulator import ClusterReport
+
+    cluster_cfg = config.cluster
+    core_ratio = cluster_cfg.ntx_frequency_hz / cluster_cfg.core_frequency_hz
     slots: List[_ReportSlots] = []
     groups: Dict[tuple, _Group] = {}
     for work_index, item in enumerate(work):
@@ -318,86 +384,120 @@ def run_cluster_groups_batched(
         )
         slot = _ReportSlots(report, len(item.assigned))
         slots.append(slot)
-        for position, (tile, jobs, signature, key) in enumerate(annotated[work_index]):
-            if not tile.commands:
-                # Pure staging tile: nothing to memoize, run it inline.
-                dma_cycles = 0
-                for transfer in (*tile.transfers_in, *tile.transfers_out):
-                    dma_cycles += item.cluster.run_dma(transfer)
-                    report.dma_bytes += transfer.total_bytes
-                slot.dma[position] = dma_cycles * core_ratio
-                continue
-            cached = cache.get(signature)
-            if cached is None:
-                dma_cycles = 0
-                for transfer in tile.transfers_in:
-                    dma_cycles += item.cluster.run_dma(transfer)
-                    report.dma_bytes += transfer.total_bytes
-                simulator = ClusterSimulator(item.cluster, engine=config.engine)
-                with _trace.span(
-                    "tile-miss", cluster=item.cluster_id, position=position
-                ):
-                    result = simulator.run(jobs, stagger_cycles=config.stagger_cycles)
-                cache.put(signature, CachedTiming.from_result(result))
-                for transfer in tile.transfers_out:
-                    dma_cycles += item.cluster.run_dma(transfer)
-                    report.dma_bytes += transfer.total_bytes
-                slot.results_by_pos[position] = result
-                slot.compute[position] = float(result.cycles)
-                slot.dma[position] = dma_cycles * core_ratio
-            else:
-                group = groups.get(key)
-                if group is None:
-                    group = _Group(jobs=jobs, cached=cached, members=[])
-                    groups[key] = group
-                group.members.append(_Member(work_index, position, tile))
+        with _cluster_scope(item, defer):
+            for position, plan in enumerate(plans[work_index]):
+                cached = None if plan.signature is None else cache.get(plan.signature)
+                if defer and cached is not None:
+                    group = groups.get(plan.key)
+                    if group is None:
+                        group = groups[plan.key] = _Group(cached=cached, members=[])
+                    group.members.append(_Member(work_index, position, plan))
+                    continue
+                tile_span = (
+                    nullcontext()
+                    if defer
+                    else _trace.span("tile", index=item.assigned[position][0])
+                )
+                with tile_span:
+                    _run_tile(
+                        config, item, slot, position, plan, cached, cache, core_ratio,
+                        trace_miss=defer,
+                    )
 
-    # -- phase C: replay the deferred hit groups ---------------------------
-    batchable = getattr(engine, "supports_batched_replay", False)
     for group in groups.values():
-        if batchable and len(group.members) >= 2:
+        if len(group.members) >= 2:
             _BATCH_GROUPS.inc()
             _BATCH_TILES.inc(len(group.members))
             with _trace.span("batched-group", tiles=len(group.members)):
                 _replay_group_batched(config, work, slots, group, core_ratio)
         else:
-            for member in group.members:
-                _replay_member(config, work, slots, group, member, core_ratio)
+            member = group.members[0]
+            _run_tile(
+                config,
+                work[member.work_index],
+                slots[member.work_index],
+                member.position,
+                member.plan,
+                group.cached,
+                cache,
+                core_ratio,
+            )
 
     for slot in slots:
         slot.finish()
     return [slot.report for slot in slots]
 
 
-def _replay_member(
+@contextmanager
+def _cluster_scope(item: ClusterAssignment, defer: bool) -> Iterator[None]:
+    """Inline walks trace each cluster on its own track."""
+    if defer:
+        yield
+        return
+    with _trace.TRACER.track(f"cluster-{item.cluster_id}"), _trace.span(
+        "cluster-tiles", cluster=item.cluster_id, tiles=len(item.assigned)
+    ):
+        yield
+
+
+def _run_tile(
     config: SystemConfig,
-    work: Sequence[ClusterAssignment],
-    slots: List[_ReportSlots],
-    group: _Group,
-    member: _Member,
+    item: ClusterAssignment,
+    slot: _ReportSlots,
+    position: int,
+    plan: _TilePlan,
+    cached: Optional[CachedTiming],
+    cache: Optional[TileTimingCache],
     core_ratio: float,
+    trace_miss: bool = False,
 ) -> None:
-    """Ordinary per-tile hit replay (singleton groups, batch-less engines)."""
-    item = work[member.work_index]
-    slot = slots[member.work_index]
-    tile = member.tile
-    cached = group.cached
+    """One tile inline: DMA in, cycle simulation or cached replay, DMA out.
+
+    A hit (``cached``) executes only the data plane and credits the cached
+    per-NTX active/stall cycles, which keeps the HMC bit-identical to a
+    full simulation; a miss simulates and, with a ``cache``, records the
+    timing under the tile's signature.  ``trace_miss`` wraps that cycle
+    simulation in a ``tile-miss`` span (deferring walks).
+    """
+    tile = plan.tile
+    report = slot.report
     dma_cycles = 0
     for transfer in tile.transfers_in:
         dma_cycles += item.cluster.run_dma(transfer)
-        slot.report.dma_bytes += transfer.total_bytes
-    simulator = ClusterSimulator(item.cluster, engine=config.engine)
-    simulator.run_data_plane(group.jobs)
-    for ntx_id in range(config.cluster.num_ntx):
-        stats = item.cluster.ntx[ntx_id].stats
-        stats.active_cycles += cached.per_ntx_active[ntx_id]
-        stats.stall_cycles += cached.per_ntx_stall[ntx_id]
+        report.dma_bytes += transfer.total_bytes
+    if tile.commands:
+        simulator = ClusterSimulator(item.cluster, engine=config.engine)
+        if cached is None:
+            miss_span = (
+                _trace.span("tile-miss", cluster=item.cluster_id, position=position)
+                if trace_miss
+                else nullcontext()
+            )
+            with miss_span:
+                result = simulator.run(plan.jobs, stagger_cycles=config.stagger_cycles)
+            if cache is not None:
+                cache.put(plan.signature, CachedTiming.from_result(result))
+        else:
+            simulator.run_data_plane(plan.jobs)
+            _credit_cached_stats(config, item.cluster, cached)
+            result = cached.to_result()
+        slot.results_by_pos[position] = result
+        slot.compute[position] = float(result.cycles)
     for transfer in tile.transfers_out:
         dma_cycles += item.cluster.run_dma(transfer)
-        slot.report.dma_bytes += transfer.total_bytes
-    slot.results_by_pos[member.position] = cached.to_result()
-    slot.compute[member.position] = float(cached.cycles)
-    slot.dma[member.position] = dma_cycles * core_ratio
+        report.dma_bytes += transfer.total_bytes
+    # DMA cycles tick at the core/AXI clock; convert to NTX cycles.
+    slot.dma[position] = dma_cycles * core_ratio
+
+
+def _credit_cached_stats(
+    config: SystemConfig, cluster: Cluster, cached: CachedTiming
+) -> None:
+    """Credit a replayed tile's cached per-NTX active/stall cycles."""
+    for ntx_id in range(config.cluster.num_ntx):
+        stats = cluster.ntx[ntx_id].stats
+        stats.active_cycles += cached.per_ntx_active[ntx_id]
+        stats.stall_cycles += cached.per_ntx_stall[ntx_id]
 
 
 def _replay_group_batched(
@@ -411,7 +511,7 @@ def _replay_group_batched(
     members = group.members
     num_tiles = len(members)
     cached = group.cached
-    tile0 = members[0].tile
+    tile0 = members[0].plan.tile
     item0 = work[members[0].work_index]
     tcdm_cfg = config.cluster.tcdm
     tcdm_base = tcdm_cfg.base_address
@@ -432,7 +532,7 @@ def _replay_group_batched(
         span = np.arange(row_bytes)
         sources = np.array(
             [
-                [src for src, _ in member.tile.transfers_in[index].row_addresses()]
+                [src for src, _ in member.plan.tile.transfers_in[index].row_addresses()]
                 for member in members
             ],
             dtype=np.int64,
@@ -451,18 +551,14 @@ def _replay_group_batched(
     if tile0.commands:
         simulator = ClusterSimulator(item0.cluster, engine=config.engine)
         if not get_engine(config.engine).run_data_plane_batched(
-            simulator, group.jobs, images
+            simulator, members[0].plan.jobs, images
         ):  # pragma: no cover - contract violation of a custom engine
             raise RuntimeError(
                 f"engine {config.engine!r} advertises batched replay but "
                 "refused a stacked group"
             )
         for member in members:
-            cluster = work[member.work_index].cluster
-            for ntx_id in range(config.cluster.num_ntx):
-                stats = cluster.ntx[ntx_id].stats
-                stats.active_cycles += cached.per_ntx_active[ntx_id]
-                stats.stall_cycles += cached.per_ntx_stall[ntx_id]
+            _credit_cached_stats(config, work[member.work_index].cluster, cached)
 
     # Scatter: push every member's output rows back to its HMC region
     # (disjoint by the workload contract, so order cannot matter).
@@ -473,7 +569,7 @@ def _replay_group_batched(
         span = np.arange(row_bytes)
         destinations = np.array(
             [
-                [dst for _, dst in member.tile.transfers_out[index].row_addresses()]
+                [dst for _, dst in member.plan.tile.transfers_out[index].row_addresses()]
                 for member in members
             ],
             dtype=np.int64,

@@ -18,10 +18,6 @@ canonicalizes the engine, the stagger, the full cluster configuration and
 each command's :attr:`~repro.core.commands.NtxCommand.timing_signature`
 (loop nest, AGU bases/strides, init/store levels — everything but the data).
 
-Entries are plain picklable tuples/dataclasses so the parallel dispatcher
-(:mod:`repro.system.parallel`) can ship caches to worker processes and merge
-the entries they discover back into the parent's cache.
-
 The per-lookup hot path is deliberately *not* instrumented: the cache
 keeps its own plain-integer ``hits``/``misses`` and
 :meth:`~repro.system.simulator.SystemSimulator.run` publishes the
@@ -123,23 +119,3 @@ class TileTimingCache:
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
         }
-
-    # -- cross-process plumbing ---------------------------------------------
-
-    def snapshot(self) -> Dict[tuple, CachedTiming]:
-        """Picklable copy of the entries, for shipping to worker processes."""
-        return dict(self._entries)
-
-    def merge_entries(self, entries: Dict[tuple, CachedTiming]) -> None:
-        """Absorb entries discovered elsewhere (first writer wins).
-
-        Entries for the same key are necessarily identical — the signature
-        pins the timing — so the order of merging cannot change results.
-        """
-        for key, timing in entries.items():
-            self._entries.setdefault(key, timing)
-
-    def merge_counters(self, hits: int, misses: int) -> None:
-        """Fold a worker's hit/miss counts into this cache's accounting."""
-        self.hits += hits
-        self.misses += misses

@@ -20,41 +20,38 @@ deliver, every transfer is slowed by the resulting contention factor —
 the mechanism behind the compute plateau of the paper's biggest
 configurations (Table II).
 
-Three system-scale accelerations sit on top of that machinery, all exact:
+Every run goes through one tile walker (:func:`repro.system.batch.walk_tiles`),
+with two exact accelerations on top of it:
 
-* **Tile-timing memoization** (on by default, ``memoize=False`` to
-  disable): tiles whose engine/command-stream/cluster-configuration
-  signature has been simulated before replay the cached timing and only
-  re-execute the data plane, so the thousands of identical interior tiles
-  of a big tiled workload pay for cycle simulation once
-  (:mod:`repro.system.memo`).
-* **Cross-tile batched replay** (on by default, ``batch=False`` to
-  disable): cache-hit tiles sharing one timing signature replay their data
-  planes as a single stacked NumPy dispatch instead of one dispatch per
-  tile (:mod:`repro.system.batch`).  Guarded by a per-group
-  self-containment gate, with a global fallback to the per-tile path when
-  any tile fails it.
-* **Parallel dispatch** (``parallel=N`` or ``parallel=True``): independent
-  clusters run in worker processes and their HMC writes are merged back in
-  deterministic cluster order (:mod:`repro.system.parallel`).  Requires
-  what the work-queue contract already assumes — tiles do not read each
-  other's outputs.
+* **Tile-timing memoization** (on by default, ``memoize=False`` in
+  :class:`~repro.options.ExecutionOptions` to disable): tiles whose
+  engine/command-stream/cluster-configuration signature has been
+  simulated before replay the cached timing and only re-execute the data
+  plane, so the thousands of identical interior tiles of a big tiled
+  workload pay for cycle simulation once (:mod:`repro.system.memo`).
+* **Cross-tile batched replay**: when the timing cache is on, the engine
+  supports it and every tile passes a self-containment gate, cache-hit
+  tiles sharing one timing signature replay their data planes as a single
+  stacked NumPy dispatch instead of one dispatch per tile
+  (:mod:`repro.system.batch`).  Nothing selects it but those facts; a run
+  the gate refuses walks every tile inline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.sim import ClusterSimulator, SimulationResult
+from repro.cluster.sim import SimulationResult
 from repro.cluster.tiling import TileSchedule, overlap_cycles
 from repro.mem.hmc import Hmc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.options import UNSET, ExecutionOptions, merge_legacy_options
+from repro.options import ExecutionOptions
+from repro.system.batch import ClusterAssignment, walk_tiles
 from repro.system.config import SystemConfig
-from repro.system.memo import CachedTiming, TileTimingCache
+from repro.system.memo import TileTimingCache
 from repro.system.scheduler import ShardPlan, WorkQueueScheduler
 
 # Registry instruments for the system layer.  The tile-timing cache is
@@ -80,7 +77,6 @@ __all__ = [
     "ClusterReport",
     "SystemResult",
     "SystemSimulator",
-    "run_cluster_tiles",
 ]
 
 
@@ -121,8 +117,6 @@ class SystemResult:
     #: Timing-cache accounting of this run (zero when memoization is off).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Worker processes the run was dispatched onto (1 = in-process).
-    workers: int = 1
 
     @property
     def num_tiles(self) -> int:
@@ -200,73 +194,7 @@ class SystemResult:
             "dma_gbs": self.offered_dma_bandwidth_bytes_per_s / 1e9,
             "contention_factor": self.contention_factor,
             "cache_hit_rate": self.cache_hit_rate,
-            "workers": self.workers,
         }
-
-
-def run_cluster_tiles(
-    cluster: Cluster,
-    config: SystemConfig,
-    assigned: Sequence[Tuple[int, TileSchedule]],
-    vault_id: int,
-    cache: Optional[TileTimingCache] = None,
-) -> ClusterReport:
-    """Execute ``assigned`` tiles on ``cluster`` and report what happened.
-
-    ``assigned`` pairs each tile with its workload-global index.  This is
-    the single per-cluster execution path: the sequential dispatcher calls
-    it in-process, the parallel dispatcher calls it inside each worker.
-    When ``cache`` is given, tile timing is memoized — a hit replays the
-    cached :class:`~repro.cluster.sim.SimulationResult` and only executes
-    the data plane (DMA plus functional command execution), which keeps
-    the HMC bit-identical to an uncached run.
-
-    ``busy_cycles`` is left at zero; the caller derives it (and the
-    bandwidth-contention stretch) from the per-tile cycle lists.
-    """
-    cluster_config = config.cluster
-    core_ratio = cluster_config.ntx_frequency_hz / cluster_config.core_frequency_hz
-    report = ClusterReport(
-        cluster_id=0,
-        vault_id=vault_id,
-        tile_indices=[index for index, _ in assigned],
-    )
-    for index, tile in assigned:
-        with _trace.span("tile", index=index):
-            dma_cycles = 0
-            for transfer in tile.transfers_in:
-                dma_cycles += cluster.run_dma(transfer)
-                report.dma_bytes += transfer.total_bytes
-            if tile.commands:
-                simulator = ClusterSimulator(cluster, engine=config.engine)
-                jobs = tile.jobs(cluster_config.num_ntx)
-                result: Optional[SimulationResult] = None
-                if cache is not None:
-                    key = simulator.timing_signature(
-                        jobs, stagger_cycles=config.stagger_cycles
-                    )
-                    cached = cache.get(key)
-                    if cached is not None:
-                        simulator.run_data_plane(jobs)
-                        for ntx_id in range(cluster_config.num_ntx):
-                            stats = cluster.ntx[ntx_id].stats
-                            stats.active_cycles += cached.per_ntx_active[ntx_id]
-                            stats.stall_cycles += cached.per_ntx_stall[ntx_id]
-                        result = cached.to_result()
-                if result is None:
-                    result = simulator.run(jobs, stagger_cycles=config.stagger_cycles)
-                    if cache is not None:
-                        cache.put(key, CachedTiming.from_result(result))
-                report.results.append(result)
-                report.compute_cycles_per_tile.append(float(result.cycles))
-            else:
-                report.compute_cycles_per_tile.append(0.0)
-            for transfer in tile.transfers_out:
-                dma_cycles += cluster.run_dma(transfer)
-                report.dma_bytes += transfer.total_bytes
-            # DMA cycles tick at the core/AXI clock; convert to NTX cycles.
-            report.dma_cycles_per_tile.append(dma_cycles * core_ratio)
-    return report
 
 
 class SystemSimulator:
@@ -275,29 +203,14 @@ class SystemSimulator:
     def __init__(
         self,
         config: Optional[SystemConfig] = None,
-        parallel=UNSET,
-        memoize=UNSET,
         timing_cache: Optional[TileTimingCache] = None,
-        batch=UNSET,
         options: Optional[ExecutionOptions] = None,
     ) -> None:
         """``options`` selects the execution path; see :mod:`repro.options`.
 
-        ``options.parallel`` worker processes dispatch the clusters (0
-        and 1 run in-process), ``options.memoize`` toggles the tile
-        timing cache (which persists across :meth:`run` calls), and
-        ``options.batch`` (on by default) replays cache-hit tiles in
-        stacked same-signature groups (:mod:`repro.system.batch`) —
-        bit-identical to the per-tile path, and much faster once the
-        cache is warm; it engages only when memoization is on and every
-        tile passes the self-containment gate.  A non-``None``
-        ``options.engine`` overrides the engine of ``config``.
-
-        The ``parallel``/``memoize``/``batch`` keyword arguments are the
-        deprecated pre-``ExecutionOptions`` spelling; they keep working
-        (``parallel=True`` still means one worker per CPU) through
-        :func:`repro.options.merge_legacy_options`, which warns and
-        builds the equivalent options object.
+        ``options.memoize`` toggles the tile timing cache (which persists
+        across :meth:`run` calls); a non-``None`` ``options.engine``
+        overrides the engine of ``config``.
 
         A caller running many simulators over structurally similar
         workloads (the campaign runner, the server) may pass a shared
@@ -305,17 +218,12 @@ class SystemSimulator:
         instances; signatures pin the full cluster configuration, so
         sharing is always exact.
         """
-        options = merge_legacy_options(
-            options, "SystemSimulator", parallel=parallel, memoize=memoize, batch=batch
-        )
+        options = options if options is not None else ExecutionOptions()
         config = config or SystemConfig()
         if options.engine is not None and config.engine != options.engine:
             config = replace(config, engine=options.engine)
         self.options = options
         self.config = config
-        self.parallel = options.parallel
-        self.memoize = options.memoize
-        self.batch = options.batch
         self.timing_cache = timing_cache if timing_cache is not None else TileTimingCache()
         self.hmc = Hmc(self.config.hmc)
         self.clusters: List[Cluster] = [
@@ -343,13 +251,6 @@ class SystemSimulator:
         costs = [self._estimate_cost(tile) for tile in tiles]
         return self.scheduler.assign(costs, self.config.num_clusters)
 
-    def _effective_workers(self, busy_clusters: int) -> int:
-        """Resolve the ``parallel`` request against the work at hand."""
-        if busy_clusters <= 1:
-            return 1
-        workers = int(self.parallel or 0)
-        return min(max(workers, 1), busy_clusters)
-
     # -- execution ------------------------------------------------------------
 
     def run(self, tiles: Sequence[TileSchedule]) -> SystemResult:
@@ -359,62 +260,20 @@ class SystemSimulator:
             "schedule", tiles=len(tiles)
         ):
             plan = self.shard(tiles)
-        vault_of = config.vault_of_cluster
-        cache = self.timing_cache if self.memoize else None
+        cache = self.timing_cache if self.options.memoize else None
         hits_before = self.timing_cache.hits
         misses_before = self.timing_cache.misses
-        busy_clusters = sum(1 for indices in plan.tiles_of if indices)
-        workers = self._effective_workers(busy_clusters)
-
-        if workers > 1:
-            from repro.system.parallel import run_clusters_parallel
-
-            with _PHASE_SECONDS.time(phase="cycle-sim"), _trace.span(
-                "parallel-dispatch", workers=workers, clusters=busy_clusters
-            ):
-                reports = run_clusters_parallel(
-                    config, plan, tiles, self.hmc, cache, workers, batch=self.batch
-                )
-        else:
-            reports = None
-            if self.batch and cache is not None:
-                from repro.system.batch import (
-                    ClusterAssignment,
-                    run_cluster_groups_batched,
-                )
-
-                work = [
-                    ClusterAssignment(
-                        cluster_id=cluster_id,
-                        vault_id=vault_of[cluster_id],
-                        cluster=self.clusters[cluster_id],
-                        assigned=[(index, tiles[index]) for index in tile_indices],
-                    )
-                    for cluster_id, tile_indices in enumerate(plan.tiles_of)
-                ]
-                # ``None`` means some tile failed the self-containment
-                # gate (checked before any state was touched): fall back
-                # to the ordinary per-tile path below.
-                with _PHASE_SECONDS.time(phase="batched-replay"), _trace.span(
-                    "batched-replay", tiles=len(tiles)
-                ):
-                    reports = run_cluster_groups_batched(config, work, cache)
-            if reports is None:
-                reports = []
-                with _PHASE_SECONDS.time(phase="cycle-sim"):
-                    for cluster_id, tile_indices in enumerate(plan.tiles_of):
-                        with _trace.TRACER.track(f"cluster-{cluster_id}"), _trace.span(
-                            "cluster-tiles", cluster=cluster_id, tiles=len(tile_indices)
-                        ):
-                            report = run_cluster_tiles(
-                                self.clusters[cluster_id],
-                                config,
-                                [(index, tiles[index]) for index in tile_indices],
-                                vault_of[cluster_id],
-                                cache,
-                            )
-                        report.cluster_id = cluster_id
-                        reports.append(report)
+        vault_of = config.vault_of_cluster
+        work = [
+            ClusterAssignment(
+                cluster_id=cluster_id,
+                vault_id=vault_of[cluster_id],
+                cluster=self.clusters[cluster_id],
+                assigned=[(index, tiles[index]) for index in tile_indices],
+            )
+            for cluster_id, tile_indices in enumerate(plan.tiles_of)
+        ]
+        reports = walk_tiles(config, work, cache)
 
         with _PHASE_SECONDS.time(phase="merge"), _trace.span("merge"):
             # First pass: per-cluster double-buffered busy time without
@@ -458,5 +317,4 @@ class SystemSimulator:
             contention_factor=contention,
             cache_hits=self.timing_cache.hits - hits_before,
             cache_misses=self.timing_cache.misses - misses_before,
-            workers=workers,
         )

@@ -1,47 +1,43 @@
-"""Parity/fuzz harness for cross-tile batched replay (repro.system.batch).
+"""Parity/fuzz harness for the system tile walker (repro.system.batch).
 
-The batched cache-hit path promises *bit-identical* results to the plain
-sequential scalar path — same HMC bytes, same timing reports — across
-every combination of cycle engine, memoization, parallel dispatch and
-batching.  This file holds that promise in place:
+Every system run goes through one walker; with the timing cache on it
+replays cache hits in stacked groups.  That promises *bit-identical*
+results to the no-cache walk on the scalar engine — same HMC bytes, same
+timing reports — for every cycle engine with and without memoization.
+This file holds that promise in place:
 
-* a fixed accelerator matrix (engine x memoize x parallel x batch) checked
-  against one sequential scalar reference run,
+* a fixed matrix (engine x memoize) checked against one scalar no-cache
+  reference run,
 * a seeded randomized fuzz sweep over tile shapes, tile counts and
   cluster topologies (full depth under ``-m slow``, a short prefix in the
   default quick run),
 * the self-containment gate: a tile whose compute reads TCDM residue that
-  no DMA staged must send the *whole* run down the per-tile fallback
-  before any state is touched,
-* the shared-memory segment lifecycle of the parallel dispatcher — normal
-  runs and injected worker crashes both leave zero segments behind,
-* the acceptance gate: batched memoized replay is >= 5x faster than the
-  unmemoized sequential path on the system bench shape, with identical
-  outputs.
+  no DMA staged must make the walker defer nothing, decided before any
+  state is touched,
+* the acceptance gate: memoized batched replay is >= 5x faster than the
+  no-cache walk on the system bench shape, with identical outputs.
 
 The reference draws lattice-valued operands (multiples of 1/16) so both
 cycle engines produce bit-identical floating-point results; one test uses
-arbitrary normal data to check batched-vs-unbatched identity *within* the
+arbitrary normal data to check memo-off against memo-on *within* the
 vectorized engine, where no cross-engine rounding question arises.
 """
 
 import math
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro.options import ExecutionOptions
 from repro.scenarios.workloads import _lattice
 from repro.system import (
     ClusterAssignment,
     SystemConfig,
     SystemSimulator,
     conv_tiled_workload,
-    run_cluster_groups_batched,
 )
-from repro.system import parallel as parallel_mod
-from repro.system.memo import TileTimingCache
+from repro.system.batch import passes_gate, plan_tiles
 
 
 def _run(
@@ -50,17 +46,13 @@ def _run(
     seed=2019,
     engine="vectorized",
     memoize=True,
-    parallel=None,
-    batch=True,
     config=None,
     draw=_lattice,
 ):
     """One end-to-end system run; returns (simulator, workload, result)."""
     if config is None:
         config = SystemConfig(engine=engine)
-    simulator = SystemSimulator(
-        config, parallel=parallel, memoize=memoize, batch=batch
-    )
+    simulator = SystemSimulator(config, options=ExecutionOptions(memoize=memoize))
     workload = conv_tiled_workload(
         simulator.hmc,
         num_tiles=num_tiles,
@@ -80,9 +72,8 @@ def _hmc_bytes(simulator):
 def _timing_view(result):
     """Everything timing-related a run reports, for exact comparison.
 
-    ``cache_hits``/``cache_misses``/``workers`` are accounting of the
-    acceleration machinery itself (a parallel run takes one miss per
-    worker group by design) and deliberately excluded; every modeled
+    ``cache_hits``/``cache_misses`` are accounting of the timing cache
+    itself (0/0 without one) and deliberately excluded; every modeled
     quantity — makespan, contention, per-tile cycles, per-tile simulation
     results — must match bit for bit.
     """
@@ -114,48 +105,44 @@ def _assert_matches_reference(reference, candidate):
     workload.verify(sim.hmc)
 
 
-# -- the accelerator matrix ----------------------------------------------------
+# -- the execution matrix ------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def scalar_reference():
-    """The ground truth: sequential scalar engine, no acceleration at all."""
-    return _run(engine="scalar", memoize=False, parallel=None, batch=False)
+    """The ground truth: scalar engine, no cache, every tile simulated."""
+    return _run(engine="scalar", memoize=False)
 
 
-class TestAcceleratorMatrix:
-    """Every engine x memoize x parallel x batch combination vs the reference."""
+class TestExecutionMatrix:
+    """Every engine x memoize combination vs the reference."""
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     @pytest.mark.parametrize("memoize", [False, True])
-    @pytest.mark.parametrize("parallel", [None, 2])
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_combination_matches_scalar_sequential(
-        self, scalar_reference, engine, memoize, parallel, batch
+    def test_combination_matches_scalar_no_cache(
+        self, scalar_reference, engine, memoize
     ):
-        candidate = _run(
-            engine=engine, memoize=memoize, parallel=parallel, batch=batch
-        )
+        candidate = _run(engine=engine, memoize=memoize)
         _assert_matches_reference(scalar_reference, candidate)
 
-    def test_batched_run_actually_hits_the_cache(self):
-        """Guard against the matrix passing because batching never engaged."""
-        _, _, result = _run(memoize=True, batch=True)
+    def test_memoized_run_actually_hits_the_cache(self):
+        """Guard against the matrix passing because replay never engaged."""
+        _, _, result = _run(memoize=True)
         assert result.cache_hits > 0
 
 
-class TestBatchedVsUnbatchedArbitraryData:
+class TestMemoOffVsOnArbitraryData:
     """On arbitrary (non-lattice) data the cross-engine comparison is moot,
-    but batched replay must still be bit-identical to the per-tile path of
+    but batched replay must still be bit-identical to the no-cache walk of
     the *same* engine."""
 
     def test_vectorized_engine_bit_identical(self):
         def normal(rng, shape):
             return rng.standard_normal(shape).astype(np.float32)
 
-        unbatched = _run(memoize=True, batch=False, draw=normal, seed=7)
-        batched = _run(memoize=True, batch=True, draw=normal, seed=7)
-        _assert_matches_reference(unbatched, batched)
+        memo_off = _run(memoize=False, draw=normal, seed=7)
+        memo_on = _run(memoize=True, draw=normal, seed=7)
+        _assert_matches_reference(memo_off, memo_on)
 
 
 # -- randomized fuzz sweep -----------------------------------------------------
@@ -184,40 +171,31 @@ def _fuzz_draws(count, entropy):
 
 
 def _fuzz_one(draw, combos):
-    """Run one fuzz draw: scalar sequential reference vs each combo."""
+    """Run one fuzz draw: scalar no-cache reference vs each combo."""
     reference = _run(
         num_tiles=draw["num_tiles"],
         image_shape=draw["image_shape"],
         seed=draw["seed"],
         memoize=False,
-        parallel=None,
-        batch=False,
         config=SystemConfig(engine="scalar", **draw["config_kwargs"]),
     )
-    for engine, memoize, parallel, batch in combos:
+    for engine, memoize in combos:
         candidate = _run(
             num_tiles=draw["num_tiles"],
             image_shape=draw["image_shape"],
             seed=draw["seed"],
             memoize=memoize,
-            parallel=parallel,
-            batch=batch,
             config=SystemConfig(engine=engine, **draw["config_kwargs"]),
         )
         _assert_matches_reference(reference, candidate)
 
 
 class TestFuzzParity:
-    QUICK_COMBOS = [
-        ("vectorized", True, None, True),
-        ("scalar", True, None, True),
-    ]
+    QUICK_COMBOS = [("vectorized", True), ("scalar", True)]
     FULL_COMBOS = [
-        (engine, memoize, parallel, batch)
+        (engine, memoize)
         for engine in ("scalar", "vectorized")
         for memoize in (False, True)
-        for parallel in (None, 2)
-        for batch in (False, True)
     ]
 
     @pytest.mark.parametrize("draw", _fuzz_draws(3, entropy=0xB47C4))
@@ -235,8 +213,8 @@ class TestFuzzParity:
 
 class TestSelfContainmentGate:
     """A tile whose reads are not covered by its own DMA-in rows (it reads
-    whatever residue the previous tile left in the TCDM) must force the
-    whole run down the per-tile path — before any state is touched."""
+    whatever residue the previous tile left in the TCDM) must make the
+    walker defer nothing — decided before any state is touched."""
 
     def _doctored(self, simulator, num_tiles=6):
         workload = conv_tiled_workload(
@@ -248,9 +226,10 @@ class TestSelfContainmentGate:
         workload.tiles[2].transfers_in = []
         return workload
 
-    def test_gate_refuses_the_group(self):
+    def test_gate_refuses_without_touching_state(self):
         simulator = SystemSimulator(SystemConfig())
         workload = self._doctored(simulator)
+        hmc_before = _hmc_bytes(simulator).copy()
         plan = simulator.shard(workload.tiles)
         vault_of = simulator.config.vault_of_cluster
         work = [
@@ -262,74 +241,29 @@ class TestSelfContainmentGate:
             )
             for cluster_id, tile_indices in enumerate(plan.tiles_of)
         ]
-        assert run_cluster_groups_batched(
-            simulator.config, work, TileTimingCache()
-        ) is None
-        # The refusal happened in the read-only phase: nothing ran.
+        plans = plan_tiles(simulator.config, work, signed=True)
+        assert not passes_gate(simulator.config, plans)
+        # The refusal happened in the read-only planning pass: nothing ran.
+        assert np.array_equal(_hmc_bytes(simulator), hmc_before)
+        assert simulator.timing_cache.lookups == 0
         for cluster in simulator.clusters:
             assert cluster.tcdm.memory.reads == 0
             assert cluster.tcdm.memory.writes == 0
             assert cluster.dma.stats.transfers == 0
 
-    def test_fallback_is_still_bit_identical(self):
+    def test_refused_run_matches_memo_off(self):
         runs = []
-        for batch in (False, True):
+        for memoize in (False, True):
             simulator = SystemSimulator(
-                SystemConfig(), memoize=True, batch=batch
+                SystemConfig(), options=ExecutionOptions(memoize=memoize)
             )
             workload = self._doctored(simulator)
             result = simulator.run(workload.tiles)
             runs.append((simulator, workload, result))
         (ref_sim, _, ref_result), (sim, _, result) = runs
+        assert result.cache_hits > 0  # memo on still replayed hits, inline
         assert np.array_equal(_hmc_bytes(ref_sim), _hmc_bytes(sim))
         assert _timing_view(result) == _timing_view(ref_result)
-
-
-# -- shared-memory segment lifecycle -------------------------------------------
-
-
-class TestSharedMemoryLifecycle:
-    def _track_segments(self, monkeypatch):
-        """Record the name of every segment the dispatcher creates."""
-        created = []
-        real = parallel_mod._create_segment
-
-        def tracking(num_bytes):
-            segment = real(num_bytes)
-            created.append(segment.name)
-            return segment
-
-        monkeypatch.setattr(parallel_mod, "_create_segment", tracking)
-        return created
-
-    def _assert_all_unlinked(self, names):
-        assert not parallel_mod._ACTIVE_SEGMENTS
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_normal_run_unlinks_every_segment(self, monkeypatch):
-        created = self._track_segments(monkeypatch)
-        _run(parallel=2, memoize=True, batch=True)
-        assert created  # the run really went through the staging path
-        self._assert_all_unlinked(created)
-
-    def test_worker_exception_surfaces_and_unlinks(self, monkeypatch):
-        created = self._track_segments(monkeypatch)
-        monkeypatch.setenv(parallel_mod.CRASH_ENV, "raise")
-        with pytest.raises(RuntimeError, match="injected worker crash"):
-            _run(parallel=2, memoize=True, batch=True)
-        assert created
-        self._assert_all_unlinked(created)
-
-    def test_worker_hard_death_surfaces_and_unlinks(self, monkeypatch):
-        """os._exit in a worker must raise a clear error, not hang."""
-        created = self._track_segments(monkeypatch)
-        monkeypatch.setenv(parallel_mod.CRASH_ENV, "exit")
-        with pytest.raises(RuntimeError, match="worker process died"):
-            _run(parallel=2, memoize=True, batch=True)
-        assert created
-        self._assert_all_unlinked(created)
 
 
 # -- acceptance gate -----------------------------------------------------------
@@ -337,28 +271,24 @@ class TestSharedMemoryLifecycle:
 
 class TestAcceptanceBatchedSpeedup:
     def test_batched_memoized_is_5x_faster_with_identical_outputs(self):
-        """Acceptance gate: memoization+batching >= 5x over the unaccelerated
-        sequential path on the system bench shape, bit-identical outputs.
+        """Acceptance gate: memoization (with batched replay) >= 5x over the
+        no-cache walk on the system bench shape, bit-identical outputs.
 
-        Mirrors the parallel 3x gate in ``test_system.py``: the baseline is
-        sized to take ~1s so the accelerated side has margin on a loaded
-        CI machine, and the accelerated run is best-of-three — noise can
-        only slow the accelerated side, so retrying it is conservative.
+        The baseline is sized to take ~1s so the accelerated side has
+        margin on a loaded CI machine, and the accelerated run is
+        best-of-three — noise can only slow the accelerated side, so
+        retrying it is conservative.
         """
         shape, tiles = (48, 52), 32
 
         start = time.perf_counter()
-        reference = _run(
-            num_tiles=tiles, image_shape=shape, memoize=False, batch=False
-        )
+        reference = _run(num_tiles=tiles, image_shape=shape, memoize=False)
         wall_sequential = time.perf_counter() - start
 
         wall_fast = math.inf
         for _ in range(3):
             start = time.perf_counter()
-            candidate = _run(
-                num_tiles=tiles, image_shape=shape, memoize=True, batch=True
-            )
+            candidate = _run(num_tiles=tiles, image_shape=shape, memoize=True)
             wall_fast = min(wall_fast, time.perf_counter() - start)
             if wall_sequential / wall_fast >= 7.0:  # comfortable margin
                 break

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro.eval`` command-line entry point."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.eval.__main__ import EXPERIMENTS, main
@@ -52,6 +54,31 @@ def test_scenario_run_engine_override(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "engine scalar" in out
+
+
+def test_scenario_run_without_memoization(capsys):
+    assert main(["scenario", "run", "conv-tiled", "--tiles", "2", "--no-memoize"]) == 0
+    out = capsys.readouterr().out
+    assert "cache hit rate 0.00" in out
+    assert "verified against the golden model: ok" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "run", "conv-tiled", "--parallel", "2"],
+        ["scenario", "run", "conv-tiled", "--no-batch"],
+        ["system", "--parallel", "2"],
+        ["system", "--no-batch"],
+        ["campaign", "run", "dnn-scaling", "--no-batch"],
+        ["submit", "scenario", "conv-tiled", "--parallel", "2"],
+    ],
+)
+def test_retired_execution_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_scenario_run_unknown_name_fails_cleanly(capsys):
@@ -164,12 +191,12 @@ def test_campaign_sharded_run_and_merge(tmp_path, capsys):
     assert main(["campaign", "merge", "--output", merged] + shards) == 0
     out = capsys.readouterr().out
     assert f"merged 2 store(s) -> {merged} (4 points)" in out
-    first = open(merged, "rb").read()
+    first = Path(merged).read_bytes()
 
     # Merging in the opposite order is byte-identical.
     assert main(["campaign", "merge", "--output", merged] + shards[::-1]) == 0
     capsys.readouterr()
-    assert open(merged, "rb").read() == first
+    assert Path(merged).read_bytes() == first
 
     # The merged store resumes a full run completely.
     assert main(

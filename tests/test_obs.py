@@ -26,6 +26,7 @@ from repro.obs.trace import (
 )
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, run_scenario
+from repro.system import SystemConfig, SystemSimulator, conv_tiled_workload
 
 _SAMPLE_LINE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9eE.+-]+$|"
@@ -264,20 +265,65 @@ class TestInstrumentedRuns:
         assert {"scenario", "build-workload", "verify", "schedule"} <= names
         _assert_tracks_nest(spans)
 
-    def test_parallel_run_ships_worker_tracks_home(self):
+    def test_system_span_contract(self):
+        """The span names the layered benchmark reads off a system run.
+
+        A default run shows ``schedule``, then ``batched-replay`` holding
+        the ``tile-miss``/``batched-group`` spans, then ``merge`` — and no
+        ``cluster-tiles`` span.  A run whose tiles fail the
+        self-containment gate walks every tile inline, in ``cluster-tiles``
+        spans that start after its ``batched-replay`` span ends.
+        """
+
+        def traced_run(doctor):
+            simulator = SystemSimulator(SystemConfig())
+            workload = conv_tiled_workload(
+                simulator.hmc, num_tiles=6, image_shape=(12, 14)
+            )
+            if doctor:
+                # Tile 2 now reads TCDM words no DMA staged.
+                workload.tiles[2].transfers_in = []
+            with obs.trace_session(trace=True) as tracer:
+                simulator.run(workload.tiles)
+                return tracer.spans()
+
+        spans = traced_run(doctor=False)
+        names = [s.name for s in sorted(spans, key=lambda s: s.ts_us)]
+        assert "cluster-tiles" not in names and "tile" not in names
+        assert names[0] == "schedule" and names[-1] == "merge"
+        (replay,) = [s for s in spans if s.name == "batched-replay"]
+        inner = [s for s in spans if s.name in ("tile-miss", "batched-group")]
+        assert {s.name for s in inner} == {"tile-miss", "batched-group"}
+        for span in inner:
+            assert replay.ts_us <= span.ts_us
+            assert span.ts_us + span.dur_us <= replay.ts_us + replay.dur_us + 5
+
+        spans = traced_run(doctor=True)
+        (replay,) = [s for s in spans if s.name == "batched-replay"]
+        walked = [s for s in spans if s.name == "cluster-tiles"]
+        assert walked
+        assert not [s for s in spans if s.name in ("tile-miss", "batched-group")]
+        replay_end = replay.ts_us + replay.dur_us
+        assert all(s.ts_us >= replay_end - 5 for s in walked)
+
+    @pytest.mark.parametrize(
+        "engine,memoize", [("vectorized", False), ("scalar", True)]
+    )
+    def test_inline_walks_skip_the_gate(self, engine, memoize):
+        """Without a cache, or on an engine without batched replay, the
+        walker runs every tile inline and never enters the gate."""
         spec = tiny_spec(
-            name="tiny-obs-parallel",
-            num_tiles=4,
-            num_vaults=2,
-            clusters_per_vault=2,
-            parallel=2,
+            name="tiny-obs-inline", num_tiles=4, clusters_per_vault=2,
+            engine=engine, memoize=memoize,
         )
         with obs.trace_session(trace=True) as tracer:
-            run_scenario(spec, options=ExecutionOptions(batch=False))
+            outcome = run_scenario(spec)
             spans = tracer.spans()
-        worker_tracks = {s.track for s in spans if s.track.startswith("worker-")}
-        assert worker_tracks, {s.track for s in spans}
-        assert any(s.name == "worker-task" for s in spans)
+        assert outcome.verified
+        names = [s.name for s in spans]
+        assert "batched-replay" not in names and "tile-miss" not in names
+        assert names.count("cluster-tiles") == 2
+        assert names.count("tile") == 4
 
     def test_tracing_never_perturbs_results(self):
         plain = run_scenario(tiny_spec())

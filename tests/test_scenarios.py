@@ -33,7 +33,6 @@ class TestScenarioSpec:
             clusters_per_vault=2,
             engine="scalar",
             memoize=False,
-            parallel=2,
             stagger_cycles=5,
         )
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
@@ -82,8 +81,13 @@ class TestScenarioSpec:
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", family="conv", num_tiles=-1)
-        with pytest.raises(ValueError):
-            ScenarioSpec(name="x", family="conv", parallel=-1)
+
+    def test_retired_parallel_field_rejected(self):
+        """Worker dispatch is gone; a spec naming it must fail loudly."""
+        data = get_scenario("conv-tiled").to_dict()
+        assert "parallel" not in data
+        with pytest.raises(ValueError, match="parallel"):
+            ScenarioSpec.from_dict({**data, "parallel": 2})
 
     def test_system_config_carries_the_knobs(self):
         spec = ScenarioSpec(
@@ -190,14 +194,11 @@ class TestWorkloadFamilies:
         for a, b in zip(*arrays):
             assert np.array_equal(a, b)
 
-    def test_memoized_parallel_scenario_is_exact(self):
-        """The system-scale accelerations compose with every family."""
+    def test_memoized_scenario_is_exact(self):
+        """Memoized, batched replay composes with every family."""
         plain = _run_family("dnn-training-step", num_tiles=4, memoize=False)
-        fast = _run_family(
-            "dnn-training-step", num_tiles=4, memoize=True, parallel=2
-        )
+        fast = _run_family("dnn-training-step", num_tiles=4, memoize=True)
         assert fast.result.cache_hits > 0
-        assert fast.result.workers == 2
         assert fast.result.makespan_cycles == plain.result.makespan_cycles
         for a, b in zip(plain.output_arrays(), fast.output_arrays()):
             assert np.array_equal(a, b)  # bit-identical HMC buffers

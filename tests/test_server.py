@@ -18,7 +18,7 @@ import pytest
 
 from repro.campaign import ResultStore, SweepSpec
 from repro.client import Client, ServerError
-from repro.options import ExecutionOptions, merge_legacy_options
+from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.server import JobError, ReproServer, parse_submission
 from repro.server.jobs import JobManager
@@ -64,21 +64,18 @@ class TestExecutionOptions:
     def test_defaults(self):
         options = ExecutionOptions()
         assert options.engine is None
-        assert options.parallel == 0
         assert options.memoize is True
-        assert options.batch is True
         assert options.workers == 0
         assert options.quick is False
 
     def test_dict_round_trip(self):
         options = ExecutionOptions(
-            engine="scalar", parallel=2, memoize=False, batch=False,
-            workers=3, quick=True,
+            engine="scalar", memoize=False, workers=3, quick=True,
         )
         assert ExecutionOptions.from_dict(options.to_dict()) == options
 
     def test_json_round_trip(self):
-        options = ExecutionOptions(parallel=1, quick=True)
+        options = ExecutionOptions(workers=1, quick=True)
         assert ExecutionOptions.from_json(options.to_json()) == options
 
     def test_from_dict_missing_fields_default(self):
@@ -89,18 +86,19 @@ class TestExecutionOptions:
         with pytest.raises(ValueError, match="turbo.*accepted"):
             ExecutionOptions.from_dict({"turbo": True})
 
+    @pytest.mark.parametrize("retired", ["parallel", "batch"])
+    def test_retired_fields_rejected(self, retired):
+        """Worker dispatch and the batch switch are gone, not ignored."""
+        with pytest.raises(ValueError, match=retired):
+            ExecutionOptions.from_dict({retired: 2})
+        with pytest.raises(TypeError):
+            ExecutionOptions(**{retired: 2})
+
     def test_unknown_engine_lists_choices(self):
         with pytest.raises(ValueError, match="warp"):
             ExecutionOptions(engine="warp")
 
-    def test_parallel_true_means_cpu_count(self):
-        assert ExecutionOptions(parallel=True).parallel == (os.cpu_count() or 1)
-        assert ExecutionOptions(parallel=None).parallel == 0
-        assert ExecutionOptions(parallel=False).parallel == 0
-
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ExecutionOptions(parallel=-2)
         with pytest.raises(ValueError, match="non-negative"):
             ExecutionOptions(workers=-1)
 
@@ -112,60 +110,32 @@ class TestExecutionOptions:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            ExecutionOptions().parallel = 4
+            ExecutionOptions().workers = 4
 
     def test_spec_overrides_only_non_defaults(self):
         assert ExecutionOptions().spec_overrides() == {}
         overrides = ExecutionOptions(
-            engine="scalar", parallel=2, memoize=False, batch=False,
-            workers=4, quick=True,
+            engine="scalar", memoize=False, workers=4, quick=True,
         ).spec_overrides()
-        assert overrides == {"engine": "scalar", "parallel": 2, "memoize": False}
+        assert overrides == {"engine": "scalar", "memoize": False}
 
     def test_with_overrides_validates(self):
-        options = ExecutionOptions().with_overrides(parallel=2)
-        assert options.parallel == 2
+        options = ExecutionOptions().with_overrides(workers=2)
+        assert options.workers == 2
         with pytest.raises(ValueError):
             options.with_overrides(workers=-1)
-
-
-class TestLegacyShim:
-    def test_legacy_keyword_warns_and_matches_options(self):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            legacy = SystemSimulator(SystemConfig(), parallel=2, memoize=False)
-        modern = SystemSimulator(
-            SystemConfig(), options=ExecutionOptions(parallel=2, memoize=False)
-        )
-        assert legacy.options == modern.options
-        assert (legacy.parallel, legacy.memoize) == (modern.parallel, modern.memoize)
-
-    def test_both_options_and_legacy_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            SystemSimulator(
-                SystemConfig(), parallel=2, options=ExecutionOptions()
-            )
-
-    def test_options_as_mapping_accepted(self):
-        simulator = SystemSimulator(SystemConfig(), options={"parallel": 1})
-        assert simulator.parallel == 1
-
-    def test_merge_helper_rejects_non_mapping(self):
-        with pytest.raises(TypeError, match="ExecutionOptions"):
-            merge_legacy_options(3, "caller")
-
-    def test_run_scenario_legacy_batch_parity(self):
-        spec = tiny_spec()
-        with pytest.warns(DeprecationWarning, match="batch"):
-            legacy = run_scenario(spec, batch=False)
-        modern = run_scenario(spec, options=ExecutionOptions(batch=False))
-        assert legacy.result.makespan_cycles == modern.result.makespan_cycles
-        assert legacy.verified and modern.verified
 
     def test_engine_option_threads_into_simulator_config(self):
         simulator = SystemSimulator(
             SystemConfig(), options=ExecutionOptions(engine="scalar")
         )
         assert simulator.config.engine == "scalar"
+
+    def test_entry_points_take_no_legacy_keywords(self):
+        with pytest.raises(TypeError):
+            SystemSimulator(SystemConfig(), parallel=2)
+        with pytest.raises(TypeError, match="batch"):
+            run_scenario(tiny_spec(), batch=False)
 
 
 class TestSubmissionParsing:
@@ -188,6 +158,20 @@ class TestSubmissionParsing:
                  "options": {"turbo": True}}
             )
 
+    @pytest.mark.parametrize("retired", ["parallel", "batch"])
+    def test_retired_option_is_a_job_error(self, retired):
+        with pytest.raises(JobError, match=f"'{retired}'"):
+            parse_submission(
+                {"kind": "scenario", "spec": tiny_spec().to_dict(),
+                 "options": {retired: 0}}
+            )
+
+    def test_retired_spec_field_is_a_job_error(self):
+        with pytest.raises(JobError, match="'parallel'"):
+            parse_submission(
+                {"kind": "scenario", "spec": {**tiny_spec().to_dict(), "parallel": 0}}
+            )
+
     def test_registered_names_resolve(self):
         submission = parse_submission({"kind": "scenario", "scenario": "conv-tiled"})
         assert submission.spec.name == "conv-tiled"
@@ -197,13 +181,13 @@ class TestSubmissionParsing:
         assert submission.sweep.name == "conv-geometry-sweep"
 
     def test_execution_knobs_do_not_change_identity(self):
-        """batch/workers are exact execution paths: same job, one result."""
+        """workers/trace are exact execution paths: same job, one result."""
         base = {"kind": "scenario", "spec": tiny_spec().to_dict()}
         plain = parse_submission(base).job_id
-        batched = parse_submission(
-            {**base, "options": {"batch": False, "workers": 3}}
+        pooled = parse_submission(
+            {**base, "options": {"workers": 3, "trace": True}}
         ).job_id
-        assert plain == batched
+        assert plain == pooled
 
     def test_spec_overrides_change_identity(self):
         base = {"kind": "scenario", "spec": tiny_spec().to_dict()}
@@ -368,6 +352,13 @@ class TestServerEndToEnd:
                  "options": {"turbo": 9}}
             )
         assert bad_option.value.status == 400
+        with pytest.raises(ServerError) as retired:
+            client.submit(
+                {"kind": "scenario", "spec": tiny_spec().to_dict(),
+                 "options": {"parallel": 2}}
+            )
+        assert retired.value.status == 400
+        assert "'parallel'" in retired.value.payload["error"]
         with pytest.raises(ServerError) as no_route:
             client._request("GET", "/nope")
         assert no_route.value.status == 404
@@ -483,6 +474,41 @@ class TestCancelAndRecovery:
             assert result["executed"] + result["skipped"] == 4
         finally:
             second.close()
+
+    def test_restart_fails_a_journaled_job_with_retired_fields(self, tmp_path):
+        """A job journaled before ``parallel``/``batch`` were retired is
+        recovered, fails naming the field, and the daemon keeps serving."""
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        old_options = {**ExecutionOptions().to_dict(), "parallel": 0, "batch": True}
+        old_spec = {**tiny_spec().to_dict(), "parallel": 0}
+        ResultStore(store_dir / "jobs.jsonl").append(
+            {
+                "point_id": "s-pre-change",
+                "kind": "scenario",
+                "state": "queued",
+                "payload": {"kind": "scenario", "options": old_options,
+                            "spec": old_spec},
+                "result": None,
+                "error": None,
+            }
+        )
+        server = ReproServer(port=0, workers=1, store_dir=store_dir)
+        server.start()
+        try:
+            client = Client(server.url)
+            deadline = time.monotonic() + 60
+            while client.status("s-pre-change")["state"] != "failed":
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            assert "parallel" in client.status("s-pre-change")["error"]
+            result = client.wait(client.submit_scenario(tiny_spec())["id"], timeout=120)
+            assert result["kind"] == "scenario"
+            health = client.healthz()
+            assert health["jobs"]["recovered"] == 1
+            assert health["jobs"]["failed"] == 1
+        finally:
+            server.close()
 
 
 class TestDaemonProcess:
