@@ -8,6 +8,8 @@ This file holds that promise in place:
 
 * a fixed matrix (engine x memoize) checked against one scalar no-cache
   reference run,
+* the walker's accounting: DMA/AXI/NTX counters, memory-access totals,
+  batched-replay metrics, groups of one, warm reruns and report order,
 * a seeded randomized fuzz sweep over tile shapes, tile counts and
   cluster topologies (full depth under ``-m slow``, a short prefix in the
   default quick run),
@@ -37,7 +39,7 @@ from repro.system import (
     SystemSimulator,
     conv_tiled_workload,
 )
-from repro.system.batch import passes_gate, plan_tiles
+from repro.system.batch import passes_gate, plan_tiles, walk_tiles
 
 
 def _run(
@@ -143,6 +145,137 @@ class TestMemoOffVsOnArbitraryData:
         memo_off = _run(memoize=False, draw=normal, seed=7)
         memo_on = _run(memoize=True, draw=normal, seed=7)
         _assert_matches_reference(memo_off, memo_on)
+
+
+# -- walker accounting ---------------------------------------------------------
+
+
+TOPOLOGIES = [(1, 2), (2, 2)]
+
+
+def _topology_runs(topology):
+    """Memo-off and memo-on runs of one (vaults, clusters/vault) topology."""
+    num_vaults, clusters_per_vault = topology
+    return [
+        _run(
+            memoize=memoize,
+            config=SystemConfig(
+                num_vaults=num_vaults, clusters_per_vault=clusters_per_vault
+            ),
+        )
+        for memoize in (False, True)
+    ]
+
+
+class TestWalkerAccounting:
+    """A run with stacked replay reports the same statistics as the inline
+    walk: DMA/AXI and per-NTX counters per cluster, data-plane memory
+    counters in aggregate (a multi-cluster group books its accesses on the
+    group's representative cluster)."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["1x2", "2x2"])
+    def test_per_cluster_dma_and_axi_counters_match(self, topology):
+        (ref_sim, _, _), (sim, _, result) = _topology_runs(topology)
+        assert result.cache_hits > 0
+        for ref, cluster in zip(ref_sim.clusters, sim.clusters):
+            assert cluster.dma.stats.transfers == ref.dma.stats.transfers
+            assert cluster.dma.stats.bytes_moved == ref.dma.stats.bytes_moved
+            assert cluster.dma.stats.busy_cycles == ref.dma.stats.busy_cycles
+            assert cluster.axi.busy_cycles == ref.axi.busy_cycles
+            assert cluster.axi.bytes_transferred == ref.axi.bytes_transferred
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["1x2", "2x2"])
+    def test_per_ntx_active_and_stall_cycles_match(self, topology):
+        (ref_sim, _, _), (sim, _, _) = _topology_runs(topology)
+        for ref, cluster in zip(ref_sim.clusters, sim.clusters):
+            for ref_ntx, ntx in zip(ref.ntx, cluster.ntx):
+                assert ntx.stats.active_cycles == ref_ntx.stats.active_cycles
+                assert ntx.stats.stall_cycles == ref_ntx.stats.stall_cycles
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["1x2", "2x2"])
+    def test_aggregate_memory_counters_match(self, topology):
+        (ref_sim, _, _), (sim, _, _) = _topology_runs(topology)
+
+        def totals(simulator):
+            tcdm = [cluster.tcdm.memory for cluster in simulator.clusters]
+            return (
+                sum(memory.reads for memory in tcdm),
+                sum(memory.writes for memory in tcdm),
+                simulator.hmc.memory.reads,
+                simulator.hmc.memory.writes,
+            )
+
+        assert totals(sim) == totals(ref_sim)
+
+    def test_metrics_count_stacked_groups_and_tiles(self):
+        """Eight identical tiles on one cluster: one miss, then the seven
+        hits replay as a single stacked group."""
+        from repro.obs import metrics
+
+        metrics.set_metrics_enabled(True)
+        _, _, result = _run(
+            num_tiles=8, config=SystemConfig(num_vaults=1, clusters_per_vault=1)
+        )
+        assert (result.cache_hits, result.cache_misses) == (7, 1)
+        registry = metrics.REGISTRY
+        assert registry.get("repro_batched_groups_total").value() == 1
+        assert registry.get("repro_batched_tiles_total").value() == 7
+
+    def test_group_of_one_hit_replays_inline(self):
+        """A batch key with a single deferred hit takes the ordinary inline
+        hit path: no ``batched-group`` span, same results."""
+        from repro import obs
+
+        reference = _run(num_tiles=2, memoize=False)
+        with obs.trace_session(trace=True) as tracer:
+            candidate = _run(num_tiles=2, memoize=True)
+            names = {span.name for span in tracer.spans()}
+        assert (candidate[2].cache_hits, candidate[2].cache_misses) == (1, 1)
+        assert "batched-replay" in names and "tile-miss" in names
+        assert "batched-group" not in names
+        _assert_matches_reference(reference, candidate)
+
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_warm_rerun_is_all_hits_with_identical_timing(self, engine):
+        """The timing cache persists across runs of one simulator: a second
+        run of the same tiles simulates nothing and reports the same."""
+        simulator, workload, first = _run(num_tiles=6, engine=engine)
+        second = simulator.run(workload.tiles)
+        workload.verify(simulator.hmc)
+        assert first.cache_misses > 0
+        assert second.cache_misses == 0
+        assert second.cache_hits == len(workload.tiles)
+        assert _timing_view(second) == _timing_view(first)
+
+    def test_walk_reports_follow_work_order(self):
+        """``walk_tiles`` returns one report per work item, in work order,
+        with ``busy_cycles`` left for the caller to derive."""
+        simulator = SystemSimulator(
+            SystemConfig(num_vaults=1, clusters_per_vault=3),
+            options=ExecutionOptions(memoize=False),
+        )
+        workload = conv_tiled_workload(
+            simulator.hmc, num_tiles=7, image_shape=(12, 14), draw=_lattice
+        )
+        plan = simulator.shard(workload.tiles)
+        # Visit the clusters in reverse to show order comes from ``work``.
+        work = [
+            ClusterAssignment(
+                cluster_id=cluster_id,
+                vault_id=0,
+                cluster=simulator.clusters[cluster_id],
+                assigned=[(i, workload.tiles[i]) for i in plan.tiles_of[cluster_id]],
+            )
+            for cluster_id in reversed(range(simulator.config.num_clusters))
+        ]
+        reports = walk_tiles(simulator.config, work, cache=None)
+        workload.verify(simulator.hmc)
+        assert [r.cluster_id for r in reports] == [2, 1, 0]
+        for item, report in zip(work, reports):
+            assert report.tile_indices == [index for index, _ in item.assigned]
+            assert len(report.results) == len(item.assigned)
+            assert len(report.compute_cycles_per_tile) == len(item.assigned)
+            assert report.busy_cycles == 0
 
 
 # -- randomized fuzz sweep -----------------------------------------------------

@@ -174,13 +174,19 @@ class TestSystemSimulator:
             assert sum(1 for r in result.reports if not r.tile_indices) == 5
             assert len(result.reports) == 8
 
-    def test_empty_workload(self):
+    def test_empty_workload_with_and_without_memoization(self):
         """Regression: no tiles must neither fail nor report work."""
-        simulator = SystemSimulator(SystemConfig(num_vaults=1, clusters_per_vault=2))
-        result = simulator.run([])
-        assert result.num_tiles == 0
-        assert result.makespan_cycles == 0
-        assert "workers" not in result.summary()
+        for memoize in (False, True):
+            simulator = SystemSimulator(
+                SystemConfig(num_vaults=1, clusters_per_vault=2),
+                options=ExecutionOptions(memoize=memoize),
+            )
+            result = simulator.run([])
+            assert result.num_tiles == 0
+            assert result.makespan_cycles == 0
+            assert result.cache_hits == result.cache_misses == 0
+            assert all(not report.tile_indices for report in result.reports)
+            assert "workers" not in result.summary()
 
     def test_scalar_and_vectorized_systems_agree(self):
         """Satellite: SimulationResult parity on a fixed-seed system run."""
