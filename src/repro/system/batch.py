@@ -56,7 +56,16 @@ from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -78,8 +87,10 @@ _BATCH_GROUPS = _metrics.counter(
 _BATCH_TILES = _metrics.counter(
     "repro_batched_tiles_total", "Tiles replayed through stacked groups"
 )
-# Fetches the histogram the simulator registers for its own phases.
-_PHASE_SECONDS = _metrics.histogram(
+#: Wall time per system-run phase: ``schedule`` and ``merge`` are timed by
+#: :meth:`~repro.system.simulator.SystemSimulator.run`, ``batched-replay``
+#: and ``cycle-sim`` by :func:`walk_tiles`.
+PHASE_SECONDS = _metrics.histogram(
     "repro_phase_seconds",
     "Wall seconds per system-run phase",
     labelnames=("phase",),
@@ -350,16 +361,39 @@ def walk_tiles(
     plans = None
     if cache is not None and getattr(engine, "supports_batched_replay", False):
         tiles = sum(len(item.assigned) for item in work)
-        with _PHASE_SECONDS.time(phase="batched-replay"), _trace.span(
+        with PHASE_SECONDS.time(phase="batched-replay"), _trace.span(
             "batched-replay", tiles=tiles
         ):
             plans = plan_tiles(config, work, signed=True)
             if passes_gate(config, plans):
                 return _walk(config, work, cache, plans, defer=True)
-    with _PHASE_SECONDS.time(phase="cycle-sim"):
+    with PHASE_SECONDS.time(phase="cycle-sim"):
         if plans is None:
             plans = plan_tiles(config, work, signed=cache is not None)
         return _walk(config, work, cache, plans, defer=False)
+
+
+# Span factories of one walk; ``_walk`` picks its set once from ``defer``.
+
+
+def _no_span(*_args: object) -> ContextManager[object]:
+    return nullcontext()
+
+
+@contextmanager
+def _cluster_tiles_span(item: ClusterAssignment) -> Iterator[None]:
+    with _trace.TRACER.track(f"cluster-{item.cluster_id}"), _trace.span(
+        "cluster-tiles", cluster=item.cluster_id, tiles=len(item.assigned)
+    ):
+        yield
+
+
+def _tile_span(item: ClusterAssignment, position: int) -> ContextManager[object]:
+    return _trace.span("tile", index=item.assigned[position][0])
+
+
+def _tile_miss_span(item: ClusterAssignment, position: int) -> ContextManager[object]:
+    return _trace.span("tile-miss", cluster=item.cluster_id, position=position)
 
 
 def _walk(
@@ -374,6 +408,14 @@ def _walk(
 
     cluster_cfg = config.cluster
     core_ratio = cluster_cfg.ntx_frequency_hz / cluster_cfg.core_frequency_hz
+    # ``defer`` fixes the span shape of the whole walk: a deferring walk
+    # (already inside ``batched-replay``) traces only its cycle-simulated
+    # misses; an inline walk traces each cluster on its own track and
+    # every tile.
+    if defer:
+        cluster_span, tile_span, miss_span = _no_span, _no_span, _tile_miss_span
+    else:
+        cluster_span, tile_span, miss_span = _cluster_tiles_span, _tile_span, _no_span
     slots: List[_ReportSlots] = []
     groups: Dict[tuple, _Group] = {}
     for work_index, item in enumerate(work):
@@ -384,7 +426,7 @@ def _walk(
         )
         slot = _ReportSlots(report, len(item.assigned))
         slots.append(slot)
-        with _cluster_scope(item, defer):
+        with cluster_span(item):
             for position, plan in enumerate(plans[work_index]):
                 cached = None if plan.signature is None else cache.get(plan.signature)
                 if defer and cached is not None:
@@ -393,15 +435,10 @@ def _walk(
                         group = groups[plan.key] = _Group(cached=cached, members=[])
                     group.members.append(_Member(work_index, position, plan))
                     continue
-                tile_span = (
-                    nullcontext()
-                    if defer
-                    else _trace.span("tile", index=item.assigned[position][0])
-                )
-                with tile_span:
+                with tile_span(item, position):
                     _run_tile(
                         config, item, slot, position, plan, cached, cache, core_ratio,
-                        trace_miss=defer,
+                        miss_span,
                     )
 
     for group in groups.values():
@@ -421,23 +458,12 @@ def _walk(
                 group.cached,
                 cache,
                 core_ratio,
+                miss_span,
             )
 
     for slot in slots:
         slot.finish()
     return [slot.report for slot in slots]
-
-
-@contextmanager
-def _cluster_scope(item: ClusterAssignment, defer: bool) -> Iterator[None]:
-    """Inline walks trace each cluster on its own track."""
-    if defer:
-        yield
-        return
-    with _trace.TRACER.track(f"cluster-{item.cluster_id}"), _trace.span(
-        "cluster-tiles", cluster=item.cluster_id, tiles=len(item.assigned)
-    ):
-        yield
 
 
 def _run_tile(
@@ -449,15 +475,15 @@ def _run_tile(
     cached: Optional[CachedTiming],
     cache: Optional[TileTimingCache],
     core_ratio: float,
-    trace_miss: bool = False,
+    miss_span: Callable[[ClusterAssignment, int], ContextManager[object]],
 ) -> None:
     """One tile inline: DMA in, cycle simulation or cached replay, DMA out.
 
     A hit (``cached``) executes only the data plane and credits the cached
     per-NTX active/stall cycles, which keeps the HMC bit-identical to a
     full simulation; a miss simulates and, with a ``cache``, records the
-    timing under the tile's signature.  ``trace_miss`` wraps that cycle
-    simulation in a ``tile-miss`` span (deferring walks).
+    timing under the tile's signature.  ``miss_span`` wraps that cycle
+    simulation (a ``tile-miss`` span in deferring walks).
     """
     tile = plan.tile
     report = slot.report
@@ -468,12 +494,7 @@ def _run_tile(
     if tile.commands:
         simulator = ClusterSimulator(item.cluster, engine=config.engine)
         if cached is None:
-            miss_span = (
-                _trace.span("tile-miss", cluster=item.cluster_id, position=position)
-                if trace_miss
-                else nullcontext()
-            )
-            with miss_span:
+            with miss_span(item, position):
                 result = simulator.run(plan.jobs, stagger_cycles=config.stagger_cycles)
             if cache is not None:
                 cache.put(plan.signature, CachedTiming.from_result(result))

@@ -119,3 +119,7 @@ class TileTimingCache:
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
         }
+
+    def snapshot(self) -> Dict[tuple, CachedTiming]:
+        """Copy of the entries: timing signature → cached timing."""
+        return dict(self._entries)

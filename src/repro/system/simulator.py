@@ -49,7 +49,7 @@ from repro.mem.hmc import Hmc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.options import ExecutionOptions
-from repro.system.batch import ClusterAssignment, walk_tiles
+from repro.system.batch import PHASE_SECONDS, ClusterAssignment, walk_tiles
 from repro.system.config import SystemConfig
 from repro.system.memo import TileTimingCache
 from repro.system.scheduler import ShardPlan, WorkQueueScheduler
@@ -66,11 +66,6 @@ _TILE_MISSES = _metrics.counter(
 )
 _TILE_ENTRIES = _metrics.gauge(
     "repro_tile_cache_entries", "Distinct timing signatures cached"
-)
-_PHASE_SECONDS = _metrics.histogram(
-    "repro_phase_seconds",
-    "Wall seconds per system-run phase",
-    labelnames=("phase",),
 )
 
 __all__ = [
@@ -256,7 +251,7 @@ class SystemSimulator:
     def run(self, tiles: Sequence[TileSchedule]) -> SystemResult:
         """Execute ``tiles`` end to end and aggregate the outcome."""
         config = self.config
-        with _PHASE_SECONDS.time(phase="schedule"), _trace.span(
+        with PHASE_SECONDS.time(phase="schedule"), _trace.span(
             "schedule", tiles=len(tiles)
         ):
             plan = self.shard(tiles)
@@ -275,7 +270,7 @@ class SystemSimulator:
         ]
         reports = walk_tiles(config, work, cache)
 
-        with _PHASE_SECONDS.time(phase="merge"), _trace.span("merge"):
+        with PHASE_SECONDS.time(phase="merge"), _trace.span("merge"):
             # First pass: per-cluster double-buffered busy time without
             # memory contention, giving the uncontended makespan.
             for report in reports:

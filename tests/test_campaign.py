@@ -699,17 +699,21 @@ class TestShardedExecution:
     def test_merged_shards_equal_an_unsharded_run(self, tmp_path):
         """Acceptance: shard, merge, and the result matches a cold
         sequential run bit-for-bit (minus execution-only fields)."""
-        reference = run_campaign(tiny_sweep(), store_path=tmp_path / "ref.jsonl")
+        # Seed 5 hashes the four point ids two into each shard, so both
+        # shard stores are real inputs to the merge.
+        sweep = tiny_sweep(base=tiny_sweep().base.with_overrides(seed=5))
+        reference = run_campaign(sweep, store_path=tmp_path / "ref.jsonl")
         shards = []
         for index in range(2):
             path = tmp_path / f"shard{index}.jsonl"
-            run_campaign(
-                tiny_sweep(),
+            outcome = run_campaign(
+                sweep,
                 store_path=path,
                 options=ExecutionOptions(shard=f"{index}/2"),
             )
-            if path.exists():  # a shard no point id hashes into writes nothing
-                shards.append(path)
+            assert len(outcome.points) == 2
+            assert len(ResultStore(path).records()) == 2
+            shards.append(path)
         merged = tmp_path / "merged.jsonl"
         assert merge_stores(merged, shards) == 4
         by_point = ResultStore(merged).by_point()

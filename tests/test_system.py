@@ -342,6 +342,14 @@ class TestTilingMemoization:
         assert result_second.cache_misses == 0
         assert result_second.cache_hits == 4
         assert result_second.makespan_cycles == result_first.makespan_cycles
+        # snapshot() copies the entries: the one timing class, at the
+        # cycles every tile reported.
+        entries = simulator.timing_cache.snapshot()
+        assert len(entries) == 1
+        (timing,) = entries.values()
+        assert timing.cycles == result_first.reports[0].results[0].cycles
+        entries.clear()
+        assert len(simulator.timing_cache) == 1
 
     def test_timing_signature_ignores_data_but_not_structure(self):
         from dataclasses import replace
