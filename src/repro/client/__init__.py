@@ -80,7 +80,8 @@ class Client:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as error:
-            body = error.read().decode("utf-8", errors="replace")
+            with error:
+                body = error.read().decode("utf-8", errors="replace")
             try:
                 decoded = json.loads(body)
             except json.JSONDecodeError:
@@ -146,7 +147,8 @@ class Client:
             with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 return response.read().decode("utf-8")
         except urllib.error.HTTPError as error:
-            body = error.read().decode("utf-8", errors="replace")
+            with error:
+                body = error.read().decode("utf-8", errors="replace")
             raise ServerError(error.code, {"error": body}) from None
 
     def trace(self, job_id: str) -> Dict[str, Any]:

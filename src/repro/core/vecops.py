@@ -16,7 +16,9 @@ hoisted out of the cycle loop entirely:
   issues, write-backs) as array gathers, segmented reductions and scatters.
   Commands whose address pattern could make a read observe an *earlier*
   store of the same command (a read-after-write hazard inside one command)
-  are detected and executed through the exact per-op path instead.  On the
+  are detected and executed through the exact per-op path instead; every
+  such fallback is counted in ``repro_dataplane_fallbacks_total{reason}``
+  (``outside_tcdm``, ``raw_hazard``, ``nan_compare``).  On the
   fast path every opcode except MAC is bit-exact by construction; MAC
   accumulates exact float64 products with per-step float64 rounding where
   the hardware's partial-carry-save register rounds only once at
@@ -36,6 +38,7 @@ import numpy as np
 
 from repro.core.commands import NUM_LOOPS, InitSource, NtxCommand, NtxOpcode
 from repro.core.controller import NtxController
+from repro.obs import metrics as _metrics
 
 __all__ = [
     "CommandStreams",
@@ -46,6 +49,18 @@ __all__ = [
 
 _ADDRESS_MASK = (1 << 32) - 1
 _WORD = 4
+
+_FALLBACKS = _metrics.counter(
+    "repro_dataplane_fallbacks_total",
+    "Commands the array data plane handed to the exact per-op executor",
+    labelnames=("reason",),
+)
+
+
+def _fall_back(reason: str) -> bool:
+    """Count one fast-path refusal under ``reason``; always ``False``."""
+    _FALLBACKS.inc(reason=reason)
+    return False
 
 
 @dataclass
@@ -196,14 +211,6 @@ def _raw_hazard(streams: CommandStreams) -> bool:
     )
 
 
-def _tcdm_view(tcdm) -> Optional[np.ndarray]:
-    """A float32 word view of the TCDM backing store."""
-    data = tcdm.memory.data
-    if not isinstance(data, (bytearray, bytes, memoryview)):  # pragma: no cover
-        return None
-    return np.frombuffer(data, dtype="<f4")
-
-
 def _in_tcdm(tcdm, addresses: Optional[np.ndarray]) -> bool:
     if addresses is None or len(addresses) == 0:
         return True
@@ -226,12 +233,12 @@ def execute_streams(command: NtxCommand, streams: CommandStreams, tcdm) -> bool:
     for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
                       streams.store_addrs):
         if not _in_tcdm(tcdm, addresses):
-            return False
+            return _fall_back("outside_tcdm")
     if _raw_hazard(streams):
-        return False
-    view = _tcdm_view(tcdm)
-    if view is None:  # pragma: no cover - exotic memory backends
-        return False
+        return _fall_back("raw_hazard")
+    # A float32 word view of the TCDM backing store; a backing that is not
+    # a writable buffer raises here instead of degrading to the per-op path.
+    view = np.frombuffer(tcdm.memory.data, dtype="<f4")
 
     base = tcdm.base
     a = view[(streams.read0 - base) >> 2] if streams.read0 is not None else None
@@ -245,12 +252,9 @@ def execute_streams(command: NtxCommand, streams: CommandStreams, tcdm) -> bool:
     opcode = command.opcode
     if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
         if a is not None and np.any(np.isnan(a)):
-            return False
+            return _fall_back("nan_compare")
 
     values = _compute_stores(command, streams, a, b, init_values)
-    if values is None:
-        return False
-
     if len(streams.store_addrs):
         # Duplicate store addresses resolve in program order (store_ts is
         # ascending and NumPy fancy assignment applies left to right).
@@ -277,7 +281,7 @@ def _compute_stores(
     a: Optional[np.ndarray],
     b: Optional[np.ndarray],
     init_values: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
+) -> np.ndarray:
     """The binary32 value of every write-back, in store order."""
     if not len(streams.store_ts):
         return np.empty(0, dtype=np.float32)
@@ -341,7 +345,7 @@ def _compute_stores(
         best = np.maximum(best, 0)
         return best[:, columns].reshape(-1).astype(np.float32)
 
-    return None  # pragma: no cover - enum is exhaustive
+    raise ValueError(f"unhandled opcode {opcode!r}")  # pragma: no cover
 
 
 def _account_accesses(tcdm, streams: CommandStreams, count: int = 1) -> None:
@@ -403,9 +407,9 @@ def execute_streams_batched(
     for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
                       streams.store_addrs):
         if not _in_image(base, words, addresses):
-            return False
+            return _fall_back("outside_tcdm")
     if _raw_hazard(streams):
-        return False
+        return _fall_back("raw_hazard")
 
     a = images[:, (streams.read0 - base) >> 2] if streams.read0 is not None else None
     b = images[:, (streams.read1 - base) >> 2] if streams.read1 is not None else None
@@ -418,12 +422,9 @@ def execute_streams_batched(
     opcode = command.opcode
     if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
         if a is not None and np.any(np.isnan(a)):
-            return False
+            return _fall_back("nan_compare")
 
     values = _compute_stores_batched(command, streams, a, b, init_values)
-    if values is None:
-        return False
-
     if len(streams.store_addrs):
         # Duplicate store addresses resolve left to right per tile, exactly
         # like the unbatched scatter (store_ts is ascending).
@@ -442,7 +443,7 @@ def _compute_stores_batched(
     a: Optional[np.ndarray],
     b: Optional[np.ndarray],
     init_values: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
+) -> np.ndarray:
     """Tile-axis variant of :func:`_compute_stores`: (tiles, stores) values.
 
     Every formula is the unbatched one with a leading tile axis; reductions
@@ -517,7 +518,7 @@ def _compute_stores_batched(
         best = np.maximum(best, 0)
         return best[:, :, columns].reshape(num_tiles, -1).astype(np.float32)
 
-    return None  # pragma: no cover - enum is exhaustive
+    raise ValueError(f"unhandled opcode {opcode!r}")  # pragma: no cover
 
 
 def execute_functional(ntx, command: NtxCommand, memory) -> None:

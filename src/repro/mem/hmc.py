@@ -10,7 +10,8 @@ aggregate vault bandwidth minus what the serial links consume.
 We model the HMC at the level the paper's evaluation needs it:
 
 * a backing :class:`~repro.mem.memory.Memory` holding the full cube capacity
-  (sized down by default so tests stay light — the capacity is a parameter);
+  (sized down by default — the capacity is a parameter — and zeroed on
+  demand, so an untouched cube costs no resident memory);
 * per-vault bandwidth/latency bookkeeping so multi-cluster sweeps can check
   that the clusters' aggregate AXI traffic stays below the cube's internal
   bandwidth;
@@ -37,8 +38,10 @@ class HmcConfig:
     #: DRAM banks per vault (4 dies x 4 banks in HMC 2.0 lingo, simplified).
     banks_per_vault: int = 4
     #: Total cube capacity in bytes.  The real device holds 1 GB; the model
-    #: defaults to 64 MB so unit tests do not allocate gigabytes, and the
-    #: performance model only uses the bandwidth/latency figures anyway.
+    #: defaults to 64 MiB, which every workload fits in.  The backing
+    #: memory is zero-on-demand, so the capacity costs address space only:
+    #: a run makes resident just the pages it touches.  The performance
+    #: model uses only the bandwidth/latency figures.
     capacity_bytes: int = 64 * 1024 * 1024
     #: Peak bandwidth of one vault controller in bytes/s (10 GB/s per vault
     #: gives the 320 GB/s aggregate commonly quoted for HMC 2.0).

@@ -1,15 +1,22 @@
 """Flat byte-addressable memory.
 
 All storage in the model (TCDM data array, the 1.25 MB L2, DRAM vaults) is
-backed by this class: a bytearray with little-endian word accessors, float32
-accessors for the streaming datapath, and bulk NumPy load/store helpers used
-by the kernel library and the DMA engine.
+backed by this class: a writable ``memoryview`` with little-endian word
+accessors, float32 accessors for the streaming datapath, and bulk NumPy
+load/store helpers used by the kernel library and the DMA engine.
+
+The view is over a private anonymous ``mmap``, so the kernel hands out
+zero pages on demand: building a 64 MiB HMC costs nothing until a run
+touches its pages, and only the touched pages ever become resident.  The
+map must be ``MAP_PRIVATE`` — Python's default for anonymous maps is
+``MAP_SHARED``, under which a forked child's writes (the campaign process
+pool forks) would show up in the parent's memory.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +32,9 @@ class Memory:
         self.size = size
         self.base = base
         self.name = name
-        self.data = bytearray(size)
+        self.data = memoryview(
+            mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        )
         self.reads = 0
         self.writes = 0
 
@@ -110,9 +119,6 @@ class Memory:
     def store_words(self, address: int, words: list[int]) -> None:
         for i, word in enumerate(words):
             self.write_u32(address + 4 * i, word)
-
-    def fill(self, value: int = 0) -> None:
-        self.data = bytearray([value & 0xFF] * self.size)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Memory({self.name}, {self.size} B @ {self.base:#010x})"

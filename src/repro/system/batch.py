@@ -166,15 +166,15 @@ def _group_key(tile: TileSchedule, signature: tuple) -> tuple:
 
 
 def _reads_resolved(
-    streams: CommandStreams, covered: np.ndarray, base: int, size: int
+    streams: CommandStreams, cov_words: np.ndarray, base: int, size: int
 ) -> bool:
     """Whether every read of one command has a deterministic in-image source.
 
-    A read resolves if its word is covered (DMA-in data or an earlier
-    command's store) *or* it observes an earlier store of the same command
-    (the own-command RAW case the unbatched executor handles exactly).
+    A read resolves if its word is covered in ``cov_words`` (one flag per
+    TCDM word: fully written by DMA-in data or by an earlier command's
+    store) *or* it observes an earlier store of the same command (the
+    own-command RAW case the unbatched executor handles exactly).
     """
-    cov_words = covered.reshape(-1, _WORD).all(axis=1)
     store_addrs = streams.store_addrs
     unique_addrs: Optional[np.ndarray] = None
     first_ts: Optional[np.ndarray] = None
@@ -221,6 +221,11 @@ def _self_contained(
     Checked once per batch key (every member shares the command streams and
     the TCDM-side DMA layout).  Also rejects tiles staging outside the
     HMC↔TCDM address classes — those must run through the real DMA router.
+
+    Coverage is kept twice and updated in place: ``covered`` per byte (for
+    the DMA-out check, which may move partial words) and ``cov_words`` per
+    word (for command reads), derived once from the DMA-in bytes.  Stores
+    write whole words, so they set both.
     """
     tcdm_cfg = config.cluster.tcdm
     base = tcdm_cfg.base_address
@@ -244,10 +249,11 @@ def _self_contained(
     for ntx_id, command in jobs:
         per_ntx[ntx_id].append(command)
     cov_bytes = covered.reshape(-1, _WORD)
+    cov_words = cov_bytes.all(axis=1)
     for commands in per_ntx:
         for command in commands:
             streams = command_streams(command)
-            if not _reads_resolved(streams, covered, base, size):
+            if not _reads_resolved(streams, cov_words, base, size):
                 return False
             store_addrs = streams.store_addrs
             if len(store_addrs):
@@ -259,7 +265,9 @@ def _self_contained(
                     and np.all((store_addrs - base) % _WORD == 0)
                 ):
                     return False
-                cov_bytes[(store_addrs - base) >> 2] = True
+                stored = (store_addrs - base) >> 2
+                cov_bytes[stored] = True
+                cov_words[stored] = True
 
     for transfer in tile.transfers_out:
         for src, dst in transfer.row_addresses():

@@ -15,7 +15,8 @@ This file holds that promise in place:
   default quick run),
 * the self-containment gate: a tile whose compute reads TCDM residue that
   no DMA staged must make the walker defer nothing, decided before any
-  state is touched,
+  state is touched; the gate's verdicts match a byte-mask reference,
+  including on tiles that stage only part of a word,
 * the acceptance gate: memoized batched replay is >= 5x faster than the
   no-cache walk on the system bench shape, with identical outputs.
 
@@ -25,6 +26,7 @@ arbitrary normal data to check memo-off against memo-on *within* the
 vectorized engine, where no cross-engine rounding question arises.
 """
 
+import dataclasses
 import math
 import time
 
@@ -397,6 +399,174 @@ class TestSelfContainmentGate:
         assert result.cache_hits > 0  # memo on still replayed hits, inline
         assert np.array_equal(_hmc_bytes(ref_sim), _hmc_bytes(sim))
         assert _timing_view(result) == _timing_view(ref_result)
+
+
+def _byte_mask_self_contained(config, tile, jobs):
+    """The gate as first written, kept as the parity reference.
+
+    It rebuilds a whole-TCDM word mask from a byte mask for every command;
+    the shipped gate derives the word mask once and updates it in place.
+    """
+    from repro.core.vecops import command_streams
+
+    word = 4
+    base = config.cluster.tcdm.base_address
+    size = config.cluster.tcdm.size_bytes
+    hmc_base = config.hmc.base_address
+    hmc_top = hmc_base + config.hmc.capacity_bytes
+    covered = np.zeros(size, dtype=bool)
+
+    def in_tcdm(addresses):
+        return bool(
+            np.all((addresses >= base) & (addresses + word <= base + size))
+            and np.all((addresses - base) % word == 0)
+        )
+
+    def reads_resolved(streams):
+        cov_words = covered.reshape(-1, word).all(axis=1)
+        unique_addrs = first_ts = None
+        if len(streams.store_addrs):
+            order = np.argsort(streams.store_addrs, kind="stable")
+            unique_addrs, first_index = np.unique(
+                streams.store_addrs[order], return_index=True
+            )
+            first_ts = np.minimum.reduceat(streams.store_ts[order], first_index)
+
+        def resolved(addresses, times):
+            if addresses is None or len(addresses) == 0:
+                return True
+            if not in_tcdm(addresses):
+                return False
+            from_image = cov_words[(addresses - base) >> 2]
+            if from_image.all():
+                return True
+            if unique_addrs is None:
+                return False
+            addrs, when = addresses[~from_image], times[~from_image]
+            slot = np.minimum(np.searchsorted(unique_addrs, addrs), len(unique_addrs) - 1)
+            return bool(np.all((unique_addrs[slot] == addrs) & (when > first_ts[slot])))
+
+        every = np.arange(streams.total, dtype=np.int64)
+        return (
+            resolved(streams.read0, every)
+            and resolved(streams.read1, every)
+            and resolved(streams.init_read_addrs, streams.init_ts)
+        )
+
+    for transfer in tile.transfers_in:
+        for src, dst in transfer.row_addresses():
+            if not (base <= dst and dst + transfer.row_bytes <= base + size):
+                return False
+            if not (hmc_base <= src and src + transfer.row_bytes <= hmc_top):
+                return False
+            covered[dst - base : dst - base + transfer.row_bytes] = True
+    per_ntx = [[] for _ in range(config.cluster.num_ntx)]
+    for ntx_id, command in jobs:
+        per_ntx[ntx_id].append(command)
+    for commands in per_ntx:
+        for command in commands:
+            streams = command_streams(command)
+            if not reads_resolved(streams):
+                return False
+            if len(streams.store_addrs):
+                if not in_tcdm(streams.store_addrs):
+                    return False
+                covered.reshape(-1, word)[(streams.store_addrs - base) >> 2] = True
+    for transfer in tile.transfers_out:
+        for src, dst in transfer.row_addresses():
+            if not (base <= src and src + transfer.row_bytes <= base + size):
+                return False
+            if not (hmc_base <= dst and dst + transfer.row_bytes <= hmc_top):
+                return False
+            if not covered[src - base : src - base + transfer.row_bytes].all():
+                return False
+    return True
+
+
+def _partial_word_in(tile, num_ntx):
+    """``tile`` with only 2 bytes of its first command's first read staged.
+
+    The DMA-in row holding that word is split around its upper half, so
+    the word is covered in part: the other rows and bytes stay staged.
+    """
+    from repro.core.vecops import command_streams
+    from repro.mem.dma import DmaTransfer
+
+    streams = command_streams(tile.jobs(num_ntx)[0][1])
+    read = int(next(
+        addresses[0]
+        for addresses in (streams.read0, streams.read1, streams.init_read_addrs)
+        if addresses is not None and len(addresses)
+    ))
+    rows = []
+    for transfer in tile.transfers_in:
+        for src, dst in transfer.row_addresses():
+            end = dst + transfer.row_bytes
+            if not dst <= read < end:
+                rows.append(DmaTransfer(src=src, dst=dst, row_bytes=transfer.row_bytes))
+                continue
+            head = read + 2 - dst
+            rows.append(DmaTransfer(src=src, dst=dst, row_bytes=head))
+            if end > read + 4:
+                rows.append(
+                    DmaTransfer(src=src + head + 2, dst=read + 4, row_bytes=end - read - 4)
+                )
+    return dataclasses.replace(tile, transfers_in=rows)
+
+
+class TestGateParity:
+    """The in-place word-mask gate gives the byte-mask reference's verdict
+    on real scenario tiles and on doctored variants of them."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["conv-tiled", "stencil-laplace2d", "cstencil-laplace27",
+         "pipeline-blur-stencil-reduce"],
+    )
+    def test_verdicts_match_the_byte_mask_reference(self, name):
+        from repro.mem.hmc import Hmc
+        from repro.scenarios import build_workload, get_scenario
+        from repro.system.batch import _self_contained
+
+        spec = get_scenario(name)
+        config = spec.system_config()
+        workload = build_workload(spec, Hmc(config.hmc), config.cluster)
+        num_ntx = config.cluster.num_ntx
+        verdicts = []
+        for tile in workload.tiles:
+            partial = _partial_word_in(tile, num_ntx)
+            variants = [tile, dataclasses.replace(tile, transfers_in=[]), partial]
+            for variant in variants:
+                jobs = variant.jobs(num_ntx)
+                verdict = _self_contained(config, variant, jobs)
+                assert verdict == _byte_mask_self_contained(config, variant, jobs)
+                verdicts.append(verdict)
+            # A tile whose DMA-in covers only part of a word it reads is
+            # still refused.
+            assert not _self_contained(config, partial, partial.jobs(num_ntx))
+        assert True in verdicts and False in verdicts
+
+    def test_partial_word_round_trip_is_byte_granular(self):
+        """DMA-out may move bytes of a word only partly staged in, as long
+        as no command reads that word."""
+        from repro.cluster.tiling import TileSchedule
+        from repro.mem.dma import DmaTransfer
+        from repro.system.batch import _self_contained
+
+        config = SystemConfig()
+        tcdm = config.cluster.tcdm.base_address
+        hmc = config.hmc.base_address
+        tile = TileSchedule(
+            transfers_in=[DmaTransfer(src=hmc, dst=tcdm, row_bytes=6)],
+            transfers_out=[DmaTransfer(src=tcdm, dst=hmc + 64, row_bytes=6)],
+        )
+        assert _self_contained(config, tile, [])
+        assert _byte_mask_self_contained(config, tile, [])
+        wider = dataclasses.replace(
+            tile, transfers_out=[DmaTransfer(src=tcdm, dst=hmc + 64, row_bytes=8)]
+        )
+        assert not _self_contained(config, wider, [])
+        assert not _byte_mask_self_contained(config, wider, [])
 
 
 # -- acceptance gate -----------------------------------------------------------

@@ -184,6 +184,19 @@ class TestWorkloadFamilies:
             hmc.memory.store_array(address, produced)  # restore for the next region
         outcome.workload.verify(hmc)  # restored state passes again
 
+    @pytest.mark.parametrize("name", registered_scenarios())
+    def test_runs_without_data_plane_fallbacks(self, name):
+        """Registered scenarios stay on the array data plane; a refused
+        command would run the soft-float per-op executor instead."""
+        from repro.obs import metrics
+        from repro.system.memo import TileTimingCache
+
+        metrics.set_metrics_enabled(True)
+        outcome = run_scenario(name, timing_cache=TileTimingCache())
+        assert outcome.verified
+        fallbacks = metrics.REGISTRY.get("repro_dataplane_fallbacks_total")
+        assert list(fallbacks.samples()) == []
+
     def test_build_workload_is_deterministic(self):
         spec = get_scenario("dnn-training-step").with_overrides(num_tiles=1)
         arrays = []

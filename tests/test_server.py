@@ -367,7 +367,8 @@ class TestServerEndToEnd:
         )
         with pytest.raises(urllib.error.HTTPError) as raw:
             urllib.request.urlopen(request, timeout=10)
-        assert raw.value.code == 400
+        with raw.value:
+            assert raw.value.code == 400
 
     def test_jobs_listing(self, server):
         client = Client(server.url)

@@ -318,6 +318,98 @@ class TestEdgeConfigurations:
         assert cluster.ntx[0].fpu.stats.writebacks == n
 
 
+def _fallbacks():
+    """``repro_dataplane_fallbacks_total`` by reason (metrics switched on)."""
+    from repro.obs import metrics
+
+    metrics.set_metrics_enabled(True)
+    counter = metrics.REGISTRY.get("repro_dataplane_fallbacks_total")
+
+    def by_reason():
+        return {dict(pairs)["reason"]: value for _, pairs, value in counter.samples()}
+
+    return by_reason
+
+
+class TestFallbackCounter:
+    """Every refusal of the array data plane is counted, with its reason."""
+
+    @staticmethod
+    def _shift_copy(cluster, n=8):
+        """A COPY reading the word its previous iteration stored (RAW)."""
+        buf = cluster.tcdm.alloc_layout([(n + 1) * 4])[0]
+        cluster.stage_in(buf, np.arange(1, n + 2, dtype=np.float32))
+        return NtxCommand(
+            opcode=NtxOpcode.COPY,
+            loops=LoopConfig.nest(n),
+            agu0=AguConfig(base=buf, strides=(4, 0, 0, 0, 0)),
+            agu2=AguConfig(base=buf + 4, strides=(4, 0, 0, 0, 0)),
+        )
+
+    def test_raw_hazard_command_is_counted(self):
+        from repro.core.vecops import execute_streams
+
+        by_reason = _fallbacks()
+        cluster = Cluster()
+        command = self._shift_copy(cluster)
+        assert not execute_streams(command, command_streams(command), cluster.tcdm)
+        assert by_reason() == {"raw_hazard": 1.0}
+        ClusterSimulator(cluster, engine="vectorized").run([(0, command)])
+        assert by_reason() == {"raw_hazard": 2.0}
+
+    def test_batched_raw_hazard_is_counted_once_per_stack(self):
+        from repro.core.vecops import execute_streams_batched
+
+        by_reason = _fallbacks()
+        cluster = Cluster()
+        command = self._shift_copy(cluster)
+        images = np.zeros((3, cluster.tcdm.size // 4), dtype=np.float32)
+        assert not execute_streams_batched(
+            command, command_streams(command), images, cluster.tcdm.base
+        )
+        assert by_reason() == {"raw_hazard": 1.0}
+
+    def test_outside_tcdm_and_nan_compare_are_counted(self):
+        from repro.core.vecops import execute_streams
+
+        by_reason = _fallbacks()
+        cluster = Cluster()
+        src, dst = cluster.tcdm.alloc_layout([16, 4])
+        cluster.stage_in(src, np.array([1.0, np.nan, 3.0, 0.5], np.float32))
+        maximum = NtxCommand(
+            opcode=NtxOpcode.MAX,
+            loops=LoopConfig.nest(4),
+            agu0=AguConfig(base=src, strides=(4, 0, 0, 0, 0)),
+            agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
+        )
+        assert not execute_streams(maximum, command_streams(maximum), cluster.tcdm)
+        unaligned = NtxCommand(
+            opcode=NtxOpcode.COPY,
+            loops=LoopConfig.nest(2),
+            agu0=AguConfig(base=src + 2, strides=(4, 0, 0, 0, 0)),
+            agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
+        )
+        assert not execute_streams(unaligned, command_streams(unaligned), cluster.tcdm)
+        assert by_reason() == {"nan_compare": 1.0, "outside_tcdm": 1.0}
+
+    def test_fast_path_counts_nothing(self):
+        by_reason = _fallbacks()
+        cluster = Cluster()
+        _, _, jobs, _, _ = _conv_setup(cluster, np.random.default_rng(5), (10, 12))
+        ClusterSimulator(cluster, engine="vectorized").run(jobs)
+        assert by_reason() == {}
+
+    def test_non_buffer_backing_fails_loudly(self):
+        from repro.core.vecops import execute_streams
+
+        cluster = Cluster()
+        _, _, jobs, _, _ = _conv_setup(cluster, np.random.default_rng(5), (10, 12))
+        command = jobs[0][1]
+        cluster.tcdm.memory.data = [0] * cluster.tcdm.size
+        with pytest.raises(TypeError):
+            execute_streams(command, command_streams(command), cluster.tcdm)
+
+
 class TestEngineSelection:
     def test_unknown_engine_rejected_listing_choices(self):
         """The registry error names every valid engine."""
