@@ -13,7 +13,6 @@ from repro.perf.roofline import RooflineModel
 
 def test_fig5_roofline(benchmark):
     points = benchmark(fig5.run)
-    print("\n" + fig5.format_results(points))
     model = RooflineModel()
     expectations = fig5.PAPER_EXPECTATIONS
     assert model.peak_flops / 1e9 == pytest.approx(expectations["peak_gflops"])

@@ -11,7 +11,6 @@ from repro.eval import fig6
 
 def test_fig6_energy_efficiency_comparison(benchmark):
     result = benchmark(fig6.run)
-    print("\n" + fig6.format_results(result))
     assert result.ratio_22nm_vs_gpu == pytest.approx(
         fig6.PAPER_RATIOS["22nm_vs_gpu"], abs=0.5
     )

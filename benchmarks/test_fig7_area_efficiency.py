@@ -11,7 +11,6 @@ from repro.eval import fig7
 
 def test_fig7_area_efficiency_comparison(benchmark):
     result = benchmark(fig7.run)
-    print("\n" + fig7.format_results(result))
     assert result.ratio_22nm_vs_gpu == pytest.approx(
         fig7.PAPER_RATIOS["22nm_vs_gpu"], abs=1.0
     )

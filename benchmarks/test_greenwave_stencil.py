@@ -12,7 +12,6 @@ from repro.eval import greenwave
 
 def test_greenwave_seismic_stencil(benchmark):
     result = benchmark(greenwave.run)
-    print("\n" + greenwave.format_results(result))
     assert result.ntx16_gflops == pytest.approx(130.0, rel=0.25)
     assert result.ntx16_gflops_w == pytest.approx(11.0, rel=0.25)
     # The qualitative claim: NTX is an order of magnitude more efficient

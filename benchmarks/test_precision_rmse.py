@@ -5,13 +5,10 @@ FPU on a DNN convolution layer; the benchmark reproduces the experiment on
 synthetic convolution-window reductions.
 """
 
-import pytest
-
 from repro.eval import precision
 
 
 def test_precision_rmse_improvement(benchmark):
     result = benchmark(precision.run)
-    print("\n" + precision.format_results(result))
     assert result.rmse_pcs < result.rmse_float32
     assert 1.2 <= result.improvement <= 3.0

@@ -11,6 +11,5 @@ from repro.eval import table1
 
 def test_table1_figures_of_merit(benchmark):
     rows = benchmark(table1.run)
-    print("\n" + table1.format_results(rows))
     for name, paper, model in rows:
         assert model == pytest.approx(paper, rel=0.05), name

@@ -14,7 +14,6 @@ from repro.eval import table2
 
 def test_table2_dnn_training_efficiency(benchmark):
     rows = benchmark(table2.run)
-    print("\n" + table2.format_results(rows))
     for row in rows:
         paper = row.paper
         summary = row.config.summary()

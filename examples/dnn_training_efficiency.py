@@ -7,11 +7,17 @@ TCDM tiling constraints, and evaluates the energy efficiency of every NTX
 configuration (16x…512x clusters in 22 nm and 14 nm) against the published
 GPU and accelerator baselines.
 
+The Table II and Figure 6 results are printed as the registered paper
+artifacts of ``repro.report`` — the same Markdown ``python -m repro.eval
+table2 fig6 --quick`` prints — built into a throwaway campaign store.
+
 Run with ``python examples/dnn_training_efficiency.py``.
 """
 
+from tempfile import TemporaryDirectory
+
 from repro.dnn import PAPER_NETWORKS, TrainingWorkload, build_network
-from repro.eval import fig6, table2
+from repro.report import render_artifact, run_report
 
 
 def main() -> None:
@@ -27,11 +33,11 @@ def main() -> None:
             f"OI {summary['operational_intensity']:5.2f} flop/B"
         )
 
-    print("\n=== Table II: training energy efficiency (Gop/s W) ===")
-    print(table2.format_results())
-
-    print("\n=== Figure 6: NTX vs GPUs and NeuroStream ===")
-    print(fig6.format_results())
+    with TemporaryDirectory() as store_dir:
+        results = run_report(["table2", "fig6"], quick=True, store_dir=store_dir)
+    for result in results:
+        print()
+        print(render_artifact(result))
 
 
 if __name__ == "__main__":

@@ -8,14 +8,18 @@ banking-conflict probability and achieved throughput with all eight NTX
 streamers active, and finally compares an NTX 16x system against the Green
 Wave seismic accelerator and a GPU on the 8th-order Laplacian stencil.
 
+The Green Wave comparison is printed as the registered ``greenwave``
+paper artifact of ``repro.report``, built into a throwaway campaign store.
+
 Run with ``python examples/stencil_hpc.py``.
 """
+
+from tempfile import TemporaryDirectory
 
 import numpy as np
 
 from repro import Cluster
 from repro.cluster.sim import ClusterSimulator
-from repro.eval import greenwave
 from repro.kernels import (
     laplace_spec,
     diffusion_spec,
@@ -29,6 +33,7 @@ from repro.kernels.stencil import (
     laplace_3d_reference,
 )
 from repro.perf import KernelExecutionModel, RooflineModel
+from repro.report import render_artifact, run_report
 
 
 def main() -> None:
@@ -81,7 +86,9 @@ def main() -> None:
     )
 
     print("\n=== Green Wave comparison (§IV) ===")
-    print(greenwave.format_results())
+    with TemporaryDirectory() as store_dir:
+        (result,) = run_report(["greenwave"], quick=True, store_dir=store_dir)
+    print(render_artifact(result))
 
 
 if __name__ == "__main__":

@@ -1,30 +1,24 @@
-"""Experiment harnesses — one module per table/figure of the paper.
+"""Analytic paper models and the ``python -m repro.eval`` command line.
 
-Every harness exposes a ``run()`` function returning a structured result
-(dictionaries / dataclasses with both the paper's reported value and the
-model's value where applicable) and a ``format_table()`` helper used by the
-benchmarks and the examples to print the same rows the paper reports.
-
-The harnesses remain the backward-compatible computation surface; the
-canonical regeneration path is the paper-artifact pipeline of
-:mod:`repro.report`, where each table/figure is a registered artifact
-whose measured numbers come from golden-verified campaign runs and whose
-rendered form is assembled into ``docs/paper_results.md`` by
-``python -m repro.eval report --all``.
+The harness modules hold the computations behind the analytic rows of
+the paper's tables and figures: each exposes a ``run()`` function
+returning a structured result (the paper's reported value and the
+model's value where applicable) plus the ``PAPER_*`` constants the
+results are checked against.  They do not render anything: the artifacts
+of :mod:`repro.report` call them, combine them with golden-verified
+campaign measurements and render the result — ``python -m repro.eval
+NAME`` prints one artifact, ``python -m repro.eval report --all`` writes
+``docs/paper_results.md``.
 """
 
-from repro.eval import table1, table2, fig3b, fig5, fig6, fig7, precision, greenwave, system
-from repro.eval.report import format_table
+from repro.eval import table1, table2, fig5, fig6, fig7, precision, greenwave
 
 __all__ = [
     "table1",
     "table2",
-    "fig3b",
     "fig5",
     "fig6",
     "fig7",
     "precision",
     "greenwave",
-    "system",
-    "format_table",
 ]

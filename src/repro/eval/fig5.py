@@ -9,17 +9,15 @@ discrete Laplace operators and the diffusion stencil.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.eval.report import format_table
 from repro.kernels.blas import axpy_spec, gemm_spec, gemv_spec
 from repro.kernels.conv import conv2d_spec
 from repro.kernels.specs import KernelSpec
 from repro.kernels.stencil import diffusion_spec, laplace_spec
 from repro.perf.roofline import RooflineModel, RooflinePoint
 
-__all__ = ["figure5_kernels", "run", "format_results", "PAPER_EXPECTATIONS"]
+__all__ = ["figure5_kernels", "run", "PAPER_EXPECTATIONS"]
 
 #: Qualitative expectations read off Figure 5 of the paper, used by the
 #: benchmark to assert that the *shape* of the reproduction holds.
@@ -55,27 +53,3 @@ def run(roofline: Optional[RooflineModel] = None) -> List[RooflinePoint]:
     """Place every Figure 5 kernel on the cluster roofline."""
     model = roofline or RooflineModel()
     return model.place_all(figure5_kernels(), practical=True)
-
-
-def format_results(points: Optional[List[RooflinePoint]] = None) -> str:
-    """Render the roofline placement: roofs header plus one row per kernel."""
-    model = RooflineModel()
-    points = points if points is not None else run(model)
-    rows = [
-        (
-            p.name,
-            p.operational_intensity,
-            p.performance_gflops,
-            p.bound,
-        )
-        for p in points
-    ]
-    header = (
-        f"roofs: peak {model.peak_flops / 1e9:.1f} Gflop/s, "
-        f"bandwidth {model.peak_bandwidth / 1e9:.1f} GB/s, "
-        f"practical {model.practical_flops / 1e9:.1f} Gflop/s "
-        f"({model.conflict_probability:.0%} conflict probability)\n"
-    )
-    return header + format_table(
-        ["kernel", "flop/B", "Gflop/s", "bound"], rows
-    )

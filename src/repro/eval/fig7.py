@@ -8,9 +8,8 @@ and NTX 64x in 14 nm 10.4x the area efficiency of GPUs in comparable nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.eval.report import format_table
 from repro.perf.baselines import (
     ACCELERATOR_BASELINES,
     GPU_BASELINES,
@@ -19,7 +18,7 @@ from repro.perf.baselines import (
 from repro.perf.scaling import largest_configuration_without_lim
 from repro.perf.technology import TECH_14NM, TECH_22FDX
 
-__all__ = ["Fig7Result", "run", "format_results", "PAPER_RATIOS"]
+__all__ = ["Fig7Result", "run", "PAPER_RATIOS"]
 
 #: The headline ratios quoted in the paper's Figure 7 caption.
 PAPER_RATIOS = {"22nm_vs_gpu": 6.5, "14nm_vs_gpu": 10.4}
@@ -53,16 +52,3 @@ def run() -> Fig7Result:
         ratio_22nm_vs_gpu=bars[ntx32_22.name] / gpu_28nm,
         ratio_14nm_vs_gpu=bars[ntx64_14.name] / gpu_16nm,
     )
-
-
-def format_results(result: Optional[Fig7Result] = None) -> str:
-    """Render the compute-density bars and the headline ratios."""
-    result = result if result is not None else run()
-    rows = [(name, value) for name, value in result.bars.items()]
-    footer = (
-        f"\nNTX 22nm vs best 28nm GPU: {result.ratio_22nm_vs_gpu:.1f}x "
-        f"(paper: {PAPER_RATIOS['22nm_vs_gpu']}x)\n"
-        f"NTX 14nm vs best 16nm GPU: {result.ratio_14nm_vs_gpu:.1f}x "
-        f"(paper: {PAPER_RATIOS['14nm_vs_gpu']}x)"
-    )
-    return format_table(["platform", "Gop/s per mm2"], rows) + footer

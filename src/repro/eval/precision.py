@@ -11,7 +11,6 @@ rounding, and (c) with the PCS accumulator, and the two RMSEs are compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from repro.softfloat import (
     rmse,
 )
 
-__all__ = ["PrecisionResult", "run", "format_results", "PAPER_IMPROVEMENT"]
+__all__ = ["PrecisionResult", "run", "PAPER_IMPROVEMENT"]
 
 #: The paper's reported RMSE advantage of the PCS accumulator.
 PAPER_IMPROVEMENT = 1.7
@@ -82,15 +81,4 @@ def run(
     return PrecisionResult(
         rmse_float32=rmse(errors_f32, exact_values),
         rmse_pcs=rmse(errors_pcs, exact_values),
-    )
-
-
-def format_results(result: Optional[PrecisionResult] = None) -> str:
-    """Render the two RMSEs and the improvement factor vs the paper's 1.7x."""
-    result = result if result is not None else run()
-    return (
-        f"conventional FP32 FMA chain RMSE : {result.rmse_float32:.3e}\n"
-        f"NTX PCS accumulator RMSE         : {result.rmse_pcs:.3e}\n"
-        f"improvement                      : {result.improvement:.2f}x "
-        f"(paper: {PAPER_IMPROVEMENT}x lower)"
     )

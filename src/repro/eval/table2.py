@@ -4,8 +4,9 @@ For every NTX configuration (16x…512x clusters in 22 nm and 14 nm) the
 harness reports the platform characteristics (area, LiM dies, frequency,
 peak Top/s) from the scaling/area models and the per-network training
 efficiency from the energy model driven by the DNN workload descriptions.
-The GPU / custom-accelerator rows are the published values the paper itself
-compares against (see :mod:`repro.perf.baselines`).
+The GPU / custom-accelerator rows that the ``table2`` artifact renders next
+to these are the published values the paper itself compares against (see
+:mod:`repro.perf.baselines`).
 """
 
 from __future__ import annotations
@@ -15,12 +16,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.dnn import PAPER_NETWORKS, TrainingWorkload, build_network
-from repro.eval.report import format_table
-from repro.perf.baselines import all_baselines
 from repro.perf.energy import EnergyModel
 from repro.perf.scaling import NtxSystemConfig, build_ntx_configurations
 
-__all__ = ["PAPER_NTX_ROWS", "NtxRow", "run", "format_results", "build_workloads"]
+__all__ = ["PAPER_NTX_ROWS", "NtxRow", "run", "build_workloads"]
 
 #: The NTX rows of Table II as printed in the paper:
 #: name -> (freq GHz, peak Top/s, area mm^2, LiM, per-network Gop/sW..., geomean)
@@ -129,39 +128,3 @@ def run(
         }
         rows.append(NtxRow(config=config, efficiency=efficiency))
     return rows
-
-
-def format_results(rows: Optional[List[NtxRow]] = None) -> str:
-    """Render Table II: NTX rows (paper vs model geomean) plus the baselines."""
-    rows = rows if rows is not None else run()
-    table_rows = []
-    for row in rows:
-        summary = row.config.summary()
-        paper = row.paper or {}
-        table_rows.append(
-            (
-                row.name,
-                summary["area_mm2"],
-                summary["lim"],
-                summary["freq_ghz"],
-                summary["peak_tops"],
-                paper.get("geomean", float("nan")),
-                row.geomean,
-            )
-        )
-    for baseline in all_baselines():
-        table_rows.append(
-            (
-                baseline.name,
-                baseline.area_mm2 if baseline.area_mm2 else "-",
-                "-",
-                baseline.frequency_ghz if baseline.frequency_ghz else "-",
-                baseline.peak_tops if baseline.peak_tops else "-",
-                baseline.geomean_efficiency,
-                "-",
-            )
-        )
-    return format_table(
-        ["platform", "area mm2", "LiM", "freq GHz", "peak Top/s", "paper Gop/sW", "model Gop/sW"],
-        table_rows,
-    )

@@ -5,11 +5,12 @@ paper.  Artifacts whose numbers involve the simulated machine declare the
 registered campaign(s) they read, and obtain every measured record
 through the campaign stack (golden-verified, memoized, resumable);
 analytic artifacts evaluate the :mod:`repro.perf` / :mod:`repro.softfloat`
-models directly.  The computation of the analytic rows stays in the
-original :mod:`repro.eval` harness modules — they remain the
-backward-compatible ``run()``/``format_results()`` surface — while this
-module is the single place that assembles those numbers into the
-generated results document.
+models directly.  The computation of the analytic rows lives in the
+:mod:`repro.eval` harness modules (their ``run()`` functions and
+``PAPER_*`` constants), while this module is the single place that
+assembles those numbers into a rendered result: every table and figure
+is regenerated through an artifact, whether by ``python -m repro.eval
+NAME`` or by the results document.
 """
 
 from __future__ import annotations

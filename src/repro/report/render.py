@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.eval.report import render_cell
 from repro.report.artifact import ArtifactResult, Section
 
 __all__ = [
@@ -25,6 +24,7 @@ __all__ = [
     "heading_slug",
     "markdown_table",
     "render_artifact",
+    "render_cell",
     "render_document",
     "report_payload",
     "save_plots",
@@ -43,13 +43,26 @@ def heading_slug(heading: str) -> str:
     return text.replace(" ", "-")
 
 
+def render_cell(cell) -> str:
+    """Render one table cell: floats get magnitude-dependent precision."""
+    if isinstance(cell, float):
+        if cell == 0:
+            return "0"
+        if abs(cell) >= 100:
+            return f"{cell:.0f}"
+        if abs(cell) >= 1:
+            return f"{cell:.2f}"
+        return f"{cell:.3f}"
+    return str(cell)
+
+
 def _escape(text: str) -> str:
     """Escape pipe characters so cells cannot break the Markdown table."""
     return text.replace("|", "\\|")
 
 
 def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render a GitHub pipe table with the harnesses' cell formatting."""
+    """Render a GitHub pipe table with :func:`render_cell` cell formatting."""
     lines = ["| " + " | ".join(_escape(str(h)) for h in headers) + " |"]
     lines.append("|" + "|".join(" --- " for _ in headers) + "|")
     for row in rows:

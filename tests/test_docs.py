@@ -64,10 +64,9 @@ def test_eval_and_report_public_functions_have_docstrings():
     import inspect
 
     modules = [
-        "repro.eval.table1", "repro.eval.table2", "repro.eval.fig3b",
+        "repro.eval.table1", "repro.eval.table2",
         "repro.eval.fig5", "repro.eval.fig6", "repro.eval.fig7",
-        "repro.eval.precision", "repro.eval.greenwave", "repro.eval.system",
-        "repro.eval.report",
+        "repro.eval.precision", "repro.eval.greenwave",
         "repro.report.artifact", "repro.report.render",
         "repro.report.runner", "repro.report.reference",
     ]

@@ -4,32 +4,74 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.__main__ import EXPERIMENTS, main
+from repro.eval.__main__ import main
+from repro.report import registered_artifacts
 
 
-def test_list_option(capsys):
+def test_list_option_lists_the_artifact_registry(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
+    for name in registered_artifacts():
         assert name in out
 
 
-def test_single_experiment(capsys):
-    assert main(["table1"]) == 0
+@pytest.mark.parametrize("name", registered_artifacts())
+def test_bare_name_prints_what_report_prints(name, tmp_path, capsys):
+    """One regeneration path: ``NAME`` and ``report NAME`` are the same
+    command, down to the byte."""
+    flags = ["--quick", "--store-dir", str(tmp_path)]
+    assert main(["report", name, *flags]) == 0
+    via_report = capsys.readouterr().out
+    assert main([name, *flags]) == 0
+    bare = capsys.readouterr().out
+    assert bare == via_report
+    assert bare.strip()
+
+
+def test_single_artifact(tmp_path, capsys):
+    assert main(["table1", "--quick", "--store-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "figures of merit" in out
     assert "peak_gflops" in out
 
 
-def test_fast_subset_of_experiments(capsys):
-    assert main(["fig5", "fig7"]) == 0
+def test_fast_subset_of_artifacts(tmp_path, capsys):
+    assert main(["fig5", "fig7", "--quick", "--store-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "roofline" in out and "area efficiency" in out
+    assert "roofline" in out and "compute density" in out
 
 
-def test_rejects_unknown_experiment():
-    with pytest.raises(SystemExit):
-        main(["does-not-exist"])
+def test_no_name_prints_every_artifact_and_writes_no_document(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.report import DEFAULT_RESULTS_PATH
+
+    monkeypatch.chdir(tmp_path)
+    stores = tmp_path / "stores"
+    document_stamp = DEFAULT_RESULTS_PATH.stat().st_mtime_ns
+    assert main(["--quick", "--store-dir", str(stores)]) == 0
+    out = capsys.readouterr().out
+    assert main(
+        ["report", *registered_artifacts(), "--quick", "--store-dir", str(stores)]
+    ) == 0
+    assert capsys.readouterr().out == out
+    assert "wrote" not in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stores"]
+    assert DEFAULT_RESULTS_PATH.stat().st_mtime_ns == document_stamp
+
+
+def test_rejects_unknown_artifact(capsys):
+    assert main(["does-not-exist"]) == 2
+    assert "registered artifacts" in capsys.readouterr().err
+
+
+def test_retired_system_experiment_names_the_artifacts(capsys):
+    """The old ``system`` experiment is the ``system-scaling`` artifact,
+    with no alias."""
+    assert main(["system"]) == 2
+    err = capsys.readouterr().err
+    for name in registered_artifacts():
+        assert name in err
 
 
 def test_scenario_list(capsys):
@@ -68,8 +110,8 @@ def test_scenario_run_without_memoization(capsys):
     [
         ["scenario", "run", "conv-tiled", "--parallel", "2"],
         ["scenario", "run", "conv-tiled", "--no-batch"],
-        ["system", "--parallel", "2"],
-        ["system", "--no-batch"],
+        ["system-scaling", "--parallel", "2"],
+        ["system-scaling", "--no-batch"],
         ["campaign", "run", "dnn-scaling", "--no-batch"],
         ["submit", "scenario", "conv-tiled", "--parallel", "2"],
     ],
@@ -95,7 +137,7 @@ def test_epilog_is_generated_from_the_registries():
     from repro.scenarios import registered_scenarios
 
     epilog = _epilog()
-    for name in EXPERIMENTS:
+    for name in registered_artifacts():
         assert name in epilog
     for name in available_engines():
         assert name in epilog

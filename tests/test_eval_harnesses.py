@@ -1,20 +1,22 @@
-"""Tests of the per-table / per-figure experiment harnesses."""
-
-import math
+"""Tests of the analytic per-table / per-figure harnesses, and of the
+rendered artifacts that print their rows."""
 
 import pytest
 
-from repro.core.commands import NtxOpcode
-from repro.eval import fig3b, fig5, fig6, fig7, greenwave, precision, table1, table2
-from repro.eval.report import format_table
+from repro.eval import fig5, fig6, fig7, greenwave, precision, table1, table2
+from repro.report import render_artifact, run_report
 
 
-class TestReportFormatter:
-    def test_alignment_and_rows(self):
-        text = format_table(["a", "bb"], [(1, 2.5), ("x", 0.001)])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("a")
+@pytest.fixture(scope="module")
+def rendered(tmp_path_factory):
+    """The quick artifacts built on the harnesses, rendered as Markdown."""
+    store_dir = tmp_path_factory.mktemp("harness-stores")
+    results = run_report(
+        ["table1", "table2", "fig5", "fig6", "precision"],
+        quick=True,
+        store_dir=store_dir,
+    )
+    return {result.artifact.name: render_artifact(result) for result in results}
 
 
 class TestTable1:
@@ -22,8 +24,8 @@ class TestTable1:
         for name, paper, model in table1.run():
             assert model == pytest.approx(paper, rel=0.05), name
 
-    def test_format_contains_key_rows(self):
-        text = table1.format_results()
+    def test_rendered_artifact_contains_key_rows(self, rendered):
+        text = rendered["table1"]
         assert "peak_gflops" in text and "energy_per_flop_pj" in text
 
 
@@ -45,8 +47,8 @@ class TestTable2:
         assert rows["NTX (16x) 14nm"] < rows["NTX (64x) 14nm"] < rows["NTX (512x) 14nm"]
         assert rows["NTX (16x) 14nm"] > rows["NTX (16x) 22FDX"]
 
-    def test_format_lists_baselines(self):
-        text = table2.format_results()
+    def test_rendered_artifact_lists_baselines(self, rendered):
+        text = rendered["table2"]
         assert "ScaleDeep" in text and "Tesla P100" in text
 
 
@@ -73,8 +75,8 @@ class TestFig5:
         assert points["AXPY 16384"].performance_gflops > points["AXPY 16"].performance_gflops
         assert points["GEMM 1024"].performance_gflops > points["GEMM 16"].performance_gflops
 
-    def test_format_mentions_roofs(self):
-        assert "20.0 Gflop/s" in fig5.format_results()
+    def test_rendered_artifact_mentions_roofs(self, rendered):
+        assert "20.0 Gflop/s" in rendered["fig5"]
 
 
 class TestFig6:
@@ -89,8 +91,8 @@ class TestFig6:
         gpu_bars = [v for k, v in result.bars.items() if not k.startswith("NTX") and not k.startswith("NS")]
         assert min(ntx_bars) > max(gpu_bars)
 
-    def test_format(self):
-        assert "paper: 2.5x" in fig6.format_results()
+    def test_rendered_artifact_quotes_the_paper_ratio(self, rendered):
+        assert "paper: 2.5x" in rendered["fig6"]
 
 
 class TestFig7:
@@ -118,8 +120,8 @@ class TestPrecision:
         long = precision.run(outputs=64, reduction_length=81)
         assert long.improvement > short.improvement
 
-    def test_format(self):
-        assert "paper: 1.7x" in precision.format_results()
+    def test_rendered_artifact_quotes_the_paper_ratio(self, rendered):
+        assert "paper: 1.7x" in rendered["precision"]
 
 
 class TestGreenWave:
@@ -134,10 +136,3 @@ class TestGreenWave:
         assert result.ntx16_gflops_w > greenwave.PAPER_VALUES["Green Wave"]["gflops_w"]
         assert result.ntx16_gflops_w > greenwave.PAPER_VALUES["GPU"]["gflops_w"]
 
-
-class TestFig3b:
-    def test_every_command_close_to_one_element_per_cycle(self):
-        results = fig3b.run(elements=256)
-        assert {r.opcode for r in results} == {op.value for op in NtxOpcode}
-        for r in results:
-            assert r.cycles_per_element == pytest.approx(1.0, abs=0.15), r.opcode
