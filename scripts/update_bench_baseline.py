@@ -60,7 +60,9 @@ def main(argv=None) -> int:
         # re-run, but drop every old gate belonging to a re-run suite —
         # otherwise a removed/renamed scenario's stale gate would survive
         # and fail `compare` forever.
-        rerun = tuple(GATE_PREFIXES[suite] for suite in args.suite)
+        rerun = tuple(
+            prefix for suite in args.suite for prefix in GATE_PREFIXES[suite]
+        )
         merged = {
             name: gate
             for name, gate in old.get("gates", {}).items()

@@ -1,6 +1,6 @@
 """Benchmark scenarios and the runner that turns them into ``BENCH_*.json``.
 
-Three suites cover the repository's hot paths:
+Five suites cover the repository's hot paths:
 
 * ``cluster`` — the cycle-level engine itself (the single-cluster path
   behind ``benchmarks/test_cluster_utilization.py``): one convolution tile
@@ -16,16 +16,15 @@ Three suites cover the repository's hot paths:
   (quick mode runs the registered sizes, full mode scales the tile count
   up), so a newly registered workload family is perf-gated automatically.
 * ``campaigns`` — every campaign registered in :mod:`repro.campaign`,
-  run end to end into a throwaway store (quick mode applies each
-  campaign's ``quick_overrides``); the aggregate simulated cycles and
-  timing-cache hit rate across the whole design space are deterministic,
-  so a registered campaign is perf-gated automatically too.
-* ``report`` — every campaign-backed paper artifact in
-  :mod:`repro.report`, built through one shared
-  :class:`~repro.report.artifact.ArtifactContext` into a throwaway store
-  directory; the gated figure is the aggregate simulated cycles (and
-  campaign-wide cache hit rate) behind each quick artifact, so the
-  ``report --all --quick`` pipeline CI regenerates is perf-gated too.
+  simulated exactly once per run (quick mode applies each campaign's
+  ``quick_overrides``) in three passes over one throwaway global result
+  cache: a cold pass (``campaign-<name>`` per campaign, ``cache-cold``
+  for the whole pass), every campaign-backed paper artifact of
+  :mod:`repro.report` built from the cold stores (``report-<artifact>``,
+  gating the artifact→campaign wiring), and a warm pass into fresh
+  stores that the cache must serve whole (``cache-warm``).  Aggregate
+  simulated cycles and timing-cache hit rates are deterministic, so a
+  registered campaign or artifact is perf-gated automatically.
 * ``obs`` — the :mod:`repro.obs` instrumentation overhead: the memoized
   + batched system workload run with instrumentation fully off and then
   with metrics and span tracing enabled (best-of-N wall time each,
@@ -33,13 +32,6 @@ Three suites cover the repository's hot paths:
   ``obs-overhead``, whose gated figure is the ``overhead_ratio`` between
   the two, baselined at the documented ≤2% budget (the disabled run is
   the workload ``system-batched`` already gates).
-* ``cache`` — the global content-addressed result cache
-  (:mod:`repro.campaign.cache`): every registered campaign run cold into
-  one shared cache, then the same sweep run again warm into fresh
-  stores; the gated figures are the (deterministic) aggregate cycles and
-  the warm pass's 100% cache hit rate plus its same-host speedup over
-  the cold pass, so the "never simulate a point twice" guarantee itself
-  is perf-gated.
 
 Each scenario reports wall time, simulated cycles, simulated cycles per
 wall-clock second, and where applicable the timing-cache hit rate and the
@@ -59,7 +51,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.schema import SCHEMA_VERSION, validate_document
-from repro.campaign import iter_campaigns, run_campaign
+from repro.campaign import default_store_path, iter_campaigns, run_campaign
 from repro.cluster.engine import DEFAULT_ENGINE, available_engines
 from repro.cluster.sim import ClusterSimulator
 from repro.options import ExecutionOptions
@@ -208,147 +200,125 @@ def _scenarios_suite(quick: bool) -> List[Dict]:
     return entries
 
 
+def _records_entry(
+    name: str, description: str, wall: float, records: Sequence[Dict]
+) -> Dict:
+    """A gate over point records: total cycles and tile-cache hit rate."""
+    metrics = [record["metrics"] for record in records]
+    hits = sum(m["cache_hits"] for m in metrics)
+    lookups = hits + sum(m["cache_misses"] for m in metrics)
+    return _scenario(
+        name,
+        description,
+        wall,
+        sum(m["makespan_cycles"] for m in metrics),
+        cache_hit_rate=hits / lookups if lookups else 0.0,
+        points=len(metrics),
+    )
+
+
 def _campaigns_suite(quick: bool) -> List[Dict]:
-    """Every registered campaign, run whole into a throwaway store.
+    """Every registered campaign, simulated once, then reported and re-served.
 
-    Per campaign the gated figures aggregate the entire design space:
-    total simulated cycles across all points and the campaign-wide
-    timing-cache hit rate (points execute sequentially in expansion
-    order sharing one cache, so both are deterministic).
+    * **Cold pass.**  Each campaign runs into a fresh store under
+      ``cold/``, publishing every executed point to one throwaway
+      :class:`~repro.campaign.cache.GlobalResultCache`.  Per campaign the
+      gated figures aggregate the entire design space: total simulated
+      cycles and the campaign-wide timing-cache hit rate (points execute
+      sequentially in expansion order sharing one timing cache, so both
+      are deterministic).
+    * **Report.**  Every campaign-backed paper artifact is built through
+      one :class:`~repro.report.artifact.ArtifactContext` over the cold
+      stores, so each campaign resumes and nothing simulates.  A
+      ``report-*`` gate still moves when an artifact stops consuming a
+      campaign or starts consuming a different one.
+    * **Warm pass.**  The identical sweeps run into fresh stores under
+      ``warm/``; the cache must serve every point (any simulation there
+      is a cache defect, and ``cache-warm``'s hit rate would drop below
+      1.0).  Both passes are timed end to end, so ``speedup_vs_cold`` is
+      the cost of re-deriving the design space with and without the
+      cache.
+
+    The cache and stores are explicit, so ``$REPRO_CACHE_DIR`` never
+    serves or receives a bench point.
     """
-    entries = []
-    with tempfile.TemporaryDirectory(prefix="repro-bench-campaigns-") as tmp:
-        for sweep in iter_campaigns():
-            store = Path(tmp) / f"{sweep.name}.jsonl"
-            outcome = run_campaign(
-                sweep, store_path=store, options=ExecutionOptions(quick=quick)
-            )
-            metrics = [record["metrics"] for record in outcome.records]
-            total_cycles = sum(m["makespan_cycles"] for m in metrics)
-            hits = sum(m["cache_hits"] for m in metrics)
-            lookups = hits + sum(m["cache_misses"] for m in metrics)
-            entries.append(
-                _scenario(
-                    f"campaign-{sweep.name}",
-                    f"[{len(outcome.points)} points] {sweep.description}",
-                    outcome.run_seconds,
-                    total_cycles,
-                    cache_hit_rate=hits / lookups if lookups else 0.0,
-                    points=len(outcome.points),
-                )
-            )
-    return entries
-
-
-def _report_suite(quick: bool) -> List[Dict]:
-    """Every campaign-backed paper artifact, built against a shared context.
-
-    One entry per artifact that declares campaigns; its gated figures
-    aggregate the simulated cycles and timing-cache behaviour of every
-    record the artifact consumed.  The context is shared across artifacts
-    (as in ``report --all``), so a campaign several artifacts read runs
-    once and each artifact still accounts the records it renders.
-
-    The campaign simulations deliberately overlap the ``campaigns``
-    suite: where an artifact consumes exactly one campaign, its gate
-    duplicates that campaign's numbers.  What this suite gates beyond
-    them is the artifact→campaign *wiring* — an artifact that silently
-    stops consuming a campaign, or starts consuming a different one,
-    moves its ``report-*`` gate even when every ``campaign-*`` gate is
-    unchanged.  The quick campaigns are CI-sized, so the duplication
-    costs a few seconds.
-    """
+    from repro.campaign.cache import GlobalResultCache
     from repro.report import iter_artifacts, run_artifact
     from repro.report.artifact import ArtifactContext
 
-    entries = []
-    with tempfile.TemporaryDirectory(prefix="repro-bench-report-") as tmp:
-        context = ArtifactContext(quick=quick, store_dir=Path(tmp))
+    options = ExecutionOptions(quick=quick)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-campaigns-") as tmp:
+        root = Path(tmp)
+        cache = GlobalResultCache(root / "result-cache")
+
+        def one_pass(label: str):
+            start = time.perf_counter()
+            outcomes = [
+                run_campaign(
+                    sweep,
+                    store_path=root / label
+                    / default_store_path(sweep.name, quick).name,
+                    options=options,
+                    cache=cache,
+                )
+                for sweep in iter_campaigns()
+            ]
+            return time.perf_counter() - start, outcomes
+
+        cold_wall, cold = one_pass("cold")
+        entries = [
+            _records_entry(
+                f"campaign-{outcome.campaign.name}",
+                f"[{len(outcome.points)} points] {outcome.campaign.description}",
+                outcome.run_seconds,
+                outcome.records,
+            )
+            for outcome in cold
+        ]
+        context = ArtifactContext(quick=quick, store_dir=root / "cold")
         for artifact in iter_artifacts():
             if not artifact.campaigns:
                 continue
             start = time.perf_counter()
             run_artifact(artifact, context=context)
-            wall = time.perf_counter() - start
-            metrics = [
-                record["metrics"]
-                for name in artifact.campaigns
-                for record in context.records(name)
-            ]
-            total_cycles = sum(m["makespan_cycles"] for m in metrics)
-            hits = sum(m["cache_hits"] for m in metrics)
-            lookups = hits + sum(m["cache_misses"] for m in metrics)
             entries.append(
-                _scenario(
+                _records_entry(
                     f"report-{artifact.name}",
                     f"[{artifact.reproduces}] {artifact.title}",
-                    wall,
-                    total_cycles,
-                    cache_hit_rate=hits / lookups if lookups else 0.0,
-                    points=len(metrics),
+                    time.perf_counter() - start,
+                    [
+                        record
+                        for name in artifact.campaigns
+                        for record in context.records(name)
+                    ],
                 )
             )
-    return entries
+        warm_wall, warm = one_pass("warm")
 
-
-def _cache_suite(quick: bool) -> List[Dict]:
-    """Cold-then-warm pass of every campaign through one global cache.
-
-    The cold pass runs all registered campaigns into fresh stores while
-    publishing every executed point to one
-    :class:`~repro.campaign.cache.GlobalResultCache`; the warm pass runs
-    the identical sweeps into *new* fresh stores, so every point must be
-    served by the cache (any simulation there is a cache defect, and the
-    warm entry's ``cache_hit_rate`` would drop below 1.0).  The warm
-    wall time is pure shard parsing + store appends, so the same-host
-    ``speedup_vs_cold`` ratio is the end-to-end cost of re-deriving a
-    full design space with and without the cache.
-    """
-    from repro.campaign.cache import GlobalResultCache
-
-    def one_pass(root: Path, cache: "GlobalResultCache", label: str):
-        # Timed end to end (not ``outcome.run_seconds``, which covers only
-        # executed points): the warm pass's cost IS the cache consult +
-        # store appends, and that is what the speedup must be honest about.
-        start = time.perf_counter()
-        cycles = 0.0
-        served = 0
-        total = 0
-        for sweep in iter_campaigns():
-            outcome = run_campaign(
-                sweep,
-                store_path=root / f"{label}-{sweep.name}.jsonl",
-                options=ExecutionOptions(quick=quick),
-                cache=cache,
-            )
-            cycles += sum(
-                record["metrics"]["makespan_cycles"] for record in outcome.records
-            )
-            served += outcome.cached_points
-            total += len(outcome.points)
-        return time.perf_counter() - start, cycles, served, total
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        cache = GlobalResultCache(Path(tmp) / "result-cache")
-        cold_wall, cold_cycles, _, cold_total = one_pass(Path(tmp), cache, "cold")
-        warm_wall, warm_cycles, warm_served, warm_total = one_pass(
-            Path(tmp), cache, "warm"
+    def cycles(outcomes) -> float:
+        return sum(
+            record["metrics"]["makespan_cycles"]
+            for outcome in outcomes
+            for record in outcome.records
         )
-    return [
+
+    total = sum(len(outcome.points) for outcome in cold)
+    served = sum(outcome.cached_points for outcome in warm)
+    return entries + [
         _scenario(
             "cache-cold",
-            f"[{cold_total} points] all campaigns, empty global result cache",
+            f"[{total} points] all campaigns, empty global result cache",
             cold_wall,
-            cold_cycles,
-            points=cold_total,
+            cycles(cold),
+            points=total,
         ),
         _scenario(
             "cache-warm",
-            f"[{warm_total} points] identical sweeps served from the warm cache",
+            f"[{total} points] identical sweeps served from the warm cache",
             warm_wall,
-            warm_cycles,
-            points=warm_total,
-            cache_hit_rate=warm_served / warm_total if warm_total else 0.0,
+            cycles(warm),
+            points=total,
+            cache_hit_rate=served / total if total else 0.0,
             speedup_vs_cold=cold_wall / warm_wall if warm_wall else 0.0,
         ),
     ]
@@ -405,26 +375,22 @@ SUITES: Dict[str, Callable[[bool], List[Dict]]] = {
     "cluster": _cluster_suite,
     "scenarios": _scenarios_suite,
     "campaigns": _campaigns_suite,
-    "report": _report_suite,
-    "cache": _cache_suite,
     "obs": _obs_suite,
 }
 
-#: Gate-name prefix each suite's scenarios use.  Partial baseline
+#: Gate-name prefixes each suite's scenarios use.  Partial baseline
 #: refreshes (``scripts/update_bench_baseline.py --suite X``) rely on
 #: this to drop a re-run suite's stale gates; a new suite must declare
-#: its prefix here alongside its ``SUITES`` entry.
-GATE_PREFIXES: Dict[str, str] = {
-    "system": "system-",
-    "cluster": "cluster-",
-    "scenarios": "scenario-",
-    "campaigns": "campaign-",
-    "report": "report-",
-    "cache": "cache-",
-    "obs": "obs-",
+#: its prefixes here alongside its ``SUITES`` entry.
+GATE_PREFIXES: Dict[str, Tuple[str, ...]] = {
+    "system": ("system-",),
+    "cluster": ("cluster-",),
+    "scenarios": ("scenario-",),
+    "campaigns": ("campaign-", "report-", "cache-"),
+    "obs": ("obs-",),
 }
 if set(GATE_PREFIXES) != set(SUITES):  # pragma: no cover - import-time guard
-    raise RuntimeError("every bench suite must declare its gate prefix")
+    raise RuntimeError("every bench suite must declare its gate prefixes")
 
 
 def run_suite(suite: str, quick: bool = False) -> Dict:

@@ -60,16 +60,15 @@ OPTIONAL_METRICS = {
     "overhead_ratio": lambda v: v > 0,
 }
 
-_SUITES = ("system", "cluster", "scenarios", "campaigns", "report", "cache",
-           "obs")
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_document(document) -> List[str]:
     """Return one problem string per schema violation (empty = valid)."""
+    # The runner imports this module, so its suite table is read lazily.
+    from repro.bench.runner import SUITES
+
     problems: List[str] = []
     if not isinstance(document, dict):
         return ["document is not a JSON object"]
@@ -79,8 +78,8 @@ def validate_document(document) -> List[str]:
             f"schema_version is {version!r}, expected {SCHEMA_VERSION}"
         )
     suite = document.get("suite")
-    if suite not in _SUITES:
-        problems.append(f"suite is {suite!r}, expected one of {_SUITES}")
+    if suite not in SUITES:
+        problems.append(f"suite is {suite!r}, expected one of {tuple(SUITES)}")
     if not isinstance(document.get("quick"), bool):
         problems.append("quick must be a boolean")
     scenarios = document.get("scenarios")

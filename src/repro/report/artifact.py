@@ -19,7 +19,7 @@ The registry mirrors the engine/scenario/campaign registries: a
 registered artifact is immediately listable and runnable through
 ``python -m repro.eval report``, rendered into ``docs/paper_results.md``,
 documented in the generated ``docs/reference.md``, and perf-gated by the
-``report`` benchmark suite.
+``campaigns`` benchmark suite's ``report-*`` gates.
 """
 
 from __future__ import annotations

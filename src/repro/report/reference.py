@@ -173,8 +173,11 @@ def generate_reference() -> str:
         "`scripts/update_bench_baseline.py`.",
         "",
         markdown_table(
-            ("suite", "gate prefix"),
-            [(f"`{name}`", f"`{GATE_PREFIXES[name]}`") for name in SUITES],
+            ("suite", "gate prefixes"),
+            [
+                (f"`{name}`", ", ".join(f"`{p}`" for p in GATE_PREFIXES[name]))
+                for name in SUITES
+            ],
         ),
         "",
         "## Command-line reference",

@@ -16,10 +16,7 @@ guarantees fall out of the existing campaign machinery:
 
 * **dedup** — the in-memory job map keys by content hash, so N clients
   submitting the identical scenario share one queued/running/completed
-  job and exactly one simulation runs; completed scenario points are
-  additionally recorded in a ``scenarios.jsonl``
-  :class:`~repro.campaign.store.ResultStore`, so a point ever simulated
-  by this store directory is served from disk without re-simulation.
+  job and exactly one simulation runs.
 * **resume** — campaign jobs run through
   :func:`~repro.campaign.runner.run_campaign` against a per-campaign
   JSONL store under the server's store directory, so a cancelled or
@@ -30,11 +27,10 @@ guarantees fall out of the existing campaign machinery:
   once per CLI invocation.
 * **global result cache** — the manager owns one
   :class:`~repro.campaign.cache.GlobalResultCache` (``--cache-dir``,
-  ``$REPRO_CACHE_DIR``, or ``<store-dir>/result-cache``): scenario jobs
-  missing the scenario store and every campaign point are served from it
-  when any earlier run — including one outside the daemon — already
-  computed that content-addressed point, and every fresh simulation is
-  published back.  Its lazily loaded shard maps are the warm in-process
+  ``$REPRO_CACHE_DIR``, or ``<store-dir>/result-cache``): every scenario
+  job and campaign point is served from it when any earlier run —
+  including one outside the daemon — already computed that
+  content-addressed point, and every fresh simulation is published back.  Its lazily loaded shard maps are the warm in-process
   layer over the persistent sharded JSONL store; ``GET /healthz``
   reports its entries/hits/misses alongside the tile-cache hit rate.
 
@@ -299,8 +295,6 @@ class JobManager:
         self._started = time.monotonic()
         #: Journal of every submission and terminal state (job records).
         self.jobs_store = ResultStore(self.store_dir / "jobs.jsonl")
-        #: Completed scenario points, keyed by point id (dedup across runs).
-        self.scenario_store = ResultStore(self.store_dir / "scenarios.jsonl")
         self.pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-job"
         )
@@ -514,38 +508,30 @@ class JobManager:
                 job.spans = [s.to_dict() for s in drained[:_JOB_SPAN_LIMIT]]
 
     def _run_scenario_job(self, job: Job, submission: Submission) -> Dict[str, Any]:
-        """One point: serve from the scenario store, or simulate and record."""
+        """One point: serve from the global result cache, or simulate and
+        publish to it."""
         spec = submission.spec
         pid = point_id(spec)
-        stored = self.scenario_store.by_point().get(pid)
-        if stored is not None:
-            self._events.inc(event="store_hits")
-            job.progress.append(f"point {pid} served from the result store")
-            return {"kind": "scenario", "point_id": pid, "from_store": True,
-                    "record": stored}
         cached = self.result_cache.get(pid)
         if cached is not None:
             # Re-present the shared record under this submission's spec
             # (another campaign may have named the same content-addressed
-            # point differently) and take it into the scenario store, so
-            # the next identical submission is a plain store hit.
+            # point differently).
             cached["name"] = spec.name
             cached["axes"] = {}
             cached["spec"] = spec.to_dict()
-            record = self.scenario_store.append(cached)
             self._events.inc(event="store_hits")
             job.progress.append(f"point {pid} served from the global result cache")
             return {"kind": "scenario", "point_id": pid, "from_store": True,
-                    "record": record}
+                    "record": cached}
         if job.cancel_event.is_set():
             raise JobCancelled()
         self._events.inc(event="simulations")
         outcome = run_scenario(spec, timing_cache=self.timing_cache)
         point = CampaignPoint(id=pid, axis_values={}, spec=spec)
-        record = self.scenario_store.append(
+        record = self.result_cache.put(
             point_record(point, outcome, outcome.run_seconds)
         )
-        self.result_cache.put(record)
         job.progress.append(f"point {pid} simulated in {outcome.run_seconds:.2f}s")
         return {"kind": "scenario", "point_id": pid, "from_store": False,
                 "record": record}

@@ -19,17 +19,52 @@ from repro.bench.__main__ import main as bench_main
 
 
 @pytest.fixture(scope="module")
-def quick_documents():
+def campaigns_run():
+    """One quick ``campaigns`` suite run with the metrics registry on.
+
+    Returns the document and the campaign points the run accounted for,
+    by ``repro_campaign_points_total`` outcome.
+    """
+    from repro.obs.metrics import REGISTRY
+
+    was_metered = REGISTRY.enabled
+    REGISTRY.set_enabled(True)
+    REGISTRY.reset()
+    try:
+        document = run_suite("campaigns", quick=True)
+        points = REGISTRY.get("repro_campaign_points_total")
+        outcomes = {
+            outcome: points.value(outcome=outcome)
+            for outcome in ("executed", "cached", "resumed")
+        }
+    finally:
+        REGISTRY.set_enabled(was_metered)
+        REGISTRY.reset()
+    return document, outcomes
+
+
+@pytest.fixture(scope="module")
+def quick_documents(campaigns_run):
     """One quick run of every suite, shared by the whole module."""
     return [
         run_suite("system", quick=True),
         run_suite("cluster", quick=True),
         run_suite("scenarios", quick=True),
-        run_suite("campaigns", quick=True),
-        run_suite("report", quick=True),
-        run_suite("cache", quick=True),
+        campaigns_run[0],
         run_suite("obs", quick=True),
     ]
+
+
+def _quick_points(campaign_names):
+    from repro.campaign import get_campaign
+
+    return sum(
+        len(get_campaign(name).for_quick().expand()) for name in campaign_names
+    )
+
+
+def _entries(document, prefix):
+    return [s for s in document["scenarios"] if s["name"].startswith(prefix)]
 
 
 class TestRunner:
@@ -69,27 +104,107 @@ class TestRunner:
         """A registered campaign is perf-gated automatically."""
         from repro.campaign import get_campaign, registered_campaigns
 
-        campaigns_doc = quick_documents[3]
-        names = [scenario["name"] for scenario in campaigns_doc["scenarios"]]
+        entries = _entries(quick_documents[3], "campaign-")
+        names = [scenario["name"] for scenario in entries]
         assert names == [f"campaign-{name}" for name in registered_campaigns()]
-        for scenario, name in zip(campaigns_doc["scenarios"], registered_campaigns()):
+        for scenario, name in zip(entries, registered_campaigns()):
             assert scenario["simulated_cycles"] > 0
             assert 0.0 <= scenario["cache_hit_rate"] <= 1.0
             expected = len(get_campaign(name).for_quick().expand())
             assert scenario["points"] == expected
 
-    def test_cache_suite_warm_pass_serves_every_point(self, quick_documents):
-        """Acceptance: the warm pass of the cache suite simulates nothing
-        — a hit rate below 1.0 is a cache defect, not a perf number."""
-        cache_doc = quick_documents[5]
-        names = [scenario["name"] for scenario in cache_doc["scenarios"]]
-        assert names == ["cache-cold", "cache-warm"]
-        cold, warm = cache_doc["scenarios"]
+    def test_campaigns_suite_reports_every_campaign_backed_artifact(
+        self, quick_documents
+    ):
+        """Each ``report-*`` gate aggregates exactly the campaigns its
+        artifact declares, so it matches those ``campaign-*`` gates."""
+        from repro.report import iter_artifacts
+
+        document = quick_documents[3]
+        campaigns = {s["name"]: s for s in _entries(document, "campaign-")}
+        reports = _entries(document, "report-")
+        backed = [a for a in iter_artifacts() if a.campaigns]
+        assert [s["name"] for s in reports] == [f"report-{a.name}" for a in backed]
+        for scenario, artifact in zip(reports, backed):
+            assert scenario["simulated_cycles"] > 0
+            assert scenario["points"] >= 2
+            consumed = [campaigns[f"campaign-{name}"] for name in artifact.campaigns]
+            assert scenario["simulated_cycles"] == sum(
+                c["simulated_cycles"] for c in consumed
+            )
+            assert scenario["points"] == sum(c["points"] for c in consumed)
+
+    def test_campaigns_suite_warm_pass_serves_every_point(self, quick_documents):
+        """Acceptance: the warm pass of the campaigns suite simulates
+        nothing — a hit rate below 1.0 is a cache defect, not a perf number."""
+        document = quick_documents[3]
+        cache = _entries(document, "cache-")
+        assert [scenario["name"] for scenario in cache] == ["cache-cold", "cache-warm"]
+        cold, warm = cache
         assert cold["points"] == warm["points"] > 0
         # The cold and warm passes simulate the identical design space.
         assert warm["simulated_cycles"] == cold["simulated_cycles"] > 0
+        assert cold["simulated_cycles"] == sum(
+            s["simulated_cycles"] for s in _entries(document, "campaign-")
+        )
         assert warm["cache_hit_rate"] == 1.0
         assert warm["speedup_vs_cold"] > 1.0
+
+    def test_campaigns_suite_simulates_each_point_once(self, campaigns_run):
+        """One suite run executes every quick campaign point exactly once:
+        the cold pass simulates them all, the report resumes each
+        artifact's campaigns from the cold stores and the warm pass is
+        served whole by the cache."""
+        from repro.campaign import registered_campaigns
+        from repro.report import iter_artifacts
+
+        _, outcomes = campaigns_run
+        total = _quick_points(registered_campaigns())
+        assert total == 45
+        reported = {name for a in iter_artifacts() for name in a.campaigns}
+        assert outcomes == {
+            "executed": total,
+            "cached": total,
+            "resumed": _quick_points(reported),
+        }
+
+    def test_campaigns_suite_ignores_the_ambient_result_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """``$REPRO_CACHE_DIR`` neither serves nor receives bench points:
+        a pre-warmed cache there leaves every point executed and the
+        cache byte-for-byte untouched."""
+        from repro.campaign import (
+            CACHE_DIR_ENV,
+            GlobalResultCache,
+            registered_campaigns,
+            run_campaign,
+        )
+        from repro.obs.metrics import REGISTRY
+        from repro.options import ExecutionOptions
+
+        ambient = tmp_path / "ambient-cache"
+        run_campaign(
+            "cluster-anchor",
+            store_path=tmp_path / "prewarm.jsonl",
+            options=ExecutionOptions(quick=True),
+            cache=GlobalResultCache(ambient),
+        )
+
+        def snapshot():
+            return {p.name: p.read_bytes() for p in ambient.glob("shard-*.jsonl")}
+
+        before = snapshot()
+        assert GlobalResultCache(ambient).entries() == 2
+        monkeypatch.setenv(CACHE_DIR_ENV, str(ambient))
+        REGISTRY.set_enabled(True)
+        REGISTRY.reset()
+        run_suite("campaigns", quick=True)
+        executed = REGISTRY.get("repro_campaign_points_total").value(
+            outcome="executed"
+        )
+        assert executed == _quick_points(registered_campaigns())
+        assert snapshot() == before
 
     def test_obs_suite_never_perturbs_results(self, quick_documents):
         """Acceptance: enabling instrumentation must not move a cycle.
@@ -97,7 +212,7 @@ class TestRunner:
         The suite emits only ``obs-overhead``; its instrumented run is the
         ``system-batched`` workload, so the cycles must match that gate.
         """
-        obs_doc = quick_documents[6]
+        obs_doc = quick_documents[4]
         names = [scenario["name"] for scenario in obs_doc["scenarios"]]
         assert names == ["obs-overhead"]
         (overhead,) = obs_doc["scenarios"]
@@ -111,6 +226,21 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_suite("nonexistent")
 
+    @pytest.mark.parametrize("retired", ["report", "cache"])
+    def test_retired_suites_rejected(self, retired):
+        """The ``campaigns`` suite emits the ``report-``/``cache-`` gates;
+        the suites that re-simulated them are gone everywhere."""
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["--quick", "--suite", retired])
+        assert exit_info.value.code == 2
+        document = {
+            "schema_version": SCHEMA_VERSION,
+            "suite": retired,
+            "quick": True,
+            "scenarios": [],
+        }
+        assert any("suite" in p for p in validate_document(document))
+
     def test_format_document_mentions_every_scenario(self, quick_documents):
         for document in quick_documents:
             rendered = format_document(document)
@@ -121,7 +251,7 @@ class TestRunner:
         """The summary shows each number a gate checks, so a CI log of a
         failed ``compare`` already holds the measured value."""
         document = {
-            "suite": "cache",
+            "suite": "campaigns",
             "quick": True,
             "scenarios": [
                 {
@@ -305,22 +435,24 @@ class TestCli:
         assert not any(c.regressed for c in deterministic)
 
 
+def _load_baseline_script():
+    import importlib.util
+    from pathlib import Path
+
+    script = (
+        Path(__file__).resolve().parent.parent / "scripts" / "update_bench_baseline.py"
+    )
+    spec = importlib.util.spec_from_file_location("update_bench_baseline", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBaselineScript:
     def test_dry_run_prints_the_gate_diff_without_writing(self, capsys):
         """Satellite: --dry-run categorises added/removed/changed gates
         and leaves benchmarks/baseline.json untouched."""
-        import importlib.util
-        from pathlib import Path
-
-        script = (
-            Path(__file__).resolve().parent.parent
-            / "scripts"
-            / "update_bench_baseline.py"
-        )
-        spec = importlib.util.spec_from_file_location("update_bench_baseline", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-
+        module = _load_baseline_script()
         before = module.BASELINE.read_text(encoding="utf-8")
         assert module.main(["--dry-run", "--suite", "cluster"]) == 0
         out = capsys.readouterr().out
@@ -328,3 +460,28 @@ class TestBaselineScript:
         assert "gate(s) added" in out and "unchanged" in out
         assert "cluster-conv-vectorized/simulated_cycles" in out
         assert module.BASELINE.read_text(encoding="utf-8") == before
+
+    def test_campaigns_refresh_drops_stale_gates_of_all_its_prefixes(
+        self, tmp_path, monkeypatch, capsys, campaigns_run
+    ):
+        """``--suite campaigns`` owns the ``campaign-``, ``report-`` and
+        ``cache-`` gates: stale ones under each prefix go, other suites'
+        gates stay."""
+        module = _load_baseline_script()
+        committed = json.loads(module.BASELINE.read_text(encoding="utf-8"))
+        stale = {"campaign-gone", "report-gone", "cache-gone"}
+        for name in stale:
+            committed["gates"][name] = {"simulated_cycles": 1}
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(committed), encoding="utf-8")
+        monkeypatch.setattr(module, "REPO", tmp_path)
+        monkeypatch.setattr(module, "BASELINE", baseline)
+        monkeypatch.setattr(
+            module, "run_suites", lambda suites, quick: [campaigns_run[0]]
+        )
+
+        assert module.main(["--suite", "campaigns"]) == 0
+        capsys.readouterr()
+        gates = json.loads(baseline.read_text(encoding="utf-8"))["gates"]
+        assert not stale & set(gates)
+        assert set(gates) == set(committed["gates"]) - stale

@@ -1,6 +1,6 @@
 """The paper-artifact pipeline: registry errors, renderer snapshots,
-campaign-backed artifact builds, the ``report`` CLI, the ``report`` bench
-suite, and the regenerated-docs-are-clean acceptance check."""
+campaign-backed artifact builds, the ``report`` CLI, warm-cache report
+runs, and the regenerated-docs-are-clean acceptance check."""
 
 import json
 from pathlib import Path
@@ -304,22 +304,6 @@ class TestCli:
 
 
 class TestBenchSuite:
-    def test_report_suite_gates_campaign_backed_artifacts(self):
-        from repro.bench import run_suite, validate_document
-
-        document = run_suite("report", quick=True)
-        assert validate_document(document) == []
-        names = [scenario["name"] for scenario in document["scenarios"]]
-        expected = [
-            f"report-{artifact.name}"
-            for artifact in iter_artifacts()
-            if artifact.campaigns
-        ]
-        assert names == expected
-        for scenario in document["scenarios"]:
-            assert scenario["simulated_cycles"] > 0
-            assert scenario["points"] >= 2
-
     def test_warm_cache_report_simulates_zero_points(self, tmp_path):
         """Acceptance: against a warm global cache, a report run into a
         brand-new store directory serves every campaign point without

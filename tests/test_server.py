@@ -337,6 +337,9 @@ class TestServerEndToEnd:
             assert health["result_cache"]["hits"] >= 5
         finally:
             second.close()
+        # Scenario points live in the result cache alone.
+        for store_dir in ("a", "b"):
+            assert not (tmp_path / store_dir / "scenarios.jsonl").exists()
 
     def test_error_statuses(self, server):
         client = Client(server.url)
