@@ -47,6 +47,7 @@ HIGHER_IS_BETTER = frozenset(
         "cache_hit_rate",
         "speedup_vs_sequential",
         "speedup_vs_cold",
+        "speedup_vs_reference",
     }
 )
 

@@ -6,6 +6,8 @@ Five suites cover the repository's hot paths:
   behind ``benchmarks/test_cluster_utilization.py``): one convolution tile
   simulated cycle by cycle, once per registered engine (quick mode keeps
   only the default engine; the scalar golden engine joins in full mode).
+  The vectorized tile also runs through the Python reference loop, which
+  gives the compiled timing core's same-run ``speedup_vs_reference``.
 * ``system`` — the scale-out path: a tiled convolution workload on the
   default :class:`~repro.system.SystemConfig`, run without the timing
   cache (every tile fully simulated), then with it (misses simulated,
@@ -26,9 +28,9 @@ Five suites cover the repository's hot paths:
   simulated cycles and timing-cache hit rates are deterministic, so a
   registered campaign or artifact is perf-gated automatically.
 * ``obs`` — the :mod:`repro.obs` instrumentation overhead: the memoized
-  + batched system workload run with instrumentation fully off and then
-  with metrics and span tracing enabled (best-of-N wall time each,
-  identical simulated cycles asserted); the suite emits one scenario,
+  + batched system workload run alternately with instrumentation fully
+  off and with metrics and span tracing enabled (best-of-N wall time
+  each, identical simulated cycles asserted); the suite emits one scenario,
   ``obs-overhead``, whose gated figure is the ``overhead_ratio`` between
   the two, baselined at the documented ≤2% budget (the disabled run is
   the workload ``system-batched`` already gates).
@@ -52,8 +54,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.schema import SCHEMA_VERSION, validate_document
 from repro.campaign import default_store_path, iter_campaigns, run_campaign
+from repro.cluster import timing_core
 from repro.cluster.engine import DEFAULT_ENGINE, available_engines
 from repro.cluster.sim import ClusterSimulator
+from repro.cluster.vecsim import run_reference
 from repro.options import ExecutionOptions
 from repro.scenarios import iter_scenarios, run_scenario
 from repro.system import SystemConfig, SystemSimulator, conv_tiled_workload
@@ -136,24 +140,47 @@ def _system_suite(quick: bool) -> List[Dict]:
     ]
 
 
-def _run_cluster_variant(quick: bool, engine: str) -> Tuple[float, "object"]:
+#: Timings per side of ``speedup_vs_reference``; the fastest is reported,
+#: which keeps the same-run ratio clear of scheduler noise.
+_REFERENCE_REPEATS = 5
+
+
+def _run_cluster_variant(
+    quick: bool, engine: str, reference: bool = False, repeats: int = 1
+) -> Tuple[float, "object"]:
+    """Best-of-``repeats`` wall time of one conv tile; ``reference=True``
+    runs the vectorized engine's Python reference loop instead of the
+    compiled one."""
     shape = _CLUSTER_SIZES[quick]
     system = SystemConfig(num_vaults=1, clusters_per_vault=1, engine=engine)
-    simulator = SystemSimulator(system, options=ExecutionOptions(memoize=False))
-    workload = conv_tiled_workload(simulator.hmc, num_tiles=1, image_shape=shape)
-    cluster = simulator.clusters[0]
-    for transfer in workload.tiles[0].transfers_in:
-        cluster.run_dma(transfer)
-    jobs = workload.tiles[0].jobs(system.cluster.num_ntx)
-    engine_sim = ClusterSimulator(cluster, engine=engine)
-    start = time.perf_counter()
-    result = engine_sim.run(jobs, stagger_cycles=system.stagger_cycles)
-    wall = time.perf_counter() - start
-    return wall, result
+    best = float("inf")
+    for _ in range(repeats):
+        simulator = SystemSimulator(system, options=ExecutionOptions(memoize=False))
+        workload = conv_tiled_workload(simulator.hmc, num_tiles=1, image_shape=shape)
+        cluster = simulator.clusters[0]
+        for transfer in workload.tiles[0].transfers_in:
+            cluster.run_dma(transfer)
+        jobs = workload.tiles[0].jobs(system.cluster.num_ntx)
+        engine_sim = ClusterSimulator(cluster, engine=engine)
+        start = time.perf_counter()
+        if reference:
+            result = run_reference(
+                engine_sim, jobs, stagger_cycles=system.stagger_cycles
+            )
+        else:
+            result = engine_sim.run(jobs, stagger_cycles=system.stagger_cycles)
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def _cluster_suite(quick: bool) -> List[Dict]:
-    """One convolution tile per registered engine (quick: default only)."""
+    """One convolution tile per registered engine (quick: default only).
+
+    The vectorized entry also times the same tile through the Python
+    reference loop and reports the compiled timing core's same-run
+    ``speedup_vs_reference`` (the one-time build is kept out of it).
+    """
+    timing_core.load()
     engines = [
         name
         for name in available_engines()
@@ -161,13 +188,28 @@ def _cluster_suite(quick: bool) -> List[Dict]:
     ]
     scenarios = []
     for engine in engines:
-        wall, result = _run_cluster_variant(quick, engine)
+        extra = {}
+        if engine != "vectorized":
+            wall, result = _run_cluster_variant(quick, engine)
+        else:
+            wall, result = _run_cluster_variant(
+                quick, engine, repeats=_REFERENCE_REPEATS
+            )
+            reference_wall, reference = _run_cluster_variant(
+                quick, engine, reference=True, repeats=_REFERENCE_REPEATS
+            )
+            if reference != result:
+                raise AssertionError(
+                    "compiled timing core disagrees with the reference loop"
+                )
+            extra["speedup_vs_reference"] = reference_wall / wall
         scenarios.append(
             _scenario(
                 f"cluster-conv-{engine}",
                 f"one convolution tile through the {engine} cycle engine",
                 wall,
                 result.cycles,
+                **extra,
             )
         )
     return scenarios
@@ -337,15 +379,17 @@ def _obs_suite(quick: bool) -> List[Dict]:
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import TRACER
 
-    repeats = 3
+    # The disabled and enabled runs alternate, so a burst of host load
+    # slows both sides instead of skewing the ratio.
+    repeats = 5
     was_metered, was_tracing = REGISTRY.enabled, TRACER.enabled
+    off, on = [], []
     try:
-        REGISTRY.set_enabled(False)
-        TRACER.set_enabled(False)
-        off = [_run_system_variant(quick, memoize=True) for _ in range(repeats)]
-        REGISTRY.set_enabled(True)
-        TRACER.set_enabled(True)
-        on = [_run_system_variant(quick, memoize=True) for _ in range(repeats)]
+        for _ in range(repeats):
+            for enabled, runs in ((False, off), (True, on)):
+                REGISTRY.set_enabled(enabled)
+                TRACER.set_enabled(enabled)
+                runs.append(_run_system_variant(quick, memoize=True))
     finally:
         REGISTRY.set_enabled(was_metered)
         TRACER.set_enabled(was_tracing)
@@ -454,10 +498,9 @@ def derive_baseline(
             }
             if "cache_hit_rate" in scenario:
                 gate["cache_hit_rate"] = round(scenario["cache_hit_rate"], 4)
-            if "speedup_vs_sequential" in scenario:
-                gate["speedup_vs_sequential"] = round(
-                    scenario["speedup_vs_sequential"] * speedup_headroom, 2
-                )
+            for speedup in ("speedup_vs_sequential", "speedup_vs_reference"):
+                if speedup in scenario:
+                    gate[speedup] = round(scenario[speedup] * speedup_headroom, 2)
             if "overhead_ratio" in scenario:
                 # Gated at the documented budget, not the measured value:
                 # the measurement is timer noise around 1.0, and the
@@ -496,6 +539,10 @@ def format_document(document: Dict) -> str:
             parts.append(f"speedup {scenario['speedup_vs_sequential']:.1f}x")
         if "speedup_vs_cold" in scenario:
             parts.append(f"speedup_vs_cold {scenario['speedup_vs_cold']:.1f}x")
+        if "speedup_vs_reference" in scenario:
+            parts.append(
+                f"speedup_vs_reference {scenario['speedup_vs_reference']:.1f}x"
+            )
         if "overhead_ratio" in scenario:
             parts.append(f"overhead_ratio {scenario['overhead_ratio']:.3f}")
         if "points" in scenario:

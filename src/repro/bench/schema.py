@@ -58,6 +58,7 @@ OPTIONAL_METRICS = {
     "points": lambda v: v >= 1,
     "speedup_vs_cold": lambda v: v > 0,
     "overhead_ratio": lambda v: v > 0,
+    "speedup_vs_reference": lambda v: v > 0,
 }
 
 def _is_number(value) -> bool:

@@ -18,6 +18,8 @@
 * :mod:`repro.cluster.vecsim` — the vectorized engine itself: NumPy
   precomputed request streams, an array data plane and an integer-only
   timing core (see ``docs/performance.md``).
+* :mod:`repro.cluster.timing_core` — builds, caches and calls that timing
+  core's compiled C loop (``timing_core.c``).
 """
 
 from repro.cluster.addressmap import AddressMap

@@ -87,8 +87,9 @@ class ClusterSimulator:
     same machine:
 
     * ``"vectorized"`` (the default) — precomputes every port's request
-      stream with NumPy and replays the data plane as array operations
-      (:mod:`repro.cluster.vecsim`); roughly an order of magnitude faster.
+      stream with NumPy, replays the data plane as array operations and
+      runs the cycle loop in compiled C (:mod:`repro.cluster.vecsim`);
+      roughly two orders of magnitude faster.
     * ``"scalar"`` — the original per-micro-op interpreter, kept as the
       golden reference the vectorized engine is tested against.
     """

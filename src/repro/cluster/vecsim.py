@@ -20,7 +20,14 @@ phases so the per-cycle loop touches almost nothing:
    machine as the scalar engine — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
    backpressure, rotating-priority bank arbitration, command setup/drain —
-   but over precomputed bank arrays and integer state only.
+   but over precomputed int32 bank arrays and integer state only.  The
+   loop is compiled C (``timing_core.c``), built with the system ``cc`` on
+   the first :func:`run_vectorized` call of a process, cached per user and
+   loaded with :mod:`ctypes` (see :mod:`repro.cluster.timing_core`); one C
+   call runs every cycle of a run.  Where it cannot be built or loaded,
+   the same loop runs in Python (:func:`_reference_loop`, also reachable
+   as :func:`run_reference`) with identical results, and each such run is
+   counted in ``repro_timing_core_fallbacks_total{reason}``.
 
 The timing core is behaviourally equivalent to the scalar engine except
 for two deliberately dropped micro-behaviours (store-to-load forwarding
@@ -28,7 +35,7 @@ across the write-back FIFO, and the shared-grant case where two ports of
 one NTX present the same address in the same cycle), both of which are
 vanishingly rare for streaming kernels.  ``tests/test_vecsim.py`` pins the
 resulting conflict-probability and cycle-count agreement on golden
-workloads.
+workloads, and fuzzes the compiled loop against the Python loop.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster import timing_core
+from repro.cluster.timing_core import TimingCounters, TimingParams
 from repro.core.commands import NtxCommand, NtxOpcode
 from repro.core.vecops import (
     _account_accesses,
@@ -46,13 +55,19 @@ from repro.core.vecops import (
     execute_streams_batched,
 )
 
-__all__ = ["run_vectorized", "run_data_plane", "run_data_plane_batched"]
+__all__ = [
+    "run_vectorized", "run_reference", "run_data_plane", "run_data_plane_batched",
+]
 
-_IDLE, _SETUP, _RUN, _DRAIN = 0, 1, 2, 3
+_IDLE, _SETUP, _RUN = 0, 1, 2
 
 
 class _CommandPlan:
-    """Precomputed port streams and retirement bookkeeping of one command."""
+    """Precomputed port streams and retirement bookkeeping of one command.
+
+    The bank streams are contiguous int32 arrays (``None`` for an absent
+    port), the layout the compiled timing core reads directly.
+    """
 
     __slots__ = (
         "command", "streams", "total", "p0_banks", "p1_banks",
@@ -74,37 +89,44 @@ class _CommandPlan:
         def to_banks(addresses):
             if not with_banks or addresses is None or len(addresses) == 0:
                 return None
-            return (((addresses - base) >> 2) % banks).tolist()
+            return (((addresses - base) >> 2) % banks).astype(np.int32)
 
         self.p0_banks = to_banks(streams.read0)
         self.p1_banks = to_banks(streams.read1)
         self.init_banks = to_banks(streams.init_read_addrs)
-        self.init_ts = streams.init_ts.tolist() if self.init_banks else None
+        has_init = self.init_banks is not None
+        self.init_ts = streams.init_ts.astype(np.int32) if has_init else None
         self.store_banks = to_banks(streams.store_addrs)
         self.period_init = streams.period_init
         self.period_store = streams.period_store
-        self.num_init_reads = len(streams.init_ts) if self.init_banks else 0
+        self.num_init_reads = len(streams.init_ts) if has_init else 0
         self.num_stores = len(streams.store_ts)
         self.has_store = self.num_stores > 0
 
 
 class _NtxState:
-    """Integer-only cycle state of one co-processor."""
+    """Integer-only cycle state of one co-processor (reference loop).
+
+    ``p0``/``p1``/``init``/``init_ts``/``store`` are the current plan's
+    streams as Python lists: indexing a list is what keeps the reference
+    loop tolerable, so the conversion happens once per command here.
+    """
 
     __slots__ = (
         "queue", "next_command", "start_cycle", "phase", "setup_left",
-        "drain_left", "plan", "pos0", "pos1", "rpos", "wpos", "retired",
-        "active", "stall",
+        "drain_left", "plan", "p0", "p1", "init", "init_ts", "store",
+        "pos0", "pos1", "rpos", "wpos", "retired", "active", "stall",
     )
 
-    def __init__(self, start_cycle: int) -> None:
-        self.queue: List[_CommandPlan] = []
+    def __init__(self, queue: List[_CommandPlan], start_cycle: int) -> None:
+        self.queue = queue
         self.next_command = 0
         self.start_cycle = start_cycle
         self.phase = _IDLE
         self.setup_left = 0
         self.drain_left = 0
         self.plan: _CommandPlan | None = None
+        self.p0 = self.p1 = self.init = self.init_ts = self.store = None
         self.pos0 = 0
         self.pos1 = 0
         self.rpos = 0
@@ -112,6 +134,10 @@ class _NtxState:
         self.retired = 0
         self.active = 0
         self.stall = 0
+
+
+def _as_list(stream):
+    return None if stream is None else stream.tolist()
 
 
 def _run_data_plane(
@@ -273,43 +299,26 @@ def run_data_plane_batched(
                     fpu_stats.comparisons += plan.total * num_tiles
 
 
-def run_vectorized(
-    simulator,
-    jobs: Sequence[Tuple[int, NtxCommand]],
-    max_cycles: int,
-    dma_requests_per_cycle: float,
-    stagger_cycles: int,
-):
-    """Cycle-level run over precomputed streams; see module docstring."""
-    from repro.cluster.sim import SimulationResult
-
-    cluster = simulator.cluster
-    config = cluster.config
-    num_ntx = config.num_ntx
-    tcdm = cluster.tcdm
-    num_banks = tcdm.config.num_banks
-    window = config.ntx.data_fifo_depth
-    wb_depth = config.ntx.writeback_fifo_depth
-    setup_cycles = config.ntx.command_setup_cycles
-    drain_cycles = config.ntx.writeback_drain_cycles
-    interconnect = simulator.interconnect
-    num_masters = interconnect.num_masters
-
-    jobs_per_ntx: List[List[_CommandPlan]] = [[] for _ in range(num_ntx)]
-    for ntx_id, command in jobs:
-        if not 0 <= ntx_id < num_ntx:
-            raise ValueError(f"NTX index {ntx_id} out of range")
-        jobs_per_ntx[ntx_id].append(_CommandPlan(command, tcdm))
-
-    start_flops = [n.stats.flops for n in cluster.ntx]
-    start_iterations = [n.stats.iterations for n in cluster.ntx]
-    _run_data_plane(cluster, jobs_per_ntx)
+def _reference_loop(
+    jobs_per_ntx: List[List[_CommandPlan]], params: TimingParams
+) -> TimingCounters:
+    """The per-cycle loop in Python: the reference the compiled core
+    (``timing_core.c``) transcribes and is fuzzed against."""
+    num_ntx = len(jobs_per_ntx)
+    num_banks = params.num_banks
+    num_masters = params.num_masters
+    window = params.window
+    wb_depth = params.wb_depth
+    setup_cycles = params.setup_cycles
+    drain_cycles = params.drain_cycles
+    max_cycles = params.max_cycles
+    dma_requests_per_cycle = params.dma_requests_per_cycle
+    tcdm_words = params.tcdm_words
 
     states = [
-        _NtxState(i * max(stagger_cycles, 0)) for i in range(num_ntx)
+        _NtxState(plans, ntx_id * params.stagger)
+        for ntx_id, plans in enumerate(jobs_per_ntx)
     ]
-    for ntx_id, plans in enumerate(jobs_per_ntx):
-        states[ntx_id].queue = plans
 
     # Arbitration scratch: per-bank best priority / request slot, reset via
     # the list of touched banks only.
@@ -319,7 +328,7 @@ def run_vectorized(
     req_slots: List[int] = []
     touched: List[int] = []
 
-    rr_offset = interconnect._rr_offset
+    rr_offset = params.rr_offset
     requests = 0
     grants = 0
     conflicts = 0
@@ -328,7 +337,6 @@ def run_vectorized(
     dma_master = num_ntx
     dma_accumulator = 0.0
     dma_word = 0
-    tcdm_words = tcdm.size // 4
 
     cycles = 0
     while cycles < max_cycles:
@@ -345,8 +353,13 @@ def run_vectorized(
                 if cycles < state.start_cycle:
                     any_busy = True  # staggered start still pending
                     continue
-                state.plan = state.queue[state.next_command]
+                plan = state.plan = state.queue[state.next_command]
                 state.next_command += 1
+                state.p0 = _as_list(plan.p0_banks)
+                state.p1 = _as_list(plan.p1_banks)
+                state.init = _as_list(plan.init_banks)
+                state.init_ts = _as_list(plan.init_ts)
+                state.store = _as_list(plan.store_banks)
                 # A zero-cycle setup phase starts streaming immediately,
                 # exactly like the scalar engine's setup guard.
                 state.phase = _SETUP if setup_cycles > 0 else _RUN
@@ -362,23 +375,23 @@ def run_vectorized(
             limit = state.retired + window
             slot_base = ntx_id << 2
             pos0 = state.pos0
-            if plan.p0_banks is not None and pos0 < plan.total and pos0 < limit:
-                req_banks.append(plan.p0_banks[pos0])
+            if state.p0 is not None and pos0 < plan.total and pos0 < limit:
+                req_banks.append(state.p0[pos0])
                 req_slots.append(slot_base)
             pos1 = state.pos1
-            if plan.p1_banks is not None and pos1 < plan.total and pos1 < limit:
-                req_banks.append(plan.p1_banks[pos1])
+            if state.p1 is not None and pos1 < plan.total and pos1 < limit:
+                req_banks.append(state.p1[pos1])
                 req_slots.append(slot_base | 1)
             rpos = state.rpos
-            if plan.init_banks is not None and rpos < plan.num_init_reads and (
-                plan.init_ts[rpos] < limit
+            if state.init is not None and rpos < plan.num_init_reads and (
+                state.init_ts[rpos] < limit
             ):
-                req_banks.append(plan.init_banks[rpos])
+                req_banks.append(state.init[rpos])
                 req_slots.append(slot_base | 2)
             elif plan.has_store and (
                 min(state.retired, plan.total) // plan.period_store > state.wpos
             ):
-                req_banks.append(plan.store_banks[state.wpos])
+                req_banks.append(state.store[state.wpos])
                 req_slots.append(slot_base | 3)
 
         if not any_busy:
@@ -447,11 +460,11 @@ def run_vectorized(
             if retired < plan.total:
                 k = retired
                 ready = True
-                if plan.p0_banks is not None and state.pos0 <= k:
+                if state.p0 is not None and state.pos0 <= k:
                     ready = False
-                elif plan.p1_banks is not None and state.pos1 <= k:
+                elif state.p1 is not None and state.pos1 <= k:
                     ready = False
-                elif plan.init_banks is not None and (
+                elif state.init is not None and (
                     state.rpos <= k // plan.period_init
                 ):
                     ready = False
@@ -487,28 +500,109 @@ def run_vectorized(
     else:
         raise RuntimeError(f"simulation did not finish within {max_cycles} cycles")
 
-    interconnect.cycles += cycles
-    interconnect.requests += requests
-    interconnect.grants += grants
-    interconnect.conflicts += conflicts
-    interconnect.conflict_cycles += conflict_cycles
-    interconnect._rr_offset = rr_offset
+    return TimingCounters(
+        cycles, requests, grants, conflicts, conflict_cycles, rr_offset,
+        [state.active for state in states], [state.stall for state in states],
+    )
+
+
+def _run(simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles, loop):
+    """Plan, execute the data plane, then time ``jobs`` through ``loop``."""
+    from repro.cluster.sim import SimulationResult
+
+    cluster = simulator.cluster
+    config = cluster.config
+    num_ntx = config.num_ntx
+    tcdm = cluster.tcdm
+    interconnect = simulator.interconnect
+
+    jobs_per_ntx: List[List[_CommandPlan]] = [[] for _ in range(num_ntx)]
+    for ntx_id, command in jobs:
+        if not 0 <= ntx_id < num_ntx:
+            raise ValueError(f"NTX index {ntx_id} out of range")
+        jobs_per_ntx[ntx_id].append(_CommandPlan(command, tcdm))
+
+    start_flops = [n.stats.flops for n in cluster.ntx]
+    start_iterations = [n.stats.iterations for n in cluster.ntx]
+    _run_data_plane(cluster, jobs_per_ntx)
+
+    counters = loop(
+        jobs_per_ntx,
+        TimingParams(
+            num_banks=tcdm.config.num_banks,
+            num_masters=interconnect.num_masters,
+            window=config.ntx.data_fifo_depth,
+            wb_depth=config.ntx.writeback_fifo_depth,
+            setup_cycles=config.ntx.command_setup_cycles,
+            drain_cycles=config.ntx.writeback_drain_cycles,
+            stagger=max(stagger_cycles, 0),
+            max_cycles=max_cycles,
+            dma_requests_per_cycle=float(dma_requests_per_cycle),
+            tcdm_words=tcdm.size // 4,
+            rr_offset=interconnect._rr_offset,
+        ),
+    )
+
+    interconnect.cycles += counters.cycles
+    interconnect.requests += counters.requests
+    interconnect.grants += counters.grants
+    interconnect.conflicts += counters.conflicts
+    interconnect.conflict_cycles += counters.conflict_cycles
+    interconnect._rr_offset = counters.rr_offset
 
     for ntx_id in range(num_ntx):
         stats = cluster.ntx[ntx_id].stats
-        stats.active_cycles += states[ntx_id].active
-        stats.stall_cycles += states[ntx_id].stall
+        stats.active_cycles += counters.active[ntx_id]
+        stats.stall_cycles += counters.stall[ntx_id]
 
     return SimulationResult(
-        cycles=cycles,
+        cycles=counters.cycles,
         flops=sum(n.stats.flops - start_flops[i] for i, n in enumerate(cluster.ntx)),
         iterations=sum(
             n.stats.iterations - start_iterations[i]
             for i, n in enumerate(cluster.ntx)
         ),
-        tcdm_requests=interconnect.requests,
-        tcdm_conflicts=interconnect.conflicts,
-        per_ntx_active=[states[i].active for i in range(num_ntx)],
-        per_ntx_stall=[states[i].stall for i in range(num_ntx)],
+        tcdm_requests=counters.requests,
+        tcdm_conflicts=counters.conflicts,
+        per_ntx_active=counters.active,
+        per_ntx_stall=counters.stall,
         frequency_hz=config.ntx_frequency_hz,
+    )
+
+
+def run_vectorized(
+    simulator,
+    jobs: Sequence[Tuple[int, NtxCommand]],
+    max_cycles: int,
+    dma_requests_per_cycle: float,
+    stagger_cycles: int,
+):
+    """Cycle-level run over precomputed streams; see module docstring.
+
+    The cycle loop runs in the compiled timing core, built on the first
+    call; without it (counted, see :mod:`repro.cluster.timing_core`) the
+    Python reference loop runs instead, with identical results.
+    """
+    loop = timing_core.load() or _reference_loop
+    return _run(
+        simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles, loop
+    )
+
+
+def run_reference(
+    simulator,
+    jobs: Sequence[Tuple[int, NtxCommand]],
+    max_cycles: int = 5_000_000,
+    dma_requests_per_cycle: float = 0.0,
+    stagger_cycles: int = 7,
+):
+    """:func:`run_vectorized` through the Python reference loop.
+
+    The compiled core is held to this loop cycle for cycle
+    (``tests/test_vecsim.py``), and ``python -m repro.bench`` reports the
+    compiled core's speedup over it.
+    """
+    return _run(
+        simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles,
+        _reference_loop,
     )

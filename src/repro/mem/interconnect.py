@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 __all__ = ["MemoryRequest", "ArbitrationResult", "TcdmInterconnect"]
 
 
@@ -95,47 +93,6 @@ class TcdmInterconnect:
         self.grants += len(result.granted)
         self._rr_offset = (self._rr_offset + 1) % max(self.num_masters, 1)
         return result
-
-    def arbitrate_batch(self, banks: np.ndarray, masters: np.ndarray) -> np.ndarray:
-        """Array form of :meth:`arbitrate`: one cycle, structure-of-arrays.
-
-        ``banks[i]`` / ``masters[i]`` describe request ``i`` of the cycle;
-        the return value is a boolean grant mask over the same indices.
-        The winner per bank is the request whose master comes first in the
-        current round-robin order (ties between requests of one master go
-        to the lower index, matching the list order of :meth:`arbitrate`).
-        Statistics and the round-robin offset advance identically, so the
-        two entry points are interchangeable cycle for cycle.
-
-        This is the array-facing entry point for batch-oriented callers
-        and analysis scripts.  The vectorized cluster engine inlines an
-        integer-only copy of the same policy for speed; the equivalence
-        tests in ``tests/test_vecsim.py`` pin all implementations to
-        :meth:`arbitrate`, so change the policy here and there together.
-        """
-        banks = np.asarray(banks, dtype=np.int64)
-        masters = np.asarray(masters, dtype=np.int64)
-        self.cycles += 1
-        num_requests = len(banks)
-        self.requests += num_requests
-        granted = np.zeros(num_requests, dtype=bool)
-        if num_requests:
-            priority = (masters - self._rr_offset) % self.num_masters
-            # Stable sort by (bank, priority): the first row of each bank
-            # group is its winner.
-            order = np.lexsort((np.arange(num_requests), priority, banks))
-            sorted_banks = banks[order]
-            is_winner = np.empty(num_requests, dtype=bool)
-            is_winner[0] = True
-            np.not_equal(sorted_banks[1:], sorted_banks[:-1], out=is_winner[1:])
-            granted[order] = is_winner
-            num_granted = int(is_winner.sum())
-            self.grants += num_granted
-            if num_granted != num_requests:
-                self.conflicts += num_requests - num_granted
-                self.conflict_cycles += 1
-        self._rr_offset = (self._rr_offset + 1) % max(self.num_masters, 1)
-        return granted
 
     @property
     def conflict_probability(self) -> float:

@@ -10,18 +10,35 @@ tolerance-banded only where the engines may legitimately diverge
 (store-to-load forwarding, shared same-address grants).
 """
 
+import os
+import shutil
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from repro.cluster import timing_core, vecsim
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.sim import ClusterSimulator
-from repro.core.commands import AguConfig, InitSource, LoopConfig, NtxCommand, NtxOpcode
+from repro.core.commands import (
+    NUM_LOOPS,
+    AguConfig,
+    InitSource,
+    LoopConfig,
+    NtxCommand,
+    NtxOpcode,
+)
 from repro.core.controller import NtxController
+from repro.core.ntx import NtxConfig
 from repro.core.vecops import command_streams
 from repro.kernels.blas import axpy_commands
 from repro.kernels.conv import conv2d_commands
-from repro.mem.interconnect import MemoryRequest, TcdmInterconnect
 from repro.mem.tcdm import TcdmConfig
+from repro.scenarios import registered_scenarios, run_scenario
 
 
 def _conv_setup(cluster, rng, image_shape=(20, 22), kernel=3):
@@ -450,44 +467,229 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             ClusterSimulator(cluster, engine="vectorized").run([(99, command)])
 
-
-class TestBatchArbitration:
-    """arbitrate_batch must be cycle-for-cycle equivalent to arbitrate."""
-
-    def test_equivalence_over_random_cycles(self):
-        rng = np.random.default_rng(99)
-        tcdm_config = TcdmConfig()
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_results_count_this_runs_requests_only(self, engine):
+        """Like cycles and flops, request/conflict counts are per run even
+        when one simulator runs several job sets."""
         cluster = Cluster()
-        scalar_ic = TcdmInterconnect(cluster.tcdm, num_masters=10)
-        batch_ic = TcdmInterconnect(cluster.tcdm, num_masters=10)
-        base = cluster.tcdm.base
-        for _ in range(200):
-            count = int(rng.integers(0, 24))
-            masters = rng.integers(0, 10, size=count)
-            words = rng.integers(0, tcdm_config.total_words, size=count)
-            addresses = base + words * 4
-            requests = [
-                MemoryRequest(master=int(m), address=int(a))
-                for m, a in zip(masters, addresses)
-            ]
-            result = scalar_ic.arbitrate(requests)
-            banks = words % tcdm_config.num_banks
-            granted = batch_ic.arbitrate_batch(banks, masters)
-            assert int(granted.sum()) == len(result.granted)
-            granted_pairs = {
-                (int(m), int(b))
-                for m, b in zip(masters[granted], banks[granted])
-            }
-            reference_pairs = {
-                (r.master, cluster.tcdm.bank_of(r.address)) for r in result.granted
-            }
-            assert granted_pairs == reference_pairs
-        assert batch_ic.stats == scalar_ic.stats
+        _, _, jobs, _, _ = _conv_setup(cluster, np.random.default_rng(3), (10, 12))
+        simulator = ClusterSimulator(cluster, engine=engine)
+        first = simulator.run(jobs)
+        second = simulator.run(jobs[:4], dma_requests_per_cycle=0.5)
+        interconnect = simulator.interconnect
+        assert first.tcdm_requests + second.tcdm_requests == interconnect.requests
+        assert first.tcdm_conflicts + second.tcdm_conflicts == interconnect.conflicts
+        assert 0 < second.tcdm_requests < first.tcdm_requests
 
-    def test_empty_cycle(self):
-        cluster = Cluster()
-        interconnect = TcdmInterconnect(cluster.tcdm, num_masters=4)
-        granted = interconnect.arbitrate_batch(np.empty(0, int), np.empty(0, int))
-        assert granted.shape == (0,)
-        assert interconnect.cycles == 1
-        assert interconnect.requests == 0
+
+# --------------------------------------------------------------------------- #
+# The compiled timing core against the Python reference loop                  #
+# --------------------------------------------------------------------------- #
+
+needs_cc = pytest.mark.skipif(
+    shutil.which("cc") is None, reason="no C compiler on PATH"
+)
+
+#: A base far from both ends of the 32-bit space: an AGU's excursion
+#: measured from it never wraps around.
+_PROBE_BASE = 1 << 31
+
+
+@st.composite
+def _timing_cases(draw):
+    """A random machine plus raw per-NTX command queues for it."""
+    num_ntx = draw(st.integers(1, 8))
+    num_banks = draw(st.integers(4, 32))
+    config = ClusterConfig(
+        num_ntx=num_ntx,
+        tcdm=TcdmConfig(size_bytes=num_banks * 4 * 512, num_banks=num_banks),
+        ntx=NtxConfig(
+            command_setup_cycles=draw(st.integers(0, 6)),
+            writeback_drain_cycles=draw(st.integers(0, 6)),
+            data_fifo_depth=draw(st.integers(1, 6)),
+            writeback_fifo_depth=draw(st.integers(1, 4)),
+        ),
+    )
+    tcdm_base, tcdm_words = config.tcdm.base_address, config.tcdm.total_words
+    jobs = []
+    for ntx_id in range(num_ntx):
+        for _ in range(draw(st.integers(0, 3))):
+            counts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+            levels = len(counts)
+            init_level = draw(st.integers(0, levels))
+
+            def strides():
+                words = draw(st.lists(
+                    st.integers(-8, 8), min_size=levels, max_size=levels
+                ))
+                return tuple(4 * w for w in words) + (0,) * (NUM_LOOPS - levels)
+
+            agus = [AguConfig(_PROBE_BASE, strides()) for _ in range(3)]
+            command = NtxCommand(
+                opcode=draw(st.sampled_from(list(NtxOpcode))),
+                loops=LoopConfig.nest(*counts),
+                agu0=agus[0], agu1=agus[1], agu2=agus[2],
+                init_level=init_level,
+                store_level=draw(st.integers(0, init_level)),
+                init_source=draw(st.sampled_from(list(InitSource))),
+                writeback=draw(st.booleans()),
+                scalar=0.5,
+            )
+            # Place every AGU so its whole address stream lies in the TCDM.
+            probe = command_streams(replace(command, opcode=NtxOpcode.MAC))
+            placed = {}
+            for name, addresses in (
+                ("agu0", probe.read0), ("agu1", probe.read1), ("agu2", probe.agu2)
+            ):
+                words = (addresses - _PROBE_BASE) // 4
+                low, high = -int(words.min()), tcdm_words - 1 - int(words.max())
+                start = draw(st.integers(low, high))
+                placed[name] = AguConfig(
+                    tcdm_base + 4 * start, getattr(command, name).strides
+                )
+            jobs.append((ntx_id, replace(command, **placed)))
+    return {
+        "config": config,
+        "jobs": jobs,
+        "max_cycles": draw(st.one_of(st.just(1_000_000), st.integers(0, 100))),
+        # Decimal rates whose float sums straddle whole numbers pin the
+        # accumulator's rounding.
+        "dma": draw(st.one_of(
+            st.just(0.0), st.sampled_from([0.1, 0.3, 0.7, 1.1, 2.3]),
+            st.floats(0.0, 3.0),
+        )),
+        "stagger": draw(st.integers(-2, 12)),
+        # Offsets outside 0..num_masters-1 pin Python's floor modulo.
+        "rr_offset": draw(st.integers(-(num_ntx + 2), 2 * (num_ntx + 2))),
+    }
+
+
+def _timed_run(case, run):
+    """One run of ``case`` through ``run``: everything it reports."""
+    cluster = Cluster(case["config"])
+    simulator = ClusterSimulator(cluster)
+    simulator.interconnect._rr_offset = case["rr_offset"]
+    try:
+        result = run(
+            simulator, case["jobs"], case["max_cycles"], case["dma"], case["stagger"]
+        )
+    except RuntimeError as error:
+        return ("error", str(error))
+    interconnect = simulator.interconnect
+    return (
+        result,
+        interconnect.stats,
+        interconnect._rr_offset,
+        [(n.stats.active_cycles, n.stats.stall_cycles) for n in cluster.ntx],
+    )
+
+
+def _assert_loops_agree(case):
+    assert timing_core.load() is not None, "the compiled timing core did not build"
+    compiled = _timed_run(case, vecsim.run_vectorized)
+    assert compiled == _timed_run(case, vecsim.run_reference)
+
+
+def _timing_fallbacks():
+    """``repro_timing_core_fallbacks_total`` by reason (metrics switched on)."""
+    from repro.obs import metrics
+
+    metrics.set_metrics_enabled(True)
+    counter = metrics.REGISTRY.get("repro_timing_core_fallbacks_total")
+
+    def by_reason():
+        return {dict(pairs)["reason"]: value for _, pairs, value in counter.samples()}
+
+    return by_reason
+
+
+@needs_cc
+class TestCompiledTimingCore:
+    """The C loop is cycle-exact against the Python reference loop."""
+
+    @seed(20190325)
+    @settings(max_examples=60, deadline=None)
+    @given(case=_timing_cases())
+    def test_differential_fuzz(self, case):
+        _assert_loops_agree(case)
+
+    @pytest.mark.slow
+    @seed(22)
+    @settings(max_examples=600, deadline=None)
+    @given(case=_timing_cases())
+    def test_differential_fuzz_deep(self, case):
+        _assert_loops_agree(case)
+
+    @pytest.mark.parametrize("name", registered_scenarios())
+    def test_registered_scenario_parity_without_fallbacks(self, name, monkeypatch):
+        from repro.system.memo import TileTimingCache
+
+        by_reason = _timing_fallbacks()
+        compiled = run_scenario(name, timing_cache=TileTimingCache())
+        assert by_reason() == {}
+        monkeypatch.setattr(timing_core, "load", lambda: None)
+        reference = run_scenario(name, timing_cache=TileTimingCache())
+        assert compiled.result == reference.result
+        for ours, theirs in zip(compiled.output_arrays(), reference.output_arrays()):
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_library_is_cached_by_source_and_argv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(timing_core, "_cache_dir", lambda: tmp_path)
+        monkeypatch.setattr(timing_core, "_STATE", None)
+        assert timing_core.load() is not None
+        (library,) = tmp_path.iterdir()  # no half-written temp file left
+        assert library.name.startswith("timing_core-")
+        built = library.stat().st_mtime_ns
+        monkeypatch.setattr(timing_core, "_STATE", None)
+        assert timing_core.load() is not None
+        assert [p.stat().st_mtime_ns for p in tmp_path.iterdir()] == [built]
+
+    def test_import_neither_builds_nor_loads(self):
+        probe = (
+            "import repro, repro.scenarios, repro.campaign, repro.report\n"
+            "import repro.cluster.vecsim\n"
+            "from repro.cluster import timing_core\n"
+            "assert timing_core._STATE is None\n"
+        )
+        src = Path(timing_core.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+def _conv_outcome(run):
+    cluster = Cluster()
+    _, _, jobs, _, _ = _conv_setup(cluster, np.random.default_rng(8), (12, 14))
+    simulator = ClusterSimulator(cluster)
+    result = run(simulator, jobs, 1_000_000, 0.6, 7)
+    return result, simulator.interconnect.stats
+
+
+class TestTimingCoreFallback:
+    """Without the library the reference loop runs, counted by reason."""
+
+    def test_missing_compiler_runs_the_reference_loop(self, monkeypatch):
+        by_reason = _timing_fallbacks()
+        expected = _conv_outcome(vecsim.run_reference)
+        monkeypatch.setattr(timing_core, "_find_compiler", lambda: None)
+        monkeypatch.setattr(timing_core, "_STATE", None)
+        assert _conv_outcome(vecsim.run_vectorized) == expected
+        assert by_reason() == {"no_compiler": 1.0}
+
+    @needs_cc
+    def test_failed_build_and_load_are_counted(self, tmp_path, monkeypatch):
+        by_reason = _timing_fallbacks()
+        expected = _conv_outcome(vecsim.run_reference)
+        broken = tmp_path / "broken.c"
+        broken.write_text("#error this source does not compile\n")
+        monkeypatch.setattr(timing_core, "_cache_dir", lambda: tmp_path / "cache")
+        monkeypatch.setattr(timing_core, "SOURCE", broken)
+        monkeypatch.setattr(timing_core, "_STATE", None)
+        assert _conv_outcome(vecsim.run_vectorized) == expected
+        assert list((tmp_path / "cache").iterdir()) == []
+        not_a_library = tmp_path / "timing_core-bogus.so"
+        not_a_library.write_text("not ELF\n")
+        monkeypatch.setattr(timing_core, "_build", lambda compiler: not_a_library)
+        monkeypatch.setattr(timing_core, "_STATE", None)
+        assert _conv_outcome(vecsim.run_vectorized) == expected
+        assert by_reason() == {"build_failed": 1.0, "load_failed": 1.0}
+
