@@ -15,7 +15,9 @@ Usage::
 gates after registering a new workload scenario — and keeps every other
 suite's committed gates untouched.  ``--dry-run`` prints the full gate
 diff (which gate keys would be added, removed or changed, and every
-per-metric value change) without touching baseline.json.
+per-metric value change) without touching baseline.json.  The hand-set
+``speedup_vs_reference`` gate (the lowest of at least ten quick runs) is
+kept at its committed value.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     documents = run_suites(args.suite, quick=True)
-    new = derive_baseline(documents)
     old = (
         json.loads(BASELINE.read_text(encoding="utf-8"))
         if BASELINE.is_file()
         else {"gates": {}}
     )
+    new = derive_baseline(documents, previous=old)
     if args.suite:
         # Partial refresh: keep the committed gates of the suites *not*
         # re-run, but drop every old gate belonging to a re-run suite —

@@ -25,9 +25,9 @@ phases so the per-cycle loop touches almost nothing:
    the first :func:`run_vectorized` call of a process, cached per user and
    loaded with :mod:`ctypes` (see :mod:`repro.cluster.timing_core`); one C
    call runs every cycle of a run.  Where it cannot be built or loaded,
-   the same loop runs in Python (:func:`_reference_loop`, also reachable
-   as :func:`run_reference`) with identical results, and each such run is
-   counted in ``repro_timing_core_fallbacks_total{reason}``.
+   the same loop runs in Python (:func:`_reference_loop`) with identical
+   results, and each such run is counted in
+   ``repro_timing_core_fallbacks_total{reason}``.
 
 The timing core is behaviourally equivalent to the scalar engine except
 for two deliberately dropped micro-behaviours (store-to-load forwarding
@@ -55,9 +55,7 @@ from repro.core.vecops import (
     execute_streams_batched,
 )
 
-__all__ = [
-    "run_vectorized", "run_reference", "run_data_plane", "run_data_plane_batched",
-]
+__all__ = ["run_vectorized", "run_data_plane", "run_data_plane_batched"]
 
 _IDLE, _SETUP, _RUN = 0, 1, 2
 
@@ -506,8 +504,19 @@ def _reference_loop(
     )
 
 
-def _run(simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles, loop):
-    """Plan, execute the data plane, then time ``jobs`` through ``loop``."""
+def run_vectorized(
+    simulator,
+    jobs: Sequence[Tuple[int, NtxCommand]],
+    max_cycles: int,
+    dma_requests_per_cycle: float,
+    stagger_cycles: int,
+):
+    """Cycle-level run over precomputed streams; see module docstring.
+
+    The cycle loop runs in the compiled timing core, built on the first
+    call; without it (counted, see :mod:`repro.cluster.timing_core`) the
+    Python reference loop runs instead, with identical results.
+    """
     from repro.cluster.sim import SimulationResult
 
     cluster = simulator.cluster
@@ -526,6 +535,7 @@ def _run(simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles, lo
     start_iterations = [n.stats.iterations for n in cluster.ntx]
     _run_data_plane(cluster, jobs_per_ntx)
 
+    loop = timing_core.load() or _reference_loop
     counters = loop(
         jobs_per_ntx,
         TimingParams(
@@ -567,42 +577,4 @@ def _run(simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles, lo
         per_ntx_active=counters.active,
         per_ntx_stall=counters.stall,
         frequency_hz=config.ntx_frequency_hz,
-    )
-
-
-def run_vectorized(
-    simulator,
-    jobs: Sequence[Tuple[int, NtxCommand]],
-    max_cycles: int,
-    dma_requests_per_cycle: float,
-    stagger_cycles: int,
-):
-    """Cycle-level run over precomputed streams; see module docstring.
-
-    The cycle loop runs in the compiled timing core, built on the first
-    call; without it (counted, see :mod:`repro.cluster.timing_core`) the
-    Python reference loop runs instead, with identical results.
-    """
-    loop = timing_core.load() or _reference_loop
-    return _run(
-        simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles, loop
-    )
-
-
-def run_reference(
-    simulator,
-    jobs: Sequence[Tuple[int, NtxCommand]],
-    max_cycles: int = 5_000_000,
-    dma_requests_per_cycle: float = 0.0,
-    stagger_cycles: int = 7,
-):
-    """:func:`run_vectorized` through the Python reference loop.
-
-    The compiled core is held to this loop cycle for cycle
-    (``tests/test_vecsim.py``), and ``python -m repro.bench`` reports the
-    compiled core's speedup over it.
-    """
-    return _run(
-        simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles,
-        _reference_loop,
     )

@@ -88,27 +88,6 @@ def conv_tiled_workload(
     if tcdm_out + out_bytes > tcdm.base_address + tcdm.size_bytes:
         raise MemoryError("one tile does not fit the TCDM")
 
-    # The band commands depend on the TCDM layout alone, so every tile
-    # runs the same (immutable) commands.
-    commands = []
-    bands = min(num_ntx, out_h)
-    rows_per_band = -(-out_h // bands)
-    row_start = 0
-    while row_start < out_h:
-        band_rows = min(rows_per_band, out_h - row_start)
-        band_height = band_rows + kernel - 1
-        commands.append(
-            conv2d_commands(
-                band_height,
-                width,
-                kernel,
-                tcdm_image + row_start * width * _WORD,
-                tcdm_weights,
-                tcdm_out + row_start * out_w * _WORD,
-            )[0]
-        )
-        row_start += band_rows
-
     rng = np.random.default_rng(seed)
     cursor = hmc.base
     tiles: List[TileSchedule] = []
@@ -125,6 +104,25 @@ def conv_tiled_workload(
         hmc.memory.store_array(hmc_image, image)
         hmc.memory.store_array(hmc_weights, weights)
 
+        commands = []
+        bands = min(num_ntx, out_h)
+        rows_per_band = -(-out_h // bands)
+        row_start = 0
+        while row_start < out_h:
+            band_rows = min(rows_per_band, out_h - row_start)
+            band_height = band_rows + kernel - 1
+            commands.append(
+                conv2d_commands(
+                    band_height,
+                    width,
+                    kernel,
+                    tcdm_image + row_start * width * _WORD,
+                    tcdm_weights,
+                    tcdm_out + row_start * out_w * _WORD,
+                )[0]
+            )
+            row_start += band_rows
+
         tiles.append(
             TileSchedule(
                 transfers_in=[
@@ -133,7 +131,7 @@ def conv_tiled_workload(
                         src=hmc_weights, dst=tcdm_weights, row_bytes=weight_bytes
                     ),
                 ],
-                commands=list(commands),
+                commands=commands,
                 transfers_out=[
                     DmaTransfer(src=tcdm_out, dst=hmc_out, row_bytes=out_bytes)
                 ],

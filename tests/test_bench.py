@@ -319,6 +319,15 @@ class TestCompare:
         assert checks, "baseline produced no gated metrics"
         assert not any(check.regressed for check in checks)
 
+    def test_hand_set_gate_is_carried_over_not_derived(self, quick_documents):
+        """``speedup_vs_reference`` is gated by hand; a refresh keeps it."""
+        derived = derive_baseline(quick_documents)
+        assert "speedup_vs_reference" not in derived["gates"]["cluster-conv-vectorized"]
+        previous = {"gates": {"cluster-conv-vectorized": {"speedup_vs_reference": 5.0}}}
+        refreshed = derive_baseline(quick_documents, previous=previous)
+        gate = refreshed["gates"]["cluster-conv-vectorized"]
+        assert gate["speedup_vs_reference"] == 5.0
+
     def test_regression_detected(self, quick_documents):
         baseline = derive_baseline(quick_documents)
         worse = copy.deepcopy(quick_documents)

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -335,12 +336,12 @@ class TestEdgeConfigurations:
         assert cluster.ntx[0].fpu.stats.writebacks == n
 
 
-def _fallbacks():
-    """``repro_dataplane_fallbacks_total`` by reason (metrics switched on)."""
+def _fallbacks(name="repro_dataplane_fallbacks_total"):
+    """Fallback counter ``name`` by reason (metrics switched on)."""
     from repro.obs import metrics
 
     metrics.set_metrics_enabled(True)
-    counter = metrics.REGISTRY.get("repro_dataplane_fallbacks_total")
+    counter = metrics.REGISTRY.get(name)
 
     def by_reason():
         return {dict(pairs)["reason"]: value for _, pairs, value in counter.samples()}
@@ -564,13 +565,18 @@ def _timing_cases(draw):
     }
 
 
-def _timed_run(case, run):
-    """One run of ``case`` through ``run``: everything it reports."""
+def _reference_loop():
+    """Context in which the engine runs the Python reference loop."""
+    return mock.patch.object(timing_core, "load", lambda: None)
+
+
+def _timed_run(case):
+    """One run of ``case``: everything it reports."""
     cluster = Cluster(case["config"])
     simulator = ClusterSimulator(cluster)
     simulator.interconnect._rr_offset = case["rr_offset"]
     try:
-        result = run(
+        result = vecsim.run_vectorized(
             simulator, case["jobs"], case["max_cycles"], case["dma"], case["stagger"]
         )
     except RuntimeError as error:
@@ -586,21 +592,9 @@ def _timed_run(case, run):
 
 def _assert_loops_agree(case):
     assert timing_core.load() is not None, "the compiled timing core did not build"
-    compiled = _timed_run(case, vecsim.run_vectorized)
-    assert compiled == _timed_run(case, vecsim.run_reference)
-
-
-def _timing_fallbacks():
-    """``repro_timing_core_fallbacks_total`` by reason (metrics switched on)."""
-    from repro.obs import metrics
-
-    metrics.set_metrics_enabled(True)
-    counter = metrics.REGISTRY.get("repro_timing_core_fallbacks_total")
-
-    def by_reason():
-        return {dict(pairs)["reason"]: value for _, pairs, value in counter.samples()}
-
-    return by_reason
+    compiled = _timed_run(case)
+    with _reference_loop():
+        assert compiled == _timed_run(case)
 
 
 @needs_cc
@@ -621,14 +615,14 @@ class TestCompiledTimingCore:
         _assert_loops_agree(case)
 
     @pytest.mark.parametrize("name", registered_scenarios())
-    def test_registered_scenario_parity_without_fallbacks(self, name, monkeypatch):
+    def test_registered_scenario_parity_without_fallbacks(self, name):
         from repro.system.memo import TileTimingCache
 
-        by_reason = _timing_fallbacks()
+        by_reason = _fallbacks("repro_timing_core_fallbacks_total")
         compiled = run_scenario(name, timing_cache=TileTimingCache())
         assert by_reason() == {}
-        monkeypatch.setattr(timing_core, "load", lambda: None)
-        reference = run_scenario(name, timing_cache=TileTimingCache())
+        with _reference_loop():
+            reference = run_scenario(name, timing_cache=TileTimingCache())
         assert compiled.result == reference.result
         for ours, theirs in zip(compiled.output_arrays(), reference.output_arrays()):
             np.testing.assert_array_equal(ours, theirs)
@@ -656,11 +650,11 @@ class TestCompiledTimingCore:
         subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
-def _conv_outcome(run):
+def _conv_outcome():
     cluster = Cluster()
     _, _, jobs, _, _ = _conv_setup(cluster, np.random.default_rng(8), (12, 14))
     simulator = ClusterSimulator(cluster)
-    result = run(simulator, jobs, 1_000_000, 0.6, 7)
+    result = vecsim.run_vectorized(simulator, jobs, 1_000_000, 0.6, 7)
     return result, simulator.interconnect.stats
 
 
@@ -668,28 +662,30 @@ class TestTimingCoreFallback:
     """Without the library the reference loop runs, counted by reason."""
 
     def test_missing_compiler_runs_the_reference_loop(self, monkeypatch):
-        by_reason = _timing_fallbacks()
-        expected = _conv_outcome(vecsim.run_reference)
+        by_reason = _fallbacks("repro_timing_core_fallbacks_total")
+        with _reference_loop():
+            expected = _conv_outcome()
         monkeypatch.setattr(timing_core, "_find_compiler", lambda: None)
         monkeypatch.setattr(timing_core, "_STATE", None)
-        assert _conv_outcome(vecsim.run_vectorized) == expected
+        assert _conv_outcome() == expected
         assert by_reason() == {"no_compiler": 1.0}
 
     @needs_cc
     def test_failed_build_and_load_are_counted(self, tmp_path, monkeypatch):
-        by_reason = _timing_fallbacks()
-        expected = _conv_outcome(vecsim.run_reference)
+        by_reason = _fallbacks("repro_timing_core_fallbacks_total")
+        with _reference_loop():
+            expected = _conv_outcome()
         broken = tmp_path / "broken.c"
         broken.write_text("#error this source does not compile\n")
         monkeypatch.setattr(timing_core, "_cache_dir", lambda: tmp_path / "cache")
         monkeypatch.setattr(timing_core, "SOURCE", broken)
         monkeypatch.setattr(timing_core, "_STATE", None)
-        assert _conv_outcome(vecsim.run_vectorized) == expected
+        assert _conv_outcome() == expected
         assert list((tmp_path / "cache").iterdir()) == []
         not_a_library = tmp_path / "timing_core-bogus.so"
         not_a_library.write_text("not ELF\n")
         monkeypatch.setattr(timing_core, "_build", lambda compiler: not_a_library)
         monkeypatch.setattr(timing_core, "_STATE", None)
-        assert _conv_outcome(vecsim.run_vectorized) == expected
+        assert _conv_outcome() == expected
         assert by_reason() == {"build_failed": 1.0, "load_failed": 1.0}
 
