@@ -23,9 +23,10 @@ read weight, write weight) is included once per step.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.dnn.layers import ConvLayer, Layer, LinearLayer
 from repro.dnn.networks import Network
@@ -68,6 +69,7 @@ def _conv_like_dimensions(layer: Layer) -> Optional[tuple]:
     return None
 
 
+@functools.lru_cache(maxsize=4096)
 def _best_tiling_traffic(
     out_pixels: int,
     in_channels: int,
@@ -81,6 +83,9 @@ def _best_tiling_traffic(
     The tile holds a block of ``p`` output pixels, ``ci`` input channels and
     ``co`` output channels: inputs ``p*ci``, partial sums ``p*co`` and
     weights ``kernel*ci*co`` words, double buffered into half the TCDM.
+    The search is pure integer code, so its result is cached per layer
+    shape: the six paper networks have 121 distinct MAC-layer shapes among
+    395 MAC layers.
     """
     budget_words = tcdm_bytes // (2 * _WORD)
     input_elems = out_pixels * in_channels  # proportional; reuse of halo ignored
@@ -160,19 +165,42 @@ def layer_traffic(layer: Layer, batch: int, tcdm_bytes: int = 64 * 1024) -> Laye
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingWorkload:
-    """One training step of a network on the NTX system."""
+    """One training step of a network on the NTX system.
+
+    The per-step totals are summed once at construction; the workload is
+    frozen so they cannot go stale.
+    """
 
     network: Network
     batch: int = 64
     tcdm_bytes: int = 64 * 1024
+    _per_layer: Tuple[LayerTraffic, ...] = field(init=False, repr=False, compare=False)
+    #: Flops of one training step (whole batch).
+    flops_per_step: int = field(init=False, repr=False, compare=False)
+    #: DRAM bytes of one training step (whole batch).
+    dram_bytes_per_step: int = field(init=False, repr=False, compare=False)
+    #: Fraction of the flops that are MAC work the NTX runs at full rate.
+    mac_fraction: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._per_layer: List[LayerTraffic] = [
+        per_layer = tuple(
             layer_traffic(layer, self.batch, self.tcdm_bytes)
             for layer in self.network.layers
-        ]
+        )
+        flops = sum(t.flops for t in per_layer)
+        mac_flops = sum(
+            layer.training_flops * self.batch
+            for layer in self.network.layers
+            if layer.is_compute_layer
+        )
+        object.__setattr__(self, "_per_layer", per_layer)
+        object.__setattr__(self, "flops_per_step", flops)
+        object.__setattr__(
+            self, "dram_bytes_per_step", sum(t.total_bytes for t in per_layer)
+        )
+        object.__setattr__(self, "mac_fraction", mac_flops / flops if flops else 0.0)
 
     @property
     def name(self) -> str:
@@ -183,27 +211,9 @@ class TrainingWorkload:
         return list(self._per_layer)
 
     @property
-    def flops_per_step(self) -> int:
-        return sum(t.flops for t in self._per_layer)
-
-    @property
-    def dram_bytes_per_step(self) -> int:
-        return sum(t.total_bytes for t in self._per_layer)
-
-    @property
     def operational_intensity(self) -> float:
         """Flop per DRAM byte of one training step (the OI the energy model uses)."""
         return self.flops_per_step / self.dram_bytes_per_step
-
-    @property
-    def mac_fraction(self) -> float:
-        """Fraction of the flops that are MAC work the NTX runs at full rate."""
-        mac_flops = sum(
-            layer.training_flops * self.batch
-            for layer in self.network.layers
-            if layer.is_compute_layer
-        )
-        return mac_flops / self.flops_per_step if self.flops_per_step else 0.0
 
     def utilization(self, conflict_probability: float = 0.13) -> float:
         """Sustained fraction of system peak while training.

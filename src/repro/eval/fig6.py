@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.eval.table2 import PAPER_NTX_ROWS, build_workloads
+from repro.dnn import TrainingWorkload
+from repro.eval.table2 import DEFAULT_BATCH, PAPER_NTX_ROWS, resolve_workloads
 from repro.perf.baselines import GPU_BASELINES, ACCELERATOR_BASELINES, best_gpu_geomean
 from repro.perf.energy import EnergyModel
 from repro.perf.scaling import largest_configuration_without_lim
@@ -35,15 +36,20 @@ class Fig6Result:
     paper_bars: Dict[str, float]
 
 
-def run(batch: int = 64, energy_model: Optional[EnergyModel] = None) -> Fig6Result:
+def run(
+    batch: int = DEFAULT_BATCH,
+    energy_model: Optional[EnergyModel] = None,
+    workloads: Optional[Dict[str, TrainingWorkload]] = None,
+) -> Fig6Result:
     """Model every bar of Figure 6 and the two headline GPU ratios.
 
     The NTX bars are the geometric-mean training efficiency over the six
     Table-II networks of the largest configurations needing no extra LiM
     dies; GPU and NeuroStream bars are the published baseline values.
+    ``batch`` and ``workloads`` behave as in :func:`repro.eval.table2.run`.
     """
     energy = energy_model or EnergyModel()
-    workloads = build_workloads(batch)
+    workloads = resolve_workloads(batch, workloads)
 
     def geomean_for(config) -> float:
         values = [

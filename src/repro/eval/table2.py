@@ -19,7 +19,14 @@ from repro.dnn import PAPER_NETWORKS, TrainingWorkload, build_network
 from repro.perf.energy import EnergyModel
 from repro.perf.scaling import NtxSystemConfig, build_ntx_configurations
 
-__all__ = ["PAPER_NTX_ROWS", "NtxRow", "run", "build_workloads"]
+__all__ = [
+    "DEFAULT_BATCH",
+    "PAPER_NTX_ROWS",
+    "NtxRow",
+    "run",
+    "build_workloads",
+    "resolve_workloads",
+]
 
 #: The NTX rows of Table II as printed in the paper:
 #: name -> (freq GHz, peak Top/s, area mm^2, LiM, per-network Gop/sW..., geomean)
@@ -102,7 +109,11 @@ class NtxRow:
         return PAPER_NTX_ROWS.get(self.name)
 
 
-def build_workloads(batch: int = 64) -> Dict[str, TrainingWorkload]:
+#: Training batch of the Table II workloads.
+DEFAULT_BATCH = 64
+
+
+def build_workloads(batch: int = DEFAULT_BATCH) -> Dict[str, TrainingWorkload]:
     """Training workloads for the six Table II networks."""
     return {
         name: TrainingWorkload(build_network(name), batch=batch)
@@ -110,14 +121,35 @@ def build_workloads(batch: int = 64) -> Dict[str, TrainingWorkload]:
     }
 
 
+def resolve_workloads(
+    batch: int, workloads: Optional[Dict[str, TrainingWorkload]]
+) -> Dict[str, TrainingWorkload]:
+    """``workloads`` if given, else the Table II workloads at ``batch``.
+
+    Given workloads carry their own batch, so a non-default ``batch``
+    next to them is a conflict and raises :class:`ValueError`.
+    """
+    if workloads is None:
+        return build_workloads(batch)
+    if batch != DEFAULT_BATCH:
+        raise ValueError(
+            f"batch={batch} conflicts with the given workloads; pass one or the other"
+        )
+    return workloads
+
+
 def run(
-    batch: int = 64,
+    batch: int = DEFAULT_BATCH,
     energy_model: Optional[EnergyModel] = None,
     workloads: Optional[Dict[str, TrainingWorkload]] = None,
 ) -> List[NtxRow]:
-    """Model every NTX row of Table II."""
+    """Model every NTX row of Table II.
+
+    ``workloads`` (see :func:`resolve_workloads`) lets a caller share one
+    build with :func:`repro.eval.fig6.run`.
+    """
     energy = energy_model or EnergyModel()
-    workloads = workloads or build_workloads(batch)
+    workloads = resolve_workloads(batch, workloads)
     rows: List[NtxRow] = []
     for config in build_ntx_configurations():
         efficiency = {

@@ -35,6 +35,8 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.runner import CampaignOutcome
+from repro.dnn import TrainingWorkload
+from repro.eval import table2
 from repro.options import ExecutionOptions
 
 __all__ = [
@@ -121,6 +123,7 @@ class ArtifactContext:
         self.workers = workers
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self._outcomes: Dict[str, CampaignOutcome] = {}
+        self._training_workloads: Optional[Dict[str, TrainingWorkload]] = None
 
     def campaign(self, name: str) -> CampaignOutcome:
         """The (memoized) outcome of running campaign ``name`` resumably."""
@@ -139,6 +142,12 @@ class ArtifactContext:
                 ),
             )
         return self._outcomes[name]
+
+    def training_workloads(self) -> Dict[str, TrainingWorkload]:
+        """The (memoized) Table-II workloads, as :func:`table2.build_workloads`."""
+        if self._training_workloads is None:
+            self._training_workloads = table2.build_workloads()
+        return self._training_workloads
 
     def records(self, name: str) -> List[Dict[str, Any]]:
         """The stored records of campaign ``name``, in expansion order."""

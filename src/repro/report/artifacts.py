@@ -179,7 +179,7 @@ def _build_table1(context: ArtifactContext) -> ArtifactData:
 
 
 def _build_table2(context: ArtifactContext) -> ArtifactData:
-    rows = table2.run()
+    rows = table2.run(workloads=context.training_workloads())
     platform_rows = []
     for row in rows:
         summary = row.config.summary()
@@ -400,7 +400,7 @@ def _build_fig5(context: ArtifactContext) -> ArtifactData:
 
 
 def _build_fig6(context: ArtifactContext) -> ArtifactData:
-    result = fig6.run()
+    result = fig6.run(workloads=context.training_workloads())
     bars = Section(
         title="Training efficiency bars",
         headers=("platform", "paper Gop/sW", "model Gop/sW"),

@@ -5,18 +5,23 @@ achieves a root-mean-squared error 1.7x lower than a conventional binary32
 FPU that rounds after every fused multiply-add.  To reproduce that study we
 need three reductions of the same data:
 
-* :func:`fmac_chain_exact` — the infinitely precise reference (computed with
-  Python's exact integer/Fraction arithmetic on the binary32 inputs);
+* :func:`fmac_chain_exact` — the infinitely precise reference;
 * :func:`fmac_chain_float32` — a conventional FPU: every FMA result is
   rounded to binary32 before the next accumulation;
 * :func:`fmac_chain_pcs` — the NTX path: exact accumulation, one rounding at
   write-back.
+
+Every finite binary32 or binary64 value is an integer times a power of two
+(:meth:`float.as_integer_ratio`), so exact products and sums are plain
+integer arithmetic on ``(integer, lsb_exponent)`` pairs: :func:`exact_dot`
+forms them, :class:`~repro.softfloat.ieee754.Float32` rounds them to
+binary32 and :func:`fixed_to_float` to binary64.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,20 +34,66 @@ __all__ = [
     "fmac_chain_pcs",
     "dot_product_float32",
     "dot_product_pcs",
+    "exact_dot",
+    "fixed_to_float",
 ]
 
 
-def _as_float32_pairs(
+def _as_float32_lists(
     a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray
-) -> list[tuple[Float32, Float32]]:
+) -> tuple[list[float], list[float]]:
+    """Both operand vectors rounded to binary32, as exact Python floats."""
     av = np.asarray(a, dtype=np.float32).ravel()
     bv = np.asarray(b, dtype=np.float32).ravel()
     if av.shape != bv.shape:
         raise ValueError(f"operand shapes differ: {av.shape} vs {bv.shape}")
-    return [
-        (Float32.from_float(float(x)), Float32.from_float(float(y)))
-        for x, y in zip(av, bv)
-    ]
+    return av.tolist(), bv.tolist()
+
+
+def _fixed(value: float) -> tuple[int, int]:
+    """A finite float as an exact ``(integer, lsb_exponent)`` pair.
+
+    Raises :class:`OverflowError` for infinities and :class:`ValueError`
+    for NaN, like :meth:`float.as_integer_ratio`.
+    """
+    num, den = value.as_integer_ratio()
+    return num, 1 - den.bit_length()
+
+
+def _add(x: int, x_exp: int, y: int, y_exp: int) -> tuple[int, int]:
+    """Exact sum of two fixed-point pairs, at the finer of their scales."""
+    if x_exp > y_exp:
+        return (x << (x_exp - y_exp)) + y, y_exp
+    return x + (y << (y_exp - x_exp)), x_exp
+
+
+def exact_dot(
+    a: Iterable[float], b: Iterable[float], init: float = 0.0
+) -> tuple[int, int]:
+    """Exact ``init + sum(a[i] * b[i])`` of finite floats, unrounded.
+
+    Returns ``(value, lsb_exponent)`` with the sum equal to
+    ``value * 2**lsb_exponent``.  The operands are taken as they are
+    (binary64); an infinity raises :class:`OverflowError` and a NaN
+    :class:`ValueError`.
+    """
+    total, exp = _fixed(init)
+    for x, y in zip(a, b):
+        xm, xe = _fixed(x)
+        ym, ye = _fixed(y)
+        total, exp = _add(total, exp, xm * ym, xe + ye)
+    return total, exp
+
+
+def fixed_to_float(value: int, lsb_exponent: int) -> float:
+    """``value * 2**lsb_exponent`` correctly rounded to binary64.
+
+    Integer true division rounds correctly, so this equals ``float`` of
+    the same value held as a :class:`~fractions.Fraction`.
+    """
+    if lsb_exponent >= 0:
+        return float(value << lsb_exponent)
+    return value / (1 << -lsb_exponent)
 
 
 def fmac_chain_exact(
@@ -56,10 +107,11 @@ def fmac_chain_exact(
     TCDM) but the reduction itself is exact, providing the golden reference
     for error measurements.
     """
-    total = Fraction(float(np.float32(init)))
-    for fa, fb in _as_float32_pairs(a, b):
-        total += Fraction(fa.to_float()) * Fraction(fb.to_float())
-    return total
+    av, bv = _as_float32_lists(a, b)
+    value, exp = exact_dot(av, bv, float(np.float32(init)))
+    if exp >= 0:
+        return Fraction(value << exp)
+    return Fraction(value, 1 << -exp)
 
 
 def fmac_chain_float32(
@@ -72,11 +124,26 @@ def fmac_chain_float32(
     Each step computes ``acc = round32(acc + a[i]*b[i])`` where the product
     itself is exact (fused multiply-add), which is what a standard IEEE FMA
     unit does.  Only the per-step rounding differs from the NTX path.
+
+    Non-finite values follow IEEE FMA semantics: a step that overflows
+    rounds to ±inf and an infinite accumulator stays infinite, while a NaN
+    operand, ``inf * 0`` or ``inf + (-inf)`` gives NaN.  An exact zero sum
+    is ``+0``.
     """
     acc = float(np.float32(init))
-    for fa, fb in _as_float32_pairs(a, b):
-        exact_step = Fraction(acc) + Fraction(fa.to_float()) * Fraction(fb.to_float())
-        acc = _round_fraction_to_float32(exact_step)
+    av, bv = _as_float32_lists(a, b)
+    for x, y in zip(av, bv):
+        try:
+            acc_m, acc_e = _fixed(acc)
+            xm, xe = _fixed(x)
+            ym, ye = _fixed(y)
+        except (OverflowError, ValueError):
+            # Binary64 arithmetic follows the same IEEE rules for inf/NaN,
+            # and its result (±inf or NaN) is a binary32 value.
+            acc += x * y
+            continue
+        total, exp = _add(acc_m, acc_e, xm * ym, xe + ye)
+        acc = Float32.from_fixed(total, exp).to_float()
     return acc
 
 
@@ -89,8 +156,8 @@ def fmac_chain_pcs(
     """NTX reduction: exact wide accumulation, single rounding at write-back."""
     acc = PcsAccumulator(config)
     acc.init_from(float(np.float32(init)))
-    for fa, fb in _as_float32_pairs(a, b):
-        acc.fma(fa, fb)
+    for x, y in zip(*_as_float32_lists(a, b)):
+        acc.fma(x, y)
     return acc.to_float()
 
 
@@ -102,30 +169,3 @@ def dot_product_float32(a, b) -> float:
 def dot_product_pcs(a, b) -> float:
     """Alias of :func:`fmac_chain_pcs` with zero initial value."""
     return fmac_chain_pcs(a, b, init=0.0)
-
-
-def _round_fraction_to_float32(value: Fraction) -> float:
-    """Correctly round an exact rational to binary32 (round-to-nearest-even).
-
-    The quotient is computed to 64 significant bits with the division
-    remainder folded into a sticky LSB; :meth:`Float32.from_fixed` then
-    performs the single rounding step.  64 bits of headroom above the 24 bit
-    target significand guarantees the sticky-folding cannot perturb the
-    rounding decision.
-    """
-    if value == 0:
-        return 0.0
-    num, den = value.numerator, value.denominator
-    negative = num < 0
-    num = abs(num)
-    precision = 64
-    shift = precision - (num.bit_length() - den.bit_length())
-    if shift > 0:
-        num <<= shift
-    else:
-        den <<= -shift
-    quotient, remainder = divmod(num, den)
-    if remainder:
-        quotient |= 1  # sticky bit
-    fixed = -quotient if negative else quotient
-    return Float32.from_fixed(fixed, -shift).to_float()

@@ -1,14 +1,15 @@
 """Error metrics for the §II-C precision study.
 
 All metrics compare a vector of measured binary32 results against an exact
-reference (typically :func:`repro.softfloat.fmac.fmac_chain_exact` outputs
-carried as :class:`fractions.Fraction`).
+reference.  Both sides may hold anything :class:`float` accepts: floats, or
+the :class:`fractions.Fraction` values of
+:func:`repro.softfloat.fmac.fmac_chain_exact`.  Each value is rounded to
+binary64 once, and the metric is computed in binary64.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np

@@ -1,5 +1,7 @@
 """DNN workload description tests: layers, networks and the training model."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.dnn import (
@@ -16,6 +18,17 @@ from repro.dnn import (
     build_resnet,
     layer_traffic,
 )
+from repro.dnn.training import _best_tiling_traffic, _conv_like_dimensions
+
+#: (flops, DRAM bytes) of one batch-64 training step with a 64 KiB TCDM.
+STEP_TOTALS_BATCH64 = {
+    "AlexNet": (436163678208, 68820519136),
+    "GoogLeNet": (608725334016, 72887011616),
+    "Inception v3": (3030053343232, 257644551520),
+    "ResNet-34": (1407574802432, 83530446560),
+    "ResNet-50": (1571720724480, 311981622496),
+    "ResNet-152": (4424170930176, 833291470048),
+}
 
 
 class TestLayers:
@@ -140,6 +153,29 @@ class TestTrainingModel:
         small = TrainingWorkload(net, batch=16, tcdm_bytes=32 * 1024)
         large = TrainingWorkload(net, batch=16, tcdm_bytes=256 * 1024)
         assert large.dram_bytes_per_step <= small.dram_bytes_per_step
+
+    def test_step_totals_are_pinned(self):
+        for name, totals in STEP_TOTALS_BATCH64.items():
+            workload = TrainingWorkload(build_network(name), batch=64)
+            assert (workload.flops_per_step, workload.dram_bytes_per_step) == totals
+
+    def test_cached_tiling_search_matches_the_search(self):
+        for name in PAPER_NETWORKS:
+            for layer in build_network(name).layers:
+                dims = _conv_like_dimensions(layer)
+                if dims is None:
+                    continue
+                for batch in (16, 64):
+                    for tcdm in (32 * 1024, 64 * 1024, 256 * 1024):
+                        args = (*dims, batch, tcdm)
+                        assert _best_tiling_traffic(*args) == (
+                            _best_tiling_traffic.__wrapped__(*args)
+                        ), (name, layer.name, args)
+
+    def test_workload_is_frozen(self):
+        workload = TrainingWorkload(build_network("AlexNet"), batch=16)
+        with pytest.raises(FrozenInstanceError):
+            workload.batch = 64
 
     def test_summary_fields(self):
         workload = TrainingWorkload(build_network("AlexNet"), batch=16)

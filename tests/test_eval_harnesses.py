@@ -47,6 +47,18 @@ class TestTable2:
         assert rows["NTX (16x) 14nm"] < rows["NTX (64x) 14nm"] < rows["NTX (512x) 14nm"]
         assert rows["NTX (16x) 14nm"] > rows["NTX (16x) 22FDX"]
 
+    def test_given_workloads_are_used_even_when_empty(self, monkeypatch):
+        def no_build(batch):
+            raise AssertionError("workloads were rebuilt")
+
+        monkeypatch.setattr(table2, "build_workloads", no_build)
+        rows = table2.run(workloads={})
+        assert rows and all(row.efficiency == {} for row in rows)
+
+    def test_batch_with_workloads_is_rejected(self):
+        with pytest.raises(ValueError, match="batch=16"):
+            table2.run(batch=16, workloads={})
+
     def test_rendered_artifact_lists_baselines(self, rendered):
         text = rendered["table2"]
         assert "ScaleDeep" in text and "Tesla P100" in text
@@ -91,6 +103,16 @@ class TestFig6:
         gpu_bars = [v for k, v in result.bars.items() if not k.startswith("NTX") and not k.startswith("NS")]
         assert min(ntx_bars) > max(gpu_bars)
 
+    def test_given_workloads_are_used(self):
+        workloads = table2.build_workloads()
+        alexnet_only = fig6.run(workloads={"AlexNet": workloads["AlexNet"]})
+        assert alexnet_only.bars != fig6.run(workloads=workloads).bars
+        assert fig6.run(workloads=workloads) == fig6.run()
+
+    def test_batch_with_workloads_is_rejected(self):
+        with pytest.raises(ValueError, match="batch=16"):
+            fig6.run(batch=16, workloads=table2.build_workloads())
+
     def test_rendered_artifact_quotes_the_paper_ratio(self, rendered):
         assert "paper: 2.5x" in rendered["fig6"]
 
@@ -114,6 +136,12 @@ class TestPrecision:
         assert result.rmse_pcs < result.rmse_float32
         # Paper: 1.7x lower RMSE; accept a band around it for synthetic data.
         assert 1.2 <= result.improvement <= 3.0
+
+    def test_default_rmse_values_are_pinned(self):
+        """The rendered document shows three digits; pin every bit."""
+        result = precision.run()
+        assert result.rmse_float32 == 4.7576098879309437e-07
+        assert result.rmse_pcs == 2.918101916901257e-07
 
     def test_longer_reductions_widen_the_gap(self):
         short = precision.run(outputs=64, reduction_length=9)

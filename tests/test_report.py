@@ -360,3 +360,70 @@ class TestBenchSuite:
         finally:
             artifact_mod.run_campaign = original
         assert calls == ["dnn-scaling"]
+
+
+# The model-computed numbers of the table2/fig6 payloads (quick mode), pinned
+# bit for bit: the rendered document rounds them.
+TABLE2_MODEL_GEOMEANS = {
+    "NTX (16x) 22FDX": 22.59400916883269,
+    "NTX (32x) 22FDX": 30.041402682618674,
+    "NTX (64x) 22FDX": 43.63290778954525,
+    "NTX (16x) 14nm": 37.5430473985603,
+    "NTX (32x) 14nm": 48.82179830120875,
+    "NTX (64x) 14nm": 64.98762491157414,
+    "NTX (128x) 14nm": 84.94658328508173,
+    "NTX (256x) 14nm": 92.3210622714978,
+    "NTX (512x) 14nm": 93.65339512408893,
+}
+TABLE2_SIMULATED_INTENSITY = [
+    ("clusters_per_vault=1,num_tiles=2", 2, 2.8803827751196174, 14.773927906732808),
+    ("clusters_per_vault=2,num_tiles=4", 4, 2.8803827751196174, 15.952320037638833),
+    ("clusters_per_vault=4,num_tiles=8", 8, 2.8803827751196174, 16.61493701948909),
+    ("clusters_per_vault=8,num_tiles=16", 16, 2.8803827751196174, 16.96732583210098),
+]
+FIG6_NTX_BARS = {
+    "NTX (32x) 22FDX": 30.041402682618674,
+    "NTX (64x) 14nm": 64.98762491157414,
+}
+FIG6_RATIOS = (2.5403460973963625, 3.1835626774452286)
+
+
+class TestAnalyticArtifacts:
+    def test_table2_and_fig6_share_one_workload_build(self, store_dir, monkeypatch):
+        import repro.eval.table2 as table2_mod
+
+        calls = []
+        real_build = table2_mod.build_workloads
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(table2_mod, "build_workloads", counting)
+        results = {
+            result.artifact.name: result.data.payload
+            for result in run_report(["table2", "fig6"], quick=True, store_dir=store_dir)
+        }
+        assert len(calls) == 1
+
+        table2 = results["table2"]
+        assert {
+            row["platform"]: row["model_geomean"]
+            for row in table2["platforms"]
+            if row["model_geomean"] != "-"
+        } == TABLE2_MODEL_GEOMEANS
+        assert [
+            (
+                row["point"],
+                row["clusters"],
+                row["operational_intensity"],
+                row["model_efficiency_gops_w"],
+            )
+            for row in table2["simulated_intensity"]
+        ] == TABLE2_SIMULATED_INTENSITY
+
+        fig6 = results["fig6"]
+        assert {
+            name: value for name, value in fig6["bars"].items() if name.startswith("NTX")
+        } == FIG6_NTX_BARS
+        assert (fig6["ratio_22nm_vs_gpu"], fig6["ratio_14nm_vs_gpu"]) == FIG6_RATIOS
