@@ -41,10 +41,15 @@ Reduction Workloads in 22 nm FD-SOI" by Schuiki, Schaffner and Benini:
 
 __version__ = "1.0.0"
 
-from repro.core.ntx import Ntx, NtxConfig
-from repro.core.commands import NtxCommand, NtxOpcode
-from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.options import ExecutionOptions
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.cluster import Cluster, ClusterConfig
+    from repro.core.commands import NtxCommand, NtxOpcode
+    from repro.core.ntx import Ntx, NtxConfig
+    from repro.options import ExecutionOptions
 
 __all__ = [
     "Ntx",
@@ -56,3 +61,17 @@ __all__ = [
     "ExecutionOptions",
     "__version__",
 ]
+
+# Public name -> defining submodule, imported on first access (PEP 562):
+# ``import repro`` and its subpackages stay NumPy-free until a name that
+# needs the simulator is used.
+_EXPORTS = {
+    "Ntx": "core.ntx",
+    "NtxConfig": "core.ntx",
+    "NtxCommand": "core.commands",
+    "NtxOpcode": "core.commands",
+    "Cluster": "cluster.cluster",
+    "ClusterConfig": "cluster.cluster",
+    "ExecutionOptions": "options",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

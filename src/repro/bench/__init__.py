@@ -15,17 +15,22 @@ fails on regression.
 * :mod:`repro.bench.compare` — direction-aware baseline gating.
 """
 
-from repro.bench.compare import MetricCheck, compare_documents, format_report
-from repro.bench.runner import (
-    GATE_PREFIXES,
-    SUITES,
-    derive_baseline,
-    format_document,
-    run_suite,
-    run_suites,
-    write_document,
-)
-from repro.bench.schema import SCHEMA_VERSION, validate_document
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.bench.compare import MetricCheck, compare_documents, format_report
+    from repro.bench.runner import (
+        GATE_PREFIXES,
+        SUITES,
+        derive_baseline,
+        format_document,
+        run_suite,
+        run_suites,
+        write_document,
+    )
+    from repro.bench.schema import SCHEMA_VERSION, validate_document
 
 __all__ = [
     "GATE_PREFIXES",
@@ -41,3 +46,20 @@ __all__ = [
     "validate_document",
     "write_document",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "GATE_PREFIXES": "runner",
+    "SCHEMA_VERSION": "schema",
+    "SUITES": "runner",
+    "MetricCheck": "compare",
+    "compare_documents": "compare",
+    "derive_baseline": "runner",
+    "format_document": "runner",
+    "format_report": "compare",
+    "run_suite": "runner",
+    "run_suites": "runner",
+    "validate_document": "schema",
+    "write_document": "runner",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -36,28 +36,33 @@ declarative object:
 surface.
 """
 
-from repro.campaign.analysis import PointAnalysis, analyze_records, format_report
-from repro.campaign.cache import (
-    CACHE_DIR_ENV,
-    GlobalResultCache,
-    resolve_cache,
-    spec_schema_version,
-)
-from repro.campaign.registry import (
-    get_campaign,
-    iter_campaigns,
-    register_campaign,
-    registered_campaigns,
-)
-from repro.campaign.runner import (
-    CampaignOutcome,
-    default_store_path,
-    order_longest_first,
-    point_record,
-    run_campaign,
-)
-from repro.campaign.spec import CampaignPoint, SweepSpec, point_id
-from repro.campaign.store import ResultStore, ResultStoreError, merge_stores
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.campaign.analysis import PointAnalysis, analyze_records, format_report
+    from repro.campaign.cache import (
+        CACHE_DIR_ENV,
+        GlobalResultCache,
+        resolve_cache,
+        spec_schema_version,
+    )
+    from repro.campaign.registry import (
+        get_campaign,
+        iter_campaigns,
+        register_campaign,
+        registered_campaigns,
+    )
+    from repro.campaign.runner import (
+        CampaignOutcome,
+        default_store_path,
+        order_longest_first,
+        point_record,
+        run_campaign,
+    )
+    from repro.campaign.spec import CampaignPoint, SweepSpec, point_id
+    from repro.campaign.store import ResultStore, ResultStoreError, merge_stores
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -83,3 +88,30 @@ __all__ = [
     "run_campaign",
     "spec_schema_version",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "CACHE_DIR_ENV": "cache",
+    "CampaignOutcome": "runner",
+    "CampaignPoint": "spec",
+    "GlobalResultCache": "cache",
+    "PointAnalysis": "analysis",
+    "ResultStore": "store",
+    "ResultStoreError": "store",
+    "SweepSpec": "spec",
+    "analyze_records": "analysis",
+    "default_store_path": "runner",
+    "format_report": "analysis",
+    "get_campaign": "registry",
+    "iter_campaigns": "registry",
+    "merge_stores": "store",
+    "order_longest_first": "runner",
+    "point_id": "spec",
+    "point_record": "runner",
+    "register_campaign": "registry",
+    "registered_campaigns": "registry",
+    "resolve_cache": "cache",
+    "run_campaign": "runner",
+    "spec_schema_version": "cache",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

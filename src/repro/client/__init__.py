@@ -30,10 +30,12 @@ from typing import Any, Dict, Mapping, Optional, Union
 from repro.options import ExecutionOptions
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
-from repro.server.app import DEFAULT_PORT
 
-__all__ = ["DEFAULT_SERVER_URL", "Client", "ServerError"]
+__all__ = ["DEFAULT_PORT", "DEFAULT_SERVER_URL", "Client", "ServerError"]
 
+#: Default TCP port of ``python -m repro.server`` and ``repro.client``
+#: (defined here so the client never imports the server and its simulator).
+DEFAULT_PORT = 8357
 #: Where ``python -m repro.server`` listens by default.
 DEFAULT_SERVER_URL = f"http://127.0.0.1:{DEFAULT_PORT}"
 

@@ -22,18 +22,23 @@
   core's compiled C loop (``timing_core.c``).
 """
 
-from repro.cluster.addressmap import AddressMap
-from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.cluster.engine import (
-    DEFAULT_ENGINE,
-    Engine,
-    available_engines,
-    get_engine,
-    register_engine,
-)
-from repro.cluster.offload import NtxDriver
-from repro.cluster.tiling import DoubleBufferPlan, TileSchedule, plan_tiles
-from repro.cluster.sim import ClusterSimulator, SimulationResult
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cluster.addressmap import AddressMap
+    from repro.cluster.cluster import Cluster, ClusterConfig
+    from repro.cluster.engine import (
+        DEFAULT_ENGINE,
+        Engine,
+        available_engines,
+        get_engine,
+        register_engine,
+    )
+    from repro.cluster.offload import NtxDriver
+    from repro.cluster.sim import ClusterSimulator, SimulationResult
+    from repro.cluster.tiling import DoubleBufferPlan, TileSchedule, plan_tiles
 
 __all__ = [
     "AddressMap",
@@ -51,3 +56,22 @@ __all__ = [
     "ClusterSimulator",
     "SimulationResult",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "AddressMap": "addressmap",
+    "Cluster": "cluster",
+    "ClusterConfig": "cluster",
+    "DEFAULT_ENGINE": "engine",
+    "Engine": "engine",
+    "available_engines": "engine",
+    "get_engine": "engine",
+    "register_engine": "engine",
+    "NtxDriver": "offload",
+    "DoubleBufferPlan": "tiling",
+    "TileSchedule": "tiling",
+    "plan_tiles": "tiling",
+    "ClusterSimulator": "sim",
+    "SimulationResult": "sim",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

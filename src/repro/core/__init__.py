@@ -20,14 +20,25 @@ The subpackage mirrors the block diagram of Figure 2 of the paper:
   used as the oracle in the test-suite.
 """
 
-from repro.core.commands import NtxCommand, NtxOpcode, AguConfig, LoopConfig, InitSource
-from repro.core.hwloop import HardwareLoopNest
-from repro.core.agu import AddressGenerationUnit
-from repro.core.fifo import Fifo
-from repro.core.registers import NtxRegisterFile, RegisterMap
-from repro.core.fpu import NtxFpu
-from repro.core.controller import NtxController, MicroOp
-from repro.core.ntx import Ntx, NtxConfig
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.agu import AddressGenerationUnit
+    from repro.core.commands import (
+        AguConfig,
+        InitSource,
+        LoopConfig,
+        NtxCommand,
+        NtxOpcode,
+    )
+    from repro.core.controller import MicroOp, NtxController
+    from repro.core.fifo import Fifo
+    from repro.core.fpu import NtxFpu
+    from repro.core.hwloop import HardwareLoopNest
+    from repro.core.ntx import Ntx, NtxConfig
+    from repro.core.registers import NtxRegisterFile, RegisterMap
 
 __all__ = [
     "NtxCommand",
@@ -46,3 +57,23 @@ __all__ = [
     "Ntx",
     "NtxConfig",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "NtxCommand": "commands",
+    "NtxOpcode": "commands",
+    "AguConfig": "commands",
+    "LoopConfig": "commands",
+    "InitSource": "commands",
+    "HardwareLoopNest": "hwloop",
+    "AddressGenerationUnit": "agu",
+    "Fifo": "fifo",
+    "NtxRegisterFile": "registers",
+    "RegisterMap": "registers",
+    "NtxFpu": "fpu",
+    "NtxController": "controller",
+    "MicroOp": "controller",
+    "Ntx": "ntx",
+    "NtxConfig": "ntx",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -9,23 +9,28 @@ traffic of one training step under the cluster's TCDM tiling constraints
 and utilization to the energy model of :mod:`repro.perf`.
 """
 
-from repro.dnn.layers import (
-    ConvLayer,
-    LinearLayer,
-    PoolLayer,
-    ActivationLayer,
-    Layer,
-)
-from repro.dnn.networks import (
-    Network,
-    build_alexnet,
-    build_googlenet,
-    build_inception_v3,
-    build_resnet,
-    PAPER_NETWORKS,
-    build_network,
-)
-from repro.dnn.training import TrainingWorkload, LayerTraffic, layer_traffic
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dnn.layers import (
+        ActivationLayer,
+        ConvLayer,
+        Layer,
+        LinearLayer,
+        PoolLayer,
+    )
+    from repro.dnn.networks import (
+        Network,
+        PAPER_NETWORKS,
+        build_alexnet,
+        build_googlenet,
+        build_inception_v3,
+        build_network,
+        build_resnet,
+    )
+    from repro.dnn.training import LayerTraffic, TrainingWorkload, layer_traffic
 
 __all__ = [
     "Layer",
@@ -44,3 +49,23 @@ __all__ = [
     "LayerTraffic",
     "layer_traffic",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "Layer": "layers",
+    "ConvLayer": "layers",
+    "LinearLayer": "layers",
+    "PoolLayer": "layers",
+    "ActivationLayer": "layers",
+    "Network": "networks",
+    "build_alexnet": "networks",
+    "build_googlenet": "networks",
+    "build_inception_v3": "networks",
+    "build_resnet": "networks",
+    "build_network": "networks",
+    "PAPER_NETWORKS": "networks",
+    "TrainingWorkload": "training",
+    "LayerTraffic": "training",
+    "layer_traffic": "training",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

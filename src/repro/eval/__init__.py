@@ -11,7 +11,12 @@ NAME`` prints one artifact, ``python -m repro.eval report --all`` writes
 ``docs/paper_results.md``.
 """
 
-from repro.eval import table1, table2, fig5, fig6, fig7, precision, greenwave
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.eval import fig5, fig6, fig7, greenwave, precision, table1, table2
 
 __all__ = [
     "table1",
@@ -22,3 +27,8 @@ __all__ = [
     "precision",
     "greenwave",
 ]
+
+# Each harness module is imported on first access, so ``python -m
+# repro.eval --help`` and the subcommands load only what they run.
+_EXPORTS = dict.fromkeys(__all__)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

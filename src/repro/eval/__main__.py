@@ -50,19 +50,17 @@ from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.campaign import (
-    analyze_records,
-    default_store_path,
-    format_report,
-    get_campaign,
-    iter_campaigns,
-    run_campaign,
-)
+# Only the registries and plain-data modules are imported here: each
+# subcommand imports the simulator, campaign runner or report pipeline it
+# runs inside its handler, so ``--help`` and the ``list`` actions stay
+# NumPy-free (see "Import layering" in docs/architecture.md).
+from repro import obs
+from repro.campaign.registry import get_campaign, iter_campaigns
 from repro.campaign.store import ResultStore, ResultStoreError, merge_stores
 from repro.cluster.engine import available_engines, describe_engines
-from repro import obs
 from repro.options import ExecutionOptions
-from repro.scenarios import format_outcome, iter_scenarios, run_scenario
+from repro.report.registry import iter_artifacts, registered_artifacts
+from repro.scenarios.registry import iter_scenarios
 
 _LOG = obs.get_logger("cli")
 
@@ -130,8 +128,6 @@ def options_from_args(args: argparse.Namespace) -> ExecutionOptions:
 
 def _epilog() -> str:
     """Help text generated from the artifact/engine/scenario/campaign registries."""
-    from repro.report import iter_artifacts
-
     lines = [
         "paper artifacts (python -m repro.eval <name>; no name prints every one,",
         "report --all --quick regenerates docs/paper_results.md):",
@@ -189,6 +185,8 @@ def scenario_main(argv) -> int:
         for spec in iter_scenarios():
             print(f"{spec.name:20s} [{spec.family:7s}] {spec.description}")
         return 0
+
+    from repro.scenarios.runner import format_outcome, run_scenario
 
     obs.configure_from_args(args)
     overrides = {}
@@ -301,6 +299,9 @@ def campaign_main(argv) -> int:
             f"({count} points)"
         )
         return 0
+
+    from repro.campaign.analysis import analyze_records, format_report
+    from repro.campaign.runner import default_store_path, run_campaign
 
     try:
         campaign = get_campaign(args.name)
@@ -434,15 +435,6 @@ def report_main(argv, parser: Optional[argparse.ArgumentParser] = None) -> int:
     """
     import json as json_mod
 
-    from repro.report import (
-        generate_paper_results,
-        iter_artifacts,
-        registered_artifacts,
-        render_artifact,
-        report_payload,
-        run_report,
-    )
-
     bare = parser is not None
     args = (parser or build_report_parser()).parse_args(argv)
     obs.configure_from_args(args)
@@ -482,6 +474,9 @@ def report_main(argv, parser: Optional[argparse.ArgumentParser] = None) -> int:
             return 2
         args.artifacts = registered_artifacts()
 
+    from repro.report.render import render_artifact, render_document, report_payload
+    from repro.report.runner import generate_paper_results, run_report
+
     def progress(result):
         campaigns = ",".join(result.artifact.campaigns) or "analytic"
         _LOG.info("  built %-14s [%s]", result.artifact.name, campaigns)
@@ -513,8 +508,6 @@ def report_main(argv, parser: Optional[argparse.ArgumentParser] = None) -> int:
                     print(render_artifact(result))
                     print()
                 if args.output:
-                    from repro.report import render_document
-
                     Path(args.output).write_text(
                         render_document(results, quick=args.quick), encoding="utf-8"
                     )

@@ -16,13 +16,22 @@
   crossbar and the serial links.
 """
 
-from repro.mem.memory import Memory
-from repro.mem.tcdm import Tcdm, TcdmConfig
-from repro.mem.interconnect import TcdmInterconnect, MemoryRequest, ArbitrationResult
-from repro.mem.dma import DmaEngine, DmaTransfer, DmaConfig
-from repro.mem.icache import InstructionCache, ICacheConfig
-from repro.mem.axi import AxiPort, AxiConfig
-from repro.mem.hmc import Hmc, HmcConfig, Vault
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.mem.axi import AxiConfig, AxiPort
+    from repro.mem.dma import DmaConfig, DmaEngine, DmaTransfer
+    from repro.mem.hmc import Hmc, HmcConfig, Vault
+    from repro.mem.icache import ICacheConfig, InstructionCache
+    from repro.mem.interconnect import (
+        ArbitrationResult,
+        MemoryRequest,
+        TcdmInterconnect,
+    )
+    from repro.mem.memory import Memory
+    from repro.mem.tcdm import Tcdm, TcdmConfig
 
 __all__ = [
     "Memory",
@@ -42,3 +51,24 @@ __all__ = [
     "HmcConfig",
     "Vault",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "Memory": "memory",
+    "Tcdm": "tcdm",
+    "TcdmConfig": "tcdm",
+    "TcdmInterconnect": "interconnect",
+    "MemoryRequest": "interconnect",
+    "ArbitrationResult": "interconnect",
+    "DmaEngine": "dma",
+    "DmaTransfer": "dma",
+    "DmaConfig": "dma",
+    "InstructionCache": "icache",
+    "ICacheConfig": "icache",
+    "AxiPort": "axi",
+    "AxiConfig": "axi",
+    "Hmc": "hmc",
+    "HmcConfig": "hmc",
+    "Vault": "hmc",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,18 +17,23 @@
   accelerators the paper compares against (Table II, Figures 6 and 7).
 """
 
-from repro.perf.roofline import RooflineModel, RooflinePoint
-from repro.perf.kernel_model import KernelExecutionModel, KernelPerformance
-from repro.perf.technology import Technology, TECH_22FDX, TECH_14NM
-from repro.perf.area import ClusterAreaModel, SystemAreaModel
-from repro.perf.energy import EnergyModel, EnergyBreakdown
-from repro.perf.scaling import NtxSystemConfig, build_ntx_configurations
-from repro.perf.baselines import (
-    Baseline,
-    GPU_BASELINES,
-    ACCELERATOR_BASELINES,
-    all_baselines,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.perf.area import ClusterAreaModel, SystemAreaModel
+    from repro.perf.baselines import (
+        ACCELERATOR_BASELINES,
+        Baseline,
+        GPU_BASELINES,
+        all_baselines,
+    )
+    from repro.perf.energy import EnergyBreakdown, EnergyModel
+    from repro.perf.kernel_model import KernelExecutionModel, KernelPerformance
+    from repro.perf.roofline import RooflineModel, RooflinePoint
+    from repro.perf.scaling import NtxSystemConfig, build_ntx_configurations
+    from repro.perf.technology import TECH_14NM, TECH_22FDX, Technology
 
 __all__ = [
     "RooflineModel",
@@ -49,3 +54,25 @@ __all__ = [
     "ACCELERATOR_BASELINES",
     "all_baselines",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "RooflineModel": "roofline",
+    "RooflinePoint": "roofline",
+    "KernelExecutionModel": "kernel_model",
+    "KernelPerformance": "kernel_model",
+    "Technology": "technology",
+    "TECH_22FDX": "technology",
+    "TECH_14NM": "technology",
+    "ClusterAreaModel": "area",
+    "SystemAreaModel": "area",
+    "EnergyModel": "energy",
+    "EnergyBreakdown": "energy",
+    "NtxSystemConfig": "scaling",
+    "build_ntx_configurations": "scaling",
+    "Baseline": "baselines",
+    "GPU_BASELINES": "baselines",
+    "ACCELERATOR_BASELINES": "baselines",
+    "all_baselines": "baselines",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -1,7 +1,9 @@
-"""The registered paper artifacts.
+"""The build functions of the registered paper artifacts.
 
-One :class:`~repro.report.artifact.Artifact` per headline result of the
-paper.  Artifacts whose numbers involve the simulated machine declare the
+One :class:`~repro.report.registry.Artifact` per headline result of the
+paper is registered in :mod:`repro.report.registry`, naming its builder
+here; this module is imported when the first artifact is built.
+Artifacts whose numbers involve the simulated machine declare the
 registered campaign(s) they read, and obtain every measured record
 through the campaign stack (golden-verified, memoized, resumable);
 analytic artifacts evaluate the :mod:`repro.perf` / :mod:`repro.softfloat`
@@ -20,17 +22,14 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.eval import fig5, fig6, fig7, greenwave, precision, table1, table2
 from repro.campaign import PointAnalysis
 from repro.perf.roofline import RooflineModel
-from repro.report.artifact import (
-    Artifact,
-    ArtifactContext,
-    ArtifactData,
-    Section,
-    register_artifact,
-)
+from repro.report.artifact import ArtifactContext
+from repro.report.registry import ArtifactData, Section
 from repro.report.render import ascii_bar_chart
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["register_default_artifacts"]
+# No public names: the registry resolves each ``_build_*`` function by the
+# name its artifact declares (see :mod:`repro.report.registry`).
+__all__: List[str] = []
 
 
 def _point_label(row: PointAnalysis) -> str:
@@ -593,114 +592,3 @@ def _build_system_scaling(context: ArtifactContext) -> ArtifactData:
         sections=[table],
         payload={"points": _scaling_payload(analysis)},
     )
-
-
-def register_default_artifacts() -> None:
-    """Register the shipped artifacts (idempotent via ``replace=True``)."""
-    for artifact in (
-        Artifact(
-            name="table1",
-            title="cluster figures of merit",
-            reproduces="Table I",
-            description=(
-                "Figures of merit of one NTX cluster in 22FDX, regenerated "
-                "from the configuration/area/energy models and anchored by "
-                "a measured cycle-level convolution run."
-            ),
-            build=_build_table1,
-            campaigns=("cluster-anchor",),
-        ),
-        Artifact(
-            name="table2",
-            title="DNN training energy efficiency",
-            reproduces="Table II",
-            description=(
-                "Training efficiency of the NTX (n x) configurations versus "
-                "GPU and accelerator baselines, plus the energy model fed "
-                "with simulated training intensity."
-            ),
-            build=_build_table2,
-            campaigns=("dnn-scaling",),
-        ),
-        Artifact(
-            name="fig3b",
-            title="per-opcode command throughput",
-            reproduces="Figure 3(b)",
-            description=(
-                "Cycles per element of every NTX command, measured from "
-                "golden-verified single-co-processor streaming scenarios."
-            ),
-            build=_build_fig3b,
-            campaigns=("opcode-throughput",),
-        ),
-        Artifact(
-            name="fig5",
-            title="cluster roofline",
-            reproduces="Figure 5",
-            description=(
-                "The evaluated kernel library placed on the cluster "
-                "roofline, plus measured scenario points at their simulated "
-                "operational intensity."
-            ),
-            build=_build_fig5,
-            campaigns=("engine-shootout",),
-        ),
-        Artifact(
-            name="fig6",
-            title="training energy efficiency vs GPUs",
-            reproduces="Figure 6",
-            description=(
-                "Geometric-mean training efficiency of NTX against GPUs and "
-                "NeuroStream, with the headline 2.5x / 3x advantages."
-            ),
-            build=_build_fig6,
-            campaigns=("dnn-scaling",),
-        ),
-        Artifact(
-            name="fig7",
-            title="compute density vs GPUs",
-            reproduces="Figure 7",
-            description=(
-                "Peak throughput per deployed silicon area against GPUs and "
-                "DaDianNao, with the headline 6.5x / 10.4x advantages."
-            ),
-            build=_build_fig7,
-        ),
-        Artifact(
-            name="precision",
-            title="PCS accumulator RMSE study",
-            reproduces="§II-C",
-            description=(
-                "Root-mean-squared error of the partial-carry-save "
-                "accumulator versus a conventional FP32 FPU on conv-layer "
-                "reductions."
-            ),
-            build=_build_precision,
-        ),
-        Artifact(
-            name="greenwave",
-            title="Green Wave seismic stencil",
-            reproduces="§IV",
-            description=(
-                "The 8th-order seismic stencil comparison against Green "
-                "Wave and a GPU, backed by measured stencil weak scaling."
-            ),
-            build=_build_greenwave,
-            campaigns=("stencil-scaling",),
-        ),
-        Artifact(
-            name="system-scaling",
-            title="multi-cluster scale-out",
-            reproduces="§V / Table II trend",
-            description=(
-                "Throughput across system geometries to the DRAM bandwidth "
-                "plateau, measured through the conv geometry campaign."
-            ),
-            build=_build_system_scaling,
-            campaigns=("conv-geometry-sweep",),
-        ),
-    ):
-        register_artifact(artifact, replace=True)
-
-
-register_default_artifacts()

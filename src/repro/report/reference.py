@@ -68,9 +68,9 @@ def generate_reference() -> str:
         build_trace_parser,
     )
     from repro.server.__main__ import build_server_parser
-    from repro.report.artifact import iter_artifacts
+    from repro.report.registry import iter_artifacts
     from repro.scenarios import iter_scenarios
-    from repro.scenarios.workloads import FAMILIES
+    from repro.scenarios.families import FAMILIES
 
     lines: List[str] = [
         "# Reference — generated from the registries",

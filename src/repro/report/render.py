@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.report.artifact import ArtifactResult, Section
+from repro.report.registry import ArtifactResult, Section
 
 __all__ = [
     "ascii_bar_chart",

@@ -17,10 +17,15 @@ ISS executes the 32 bit encodings; the half-rate clocking of the core
 relative to the NTX/TCDM domain is handled by the cluster model.
 """
 
-from repro.riscv.registers import RegisterFile, ABI_NAMES, reg_index
-from repro.riscv.decoder import decode, Instruction, DecodeError
-from repro.riscv.cpu import Cpu, CpuConfig, Trap, BusPort
-from repro.riscv.assembler import assemble, AssemblerError
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.riscv.assembler import AssemblerError, assemble
+    from repro.riscv.cpu import BusPort, Cpu, CpuConfig, Trap
+    from repro.riscv.decoder import DecodeError, Instruction, decode
+    from repro.riscv.registers import ABI_NAMES, RegisterFile, reg_index
 
 __all__ = [
     "RegisterFile",
@@ -36,3 +41,20 @@ __all__ = [
     "assemble",
     "AssemblerError",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "RegisterFile": "registers",
+    "ABI_NAMES": "registers",
+    "reg_index": "registers",
+    "decode": "decoder",
+    "Instruction": "decoder",
+    "DecodeError": "decoder",
+    "Cpu": "cpu",
+    "CpuConfig": "cpu",
+    "Trap": "cpu",
+    "BusPort": "cpu",
+    "assemble": "assembler",
+    "AssemblerError": "assembler",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

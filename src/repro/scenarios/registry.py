@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.scenarios.compiler import bilateral_coefficients, gaussian_coefficients
+from repro.scenarios.stencils import bilateral_coefficients, gaussian_coefficients
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [

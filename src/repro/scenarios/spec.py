@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Mapping
+from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 from repro.cluster.engine import DEFAULT_ENGINE, get_engine
-from repro.system.config import SystemConfig
+from repro.scenarios.families import FAMILIES
+
+if TYPE_CHECKING:
+    from repro.system.config import SystemConfig
 
 __all__ = ["ScenarioSpec"]
 
@@ -47,7 +50,7 @@ class ScenarioSpec:
 
     #: Registry name of the scenario (``conv-tiled``, ``dnn-training-step``, ...).
     name: str
-    #: Workload family key (see :data:`repro.scenarios.workloads.FAMILIES`).
+    #: Workload family key (see :data:`repro.scenarios.families.FAMILIES`).
     family: str
     #: One-line description shown by ``scenario list`` and the CLI epilog.
     description: str = ""
@@ -68,8 +71,6 @@ class ScenarioSpec:
     stagger_cycles: int = 7
 
     def __post_init__(self) -> None:
-        from repro.scenarios.workloads import FAMILIES  # avoid import cycle
-
         object.__setattr__(
             self,
             "params",
@@ -94,6 +95,10 @@ class ScenarioSpec:
 
     def system_config(self) -> SystemConfig:
         """The :class:`SystemConfig` this scenario runs on."""
+        # Imported here: the system layer pulls in the simulator and NumPy,
+        # which building and validating a spec must not.
+        from repro.system.config import SystemConfig
+
         return SystemConfig(
             num_vaults=self.num_vaults,
             clusters_per_vault=self.clusters_per_vault,
@@ -103,8 +108,6 @@ class ScenarioSpec:
 
     def merged_params(self) -> Dict[str, Any]:
         """Family defaults overlaid with this spec's ``params``."""
-        from repro.scenarios.workloads import FAMILIES
-
         family = FAMILIES[self.family]
         unknown = set(self.params) - set(family.default_params)
         if unknown:

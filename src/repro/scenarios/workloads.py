@@ -52,7 +52,7 @@ merely close (``tests/test_system.py`` asserts this per family).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +74,7 @@ from repro.kernels.conv import (
 )
 from repro.kernels.stencil import LAPLACE_TAPS, laplace_2d_reference, laplace_commands
 from repro.scenarios.compiler import PipelineSpec, StencilSpec
+from repro.scenarios.families import FAMILIES
 from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc
 from repro.mem.tcdm import TcdmConfig
@@ -81,9 +82,7 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.system.workloads import conv_tiled_workload
 
 __all__ = [
-    "FAMILIES",
     "ScenarioWorkload",
-    "WorkloadFamily",
     "build_workload",
     "compiled_stencil_workload",
     "conv_workload",
@@ -115,20 +114,6 @@ class ScenarioWorkload:
     @property
     def total_flops(self) -> int:
         return sum(tile.flops for tile in self.tiles)
-
-
-@dataclass(frozen=True)
-class WorkloadFamily:
-    """One registered workload family: defaults plus the tile builder."""
-
-    name: str
-    description: str
-    default_params: Dict[str, Any]
-    builder: Callable[[ScenarioSpec, Hmc, ClusterConfig], ScenarioWorkload]
-    #: Optional merged-params validator run at ``ScenarioSpec`` construction
-    #: (the compiled families use it so a bad declarative spec raises the
-    #: documented ``ValueError`` before any simulation starts).
-    validate: Optional[Callable[[Dict[str, Any]], None]] = None
 
 
 # --------------------------------------------------------------------------- #
@@ -728,96 +713,9 @@ def pipeline_workload(
     return workload
 
 
-def _validate_stencil_params(params: Dict[str, Any]) -> None:
-    StencilSpec.from_params(params)
-
-
-def _validate_pipeline_params(params: Dict[str, Any]) -> None:
-    PipelineSpec.from_params(params)
-
-
-# --------------------------------------------------------------------------- #
-# Family registry                                                              #
-# --------------------------------------------------------------------------- #
-
-FAMILIES: Dict[str, WorkloadFamily] = {
-    family.name: family
-    for family in (
-        WorkloadFamily(
-            name="conv",
-            description="independent 2D-convolution tiles, rows banded across NTX",
-            default_params={"image_shape": (12, 14), "kernel": 3},
-            builder=conv_workload,
-        ),
-        WorkloadFamily(
-            name="matmul",
-            description="tiled GEMM, output rows split across NTX",
-            default_params={"m": 8, "k": 12, "n": 10},
-            builder=matmul_workload,
-        ),
-        WorkloadFamily(
-            name="stencil",
-            description="2D discrete Laplace operator, two dependent passes",
-            default_params={"field_shape": (10, 12)},
-            builder=stencil_workload,
-        ),
-        WorkloadFamily(
-            name="dnn",
-            description="one SGD step of a conv layer (fwd, grads, update)",
-            default_params={
-                "in_channels": 2,
-                "out_channels": 4,
-                "image_size": 8,
-                "kernel": 3,
-                "learning_rate": 0.125,
-            },
-            builder=dnn_step_workload,
-        ),
-        WorkloadFamily(
-            name="opstream",
-            description="one streaming command of a single opcode (Fig. 3b)",
-            default_params={"opcode": "mac", "n": 512},
-            builder=opstream_workload,
-        ),
-        WorkloadFamily(
-            name="cstencil",
-            description="compiled declarative stencil (neighborhood/radius/rings)",
-            default_params={
-                "neighborhood": "moore",
-                "radius": 1,
-                "coefficients": "auto",
-                "grid_shape": (12, 14),
-                "boundary": "valid",
-            },
-            builder=compiled_stencil_workload,
-            validate=_validate_stencil_params,
-        ),
-        WorkloadFamily(
-            name="pipeline",
-            description="compiled stencil stage chain with optional reduction",
-            default_params={
-                "grid_shape": (12, 12),
-                "stages": (
-                    {
-                        "kind": "stencil",
-                        "neighborhood": "von_neumann",
-                        "radius": 1,
-                        "coefficients": "auto",
-                        "boundary": "valid",
-                    },
-                    {"kind": "reduce", "op": "sum"},
-                ),
-            },
-            builder=pipeline_workload,
-            validate=_validate_pipeline_params,
-        ),
-    )
-}
-
-
 def build_workload(
     spec: ScenarioSpec, hmc: Hmc, cluster: Optional[ClusterConfig] = None
 ) -> ScenarioWorkload:
     """Build ``spec``'s workload staged in ``hmc`` for ``cluster``'s TCDM."""
-    family = FAMILIES[spec.family]  # spec validated the name at construction
-    return family.builder(spec, hmc, cluster or ClusterConfig())
+    builder = globals()[FAMILIES[spec.family].builder]  # name validated by the spec
+    return builder(spec, hmc, cluster or ClusterConfig())

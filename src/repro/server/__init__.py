@@ -24,15 +24,20 @@ Quickstart::
 or programmatically through :mod:`repro.client`.
 """
 
-from repro.server.app import DEFAULT_PORT, ReproServer, RequestHandler
-from repro.server.jobs import (
-    Job,
-    JobCancelled,
-    JobError,
-    JobManager,
-    Submission,
-    parse_submission,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.server.app import DEFAULT_PORT, ReproServer, RequestHandler
+    from repro.server.jobs import (
+        Job,
+        JobCancelled,
+        JobError,
+        JobManager,
+        Submission,
+        parse_submission,
+    )
 
 __all__ = [
     "DEFAULT_PORT",
@@ -45,3 +50,17 @@ __all__ = [
     "Submission",
     "parse_submission",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "DEFAULT_PORT": "app",
+    "Job": "jobs",
+    "JobCancelled": "jobs",
+    "JobError": "jobs",
+    "JobManager": "jobs",
+    "ReproServer": "app",
+    "RequestHandler": "app",
+    "Submission": "jobs",
+    "parse_submission": "jobs",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

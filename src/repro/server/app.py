@@ -31,13 +31,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import urlparse
 
+from repro.client import DEFAULT_PORT
 from repro.server.jobs import JobError, JobManager
 from repro.system.memo import TileTimingCache
 
 __all__ = ["DEFAULT_PORT", "ReproServer", "RequestHandler"]
-
-#: Default TCP port of ``python -m repro.server`` and ``repro.client``.
-DEFAULT_PORT = 8357
 
 _JOB_ROUTE = re.compile(r"/jobs/([A-Za-z0-9_-]+)(/result|/cancel|/trace)?")
 

@@ -20,12 +20,17 @@
   HMC, verified against NumPy references after the run).
 """
 
-from repro.system.batch import ClusterAssignment, walk_tiles
-from repro.system.config import SystemConfig
-from repro.system.memo import CachedTiming, TileTimingCache
-from repro.system.scheduler import ShardPlan, WorkQueueScheduler, shard_round_robin
-from repro.system.simulator import ClusterReport, SystemResult, SystemSimulator
-from repro.system.workloads import ConvWorkload, conv_tiled_workload
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.system.batch import ClusterAssignment, walk_tiles
+    from repro.system.config import SystemConfig
+    from repro.system.memo import CachedTiming, TileTimingCache
+    from repro.system.scheduler import ShardPlan, WorkQueueScheduler, shard_round_robin
+    from repro.system.simulator import ClusterReport, SystemResult, SystemSimulator
+    from repro.system.workloads import ConvWorkload, conv_tiled_workload
 
 __all__ = [
     "ClusterAssignment",
@@ -42,3 +47,21 @@ __all__ = [
     "ConvWorkload",
     "conv_tiled_workload",
 ]
+
+# Public name -> defining submodule, imported on first access (repro._lazy).
+_EXPORTS = {
+    "ClusterAssignment": "batch",
+    "walk_tiles": "batch",
+    "SystemConfig": "config",
+    "CachedTiming": "memo",
+    "TileTimingCache": "memo",
+    "ShardPlan": "scheduler",
+    "WorkQueueScheduler": "scheduler",
+    "shard_round_robin": "scheduler",
+    "ClusterReport": "simulator",
+    "SystemResult": "simulator",
+    "SystemSimulator": "simulator",
+    "ConvWorkload": "workloads",
+    "conv_tiled_workload": "workloads",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
