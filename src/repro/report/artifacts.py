@@ -23,13 +23,13 @@ from repro.eval import fig5, fig6, fig7, greenwave, precision, table1, table2
 from repro.campaign import PointAnalysis
 from repro.perf.roofline import RooflineModel
 from repro.report.artifact import ArtifactContext
-from repro.report.registry import ArtifactData, Section
+from repro.report.registry import ArtifactData, Section, register_default_artifacts
 from repro.report.render import ascii_bar_chart
 from repro.scenarios.spec import ScenarioSpec
 
-# No public names: the registry resolves each ``_build_*`` function by the
-# name its artifact declares (see :mod:`repro.report.registry`).
-__all__: List[str] = []
+# ``register_default_artifacts`` lives in :mod:`repro.report.registry`;
+# it is re-exported here, where it used to be defined.
+__all__ = ["register_default_artifacts"]
 
 
 def _point_label(row: PointAnalysis) -> str:

@@ -14,9 +14,8 @@ documented in the generated ``docs/reference.md``, and perf-gated by the
 ``campaigns`` benchmark suite's ``report-*`` gates.
 
 This module is plain data, and the shipped artifacts are registered
-here, at import: each names its builder in :mod:`repro.report.artifacts`
-instead of holding it, and :meth:`Artifact.builder` resolves the name
-when the artifact is first built.  Listing the registry (the CLI help
+here, at import: each one's ``build`` imports :mod:`repro.report.artifacts`
+and calls the named builder there only when the artifact is first built.  Listing the registry (the CLI help
 epilog, ``--list``, ``scenario``/``campaign`` subcommands) therefore
 imports neither NumPy, the analytic models nor the campaign runner, and
 the registry functions return the shipped artifacts whatever was
@@ -92,20 +91,11 @@ class Artifact:
     reproduces: str
     #: One-line description for listings and the generated reference.
     description: str
-    #: Builds the artifact's data from a context: the function itself, or
-    #: the name of a builder function in :mod:`repro.report.artifacts`.
-    build: Union[Callable[[ArtifactContext], ArtifactData], str]
+    #: Builds the artifact's data from a context.
+    build: Callable[[ArtifactContext], ArtifactData]
     #: Registered campaigns the measured numbers come from (empty for
     #: purely analytic artifacts).
     campaigns: Tuple[str, ...] = ()
-
-    def builder(self) -> Callable[[ArtifactContext], ArtifactData]:
-        """The build function, with a builder name resolved."""
-        if callable(self.build):
-            return self.build
-        from repro.report import artifacts
-
-        return getattr(artifacts, self.build)
 
 
 @dataclass
@@ -151,6 +141,17 @@ def iter_artifacts() -> List[Artifact]:
     return list(_ARTIFACTS.values())
 
 
+def _shipped(name: str) -> Callable[[ArtifactContext], ArtifactData]:
+    """Build function that calls builder ``name`` of :mod:`repro.report.artifacts`."""
+
+    def build(context: ArtifactContext) -> ArtifactData:
+        from repro.report import artifacts
+
+        return getattr(artifacts, name)(context)
+
+    return build
+
+
 def register_default_artifacts() -> None:
     """Register the shipped artifacts (idempotent via ``replace=True``)."""
     for artifact in (
@@ -163,7 +164,7 @@ def register_default_artifacts() -> None:
                 "from the configuration/area/energy models and anchored by "
                 "a measured cycle-level convolution run."
             ),
-            build="_build_table1",
+            build=_shipped("_build_table1"),
             campaigns=("cluster-anchor",),
         ),
         Artifact(
@@ -175,7 +176,7 @@ def register_default_artifacts() -> None:
                 "GPU and accelerator baselines, plus the energy model fed "
                 "with simulated training intensity."
             ),
-            build="_build_table2",
+            build=_shipped("_build_table2"),
             campaigns=("dnn-scaling",),
         ),
         Artifact(
@@ -186,7 +187,7 @@ def register_default_artifacts() -> None:
                 "Cycles per element of every NTX command, measured from "
                 "golden-verified single-co-processor streaming scenarios."
             ),
-            build="_build_fig3b",
+            build=_shipped("_build_fig3b"),
             campaigns=("opcode-throughput",),
         ),
         Artifact(
@@ -198,7 +199,7 @@ def register_default_artifacts() -> None:
                 "roofline, plus measured scenario points at their simulated "
                 "operational intensity."
             ),
-            build="_build_fig5",
+            build=_shipped("_build_fig5"),
             campaigns=("engine-shootout",),
         ),
         Artifact(
@@ -209,7 +210,7 @@ def register_default_artifacts() -> None:
                 "Geometric-mean training efficiency of NTX against GPUs and "
                 "NeuroStream, with the headline 2.5x / 3x advantages."
             ),
-            build="_build_fig6",
+            build=_shipped("_build_fig6"),
             campaigns=("dnn-scaling",),
         ),
         Artifact(
@@ -220,7 +221,7 @@ def register_default_artifacts() -> None:
                 "Peak throughput per deployed silicon area against GPUs and "
                 "DaDianNao, with the headline 6.5x / 10.4x advantages."
             ),
-            build="_build_fig7",
+            build=_shipped("_build_fig7"),
         ),
         Artifact(
             name="precision",
@@ -231,7 +232,7 @@ def register_default_artifacts() -> None:
                 "accumulator versus a conventional FP32 FPU on conv-layer "
                 "reductions."
             ),
-            build="_build_precision",
+            build=_shipped("_build_precision"),
         ),
         Artifact(
             name="greenwave",
@@ -241,7 +242,7 @@ def register_default_artifacts() -> None:
                 "The 8th-order seismic stencil comparison against Green "
                 "Wave and a GPU, backed by measured stencil weak scaling."
             ),
-            build="_build_greenwave",
+            build=_shipped("_build_greenwave"),
             campaigns=("stencil-scaling",),
         ),
         Artifact(
@@ -252,7 +253,7 @@ def register_default_artifacts() -> None:
                 "Throughput across system geometries to the DRAM bandwidth "
                 "plateau, measured through the conv geometry campaign."
             ),
-            build="_build_system_scaling",
+            build=_shipped("_build_system_scaling"),
             campaigns=("conv-geometry-sweep",),
         ),
     ):

@@ -63,9 +63,8 @@ def run_artifact(
         context = ArtifactContext(
             quick=quick, store_dir=store_dir, workers=workers, cache_dir=cache_dir
         )
-    build = resolved.builder()
     with _trace.span("artifact", name=resolved.name):
-        data = build(context)
+        data = resolved.build(context)
     return ArtifactResult(artifact=resolved, data=data, quick=context.quick)
 
 

@@ -74,7 +74,7 @@ from repro.kernels.conv import (
 )
 from repro.kernels.stencil import LAPLACE_TAPS, laplace_2d_reference, laplace_commands
 from repro.scenarios.compiler import PipelineSpec, StencilSpec
-from repro.scenarios.families import FAMILIES
+from repro.scenarios.families import FAMILIES, WorkloadFamily
 from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc
 from repro.mem.tcdm import TcdmConfig
@@ -82,7 +82,9 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.system.workloads import conv_tiled_workload
 
 __all__ = [
+    "FAMILIES",
     "ScenarioWorkload",
+    "WorkloadFamily",
     "build_workload",
     "compiled_stencil_workload",
     "conv_workload",

@@ -215,6 +215,29 @@ class TestSelfPopulatingRegistries:
         )
         _run(["-c", probe])
 
+    def test_shipped_artifact_build_is_a_function(self):
+        probe = (
+            "import sys\n"
+            "from repro.report.registry import iter_artifacts\n"
+            "assert all(callable(a.build) for a in iter_artifacts())\n"
+            "assert 'repro.report.artifacts' not in sys.modules\n"
+        )
+        _run(["-c", probe])
+        from repro.report import ArtifactData, get_artifact
+
+        assert isinstance(get_artifact("fig7").build(None), ArtifactData)
+
+
+def test_moved_names_stay_importable_from_their_old_modules():
+    from repro.report import registry
+    from repro.report.artifacts import register_default_artifacts
+    from repro.scenarios import families
+    from repro.scenarios.workloads import FAMILIES, WorkloadFamily
+
+    assert register_default_artifacts is registry.register_default_artifacts
+    assert WorkloadFamily is families.WorkloadFamily
+    assert FAMILIES is families.FAMILIES
+
 
 class TestLazyPackages:
     def test_every_public_name_resolves_in_a_fresh_interpreter(self):
