@@ -12,7 +12,10 @@ phases so the per-cycle loop touches almost nothing:
 2. **Vectorized data plane** (:func:`repro.core.vecops.execute_streams`):
    reads, FPU issues and write-backs are replayed as array gathers,
    segmented reductions and scatters — once per command instead of once per
-   cycle.  Commands with intra-command read-after-write hazards fall back
+   cycle.  The kernel works on a word-major ``(words, tiles)`` stack: the
+   live TCDM is a stack of one, and a batched replay group
+   (:func:`run_data_plane_batched`) a stack of many.  Commands with
+   intra-command read-after-write hazards fall back
    to the exact per-op executor; on the fast path only MAC can differ from
    the soft-float reference, by at most a final-ulp rounding (see
    :mod:`repro.core.vecops`).
@@ -54,6 +57,10 @@ from repro.core.vecops import (
     execute_streams,
     execute_streams_batched,
 )
+
+_WORD = 4
+#: Tiles per slab when transposing image rows into a word-major stack.
+_TRANSPOSE_TILES = 32
 
 __all__ = ["run_vectorized", "run_data_plane", "run_data_plane_batched"]
 
@@ -138,6 +145,48 @@ def _as_list(stream):
     return None if stream is None else stream.tolist()
 
 
+def _plans_per_ntx(
+    cluster, jobs: Sequence[Tuple[int, NtxCommand]], with_banks: bool = True
+) -> List[List[_CommandPlan]]:
+    """Each NTX's command plans, in issue order."""
+    num_ntx = cluster.config.num_ntx
+    jobs_per_ntx: List[List[_CommandPlan]] = [[] for _ in range(num_ntx)]
+    for ntx_id, command in jobs:
+        if not 0 <= ntx_id < num_ntx:
+            raise ValueError(f"NTX index {ntx_id} out of range")
+        jobs_per_ntx[ntx_id].append(
+            _CommandPlan(command, cluster.tcdm, with_banks=with_banks)
+        )
+    return jobs_per_ntx
+
+
+def _account_command(
+    cluster, ntx, plan: _CommandPlan, fast_path: bool, count: int = 1
+) -> None:
+    """Credit ``count`` executions of ``plan`` to ``ntx``'s statistics."""
+    command = plan.command
+    stats = ntx.stats
+    stats.commands += count
+    stats.iterations += plan.total * count
+    stats.flops += command.flops * count
+    stats.tcdm_reads += plan.streams.num_reads * count
+    stats.tcdm_writes += plan.num_stores * count
+    stats.ideal_cycles += cluster.config.ntx.ideal_cycles(command) * count
+    if fast_path:
+        # The fallback executor issued the real FPU (which counts its own
+        # statistics); the fast path accounts them wholesale.
+        fpu_stats = ntx.fpu.stats
+        fpu_stats.issues += plan.total * count
+        fpu_stats.writebacks += plan.num_stores * count
+        if command.opcode is NtxOpcode.MAC:
+            fpu_stats.macs += plan.total * count
+        elif command.opcode in (
+            NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX,
+            NtxOpcode.ARGMIN, NtxOpcode.RELU, NtxOpcode.THRESHOLD,
+        ):
+            fpu_stats.comparisons += plan.total * count
+
+
 def _run_data_plane(
     cluster, jobs_per_ntx: List[List[_CommandPlan]], exact: bool = False
 ) -> None:
@@ -149,35 +198,12 @@ def _run_data_plane(
     stay bit-identical to uncached scalar runs.
     """
     tcdm = cluster.tcdm
-    for ntx_id, plans in enumerate(jobs_per_ntx):
-        ntx = cluster.ntx[ntx_id]
+    for ntx, plans in zip(cluster.ntx, jobs_per_ntx):
         for plan in plans:
-            command = plan.command
-            fast_path = False
-            if not exact:
-                fast_path = execute_streams(command, plan.streams, tcdm)
+            fast_path = not exact and execute_streams(plan.command, plan.streams, tcdm)
             if not fast_path:
-                execute_functional(ntx, command, tcdm)
-            stats = ntx.stats
-            stats.commands += 1
-            stats.iterations += plan.total
-            stats.flops += command.flops
-            stats.tcdm_reads += plan.streams.num_reads
-            stats.tcdm_writes += plan.num_stores
-            stats.ideal_cycles += cluster.config.ntx.ideal_cycles(command)
-            if fast_path:
-                # The fallback executor issued the real FPU (which counts its
-                # own statistics); the fast path accounts them wholesale.
-                fpu_stats = ntx.fpu.stats
-                fpu_stats.issues += plan.total
-                fpu_stats.writebacks += plan.num_stores
-                if command.opcode is NtxOpcode.MAC:
-                    fpu_stats.macs += plan.total
-                elif command.opcode in (
-                    NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX,
-                    NtxOpcode.ARGMIN, NtxOpcode.RELU, NtxOpcode.THRESHOLD,
-                ):
-                    fpu_stats.comparisons += plan.total
+                execute_functional(ntx, plan.command, tcdm)
+            _account_command(cluster, ntx, plan, fast_path)
 
 
 def run_data_plane(
@@ -193,31 +219,24 @@ def run_data_plane(
     cycles.
     """
     cluster = simulator.cluster
-    num_ntx = cluster.config.num_ntx
-    jobs_per_ntx: List[List[_CommandPlan]] = [[] for _ in range(num_ntx)]
-    for ntx_id, command in jobs:
-        if not 0 <= ntx_id < num_ntx:
-            raise ValueError(f"NTX index {ntx_id} out of range")
-        jobs_per_ntx[ntx_id].append(
-            _CommandPlan(command, cluster.tcdm, with_banks=False)
-        )
-    _run_data_plane(cluster, jobs_per_ntx, exact=exact)
+    _run_data_plane(cluster, _plans_per_ntx(cluster, jobs, with_banks=False), exact)
 
 
 class _ImageTcdm:
     """Adapter presenting one tile's private TCDM image as a scratchpad.
 
     The per-op fallback executor reads and writes through ``read_f32`` /
-    ``write_f32``; this adapter serves those from the tile's image row while
-    mirroring the access counters onto the real TCDM, so a batched group
-    that falls back per tile accounts exactly like the unbatched path.
+    ``write_f32``; this adapter serves those from the tile's column of the
+    word-major stack (word 0 at address ``base``) while mirroring the
+    access counters onto the real TCDM, so a batched group that falls back
+    per tile accounts exactly like the unbatched path.
     """
 
     __slots__ = ("_view", "_base", "_tcdm")
 
-    def __init__(self, view: np.ndarray, tcdm) -> None:
+    def __init__(self, view: np.ndarray, base: int, tcdm) -> None:
         self._view = view
-        self._base = tcdm.base
+        self._base = base
         self._tcdm = tcdm
 
     def read_f32(self, address: int) -> float:
@@ -233,6 +252,23 @@ class _ImageTcdm:
         self._view[(address - self._base) >> 2] = np.float32(value)
 
 
+def _touched_words(
+    jobs_per_ntx: List[List[_CommandPlan]], base: int, words: int
+) -> Tuple[int, int]:
+    """The ``[lo, hi)`` word span of a ``words``-word image at ``base``
+    that covers every in-image address of every command."""
+    lo, hi = words, 0
+    for plans in jobs_per_ntx:
+        for plan in plans:
+            streams = plan.streams
+            for addresses in (streams.read0, streams.read1,
+                              streams.init_read_addrs, streams.store_addrs):
+                if addresses is not None and len(addresses):
+                    lo = min(lo, max(0, (int(addresses.min()) - base) >> 2))
+                    hi = max(hi, min(words, ((int(addresses.max()) - base) >> 2) + 1))
+    return (lo, hi) if lo < hi else (0, 0)
+
+
 def run_data_plane_batched(
     simulator, jobs: Sequence[Tuple[int, NtxCommand]], images: np.ndarray
 ) -> None:
@@ -240,12 +276,14 @@ def run_data_plane_batched(
 
     ``images`` holds one float32 word-view row per tile of a batch group
     (see :mod:`repro.system.batch`); every tile executes the same ``jobs``
-    in the same order, so each command becomes one stacked NumPy dispatch
-    (:func:`repro.core.vecops.execute_streams_batched`) instead of one
-    dispatch per tile.  Commands that need the exact per-op path (RAW
-    hazards, NaN comparator inputs) fall back tile by tile through
-    :class:`_ImageTcdm`, preserving bit-exactness without abandoning the
-    rest of the group.
+    in the same order.  The word span the commands touch is transposed into
+    a word-major ``(words, tiles)`` stack, so each command becomes one
+    stacked dispatch (:func:`repro.core.vecops.execute_streams_batched`)
+    over contiguous rows of ``tiles`` floats, and the span is transposed
+    back into ``images`` at the end.  Commands that need the exact per-op
+    path (RAW hazards, NaN comparator inputs) fall back tile by tile
+    through :class:`_ImageTcdm` on the tile's column of the stack,
+    preserving bit-exactness without abandoning the rest of the group.
 
     Statistics are accounted wholesale — each command's counters multiplied
     by the stack height — onto ``simulator.cluster``.  Aggregate system
@@ -255,46 +293,29 @@ def run_data_plane_batched(
     """
     cluster = simulator.cluster
     tcdm = cluster.tcdm
-    num_ntx = cluster.config.num_ntx
     num_tiles = images.shape[0]
-    jobs_per_ntx: List[List[_CommandPlan]] = [[] for _ in range(num_ntx)]
-    for ntx_id, command in jobs:
-        if not 0 <= ntx_id < num_ntx:
-            raise ValueError(f"NTX index {ntx_id} out of range")
-        jobs_per_ntx[ntx_id].append(_CommandPlan(command, tcdm, with_banks=False))
-    base = tcdm.base
-    for ntx_id, plans in enumerate(jobs_per_ntx):
-        ntx = cluster.ntx[ntx_id]
+    jobs_per_ntx = _plans_per_ntx(cluster, jobs, with_banks=False)
+    lo, hi = _touched_words(jobs_per_ntx, tcdm.base, images.shape[1])
+    # Image rows are a power of two bytes apart, so a wide strided copy
+    # thrashes the cache; transposing 32 tiles at a time does not.
+    stack = np.empty((hi - lo, num_tiles), dtype=images.dtype)
+    for first in range(0, num_tiles, _TRANSPOSE_TILES):
+        last = first + _TRANSPOSE_TILES
+        stack[:, first:last] = images[first:last, lo:hi].T
+    base = tcdm.base + lo * _WORD
+    for ntx, plans in zip(cluster.ntx, jobs_per_ntx):
         for plan in plans:
             command = plan.command
-            fast_path = execute_streams_batched(command, plan.streams, images, base)
+            fast_path = execute_streams_batched(command, plan.streams, stack, base)
             if fast_path:
                 _account_accesses(tcdm, plan.streams, count=num_tiles)
             else:
                 for tile in range(num_tiles):
                     execute_functional(
-                        ntx, command, _ImageTcdm(images[tile], tcdm)
+                        ntx, command, _ImageTcdm(stack[:, tile], base, tcdm)
                     )
-            stats = ntx.stats
-            stats.commands += num_tiles
-            stats.iterations += plan.total * num_tiles
-            stats.flops += command.flops * num_tiles
-            stats.tcdm_reads += plan.streams.num_reads * num_tiles
-            stats.tcdm_writes += plan.num_stores * num_tiles
-            stats.ideal_cycles += (
-                cluster.config.ntx.ideal_cycles(command) * num_tiles
-            )
-            if fast_path:
-                fpu_stats = ntx.fpu.stats
-                fpu_stats.issues += plan.total * num_tiles
-                fpu_stats.writebacks += plan.num_stores * num_tiles
-                if command.opcode is NtxOpcode.MAC:
-                    fpu_stats.macs += plan.total * num_tiles
-                elif command.opcode in (
-                    NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX,
-                    NtxOpcode.ARGMIN, NtxOpcode.RELU, NtxOpcode.THRESHOLD,
-                ):
-                    fpu_stats.comparisons += plan.total * num_tiles
+            _account_command(cluster, ntx, plan, fast_path, count=num_tiles)
+    images[:, lo:hi] = stack.T
 
 
 def _reference_loop(
@@ -525,12 +546,7 @@ def run_vectorized(
     tcdm = cluster.tcdm
     interconnect = simulator.interconnect
 
-    jobs_per_ntx: List[List[_CommandPlan]] = [[] for _ in range(num_ntx)]
-    for ntx_id, command in jobs:
-        if not 0 <= ntx_id < num_ntx:
-            raise ValueError(f"NTX index {ntx_id} out of range")
-        jobs_per_ntx[ntx_id].append(_CommandPlan(command, tcdm))
-
+    jobs_per_ntx = _plans_per_ntx(cluster, jobs)
     start_flops = [n.stats.flops for n in cluster.ntx]
     start_iterations = [n.stats.iterations for n in cluster.ntx]
     _run_data_plane(cluster, jobs_per_ntx)

@@ -12,13 +12,17 @@ hoisted out of the cycle loop entirely:
   the product of the inner loop counts — so the wrap level of every cycle,
   and from it every AGU address, falls out of a handful of vector
   operations.
-* :func:`execute_streams` replays the command's data effects (reads, FPU
-  issues, write-backs) as array gathers, segmented reductions and scatters.
-  Commands whose address pattern could make a read observe an *earlier*
-  store of the same command (a read-after-write hazard inside one command)
-  are detected and executed through the exact per-op path instead; every
-  such fallback is counted in ``repro_dataplane_fallbacks_total{reason}``
-  (``outside_tcdm``, ``raw_hazard``, ``nan_compare``).  On the
+* :func:`execute_streams_batched` replays the command's data effects
+  (reads, FPU issues, write-backs) as array gathers, segmented reductions
+  and scatters over a word-major ``(words, tiles)`` stack of TCDM images —
+  the tile axis innermost, so every gather copies and every reduction step
+  adds whole contiguous rows.  :func:`execute_streams` is the same kernel
+  on the live TCDM viewed as a stack of one.  Commands whose address
+  pattern could make a read observe an *earlier* store of the same command
+  (a read-after-write hazard inside one command) are detected and executed
+  through the exact per-op path instead; every such fallback is counted in
+  ``repro_dataplane_fallbacks_total{reason}`` (``outside_tcdm``,
+  ``raw_hazard``, ``nan_compare``).  On the
   fast path every opcode except MAC is bit-exact by construction; MAC
   accumulates exact float64 products with per-step float64 rounding where
   the hardware's partial-carry-save register rounds only once at
@@ -32,7 +36,7 @@ vectorized timing engine (:mod:`repro.cluster.vecsim`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -211,141 +215,35 @@ def _raw_hazard(streams: CommandStreams) -> bool:
     )
 
 
-def _in_tcdm(tcdm, addresses: Optional[np.ndarray]) -> bool:
+def _in_span(base: int, words: int, addresses: Optional[np.ndarray]) -> bool:
+    """Whether every address is a word-aligned word of the ``words``-word
+    span starting at ``base``."""
     if addresses is None or len(addresses) == 0:
         return True
-    base, size = tcdm.base, tcdm.size
     return bool(
-        np.all((addresses >= base) & (addresses + _WORD <= base + size))
-        and np.all((addresses - base) % _WORD == 0)
+        addresses.min() >= base
+        and addresses.max() + _WORD <= base + words * _WORD
+        and not np.any((addresses - base) & (_WORD - 1))
     )
 
 
 def execute_streams(command: NtxCommand, streams: CommandStreams, tcdm) -> bool:
     """Replay ``command``'s data effects against ``tcdm`` with array ops.
 
-    Returns ``False`` when the command needs the exact per-op path (RAW
-    hazard inside the command, addresses outside the TCDM, unaligned
-    streams, or NaN inputs to a comparator reduction); the caller then
-    falls back to the functional executor.  Returns ``True`` on success,
-    with every store applied and the TCDM access counters updated.
+    The TCDM's float32 word view is a word-major stack of one tile, so this
+    is :func:`execute_streams_batched` on that view plus the access
+    counters.  Returns ``False`` when the command needs the exact per-op
+    path (see there); the caller then falls back to the functional
+    executor.  Returns ``True`` on success, with every store applied and
+    the TCDM access counters updated.
     """
-    for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
-                      streams.store_addrs):
-        if not _in_tcdm(tcdm, addresses):
-            return _fall_back("outside_tcdm")
-    if _raw_hazard(streams):
-        return _fall_back("raw_hazard")
-    # A float32 word view of the TCDM backing store; a backing that is not
-    # a writable buffer raises here instead of degrading to the per-op path.
+    # A backing that is not a writable buffer raises here instead of
+    # degrading to the per-op path.
     view = np.frombuffer(tcdm.memory.data, dtype="<f4")
-
-    base = tcdm.base
-    a = view[(streams.read0 - base) >> 2] if streams.read0 is not None else None
-    b = view[(streams.read1 - base) >> 2] if streams.read1 is not None else None
-    init_values = (
-        view[(streams.init_read_addrs - base) >> 2].astype(np.float64)
-        if streams.init_read_addrs is not None
-        else None
-    )
-
-    opcode = command.opcode
-    if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
-        if a is not None and np.any(np.isnan(a)):
-            return _fall_back("nan_compare")
-
-    values = _compute_stores(command, streams, a, b, init_values)
-    if len(streams.store_addrs):
-        # Duplicate store addresses resolve in program order (store_ts is
-        # ascending and NumPy fancy assignment applies left to right).
-        view[(streams.store_addrs - base) >> 2] = values
-
+    if not execute_streams_batched(command, streams, view[:, None], tcdm.base):
+        return False
     _account_accesses(tcdm, streams)
     return True
-
-
-def _blocks(streams: CommandStreams, data: np.ndarray) -> np.ndarray:
-    """Reshape a per-iteration array into (init blocks, block length)."""
-    return data.reshape(-1, streams.period_init)
-
-
-def _store_columns(streams: CommandStreams) -> np.ndarray:
-    """Store positions within one init block (end of every store block)."""
-    per_block = streams.period_init // streams.period_store
-    return np.arange(1, per_block + 1, dtype=np.int64) * streams.period_store - 1
-
-
-def _compute_stores(
-    command: NtxCommand,
-    streams: CommandStreams,
-    a: Optional[np.ndarray],
-    b: Optional[np.ndarray],
-    init_values: Optional[np.ndarray],
-) -> np.ndarray:
-    """The binary32 value of every write-back, in store order."""
-    if not len(streams.store_ts):
-        return np.empty(0, dtype=np.float32)
-    opcode = command.opcode
-    scalar = np.float32(command.scalar)
-    columns = _store_columns(streams)
-
-    if opcode is NtxOpcode.MAC:
-        # Exact 24x24 bit products fit a float64 significand, so only the
-        # running sum differs from the partial-carry-save accumulator — by
-        # at most one float64 rounding per added product.
-        products = _blocks(streams, a.astype(np.float64) * b.astype(np.float64))
-        running = np.cumsum(products, axis=1)
-        if init_values is not None:
-            running = running + init_values.astype(np.float32)[:, None].astype(np.float64)
-        return running[:, columns].reshape(-1).astype(np.float32)
-
-    if opcode in (NtxOpcode.MUL, NtxOpcode.ADD, NtxOpcode.SUB, NtxOpcode.MASK,
-                  NtxOpcode.RELU, NtxOpcode.THRESHOLD, NtxOpcode.COPY,
-                  NtxOpcode.FILL):
-        zero = np.float32(0.0)
-        if opcode is NtxOpcode.MUL:
-            element = a * b
-        elif opcode is NtxOpcode.ADD:
-            element = a + b
-        elif opcode is NtxOpcode.SUB:
-            element = a - b
-        elif opcode is NtxOpcode.MASK:
-            element = np.where(b != zero, a, zero)
-        elif opcode is NtxOpcode.RELU:
-            element = np.where(a > zero, a, zero)
-        elif opcode is NtxOpcode.THRESHOLD:
-            element = np.where(a > scalar, np.float32(1.0), zero)
-        elif opcode is NtxOpcode.COPY:
-            element = a
-        else:  # FILL
-            element = np.full(streams.total, scalar, dtype=np.float32)
-        return _blocks(streams, element.astype(np.float32))[:, columns].reshape(-1)
-
-    if opcode in (NtxOpcode.MAX, NtxOpcode.MIN):
-        blocks = _blocks(streams, a)
-        accumulate = np.maximum if opcode is NtxOpcode.MAX else np.minimum
-        running = accumulate.accumulate(blocks, axis=1)
-        if init_values is not None:
-            running = accumulate(running, init_values.astype(np.float32)[:, None])
-        return running[:, columns].reshape(-1).astype(np.float32)
-
-    if opcode in (NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
-        blocks = _blocks(streams, a)
-        signed = blocks if opcode is NtxOpcode.ARGMAX else -blocks
-        # The comparator starts without an extremum (an AGU2 init value only
-        # seeds MAX/MIN, not the index search), so the first element of a
-        # block always becomes the initial best.
-        seed = np.full((blocks.shape[0], 1), -np.inf, dtype=signed.dtype)
-        # Strictly-greater-than-all-previous elements become the new best;
-        # ties keep the earliest index.
-        prefix = np.maximum.accumulate(np.concatenate([seed, signed], axis=1), axis=1)
-        is_new = signed > prefix[:, :-1]
-        indices = np.arange(blocks.shape[1], dtype=np.int64)[None, :]
-        best = np.maximum.accumulate(np.where(is_new, indices, -1), axis=1)
-        best = np.maximum(best, 0)
-        return best[:, columns].reshape(-1).astype(np.float32)
-
-    raise ValueError(f"unhandled opcode {opcode!r}")  # pragma: no cover
 
 
 def _account_accesses(tcdm, streams: CommandStreams, count: int = 1) -> None:
@@ -368,111 +266,146 @@ def _account_accesses(tcdm, streams: CommandStreams, count: int = 1) -> None:
     tcdm.memory.writes += streams.num_stores * count
 
 
-# --------------------------------------------------------------------------- #
-# Batched (tile-axis) functional execution                                    #
-# --------------------------------------------------------------------------- #
-
-
-def _in_image(base: int, words: int, addresses: Optional[np.ndarray]) -> bool:
-    """Whether every address is a word-aligned TCDM-image word."""
-    if addresses is None or len(addresses) == 0:
-        return True
-    size = words * _WORD
-    return bool(
-        np.all((addresses >= base) & (addresses + _WORD <= base + size))
-        and np.all((addresses - base) % _WORD == 0)
-    )
-
-
 def execute_streams_batched(
-    command: NtxCommand, streams: CommandStreams, images: np.ndarray, base: int
+    command: NtxCommand, streams: CommandStreams, stack: np.ndarray, base: int
 ) -> bool:
-    """Replay one command over a stack of private TCDM images at once.
+    """Replay one command over a word-major stack of TCDM images at once.
 
-    ``images`` is a float32 array of shape ``(tiles, tcdm_words)``: one row
-    per tile of a batch group, each row a word-view of that tile's private
-    scratchpad image (``base`` is the TCDM base address the command's
-    streams are relative to).  Every tile of a group executes the *same*
-    command stream over *different* data, so the scalar gathers/compute/
-    scatters of :func:`execute_streams` lift directly to one extra leading
-    axis — one NumPy dispatch instead of one per tile.
+    ``stack`` is a float32 array of shape ``(words, tiles)``: row ``w``
+    holds word ``w`` — at byte address ``base + 4 * w`` — of every tile's
+    private scratchpad image.  Every tile executes the *same* command
+    stream over *different* data, so each gather copies whole contiguous
+    rows of ``tiles`` floats, each reduction step adds whole rows, and each
+    scatter writes whole rows: one NumPy dispatch per step for the whole
+    stack.  A stack of one tile (``view[:, None]``) is the inline path.
 
-    Returns ``False`` when the command needs the exact per-op path (same
-    conditions as :func:`execute_streams`: RAW hazard, addresses off the
-    image, or a NaN input to a comparator reduction anywhere in the stack);
-    the caller then falls back to per-tile functional execution.  No access
-    counters are touched here — the caller accounts them wholesale.
+    Returns ``False`` when the command needs the exact per-op path: a RAW
+    hazard inside the command, addresses off the stack or unaligned, or a
+    NaN input to a comparator reduction anywhere in the stack.  Each
+    refusal is counted by reason.  No access counters are touched here.
     """
-    words = images.shape[1]
+    words, tiles = stack.shape
     for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
                       streams.store_addrs):
-        if not _in_image(base, words, addresses):
+        if not _in_span(base, words, addresses):
             return _fall_back("outside_tcdm")
     if _raw_hazard(streams):
         return _fall_back("raw_hazard")
 
-    a = images[:, (streams.read0 - base) >> 2] if streams.read0 is not None else None
-    b = images[:, (streams.read1 - base) >> 2] if streams.read1 is not None else None
-    init_values = (
-        images[:, (streams.init_read_addrs - base) >> 2].astype(np.float64)
-        if streams.init_read_addrs is not None
-        else None
-    )
+    def gather(addresses: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        return None if addresses is None else stack[(addresses - base) >> 2]
+
+    a = gather(streams.read0)
+    b = gather(streams.read1)
+    init_values = gather(streams.init_read_addrs)
 
     opcode = command.opcode
     if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
         if a is not None and np.any(np.isnan(a)):
             return _fall_back("nan_compare")
 
-    values = _compute_stores_batched(command, streams, a, b, init_values)
+    values = _store_values(command, streams, a, b, init_values, tiles)
     if len(streams.store_addrs):
-        # Duplicate store addresses resolve left to right per tile, exactly
-        # like the unbatched scatter (store_ts is ascending).
-        images[:, (streams.store_addrs - base) >> 2] = values
+        # Duplicate store addresses resolve in program order (store_ts is
+        # ascending and NumPy fancy assignment applies rows left to right).
+        stack[(streams.store_addrs - base) >> 2] = values
     return True
 
 
-def _blocks_batched(streams: CommandStreams, data: np.ndarray) -> np.ndarray:
-    """Reshape a (tiles, iterations) array into (tiles, blocks, block len)."""
-    return data.reshape(data.shape[0], -1, streams.period_init)
+def _store_columns(streams: CommandStreams) -> np.ndarray:
+    """Store positions within one init block (end of every store block)."""
+    per_block = streams.period_init // streams.period_store
+    return np.arange(1, per_block + 1, dtype=np.int64) * streams.period_store - 1
 
 
-def _compute_stores_batched(
+#: Below this many ``blocks x tiles`` lanes a block-axis walk pays more in
+#: per-step dispatch than it saves over ``accumulate`` (measured crossover
+#: in ``docs/performance.md``, "Stacked replay: measured").
+_WALK_MIN_LANES = 2048
+
+
+def _running(
+    step: np.ufunc,
+    term: Callable[[object], np.ndarray],
+    shape: Tuple[int, int, int],
+    columns: np.ndarray,
+) -> np.ndarray:
+    """The running ``step`` reduction of a ``(blocks, period, tiles)``
+    operand along its block axis, at the store ``columns`` only:
+    ``(blocks, len(columns), tiles)``.
+
+    ``term(j)`` is the operand's ``(blocks, tiles)`` slice at block
+    position ``j``, or the whole operand for ``j = slice(None)``.  Narrow
+    inputs run ``step.accumulate`` over the whole operand; wide ones walk
+    the block axis one vector step at a time, ``running = step(running,
+    term(j))`` over ``blocks x tiles`` lanes, without materialising the
+    operand.  Both apply ``step`` in the same left-to-right order, so they
+    are bit-identical; the shape alone picks the faster one.
+    """
+    num_blocks, period, tiles = shape
+    if num_blocks * tiles < _WALK_MIN_LANES:
+        return step.accumulate(term(slice(None)), axis=1)[:, columns]
+    running = np.array(term(0))
+    out = np.empty((num_blocks, len(columns), tiles), dtype=running.dtype)
+    column = 0
+    for j in range(period):
+        if j:
+            step(running, term(j), out=running)
+        if j == columns[column]:
+            out[:, column] = running
+            column += 1
+    return out
+
+
+def _store_values(
     command: NtxCommand,
     streams: CommandStreams,
     a: Optional[np.ndarray],
     b: Optional[np.ndarray],
     init_values: Optional[np.ndarray],
+    tiles: int,
 ) -> np.ndarray:
-    """Tile-axis variant of :func:`_compute_stores`: (tiles, stores) values.
+    """The binary32 value of every write-back, ``(stores, tiles)`` in store
+    order, from ``(iterations, tiles)`` operands and ``(inits, tiles)``
+    init values.
 
-    Every formula is the unbatched one with a leading tile axis; reductions
-    run along the innermost (block) axis, so per-tile results are bit-for-bit
-    the rows :func:`_compute_stores` would produce one tile at a time.
+    Per-iteration data is viewed as ``(blocks, period_init, tiles)``; every
+    reduction runs along the block axis, so each tile's column is
+    bit-for-bit what that tile alone would produce.
     """
-    num_tiles = a.shape[0] if a is not None else (
-        init_values.shape[0] if init_values is not None else 1
-    )
-    if not len(streams.store_ts):
-        return np.empty((num_tiles, 0), dtype=np.float32)
+    num_stores = len(streams.store_ts)
+    if not num_stores:
+        return np.empty((0, tiles), dtype=np.float32)
     opcode = command.opcode
     scalar = np.float32(command.scalar)
     columns = _store_columns(streams)
 
+    def blocks(data: np.ndarray) -> np.ndarray:
+        return data.reshape(-1, streams.period_init, tiles)
+
+    def stores(data: np.ndarray) -> np.ndarray:
+        return data.reshape(num_stores, tiles)
+
     if opcode is NtxOpcode.MAC:
-        products = _blocks_batched(
-            streams, a.astype(np.float64) * b.astype(np.float64)
+        # Exact 24x24 bit products fit a float64 significand, so only the
+        # running sum differs from the partial-carry-save accumulator — by
+        # at most one float64 rounding per added product.
+        a, b = blocks(a), blocks(b)
+        running = _running(
+            np.add,
+            lambda j: np.multiply(a[:, j], b[:, j], dtype=np.float64),
+            a.shape,
+            columns,
         )
-        running = np.cumsum(products, axis=2)
         if init_values is not None:
-            running = running + init_values.astype(np.float32)[
-                :, :, None
-            ].astype(np.float64)
-        return running[:, :, columns].reshape(num_tiles, -1).astype(np.float32)
+            running += init_values.astype(np.float64)[:, None, :]
+        return stores(running).astype(np.float32)
+
+    if opcode is NtxOpcode.FILL:
+        return np.full((num_stores, tiles), scalar, dtype=np.float32)
 
     if opcode in (NtxOpcode.MUL, NtxOpcode.ADD, NtxOpcode.SUB, NtxOpcode.MASK,
-                  NtxOpcode.RELU, NtxOpcode.THRESHOLD, NtxOpcode.COPY,
-                  NtxOpcode.FILL):
+                  NtxOpcode.RELU, NtxOpcode.THRESHOLD, NtxOpcode.COPY):
         zero = np.float32(0.0)
         if opcode is NtxOpcode.MUL:
             element = a * b
@@ -486,37 +419,32 @@ def _compute_stores_batched(
             element = np.where(a > zero, a, zero)
         elif opcode is NtxOpcode.THRESHOLD:
             element = np.where(a > scalar, np.float32(1.0), zero)
-        elif opcode is NtxOpcode.COPY:
+        else:  # COPY
             element = a
-        else:  # FILL
-            element = np.full((num_tiles, streams.total), scalar, dtype=np.float32)
-        blocks = _blocks_batched(streams, element.astype(np.float32))
-        return blocks[:, :, columns].reshape(num_tiles, -1)
+        return stores(blocks(element)[:, columns])
 
     if opcode in (NtxOpcode.MAX, NtxOpcode.MIN):
-        blocks = _blocks_batched(streams, a)
-        accumulate = np.maximum if opcode is NtxOpcode.MAX else np.minimum
-        running = accumulate.accumulate(blocks, axis=2)
+        step = np.maximum if opcode is NtxOpcode.MAX else np.minimum
+        a = blocks(a)
+        running = _running(step, lambda j: a[:, j], a.shape, columns)
         if init_values is not None:
-            running = accumulate(
-                running, init_values.astype(np.float32)[:, :, None]
-            )
-        return running[:, :, columns].reshape(num_tiles, -1).astype(np.float32)
+            step(running, init_values[:, None, :], out=running)
+        return stores(running)
 
     if opcode in (NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
-        blocks = _blocks_batched(streams, a)
-        signed = blocks if opcode is NtxOpcode.ARGMAX else -blocks
-        seed = np.full(
-            (signed.shape[0], signed.shape[1], 1), -np.inf, dtype=signed.dtype
-        )
-        prefix = np.maximum.accumulate(
-            np.concatenate([seed, signed], axis=2), axis=2
-        )
-        is_new = signed > prefix[:, :, :-1]
-        indices = np.arange(signed.shape[2], dtype=np.int64)[None, None, :]
-        best = np.maximum.accumulate(np.where(is_new, indices, -1), axis=2)
-        best = np.maximum(best, 0)
-        return best[:, :, columns].reshape(num_tiles, -1).astype(np.float32)
+        signed = blocks(a) if opcode is NtxOpcode.ARGMAX else -blocks(a)
+        # The comparator starts without an extremum (an AGU2 init value only
+        # seeds MAX/MIN, not the index search), so the first element of a
+        # block always becomes the initial best.
+        seed = np.full((signed.shape[0], 1, tiles), -np.inf, dtype=signed.dtype)
+        # Strictly-greater-than-all-previous elements become the new best;
+        # ties keep the earliest index.
+        prefix = np.maximum.accumulate(np.concatenate([seed, signed], axis=1), axis=1)
+        is_new = signed > prefix[:, :-1]
+        indices = np.arange(signed.shape[1], dtype=np.int64)[None, :, None]
+        best = np.maximum.accumulate(np.where(is_new, indices, -1), axis=1)
+        best = np.maximum(best[:, columns], 0)
+        return stores(best).astype(np.float32)
 
     raise ValueError(f"unhandled opcode {opcode!r}")  # pragma: no cover
 

@@ -27,7 +27,11 @@ the self-containment gate below:
    replays the shared command stream over the whole stack at once
    (:meth:`~repro.cluster.engine.Engine.run_data_plane_batched`), and the
    outputs scatter back to each member's HMC region; a group of one tile
-   runs the ordinary inline hit path;
+   runs the ordinary inline hit path.  The vectorized engine computes in
+   the transposed, word-major layout: it copies the word span the commands
+   touch into a ``(words, tiles)`` stack, so each gather and reduction
+   step moves contiguous rows of ``tiles`` floats, and copies the span
+   back before the scatter;
 3. cache misses still run inline in walk order, so hit/miss accounting
    and cached timings are identical to a walk that defers nothing.
 

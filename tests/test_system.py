@@ -215,6 +215,48 @@ class TestSystemSimulator:
         assert per_tile_vectorized == per_tile_scalar
 
 
+def _verified_runs():
+    """A verified 4-tile conv run as a ``ConvWorkload`` and as a
+    ``ScenarioWorkload``: ``[(workload, hmc), ...]``."""
+    from repro.scenarios import run_scenario
+
+    simulator, workload, _, _ = _run_system(
+        SystemConfig(num_vaults=1, clusters_per_vault=1), num_tiles=4
+    )
+    outcome = run_scenario(
+        "conv-tiled", num_tiles=4, num_vaults=1, clusters_per_vault=1
+    )
+    return [(workload, simulator.hmc), (outcome.workload, outcome.simulator.hmc)]
+
+
+class TestVerify:
+    """``verify`` skips the tolerance check for outputs equal to their
+    reference; every pass/fail decision stays that of the full check."""
+
+    @pytest.mark.parametrize("tile", [0, 1, 3])
+    @pytest.mark.parametrize("value", ["plus-one", "nan"])
+    def test_one_corrupted_word_in_any_tile_fails(self, tile, value):
+        for workload, hmc in _verified_runs():
+            workload.verify(hmc)
+            address, expected = workload.references[tile]
+            produced = hmc.memory.load_array(address, expected.shape)
+            corrupted = produced.copy().ravel()
+            word = (7 * tile + 5) % corrupted.size
+            corrupted[word] = np.nan if value == "nan" else corrupted[word] + 1
+            hmc.memory.store_array(address, corrupted.reshape(expected.shape))
+            with pytest.raises(AssertionError):
+                workload.verify(hmc)
+            hmc.memory.store_array(address, produced)
+            workload.verify(hmc)
+
+    def test_within_tolerance_difference_still_passes(self):
+        for workload, hmc in _verified_runs():
+            address, expected = workload.references[2]
+            nudged = np.nextafter(expected, np.float32(np.inf))
+            hmc.memory.store_array(address, nudged)
+            workload.verify(hmc)
+
+
 class TestScenarioEngineParity:
     """Satellite: the golden-parity guarantee extended to every registered
     scenario family — scalar and vectorized engines must leave *bit-identical*

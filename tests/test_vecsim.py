@@ -381,9 +381,9 @@ class TestFallbackCounter:
         by_reason = _fallbacks()
         cluster = Cluster()
         command = self._shift_copy(cluster)
-        images = np.zeros((3, cluster.tcdm.size // 4), dtype=np.float32)
+        stack = np.zeros((cluster.tcdm.size // 4, 3), dtype=np.float32)
         assert not execute_streams_batched(
-            command, command_streams(command), images, cluster.tcdm.base
+            command, command_streams(command), stack, cluster.tcdm.base
         )
         assert by_reason() == {"raw_hazard": 1.0}
 
