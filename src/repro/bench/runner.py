@@ -387,7 +387,9 @@ def _obs_suite(quick: bool) -> List[Dict]:
 
     Both variants run the identical workload (fresh simulator and timing
     cache per run, best-of-N wall time), so the ratio isolates the cost
-    of enabled counters and spans.  The simulated cycles must not move
+    of enabled counters and spans.  The runs alternate disabled/enabled,
+    so a burst of host load skews both variants alike rather than one
+    block of runs.  The simulated cycles must not move
     at all — instrumentation that changes results is a defect, not an
     overhead.  Only the ratio is emitted: the disabled run is the
     workload ``system-batched`` already gates.
@@ -397,13 +399,14 @@ def _obs_suite(quick: bool) -> List[Dict]:
 
     repeats = 3
     was_metered, was_tracing = REGISTRY.enabled, TRACER.enabled
+    off: List = []
+    on: List = []
     try:
-        REGISTRY.set_enabled(False)
-        TRACER.set_enabled(False)
-        off = [_run_system_variant(quick, memoize=True) for _ in range(repeats)]
-        REGISTRY.set_enabled(True)
-        TRACER.set_enabled(True)
-        on = [_run_system_variant(quick, memoize=True) for _ in range(repeats)]
+        for _ in range(repeats):
+            for enabled, runs in ((False, off), (True, on)):
+                REGISTRY.set_enabled(enabled)
+                TRACER.set_enabled(enabled)
+                runs.append(_run_system_variant(quick, memoize=True))
     finally:
         REGISTRY.set_enabled(was_metered)
         TRACER.set_enabled(was_tracing)

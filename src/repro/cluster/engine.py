@@ -174,7 +174,8 @@ class ScalarEngine(_EngineBase):
         )
 
     def run_data_plane(self, simulator, jobs) -> None:
-        # Replay through the exact per-op soft-float executor so memoized
+        # Replay in the array kernel's certified-exact mode (per-op
+        # soft-float executor for what it cannot certify), so memoized
         # scalar runs stay bit-identical to uncached scalar runs.
         from repro.cluster.vecsim import run_data_plane
 

@@ -148,7 +148,8 @@ class ClusterSimulator:
         This is the timing-cache *hit* path: the TCDM ends up bit-identical
         to a full :meth:`run` of the same engine, while the (already cached)
         timing is not recomputed.  The scalar engine replays through the
-        exact per-op soft-float executor; the vectorized engine uses its
-        usual array fast path.
+        array kernel's certified-exact mode, bit-identical to its per-op
+        soft-float executor (which runs whatever the kernel cannot
+        certify); the vectorized engine uses its usual array fast path.
         """
         self._engine.run_data_plane(self, jobs)

@@ -17,8 +17,8 @@ phases so the per-cycle loop touches almost nothing:
    (:func:`run_data_plane_batched`) a stack of many.  Commands with
    intra-command read-after-write hazards fall back
    to the exact per-op executor; on the fast path only MAC can differ from
-   the soft-float reference, by at most a final-ulp rounding (see
-   :mod:`repro.core.vecops`).
+   the soft-float reference, by at most a final-ulp rounding, unless the
+   kernel runs in its certified-exact mode (see :mod:`repro.core.vecops`).
 3. **Timing core**: a lean per-cycle loop that models exactly the same
    machine as the scalar engine — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
@@ -52,11 +52,13 @@ from repro.cluster.timing_core import TimingCounters, TimingParams
 from repro.core.commands import NtxCommand, NtxOpcode
 from repro.core.vecops import (
     _account_accesses,
+    _fall_back,
     command_streams,
     execute_functional,
     execute_streams,
     execute_streams_batched,
 )
+from repro.softfloat.pcs import PcsConfig
 
 _WORD = 4
 #: Tiles per slab when transposing image rows into a word-major stack.
@@ -192,17 +194,24 @@ def _run_data_plane(
 ) -> None:
     """Apply every command's data effects in issue order.
 
-    With ``exact=True`` every command goes through the per-op soft-float
-    executor instead of the array fast path; this is what the timing-cache
-    hit path uses when the *scalar* engine is memoized, so that cached runs
-    stay bit-identical to uncached scalar runs.
+    With ``exact=True`` — the timing-cache hit path of the *scalar* engine
+    — the array kernel runs in its certified-exact mode, whose stores are
+    bit-identical to the per-op soft-float executor; every command it
+    cannot certify (and every MAC of an NTX whose accumulator geometry is
+    not the default, which may truncate) runs through that executor, so
+    cached scalar runs stay bit-identical to uncached ones.
     """
     tcdm = cluster.tcdm
     for ntx, plans in zip(cluster.ntx, jobs_per_ntx):
+        default_pcs = ntx.config.pcs == PcsConfig()
         for plan in plans:
-            fast_path = not exact and execute_streams(plan.command, plan.streams, tcdm)
+            command = plan.command
+            if exact and command.opcode is NtxOpcode.MAC and not default_pcs:
+                fast_path = _fall_back("pcs_config")
+            else:
+                fast_path = execute_streams(command, plan.streams, tcdm, exact)
             if not fast_path:
-                execute_functional(ntx, plan.command, tcdm)
+                execute_functional(ntx, command, tcdm)
             _account_command(cluster, ntx, plan, fast_path)
 
 

@@ -21,13 +21,34 @@ hoisted out of the cycle loop entirely:
   pattern could make a read observe an *earlier* store of the same command
   (a read-after-write hazard inside one command) are detected and executed
   through the exact per-op path instead; every such fallback is counted in
-  ``repro_dataplane_fallbacks_total{reason}`` (``outside_tcdm``,
-  ``raw_hazard``, ``nan_compare``).  On the
-  fast path every opcode except MAC is bit-exact by construction; MAC
-  accumulates exact float64 products with per-step float64 rounding where
-  the hardware's partial-carry-save register rounds only once at
-  write-back, so a partial sum may differ from the scalar engine by a
-  final-ulp rounding (bounded by the parity tests at ``rtol=1e-6``).
+  ``repro_dataplane_fallbacks_total{reason}``.
+
+The kernel has two modes:
+
+* ``exact=False`` (the vectorized engine).  MAC keeps a per-step float64
+  running sum of exact float64 products where the partial-carry-save
+  register adds them exactly and rounds once at write-back, so a partial
+  sum may differ from the scalar engine by a final-ulp rounding (bounded
+  by the parity tests at ``rtol=1e-6``).  The other opcodes match the
+  soft-float FPU except in the sign of a zero that MAX/MIN pick among
+  ``±0`` ties, and in which NaN payload COPY/MASK/MAX/MIN pass on.
+* ``exact=True`` (the scalar engine's timing-cache hits) checks every
+  addition of that running sum, and of the AGU2 init value, with a Knuth
+  TwoSum residual.  When every residual is zero and the sums are finite,
+  the float64 sum *is* the exact accumulator content, and its single
+  float32 conversion is the accumulator's round-to-nearest-even write-back
+  — bit-identical to :class:`~repro.softfloat.pcs.PcsAccumulator`.  Any
+  other MAC, and any COPY/MASK/MAX/MIN whose operands hit the cases
+  above, takes the per-op path, so every store is bit-identical.
+
+Fallback reasons: ``outside_tcdm`` (an address off the stack or
+unaligned), ``raw_hazard``, ``nan_compare`` (a NaN input to a comparator
+reduction), and in exact mode only ``inexact_mac`` (a MAC sum the
+certificate cannot vouch for), ``nan_operand`` (a NaN that COPY/MASK
+would move, or MAX/MIN seed with, unlike the per-op FPU), ``signed_zero``
+(a ``-0.0`` input to MAX/MIN, whose ``±0`` ties NumPy breaks differently)
+and ``pcs_config`` (a MAC on an NTX with a non-default accumulator
+geometry, which may truncate; counted by :mod:`repro.cluster.vecsim`).
 
 The arrays produced here drive both the vectorized data plane and the
 vectorized timing engine (:mod:`repro.cluster.vecsim`).
@@ -227,7 +248,9 @@ def _in_span(base: int, words: int, addresses: Optional[np.ndarray]) -> bool:
     )
 
 
-def execute_streams(command: NtxCommand, streams: CommandStreams, tcdm) -> bool:
+def execute_streams(
+    command: NtxCommand, streams: CommandStreams, tcdm, exact: bool = False
+) -> bool:
     """Replay ``command``'s data effects against ``tcdm`` with array ops.
 
     The TCDM's float32 word view is a word-major stack of one tile, so this
@@ -240,7 +263,7 @@ def execute_streams(command: NtxCommand, streams: CommandStreams, tcdm) -> bool:
     # A backing that is not a writable buffer raises here instead of
     # degrading to the per-op path.
     view = np.frombuffer(tcdm.memory.data, dtype="<f4")
-    if not execute_streams_batched(command, streams, view[:, None], tcdm.base):
+    if not execute_streams_batched(command, streams, view[:, None], tcdm.base, exact):
         return False
     _account_accesses(tcdm, streams)
     return True
@@ -267,7 +290,11 @@ def _account_accesses(tcdm, streams: CommandStreams, count: int = 1) -> None:
 
 
 def execute_streams_batched(
-    command: NtxCommand, streams: CommandStreams, stack: np.ndarray, base: int
+    command: NtxCommand,
+    streams: CommandStreams,
+    stack: np.ndarray,
+    base: int,
+    exact: bool = False,
 ) -> bool:
     """Replay one command over a word-major stack of TCDM images at once.
 
@@ -281,8 +308,16 @@ def execute_streams_batched(
 
     Returns ``False`` when the command needs the exact per-op path: a RAW
     hazard inside the command, addresses off the stack or unaligned, or a
-    NaN input to a comparator reduction anywhere in the stack.  Each
-    refusal is counted by reason.  No access counters are touched here.
+    NaN input to a comparator reduction anywhere in the stack.  With
+    ``exact=True`` every store must also be bit-identical to the per-op
+    soft-float walk, so the kernel further refuses a MAC whose sum the
+    TwoSum certificate cannot vouch for, a NaN that COPY/MASK would move
+    without the walk's float conversions (which quiet signalling NaNs) or
+    that seeds MAX/MIN, and a ``-0.0`` input to MAX/MIN (NumPy breaks
+    ``±0`` ties differently from the FPU's strict first-wins compare).
+    The certified MAC materialises every float64 product, so it suits
+    the short stacks of inline replay.  Each refusal is counted by reason.
+    No access counters are touched here.
     """
     words, tiles = stack.shape
     for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
@@ -303,13 +338,44 @@ def execute_streams_batched(
     if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
         if a is not None and np.any(np.isnan(a)):
             return _fall_back("nan_compare")
+    if exact:
+        reason = _inexact_operands(opcode, a, init_values)
+        if reason:
+            return _fall_back(reason)
 
-    values = _store_values(command, streams, a, b, init_values, tiles)
+    values = _store_values(command, streams, a, b, init_values, tiles, exact)
+    if values is None:
+        return _fall_back("inexact_mac")
     if len(streams.store_addrs):
         # Duplicate store addresses resolve in program order (store_ts is
         # ascending and NumPy fancy assignment applies rows left to right).
         stack[(streams.store_addrs - base) >> 2] = values
     return True
+
+
+def _inexact_operands(
+    opcode: NtxOpcode, a: Optional[np.ndarray], init_values: Optional[np.ndarray]
+) -> Optional[str]:
+    """Why the array formulas of a non-MAC ``opcode`` may not match the
+    per-op FPU bit for bit on these operands, or ``None``.
+
+    COPY and MASK move ``a`` without the walk's float conversions, which
+    quiet signalling NaNs; MAX/MIN may return a NaN init value with a
+    different payload, and break ``±0`` ties other than the FPU's strict
+    first-wins compare.
+    """
+    if opcode in (NtxOpcode.COPY, NtxOpcode.MASK):
+        moved = a
+    elif opcode in (NtxOpcode.MAX, NtxOpcode.MIN):
+        for data in (a, init_values):
+            if data is not None and np.any(np.signbit(data) & (data == 0)):
+                return "signed_zero"
+        moved = init_values
+    else:
+        return None
+    if moved is not None and np.any(np.isnan(moved)):
+        return "nan_operand"
+    return None
 
 
 def _store_columns(streams: CommandStreams) -> np.ndarray:
@@ -357,6 +423,49 @@ def _running(
     return out
 
 
+def _two_sum_residual(a: np.ndarray, b: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Knuth's TwoSum: the rounding error of ``total = fl(a + b)``.
+
+    Exact for finite operands in round-to-nearest, so a zero residual
+    proves the addition rounded nothing; a non-finite sum yields NaN.
+    """
+    b_part = total - a
+    return (a - (total - b_part)) + (b - b_part)
+
+
+def _certified_mac(
+    a: np.ndarray,
+    b: np.ndarray,
+    init_values: Optional[np.ndarray],
+    columns: np.ndarray,
+) -> Optional[np.ndarray]:
+    """The MAC write-backs of ``(blocks, period, tiles)`` operands,
+    bit-identical to the partial-carry-save accumulator, or ``None`` when
+    some float64 addition of the running sum rounded.
+
+    The 24x24 bit products are exact in float64; if every addition of
+    their running sum (and of the init value) has a zero TwoSum residual,
+    the sums are exact too, and one float32 conversion is the
+    accumulator's single round-to-nearest-even.  ``+ 0.0`` maps an exact
+    zero sum to ``+0``, as the accumulator's fixed-point zero rounds.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        products = np.multiply(a, b, dtype=np.float64)
+        sums = np.add.accumulate(products, axis=1)
+        if np.any(_two_sum_residual(sums[:, :-1], products[:, 1:], sums[:, 1:])):
+            return None
+        running = sums[:, columns]
+        if init_values is not None:
+            init = init_values.astype(np.float64)[:, None, :]
+            seeded = running + init
+            if np.any(_two_sum_residual(running, init, seeded)):
+                return None
+            running = seeded
+        if not np.all(np.isfinite(running)):
+            return None
+        return (running + 0.0).astype(np.float32)
+
+
 def _store_values(
     command: NtxCommand,
     streams: CommandStreams,
@@ -364,10 +473,11 @@ def _store_values(
     b: Optional[np.ndarray],
     init_values: Optional[np.ndarray],
     tiles: int,
-) -> np.ndarray:
+    exact: bool = False,
+) -> Optional[np.ndarray]:
     """The binary32 value of every write-back, ``(stores, tiles)`` in store
     order, from ``(iterations, tiles)`` operands and ``(inits, tiles)``
-    init values.
+    init values; ``None`` when ``exact`` and a MAC sum is not certified.
 
     Per-iteration data is viewed as ``(blocks, period_init, tiles)``; every
     reduction runs along the block axis, so each tile's column is
@@ -387,10 +497,13 @@ def _store_values(
         return data.reshape(num_stores, tiles)
 
     if opcode is NtxOpcode.MAC:
+        a, b = blocks(a), blocks(b)
+        if exact:
+            values = _certified_mac(a, b, init_values, columns)
+            return None if values is None else stores(values)
         # Exact 24x24 bit products fit a float64 significand, so only the
         # running sum differs from the partial-carry-save accumulator — by
         # at most one float64 rounding per added product.
-        a, b = blocks(a), blocks(b)
         running = _running(
             np.add,
             lambda j: np.multiply(a[:, j], b[:, j], dtype=np.float64),
