@@ -12,7 +12,9 @@ provides:
   accumulator with exact product accumulation and deferred rounding.
 * :func:`~repro.softfloat.fmac.fmac_chain_float32` /
   :func:`~repro.softfloat.fmac.fmac_chain_pcs` — reference reduction
-  implementations used for the precision (RMSE) study of §II-C.
+  implementations used for the precision (RMSE) study of §II-C, and
+  :func:`~repro.softfloat.fmac.fmac_chains_float32`, the binary32 chain
+  over every row of a ``(rows, steps)`` array at once.
 * :mod:`~repro.softfloat.rmse` — error metrics against an exact reference.
 """
 
@@ -27,6 +29,7 @@ from repro.softfloat.ieee754 import (
 from repro.softfloat.pcs import PcsAccumulator, PcsConfig
 from repro.softfloat.fmac import (
     fmac_chain_float32,
+    fmac_chains_float32,
     fmac_chain_pcs,
     fmac_chain_exact,
     dot_product_float32,
@@ -44,6 +47,7 @@ __all__ = [
     "PcsAccumulator",
     "PcsConfig",
     "fmac_chain_float32",
+    "fmac_chains_float32",
     "fmac_chain_pcs",
     "fmac_chain_exact",
     "dot_product_float32",

@@ -8,6 +8,7 @@ need three reductions of the same data:
 * :func:`fmac_chain_exact` — the infinitely precise reference;
 * :func:`fmac_chain_float32` — a conventional FPU: every FMA result is
   rounded to binary32 before the next accumulation;
+  :func:`fmac_chains_float32` runs many such chains at once;
 * :func:`fmac_chain_pcs` — the NTX path: exact accumulation, one rounding at
   write-back.
 
@@ -16,6 +17,23 @@ Every finite binary32 or binary64 value is an integer times a power of two
 integer arithmetic on ``(integer, lsb_exponent)`` pairs: :func:`exact_dot`
 forms them, :class:`~repro.softfloat.ieee754.Float32` rounds them to
 binary32 and :func:`fixed_to_float` to binary64.
+
+Two exact shortcuts keep the study at the cost of its arithmetic:
+
+* A PCS accumulator that spans every binary32 product and has guard bits
+  for the chain never truncates or overflows, so its write-back is the
+  exact sum rounded once: :func:`fmac_chain_pcs` returns that rounding of
+  :func:`exact_dot` and walks the
+  :class:`~repro.softfloat.pcs.PcsAccumulator` only for non-finite
+  operands or a narrower geometry.
+* :func:`fmac_chains_float32` takes each step in binary64: the product of
+  two binary32 values is exact (48 ≤ 53 bits), and the sum is rounded to
+  odd (a TwoSum residual says whether it was inexact) before the cast to
+  binary32.  Rounding to odd at 53 ≥ 24 + 2 bits and then to nearest at
+  24 bits equals one rounding to nearest (Boldo and Melquiond, "Emulation
+  of FMA and correctly rounded sums: proved algorithms using rounding to
+  odd", IEEE Trans. Computers, 2008), so every row is bit-equal to
+  :func:`fmac_chain_float32`.
 """
 
 from __future__ import annotations
@@ -26,11 +44,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.softfloat.ieee754 import Float32
-from repro.softfloat.pcs import PcsAccumulator, PcsConfig
+from repro.softfloat.pcs import _PRODUCT_LSB_EXP, PcsAccumulator, PcsConfig
 
 __all__ = [
     "fmac_chain_exact",
     "fmac_chain_float32",
+    "fmac_chains_float32",
     "fmac_chain_pcs",
     "dot_product_float32",
     "dot_product_pcs",
@@ -79,9 +98,16 @@ def exact_dot(
     """
     total, exp = _fixed(init)
     for x, y in zip(a, b):
-        xm, xe = _fixed(x)
-        ym, ye = _fixed(y)
-        total, exp = _add(total, exp, xm * ym, xe + ye)
+        # _fixed and _add, inlined: this loop is the precision study's
+        # hot path.  The denominators are powers of two.
+        xm, xd = x.as_integer_ratio()
+        ym, yd = y.as_integer_ratio()
+        product_exp = 2 - xd.bit_length() - yd.bit_length()
+        if exp > product_exp:
+            total = (total << (exp - product_exp)) + xm * ym
+            exp = product_exp
+        else:
+            total += (xm * ym) << (product_exp - exp)
     return total, exp
 
 
@@ -153,12 +179,67 @@ def fmac_chain_pcs(
     init: float = 0.0,
     config: PcsConfig | None = None,
 ) -> float:
-    """NTX reduction: exact wide accumulation, single rounding at write-back."""
+    """NTX reduction: exact wide accumulation, single rounding at write-back.
+
+    When the geometry spans every binary32 product and has a guard bit per
+    doubling of the chain length, no product is truncated and the register
+    cannot overflow, so the result is the exact sum rounded once.  Chains
+    with a non-finite operand, or a narrower (truncating) geometry, walk
+    the :class:`~repro.softfloat.pcs.PcsAccumulator` step by step.
+    """
+    config = config or PcsConfig()
+    av, bv = _as_float32_lists(a, b)
+    init32 = float(np.float32(init))
+    # |init + sum(products)| < (len + 1) * 2**256 <= 2**(msb_exponent - 1).
+    if (
+        config.lsb_exponent <= _PRODUCT_LSB_EXP
+        and config.guard_bits > 0
+        and len(av) + 1 <= 1 << (config.guard_bits - 1)
+    ):
+        try:
+            return Float32.from_fixed(*exact_dot(av, bv, init32)).to_float()
+        except (OverflowError, ValueError):
+            pass  # an inf or NaN operand: the walk's sticky flags decide
     acc = PcsAccumulator(config)
-    acc.init_from(float(np.float32(init)))
-    for x, y in zip(*_as_float32_lists(a, b)):
+    acc.init_from(init32)
+    for x, y in zip(av, bv):
         acc.fma(x, y)
     return acc.to_float()
+
+
+def fmac_chains_float32(
+    a: np.ndarray, b: np.ndarray, init: float = 0.0
+) -> np.ndarray:
+    """Row-wise :func:`fmac_chain_float32` of two ``(rows, steps)`` arrays.
+
+    Returns one binary32 result per row, bit-equal to the scalar chain of
+    that row (signed zeros, infinities and NaN included).  Each step forms
+    ``s = acc + x*y`` in binary64, where the product is exact; when the
+    TwoSum residual ``r`` is non-zero and ``s`` has an even last bit, ``s``
+    steps one ulp toward ``r`` (round to odd).  An exact zero becomes
+    ``+0`` and the cast to binary32 is then the correctly rounded FMA.  A
+    row whose sum is not finite keeps the plain binary64 sum, whose IEEE
+    inf/NaN is what the scalar chain returns.
+    """
+    x = np.asarray(a, dtype=np.float32)
+    y = np.asarray(b, dtype=np.float32)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(
+            f"expected two (rows, steps) arrays of one shape: {x.shape} vs {y.shape}"
+        )
+    acc = np.full(x.shape[0], np.float32(init), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(x.shape[1]):
+            p = x[:, k].astype(np.float64) * y[:, k]
+            s = acc + p
+            # Knuth's TwoSum: s + r == acc + p exactly, for finite s.
+            t = s - acc
+            r = (acc - (s - t)) + (p - t)
+            to_odd = np.isfinite(s) & (r != 0) & ((s.view(np.int64) & 1) == 0)
+            s[to_odd] = np.nextafter(s[to_odd], np.copysign(np.inf, r[to_odd]))
+            s[s == 0] = 0.0
+            acc = s.astype(np.float32).astype(np.float64)
+    return acc.astype(np.float32)
 
 
 def dot_product_float32(a, b) -> float:

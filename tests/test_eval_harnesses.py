@@ -1,10 +1,13 @@
 """Tests of the analytic per-table / per-figure harnesses, and of the
 rendered artifacts that print their rows."""
 
+import numpy as np
 import pytest
 
 from repro.eval import fig5, fig6, fig7, greenwave, precision, table1, table2
 from repro.report import render_artifact, run_report
+from repro.softfloat import PcsAccumulator, fmac_chain_float32, rmse
+from repro.softfloat.fmac import exact_dot, fixed_to_float
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +133,58 @@ class TestFig7:
         assert min(ntx) > max(others)
 
 
+def _precision_oracle(
+    outputs: int = 256,
+    reduction_length: int = 9,
+    seed: int = 2019,
+    scale_spread: float = 1.0,
+) -> precision.PrecisionResult:
+    """``precision.run`` as a per-output scalar loop: one scalar binary32
+    chain and one ``PcsAccumulator`` walk per output."""
+    rng = np.random.default_rng(seed)
+    errors_f32 = []
+    errors_pcs = []
+    exact_values = []
+    for _ in range(outputs):
+        magnitudes_a = 10.0 ** rng.uniform(-scale_spread / 2, scale_spread / 2, reduction_length)
+        magnitudes_b = 10.0 ** rng.uniform(-scale_spread / 2, scale_spread / 2, reduction_length)
+        a64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_a
+        b64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_b
+        exact = fixed_to_float(*exact_dot(a64.tolist(), b64.tolist()))
+        a = a64.astype(np.float32)
+        b = b64.astype(np.float32)
+        errors_f32.append(fmac_chain_float32(a, b))
+        acc = PcsAccumulator()
+        acc.init_from(0.0)
+        for x, y in zip(a.tolist(), b.tolist()):
+            acc.fma(x, y)
+        errors_pcs.append(acc.to_float())
+        exact_values.append(exact)
+    return precision.PrecisionResult(
+        rmse_float32=rmse(errors_f32, exact_values),
+        rmse_pcs=rmse(errors_pcs, exact_values),
+    )
+
+
 class TestPrecision:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"outputs": 64, "reduction_length": 81},
+            {"reduction_length": 1},
+            {"seed": 1},
+            {"seed": 7},
+            {"seed": 31337},
+            {"outputs": 128, "scale_spread": 12.0},
+        ],
+        ids=["defaults", "long", "single-mac", "seed-1", "seed-7", "seed-31337", "wide-spread"],
+    )
+    def test_matches_the_scalar_loop_bit_for_bit(self, kwargs):
+        got, want = precision.run(**kwargs), _precision_oracle(**kwargs)
+        assert got.rmse_float32.hex() == want.rmse_float32.hex()
+        assert got.rmse_pcs.hex() == want.rmse_pcs.hex()
+
     def test_pcs_is_more_accurate_by_a_similar_factor(self):
         result = precision.run()
         assert result.rmse_pcs < result.rmse_float32

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,16 +11,20 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro.softfloat import (
     Float32,
+    PcsAccumulator,
+    PcsConfig,
     dot_product_float32,
     dot_product_pcs,
     fmac_chain_exact,
     fmac_chain_float32,
     fmac_chain_pcs,
+    fmac_chains_float32,
     max_abs_error,
     relative_rmse,
     rmse,
     ulp_error,
 )
+import repro.softfloat.fmac as fmac_module
 from repro.softfloat.fmac import exact_dot, fixed_to_float
 
 
@@ -222,6 +227,220 @@ class TestNonFiniteChains:
 
     def test_overflow_then_opposite_infinity_is_nan(self):
         assert math.isnan(fmac_chain_float32([3e38, -math.inf], [2.0, 1.0]))
+
+
+def _same(x: float, y: float) -> bool:
+    """Bit-equal binary64 patterns; any NaN equals any NaN."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return _bits(x) == _bits(y)
+
+
+def _tie_factors(rng) -> tuple[int, int]:
+    """Two integers below 2**24 whose product is an odd 25-bit integer: a
+    product halfway between two adjacent binary32 values."""
+    while True:
+        m = (1 << 24) + 2 * int(rng.integers(0, 1 << 23)) + 1
+        f = next((f for f in range(3, 4097, 2) if m % f == 0), None)
+        if f is not None:
+            return f, m // f
+
+
+def _fuzz_rows(rng, rows: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binary32 operands at decimal exponents ±30, each row one of five
+    kinds: plain, exactly cancelling pairs, overflowing mid-chain, with
+    inf/NaN operands, or starting with a tiny product and a product that
+    lies exactly halfway between two binary32 values (the case that plain
+    binary64 double rounding gets wrong)."""
+    # Per-row decade spread: wide rows overflow binary32 on their own,
+    # narrow ones mostly stay finite and exercise the rounding.
+    spread = rng.choice([1.0, 10.0, 20.0, 30.0], (rows, 1))
+
+    def draw():
+        magnitude = 10.0 ** (spread * rng.uniform(-1, 1, (rows, steps)))
+        return (rng.choice([-1.0, 1.0], (rows, steps)) * magnitude).astype(np.float32)
+
+    a, b = draw(), draw()
+    a[rng.random((rows, steps)) < 0.05] = 0.0
+    b[rng.random((rows, steps)) < 0.05] = -0.0
+    kind = rng.integers(0, 5, rows)
+    # x[2k+1]*y[2k+1] == -x[2k]*y[2k]: the exact sum is init alone.
+    pairs = steps // 2 * 2
+    cancel = kind == 1
+    a[cancel, 1:pairs:2] = -a[cancel, 0:pairs:2]
+    b[cancel, 1:pairs:2] = b[cancel, 0:pairs:2]
+    if steps:
+        big = np.flatnonzero(kind == 2)
+        at = rng.integers(0, steps, big.size)
+        a[big, at] = np.float32(3e38) * rng.choice([-1, 1], big.size)
+        b[big, at] = 2.0
+        odd = np.flatnonzero(kind == 3)
+        at = rng.integers(0, steps, odd.size)
+        a[odd, at] = rng.choice([np.inf, -np.inf, np.nan], odd.size)
+        times_zero = rng.random(odd.size) < 0.25
+        b[odd[times_zero], at[times_zero]] = 0.0  # inf * 0 is NaN
+    if steps >= 2:
+        for row in np.flatnonzero(kind == 4):
+            scale = int(rng.integers(-60, 40))
+            a[row, 0] = math.ldexp(rng.choice([-1.0, 1.0]), scale - int(rng.integers(26, 80)))
+            b[row, 0] = 1.0
+            f, g = _tie_factors(rng)
+            a[row, 1] = math.ldexp(f, scale - 24)
+            b[row, 1] = g
+    return a, b
+
+
+def _assert_rows_match_scalar_chain(a, b, init):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = fmac_chains_float32(a, b, init)
+        expected = [fmac_chain_float32(x, y, init) for x, y in zip(a, b)]
+    assert batched.dtype == np.float32 and batched.shape == (a.shape[0],)
+    for row, (got, want) in enumerate(zip(batched.tolist(), expected)):
+        assert _same(got, want), (row, a[row].tolist(), b[row].tolist(), init)
+
+
+class TestBatchedFloat32Chains:
+    """``fmac_chains_float32`` is ``fmac_chain_float32`` on every row."""
+
+    @pytest.mark.parametrize("steps", range(41))
+    def test_fuzz_against_the_scalar_chain(self, steps):
+        rng = np.random.default_rng(8000 + steps)
+        for init in (0.0, -0.0, float(np.float32(10.0 ** rng.uniform(-30, 30)))):
+            _assert_rows_match_scalar_chain(*_fuzz_rows(rng, 160, steps), init)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("steps", range(41))
+    def test_fuzz_against_the_scalar_chain_deep(self, steps):
+        rng = np.random.default_rng(9000 + steps)
+        for init in (0.0, -0.0, 1e-30, -3e38, math.inf, math.nan):
+            _assert_rows_match_scalar_chain(*_fuzz_rows(rng, 512, steps), init)
+
+    def test_empty_chain_returns_init(self):
+        empty = np.zeros((3, 0), dtype=np.float32)
+        for init in (0.0, -0.0, 1.5, -math.inf):
+            result = fmac_chains_float32(empty, empty, init)
+            assert all(_bits(v) == _bits(init) for v in result.tolist())
+
+    def test_exact_zero_sum_is_positive(self):
+        # Cancelling products, and -0 + (-0) (binary64 keeps that one -0).
+        a = np.array([[3.0, -3.0], [-0.0, 0.0], [-0.0, -0.0]], dtype=np.float32)
+        b = np.array([[2.0, 2.0], [1.0, 1.0], [1.0, 1.0]], dtype=np.float32)
+        for init in (0.0, -0.0):
+            assert [_bits(v) for v in fmac_chains_float32(a, b, init).tolist()] == [
+                _bits(0.0)
+            ] * 3
+
+    def test_overflowed_row_stays_infinite_without_warnings(self):
+        # float64 nextafter(inf) would be finite: the non-finite mask keeps
+        # the IEEE sum instead.
+        a = np.array([[3e38, -3e38, 1.0], [3e38, -np.inf, 1.0]], dtype=np.float32)
+        b = np.array([[2.0, 1.0, 1.0], [2.0, 1.0, 1.0]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fmac_chains_float32(a, b).tolist()
+        assert result[0] == math.inf and math.isnan(result[1])
+
+    def test_rejects_mismatched_or_flat_operands(self):
+        with pytest.raises(ValueError):
+            fmac_chains_float32(np.zeros((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            fmac_chains_float32(np.zeros(3), np.zeros(3))
+
+
+def _pcs_walk(a, b, init=0.0, config=None) -> float:
+    """The PCS chain step by step: one ``PcsAccumulator.fma`` per product."""
+    acc = PcsAccumulator(config)
+    acc.init_from(float(np.float32(init)))
+    for x, y in zip(
+        np.asarray(a, dtype=np.float32).tolist(),
+        np.asarray(b, dtype=np.float32).tolist(),
+    ):
+        acc.fma(x, y)
+    return acc.to_float()
+
+
+@pytest.fixture
+def walks(monkeypatch) -> list:
+    """Counts the accumulators ``fmac_chain_pcs`` builds (one per walk)."""
+    built = []
+
+    class Counting(PcsAccumulator):
+        def __init__(self, config=None):
+            built.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(fmac_module, "PcsAccumulator", Counting)
+    return built
+
+
+class TestPcsShortcut:
+    """``fmac_chain_pcs`` rounds the exact sum once where the walk would,
+    and walks the accumulator everywhere else."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 9, 39])
+    def test_fuzz_against_the_walk(self, steps, walks):
+        rng = np.random.default_rng(7000 + steps)
+        a, b = _fuzz_rows(rng, 96, steps)
+        subnormal = np.float32(2.0**-140) * rng.integers(-(2**9), 2**9, (96, steps))
+        a[::4] = subnormal[::4]
+        for init in (0.0, -0.0, float(np.float32(rng.uniform(-1e20, 1e20)))):
+            for x, y in zip(a, b):
+                finite = bool(np.isfinite(x).all() and np.isfinite(y).all())
+                before = len(walks)
+                assert _same(fmac_chain_pcs(x, y, init), _pcs_walk(x, y, init))
+                assert len(walks) - before == (0 if finite else 1)
+
+    def test_subnormal_products_are_exact(self, walks):
+        tiny = 2.0**-149
+        a, b = [tiny, tiny, -tiny], [tiny, 1.0, 1.0]
+        assert fmac_chain_pcs(a, b) == _pcs_walk(a, b) == 0.0
+        assert fmac_chain_pcs([tiny, tiny], [0.75, 0.75]) == 2 * tiny
+        assert walks == []
+
+    def test_exact_zero_is_positive(self, walks):
+        for init in (0.0, -0.0):
+            for a, b in (([], []), ([-0.0], [1.0]), ([3.0, -3.0], [2.0, 2.0])):
+                assert _bits(fmac_chain_pcs(a, b, init)) == _bits(0.0)
+                assert _bits(_pcs_walk(a, b, init)) == _bits(0.0)
+        assert walks == []
+
+    def test_empty_chain_rounds_init(self, walks):
+        assert fmac_chain_pcs([], [], 1.1) == _pcs_walk([], [], 1.1) == float(
+            np.float32(1.1)
+        )
+        assert walks == []
+
+    @pytest.mark.parametrize(
+        "a, b, init",
+        [
+            ([1.0, math.inf], [1.0, 1.0], 0.0),
+            ([math.inf, -math.inf], [1.0, 1.0], 0.0),
+            ([math.inf], [0.0], 0.0),
+            ([1.0, math.nan], [1.0, 1.0], 0.0),
+            ([1.0], [1.0], math.nan),
+            ([1.0], [1.0], -math.inf),
+        ],
+    )
+    def test_non_finite_operands_take_the_walk(self, a, b, init, walks):
+        assert _same(fmac_chain_pcs(a, b, init), _pcs_walk(a, b, init))
+        assert len(walks) == 1
+
+    def test_narrow_accumulator_keeps_overflowing(self, walks):
+        narrow = PcsConfig(width=300)  # MSB at 2**2: |sum| >= 2 overflows
+        assert fmac_chain_pcs([3.0], [1.0], config=narrow) == math.inf
+        assert _pcs_walk([3.0], [1.0], config=narrow) == math.inf
+        assert fmac_chain_pcs([0.75], [1.0], config=narrow) == 0.75
+        assert walks == [narrow, narrow]
+
+    def test_raised_lsb_keeps_truncating(self, walks):
+        coarse = PcsConfig(lsb_exponent=-100)
+        a, b = [2.0**-60, 2.0**-100], [2.0**-60, 1.0]
+        # The product 2**-120 falls below the LSB and is dropped.
+        assert fmac_chain_pcs(a, b, config=coarse) == 2.0**-100
+        assert _pcs_walk(a, b, config=coarse) == 2.0**-100
+        assert fmac_chain_pcs(a, b) == 2.0**-100 + 2.0**-120
+        assert walks == [coarse]
 
 
 class TestErrorMetrics:
