@@ -79,9 +79,10 @@ class Engine(Protocol):
     ) -> bool:
         """Replay ``jobs`` over a stack of private TCDM images at once.
 
-        ``images`` is a float32 array of shape ``(tiles, tcdm_words)`` —
-        one row per tile of a same-signature batch group (see
-        :mod:`repro.system.batch`).  Returns ``True`` when the engine
+        ``images`` is a float32 array of shape ``(tiles, words)`` — one
+        row per tile of a same-signature batch group (see
+        :mod:`repro.system.batch`), word 0 at the TCDM base, wide enough
+        for every TCDM word the group stages or its commands touch.  Returns ``True`` when the engine
         executed the whole stack, ``False`` when it does not support
         batched replay; the caller then replays the group tile by tile.
         """

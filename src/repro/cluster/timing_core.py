@@ -178,7 +178,7 @@ def load() -> Optional[Callable]:
 
 
 def _compiled_loop(jobs_per_ntx: Sequence[Sequence], params: TimingParams) -> TimingCounters:
-    """Run the cycle loop in C over ``jobs_per_ntx``' command plans."""
+    """Run the cycle loop in C over ``jobs_per_ntx``' bank streams."""
     num_ntx = len(jobs_per_ntx)
     queue_start = [0]
     rows = []

@@ -5,10 +5,12 @@ through Python objects — controller steps, operand FIFOs, soft-float FPU
 issues — inside the cycle loop.  This engine splits that work into three
 phases so the per-cycle loop touches almost nothing:
 
-1. **Stream precomputation** (:func:`repro.core.vecops.command_streams`):
-   the complete address/bank stream of every TCDM port of every command is
-   computed up front with NumPy.  Request generation inside the cycle loop
-   reduces to indexing those arrays.
+1. **Command plans** (:func:`repro.core.vecops.command_plan`): the
+   complete address stream of every TCDM port of every command, its
+   read-after-write verdict and its bank projection are compiled once per
+   distinct command and shared read-only by every run of the process.
+   Request generation inside the cycle loop reduces to indexing the plan's
+   int32 bank streams (:class:`~repro.core.vecops.BankStreams`).
 2. **Vectorized data plane** (:func:`repro.core.vecops.execute_streams`):
    reads, FPU issues and write-backs are replayed as array gathers,
    segmented reductions and scatters — once per command instead of once per
@@ -51,9 +53,11 @@ from repro.cluster import timing_core
 from repro.cluster.timing_core import TimingCounters, TimingParams
 from repro.core.commands import NtxCommand, NtxOpcode
 from repro.core.vecops import (
+    BankStreams,
+    CommandPlan,
     _account_accesses,
     _fall_back,
-    command_streams,
+    command_plan,
     execute_functional,
     execute_streams,
     execute_streams_batched,
@@ -68,54 +72,15 @@ __all__ = ["run_vectorized", "run_data_plane", "run_data_plane_batched"]
 
 _IDLE, _SETUP, _RUN = 0, 1, 2
 
-
-class _CommandPlan:
-    """Precomputed port streams and retirement bookkeeping of one command.
-
-    The bank streams are contiguous int32 arrays (``None`` for an absent
-    port), the layout the compiled timing core reads directly.
-    """
-
-    __slots__ = (
-        "command", "streams", "total", "p0_banks", "p1_banks",
-        "init_banks", "init_ts", "store_banks", "period_init", "period_store",
-        "num_init_reads", "num_stores", "has_store",
-    )
-
-    def __init__(self, command: NtxCommand, tcdm, with_banks: bool = True) -> None:
-        """``with_banks=False`` skips the per-port bank-stream projection —
-        only the timing core consumes it, so data-plane-only replays (the
-        timing-cache hit path) need not pay for it."""
-        self.command = command
-        streams = command_streams(command)
-        self.streams = streams
-        self.total = streams.total
-        base = tcdm.base
-        banks = tcdm.config.num_banks
-
-        def to_banks(addresses):
-            if not with_banks or addresses is None or len(addresses) == 0:
-                return None
-            return (((addresses - base) >> 2) % banks).astype(np.int32)
-
-        self.p0_banks = to_banks(streams.read0)
-        self.p1_banks = to_banks(streams.read1)
-        self.init_banks = to_banks(streams.init_read_addrs)
-        has_init = self.init_banks is not None
-        self.init_ts = streams.init_ts.astype(np.int32) if has_init else None
-        self.store_banks = to_banks(streams.store_addrs)
-        self.period_init = streams.period_init
-        self.period_store = streams.period_store
-        self.num_init_reads = len(streams.init_ts) if has_init else 0
-        self.num_stores = len(streams.store_ts)
-        self.has_store = self.num_stores > 0
+#: One NTX's queue: each command with its shared plan, in issue order.
+_Queue = List[Tuple[NtxCommand, CommandPlan]]
 
 
 class _NtxState:
     """Integer-only cycle state of one co-processor (reference loop).
 
-    ``p0``/``p1``/``init``/``init_ts``/``store`` are the current plan's
-    streams as Python lists: indexing a list is what keeps the reference
+    ``p0``/``p1``/``init``/``init_ts``/``store`` are the current command's
+    bank streams as Python lists: indexing a list is what keeps the reference
     loop tolerable, so the conversion happens once per command here.
     """
 
@@ -125,14 +90,14 @@ class _NtxState:
         "pos0", "pos1", "rpos", "wpos", "retired", "active", "stall",
     )
 
-    def __init__(self, queue: List[_CommandPlan], start_cycle: int) -> None:
+    def __init__(self, queue: List[BankStreams], start_cycle: int) -> None:
         self.queue = queue
         self.next_command = 0
         self.start_cycle = start_cycle
         self.phase = _IDLE
         self.setup_left = 0
         self.drain_left = 0
-        self.plan: _CommandPlan | None = None
+        self.plan: BankStreams | None = None
         self.p0 = self.p1 = self.init = self.init_ts = self.store = None
         self.pos0 = 0
         self.pos1 = 0
@@ -147,31 +112,27 @@ def _as_list(stream):
     return None if stream is None else stream.tolist()
 
 
-def _plans_per_ntx(
-    cluster, jobs: Sequence[Tuple[int, NtxCommand]], with_banks: bool = True
-) -> List[List[_CommandPlan]]:
-    """Each NTX's command plans, in issue order."""
+def _plans_per_ntx(cluster, jobs: Sequence[Tuple[int, NtxCommand]]) -> List[_Queue]:
+    """Each NTX's commands with their plans, in issue order."""
     num_ntx = cluster.config.num_ntx
-    jobs_per_ntx: List[List[_CommandPlan]] = [[] for _ in range(num_ntx)]
+    jobs_per_ntx: List[_Queue] = [[] for _ in range(num_ntx)]
     for ntx_id, command in jobs:
         if not 0 <= ntx_id < num_ntx:
             raise ValueError(f"NTX index {ntx_id} out of range")
-        jobs_per_ntx[ntx_id].append(
-            _CommandPlan(command, cluster.tcdm, with_banks=with_banks)
-        )
+        jobs_per_ntx[ntx_id].append((command, command_plan(command)))
     return jobs_per_ntx
 
 
 def _account_command(
-    cluster, ntx, plan: _CommandPlan, fast_path: bool, count: int = 1
+    cluster, ntx, command: NtxCommand, plan: CommandPlan, fast_path: bool,
+    count: int = 1,
 ) -> None:
-    """Credit ``count`` executions of ``plan`` to ``ntx``'s statistics."""
-    command = plan.command
+    """Credit ``count`` executions of ``command`` to ``ntx``'s statistics."""
     stats = ntx.stats
     stats.commands += count
     stats.iterations += plan.total * count
     stats.flops += command.flops * count
-    stats.tcdm_reads += plan.streams.num_reads * count
+    stats.tcdm_reads += plan.num_reads * count
     stats.tcdm_writes += plan.num_stores * count
     stats.ideal_cycles += cluster.config.ntx.ideal_cycles(command) * count
     if fast_path:
@@ -189,9 +150,7 @@ def _account_command(
             fpu_stats.comparisons += plan.total * count
 
 
-def _run_data_plane(
-    cluster, jobs_per_ntx: List[List[_CommandPlan]], exact: bool = False
-) -> None:
+def _run_data_plane(cluster, jobs_per_ntx: List[_Queue], exact: bool = False) -> None:
     """Apply every command's data effects in issue order.
 
     With ``exact=True`` — the timing-cache hit path of the *scalar* engine
@@ -204,15 +163,14 @@ def _run_data_plane(
     tcdm = cluster.tcdm
     for ntx, plans in zip(cluster.ntx, jobs_per_ntx):
         default_pcs = ntx.config.pcs == PcsConfig()
-        for plan in plans:
-            command = plan.command
+        for command, plan in plans:
             if exact and command.opcode is NtxOpcode.MAC and not default_pcs:
                 fast_path = _fall_back("pcs_config")
             else:
-                fast_path = execute_streams(command, plan.streams, tcdm, exact)
+                fast_path = execute_streams(command, plan, tcdm, exact)
             if not fast_path:
                 execute_functional(ntx, command, tcdm)
-            _account_command(cluster, ntx, plan, fast_path)
+            _account_command(cluster, ntx, command, plan, fast_path)
 
 
 def run_data_plane(
@@ -228,7 +186,7 @@ def run_data_plane(
     cycles.
     """
     cluster = simulator.cluster
-    _run_data_plane(cluster, _plans_per_ntx(cluster, jobs, with_banks=False), exact)
+    _run_data_plane(cluster, _plans_per_ntx(cluster, jobs), exact)
 
 
 class _ImageTcdm:
@@ -261,20 +219,15 @@ class _ImageTcdm:
         self._view[(address - self._base) >> 2] = np.float32(value)
 
 
-def _touched_words(
-    jobs_per_ntx: List[List[_CommandPlan]], base: int, words: int
-) -> Tuple[int, int]:
+def _touched_words(jobs_per_ntx: List[_Queue], base: int, words: int) -> Tuple[int, int]:
     """The ``[lo, hi)`` word span of a ``words``-word image at ``base``
     that covers every in-image address of every command."""
     lo, hi = words, 0
     for plans in jobs_per_ntx:
-        for plan in plans:
-            streams = plan.streams
-            for addresses in (streams.read0, streams.read1,
-                              streams.init_read_addrs, streams.store_addrs):
-                if addresses is not None and len(addresses):
-                    lo = min(lo, max(0, (int(addresses.min()) - base) >> 2))
-                    hi = max(hi, min(words, ((int(addresses.max()) - base) >> 2) + 1))
+        for _, plan in plans:
+            if plan.lo is not None:
+                lo = min(lo, max(0, (plan.lo - base) >> 2))
+                hi = max(hi, min(words, ((plan.hi - base) >> 2) + 1))
     return (lo, hi) if lo < hi else (0, 0)
 
 
@@ -284,8 +237,9 @@ def run_data_plane_batched(
     """Replay one tile program over a stack of private TCDM images at once.
 
     ``images`` holds one float32 word-view row per tile of a batch group
-    (see :mod:`repro.system.batch`); every tile executes the same ``jobs``
-    in the same order.  The word span the commands touch is transposed into
+    (see :mod:`repro.system.batch`), word 0 at the TCDM base and wide
+    enough for every word the commands touch; every tile executes the
+    same ``jobs`` in the same order.  That word span is transposed into
     a word-major ``(words, tiles)`` stack, so each command becomes one
     stacked dispatch (:func:`repro.core.vecops.execute_streams_batched`)
     over contiguous rows of ``tiles`` floats, and the span is transposed
@@ -303,7 +257,7 @@ def run_data_plane_batched(
     cluster = simulator.cluster
     tcdm = cluster.tcdm
     num_tiles = images.shape[0]
-    jobs_per_ntx = _plans_per_ntx(cluster, jobs, with_banks=False)
+    jobs_per_ntx = _plans_per_ntx(cluster, jobs)
     lo, hi = _touched_words(jobs_per_ntx, tcdm.base, images.shape[1])
     # Image rows are a power of two bytes apart, so a wide strided copy
     # thrashes the cache; transposing 32 tiles at a time does not.
@@ -313,22 +267,21 @@ def run_data_plane_batched(
         stack[:, first:last] = images[first:last, lo:hi].T
     base = tcdm.base + lo * _WORD
     for ntx, plans in zip(cluster.ntx, jobs_per_ntx):
-        for plan in plans:
-            command = plan.command
-            fast_path = execute_streams_batched(command, plan.streams, stack, base)
+        for command, plan in plans:
+            fast_path = execute_streams_batched(command, plan, stack, base)
             if fast_path:
-                _account_accesses(tcdm, plan.streams, count=num_tiles)
+                _account_accesses(tcdm, plan, count=num_tiles)
             else:
                 for tile in range(num_tiles):
                     execute_functional(
                         ntx, command, _ImageTcdm(stack[:, tile], base, tcdm)
                     )
-            _account_command(cluster, ntx, plan, fast_path, count=num_tiles)
+            _account_command(cluster, ntx, command, plan, fast_path, count=num_tiles)
     images[:, lo:hi] = stack.T
 
 
 def _reference_loop(
-    jobs_per_ntx: List[List[_CommandPlan]], params: TimingParams
+    jobs_per_ntx: List[List[BankStreams]], params: TimingParams
 ) -> TimingCounters:
     """The per-cycle loop in Python: the reference the compiled core
     (``timing_core.c``) transcribes and is fuzzed against."""
@@ -560,9 +513,10 @@ def run_vectorized(
     start_iterations = [n.stats.iterations for n in cluster.ntx]
     _run_data_plane(cluster, jobs_per_ntx)
 
+    base, num_banks = tcdm.base, tcdm.config.num_banks
     loop = timing_core.load() or _reference_loop
     counters = loop(
-        jobs_per_ntx,
+        [[plan.banks(base, num_banks) for _, plan in plans] for plans in jobs_per_ntx],
         TimingParams(
             num_banks=tcdm.config.num_banks,
             num_masters=interconnect.num_masters,

@@ -19,6 +19,7 @@ much data it moves and which memory footprint it touches.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
@@ -201,7 +202,7 @@ class LoopConfig:
         """The counts of the loops that actually run (up to outer_level)."""
         return self.counts[: self.outer_level + 1]
 
-    @property
+    @functools.cached_property
     def total_iterations(self) -> int:
         """Number of innermost iterations the nest performs."""
         total = 1
@@ -299,7 +300,7 @@ class NtxCommand:
         """Bytes read from or written to the TCDM by this command."""
         return (self.tcdm_reads + self.tcdm_writes) * WORD_BYTES
 
-    @property
+    @functools.cached_property
     def timing_signature(self) -> tuple:
         """Hashable summary of everything that determines this command's timing.
 

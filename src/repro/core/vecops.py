@@ -6,21 +6,31 @@ innermost iteration — and issues every operand through the soft-float FPU.
 Both are deterministic functions of the command alone, so they can be
 hoisted out of the cycle loop entirely:
 
-* :func:`command_streams` reproduces the controller's address/flag stream
-  for a whole command as NumPy arrays.  The hardware-loop cascade has a
-  closed form — loop ``k`` advances exactly when ``(t+1)`` is divisible by
-  the product of the inner loop counts — so the wrap level of every cycle,
-  and from it every AGU address, falls out of a handful of vector
-  operations.
+* :func:`command_plan` compiles a command into a :class:`CommandPlan`
+  once per distinct command value and shares it through a bounded,
+  process-wide cache (:data:`PLAN_CACHE_SIZE` entries), so every array it
+  holds is read-only.  The plan reproduces the controller's address/flag
+  stream for the whole command as NumPy arrays — the hardware-loop
+  cascade has a closed form: loop ``k`` advances exactly when ``(t+1)``
+  is divisible by the product of the inner loop counts, so the wrap level
+  of every cycle, and from it every AGU address, falls out of a handful
+  of vector operations.  It also carries what every consumer used to
+  rederive from those streams: the address bounds behind the span check,
+  the read-after-write verdict (a read observing an *earlier* store of the
+  same command), the access counts and, per TCDM geometry, the int32 bank
+  streams the timing core reads (:class:`BankStreams`).  The data plane,
+  the timing engine (:mod:`repro.cluster.vecsim`) and the batched-replay
+  gate (:mod:`repro.system.batch`) all read the same plan.  The cache's
+  hits, misses and size are published once per system run
+  (:func:`publish_plan_cache_metrics`).
 * :func:`execute_streams_batched` replays the command's data effects
   (reads, FPU issues, write-backs) as array gathers, segmented reductions
   and scatters over a word-major ``(words, tiles)`` stack of TCDM images —
   the tile axis innermost, so every gather copies and every reduction step
   adds whole contiguous rows.  :func:`execute_streams` is the same kernel
-  on the live TCDM viewed as a stack of one.  Commands whose address
-  pattern could make a read observe an *earlier* store of the same command
-  (a read-after-write hazard inside one command) are detected and executed
-  through the exact per-op path instead; every such fallback is counted in
+  on the live TCDM viewed as a stack of one.  Commands whose plan records
+  a read-after-write hazard are executed through the exact per-op path
+  instead; every such fallback is counted in
   ``repro_dataplane_fallbacks_total{reason}``.
 
 The kernel has two modes:
@@ -50,14 +60,16 @@ would move, or MAX/MIN seed with, unlike the per-op FPU), ``signed_zero``
 and ``pcs_config`` (a MAC on an NTX with a non-default accumulator
 geometry, which may truncate; counted by :mod:`repro.cluster.vecsim`).
 
-The arrays produced here drive both the vectorized data plane and the
-vectorized timing engine (:mod:`repro.cluster.vecsim`).
+The plans built here drive the vectorized data plane, the vectorized
+timing engine (:mod:`repro.cluster.vecsim`) and the self-containment gate
+of batched replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+import functools
+import threading
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,10 +78,13 @@ from repro.core.controller import NtxController
 from repro.obs import metrics as _metrics
 
 __all__ = [
-    "CommandStreams",
-    "command_streams",
+    "BankStreams",
+    "CommandPlan",
+    "PLAN_CACHE_SIZE",
+    "command_plan",
     "execute_streams",
     "execute_streams_batched",
+    "publish_plan_cache_metrics",
 ]
 
 _ADDRESS_MASK = (1 << 32) - 1
@@ -82,52 +97,286 @@ _FALLBACKS = _metrics.counter(
 )
 
 
+# Like the tile-timing cache, the plan cache is not instrumented per
+# lookup: ``publish_plan_cache_metrics`` publishes the deltas of the
+# cache's own counters once per system run.
+_PLAN_HITS = _metrics.counter(
+    "repro_command_plan_cache_hits_total", "Command-plan cache hits"
+)
+_PLAN_MISSES = _metrics.counter(
+    "repro_command_plan_cache_misses_total", "Command plans built"
+)
+_PLAN_ENTRIES = _metrics.gauge(
+    "repro_command_plan_cache_entries", "Distinct command plans cached"
+)
+_PUBLISH_LOCK = threading.Lock()
+#: The cache's ``(hits, misses)`` as last published.
+_published = [0, 0]
+
+
 def _fall_back(reason: str) -> bool:
     """Count one fast-path refusal under ``reason``; always ``False``."""
     _FALLBACKS.inc(reason=reason)
     return False
 
 
-@dataclass
-class CommandStreams:
-    """The complete micro-op stream of one command, as arrays.
+#: Distinct commands whose plans stay cached (least recently used go
+#: first).  A cold ``report --all --quick`` plans 69 distinct commands,
+#: 0.66 MB of arrays in all; the bound keeps a long-running process (the
+#: simulation service) from holding the streams of every command it saw.
+PLAN_CACHE_SIZE = 128
 
-    ``read0``/``read1`` hold one byte address per innermost iteration (or
-    ``None`` when the opcode does not stream that operand).  ``init_ts`` /
-    ``store_ts`` are the iteration indices at which the accumulator is
+
+class BankStreams:
+    """One plan's port streams projected onto the banks of one TCDM.
+
+    The bank streams are contiguous int32 arrays (``None`` for an absent
+    or empty port), the layout the compiled timing core reads directly;
+    ``accesses`` is the command's access count per bank, which the data
+    plane credits to the TCDM counters.  Every array is read-only.
+    """
+
+    __slots__ = (
+        "total", "period_init", "period_store", "num_init_reads",
+        "num_stores", "has_store", "p0_banks", "p1_banks", "init_banks",
+        "init_ts", "store_banks", "accesses",
+    )
+
+    def __init__(self, plan: "CommandPlan", base: int, num_banks: int) -> None:
+        accesses = np.zeros(num_banks, dtype=np.int64)
+
+        def to_banks(addresses: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            if addresses is None or len(addresses) == 0:
+                return None
+            banks = ((addresses - base) >> 2) % num_banks
+            accesses[:] += np.bincount(banks, minlength=num_banks)
+            return _frozen(banks.astype(np.int32))
+
+        self.total = plan.total
+        self.period_init = plan.period_init
+        self.period_store = plan.period_store
+        self.p0_banks = to_banks(plan.read0)
+        self.p1_banks = to_banks(plan.read1)
+        self.init_banks = to_banks(plan.init_read_addrs)
+        has_init = self.init_banks is not None
+        self.init_ts = _frozen(plan.init_ts.astype(np.int32)) if has_init else None
+        self.num_init_reads = len(plan.init_ts) if has_init else 0
+        self.store_banks = to_banks(plan.store_addrs)
+        self.num_stores = plan.num_stores
+        self.has_store = self.num_stores > 0
+        self.accesses = _frozen(accesses)
+
+
+class CommandPlan:
+    """Everything the engines derive from one command's value, computed once.
+
+    An NTX command is a static register-interface configuration, so its
+    micro-op stream and every verdict about it are pure functions of the
+    command.  :func:`command_plan` builds one plan per distinct command and
+    shares it, so every array here is read-only.
+
+    The streams: ``read0``/``read1`` hold one byte address per innermost
+    iteration (or ``None`` when the opcode does not stream that operand);
+    ``agu2`` is the output AGU's address at every iteration.  ``init_ts``
+    / ``store_ts`` are the iteration indices at which the accumulator is
     (re)initialised / written back; ``init_read_addrs`` is only present for
     ``InitSource.AGU2`` commands.  ``period_init`` / ``period_store`` are
     the block lengths implied by the loop nest — inits fire every
     ``period_init`` iterations, stores at the end of every ``period_store``
     block — which is what lets the data plane use uniform reshapes instead
-    of ragged segment bookkeeping.
+    of ragged segment bookkeeping; ``store_columns`` are the store
+    positions within one init block, and ``read1_periodic`` is whether
+    operand 1 presents the same addresses in every init block (a conv's
+    weights), which lets a MAC gather them once.
+
+    The verdicts: ``lo``/``hi`` bound every address the command presents
+    (``None`` when it presents none) and ``residue`` is their common
+    ``address % 4`` (``-1`` when they differ), which together answer
+    :meth:`in_span`.  ``own_reads`` holds, per read port (operand 0,
+    operand 1, init), a mask of the reads that observe an earlier store
+    of the same command, or ``None`` when no read does; ``raw_hazard`` is
+    whether any does.  :meth:`banks` projects the streams onto one TCDM's
+    banks, lazily and once per ``(base, num_banks)``.
     """
 
-    total: int
-    read0: Optional[np.ndarray]
-    read1: Optional[np.ndarray]
-    agu2: np.ndarray
-    init_ts: np.ndarray
-    init_read_addrs: Optional[np.ndarray]
-    store_ts: np.ndarray
-    store_addrs: np.ndarray
-    period_init: int
-    period_store: int
+    __slots__ = (
+        "total", "read0", "read1", "agu2", "init_ts", "init_read_addrs",
+        "store_ts", "store_addrs", "period_init", "period_store",
+        "store_columns", "read1_periodic", "num_reads", "num_stores", "lo",
+        "hi", "residue", "own_reads", "raw_hazard", "_banks",
+    )
+
+    def __init__(self, command: NtxCommand) -> None:
+        counts = command.loops.enabled_counts
+        levels = len(counts)
+        total = command.total_iterations
+
+        # Wrap level of iteration t: the number of loops whose counters wrap
+        # when advancing past t, i.e. the number of levels k with
+        # (t+1) % prod(counts[:k+1]) == 0.
+        t_next = np.arange(1, total + 1, dtype=np.int64)
+        wrap = np.zeros(total, dtype=np.int64)
+        period = 1
+        periods = [1]
+        for count in counts:
+            period *= count
+            periods.append(period)
+            wrap += (t_next % period) == 0
+        level = np.minimum(wrap, NUM_LOOPS)
+
+        # Per-cycle stride of each AGU: the stride selected by the wrap level
+        # (a wrap level at or beyond NUM_LOOPS leaves the pointer unchanged,
+        # which only ever happens on the final iteration).
+        def addresses_for(agu) -> np.ndarray:
+            strides = np.asarray(agu.strides + (0,) * (NUM_LOOPS + 1), dtype=np.int64)
+            return _frozen(_agu_addresses(agu.base, strides[level]))
+
+        self.total = total
+        self.agu2 = agu2 = addresses_for(command.agu2)
+        self.read0 = addresses_for(command.agu0) if command.opcode.reads_operand0 else None
+        self.read1 = addresses_for(command.agu1) if command.opcode.reads_operand1 else None
+        self.period_init = period_init = periods[min(command.init_level, levels)]
+        self.period_store = period_store = periods[min(command.store_level, levels)]
+        self.init_ts = _frozen(np.arange(0, total, period_init, dtype=np.int64))
+        self.init_read_addrs = (
+            _frozen(agu2[self.init_ts])
+            if command.init_source is InitSource.AGU2
+            else None
+        )
+        if command.writeback:
+            store_ts = np.arange(period_store - 1, total, period_store, dtype=np.int64)
+        else:
+            store_ts = np.empty(0, dtype=np.int64)
+        self.store_ts = _frozen(store_ts)
+        self.store_addrs = _frozen(agu2[store_ts])
+        per_block = period_init // period_store
+        self.store_columns = _frozen(
+            np.arange(1, per_block + 1, dtype=np.int64) * period_store - 1
+        )
+        read1 = self.read1
+        self.read1_periodic = read1 is not None and bool(
+            np.all(read1.reshape(-1, period_init) == read1[:period_init])
+        )
+
+        reads = [addresses for addresses in self.read_ports
+                 if addresses is not None and len(addresses)]
+        stores = [self.store_addrs] if len(store_ts) else []
+        self.num_reads = sum(len(addresses) for addresses in reads)
+        self.num_stores = len(store_ts)
+        read_bounds, store_bounds = _bounds(reads), _bounds(stores)
+        self.lo, self.hi = _bounds(reads + stores)
+        # The common ``address % 4`` of every address, or -1.
+        self.residue = int(self.lo) % _WORD if self.lo is not None else 0
+        if any(np.any(addresses % _WORD != self.residue) for addresses in reads + stores):
+            self.residue = -1
+        self.own_reads: Tuple[Optional[np.ndarray], ...] = (None, None, None)
+        # Disjoint read and store ranges (every conv) cannot hazard; only
+        # overlapping ones pay for the store index.
+        if read_bounds[0] is not None and store_bounds[0] is not None and (
+            read_bounds[0] <= store_bounds[1] and store_bounds[0] <= read_bounds[1]
+        ):
+            self.own_reads = _own_store_reads(self)
+        self.raw_hazard = any(mask is not None for mask in self.own_reads)
+        self._banks: Dict[Tuple[int, int], BankStreams] = {}
 
     @property
-    def num_reads(self) -> int:
-        reads = 0
-        if self.read0 is not None:
-            reads += self.total
-        if self.read1 is not None:
-            reads += self.total
-        if self.init_read_addrs is not None:
-            reads += len(self.init_read_addrs)
-        return reads
+    def read_ports(self) -> Tuple[Optional[np.ndarray], ...]:
+        """The read streams: operand 0, operand 1, init reads."""
+        return (self.read0, self.read1, self.init_read_addrs)
 
-    @property
-    def num_stores(self) -> int:
-        return len(self.store_ts)
+    def in_span(self, base: int, words: int) -> bool:
+        """Whether every address is a word-aligned word of the
+        ``words``-word span starting at ``base``."""
+        if self.lo is None:
+            return True
+        return (
+            self.lo >= base
+            and self.hi + _WORD <= base + words * _WORD
+            and self.residue == base % _WORD
+        )
+
+    def banks(self, base: int, num_banks: int) -> BankStreams:
+        """The bank projection onto a TCDM at ``base`` with ``num_banks``."""
+        key = (base, num_banks)
+        projection = self._banks.get(key)
+        if projection is None:
+            projection = self._banks.setdefault(key, BankStreams(self, base, num_banks))
+        return projection
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: plans are shared by every caller."""
+    array.flags.writeable = False
+    return array
+
+
+def _bounds(streams: Sequence[np.ndarray]) -> Tuple[Optional[int], Optional[int]]:
+    """The lowest and highest address of non-empty ``streams`` (``None``
+    without any)."""
+    if not streams:
+        return None, None
+    return (
+        min(int(addresses.min()) for addresses in streams),
+        max(int(addresses.max()) for addresses in streams),
+    )
+
+
+def _own_store_reads(plan: CommandPlan) -> Tuple[Optional[np.ndarray], ...]:
+    """Per read port, the mask of reads that observe an earlier store of
+    the same command, or ``None`` where no read does.
+
+    A read at iteration ``t`` of an address first stored at iteration
+    ``s < t`` must see the stored value; gather-before-scatter execution
+    would return the stale memory contents instead.  Reads that precede
+    (or coincide with) the first store of their address — e.g. AXPY's
+    init read of ``y[i]`` in the same iteration that stores ``y[i]`` —
+    are not.  One store index (each stored address and its earliest store
+    iteration) serves every port.
+    """
+    store_addrs = plan.store_addrs
+    if len(store_addrs) == 0:
+        return (None, None, None)
+    store_order = np.argsort(store_addrs, kind="stable")
+    unique_addrs, first_index = np.unique(store_addrs[store_order], return_index=True)
+    # store_ts is ascending, so the earliest store of an address is the
+    # minimum store_ts among its occurrences.
+    first_ts = np.minimum.reduceat(plan.store_ts[store_order], first_index)
+
+    def observed(addresses: Optional[np.ndarray], times: np.ndarray):
+        if addresses is None or len(addresses) == 0:
+            return None
+        slot = np.searchsorted(unique_addrs, addresses)
+        slot = np.minimum(slot, len(unique_addrs) - 1)
+        mask = (unique_addrs[slot] == addresses) & (times > first_ts[slot])
+        return _frozen(mask) if mask.any() else None
+
+    every = np.arange(plan.total, dtype=np.int64)
+    return (
+        observed(plan.read0, every),
+        observed(plan.read1, every),
+        observed(plan.init_read_addrs, plan.init_ts),
+    )
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def command_plan(command: NtxCommand) -> CommandPlan:
+    """The shared, read-only plan of ``command``, built once per distinct
+    command value (commands are frozen dataclasses, hashed by value)."""
+    return CommandPlan(command)
+
+
+def publish_plan_cache_metrics() -> None:
+    """Publish the plan cache's hits and misses since the last call, and
+    its current size, to the :mod:`repro.obs` registry."""
+    info = command_plan.cache_info()
+    with _PUBLISH_LOCK:
+        hits, misses = _published
+        if info.hits < hits or info.misses < misses:  # the cache was cleared
+            hits = misses = 0
+        _PLAN_HITS.inc(info.hits - hits)
+        _PLAN_MISSES.inc(info.misses - misses)
+        _published[:] = [info.hits, info.misses]
+    _PLAN_ENTRIES.set(info.currsize)
 
 
 def _agu_addresses(base: int, selected_stride: np.ndarray) -> np.ndarray:
@@ -142,114 +391,8 @@ def _agu_addresses(base: int, selected_stride: np.ndarray) -> np.ndarray:
     return (base + addresses) & _ADDRESS_MASK
 
 
-def command_streams(command: NtxCommand) -> CommandStreams:
-    """Compute the full micro-op stream of ``command`` as NumPy arrays."""
-    counts = command.loops.enabled_counts
-    levels = len(counts)
-    total = command.total_iterations
-
-    # Wrap level of iteration t: the number of loops whose counters wrap
-    # when advancing past t, i.e. the number of levels k with
-    # (t+1) % prod(counts[:k+1]) == 0.
-    t_next = np.arange(1, total + 1, dtype=np.int64)
-    wrap = np.zeros(total, dtype=np.int64)
-    period = 1
-    periods = [1]
-    for count in counts:
-        period *= count
-        periods.append(period)
-        wrap += (t_next % period) == 0
-
-    # Per-cycle stride of each AGU: the stride selected by the wrap level
-    # (a wrap level at or beyond NUM_LOOPS leaves the pointer unchanged,
-    # which only ever happens on the final iteration).
-    def addresses_for(agu) -> np.ndarray:
-        strides = np.asarray(agu.strides + (0,) * (NUM_LOOPS + 1), dtype=np.int64)
-        selected = strides[np.minimum(wrap, NUM_LOOPS)]
-        return _agu_addresses(agu.base, selected)
-
-    agu2_addresses = addresses_for(command.agu2)
-
-    period_init = periods[min(command.init_level, levels)]
-    period_store = periods[min(command.store_level, levels)]
-
-    init_ts = np.arange(0, total, period_init, dtype=np.int64)
-    if command.writeback:
-        store_ts = np.arange(period_store - 1, total, period_store, dtype=np.int64)
-    else:
-        store_ts = np.empty(0, dtype=np.int64)
-
-    return CommandStreams(
-        total=total,
-        read0=addresses_for(command.agu0) if command.opcode.reads_operand0 else None,
-        read1=addresses_for(command.agu1) if command.opcode.reads_operand1 else None,
-        agu2=agu2_addresses,
-        init_ts=init_ts,
-        init_read_addrs=(
-            agu2_addresses[init_ts]
-            if command.init_source is InitSource.AGU2
-            else None
-        ),
-        store_ts=store_ts,
-        store_addrs=agu2_addresses[store_ts],
-        period_init=period_init,
-        period_store=period_store,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Vectorized functional execution                                             #
-# --------------------------------------------------------------------------- #
-
-
-def _raw_hazard(streams: CommandStreams) -> bool:
-    """Whether any read of the command can observe one of its own stores.
-
-    A read at iteration ``t`` of an address first stored at iteration
-    ``s < t`` must see the stored value; gather-before-scatter execution
-    would return the stale memory contents instead.  Reads that precede (or
-    coincide with) the first store of their address — e.g. AXPY's init read
-    of ``y[i]`` in the same iteration that stores ``y[i]`` — are safe.
-    """
-    if len(streams.store_addrs) == 0:
-        return False
-    store_order = np.argsort(streams.store_addrs, kind="stable")
-    sorted_stores = streams.store_addrs[store_order]
-    unique_addrs, first_index = np.unique(sorted_stores, return_index=True)
-    # store_ts is ascending, so the earliest store of an address is the
-    # minimum store_ts among its occurrences.
-    first_ts = np.minimum.reduceat(streams.store_ts[store_order], first_index)
-
-    def hazard(addresses: Optional[np.ndarray], times: np.ndarray) -> bool:
-        if addresses is None or len(addresses) == 0:
-            return False
-        slot = np.searchsorted(unique_addrs, addresses)
-        slot = np.minimum(slot, len(unique_addrs) - 1)
-        hit = unique_addrs[slot] == addresses
-        return bool(np.any(hit & (times > first_ts[slot])))
-
-    every = np.arange(streams.total, dtype=np.int64)
-    return (
-        hazard(streams.read0, every)
-        or hazard(streams.read1, every)
-        or hazard(streams.init_read_addrs, streams.init_ts)
-    )
-
-
-def _in_span(base: int, words: int, addresses: Optional[np.ndarray]) -> bool:
-    """Whether every address is a word-aligned word of the ``words``-word
-    span starting at ``base``."""
-    if addresses is None or len(addresses) == 0:
-        return True
-    return bool(
-        addresses.min() >= base
-        and addresses.max() + _WORD <= base + words * _WORD
-        and not np.any((addresses - base) & (_WORD - 1))
-    )
-
-
 def execute_streams(
-    command: NtxCommand, streams: CommandStreams, tcdm, exact: bool = False
+    command: NtxCommand, plan: CommandPlan, tcdm, exact: bool = False
 ) -> bool:
     """Replay ``command``'s data effects against ``tcdm`` with array ops.
 
@@ -263,35 +406,28 @@ def execute_streams(
     # A backing that is not a writable buffer raises here instead of
     # degrading to the per-op path.
     view = np.frombuffer(tcdm.memory.data, dtype="<f4")
-    if not execute_streams_batched(command, streams, view[:, None], tcdm.base, exact):
+    if not execute_streams_batched(command, plan, view[:, None], tcdm.base, exact):
         return False
-    _account_accesses(tcdm, streams)
+    _account_accesses(tcdm, plan)
     return True
 
 
-def _account_accesses(tcdm, streams: CommandStreams, count: int = 1) -> None:
+def _account_accesses(tcdm, plan: CommandPlan, count: int = 1) -> None:
     """Mirror the per-access counters the scalar data path maintains.
 
     ``count`` multiplies the whole command's access pattern — the batched
     replay path accounts one command executed over ``count`` stacked tiles
     in a single call.
     """
-    num_banks = tcdm.config.num_banks
-    base = tcdm.base
-    counts = np.zeros(num_banks, dtype=np.int64)
-    for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
-                      streams.store_addrs):
-        if addresses is not None and len(addresses):
-            banks = ((addresses - base) >> 2) % num_banks
-            counts += np.bincount(banks, minlength=num_banks)
-    tcdm.bank_accesses += counts * count
-    tcdm.memory.reads += streams.num_reads * count
-    tcdm.memory.writes += streams.num_stores * count
+    accesses = plan.banks(tcdm.base, tcdm.config.num_banks).accesses
+    tcdm.bank_accesses += accesses * count
+    tcdm.memory.reads += plan.num_reads * count
+    tcdm.memory.writes += plan.num_stores * count
 
 
 def execute_streams_batched(
     command: NtxCommand,
-    streams: CommandStreams,
+    plan: CommandPlan,
     stack: np.ndarray,
     base: int,
     exact: bool = False,
@@ -320,21 +456,24 @@ def execute_streams_batched(
     No access counters are touched here.
     """
     words, tiles = stack.shape
-    for addresses in (streams.read0, streams.read1, streams.init_read_addrs,
-                      streams.store_addrs):
-        if not _in_span(base, words, addresses):
-            return _fall_back("outside_tcdm")
-    if _raw_hazard(streams):
+    if not plan.in_span(base, words):
+        return _fall_back("outside_tcdm")
+    if plan.raw_hazard:
         return _fall_back("raw_hazard")
 
     def gather(addresses: Optional[np.ndarray]) -> Optional[np.ndarray]:
         return None if addresses is None else stack[(addresses - base) >> 2]
 
-    a = gather(streams.read0)
-    b = gather(streams.read1)
-    init_values = gather(streams.init_read_addrs)
-
     opcode = command.opcode
+    a = gather(plan.read0)
+    # A MAC operand 1 that repeats in every init block (a conv's weights)
+    # is gathered for one block and broadcast over the rest.
+    if plan.read1_periodic and opcode is NtxOpcode.MAC:
+        b = gather(plan.read1[: plan.period_init])
+    else:
+        b = gather(plan.read1)
+    init_values = gather(plan.init_read_addrs)
+
     if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
         if a is not None and np.any(np.isnan(a)):
             return _fall_back("nan_compare")
@@ -343,13 +482,13 @@ def execute_streams_batched(
         if reason:
             return _fall_back(reason)
 
-    values = _store_values(command, streams, a, b, init_values, tiles, exact)
+    values = _store_values(command, plan, a, b, init_values, tiles, exact)
     if values is None:
         return _fall_back("inexact_mac")
-    if len(streams.store_addrs):
+    if plan.num_stores:
         # Duplicate store addresses resolve in program order (store_ts is
         # ascending and NumPy fancy assignment applies rows left to right).
-        stack[(streams.store_addrs - base) >> 2] = values
+        stack[(plan.store_addrs - base) >> 2] = values
     return True
 
 
@@ -376,12 +515,6 @@ def _inexact_operands(
     if moved is not None and np.any(np.isnan(moved)):
         return "nan_operand"
     return None
-
-
-def _store_columns(streams: CommandStreams) -> np.ndarray:
-    """Store positions within one init block (end of every store block)."""
-    per_block = streams.period_init // streams.period_store
-    return np.arange(1, per_block + 1, dtype=np.int64) * streams.period_store - 1
 
 
 #: Below this many ``blocks x tiles`` lanes a block-axis walk pays more in
@@ -468,7 +601,7 @@ def _certified_mac(
 
 def _store_values(
     command: NtxCommand,
-    streams: CommandStreams,
+    plan: CommandPlan,
     a: Optional[np.ndarray],
     b: Optional[np.ndarray],
     init_values: Optional[np.ndarray],
@@ -483,15 +616,15 @@ def _store_values(
     reduction runs along the block axis, so each tile's column is
     bit-for-bit what that tile alone would produce.
     """
-    num_stores = len(streams.store_ts)
+    num_stores = plan.num_stores
     if not num_stores:
         return np.empty((0, tiles), dtype=np.float32)
     opcode = command.opcode
     scalar = np.float32(command.scalar)
-    columns = _store_columns(streams)
+    columns = plan.store_columns
 
     def blocks(data: np.ndarray) -> np.ndarray:
-        return data.reshape(-1, streams.period_init, tiles)
+        return data.reshape(-1, plan.period_init, tiles)
 
     def stores(data: np.ndarray) -> np.ndarray:
         return data.reshape(num_stores, tiles)

@@ -66,14 +66,21 @@ def run(
     a32 = np.empty((outputs, reduction_length), dtype=np.float32)
     b32 = np.empty((outputs, reduction_length), dtype=np.float32)
     exact_values = []
-    for i in range(outputs):
-        magnitudes_a = 10.0 ** rng.uniform(-scale_spread / 2, scale_spread / 2, reduction_length)
-        magnitudes_b = 10.0 ** rng.uniform(-scale_spread / 2, scale_spread / 2, reduction_length)
-        a64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_a
-        b64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_b
-        exact_values.append(fixed_to_float(*exact_dot(a64.tolist(), b64.tolist())))
-        a32[i] = a64
-        b32[i] = b64
+    # Beyond the binary32 range the casts into a32/b32 round to ±inf, as
+    # IEEE does.
+    with np.errstate(over="ignore"):
+        for i in range(outputs):
+            magnitudes_a = 10.0 ** rng.uniform(
+                -scale_spread / 2, scale_spread / 2, reduction_length
+            )
+            magnitudes_b = 10.0 ** rng.uniform(
+                -scale_spread / 2, scale_spread / 2, reduction_length
+            )
+            a64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_a
+            b64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_b
+            exact_values.append(fixed_to_float(*exact_dot(a64.tolist(), b64.tolist())))
+            a32[i] = a64
+            b32[i] = b64
     return PrecisionResult(
         rmse_float32=rmse(fmac_chains_float32(a32, b32).tolist(), exact_values),
         rmse_pcs=rmse([fmac_chain_pcs(a, b) for a, b in zip(a32, b32)], exact_values),

@@ -57,16 +57,37 @@ __all__ = [
     "fixed_to_float",
 ]
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _binary32(a, b, init: float) -> tuple[np.ndarray, np.ndarray, np.float32]:
+    """Both operand arrays and the init value rounded to binary32.
+
+    A magnitude beyond the binary32 range rounds to ±inf, the IEEE result,
+    without NumPy's overflow warning for the cast.
+    """
+    av, bv = np.asarray(a), np.asarray(b)
+    if av.dtype == bv.dtype == np.float32 and abs(init) <= _FLOAT32_MAX:
+        # Nothing can round out of range: skip the costly ``errstate``.
+        return av, bv, np.float32(init)
+    with np.errstate(over="ignore"):
+        return (
+            np.asarray(a, dtype=np.float32),
+            np.asarray(b, dtype=np.float32),
+            np.float32(init),
+        )
+
 
 def _as_float32_lists(
-    a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray
-) -> tuple[list[float], list[float]]:
-    """Both operand vectors rounded to binary32, as exact Python floats."""
-    av = np.asarray(a, dtype=np.float32).ravel()
-    bv = np.asarray(b, dtype=np.float32).ravel()
+    a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray, init: float
+) -> tuple[list[float], list[float], float]:
+    """Both operand vectors and the init value rounded to binary32, as
+    exact Python floats."""
+    av, bv, init32 = _binary32(a, b, init)
+    av, bv = av.ravel(), bv.ravel()
     if av.shape != bv.shape:
         raise ValueError(f"operand shapes differ: {av.shape} vs {bv.shape}")
-    return av.tolist(), bv.tolist()
+    return av.tolist(), bv.tolist(), float(init32)
 
 
 def _fixed(value: float) -> tuple[int, int]:
@@ -133,8 +154,8 @@ def fmac_chain_exact(
     TCDM) but the reduction itself is exact, providing the golden reference
     for error measurements.
     """
-    av, bv = _as_float32_lists(a, b)
-    value, exp = exact_dot(av, bv, float(np.float32(init)))
+    av, bv, init32 = _as_float32_lists(a, b, init)
+    value, exp = exact_dot(av, bv, init32)
     if exp >= 0:
         return Fraction(value << exp)
     return Fraction(value, 1 << -exp)
@@ -156,8 +177,7 @@ def fmac_chain_float32(
     operand, ``inf * 0`` or ``inf + (-inf)`` gives NaN.  An exact zero sum
     is ``+0``.
     """
-    acc = float(np.float32(init))
-    av, bv = _as_float32_lists(a, b)
+    av, bv, acc = _as_float32_lists(a, b, init)
     for x, y in zip(av, bv):
         try:
             acc_m, acc_e = _fixed(acc)
@@ -188,8 +208,7 @@ def fmac_chain_pcs(
     the :class:`~repro.softfloat.pcs.PcsAccumulator` step by step.
     """
     config = config or PcsConfig()
-    av, bv = _as_float32_lists(a, b)
-    init32 = float(np.float32(init))
+    av, bv, init32 = _as_float32_lists(a, b, init)
     # |init + sum(products)| < (len + 1) * 2**256 <= 2**(msb_exponent - 1).
     if (
         config.lsb_exponent <= _PRODUCT_LSB_EXP
@@ -221,13 +240,12 @@ def fmac_chains_float32(
     row whose sum is not finite keeps the plain binary64 sum, whose IEEE
     inf/NaN is what the scalar chain returns.
     """
-    x = np.asarray(a, dtype=np.float32)
-    y = np.asarray(b, dtype=np.float32)
+    x, y, init32 = _binary32(a, b, init)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError(
             f"expected two (rows, steps) arrays of one shape: {x.shape} vs {y.shape}"
         )
-    acc = np.full(x.shape[0], np.float32(init), dtype=np.float64)
+    acc = np.full(x.shape[0], init32, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(x.shape[1]):
             p = x[:, k].astype(np.float64) * y[:, k]

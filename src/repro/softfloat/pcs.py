@@ -49,8 +49,17 @@ class PcsConfig:
             (2^-298 … 2^256) plus 30 guard bits, so accumulation is exact
             for any command.  The silicon implementation quotes "≈300 bit"
             because it flushes subnormal operands and truncates partial
-            products far below the running sum; configure ``width=300`` to
-            study that truncating behaviour.
+            products far below the running sum.  To study that truncating
+            behaviour, narrow the register from *both* ends: the MSB sits at
+            ``2**(lsb_exponent + width)``, so ``width=300`` alone (with the
+            default ``lsb_exponent=-298``) caps the register at ``2**2`` and
+            overflows to ±inf for any sum of magnitude 2 or more.  Raise
+            ``lsb_exponent`` with the width, e.g.
+            ``PcsConfig(lsb_exponent=-150, width=300)``: the register then
+            spans ``2**-150 … 2**150``, which holds every binary32 sum of
+            normal products, and truncates product bits below ``2**-150``
+            (four products of ``2**-151`` sum to ``0.0`` instead of the
+            ``2**-149`` the default geometry returns).
         segments: number of pipelined reduction segments used when the
             partial sums are merged at write-back.  Purely informational for
             the cycle model (it contributes to write-back latency).

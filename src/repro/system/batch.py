@@ -45,7 +45,13 @@ tile computes the same result on a zero-initialised private image as on
 the residue-carrying shared TCDM.  If *any* tile of a run fails the gate
 (or stages outside the HMC↔TCDM address classes), the walk defers
 nothing and runs every tile inline, so correctness never depends on the
-gate being clever.
+gate being clever.  The gate reads each command's shared plan
+(:func:`repro.core.vecops.command_plan`) — its address bounds and the
+reads it records as observing the command's own stores — the same plan
+the data plane and the timing core run from.  Its TCDM-side verdict is a
+function of the batch key and the TCDM geometry, so the timing cache
+keeps it (``TileTimingCache.gate_verdicts``) and a warm cache checks
+only the HMC-side rows again.
 
 Statistics are mirrored so a batched run's reports equal the inline
 walk's: DMA engine/AXI/memory counters are credited per member on its own
@@ -58,6 +64,7 @@ in the system reports reads the per-cluster breakdown.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import (
@@ -72,12 +79,13 @@ from typing import (
 )
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.engine import get_engine
 from repro.cluster.sim import ClusterSimulator
 from repro.cluster.tiling import TileSchedule
-from repro.core.vecops import CommandStreams, command_streams
+from repro.core.vecops import CommandPlan, command_plan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.system.config import SystemConfig
@@ -101,6 +109,8 @@ PHASE_SECONDS = _metrics.histogram(
 )
 
 _WORD = 4
+#: Four ``True`` byte flags read as one native-endian word.
+_ALL_BYTES = np.frombuffer(np.ones(_WORD, dtype=bool), dtype=np.uint32)[0]
 
 
 @dataclass
@@ -143,6 +153,26 @@ class _Group:
     members: List[_Member]
 
 
+class _HashedKey(tuple):
+    """A tuple that computes its hash once.
+
+    Timing signatures and batch keys nest the whole cluster configuration,
+    and the walk looks each tile's keys up several times (timing cache,
+    batch groups, the gate); equal to, and hashed like, the plain tuple.
+    """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: never ship the cached one.
+        return (_HashedKey, (tuple(self),))
+
+
 def _group_key(tile: TileSchedule, signature: tuple) -> tuple:
     """Batch key: timing signature + what the data plane additionally pins.
 
@@ -169,62 +199,64 @@ def _group_key(tile: TileSchedule, signature: tuple) -> tuple:
 # --------------------------------------------------------------------------- #
 
 
-def _reads_resolved(
-    streams: CommandStreams, cov_words: np.ndarray, base: int, size: int
-) -> bool:
-    """Whether every read of one command has a deterministic in-image source.
+def _reads_resolved(plan: CommandPlan, cov_words: np.ndarray, base: int) -> bool:
+    """Whether every read of one in-span command has a deterministic
+    in-image source.
 
     A read resolves if its word is covered in ``cov_words`` (one flag per
     TCDM word: fully written by DMA-in data or by an earlier command's
     store) *or* it observes an earlier store of the same command (the
-    own-command RAW case the unbatched executor handles exactly).
+    own-command RAW case the unbatched executor handles exactly), which
+    the plan records per read.
     """
-    store_addrs = streams.store_addrs
-    unique_addrs: Optional[np.ndarray] = None
-    first_ts: Optional[np.ndarray] = None
-    if len(store_addrs):
-        order = np.argsort(store_addrs, kind="stable")
-        sorted_stores = store_addrs[order]
-        unique_addrs, first_index = np.unique(sorted_stores, return_index=True)
-        first_ts = np.minimum.reduceat(streams.store_ts[order], first_index)
-
-    def resolved(addresses: Optional[np.ndarray], times: np.ndarray) -> bool:
+    for addresses, own in zip(plan.read_ports, plan.own_reads):
         if addresses is None or len(addresses) == 0:
-            return True
-        if not (
-            np.all((addresses >= base) & (addresses + _WORD <= base + size))
-            and np.all((addresses - base) % _WORD == 0)
-        ):
+            continue
+        resolved = cov_words[(addresses - base) >> 2]
+        if own is not None:
+            resolved |= own
+        if not resolved.all():
             return False
-        from_image = cov_words[(addresses - base) >> 2]
-        if from_image.all():
-            return True
-        if unique_addrs is None:
-            return False
-        rest = ~from_image
-        addrs = addresses[rest]
-        when = times[rest]
-        slot = np.searchsorted(unique_addrs, addrs)
-        slot = np.minimum(slot, len(unique_addrs) - 1)
-        hit = unique_addrs[slot] == addrs
-        return bool(np.all(hit & (when > first_ts[slot])))
+    return True
 
-    every = np.arange(streams.total, dtype=np.int64)
-    return (
-        resolved(streams.read0, every)
-        and resolved(streams.read1, every)
-        and resolved(streams.init_read_addrs, streams.init_ts)
+
+def _row_span(start: int, pitch: int, transfer) -> Tuple[int, int]:
+    """The ``[lo, hi)`` bytes that ``transfer``'s rows cover when they start
+    at ``start``, ``pitch`` bytes apart."""
+    last = start + (transfer.rows - 1) * (pitch or transfer.row_bytes)
+    return min(start, last), max(start, last) + transfer.row_bytes
+
+
+def _rows_within(start: int, pitch: int, transfer, lo: int, hi: int) -> bool:
+    """Whether every row of ``transfer`` starting at ``start``, ``pitch``
+    bytes apart, lies in ``[lo, hi)``."""
+    first, end = _row_span(start, pitch, transfer)
+    return lo <= first and end <= hi
+
+
+def _stages_in_hmc(config: SystemConfig, tile: TileSchedule) -> bool:
+    """Whether every HMC-side row of ``tile``'s transfers lies in the HMC.
+
+    The only part of the gate the batch key does not pin (members of a
+    group differ exactly in their HMC addresses), so it is checked on
+    every run.
+    """
+    hmc_base = config.hmc.base_address
+    hmc_top = hmc_base + config.hmc.capacity_bytes
+    return all(
+        _rows_within(t.src, t.src_pitch, t, hmc_base, hmc_top)
+        for t in tile.transfers_in
+    ) and all(
+        _rows_within(t.dst, t.dst_pitch, t, hmc_base, hmc_top)
+        for t in tile.transfers_out
     )
 
 
-def _self_contained(
+def _tcdm_self_contained(
     config: SystemConfig, tile: TileSchedule, jobs: Sequence[Tuple[int, object]]
 ) -> bool:
-    """Whether ``tile`` computes identically on a zeroed private image.
-
-    Checked once per batch key (every member shares the command streams and
-    the TCDM-side DMA layout).  Also rejects tiles staging outside the
-    HMC↔TCDM address classes — those must run through the real DMA router.
+    """The TCDM side of :func:`_self_contained`: a function of the batch
+    key and the TCDM geometry alone.
 
     Coverage is kept twice and updated in place: ``covered`` per byte (for
     the DMA-out check, which may move partial words) and ``cov_words`` per
@@ -236,16 +268,13 @@ def _self_contained(
     size = tcdm_cfg.size_bytes
     if size % _WORD:  # pragma: no cover - TCDM sizes are word multiples
         return False
-    hmc_base = config.hmc.base_address
-    hmc_top = hmc_base + config.hmc.capacity_bytes
+    top = base + size
     covered = np.zeros(size, dtype=bool)
 
     for transfer in tile.transfers_in:
-        for src, dst in transfer.row_addresses():
-            if not (base <= dst and dst + transfer.row_bytes <= base + size):
-                return False
-            if not (hmc_base <= src and src + transfer.row_bytes <= hmc_top):
-                return False
+        if not _rows_within(transfer.dst, transfer.dst_pitch, transfer, base, top):
+            return False
+        for _, dst in transfer.row_addresses():
             covered[dst - base : dst - base + transfer.row_bytes] = True
 
     num_ntx = config.cluster.num_ntx
@@ -253,35 +282,39 @@ def _self_contained(
     for ntx_id, command in jobs:
         per_ntx[ntx_id].append(command)
     cov_bytes = covered.reshape(-1, _WORD)
-    cov_words = cov_bytes.all(axis=1)
+    # A word is covered when all four of its byte flags are.
+    cov_words = covered.view(np.uint32) == _ALL_BYTES
+    words = size // _WORD
     for commands in per_ntx:
         for command in commands:
-            streams = command_streams(command)
-            if not _reads_resolved(streams, cov_words, base, size):
+            plan = command_plan(command)
+            if not (plan.in_span(base, words) and _reads_resolved(plan, cov_words, base)):
                 return False
-            store_addrs = streams.store_addrs
-            if len(store_addrs):
-                if not (
-                    np.all(
-                        (store_addrs >= base)
-                        & (store_addrs + _WORD <= base + size)
-                    )
-                    and np.all((store_addrs - base) % _WORD == 0)
-                ):
-                    return False
-                stored = (store_addrs - base) >> 2
+            if plan.num_stores:
+                stored = (plan.store_addrs - base) >> 2
                 cov_bytes[stored] = True
                 cov_words[stored] = True
 
     for transfer in tile.transfers_out:
-        for src, dst in transfer.row_addresses():
-            if not (base <= src and src + transfer.row_bytes <= base + size):
-                return False
-            if not (hmc_base <= dst and dst + transfer.row_bytes <= hmc_top):
-                return False
+        if not _rows_within(transfer.src, transfer.src_pitch, transfer, base, top):
+            return False
+        for src, _ in transfer.row_addresses():
             if not covered[src - base : src - base + transfer.row_bytes].all():
                 return False
     return True
+
+
+def _self_contained(
+    config: SystemConfig, tile: TileSchedule, jobs: Sequence[Tuple[int, object]]
+) -> bool:
+    """Whether ``tile`` computes identically on a zeroed private image.
+
+    Every member of a batch key shares the command streams and the
+    TCDM-side DMA layout, so :func:`passes_gate` checks one tile per key.
+    Also rejects tiles staging outside the HMC↔TCDM address classes —
+    those must run through the real DMA router.
+    """
+    return _stages_in_hmc(config, tile) and _tcdm_self_contained(config, tile, jobs)
 
 
 # --------------------------------------------------------------------------- #
@@ -327,28 +360,46 @@ def plan_tiles(
             signature = key = None
             if signed:
                 if tile.commands:
-                    signature = signer.timing_signature(
-                        jobs, stagger_cycles=config.stagger_cycles
+                    signature = _HashedKey(
+                        signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)
                     )
-                key = _group_key(tile, signature)
+                key = _HashedKey(_group_key(tile, signature))
             infos.append(_TilePlan(tile, jobs, signature, key))
         plans.append(infos)
     return plans
 
 
-def passes_gate(config: SystemConfig, plans: List[List[_TilePlan]]) -> bool:
+def passes_gate(
+    config: SystemConfig,
+    plans: List[List[_TilePlan]],
+    verdicts: Optional[Dict[tuple, bool]] = None,
+) -> bool:
     """Whether every tile of a signed plan is self-contained — read-only.
 
     Checks each distinct batch key once and stops at the first refusal,
-    before any cluster, DMA or HMC state has been touched.
+    before any cluster, DMA or HMC state has been touched.  ``verdicts``
+    (a timing cache's :attr:`~repro.system.memo.TileTimingCache.gate_verdicts`)
+    keeps the TCDM-side verdict of each key across runs; only the
+    HMC-side rows of the first tile per key are checked again.
     """
+    tcdm_cfg = config.cluster.tcdm
+    geometry = (tcdm_cfg.base_address, tcdm_cfg.size_bytes)
     checked = set()
     for infos in plans:
         for plan in infos:
-            if plan.key not in checked:
-                if not _self_contained(config, plan.tile, plan.jobs):
-                    return False
-                checked.add(plan.key)
+            if plan.key in checked:
+                continue
+            if not _stages_in_hmc(config, plan.tile):
+                return False
+            key = (geometry, plan.key)
+            verdict = None if verdicts is None else verdicts.get(key)
+            if verdict is None:
+                verdict = _tcdm_self_contained(config, plan.tile, plan.jobs)
+                if verdicts is not None:
+                    verdicts[key] = verdict
+            if not verdict:
+                return False
+            checked.add(plan.key)
     return True
 
 
@@ -377,7 +428,7 @@ def walk_tiles(
             "batched-replay", tiles=tiles
         ):
             plans = plan_tiles(config, work, signed=True)
-            if passes_gate(config, plans):
+            if passes_gate(config, plans, cache.gate_verdicts):
                 return _walk(config, work, cache, plans, defer=True)
     with PHASE_SECONDS.time(phase="cycle-sim"):
         if plans is None:
@@ -524,13 +575,13 @@ def _run_tile(
 
 
 def _credit_cached_stats(
-    config: SystemConfig, cluster: Cluster, cached: CachedTiming
+    config: SystemConfig, cluster: Cluster, cached: CachedTiming, count: int = 1
 ) -> None:
-    """Credit a replayed tile's cached per-NTX active/stall cycles."""
+    """Credit ``count`` replayed tiles' cached per-NTX active/stall cycles."""
     for ntx_id in range(config.cluster.num_ntx):
         stats = cluster.ntx[ntx_id].stats
-        stats.active_cycles += cached.per_ntx_active[ntx_id]
-        stats.stall_cycles += cached.per_ntx_stall[ntx_id]
+        stats.active_cycles += cached.per_ntx_active[ntx_id] * count
+        stats.stall_cycles += cached.per_ntx_stall[ntx_id] * count
 
 
 def _replay_group_batched(
@@ -543,6 +594,8 @@ def _replay_group_batched(
     """Replay one hit group as a single stacked data-plane dispatch."""
     members = group.members
     num_tiles = len(members)
+    # Counters are credited per work item: members times one tile's worth.
+    per_item = Counter(member.work_index for member in members)
     cached = group.cached
     tile0 = members[0].plan.tile
     item0 = work[members[0].work_index]
@@ -552,30 +605,25 @@ def _replay_group_batched(
     hmc_base = hmc.base
     hmc_u8 = np.frombuffer(hmc.memory.data, dtype=np.uint8)
 
-    images = np.zeros((num_tiles, tcdm_cfg.size_bytes // _WORD), dtype=np.float32)
+    images = np.zeros((num_tiles, _image_words(tile0, tcdm_base)), dtype=np.float32)
     images_u8 = images.view(np.uint8)
     dma_cycles = 0
 
     # Gather: one fancy-index per transfer row pulls that row of every
-    # member from the HMC into its image (TCDM-side layout is shared).
+    # member from the HMC into its image (TCDM-side layout is shared).  It
+    # indexes a view of every ``row_bytes`` window of the HMC, so each
+    # member costs one index, not one per byte.
     for index, transfer0 in enumerate(tile0.transfers_in):
         row_bytes = transfer0.row_bytes
         cycles = item0.cluster.dma.transfer_cycles(transfer0)
         dma_cycles += cycles
-        span = np.arange(row_bytes)
-        sources = np.array(
-            [
-                [src for src, _ in member.plan.tile.transfers_in[index].row_addresses()]
-                for member in members
-            ],
-            dtype=np.int64,
-        )
+        rows_of = sliding_window_view(hmc_u8, row_bytes)
+        peers = [member.plan.tile.transfers_in[index] for member in members]
+        sources = _row_offsets([(t.src, t.src_pitch) for t in peers], transfer0, hmc_base)
         for row, (_, dst) in enumerate(transfer0.row_addresses()):
             offset = dst - tcdm_base
-            images_u8[:, offset : offset + row_bytes] = hmc_u8[
-                (sources[:, row] - hmc_base)[:, None] + span
-            ]
-        _mirror_dma_stats(work, slots, members, transfer0, cycles, inbound=True)
+            images_u8[:, offset : offset + row_bytes] = rows_of[sources[:, row]]
+        _mirror_dma_stats(work, slots, per_item, transfer0, cycles, inbound=True)
 
     # Compute: the engine replays the shared command stream over the stack.
     # (Only reached for engines advertising ``supports_batched_replay``,
@@ -590,8 +638,8 @@ def _replay_group_batched(
                 f"engine {config.engine!r} advertises batched replay but "
                 "refused a stacked group"
             )
-        for member in members:
-            _credit_cached_stats(config, work[member.work_index].cluster, cached)
+        for work_index, count in per_item.items():
+            _credit_cached_stats(config, work[work_index].cluster, cached, count)
 
     # Scatter: push every member's output rows back to its HMC region
     # (disjoint by the workload contract, so order cannot matter).
@@ -599,20 +647,15 @@ def _replay_group_batched(
         row_bytes = transfer0.row_bytes
         cycles = item0.cluster.dma.transfer_cycles(transfer0)
         dma_cycles += cycles
-        span = np.arange(row_bytes)
-        destinations = np.array(
-            [
-                [dst for _, dst in member.plan.tile.transfers_out[index].row_addresses()]
-                for member in members
-            ],
-            dtype=np.int64,
+        rows_of = sliding_window_view(hmc_u8, row_bytes, writeable=True)
+        peers = [member.plan.tile.transfers_out[index] for member in members]
+        destinations = _row_offsets(
+            [(t.dst, t.dst_pitch) for t in peers], transfer0, hmc_base
         )
         for row, (src, _) in enumerate(transfer0.row_addresses()):
             offset = src - tcdm_base
-            hmc_u8[(destinations[:, row] - hmc_base)[:, None] + span] = images_u8[
-                :, offset : offset + row_bytes
-            ]
-        _mirror_dma_stats(work, slots, members, transfer0, cycles, inbound=False)
+            rows_of[destinations[:, row]] = images_u8[:, offset : offset + row_bytes]
+        _mirror_dma_stats(work, slots, per_item, transfer0, cycles, inbound=False)
 
     for member in members:
         slot = slots[member.work_index]
@@ -621,28 +664,61 @@ def _replay_group_batched(
         slot.dma[member.position] = dma_cycles * core_ratio
 
 
+def _image_words(tile: TileSchedule, base: int) -> int:
+    """Words of a private image, from the TCDM base, that cover every
+    TCDM byte ``tile`` stages or its commands touch (the gate has checked
+    that all of them lie in the TCDM)."""
+    top = base
+    for transfer in tile.transfers_in:
+        top = max(top, _row_span(transfer.dst, transfer.dst_pitch, transfer)[1])
+    for transfer in tile.transfers_out:
+        top = max(top, _row_span(transfer.src, transfer.src_pitch, transfer)[1])
+    for command in tile.commands:
+        plan = command_plan(command)
+        if plan.hi is not None:
+            top = max(top, plan.hi + _WORD)
+    return -(-(top - base) // _WORD)
+
+
+def _row_offsets(
+    starts_and_pitches: Sequence[Tuple[int, int]], transfer0, origin: int
+) -> np.ndarray:
+    """``(members, rows)`` byte offsets from ``origin`` of every HMC-side
+    row of each member's transfer, given its start address and pitch (the
+    row count and size are pinned by the batch key, as in ``transfer0``)."""
+    starts = np.array([start for start, _ in starts_and_pitches], dtype=np.int64)
+    pitches = np.array(
+        [pitch or transfer0.row_bytes for _, pitch in starts_and_pitches], dtype=np.int64
+    )
+    rows = np.arange(transfer0.rows, dtype=np.int64)
+    return (starts - origin)[:, None] + pitches[:, None] * rows
+
+
 def _mirror_dma_stats(
     work: Sequence[ClusterAssignment],
     slots: List[_ReportSlots],
-    members: Sequence[_Member],
+    per_item: Dict[int, int],
     transfer0,
     cycles: int,
     inbound: bool,
 ) -> None:
-    """Credit one staged transfer's counters per member, like ``run_dma``."""
-    hmc_memory = work[members[0].work_index].cluster.hmc.memory
-    for member in members:
-        cluster = work[member.work_index].cluster
-        cluster.dma.stats.transfers += 1
-        cluster.dma.stats.bytes_moved += transfer0.total_bytes
-        cluster.dma.stats.busy_cycles += cycles
-        cluster.axi.record(transfer0.total_bytes, cycles)
+    """Credit one staged transfer's counters per member, like ``run_dma``;
+    ``per_item`` counts the group's members per work item."""
+    hmc_memory = work[next(iter(per_item))].cluster.hmc.memory
+    total_bytes = transfer0.total_bytes
+    for work_index, count in per_item.items():
+        cluster = work[work_index].cluster
+        cluster.dma.stats.transfers += count
+        cluster.dma.stats.bytes_moved += total_bytes * count
+        cluster.dma.stats.busy_cycles += cycles * count
+        cluster.axi.record(total_bytes * count, cycles * count)
         if inbound:
-            cluster.tcdm.memory.writes += transfer0.rows
+            cluster.tcdm.memory.writes += transfer0.rows * count
         else:
-            cluster.tcdm.memory.reads += transfer0.rows
-        slots[member.work_index].report.dma_bytes += transfer0.total_bytes
+            cluster.tcdm.memory.reads += transfer0.rows * count
+        slots[work_index].report.dma_bytes += total_bytes * count
+    members = sum(per_item.values())
     if inbound:
-        hmc_memory.reads += transfer0.rows * len(members)
+        hmc_memory.reads += transfer0.rows * members
     else:
-        hmc_memory.writes += transfer0.rows * len(members)
+        hmc_memory.writes += transfer0.rows * members

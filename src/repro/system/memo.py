@@ -79,10 +79,17 @@ class CachedTiming:
 
 
 class TileTimingCache:
-    """Maps timing signatures to cached timings, with hit/miss accounting."""
+    """Maps timing signatures to cached timings, with hit/miss accounting.
+
+    ``gate_verdicts`` keeps, next to the timings, the TCDM-side verdict of
+    batched replay's self-containment gate per batch key and TCDM geometry
+    (:func:`repro.system.batch.passes_gate`), so a warm cache skips the
+    gate's stream walk.
+    """
 
     def __init__(self) -> None:
         self._entries: Dict[tuple, CachedTiming] = {}
+        self.gate_verdicts: Dict[tuple, bool] = {}
         self.hits = 0
         self.misses = 0
 

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.cluster import Cluster
 from repro.cluster.sim import SimulationResult
 from repro.cluster.tiling import TileSchedule, overlap_cycles
+from repro.core.vecops import publish_plan_cache_metrics
 from repro.mem.hmc import Hmc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -304,6 +305,7 @@ class SystemSimulator:
         _TILE_HITS.inc(self.timing_cache.hits - hits_before)
         _TILE_MISSES.inc(self.timing_cache.misses - misses_before)
         _TILE_ENTRIES.set(len(self.timing_cache))
+        publish_plan_cache_metrics()
 
         return SystemResult(
             config=config,

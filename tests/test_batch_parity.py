@@ -407,7 +407,7 @@ def _byte_mask_self_contained(config, tile, jobs):
     It rebuilds a whole-TCDM word mask from a byte mask for every command;
     the shipped gate derives the word mask once and updates it in place.
     """
-    from repro.core.vecops import command_streams
+    from repro.core.vecops import command_plan
 
     word = 4
     base = config.cluster.tcdm.base_address
@@ -465,7 +465,7 @@ def _byte_mask_self_contained(config, tile, jobs):
         per_ntx[ntx_id].append(command)
     for commands in per_ntx:
         for command in commands:
-            streams = command_streams(command)
+            streams = command_plan(command)
             if not reads_resolved(streams):
                 return False
             if len(streams.store_addrs):
@@ -489,10 +489,10 @@ def _partial_word_in(tile, num_ntx):
     The DMA-in row holding that word is split around its upper half, so
     the word is covered in part: the other rows and bytes stay staged.
     """
-    from repro.core.vecops import command_streams
+    from repro.core.vecops import command_plan
     from repro.mem.dma import DmaTransfer
 
-    streams = command_streams(tile.jobs(num_ntx)[0][1])
+    streams = command_plan(tile.jobs(num_ntx)[0][1])
     read = int(next(
         addresses[0]
         for addresses in (streams.read0, streams.read1, streams.init_read_addrs)

@@ -1,6 +1,9 @@
 """Tests of the analytic per-table / per-figure harnesses, and of the
 rendered artifacts that print their rows."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +199,13 @@ class TestPrecision:
         result = precision.run()
         assert result.rmse_float32 == 4.7576098879309437e-07
         assert result.rmse_pcs == 2.918101916901257e-07
+
+    def test_out_of_range_operands_run_without_warnings(self):
+        """Scales beyond binary32 round to ±inf without an overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = precision.run(outputs=8, scale_spread=80)
+        assert math.isinf(result.rmse_float32) and math.isinf(result.rmse_pcs)
 
     def test_longer_reductions_widen_the_gap(self):
         short = precision.run(outputs=64, reduction_length=9)

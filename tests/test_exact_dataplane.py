@@ -22,7 +22,7 @@ from repro.cluster.sim import ClusterSimulator
 from repro.cluster.vecsim import _ImageTcdm, run_data_plane
 from repro.core.commands import AguConfig, InitSource, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.ntx import NtxConfig
-from repro.core.vecops import command_streams, execute_functional, execute_streams_batched
+from repro.core.vecops import command_plan, execute_functional, execute_streams_batched
 from repro.softfloat.pcs import PcsConfig
 
 _FLT_MAX = float(np.finfo(np.float32).max)
@@ -173,7 +173,7 @@ def test_exact_mac_matches_the_per_op_walk(case):
         NtxOpcode.MAC, case["counts"], case["init_level"], case["store_level"],
         case["init_source"], base,
     )
-    streams = command_streams(command)
+    streams = command_plan(command)
     words = 3 * streams.total
     if case["tiles"] == 1:
         got, ref = _replay_both(command, _draw(case["data_class"], rng, words))
@@ -264,7 +264,7 @@ def test_exact_non_mac_opcodes_with_nan_and_signed_zero_inputs(case):
     )
     words = _draw(
         case["data_class"], np.random.default_rng(case["seed"]),
-        3 * command_streams(command).total,
+        3 * command_plan(command).total,
     )
     with np.errstate(invalid="ignore", over="ignore"):
         got, ref = _replay_both(command, words)

@@ -195,6 +195,18 @@ class TestIntegerChainAgainstFractionOracle:
 class TestNonFiniteChains:
     """``fmac_chain_float32`` follows IEEE FMA rules for inf and NaN."""
 
+    def test_out_of_range_operands_round_to_inf_silently(self):
+        """Rounding a binary64 operand beyond the binary32 range gives the
+        IEEE ±inf, with no NumPy overflow warning from the cast."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fmac_chain_float32([1e300], [1.0]) == math.inf
+            assert fmac_chain_float32([1.0], [1.0], init=-1e300) == -math.inf
+            assert fmac_chain_pcs([-1e300], [1.0]) == -math.inf
+            assert fmac_chains_float32([[1e300], [1.0]], [[1.0], [1e300]]).tolist() == [
+                math.inf, math.inf
+            ]
+
     @pytest.mark.parametrize(
         "a, b, init, expected",
         [
@@ -432,6 +444,18 @@ class TestPcsShortcut:
         assert _pcs_walk([3.0], [1.0], config=narrow) == math.inf
         assert fmac_chain_pcs([0.75], [1.0], config=narrow) == 0.75
         assert walks == [narrow, narrow]
+
+    def test_documented_truncating_geometry(self, walks):
+        """The ``PcsConfig`` docstring's example: a 300-bit register over
+        ``2**-150 … 2**150`` truncates tiny products and holds big sums."""
+        truncating = PcsConfig(lsb_exponent=-150, width=300)
+        a, b = [2.0**-75] * 4, [2.0**-76] * 4  # four products of 2**-151
+        assert fmac_chain_pcs(a, b) == 2.0**-149
+        assert fmac_chain_pcs(a, b, config=truncating) == 0.0
+        assert fmac_chain_pcs([3.0], [1.0], config=truncating) == 3.0
+        big = fmac_chain_pcs([3e30, 1.0], [1e7, 1.0], config=truncating)
+        assert big == fmac_chain_pcs([3e30, 1.0], [1e7, 1.0]) < math.inf
+        assert walks == [truncating] * 3
 
     def test_raised_lsb_keeps_truncating(self, walks):
         coarse = PcsConfig(lsb_exponent=-100)

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import vecops
 from repro.core.commands import AguConfig, InitSource, LoopConfig, NtxCommand, NtxOpcode
-from repro.core.vecops import command_streams, execute_streams_batched
+from repro.core.vecops import command_plan, execute_streams_batched
 
 _BASE = 0x400
 #: Innermost loop count and store blocks per init block of every command.
@@ -121,7 +121,7 @@ def test_stacked_kernel_is_bit_equal_to_tile_major_formulas(opcode, tiles, block
     for init_source in (InitSource.ZERO, InitSource.AGU2):
         for store_level in (0, 1, 2):
             command = _command(opcode, blocks, init_source, store_level)
-            streams = command_streams(command)
+            streams = command_plan(command)
             images = _images(rng, tiles, 2 * streams.total + streams.num_stores + 3)
             stack = np.ascontiguousarray(images.T)
             with np.errstate(invalid="ignore", over="ignore"):

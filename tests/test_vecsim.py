@@ -35,7 +35,7 @@ from repro.core.commands import (
 )
 from repro.core.controller import NtxController
 from repro.core.ntx import NtxConfig
-from repro.core.vecops import command_streams
+from repro.core.vecops import command_plan
 from repro.kernels.blas import axpy_commands
 from repro.kernels.conv import conv2d_commands
 from repro.mem.tcdm import TcdmConfig
@@ -108,7 +108,7 @@ class TestCommandStreams:
     )
     def test_streams_match_controller(self, command):
         ops = self._reference(command)
-        streams = command_streams(command)
+        streams = command_plan(command)
         assert streams.total == len(ops)
         for t, op in enumerate(ops):
             if streams.read0 is not None:
@@ -313,11 +313,11 @@ class TestEdgeConfigurations:
             )
             return [(0, command)], [buf], (n + 1,)
 
-        from repro.core.vecops import _raw_hazard, command_streams
+        from repro.core.vecops import command_plan
 
         probe = Cluster()
         jobs, _, _ = build(probe)
-        assert _raw_hazard(command_streams(jobs[0][1]))
+        assert command_plan(jobs[0][1]).raw_hazard
 
         # A RAW hazard inside the FIFO window is timing-sensitive on the
         # real machine (reads can beat earlier stores); the vectorized
@@ -370,7 +370,7 @@ class TestFallbackCounter:
         by_reason = _fallbacks()
         cluster = Cluster()
         command = self._shift_copy(cluster)
-        assert not execute_streams(command, command_streams(command), cluster.tcdm)
+        assert not execute_streams(command, command_plan(command), cluster.tcdm)
         assert by_reason() == {"raw_hazard": 1.0}
         ClusterSimulator(cluster, engine="vectorized").run([(0, command)])
         assert by_reason() == {"raw_hazard": 2.0}
@@ -383,7 +383,7 @@ class TestFallbackCounter:
         command = self._shift_copy(cluster)
         stack = np.zeros((cluster.tcdm.size // 4, 3), dtype=np.float32)
         assert not execute_streams_batched(
-            command, command_streams(command), stack, cluster.tcdm.base
+            command, command_plan(command), stack, cluster.tcdm.base
         )
         assert by_reason() == {"raw_hazard": 1.0}
 
@@ -400,14 +400,14 @@ class TestFallbackCounter:
             agu0=AguConfig(base=src, strides=(4, 0, 0, 0, 0)),
             agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
         )
-        assert not execute_streams(maximum, command_streams(maximum), cluster.tcdm)
+        assert not execute_streams(maximum, command_plan(maximum), cluster.tcdm)
         unaligned = NtxCommand(
             opcode=NtxOpcode.COPY,
             loops=LoopConfig.nest(2),
             agu0=AguConfig(base=src + 2, strides=(4, 0, 0, 0, 0)),
             agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
         )
-        assert not execute_streams(unaligned, command_streams(unaligned), cluster.tcdm)
+        assert not execute_streams(unaligned, command_plan(unaligned), cluster.tcdm)
         assert by_reason() == {"nan_compare": 1.0, "outside_tcdm": 1.0}
 
     def test_fast_path_counts_nothing(self):
@@ -425,7 +425,7 @@ class TestFallbackCounter:
         command = jobs[0][1]
         cluster.tcdm.memory.data = [0] * cluster.tcdm.size
         with pytest.raises(TypeError):
-            execute_streams(command, command_streams(command), cluster.tcdm)
+            execute_streams(command, command_plan(command), cluster.tcdm)
 
 
 class TestEngineSelection:
@@ -537,7 +537,7 @@ def _timing_cases(draw):
                 scalar=0.5,
             )
             # Place every AGU so its whole address stream lies in the TCDM.
-            probe = command_streams(replace(command, opcode=NtxOpcode.MAC))
+            probe = command_plan(replace(command, opcode=NtxOpcode.MAC))
             placed = {}
             for name, addresses in (
                 ("agu0", probe.read0), ("agu1", probe.read1), ("agu2", probe.agu2)
