@@ -75,14 +75,16 @@ class Engine(Protocol):
         ...  # pragma: no cover - protocol
 
     def run_data_plane_batched(
-        self, simulator: "ClusterSimulator", jobs: Jobs, images
+        self, simulator: "ClusterSimulator", jobs: Jobs, stack, base: int
     ) -> bool:
-        """Replay ``jobs`` over a stack of private TCDM images at once.
+        """Replay ``jobs`` over a word-major stack of private TCDM images.
 
-        ``images`` is a float32 array of shape ``(tiles, words)`` — one
-        row per tile of a same-signature batch group (see
-        :mod:`repro.system.batch`), word 0 at the TCDM base, wide enough
-        for every TCDM word the group stages or its commands touch.  Returns ``True`` when the engine
+        ``stack`` is a float32 array of shape ``(words, tiles)`` — one
+        column per tile of a same-signature batch group (see
+        :mod:`repro.system.batch`) — whose row ``w`` holds the word at
+        byte address ``base + 4 * w`` of every tile's image; the rows
+        cover every TCDM word the group stages or its commands touch.
+        The engine updates ``stack`` in place.  Returns ``True`` when it
         executed the whole stack, ``False`` when it does not support
         batched replay; the caller then replays the group tile by tile.
         """
@@ -115,7 +117,7 @@ class _EngineBase:
     #: Whether :meth:`run_data_plane_batched` executes stacked groups.
     supports_batched_replay = False
 
-    def run_data_plane_batched(self, simulator, jobs, images) -> bool:
+    def run_data_plane_batched(self, simulator, jobs, stack, base) -> bool:
         """Default: batched replay unsupported; caller replays per tile."""
         return False
 
@@ -156,10 +158,10 @@ class VectorizedEngine(_EngineBase):
 
         run_data_plane(simulator, jobs, exact=False)
 
-    def run_data_plane_batched(self, simulator, jobs, images) -> bool:
+    def run_data_plane_batched(self, simulator, jobs, stack, base) -> bool:
         from repro.cluster.vecsim import run_data_plane_batched
 
-        run_data_plane_batched(simulator, jobs, images)
+        run_data_plane_batched(simulator, jobs, stack, base)
         return True
 
 

@@ -16,7 +16,9 @@ phases so the per-cycle loop touches almost nothing:
    segmented reductions and scatters — once per command instead of once per
    cycle.  The kernel works on a word-major ``(words, tiles)`` stack: the
    live TCDM is a stack of one, and a batched replay group
-   (:func:`run_data_plane_batched`) a stack of many.  Commands with
+   (:func:`run_data_plane_batched`) a stack of many, which the system
+   walker stages straight from and back to the HMC and the kernel
+   updates in place.  Commands with
    intra-command read-after-write hazards fall back
    to the exact per-op executor; on the fast path only MAC can differ from
    the soft-float reference, by at most a final-ulp rounding, unless the
@@ -64,9 +66,6 @@ from repro.core.vecops import (
 )
 from repro.softfloat.pcs import PcsConfig
 
-_WORD = 4
-#: Tiles per slab when transposing image rows into a word-major stack.
-_TRANSPOSE_TILES = 32
 
 __all__ = ["run_vectorized", "run_data_plane", "run_data_plane_batched"]
 
@@ -219,33 +218,20 @@ class _ImageTcdm:
         self._view[(address - self._base) >> 2] = np.float32(value)
 
 
-def _touched_words(jobs_per_ntx: List[_Queue], base: int, words: int) -> Tuple[int, int]:
-    """The ``[lo, hi)`` word span of a ``words``-word image at ``base``
-    that covers every in-image address of every command."""
-    lo, hi = words, 0
-    for plans in jobs_per_ntx:
-        for _, plan in plans:
-            if plan.lo is not None:
-                lo = min(lo, max(0, (plan.lo - base) >> 2))
-                hi = max(hi, min(words, ((plan.hi - base) >> 2) + 1))
-    return (lo, hi) if lo < hi else (0, 0)
-
-
 def run_data_plane_batched(
-    simulator, jobs: Sequence[Tuple[int, NtxCommand]], images: np.ndarray
+    simulator, jobs: Sequence[Tuple[int, NtxCommand]], stack: np.ndarray, base: int
 ) -> None:
-    """Replay one tile program over a stack of private TCDM images at once.
+    """Replay one tile program over a word-major stack of TCDM images at once.
 
-    ``images`` holds one float32 word-view row per tile of a batch group
-    (see :mod:`repro.system.batch`), word 0 at the TCDM base and wide
-    enough for every word the commands touch; every tile executes the
-    same ``jobs`` in the same order.  That word span is transposed into
-    a word-major ``(words, tiles)`` stack, so each command becomes one
-    stacked dispatch (:func:`repro.core.vecops.execute_streams_batched`)
-    over contiguous rows of ``tiles`` floats, and the span is transposed
-    back into ``images`` at the end.  Commands that need the exact per-op
-    path (RAW hazards, NaN comparator inputs) fall back tile by tile
-    through :class:`_ImageTcdm` on the tile's column of the stack,
+    ``stack`` is the ``(words, tiles)`` float32 stack of a batch group (see
+    :mod:`repro.system.batch`): row ``w`` holds the word at byte address
+    ``base + 4 * w`` of every tile's private scratchpad image, and the
+    rows cover every word the commands touch.  Every tile executes the
+    same ``jobs`` in the same order, so each command becomes one stacked
+    dispatch (:func:`repro.core.vecops.execute_streams_batched`) over
+    contiguous rows of ``tiles`` floats, in place.  Commands that need the
+    exact per-op path (RAW hazards, NaN comparator inputs) fall back tile
+    by tile through :class:`_ImageTcdm` on the tile's column of the stack,
     preserving bit-exactness without abandoning the rest of the group.
 
     Statistics are accounted wholesale — each command's counters multiplied
@@ -256,17 +242,8 @@ def run_data_plane_batched(
     """
     cluster = simulator.cluster
     tcdm = cluster.tcdm
-    num_tiles = images.shape[0]
-    jobs_per_ntx = _plans_per_ntx(cluster, jobs)
-    lo, hi = _touched_words(jobs_per_ntx, tcdm.base, images.shape[1])
-    # Image rows are a power of two bytes apart, so a wide strided copy
-    # thrashes the cache; transposing 32 tiles at a time does not.
-    stack = np.empty((hi - lo, num_tiles), dtype=images.dtype)
-    for first in range(0, num_tiles, _TRANSPOSE_TILES):
-        last = first + _TRANSPOSE_TILES
-        stack[:, first:last] = images[first:last, lo:hi].T
-    base = tcdm.base + lo * _WORD
-    for ntx, plans in zip(cluster.ntx, jobs_per_ntx):
+    num_tiles = stack.shape[1]
+    for ntx, plans in zip(cluster.ntx, _plans_per_ntx(cluster, jobs)):
         for command, plan in plans:
             fast_path = execute_streams_batched(command, plan, stack, base)
             if fast_path:
@@ -277,7 +254,6 @@ def run_data_plane_batched(
                         ntx, command, _ImageTcdm(stack[:, tile], base, tcdm)
                     )
             _account_command(cluster, ntx, command, plan, fast_path, count=num_tiles)
-    images[:, lo:hi] = stack.T
 
 
 def _reference_loop(

@@ -107,21 +107,45 @@ def conv2d_f64(image: np.ndarray, weights: np.ndarray) -> np.ndarray:
     callers that emulate the engines' accumulate-and-round sequences across
     several commands (the DNN training golden, the 3D stencil golden) need
     the unrounded partial to add further contributions before rounding.
+
+    The last two axes are the image and kernel planes; leading axes
+    broadcast, so a ``(tiles, H, W)`` stack with a ``(tiles, k, k)`` stack
+    of kernels correlates every tile in one pass.  Each output is
+    bit-identical to its own call: the float32 x float32 products are
+    formed in float64 and summed in the same ``(dy, dx)`` order.
     """
     image = np.asarray(image, dtype=np.float32)
     weights = np.asarray(weights, dtype=np.float32)
-    height, width = image.shape
-    k_h, k_w = weights.shape
+    height, width = image.shape[-2:]
+    k_h, k_w = weights.shape[-2:]
     out_h, out_w = height - k_h + 1, width - k_w + 1
     if out_h <= 0 or out_w <= 0:
         raise ValueError("kernel larger than image")
-    out = np.zeros((out_h, out_w), dtype=np.float64)
+    # Work on flattened rows of the full image width, so every tap is one
+    # contiguous run per image: output (y, x) sits at y * width + x, and
+    # the k_w - 1 columns past out_w (fed by the zero padding at the end)
+    # are dropped from the result.
+    lead_image, lead_weights = image.shape[:-2], weights.shape[:-2]
+    lead = (
+        lead_image
+        if lead_image == lead_weights
+        else np.broadcast_shapes(lead_image, lead_weights)
+    )
+    span = out_h * width
+    flat = np.zeros(lead_image + (height * width + k_w - 1,), dtype=np.float64)
+    flat[..., : height * width] = image.reshape(lead_image + (-1,))
+    # (..., k_h * k_w, 1): tap dy * k_w + dx broadcasts over its outputs.
+    taps = weights.reshape(lead_weights + (-1, 1)).astype(np.float64)
+    out = np.zeros(lead + (span,), dtype=np.float64)
+    product = np.empty_like(out)
     for dy in range(k_h):
         for dx in range(k_w):
-            out += np.float64(weights[dy, dx]) * image[
-                dy : dy + out_h, dx : dx + out_w
-            ].astype(np.float64)
-    return out
+            start = dy * width + dx
+            np.multiply(
+                taps[..., dy * k_w + dx, :], flat[..., start : start + span], out=product
+            )
+            np.add(out, product, out=out)
+    return out.reshape(lead + (out_h, width))[..., :out_w]
 
 
 def conv2d_reference(image: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -79,7 +79,7 @@ from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc
 from repro.mem.tcdm import TcdmConfig
 from repro.scenarios.spec import ScenarioSpec
-from repro.system.workloads import conv_tiled_workload
+from repro.system.workloads import conv_tiled_workload, verify_references
 
 __all__ = [
     "FAMILIES",
@@ -109,12 +109,7 @@ class ScenarioWorkload:
 
     def verify(self, hmc: Hmc, rtol: float = 1e-6, atol: float = 1e-7) -> None:
         """Assert every output region in the HMC matches its golden model."""
-        for address, expected in self.references:
-            produced = hmc.memory.load_array(address, expected.shape)
-            # Exact equality implies allclose; anything else (NaNs
-            # included) gets the full check and its diagnostics.
-            if not np.array_equal(produced, expected):
-                np.testing.assert_allclose(produced, expected, rtol=rtol, atol=atol)
+        verify_references(hmc, self.references, rtol, atol)
 
     @property
     def total_flops(self) -> int:

@@ -20,18 +20,22 @@ the self-containment gate below:
 1. every deferred hit is grouped under a **batch key** — its engine
    timing signature plus everything the signature deliberately leaves out
    but the data plane needs (per-command scalar immediates and the
-   TCDM-side layout of its DMA transfers);
-2. each group's data plane executes as **one stacked dispatch**: the HMC
-   inputs of all member tiles are gathered into a ``(tiles, tcdm_words)``
-   float32 image stack with one fancy-index per transfer row, the engine
-   replays the shared command stream over the whole stack at once
+   TCDM-side layout of its DMA transfers).  Jobs, signature and key are
+   functions of the *tile program* (:func:`per_program`), so they are
+   derived once per distinct program, not once per tile;
+2. each group's data plane executes as **one stacked dispatch** on a
+   zero-initialised word-major ``(words, tiles)`` float32 stack: row ``w``
+   holds TCDM word ``w`` of every member, over the word span the tile
+   program stages or touches, so each gather and reduction step moves
+   contiguous rows of ``tiles`` floats.  Members are ordered by HMC
+   address; each DMA-in row goes straight from the HMC into its rows of
+   the stack — one strided view of the HMC copied 32 tiles at a time when
+   the members sit one stride apart (a tiled workload), a gather through
+   a window view of the HMC otherwise.  The engine replays the shared
+   command stream over the stack in place
    (:meth:`~repro.cluster.engine.Engine.run_data_plane_batched`), and the
-   outputs scatter back to each member's HMC region; a group of one tile
-   runs the ordinary inline hit path.  The vectorized engine computes in
-   the transposed, word-major layout: it copies the word span the commands
-   touch into a ``(words, tiles)`` stack, so each gather and reduction
-   step moves contiguous rows of ``tiles`` floats, and copies the span
-   back before the scatter;
+   DMA-out rows go straight back to each member's HMC region the same
+   way.  A group of one tile runs the ordinary inline hit path;
 3. cache misses still run inline in walk order, so hit/miss accounting
    and cached timings are identical to a walk that defers nothing.
 
@@ -51,7 +55,7 @@ reads it records as observing the command's own stores — the same plan
 the data plane and the timing core run from.  Its TCDM-side verdict is a
 function of the batch key and the TCDM geometry, so the timing cache
 keeps it (``TileTimingCache.gate_verdicts``) and a warm cache checks
-only the HMC-side rows again.
+only the HMC-side rows of every tile again.
 
 Statistics are mirrored so a batched run's reports equal the inline
 walk's: DMA engine/AXI/memory counters are credited per member on its own
@@ -76,6 +80,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 import numpy as np
@@ -91,7 +96,15 @@ from repro.obs import trace as _trace
 from repro.system.config import SystemConfig
 from repro.system.memo import CachedTiming, TileTimingCache
 
-__all__ = ["ClusterAssignment", "passes_gate", "plan_tiles", "walk_tiles"]
+__all__ = [
+    "ClusterAssignment",
+    "passes_gate",
+    "per_program",
+    "plan_tiles",
+    "walk_tiles",
+]
+
+T = TypeVar("T")
 
 _BATCH_GROUPS = _metrics.counter(
     "repro_batched_groups_total", "Stacked cache-hit groups replayed"
@@ -173,6 +186,21 @@ class _HashedKey(tuple):
         return (_HashedKey, (tuple(self),))
 
 
+def _dma_layout(tile: TileSchedule) -> tuple:
+    """The TCDM-side layout of ``tile``'s DMA transfers: what the members
+    of a batch group share (their HMC-side addresses are what varies)."""
+    return (
+        tuple(
+            (t.dst, t.row_bytes, t.rows, t.dst_pitch or t.row_bytes)
+            for t in tile.transfers_in
+        ),
+        tuple(
+            (t.src, t.row_bytes, t.rows, t.src_pitch or t.row_bytes)
+            for t in tile.transfers_out
+        ),
+    )
+
+
 def _group_key(tile: TileSchedule, signature: tuple) -> tuple:
     """Batch key: timing signature + what the data plane additionally pins.
 
@@ -182,16 +210,34 @@ def _group_key(tile: TileSchedule, signature: tuple) -> tuple:
     Only the TCDM-side layout of a transfer is pinned — the HMC-side
     addresses are exactly what varies across the members of a group.
     """
-    in_layout = tuple(
-        (t.dst, t.row_bytes, t.rows, t.dst_pitch or t.row_bytes)
-        for t in tile.transfers_in
-    )
-    out_layout = tuple(
-        (t.src, t.row_bytes, t.rows, t.src_pitch or t.row_bytes)
-        for t in tile.transfers_out
-    )
     scalars = tuple(command.scalar for command in tile.commands)
-    return (signature, scalars, in_layout, out_layout)
+    return (signature, scalars, *_dma_layout(tile))
+
+
+def per_program(derive: Callable[[TileSchedule], T]) -> Callable[[TileSchedule], T]:
+    """``derive`` computed once per distinct *tile program*.
+
+    A tile program is a tile's commands and placements plus the TCDM-side
+    layout of its DMA transfers: everything a tile shares with the tiles
+    that compute the same way on other data.  Whatever is a function of
+    the program alone — jobs, scheduling cost, timing signature, batch
+    key — is derived for its first tile and shared.  Commands count by
+    identity: a workload builder hands every tile of one program the same
+    command objects, and hashing commands by value would cost as much as
+    deriving.  The memo keeps the commands it has seen alive, so an
+    identity cannot be reused.
+    """
+    known: Dict[tuple, Tuple[tuple, T]] = {}
+
+    def lookup(tile: TileSchedule) -> T:
+        placements = None if tile.placements is None else tuple(tile.placements)
+        key = (tuple(map(id, tile.commands)), placements, *_dma_layout(tile))
+        entry = known.get(key)
+        if entry is None:
+            entry = known[key] = (tuple(tile.commands), derive(tile))
+        return entry[1]
+
+    return lookup
 
 
 # --------------------------------------------------------------------------- #
@@ -348,25 +394,29 @@ def plan_tiles(
     """Jobs, timing signature and batch key of every tile — read-only.
 
     ``signed`` (the run has a cache) computes timing signatures and batch
-    keys; without it both stay ``None``.
+    keys; without it both stay ``None``.  All three are functions of the
+    tile program, so tiles of one program share them (:func:`per_program`).
     """
     num_ntx = config.cluster.num_ntx
-    plans: List[List[_TilePlan]] = []
-    for item in work:
-        signer = ClusterSimulator(item.cluster, engine=config.engine)
-        infos = []
-        for _, tile in item.assigned:
-            jobs = tile.jobs(num_ntx) if tile.commands else []
-            signature = key = None
-            if signed:
-                if tile.commands:
-                    signature = _HashedKey(
-                        signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)
-                    )
-                key = _HashedKey(_group_key(tile, signature))
-            infos.append(_TilePlan(tile, jobs, signature, key))
-        plans.append(infos)
-    return plans
+    # Every cluster of a system shares one configuration, so one signer
+    # serves all of them.
+    signer = ClusterSimulator(work[0].cluster, engine=config.engine) if work else None
+
+    def derive(tile: TileSchedule) -> Tuple[list, Optional[tuple], Optional[tuple]]:
+        jobs = tile.jobs(num_ntx) if tile.commands else []
+        signature = key = None
+        if signed:
+            if tile.commands:
+                signature = _HashedKey(
+                    signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)
+                )
+            key = _HashedKey(_group_key(tile, signature))
+        return jobs, signature, key
+
+    program = per_program(derive)
+    return [
+        [_TilePlan(tile, *program(tile)) for _, tile in item.assigned] for item in work
+    ]
 
 
 def passes_gate(
@@ -379,18 +429,19 @@ def passes_gate(
     Checks each distinct batch key once and stops at the first refusal,
     before any cluster, DMA or HMC state has been touched.  ``verdicts``
     (a timing cache's :attr:`~repro.system.memo.TileTimingCache.gate_verdicts`)
-    keeps the TCDM-side verdict of each key across runs; only the
-    HMC-side rows of the first tile per key are checked again.
+    keeps the TCDM-side verdict of each key across runs; the HMC-side rows
+    of every tile are checked on every run (members of a key differ in
+    exactly those).
     """
     tcdm_cfg = config.cluster.tcdm
     geometry = (tcdm_cfg.base_address, tcdm_cfg.size_bytes)
     checked = set()
     for infos in plans:
         for plan in infos:
-            if plan.key in checked:
-                continue
             if not _stages_in_hmc(config, plan.tile):
                 return False
+            if plan.key in checked:
+                continue
             key = (geometry, plan.key)
             verdict = None if verdicts is None else verdicts.get(key)
             if verdict is None:
@@ -592,37 +643,33 @@ def _replay_group_batched(
     core_ratio: float,
 ) -> None:
     """Replay one hit group as a single stacked data-plane dispatch."""
-    members = group.members
+    members = _in_hmc_order(group.members)
     num_tiles = len(members)
     # Counters are credited per work item: members times one tile's worth.
     per_item = Counter(member.work_index for member in members)
     cached = group.cached
     tile0 = members[0].plan.tile
     item0 = work[members[0].work_index]
-    tcdm_cfg = config.cluster.tcdm
-    tcdm_base = tcdm_cfg.base_address
+    tcdm_base = config.cluster.tcdm.base_address
     hmc = item0.cluster.hmc
-    hmc_base = hmc.base
     hmc_u8 = np.frombuffer(hmc.memory.data, dtype=np.uint8)
 
-    images = np.zeros((num_tiles, _image_words(tile0, tcdm_base)), dtype=np.float32)
-    images_u8 = images.view(np.uint8)
+    # The word-major stack: word ``w`` of every member's private image in
+    # row ``w``, over the word span the tile program stages or touches.
+    lo, hi = _stack_span(tile0, tcdm_base)
+    stack = np.zeros((hi - lo, num_tiles), dtype=np.float32)
+    base = tcdm_base + lo * _WORD
     dma_cycles = 0
 
-    # Gather: one fancy-index per transfer row pulls that row of every
-    # member from the HMC into its image (TCDM-side layout is shared).  It
-    # indexes a view of every ``row_bytes`` window of the HMC, so each
-    # member costs one index, not one per byte.
+    # DMA-in: each transfer row of every member goes from the HMC straight
+    # into its rows of the stack (the TCDM-side layout is shared).
     for index, transfer0 in enumerate(tile0.transfers_in):
-        row_bytes = transfer0.row_bytes
         cycles = item0.cluster.dma.transfer_cycles(transfer0)
         dma_cycles += cycles
-        rows_of = sliding_window_view(hmc_u8, row_bytes)
         peers = [member.plan.tile.transfers_in[index] for member in members]
-        sources = _row_offsets([(t.src, t.src_pitch) for t in peers], transfer0, hmc_base)
+        sources = _row_offsets([(t.src, t.src_pitch) for t in peers], transfer0, hmc.base)
         for row, (_, dst) in enumerate(transfer0.row_addresses()):
-            offset = dst - tcdm_base
-            images_u8[:, offset : offset + row_bytes] = rows_of[sources[:, row]]
+            _stage_in(stack, dst - base, hmc_u8, sources[:, row], transfer0.row_bytes)
         _mirror_dma_stats(work, slots, per_item, transfer0, cycles, inbound=True)
 
     # Compute: the engine replays the shared command stream over the stack.
@@ -632,7 +679,7 @@ def _replay_group_batched(
     if tile0.commands:
         simulator = ClusterSimulator(item0.cluster, engine=config.engine)
         if not get_engine(config.engine).run_data_plane_batched(
-            simulator, members[0].plan.jobs, images
+            simulator, members[0].plan.jobs, stack, base
         ):  # pragma: no cover - contract violation of a custom engine
             raise RuntimeError(
                 f"engine {config.engine!r} advertises batched replay but "
@@ -641,20 +688,18 @@ def _replay_group_batched(
         for work_index, count in per_item.items():
             _credit_cached_stats(config, work[work_index].cluster, cached, count)
 
-    # Scatter: push every member's output rows back to its HMC region
-    # (disjoint by the workload contract, so order cannot matter).
+    # DMA-out: every member's output rows go from the stack straight back
+    # to its HMC region (disjoint by the workload contract, so order
+    # cannot matter).
     for index, transfer0 in enumerate(tile0.transfers_out):
-        row_bytes = transfer0.row_bytes
         cycles = item0.cluster.dma.transfer_cycles(transfer0)
         dma_cycles += cycles
-        rows_of = sliding_window_view(hmc_u8, row_bytes, writeable=True)
         peers = [member.plan.tile.transfers_out[index] for member in members]
         destinations = _row_offsets(
-            [(t.dst, t.dst_pitch) for t in peers], transfer0, hmc_base
+            [(t.dst, t.dst_pitch) for t in peers], transfer0, hmc.base
         )
         for row, (src, _) in enumerate(transfer0.row_addresses()):
-            offset = src - tcdm_base
-            rows_of[destinations[:, row]] = images_u8[:, offset : offset + row_bytes]
+            _stage_out(stack, src - base, hmc_u8, destinations[:, row], transfer0.row_bytes)
         _mirror_dma_stats(work, slots, per_item, transfer0, cycles, inbound=False)
 
     for member in members:
@@ -664,20 +709,32 @@ def _replay_group_batched(
         slot.dma[member.position] = dma_cycles * core_ratio
 
 
-def _image_words(tile: TileSchedule, base: int) -> int:
-    """Words of a private image, from the TCDM base, that cover every
-    TCDM byte ``tile`` stages or its commands touch (the gate has checked
-    that all of them lie in the TCDM)."""
-    top = base
-    for transfer in tile.transfers_in:
-        top = max(top, _row_span(transfer.dst, transfer.dst_pitch, transfer)[1])
-    for transfer in tile.transfers_out:
-        top = max(top, _row_span(transfer.src, transfer.src_pitch, transfer)[1])
+def _in_hmc_order(members: List[_Member]) -> List[_Member]:
+    """``members`` sorted by the HMC address of their first transfer, so a
+    tiled workload's members sit one stride apart."""
+    tile = members[0].plan.tile
+    if tile.transfers_in:
+        return sorted(members, key=lambda member: member.plan.tile.transfers_in[0].src)
+    if tile.transfers_out:
+        return sorted(members, key=lambda member: member.plan.tile.transfers_out[0].dst)
+    return members
+
+
+def _stack_span(tile: TileSchedule, base: int) -> Tuple[int, int]:
+    """The ``[lo, hi)`` words, counted from the TCDM ``base``, that cover
+    every TCDM byte ``tile`` stages or its commands touch (the gate has
+    checked that all of them lie in the TCDM)."""
+    spans = [_row_span(t.dst, t.dst_pitch, t) for t in tile.transfers_in]
+    spans += [_row_span(t.src, t.src_pitch, t) for t in tile.transfers_out]
     for command in tile.commands:
         plan = command_plan(command)
-        if plan.hi is not None:
-            top = max(top, plan.hi + _WORD)
-    return -(-(top - base) // _WORD)
+        if plan.lo is not None:
+            spans.append((plan.lo, plan.hi + _WORD))
+    if not spans:
+        return 0, 0
+    lo = min(first for first, _ in spans)
+    hi = max(end for _, end in spans)
+    return (lo - base) // _WORD, -(-(hi - base) // _WORD)
 
 
 def _row_offsets(
@@ -692,6 +749,77 @@ def _row_offsets(
     )
     rows = np.arange(transfer0.rows, dtype=np.int64)
     return (starts - origin)[:, None] + pitches[:, None] * rows
+
+
+#: Tiles per block of a copy between tile-major rows and the word-major
+#: stack: one whole-stack transposing copy strides across every member's
+#: rows at once and thrashes the cache; 32 tiles at a time do not.
+_BLOCK_TILES = 32
+
+
+def _strided_rows(
+    hmc_u8: np.ndarray, starts: np.ndarray, row_bytes: int
+) -> Optional[np.ndarray]:
+    """The ``(members, row_bytes)`` HMC rows at byte offsets ``starts`` as
+    one strided view, or ``None`` unless the starts lie one stride apart.
+    (The gate has checked that every row lies in the HMC; NumPy checks the
+    view's extent against the buffer again.)"""
+    steps = np.diff(starts)
+    if not steps.size or np.any(steps != steps[0]):
+        return None
+    return np.ndarray(
+        (len(starts), row_bytes),
+        dtype=np.uint8,
+        buffer=hmc_u8,
+        offset=int(starts[0]),
+        strides=(int(steps[0]), 1),
+    )
+
+
+def _stage_in(
+    stack: np.ndarray, offset: int, hmc_u8: np.ndarray, starts: np.ndarray, row_bytes: int
+) -> None:
+    """Copy each member's HMC row at ``starts`` to byte ``offset`` of its
+    column of ``stack``."""
+    rows = _strided_rows(hmc_u8, starts, row_bytes)
+    if rows is None:
+        rows = sliding_window_view(hmc_u8, row_bytes)[starts]
+    if offset % _WORD or row_bytes % _WORD:
+        images, skip = _partial_words(stack, offset, row_bytes)
+        images.view(np.uint8)[:, skip : skip + row_bytes] = rows
+        stack[offset // _WORD : offset // _WORD + images.shape[1]] = images.T
+        return
+    words = stack[offset // _WORD : (offset + row_bytes) // _WORD]
+    rows = rows.view(np.float32)
+    for first in range(0, len(starts), _BLOCK_TILES):
+        words[:, first : first + _BLOCK_TILES] = rows[first : first + _BLOCK_TILES].T
+
+
+def _stage_out(
+    stack: np.ndarray, offset: int, hmc_u8: np.ndarray, starts: np.ndarray, row_bytes: int
+) -> None:
+    """Copy ``row_bytes`` from byte ``offset`` of each member's column of
+    ``stack`` to its HMC row at ``starts``."""
+    rows = _strided_rows(hmc_u8, starts, row_bytes)
+    target = np.empty((len(starts), row_bytes), np.uint8) if rows is None else rows
+    if offset % _WORD or row_bytes % _WORD:
+        images, skip = _partial_words(stack, offset, row_bytes)
+        target[...] = images.view(np.uint8)[:, skip : skip + row_bytes]
+    else:
+        words = stack[offset // _WORD : (offset + row_bytes) // _WORD]
+        out = target.view(np.float32)
+        for first in range(0, len(starts), _BLOCK_TILES):
+            out[first : first + _BLOCK_TILES] = words[:, first : first + _BLOCK_TILES].T
+    if rows is None:
+        sliding_window_view(hmc_u8, row_bytes, writeable=True)[starts] = target
+
+
+def _partial_words(stack: np.ndarray, offset: int, row_bytes: int) -> Tuple[np.ndarray, int]:
+    """A tile-major copy of the words holding bytes ``[offset, offset +
+    row_bytes)`` of every column, and the offset of the first byte in it
+    (rows that start or end inside a word)."""
+    first, end = offset // _WORD, -(-(offset + row_bytes) // _WORD)
+    return np.ascontiguousarray(stack[first:end].T), offset - first * _WORD
 
 
 def _mirror_dma_stats(

@@ -50,7 +50,7 @@ from repro.mem.hmc import Hmc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.options import ExecutionOptions
-from repro.system.batch import PHASE_SECONDS, ClusterAssignment, walk_tiles
+from repro.system.batch import PHASE_SECONDS, ClusterAssignment, per_program, walk_tiles
 from repro.system.config import SystemConfig
 from repro.system.memo import TileTimingCache
 from repro.system.scheduler import ShardPlan, WorkQueueScheduler
@@ -231,7 +231,9 @@ class SystemSimulator:
     # -- scheduling -----------------------------------------------------------
 
     def _estimate_cost(self, tile: TileSchedule) -> float:
-        """Scheduling estimate of a tile's busy time in NTX cycles."""
+        """Scheduling estimate of a tile's busy time in NTX cycles (a
+        function of the tile program, see
+        :func:`~repro.system.batch.per_program`)."""
         config = self.config.cluster
         per_ntx = [0.0] * config.num_ntx
         for ntx_id, command in tile.jobs(config.num_ntx):
@@ -244,7 +246,8 @@ class SystemSimulator:
 
     def shard(self, tiles: Sequence[TileSchedule]) -> ShardPlan:
         """Work-queue assignment of ``tiles`` to this system's clusters."""
-        costs = [self._estimate_cost(tile) for tile in tiles]
+        cost = per_program(self._estimate_cost)
+        costs = [cost(tile) for tile in tiles]
         return self.scheduler.assign(costs, self.config.num_clusters)
 
     # -- execution ------------------------------------------------------------

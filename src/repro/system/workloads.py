@@ -15,7 +15,7 @@ output rows are banded across the cluster's NTX co-processors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,9 +25,61 @@ from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc
 from repro.mem.tcdm import TcdmConfig
 
-__all__ = ["ConvWorkload", "conv_tiled_workload"]
+__all__ = ["ConvWorkload", "conv_tiled_workload", "verify_references"]
 
 _WORD = 4
+
+
+def verify_references(
+    hmc: Hmc, references: Sequence[Tuple[int, np.ndarray]], rtol: float, atol: float
+) -> None:
+    """Assert every ``(hmc address, expected array)`` region of the HMC
+    matches its float32 reference.
+
+    References of one shape at uniformly strided addresses (every tile of
+    a tiled workload) compare as one strided view of the HMC against
+    their stack, and exact equality ends the check there.  Anything else —
+    another layout, or any difference at all — takes the per-region
+    path: exact equality first, then ``assert_allclose`` with its
+    diagnostics for the first region that differs.
+    """
+    memory = hmc.memory
+    if _equal_as_one_view(memory, references):
+        memory.reads += len(references)
+        return
+    for address, expected in references:
+        produced = memory.load_array(address, expected.shape)
+        # Exact equality implies allclose; anything else (NaNs
+        # included) gets the full check and its diagnostics.
+        if not np.array_equal(produced, expected):
+            np.testing.assert_allclose(produced, expected, rtol=rtol, atol=atol)
+
+
+def _equal_as_one_view(memory, references: Sequence[Tuple[int, np.ndarray]]) -> bool:
+    """Whether ``references`` lie uniformly strided in ``memory`` and all
+    equal it exactly (``False`` for any other layout)."""
+    if len(references) < 2:
+        return False
+    shape = references[0][1].shape
+    addresses = np.fromiter((address for address, _ in references), dtype=np.int64)
+    stride = int(addresses[1] - addresses[0])
+    first = int(addresses[0])
+    extent = int(addresses[-1]) - first + int(np.prod(shape)) * _WORD
+    if (
+        stride <= 0
+        or np.any(np.diff(addresses) != stride)
+        or any(expected.shape != shape for _, expected in references)
+        or not memory.contains(first, extent)
+    ):
+        return False
+    produced = np.ndarray(
+        (len(references), *shape),
+        dtype=np.float32,
+        buffer=memory.data,
+        offset=first - memory.base,
+        strides=(stride, *np.empty(shape, dtype=np.float32).strides),
+    )
+    return np.array_equal(produced, np.stack([expected for _, expected in references]))
 
 
 @dataclass
@@ -40,12 +92,18 @@ class ConvWorkload:
 
     def verify(self, hmc: Hmc, rtol: float = 1e-5, atol: float = 1e-6) -> None:
         """Assert every tile's output in the HMC matches its reference."""
-        for address, expected in self.references:
-            produced = hmc.memory.load_array(address, expected.shape)
-            # Exact equality implies allclose; anything else (NaNs
-            # included) gets the full check and its diagnostics.
-            if not np.array_equal(produced, expected):
-                np.testing.assert_allclose(produced, expected, rtol=rtol, atol=atol)
+        verify_references(hmc, self.references, rtol, atol)
+
+
+#: Bytes of float64 image data one build chunk of tiles spans: the stacked
+#: golden model's working set then stays in a core's L2 cache.
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_tiles(image_shape: Tuple[int, int]) -> int:
+    """Tiles drawn, stored and correlated per pass of the build."""
+    height, width = image_shape
+    return max(1, _CHUNK_BYTES // (height * width * 8))
 
 
 def conv_tiled_workload(
@@ -67,7 +125,15 @@ def conv_tiled_workload(
 
     ``draw(rng, shape)`` generates the float32 operand arrays (default:
     standard normal); the scenario subsystem passes a lattice-valued
-    generator so both cycle engines produce bit-identical results.
+    generator so both cycle engines produce bit-identical results.  It
+    must fill its array element by element in C order — as NumPy's
+    generators do — because the build draws a chunk of tiles at once:
+    one ``(tiles, image + kernel words)`` call equals each tile drawing
+    its image, then its kernel.
+
+    The HMC holds each tile's image, kernel and output region back to
+    back.  A workload that does not fit raises :class:`MemoryError`
+    before anything is written.
     """
     if draw is None:
         def draw(rng, shape):
@@ -80,9 +146,12 @@ def conv_tiled_workload(
     if out_h <= 0 or out_w <= 0:
         raise ValueError("kernel larger than image")
 
-    image_bytes = height * width * _WORD
+    image_words = height * width
+    operand_words = image_words + kernel * kernel
+    image_bytes = image_words * _WORD
     weight_bytes = kernel * kernel * _WORD
     out_bytes = out_h * out_w * _WORD
+    stride = image_bytes + weight_bytes + out_bytes
 
     # Per-cluster TCDM layout (identical on every cluster).
     tcdm_image = tcdm.base_address
@@ -90,6 +159,8 @@ def conv_tiled_workload(
     tcdm_out = tcdm_weights + weight_bytes
     if tcdm_out + out_bytes > tcdm.base_address + tcdm.size_bytes:
         raise MemoryError("one tile does not fit the TCDM")
+    if num_tiles * stride > hmc.config.capacity_bytes:
+        raise MemoryError("workload exceeds the HMC capacity")
 
     # The band commands depend only on the TCDM layout (and are frozen), so
     # every tile shares them; each tile still gets its own list.
@@ -111,36 +182,45 @@ def conv_tiled_workload(
         )
         row_start += band_rows
 
+    # Every tile's operand words (image, then kernel) as one strided view.
+    operands_in_hmc = np.ndarray(
+        (num_tiles, operand_words),
+        dtype=np.float32,
+        buffer=hmc.memory.data,
+        strides=(stride, _WORD),
+    )
     rng = np.random.default_rng(seed)
-    cursor = hmc.base
     tiles: List[TileSchedule] = []
     references: List[Tuple[int, np.ndarray]] = []
-    for _ in range(num_tiles):
-        image = draw(rng, image_shape)
-        weights = draw(rng, (kernel, kernel))
-
-        hmc_image, cursor = cursor, cursor + image_bytes
-        hmc_weights, cursor = cursor, cursor + weight_bytes
-        hmc_out, cursor = cursor, cursor + out_bytes
-        if cursor > hmc.base + hmc.config.capacity_bytes:
-            raise MemoryError("workload exceeds the HMC capacity")
-        hmc.memory.store_array(hmc_image, image)
-        hmc.memory.store_array(hmc_weights, weights)
-
-        tiles.append(
-            TileSchedule(
-                transfers_in=[
-                    DmaTransfer(src=hmc_image, dst=tcdm_image, row_bytes=image_bytes),
-                    DmaTransfer(
-                        src=hmc_weights, dst=tcdm_weights, row_bytes=weight_bytes
-                    ),
-                ],
-                commands=list(band_commands),
-                transfers_out=[
-                    DmaTransfer(src=tcdm_out, dst=hmc_out, row_bytes=out_bytes)
-                ],
-            )
+    chunk = _chunk_tiles(image_shape)
+    for first in range(0, num_tiles, chunk):
+        count = min(chunk, num_tiles - first)
+        operands = np.asarray(draw(rng, (count, operand_words)), dtype=np.float32)
+        operands_in_hmc[first : first + count] = operands
+        outputs = conv2d_reference(
+            operands[:, :image_words].reshape(count, height, width),
+            operands[:, image_words:].reshape(count, kernel, kernel),
         )
-        references.append((hmc_out, conv2d_reference(image, weights)))
+        for index in range(count):
+            hmc_image = hmc.base + (first + index) * stride
+            hmc_weights = hmc_image + image_bytes
+            hmc_out = hmc_weights + weight_bytes
+            tiles.append(
+                TileSchedule(
+                    transfers_in=[
+                        DmaTransfer(src=hmc_image, dst=tcdm_image, row_bytes=image_bytes),
+                        DmaTransfer(
+                            src=hmc_weights, dst=tcdm_weights, row_bytes=weight_bytes
+                        ),
+                    ],
+                    commands=list(band_commands),
+                    transfers_out=[
+                        DmaTransfer(src=tcdm_out, dst=hmc_out, row_bytes=out_bytes)
+                    ],
+                )
+            )
+            references.append((hmc_out, outputs[index]))
+    # One store per image and per kernel, as a tile-by-tile build counts.
+    hmc.memory.writes += 2 * num_tiles
 
     return ConvWorkload(tiles=tiles, references=references)

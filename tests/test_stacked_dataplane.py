@@ -229,3 +229,169 @@ def test_batched_group_falling_back_per_tile_matches_the_inline_walk():
     for ref_ntx, ntx in zip(ref.ntx, got.ntx):
         assert vars(ntx.stats) == vars(ref_ntx.stats)
         assert vars(ntx.fpu.stats) == vars(ref_ntx.fpu.stats)
+
+
+# -- staging between the HMC and the stack -------------------------------------
+
+#: Rows and words per row of the block each staging tile computes on.
+_ROWS, _WIDTH = 3, 5
+#: HMC bytes each staging tile owns.
+_REGION = 512
+
+
+def _staging_workload(hmc, num_tiles, layout):
+    """Tiles that stage through every batched-replay staging path.
+
+    Each tile pulls a ``_ROWS x _WIDTH`` lattice block in with a pitched
+    multi-row transfer (HMC pitch 32 B, TCDM pitch 24 B, both unlike the
+    20 B rows), copies it to a second pitched TCDM block and sums the
+    squares of each row, pushes both results out (again pitched, HMC
+    pitch 36 B), and passes 6 unaligned bytes through unchanged.  With
+    ``layout="uniform"`` tile ``t`` owns the HMC region ``t``, one stride
+    apart; ``"scattered"`` shuffles the regions and adds uneven gaps, so
+    no stride exists and staging gathers.
+    """
+    from repro.cluster.tiling import TileSchedule
+    from repro.mem.dma import DmaTransfer
+    from repro.mem.tcdm import TcdmConfig
+
+    row_bytes = 4 * _WIDTH
+    tcdm = TcdmConfig().base_address + 64
+    t_in, t_mid, t_sum, t_part = tcdm, tcdm + 128, tcdm + 256, tcdm + 302
+    copy = NtxCommand(
+        opcode=NtxOpcode.COPY,
+        loops=LoopConfig.nest(_WIDTH, _ROWS),
+        agu0=AguConfig(base=t_in, strides=(4, 24 - 4 * (_WIDTH - 1), 0, 0, 0)),
+        agu2=AguConfig(base=t_mid, strides=(4, 28 - 4 * (_WIDTH - 1), 0, 0, 0)),
+    )
+    squares = NtxCommand(
+        opcode=NtxOpcode.MAC,
+        loops=LoopConfig.nest(_WIDTH, _ROWS),
+        agu0=AguConfig(base=t_in, strides=(4, 24 - 4 * (_WIDTH - 1), 0, 0, 0)),
+        agu1=AguConfig(base=t_in, strides=(4, 24 - 4 * (_WIDTH - 1), 0, 0, 0)),
+        agu2=AguConfig(base=t_sum, strides=(0, 4, 0, 0, 0)),
+        init_level=1,
+        store_level=1,
+    )
+    rng = np.random.default_rng(num_tiles)
+    slots = np.arange(num_tiles)
+    gaps = np.zeros(num_tiles, dtype=np.int64)
+    if layout == "scattered":
+        slots = rng.permutation(num_tiles * 2)[:num_tiles]
+        gaps = 8 * rng.integers(0, 20, size=num_tiles)
+    tiles = []
+    for slot, gap in zip(slots, gaps):
+        region = hmc.base + 4096 + int(slot) * (_REGION + 160) + int(gap)
+        block = (rng.integers(-32, 32, size=(_ROWS, 8)) / 16.0).astype(np.float32)
+        hmc.memory.store_array(region, block)  # rows 32 B apart
+        hmc.memory.write_bytes(region + 101, rng.integers(0, 256, 6, dtype=np.uint8).tobytes())
+        tiles.append(
+            TileSchedule(
+                transfers_in=[
+                    DmaTransfer(src=region, dst=t_in, row_bytes=row_bytes, rows=_ROWS,
+                                src_pitch=32, dst_pitch=24),
+                    DmaTransfer(src=region + 101, dst=t_part, row_bytes=6),
+                ],
+                commands=[copy, squares],
+                transfers_out=[
+                    DmaTransfer(src=t_mid, dst=region + 200, row_bytes=row_bytes,
+                                rows=_ROWS, src_pitch=28, dst_pitch=36),
+                    DmaTransfer(src=t_sum, dst=region + 320, row_bytes=4 * _ROWS),
+                    DmaTransfer(src=t_part, dst=region + 343, row_bytes=6),
+                ],
+                placements=[0, 1],
+            )
+        )
+    return tiles
+
+
+def _summed(values):
+    return {key: sum(value[key] for value in values) for key in values[0]}
+
+
+@pytest.mark.parametrize("topology", [(1, 1), (2, 2)], ids=["1x1", "2x2"])
+@pytest.mark.parametrize("layout", ["uniform", "scattered"])
+@pytest.mark.parametrize("group", [2, 32, 33])
+def test_staging_paths_match_the_inline_walk(monkeypatch, topology, layout, group):
+    """Strided and gathered staging, pitched multi-row and unaligned
+    partial-word rows, groups on the 32-tile block edges: byte for byte and
+    counter for counter what the inline walk does."""
+    from repro.obs import metrics
+    from repro.options import ExecutionOptions
+    from repro.system import SystemConfig, SystemSimulator, batch
+
+    strided = []
+    rows_of = batch._strided_rows
+
+    def spy(*args, **kwargs):
+        rows = rows_of(*args, **kwargs)
+        strided.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(batch, "_strided_rows", spy)
+
+    def run(memoize):
+        num_vaults, clusters_per_vault = topology
+        simulator = SystemSimulator(
+            SystemConfig(num_vaults=num_vaults, clusters_per_vault=clusters_per_vault),
+            options=ExecutionOptions(memoize=memoize),
+        )
+        tiles = _staging_workload(simulator.hmc, group + 1, layout)
+        return simulator, simulator.run(tiles)
+
+    metrics.set_metrics_enabled(True)
+    inline, inline_result = run(memoize=False)
+    groups = metrics.REGISTRY.get("repro_batched_groups_total").value()
+    stacked_tiles = metrics.REGISTRY.get("repro_batched_tiles_total").value()
+    batched, result = run(memoize=True)
+
+    assert (result.cache_hits, result.cache_misses) == (group, 1)
+    assert metrics.REGISTRY.get("repro_batched_groups_total").value() == groups + 1
+    assert metrics.REGISTRY.get("repro_batched_tiles_total").value() == stacked_tiles + group
+    # Every transfer row stages strided exactly when the layout is uniform
+    # (any two members sit one stride apart).
+    assert strided and set(strided) == {layout == "uniform" or group == 2}
+
+    assert np.array_equal(
+        np.frombuffer(batched.hmc.memory.data, dtype=np.uint8),
+        np.frombuffer(inline.hmc.memory.data, dtype=np.uint8),
+    )
+    summary, inline_summary = result.summary(), inline_result.summary()
+    assert summary.pop("cache_hit_rate") > inline_summary.pop("cache_hit_rate") == 0
+    assert summary == inline_summary
+    for report, ref in zip(result.reports, inline_result.reports):
+        assert report.tile_indices == ref.tile_indices
+        assert report.compute_cycles_per_tile == ref.compute_cycles_per_tile
+        assert report.dma_cycles_per_tile == ref.dma_cycles_per_tile
+        assert report.dma_bytes == ref.dma_bytes
+    assert (batched.hmc.memory.reads, batched.hmc.memory.writes) == (
+        inline.hmc.memory.reads, inline.hmc.memory.writes
+    )
+    for got, ref in zip(batched.clusters, inline.clusters):
+        assert vars(got.dma.stats) == vars(ref.dma.stats)
+        assert (got.axi.busy_cycles, got.axi.bytes_transferred) == (
+            ref.axi.busy_cycles, ref.axi.bytes_transferred
+        )
+        for ntx, ref_ntx in zip(got.ntx, ref.ntx):
+            assert (ntx.stats.active_cycles, ntx.stats.stall_cycles) == (
+                ref_ntx.stats.active_cycles, ref_ntx.stats.stall_cycles
+            )
+    # Data-plane counters of a multi-cluster group land on its
+    # representative cluster: they agree in aggregate.
+    assert np.array_equal(
+        sum(c.tcdm.bank_accesses for c in batched.clusters),
+        sum(c.tcdm.bank_accesses for c in inline.clusters),
+    )
+    for side in ("reads", "writes"):
+        assert sum(getattr(c.tcdm.memory, side) for c in batched.clusters) == sum(
+            getattr(c.tcdm.memory, side) for c in inline.clusters
+        )
+    for ntx_id in range(len(inline.clusters[0].ntx)):
+        for attribute in ("stats", "fpu"):
+            def counters(sim):
+                return _summed([
+                    vars(getattr(c.ntx[ntx_id], attribute).stats
+                         if attribute == "fpu" else c.ntx[ntx_id].stats)
+                    for c in sim.clusters
+                ])
+            assert counters(batched) == counters(inline)
