@@ -25,18 +25,15 @@ Reduction Workloads in 22 nm FD-SOI" by Schuiki, Schaffner and Benini:
 * :mod:`repro.scenarios` — declarative workload scenarios: serializable
   specs, a named registry, and workload families built, run and verified
   against NumPy golden models.
+* :mod:`repro.campaign` — resumable design-space sweeps over scenarios,
+  run in-process with one shared tile-timing cache.
+* :mod:`repro.report` — the paper-artifact pipeline behind
+  ``docs/paper_results.md``.
 * :mod:`repro.eval` — one harness per paper table/figure plus the
-  ``python -m repro.eval`` command line (including ``scenario list/run``
-  and ``submit``, which talks to a running daemon).
+  ``python -m repro.eval`` command line (``report``, ``scenario``,
+  ``campaign`` and ``trace`` subcommands).
 * :mod:`repro.options` — :class:`ExecutionOptions`, the one serializable
   object carrying every execution knob through all of the above.
-* :mod:`repro.server` — the simulation-as-a-service daemon
-  (``python -m repro.server``): HTTP job submission, a bounded worker
-  pool, one warm process-lifetime timing cache, content-hash dedup and
-  store-backed resume.
-* :mod:`repro.client` — the thin HTTP client the ``submit`` subcommand
-  and external callers use (``submit``/``status``/``result``/``cancel``/
-  ``wait``).
 """
 
 __version__ = "1.0.0"

@@ -13,8 +13,7 @@ declarative object:
   Every expanded point carries a content hash of its scenario.
 * :mod:`repro.campaign.store` — :class:`ResultStore`: an append-only
   JSONL file keyed by point hash; interrupted campaigns **resume** by
-  skipping already-recorded points.  :func:`merge_stores` deterministically
-  folds the stores of a sharded campaign back into one.
+  skipping already-recorded points.
 * :mod:`repro.campaign.cache` — :class:`GlobalResultCache`: the shared,
   content-addressed result database (``--cache-dir`` /
   ``$REPRO_CACHE_DIR``) every runner consults so no point is ever
@@ -22,9 +21,9 @@ declarative object:
 * :mod:`repro.campaign.runner` — :func:`run_campaign`: expand, skip the
   stored points, execute the rest through
   :func:`~repro.scenarios.runner.run_scenario` (every point verifies
-  against its golden model) with a shared
-  :class:`~repro.system.memo.TileTimingCache` or a bounded process pool,
-  streaming each completed point to the store.
+  against its golden model) in-process with one shared
+  :class:`~repro.system.memo.TileTimingCache`, streaming each completed
+  point to the store.
 * :mod:`repro.campaign.analysis` — scaling curves (speedup, parallel
   efficiency, plateau detection) overlaid with the :mod:`repro.perf`
   roofline and energy models, fed with *measured* operational intensity.
@@ -57,12 +56,11 @@ if TYPE_CHECKING:
     from repro.campaign.runner import (
         CampaignOutcome,
         default_store_path,
-        order_longest_first,
         point_record,
         run_campaign,
     )
     from repro.campaign.spec import CampaignPoint, SweepSpec, point_id
-    from repro.campaign.store import ResultStore, ResultStoreError, merge_stores
+    from repro.campaign.store import ResultStore, ResultStoreError
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -78,8 +76,6 @@ __all__ = [
     "format_report",
     "get_campaign",
     "iter_campaigns",
-    "merge_stores",
-    "order_longest_first",
     "point_id",
     "point_record",
     "register_campaign",
@@ -104,8 +100,6 @@ _EXPORTS = {
     "format_report": "analysis",
     "get_campaign": "registry",
     "iter_campaigns": "registry",
-    "merge_stores": "store",
-    "order_longest_first": "runner",
     "point_id": "spec",
     "point_record": "runner",
     "register_campaign": "registry",

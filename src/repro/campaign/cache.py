@@ -3,7 +3,7 @@
 Since PR 4, a campaign point's :func:`~repro.campaign.spec.point_id`
 fully determines its verified result (every execution path is exact), so
 any record produced *anywhere* — a campaign run, a bench pass, a report
-invocation, a server job — can be served back to every later consumer
+invocation — can be served back to every later consumer
 without re-simulation.  :class:`GlobalResultCache` is that shared store:
 an append-only database of point records, sharded into per-hex-prefix
 JSONL files under one cache directory so concurrent writers rarely even
@@ -87,16 +87,16 @@ class GlobalResultCache:
     ``fcntl``-locked, loads tolerate a truncated last line, and interior
     corruption raises :class:`~repro.campaign.store.ResultStoreError`
     with the shard file and 1-based line number.  Shards are loaded
-    lazily into an in-process map (the warm layer the server keeps for
-    its whole lifetime); :meth:`refresh` drops the map to pick up other
-    writers' appends.
+    lazily into an in-process map that stays warm for the object's
+    lifetime; :meth:`refresh` drops the map to pick up other writers'
+    appends.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         #: Schema stamp written into (and required of) every entry.
         self.schema = spec_schema_version()
-        #: Lookup accounting (process-local, reported by ``/healthz``).
+        #: Lookup accounting (process-local, reported by :meth:`stats`).
         self.hits = 0
         self.misses = 0
         self._shards: Dict[str, Dict[str, Dict[str, Any]]] = {}
@@ -179,7 +179,7 @@ class GlobalResultCache:
         return len(seen)
 
     def stats(self) -> Dict[str, Any]:
-        """The ``/healthz`` shape: cache dir, entries, hits, misses."""
+        """A summary: cache dir, entries, hits, misses."""
         return {
             "dir": str(self.root),
             "entries": self.entries(),

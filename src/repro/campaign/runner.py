@@ -9,60 +9,39 @@ verified against its workload's golden model.  Each completed point is
 appended to the store immediately, so a killed campaign loses at most the
 point in flight.
 
-Two execution modes:
+Points run in-process, sequentially in expansion order, all sharing one
+:class:`~repro.system.memo.TileTimingCache` — structurally identical
+tiles across *different* points (same geometry, same shapes) pay for
+cycle simulation once per campaign rather than once per point.
 
-* **in-process** (``workers = 0``, the default): points run sequentially
-  in expansion order, all sharing one
-  :class:`~repro.system.memo.TileTimingCache` — structurally identical
-  tiles across *different* points (same geometry, same shapes) pay for
-  cycle simulation once per campaign rather than once per point.
-* **process pool** (``workers >= 1``): uncached points are dispatched
-  onto a bounded pool of that many worker processes (``workers=1``
-  isolates every point in one subprocess); each worker keeps one
-  process-local timing cache that warms over the points it executes.
-  Dispatch is *cost-aware*: points are ordered longest-expected-first
-  (costs estimated from the wall seconds of already-known records of
-  neighboring points, falling back to a geometry weight) and workers
-  steal the next point as they finish, so one skewed point no longer
-  strands the rest of the pool behind round-robin placement.  Records
-  stream back in completion order; the store keys by content hash, so
-  the result set is identical to a sequential run.
-
-Orthogonally to both modes, a :class:`~repro.campaign.cache.GlobalResultCache`
-(``options.cache_dir`` / ``$REPRO_CACHE_DIR``) is consulted before any
-point simulates and populated after every fresh execution — a point
-computed by *any* earlier campaign, bench pass, report run or server job
-is served from the cache and only re-presented (name/axes/spec rewritten
-for the current sweep) into the local store.  ``options.shard = "i/N"``
-deterministically restricts the run to the points whose id hashes into
-shard ``i``, so independent hosts split a sweep and later merge their
-stores with :func:`~repro.campaign.store.merge_stores`.
+A :class:`~repro.campaign.cache.GlobalResultCache` (``options.cache_dir``
+/ ``$REPRO_CACHE_DIR``) is consulted before any point simulates and
+populated after every fresh execution — a point computed by *any* earlier
+campaign, bench pass or report run is served from the cache and only
+re-presented (name/axes/spec rewritten for the current sweep) into the
+local store.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.campaign.cache import GlobalResultCache, resolve_cache
 from repro.campaign.registry import get_campaign
-from repro.campaign.spec import CampaignPoint, SweepSpec, point_id
+from repro.campaign.spec import CampaignPoint, SweepSpec
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.obs.logs import get_logger
-from repro.options import ExecutionOptions, parse_shard
+from repro.options import ExecutionOptions
 from repro.scenarios.runner import ScenarioOutcome, run_scenario
-from repro.scenarios.spec import ScenarioSpec
 from repro.system.memo import TileTimingCache
 
 __all__ = [
     "CampaignOutcome",
     "default_store_path",
-    "order_longest_first",
     "point_record",
     "run_campaign",
 ]
@@ -73,19 +52,6 @@ _POINTS = _metrics.counter(
     "repro_campaign_points_total",
     "Campaign points accounted for, by outcome",
     labelnames=("outcome",),
-)
-_STEALS = _metrics.counter(
-    "repro_pool_steals_total",
-    "Queued campaign points stolen by freed pool workers",
-)
-# The same instruments the simulator publishes into; the pool path folds
-# each worker record's tile-cache accounting in here (workers run with a
-# disabled process-local registry, so nothing is counted twice).
-_TILE_HITS = _metrics.counter(
-    "repro_tile_cache_hits_total", "Tile-timing cache hits"
-)
-_TILE_MISSES = _metrics.counter(
-    "repro_tile_cache_misses_total", "Tile-timing cache misses"
 )
 
 #: Where ``python -m repro.eval campaign run`` keeps stores by default.
@@ -143,96 +109,13 @@ class CampaignOutcome:
     executed_points: int = 0
     #: Wall seconds of this call's executions (skipped points cost ~0).
     run_seconds: float = 0.0
-    #: The ``i/N`` shard selector this run was restricted to, if any.
-    shard: Optional[str] = None
     #: Directory of the global result cache consulted, if any.
     cache_dir: Optional[str] = None
 
     @property
     def complete(self) -> bool:
-        """Whether every expanded (shard-local) point now has a record."""
+        """Whether every expanded point now has a record."""
         return len(self.records) == len(self.points)
-
-
-# -- process-pool plumbing ----------------------------------------------------
-
-#: Per-worker-process timing cache (created lazily after fork/spawn); one
-#: worker executes many points, so the cache warms across them just like
-#: the in-process path's shared cache.
-_WORKER_CACHE: Optional[TileTimingCache] = None
-
-
-def _execute_point_remote(spec_data: Dict[str, Any], trace: bool = False) -> Dict[str, Any]:
-    """Worker entry point: run one point and return its picklable record.
-
-    With ``trace`` the worker enables its process-local tracer and rides
-    the serialized spans home under the transient ``_spans`` key, which
-    the parent pops (and ingests) before the record touches the store —
-    stores stay byte-identical to untraced runs.
-    """
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = TileTimingCache()
-    spec = ScenarioSpec.from_dict(spec_data)
-    if trace:
-        _trace.TRACER.set_enabled(True)
-    track = f"campaign-worker-{os.getpid()}"
-    with _trace.TRACER.track(track), _trace.span("point", name=spec.name):
-        outcome = run_scenario(spec, timing_cache=_WORKER_CACHE)
-    point = CampaignPoint(id=point_id(spec), axis_values={}, spec=spec)
-    record = point_record(point, outcome, outcome.run_seconds)
-    if trace:
-        record["_spans"] = [
-            span.to_dict() for span in _trace.TRACER.drain(track)
-        ]
-    return record
-
-
-def _estimate_cost(
-    point: CampaignPoint, known: Dict[str, Dict[str, Any]]
-) -> float:
-    """Expected wall seconds of ``point``, from neighbors' makespans.
-
-    Every known record (resumed, cache-served, or completed earlier in
-    this run) contributes a seconds-per-geometry-weight rate; the
-    point's cost is the mean rate times its own weight.  With no known
-    neighbors the weight alone orders points — bigger geometry first,
-    which is the right prior for this simulator.  Estimates only order
-    the pool queue; a wrong estimate costs schedule quality, never
-    correctness.
-    """
-    rates = [
-        record["wall_seconds"] / weight
-        for record in known.values()
-        if isinstance(record.get("wall_seconds"), (int, float))
-        and record["wall_seconds"] > 0
-        and (weight := _geometry_weight(record.get("spec") or {})) > 0
-    ]
-    rate = sum(rates) / len(rates) if rates else 1.0
-    return rate * _geometry_weight(point.spec.to_dict())
-
-
-def _geometry_weight(spec_data: Dict[str, Any]) -> float:
-    """Relative size of a scenario: simulated compute units."""
-    weight = 1.0
-    for name in ("num_tiles", "num_vaults", "clusters_per_vault"):
-        value = spec_data.get(name)
-        if isinstance(value, (int, float)) and value > 0:
-            weight *= value
-    return weight
-
-
-def order_longest_first(
-    points: List[CampaignPoint], known: Dict[str, Dict[str, Any]]
-) -> List[CampaignPoint]:
-    """LPT order for the worker pool: longest expected point first.
-
-    Deterministic: estimated cost descending, point id as the tie-break,
-    so two runs over the same store state build identical queues.
-    """
-    return sorted(
-        points, key=lambda point: (-_estimate_cost(point, known), point.id)
-    )
 
 
 def run_campaign(
@@ -248,9 +131,7 @@ def run_campaign(
 
     ``options`` is the unified :class:`~repro.options.ExecutionOptions`
     block: ``options.quick`` applies the campaign's ``quick_overrides``
-    to the base scenario (axes are never shrunk), ``options.workers >=
-    1`` dispatches points onto a bounded process pool of that many
-    workers (``0``, the default, runs in-process), and non-default
+    to the base scenario (axes are never shrunk), and non-default
     ``engine``/``memoize`` values override the *base* scenario before
     expansion — which changes the expanded point ids, exactly as editing
     the sweep definition would.
@@ -258,22 +139,17 @@ def run_campaign(
     ``max_points`` caps how many pending points this call executes (the
     rest stay pending for the next call).  ``on_point(record, fresh)``
     is invoked after every point is accounted for — with ``fresh=False``
-    for skipped (resumed) points — which is how the CLI and the server
-    stream progress; an exception it raises aborts the run exactly like
-    a kill, leaving the store resumable.  ``timing_cache`` lets a
-    long-lived caller (the server) share one warm tile-timing cache
-    across campaign runs; in-process runs default to a fresh per-call
-    cache.
+    for skipped (resumed) points — which is how the CLI streams
+    progress; an exception it raises aborts the run exactly like a kill,
+    leaving the store resumable.  ``timing_cache`` lets a caller share
+    one warm tile-timing cache across campaign runs; by default each
+    call gets a fresh one.
 
     ``cache`` (or ``options.cache_dir``, or ``$REPRO_CACHE_DIR`` — see
     :func:`~repro.campaign.cache.resolve_cache`) enables the global
     result cache: points found there are served without simulation
     (``on_point(record, False)``, counted as ``cached_points``) and
-    every freshly executed point is published back.  ``options.shard``
-    (``"i/N"``) restricts the run to the deterministic subset of points
-    whose id hashes into shard ``i`` — the outcome's ``points`` and
-    ``complete`` are then shard-local, and sibling shards' stores merge
-    with :func:`~repro.campaign.store.merge_stores`.
+    every freshly executed point is published back.
     """
     from repro.campaign.store import ResultStore
 
@@ -284,12 +160,8 @@ def run_campaign(
         sweep = replace(sweep, base=sweep.base.with_overrides(**base_overrides))
     if options.quick:
         sweep = sweep.for_quick()
-    workers = options.workers
     result_cache = resolve_cache(cache, options)
     points = sweep.expand()
-    if options.shard is not None:
-        index, count = parse_shard(options.shard)
-        points = [p for p in points if int(p.id, 16) % count == index]
     store = ResultStore(
         store_path
         if store_path is not None
@@ -335,29 +207,17 @@ def run_campaign(
         pending = pending[: max(0, max_points)]
 
     start = time.perf_counter()
-    executed = 0
-    if pending and workers >= 1:
-        with _trace.span(
-            "campaign-pool", campaign=sweep.name, points=len(pending)
-        ):
-            executed = _run_pool(
-                pending, store, stored, workers, on_point, result_cache
-            )
-    else:
-        warm = timing_cache if timing_cache is not None else TileTimingCache()
-        for point in pending:
-            with _trace.span("point", name=point.spec.name):
-                outcome = run_scenario(point.spec, timing_cache=warm)
-            record = store.append(
-                point_record(point, outcome, outcome.run_seconds)
-            )
-            stored[record["point_id"]] = record
-            if result_cache is not None:
-                result_cache.put(record)
-            executed += 1
-            _POINTS.inc(outcome="executed")
-            if on_point is not None:
-                on_point(record, True)
+    warm = timing_cache if timing_cache is not None else TileTimingCache()
+    for point in pending:
+        with _trace.span("point", name=point.spec.name):
+            outcome = run_scenario(point.spec, timing_cache=warm)
+        record = store.append(point_record(point, outcome, outcome.run_seconds))
+        stored[record["point_id"]] = record
+        if result_cache is not None:
+            result_cache.put(record)
+        _POINTS.inc(outcome="executed")
+        if on_point is not None:
+            on_point(record, True)
 
     run_seconds = time.perf_counter() - start
     _trace.TRACER.record(
@@ -370,7 +230,7 @@ def run_campaign(
             "points": len(points),
             "resumed": skipped,
             "cached": cached,
-            "executed": executed,
+            "executed": len(pending),
         },
     )
     return CampaignOutcome(
@@ -380,75 +240,8 @@ def run_campaign(
         records=[stored[point.id] for point in points if point.id in stored],
         skipped_points=skipped,
         cached_points=cached,
-        executed_points=executed,
+        executed_points=len(pending),
         run_seconds=run_seconds,
-        shard=options.shard,
         cache_dir=str(result_cache.root) if result_cache is not None else None,
     )
 
-
-def _run_pool(
-    pending,
-    store,
-    stored,
-    workers: int,
-    on_point,
-    result_cache: Optional[GlobalResultCache] = None,
-) -> int:
-    """Dispatch ``pending`` onto a bounded pool with dynamic work-stealing.
-
-    Points are queued longest-expected-first (:func:`order_longest_first`,
-    costs from the records already in ``stored``) and only ``pool_size``
-    are in flight at once; each completion hands its worker the next
-    queued point.  Compared to submitting everything upfront this is the
-    classic LPT + work-stealing schedule: on skewed sweeps no worker
-    idles behind a round-robin assignment while another drains a queue
-    of long points.  The parent process owns every store append and
-    cache publish, so workers stay pure compute.
-    """
-    executed = 0
-    queue = iter(order_longest_first(pending, stored))
-    by_future = {}
-    pool_size = min(workers, len(pending))
-    tracing = _trace.TRACER.enabled
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-
-        def submit_next(steal: bool = False) -> None:
-            point = next(queue, None)
-            if point is not None:
-                if steal:
-                    _STEALS.inc()
-                    _LOG.debug("pool: stealing next point %s", point.id[:12])
-                by_future[
-                    pool.submit(
-                        _execute_point_remote, point.spec.to_dict(), tracing
-                    )
-                ] = point
-        for _ in range(pool_size):
-            submit_next()
-        try:
-            while by_future:
-                done, _ = wait(set(by_future), return_when=FIRST_COMPLETED)
-                for future in done:
-                    record = future.result()
-                    spans = record.pop("_spans", None)
-                    if spans:
-                        _trace.TRACER.ingest(spans)
-                    record["axes"] = dict(by_future.pop(future).axis_values)
-                    record = store.append(record)
-                    stored[record["point_id"]] = record
-                    if result_cache is not None:
-                        result_cache.put(record)
-                    executed += 1
-                    _POINTS.inc(outcome="executed")
-                    metrics = record.get("metrics") or {}
-                    _TILE_HITS.inc(metrics.get("cache_hits", 0))
-                    _TILE_MISSES.inc(metrics.get("cache_misses", 0))
-                    if on_point is not None:
-                        on_point(record, True)
-                    submit_next(steal=True)
-        except BaseException:
-            for future in by_future:
-                future.cancel()
-            raise
-    return executed

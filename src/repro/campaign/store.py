@@ -10,9 +10,9 @@ anywhere *else* in the file is not a truncation artefact (appends never
 rewrite earlier lines) but damage — a bad merge, a stray editor, a disk
 fault — so an ill-formed interior line raises :class:`ResultStoreError`
 naming the line number instead of silently dropping results.  Appends
-take an ``fcntl`` advisory lock on the file, so concurrent writers (the
-server's worker threads, an external campaign run against the same
-store) interleave whole records safely.  Records of
+take an ``fcntl`` advisory lock on the file, so concurrent writers
+(separate ``repro.eval`` processes running against the same store or
+``--cache-dir``) interleave whole records safely.  Records of
 points that no longer exist in the campaign (a changed sweep definition)
 stay in the file but are ignored by the runner and the analysis layer,
 which select records by the *current* expansion's ids.
@@ -29,7 +29,7 @@ try:  # POSIX only; appends stay un-locked (but still atomic lines) elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["ResultStore", "ResultStoreError", "merge_stores"]
+__all__ = ["ResultStore", "ResultStoreError"]
 
 
 class ResultStoreError(RuntimeError):
@@ -108,12 +108,11 @@ class ResultStore:
         """Append one completed point, flushed immediately.
 
         The write is serialized with an ``fcntl`` advisory lock on the
-        store file, so concurrent writers — server worker threads, an
-        external ``repro.eval campaign run`` against the same store,
-        pool workers streaming records back — interleave whole records
-        instead of corrupting each other's lines.  ``flock`` binds to
-        the open file description, so the same lock also serializes
-        threads within one process.  A writer that ignores the lock (or
+        store file, so concurrent writers — separate ``repro.eval``
+        processes appending to the same store or global-cache file —
+        interleave whole records instead of corrupting each other's
+        lines.  ``flock`` binds to the open file description, so the
+        same lock also serializes threads within one process.  A writer that ignores the lock (or
         a non-POSIX platform, where ``fcntl`` is unavailable) falls back
         to the previous guarantee: one buffered write per record, with
         any torn line caught by the :class:`ResultStoreError` /
@@ -138,34 +137,3 @@ class ResultStore:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
         return json.loads(line)
 
-
-def merge_stores(output: Path | str, inputs: Iterable[Path | str]) -> int:
-    """Merge shard stores into one, deterministically; returns the count.
-
-    The merged file depends only on the *set* of input records, never on
-    the order the inputs are given or the order records appear within
-    them: records are deduplicated by ``point_id`` (identical points from
-    different shards carry identical payloads; if they ever differ, the
-    lexicographically smallest canonical line wins, so the tie-break is
-    itself order-free) and written sorted by ``point_id``.  Merging the
-    shards of a split campaign in any order therefore yields a
-    byte-identical store — the property ``repro.eval campaign merge``
-    relies on.  A missing input is an error (a silently skipped shard
-    would masquerade as a complete merge); corruption inside an input
-    surfaces as the usual :class:`ResultStoreError`.
-    """
-    best: Dict[str, str] = {}
-    for source in inputs:
-        path = Path(source)
-        if not path.is_file():
-            raise ValueError(f"merge input does not exist: {path}")
-        for record in ResultStore(path).records():
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            pid = record["point_id"]
-            if pid not in best or line < best[pid]:
-                best[pid] = line
-    target = Path(output)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    body = "".join(best[pid] + "\n" for pid in sorted(best))
-    target.write_text(body, encoding="utf-8")
-    return len(best)

@@ -7,8 +7,8 @@ DMA accumulator must round like Python floats).  The shared library is
 cached per user under ``~/.cache/repro`` as ``timing_core-<sha256>.so``,
 keyed by the source text and the compiler command line, and published
 through a temporary file plus :func:`os.replace`, so concurrent builders
-(forked campaign workers, server threads) never load a half-written
-library.  It is loaded with :mod:`ctypes`.
+(separate processes sharing the cache directory) never load a
+half-written library.  It is loaded with :mod:`ctypes`.
 
 Nothing happens at import: :func:`load` builds and loads on the first
 call.  When the library cannot be had — no ``cc`` on ``PATH``, a failed

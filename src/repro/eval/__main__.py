@@ -9,13 +9,10 @@ Usage::
     python -m repro.eval scenario run NAME   # run one scenario end to end
     python -m repro.eval campaign list       # list the registered campaigns
     python -m repro.eval campaign run NAME   # run a design-space sweep
-    python -m repro.eval campaign run NAME --shard 0/4 --cache-dir CACHE
-    python -m repro.eval campaign merge --output STORE shard0.jsonl shard1.jsonl
+    python -m repro.eval campaign run NAME --cache-dir CACHE
     python -m repro.eval campaign report NAME  # scaling report from the store
     python -m repro.eval report --all --quick  # regenerate docs/paper_results.md
     python -m repro.eval report table1       # same as python -m repro.eval table1
-    python -m repro.eval submit scenario NAME --wait   # run on the daemon
-    python -m repro.eval submit campaign NAME --quick  # (python -m repro.server)
     python -m repro.eval scenario run NAME --trace-out trace.json  # Perfetto
     python -m repro.eval trace spans.jsonl   # span JSONL -> Chrome trace
     python -m repro.eval --help              # the artifacts and the figure/
@@ -34,9 +31,9 @@ runnable.  The parsers themselves are exposed as ``build_*_parser``
 factories, which is how the generated ``docs/reference.md`` documents
 every flag without hand-maintained prose.
 
-Execution flags (``--engine/--no-memoize/--workers/--quick/...``) are
-no longer hand-copied per subcommand: they are
-derived from the :class:`~repro.options.ExecutionOptions` fields by
+Execution flags (``--engine/--no-memoize/--quick/...``) are not
+hand-copied per subcommand: they are derived from the
+:class:`~repro.options.ExecutionOptions` fields by
 :func:`add_execution_flags` and parsed back into one options object by
 :func:`options_from_args`, so the CLI surface cannot drift from the
 programmatic API.
@@ -56,7 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 # NumPy-free (see "Import layering" in docs/architecture.md).
 from repro import obs
 from repro.campaign.registry import get_campaign, iter_campaigns
-from repro.campaign.store import ResultStore, ResultStoreError, merge_stores
+from repro.campaign.store import ResultStore
 from repro.cluster.engine import available_engines, describe_engines
 from repro.options import ExecutionOptions
 from repro.report.registry import iter_artifacts, registered_artifacts
@@ -89,19 +86,11 @@ def add_execution_flags(
             parser.add_argument(f"--no-{name}", action="store_true", help=help_text)
         elif isinstance(spec.default, bool):
             parser.add_argument(f"--{name}", action="store_true", help=help_text)
-        elif spec.default is None or isinstance(spec.default, str):
+        else:
             parser.add_argument(
                 f"--{name.replace('_', '-')}",
                 default=spec.default,
                 metavar=spec.metadata.get("metavar", name.upper()),
-                help=help_text,
-            )
-        else:
-            parser.add_argument(
-                f"--{name}",
-                type=int,
-                default=spec.default,
-                metavar="N",
                 help=help_text,
             )
 
@@ -240,7 +229,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     add_store_options(run_parser)
     add_execution_flags(
         run_parser,
-        include=("workers", "quick", "cache_dir", "shard", "trace", "trace_out"),
+        include=("quick", "cache_dir", "trace", "trace_out"),
     )
     obs.add_logging_flags(run_parser)
     run_parser.add_argument(
@@ -249,22 +238,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="execute at most N pending points this call",
-    )
-    merge_parser = subparsers.add_parser(
-        "merge",
-        help="deterministically merge shard stores into one (byte-stable)",
-    )
-    merge_parser.add_argument(
-        "--output",
-        metavar="PATH",
-        required=True,
-        help="merged store to write (sorted by point id, deduplicated)",
-    )
-    merge_parser.add_argument(
-        "inputs",
-        nargs="+",
-        metavar="STORE",
-        help="shard stores to merge (any order yields identical bytes)",
     )
     report_parser = subparsers.add_parser(
         "report", help="scaling report + perf-model overlay from the store"
@@ -286,18 +259,6 @@ def campaign_main(argv) -> int:
                 f"{sweep.name:20s} {points:3d} points  "
                 f"[{sweep.mode}] {sweep.description}"
             )
-        return 0
-
-    if args.action == "merge":
-        try:
-            count = merge_stores(args.output, args.inputs)
-        except (ValueError, ResultStoreError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        print(
-            f"merged {len(args.inputs)} store(s) -> {args.output} "
-            f"({count} points)"
-        )
         return 0
 
     from repro.campaign.analysis import analyze_records, format_report
@@ -332,11 +293,7 @@ def campaign_main(argv) -> int:
             metrics["gflops"],
         )
 
-    try:
-        options = options_from_args(args)
-    except ValueError as error:  # e.g. an ill-formed --shard selector
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    options = options_from_args(args)
     before = obs.cache_counters()
     try:
         with obs.trace_session(
@@ -354,14 +311,13 @@ def campaign_main(argv) -> int:
         return 130
     # The cached clause appears only when a global cache is configured,
     # so the no-cache summary stays byte-compatible with older greps.
-    shard_note = f" [shard {outcome.shard}]" if outcome.shard else ""
     cached_clause = (
         f"{outcome.cached_points} from the global cache, "
         if outcome.cache_dir is not None
         else ""
     )
     print(
-        f"campaign {campaign.name}{shard_note}: {len(outcome.points)} points, "
+        f"campaign {campaign.name}: {len(outcome.points)} points, "
         f"{outcome.skipped_points} resumed from the store, "
         f"{cached_clause}"
         f"{outcome.executed_points} executed in {outcome.run_seconds:.1f}s "
@@ -418,7 +374,7 @@ def build_report_parser() -> argparse.ArgumentParser:
         help="campaign store directory (default: campaign-results/)",
     )
     add_execution_flags(
-        parser, include=("workers", "quick", "cache_dir", "trace", "trace_out")
+        parser, include=("quick", "cache_dir", "trace", "trace_out")
     )
     obs.add_logging_flags(parser)
     return parser
@@ -491,7 +447,6 @@ def report_main(argv, parser: Optional[argparse.ArgumentParser] = None) -> int:
                     path=args.output,
                     quick=args.quick,
                     store_dir=args.store_dir,
-                    workers=args.workers,
                     on_artifact=progress,
                     cache_dir=args.cache_dir,
                 )
@@ -501,7 +456,6 @@ def report_main(argv, parser: Optional[argparse.ArgumentParser] = None) -> int:
                     args.artifacts,
                     quick=args.quick,
                     store_dir=args.store_dir,
-                    workers=args.workers,
                     cache_dir=args.cache_dir,
                 )
                 for result in results:
@@ -570,95 +524,6 @@ def trace_main(argv) -> int:
     return 0
 
 
-def build_submit_parser() -> argparse.ArgumentParser:
-    """Parser of the ``submit`` subcommand (job submission to the daemon)."""
-    from repro.client import DEFAULT_SERVER_URL
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.eval submit",
-        description=(
-            "Submit a scenario or campaign to a running repro.server "
-            "daemon (python -m repro.server) instead of simulating "
-            "locally; identical submissions deduplicate onto one "
-            "simulation and reuse the daemon's warm tile-timing cache."
-        ),
-    )
-    parser.add_argument(
-        "kind", choices=("scenario", "campaign"), help="what to submit"
-    )
-    parser.add_argument("name", help="registered scenario or campaign name")
-    parser.add_argument(
-        "--server",
-        metavar="URL",
-        default=DEFAULT_SERVER_URL,
-        help=f"daemon base URL (default: {DEFAULT_SERVER_URL})",
-    )
-    parser.add_argument(
-        "--tiles",
-        type=int,
-        metavar="N",
-        help="scenario submissions: override the scenario's tile count",
-    )
-    parser.add_argument(
-        "--wait",
-        action="store_true",
-        help="poll until the job is terminal and print its result as JSON",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="how long --wait polls before giving up (default: 600)",
-    )
-    add_execution_flags(
-        parser, include=("engine", "memoize", "workers", "quick")
-    )
-    return parser
-
-
-def submit_main(argv) -> int:
-    """The ``submit`` subcommand: run scenarios/campaigns on the daemon."""
-    import json as json_mod
-
-    from repro.client import Client, ServerError
-
-    args = build_submit_parser().parse_args(argv)
-    options = options_from_args(args)
-    client = Client(args.server)
-    try:
-        if args.kind == "scenario":
-            overrides = {} if args.tiles is None else {"num_tiles": args.tiles}
-            job = client.submit_scenario(args.name, options=options, **overrides)
-        else:
-            job = client.submit_campaign(args.name, options=options)
-    except (ServerError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"error: cannot reach {args.server}: {error}", file=sys.stderr)
-        return 2
-    dedup = " (deduplicated)" if job.get("deduplicated") else ""
-    try:
-        print(
-            f"submitted {job['id']} [{job['state']}]{dedup} "
-            f"-> {args.server}/jobs/{job['id']}"
-        )
-        if not args.wait:
-            return 0
-        try:
-            result = client.wait(job["id"], timeout=args.timeout)
-        except (ServerError, TimeoutError, OSError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(json_mod.dumps(result, indent=2, sort_keys=True))
-    except BrokenPipeError:
-        # E.g. `submit --wait | grep -q ...`: the reader closed the pipe
-        # after its match; the job itself succeeded.
-        sys.stderr.close()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser: the ``report`` flags under the top-level name."""
     parser = build_report_parser()
@@ -676,7 +541,6 @@ _SUBCOMMANDS: Dict[str, Callable[[List[str]], int]] = {
     "scenario": scenario_main,
     "campaign": campaign_main,
     "report": report_main,
-    "submit": submit_main,
     "trace": trace_main,
 }
 

@@ -9,8 +9,8 @@ The view is over a private anonymous ``mmap``, so the kernel hands out
 zero pages on demand: building a 64 MiB HMC costs nothing until a run
 touches its pages, and only the touched pages ever become resident.  The
 map must be ``MAP_PRIVATE`` — Python's default for anonymous maps is
-``MAP_SHARED``, under which a forked child's writes (the campaign process
-pool forks) would show up in the parent's memory.
+``MAP_SHARED``, under which a forked child's writes would show up in the
+parent's memory.
 """
 
 from __future__ import annotations

@@ -4,12 +4,11 @@
 owns three small, stdlib-only facilities:
 
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges and histograms with labels, rendered in the Prometheus text
-  exposition format (the server's ``/metrics`` endpoint).  The
-  tile-timing cache, the global result cache, the campaign runner and
-  its process pool, and the simulation phases all account here.
+  gauges and histograms with labels.  The tile-timing cache, the
+  global result cache, the campaign runner and the simulation phases
+  all account here.
 * :mod:`repro.obs.trace` — context-manager span tracing with per-track
-  (per-worker, per-cluster) timelines, JSONL emission and Chrome
+  (per-cluster) timelines, JSONL emission and Chrome
   ``chrome://tracing`` / Perfetto export (``--trace-out FILE`` or
   ``python -m repro.eval trace``).
 * :mod:`repro.obs.logs` — the ``repro`` stdlib-``logging`` hierarchy
@@ -38,7 +37,6 @@ from repro.obs.metrics import (
     gauge,
     histogram,
     metrics_enabled,
-    render_prometheus,
     reset_metrics,
     set_metrics_enabled,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "histogram",
     "metrics_enabled",
     "read_spans_jsonl",
-    "render_prometheus",
     "reset_metrics",
     "set_metrics_enabled",
     "set_tracing_enabled",

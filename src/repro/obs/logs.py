@@ -1,14 +1,14 @@
 """The ``repro`` stdlib-``logging`` hierarchy and its CLI flags.
 
 Every module logs through a child of the single ``repro`` logger
-(``repro.campaign``, ``repro.report``, ``repro.server`` …).  As a
+(``repro.campaign``, ``repro.report``, ``repro.cli`` …).  As a
 library the hierarchy stays silent — no handler is attached at import
 time, so embedders keep full control.  The command-line entry points
 call :func:`configure_logging` (usually via :func:`add_logging_flags` +
 :func:`configure_from_args`), which attaches one stderr handler:
 
 * default — INFO: per-point campaign progress, report artifact lines;
-* ``-v`` / ``--verbose`` — DEBUG: cache decisions, pool scheduling;
+* ``-v`` / ``--verbose`` — DEBUG: cache decisions, campaign expansion;
 * ``-q`` / ``--quiet`` — WARNING and up only.
 
 Progress chatter therefore lands on **stderr** while the greppable

@@ -1,25 +1,22 @@
 """Process-wide metrics registry: counters, gauges and histograms.
 
 The registry is the single accounting spine for the reproduction: the
-tile-timing cache, the global result cache, the campaign runner and its
-process pool, and the simulation server all publish into it
-instead of keeping bespoke counter objects.  Instrumentation is **off
-by default** — every mutator checks a single ``enabled`` flag first, so
-a disabled registry costs one attribute load and one branch per call
-site and allocates nothing.
+tile-timing cache, the global result cache, the campaign runner and the
+data plane all publish into it instead of keeping bespoke counter
+objects.  Instrumentation is **off by default** — every mutator checks a
+single ``enabled`` flag first, so a disabled registry costs one attribute
+load and one branch per call site and allocates nothing.
 
-Rendering follows the Prometheus text exposition format (version
-0.0.4): ``# HELP`` / ``# TYPE`` headers followed by
-``name{label="value"} sample`` lines, with histograms expanded into
-cumulative ``_bucket`` series plus ``_sum`` and ``_count``.  The output
-is deterministic (instruments in registration order, label sets
-sorted), which keeps the ``/metrics`` endpoint and the tests stable.
+Every instrument reads back through ``value``/``count``/``sum`` and
+``samples()``, which yields ``(name, label pairs, value)`` with
+Prometheus naming: histograms expand into cumulative ``_bucket`` series
+plus ``_sum`` and ``_count``, label sets in sorted order.  The CLI's
+cache summary (:func:`repro.obs.format_cache_summary`) and the perfbench
+harness read them that way.
 
 Instruments are process-global by default (module-level ``REGISTRY``
 plus the :func:`counter` / :func:`gauge` / :func:`histogram` helpers),
-but :class:`MetricsRegistry` instances can also be owned privately —
-the server keeps its per-daemon job accounting in its own registry so
-that two servers in one process never share job counts.
+but :class:`MetricsRegistry` instances can also be owned privately.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ __all__ = [
     "gauge",
     "histogram",
     "metrics_enabled",
-    "render_prometheus",
     "reset_metrics",
     "set_metrics_enabled",
 ]
@@ -55,25 +51,11 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-def _escape_label_value(value: str) -> str:
-    """Escape a label value per the exposition-format rules."""
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
 def _format_value(value: float) -> str:
     """Render a sample value: integers without a trailing ``.0``."""
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
-
-
-def _format_labels(pairs: Sequence[Tuple[str, str]]) -> str:
-    if not pairs:
-        return ""
-    inner = ",".join(
-        f'{name}="{_escape_label_value(str(value))}"' for name, value in pairs
-    )
-    return "{" + inner + "}"
 
 
 class _Instrument:
@@ -313,20 +295,6 @@ class MetricsRegistry:
             for instrument in self._instruments.values():
                 instrument.clear()
 
-    # -- export ------------------------------------------------------
-
-    def render(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        lines: List[str] = []
-        with self._lock:
-            instruments = list(self._instruments.values())
-        for instrument in instruments:
-            lines.append(f"# HELP {instrument.name} {instrument.help}")
-            lines.append(f"# TYPE {instrument.name} {instrument.kind}")
-            for name, pairs, value in instrument.samples():
-                lines.append(f"{name}{_format_labels(pairs)} {_format_value(value)}")
-        return "\n".join(lines) + "\n"
-
 
 #: The process-wide registry used by the library instrumentation.
 REGISTRY = MetricsRegistry()
@@ -365,7 +333,3 @@ def reset_metrics() -> None:
     """Zero every sample on the process-wide registry."""
     REGISTRY.reset()
 
-
-def render_prometheus() -> str:
-    """The process-wide registry in Prometheus text exposition format."""
-    return REGISTRY.render()

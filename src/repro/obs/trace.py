@@ -1,20 +1,19 @@
 """Span tracing with JSONL emission and Chrome/Perfetto trace export.
 
 A :class:`Span` is one timed region of work — a scenario, a system-run
-phase, a single tile, a campaign point, a server job.  Spans carry a
+phase, a single tile, a campaign point.  Spans carry a
 **track**: the horizontal row they render on in ``chrome://tracing`` /
 `Perfetto <https://ui.perfetto.dev>`_.  The current track is held in a
 :mod:`contextvars` variable so nested library code lands on whatever
-track its caller established — the campaign process pool gives each
-worker process its own track and inline tile walks get one track per
+track its caller established — inline tile walks get one track per
 cluster.
 
-Timestamps are epoch microseconds (``time.time_ns() // 1000``) so spans
-recorded in worker *processes* line up with the parent's tracks once
-shipped home; durations are measured with ``time.perf_counter`` for
-sub-microsecond resolution.  Like the metrics registry, the tracer is
-off by default: :meth:`Tracer.span` returns a shared null context
-manager while disabled, so an untraced hot path pays one branch.
+Timestamps are epoch microseconds (``time.time_ns() // 1000``), so span
+dumps from separate runs share one time axis; durations are measured
+with ``time.perf_counter`` for sub-microsecond resolution.  Like the
+metrics registry, the tracer is off by default: :meth:`Tracer.span`
+returns a shared null context manager while disabled, so an untraced hot
+path pays one branch.
 
 Export paths:
 
@@ -52,7 +51,7 @@ __all__ = [
 ]
 
 #: Upper bound on buffered spans per tracer; beyond it spans are
-#: dropped (and counted) instead of growing a long-lived daemon's heap.
+#: dropped (and counted) instead of growing a long-lived process's heap.
 DEFAULT_SPAN_LIMIT = 200_000
 
 
@@ -183,17 +182,6 @@ class Tracer:
                 self.dropped += 1
                 return
             self._spans.append(Span(name, track, ts_us, dur_us, args or {}))
-
-    def ingest(self, payloads: Iterable[Dict[str, Any]]) -> None:
-        """Adopt spans shipped home from a worker process."""
-        if not self.enabled:
-            return
-        with self._lock:
-            for payload in payloads:
-                if len(self._spans) >= self.limit:
-                    self.dropped += 1
-                    continue
-                self._spans.append(Span.from_dict(payload))
 
     # -- reading -----------------------------------------------------
 

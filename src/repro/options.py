@@ -1,56 +1,31 @@
 """The unified execution-options API shared by every entry point.
 
-Every execution knob — cycle engine, tile-timing memoization, campaign
-worker pools, quick mode, the global result cache, sharding and tracing —
-lives in one frozen, JSON-round-trippable :class:`ExecutionOptions`
-object, which is what makes a *serializable* job submission possible:
-the :mod:`repro.server` payload embeds it verbatim, ``python -m
-repro.eval`` derives its ``--engine/--no-memoize/--workers/--quick/...``
-flags from its fields, and :class:`~repro.system.simulator.SystemSimulator`,
+Every execution knob — cycle engine, tile-timing memoization, quick
+mode, the global result cache and tracing — lives in one frozen,
+JSON-round-trippable :class:`ExecutionOptions` object: ``python -m
+repro.eval`` derives its ``--engine/--no-memoize/--quick/...`` flags
+from its fields, and :class:`~repro.system.simulator.SystemSimulator`,
 :func:`~repro.scenarios.runner.run_scenario` and
 :func:`~repro.campaign.runner.run_campaign` accept it as ``options=`` —
 the only way to pass these knobs.  Unknown fields (including the retired
-``parallel`` and ``batch``) are rejected by :meth:`ExecutionOptions.from_dict`.
+``parallel``, ``batch``, ``workers`` and ``shard``) are rejected by
+:meth:`ExecutionOptions.from_dict`.
 
 Engine choice and memoization never change simulated cycle counts or HMC
-contents, only wall time — which is why two submissions differing only
-in execution knobs may legitimately share one server-side result.  There
-is a single execution path through the system simulator; whether it
-replays cache hits in stacked groups follows from the run itself (see
-:mod:`repro.system.batch`), never from an option.
+contents, only wall time.  There is a single execution path through the
+system simulator; whether it replays cache hits in stacked groups
+follows from the run itself (see :mod:`repro.system.batch`), never from
+an option.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
-__all__ = ["ExecutionOptions", "parse_shard"]
-
-
-def parse_shard(shard: str) -> "tuple[int, int]":
-    """Parse an ``i/N`` shard selector into ``(index, count)``.
-
-    ``i`` is 0-based and must satisfy ``0 <= i < N`` with ``N >= 1``;
-    anything else (including non-numeric text) raises ``ValueError`` with
-    the expected shape, so a CLI typo fails before any simulation starts.
-    """
-    match = re.fullmatch(r"(\d+)/(\d+)", shard.strip())
-    if not match:
-        raise ValueError(
-            f"shard must look like 'i/N' (e.g. 0/4), got {shard!r}"
-        )
-    index, count = int(match.group(1)), int(match.group(2))
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {shard!r}")
-    if index >= count:
-        raise ValueError(
-            f"shard index must be in [0, {count}), got {shard!r}"
-        )
-    return index, count
+__all__ = ["ExecutionOptions"]
 
 
 @dataclass(frozen=True)
@@ -62,9 +37,9 @@ class ExecutionOptions:
     (``engine`` and ``memoize`` also exist as
     :class:`~repro.scenarios.spec.ScenarioSpec` fields and therefore
     participate in campaign point identity — turning memoization off
-    changes the recorded cache hits and misses; ``workers`` and ``quick``
-    never do).  The ``metadata["cli"]`` of each field is the
-    help text of the derived command-line flag
+    changes the recorded cache hits and misses; ``quick`` is no spec
+    field).  The ``metadata["cli"]`` of each field is the help text of
+    the derived command-line flag
     (:func:`repro.eval.__main__.add_execution_flags`).
     """
 
@@ -78,11 +53,6 @@ class ExecutionOptions:
         default=True,
         metadata={"cli": "disable the tile-timing cache"},
     )
-    #: Worker processes for campaign points (0 = in-process, shared cache).
-    workers: int = field(
-        default=0,
-        metadata={"cli": "dispatch campaign points onto N worker processes"},
-    )
     #: CI-sized workloads (campaigns apply quick_overrides; axes never shrink).
     quick: bool = field(
         default=False,
@@ -94,14 +64,6 @@ class ExecutionOptions:
         metadata={
             "cli": "global result-cache directory (default: $REPRO_CACHE_DIR)",
             "metavar": "DIR",
-        },
-    )
-    #: Deterministic point shard ``i/N`` (None = run every point).
-    shard: Optional[str] = field(
-        default=None,
-        metadata={
-            "cli": "run only shard i of N (deterministic point split)",
-            "metavar": "I/N",
         },
     )
     #: Span tracing via :mod:`repro.obs` (exact; results never change).
@@ -125,10 +87,6 @@ class ExecutionOptions:
             from repro.cluster.engine import get_engine  # avoid import cycle
 
             get_engine(self.engine)  # unknown names raise listing the choices
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise ValueError("worker count must be an integer")
-        if self.workers < 0:
-            raise ValueError("worker count must be non-negative")
         for name in ("memoize", "quick", "trace"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean")
@@ -141,11 +99,6 @@ class ExecutionOptions:
             if not isinstance(self.cache_dir, (str, os.PathLike)):
                 raise ValueError("cache_dir must be a path or None")
             object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
-        if self.shard is not None:
-            if not isinstance(self.shard, str):
-                raise ValueError("shard must be an 'i/N' string or None")
-            index, count = parse_shard(self.shard)  # ill-formed selectors raise
-            object.__setattr__(self, "shard", f"{index}/{count}")
 
     # -- consumers -----------------------------------------------------------
 
@@ -156,9 +109,8 @@ class ExecutionOptions:
         all-default options object never clobbers what a spec pins (a
         spec with ``memoize=False`` keeps it unless the options demand
         otherwise; to force memoization back on, override the spec
-        itself).  ``workers``, ``quick``, ``cache_dir``, ``shard``,
-        ``trace`` and ``trace_out`` are never spec fields and never
-        appear here.
+        itself).  ``quick``, ``cache_dir``, ``trace`` and ``trace_out``
+        are never spec fields and never appear here.
         """
         overrides: Dict[str, Any] = {}
         if self.engine is not None:

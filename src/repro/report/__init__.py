@@ -5,7 +5,7 @@ stack (engine registry → scenarios → campaigns) and the actual artifacts
 of the paper: every headline table and figure is a registered
 :class:`~repro.report.registry.Artifact` whose measured numbers come from
 :func:`~repro.campaign.runner.run_campaign` sweeps — inheriting
-tile-timing memoization, process-pool dispatch, JSONL resume and
+tile-timing memoization, the global result cache, JSONL resume and
 golden-model verification — and whose rendered form is assembled into
 ``docs/paper_results.md`` by ``python -m repro.eval report --all``.
 

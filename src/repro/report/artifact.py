@@ -4,7 +4,7 @@
 receives.  Artifacts whose numbers involve the simulated machine declare
 their campaigns and obtain every measured record through
 :func:`~repro.campaign.runner.run_campaign` — so they inherit tile-timing
-memoization, ``workers=N`` process pools, JSONL resume and golden-model
+memoization, the global result cache, JSONL resume and golden-model
 verification from the campaign stack instead of re-implementing bespoke
 simulation loops.  Purely analytic artifacts (area/energy models, the
 softfloat RMSE study) build from the :mod:`repro.perf` and
@@ -71,12 +71,10 @@ class ArtifactContext:
         self,
         quick: bool = False,
         store_dir: Optional[Union[str, Path]] = None,
-        workers: int = 0,
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.quick = quick
         self.store_dir = Path(store_dir) if store_dir is not None else None
-        self.workers = workers
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self._outcomes: Dict[str, CampaignOutcome] = {}
         self._training_workloads: Optional[Dict[str, TrainingWorkload]] = None
@@ -91,11 +89,7 @@ class ArtifactContext:
             self._outcomes[name] = run_campaign(
                 name,
                 store_path=store,
-                options=ExecutionOptions(
-                    quick=self.quick,
-                    workers=self.workers,
-                    cache_dir=self.cache_dir,
-                ),
+                options=ExecutionOptions(quick=self.quick, cache_dir=self.cache_dir),
             )
         return self._outcomes[name]
 

@@ -64,10 +64,8 @@ def generate_reference() -> str:
         build_parser,
         build_report_parser,
         build_scenario_parser,
-        build_submit_parser,
         build_trace_parser,
     )
-    from repro.server.__main__ import build_server_parser
     from repro.report.registry import iter_artifacts
     from repro.scenarios import iter_scenarios
     from repro.scenarios.families import FAMILIES
@@ -188,9 +186,7 @@ def generate_reference() -> str:
         build_scenario_parser(),
         build_campaign_parser(),
         build_report_parser(),
-        build_submit_parser(),
         build_trace_parser(),
-        build_server_parser(),
     ):
         lines.extend(_parser_section(parser))
     return "\n".join(lines).rstrip() + "\n"

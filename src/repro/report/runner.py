@@ -46,7 +46,6 @@ def run_artifact(
     artifact: Union[str, Artifact],
     quick: bool = False,
     store_dir: Optional[Union[str, Path]] = None,
-    workers: int = 0,
     context: Optional[ArtifactContext] = None,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> ArtifactResult:
@@ -60,9 +59,7 @@ def run_artifact(
     """
     resolved = get_artifact(artifact)
     if context is None:
-        context = ArtifactContext(
-            quick=quick, store_dir=store_dir, workers=workers, cache_dir=cache_dir
-        )
+        context = ArtifactContext(quick=quick, store_dir=store_dir, cache_dir=cache_dir)
     with _trace.span("artifact", name=resolved.name):
         data = resolved.build(context)
     return ArtifactResult(artifact=resolved, data=data, quick=context.quick)
@@ -72,7 +69,6 @@ def run_report(
     artifacts: Optional[Sequence[Union[str, Artifact]]] = None,
     quick: bool = False,
     store_dir: Optional[Union[str, Path]] = None,
-    workers: int = 0,
     on_artifact: Optional[Callable[[ArtifactResult], None]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> List[ArtifactResult]:
@@ -82,9 +78,7 @@ def run_report(
     order; ``on_artifact`` streams progress to the CLI after each build.
     """
     selected = [get_artifact(a) for a in artifacts] if artifacts else iter_artifacts()
-    context = ArtifactContext(
-        quick=quick, store_dir=store_dir, workers=workers, cache_dir=cache_dir
-    )
+    context = ArtifactContext(quick=quick, store_dir=store_dir, cache_dir=cache_dir)
     results: List[ArtifactResult] = []
     with _trace.span("report", artifacts=len(selected)):
         for artifact in selected:
@@ -99,7 +93,6 @@ def generate_paper_results(
     path: Optional[Union[str, Path]] = None,
     quick: bool = False,
     store_dir: Optional[Union[str, Path]] = None,
-    workers: int = 0,
     on_artifact: Optional[Callable[[ArtifactResult], None]] = None,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> Tuple[Path, List[ArtifactResult]]:
@@ -113,7 +106,6 @@ def generate_paper_results(
     results = run_report(
         quick=quick,
         store_dir=store_dir,
-        workers=workers,
         on_artifact=on_artifact,
         cache_dir=cache_dir,
     )

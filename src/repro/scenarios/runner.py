@@ -80,13 +80,14 @@ def run_scenario(
     ``options`` is the unified :class:`~repro.options.ExecutionOptions`
     block: its non-default ``engine``/``memoize`` values override the
     corresponding spec fields (explicit ``overrides`` win over both).
-    The ``workers``/``quick`` fields are campaign-level and ignored here.
+    The ``quick`` and ``cache_dir`` fields are campaign-level and ignored
+    here.
 
     ``overrides`` replace spec fields for this run only (e.g.
     ``engine="scalar"``, ``num_tiles=2``, ``memoize=False``); they go through
     the same validation as a freshly constructed spec.  ``timing_cache``
-    lets a caller that runs many scenarios (the campaign runner, the
-    server) share one tile-timing cache across runs; it is only consulted
+    lets a caller that runs many scenarios (the campaign runner) share
+    one tile-timing cache across runs; it is only consulted
     when the spec has ``memoize`` enabled.
     """
     options = options if options is not None else ExecutionOptions()

@@ -24,8 +24,7 @@ keeps its own plain-integer ``hits``/``misses`` and
 per-run deltas into the :mod:`repro.obs` metrics registry
 (``repro_tile_cache_hits_total`` / ``repro_tile_cache_misses_total`` /
 ``repro_tile_cache_entries``) once per system run.  :meth:`stats` is
-the dict rendering of that accounting (the server's ``/healthz`` cache
-block).
+the dict rendering of that accounting.
 """
 
 from __future__ import annotations

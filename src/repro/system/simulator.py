@@ -209,7 +209,7 @@ class SystemSimulator:
         overrides the engine of ``config``.
 
         A caller running many simulators over structurally similar
-        workloads (the campaign runner, the server) may pass a shared
+        workloads (the campaign runner, the perfbench harness) may pass a shared
         ``timing_cache`` so warm entries carry across simulator
         instances; signatures pin the full cluster configuration, so
         sharing is always exact.

@@ -29,8 +29,8 @@ def _isolated_obs_state():
 
     The metrics registry and the tracer are process singletons (that is
     what makes the instrumentation zero-plumbing), so a test that
-    enables them — or a server fixture, which always enables metrics —
-    must not leak enablement or accumulated samples into the next test.
+    enables them must not leak enablement or accumulated samples into
+    the next test.
     """
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import TRACER

@@ -1,10 +1,8 @@
 """The campaign subsystem: sweep expansion and constraints, the JSONL
-result store, exact resume after interruption, process-pool parity,
-cross-engine parity of every shipped campaign family, the global
-content-addressed result cache (with sharded execution and deterministic
-store merging), and the analysis layer's perf-model overlay."""
+result store, exact resume after interruption, cross-engine parity of
+every shipped campaign family, the global content-addressed result
+cache, and the analysis layer's perf-model overlay."""
 
-import itertools
 import json
 import multiprocessing
 
@@ -21,15 +19,13 @@ from repro.campaign import (
     format_report,
     get_campaign,
     iter_campaigns,
-    merge_stores,
-    order_longest_first,
     point_id,
     register_campaign,
     registered_campaigns,
     resolve_cache,
     run_campaign,
 )
-from repro.options import ExecutionOptions, parse_shard
+from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, run_scenario
 
 
@@ -391,22 +387,6 @@ class TestRunCampaign:
         assert rest.skipped_points == 3
         assert rest.complete
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_process_pool_matches_sequential(self, tmp_path, workers):
-        sequential = run_campaign(tiny_sweep(), store_path=tmp_path / "seq.jsonl")
-        pooled = run_campaign(
-            tiny_sweep(),
-            store_path=tmp_path / "par.jsonl",
-            options=ExecutionOptions(workers=workers),
-        )
-        assert pooled.executed_points == 4
-        seq = {r["point_id"]: r["metrics"] for r in sequential.records}
-        par = {r["point_id"]: r["metrics"] for r in pooled.records}
-        assert set(seq) == set(par)
-        for pid in seq:
-            assert seq[pid]["makespan_cycles"] == par[pid]["makespan_cycles"]
-            assert seq[pid]["gflops"] == par[pid]["gflops"]
-
     def test_quick_and_full_use_distinct_points(self, tmp_path):
         sweep = tiny_sweep(quick_overrides={"seed": 99})
         full = run_campaign(sweep, store_path=tmp_path / "s.jsonl")
@@ -416,13 +396,20 @@ class TestRunCampaign:
         assert quick.executed_points == 4  # different hashes, no false resume
         assert full.complete and quick.complete
 
-    def test_negative_workers_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="non-negative"):
-            run_campaign(
+    def test_spec_options_change_point_ids_and_execution_options_do_not(self, tmp_path):
+        def ids(**options):
+            outcome = run_campaign(
                 tiny_sweep(),
                 store_path=tmp_path / "s.jsonl",
-                options=ExecutionOptions(workers=-1),
+                options=ExecutionOptions(**options),
+                max_points=0,
             )
+            return [point.id for point in outcome.points]
+
+        plain = ids()
+        assert ids(cache_dir=str(tmp_path / "cache")) == plain
+        assert set(ids(memoize=False)).isdisjoint(plain)
+        assert set(ids(engine="scalar")).isdisjoint(plain)
 
     def test_on_point_reports_resumed_points_as_not_fresh(self, tmp_path):
         store = tmp_path / "s.jsonl"
@@ -640,164 +627,6 @@ class TestCampaignResultCache:
             assert record["axes"] == dict(point.axis_values)
             # Stored specs are JSON round-tripped (tuples -> lists).
             assert record["spec"] == json.loads(json.dumps(point.spec.to_dict()))
-
-    def test_pool_path_populates_and_consumes_the_cache(self, tmp_path):
-        cache = GlobalResultCache(tmp_path / "cache")
-        pooled = run_campaign(
-            tiny_sweep(),
-            store_path=tmp_path / "pool.jsonl",
-            options=ExecutionOptions(workers=2),
-            cache=cache,
-        )
-        assert pooled.executed_points == 4
-        assert cache.entries() == 4
-        warm = run_campaign(
-            tiny_sweep(),
-            store_path=tmp_path / "warm.jsonl",
-            options=ExecutionOptions(workers=2),
-            cache=cache,
-        )
-        assert warm.executed_points == 0 and warm.cached_points == 4
-
-
-class TestShardedExecution:
-    @pytest.mark.parametrize(
-        "selector", ["", "2/2", "3/2", "-1/2", "1/0", "a/b", "1-2"]
-    )
-    def test_invalid_shard_selectors_are_rejected(self, selector):
-        with pytest.raises(ValueError, match="shard"):
-            ExecutionOptions(shard=selector)
-
-    def test_parse_shard_accepts_whitespace_and_zero_index(self):
-        assert parse_shard("0/1") == (0, 1)
-        assert parse_shard(" 3/8 ") == (3, 8)
-
-    def test_shards_partition_the_sweep(self, tmp_path):
-        full = {p.id for p in tiny_sweep().expand()}
-        seen = []
-        for index in range(3):
-            outcome = run_campaign(
-                tiny_sweep(),
-                store_path=tmp_path / f"s{index}.jsonl",
-                options=ExecutionOptions(shard=f"{index}/3"),
-            )
-            assert outcome.shard == f"{index}/3"
-            assert outcome.complete  # complete means shard-local complete
-            seen.append({p.id for p in outcome.points})
-        for first, second in itertools.combinations(seen, 2):
-            assert not (first & second)
-        assert set().union(*seen) == full
-
-    def test_single_shard_is_the_whole_sweep(self, tmp_path):
-        outcome = run_campaign(
-            tiny_sweep(),
-            store_path=tmp_path / "s.jsonl",
-            options=ExecutionOptions(shard="0/1"),
-        )
-        assert len(outcome.points) == 4
-
-    def test_merged_shards_equal_an_unsharded_run(self, tmp_path):
-        """Acceptance: shard, merge, and the result matches a cold
-        sequential run bit-for-bit (minus execution-only fields)."""
-        # Seed 5 hashes the four point ids two into each shard, so both
-        # shard stores are real inputs to the merge.
-        sweep = tiny_sweep(base=tiny_sweep().base.with_overrides(seed=5))
-        reference = run_campaign(sweep, store_path=tmp_path / "ref.jsonl")
-        shards = []
-        for index in range(2):
-            path = tmp_path / f"shard{index}.jsonl"
-            outcome = run_campaign(
-                sweep,
-                store_path=path,
-                options=ExecutionOptions(shard=f"{index}/2"),
-            )
-            assert len(outcome.points) == 2
-            assert len(ResultStore(path).records()) == 2
-            shards.append(path)
-        merged = tmp_path / "merged.jsonl"
-        assert merge_stores(merged, shards) == 4
-        by_point = ResultStore(merged).by_point()
-        for record in reference.records:
-            assert _strip_execution(by_point[record["point_id"]]) == (
-                _strip_execution(record)
-            )
-
-    def test_merge_is_deterministic_for_any_shard_order(self, tmp_path):
-        """Satellite: merging shards in any order is byte-identical.
-
-        Stores are built by splitting one full run round-robin, so every
-        input file exists regardless of how point ids hash into shards.
-        """
-        outcome = run_campaign(tiny_sweep(), store_path=tmp_path / "full.jsonl")
-        paths = [tmp_path / f"shard{index}.jsonl" for index in range(3)]
-        for index, record in enumerate(outcome.records):
-            ResultStore(paths[index % 3]).append(record)
-        outputs = set()
-        for order in itertools.permutations(paths):
-            target = tmp_path / "merged.jsonl"
-            merge_stores(target, order)
-            outputs.add(target.read_bytes())
-        assert len(outputs) == 1
-
-    def test_merge_deduplicates_overlapping_stores(self, tmp_path):
-        full_a = tmp_path / "a.jsonl"
-        full_b = tmp_path / "b.jsonl"
-        run_campaign(tiny_sweep(), store_path=full_a)
-        run_campaign(tiny_sweep(), store_path=full_b)
-        merged = tmp_path / "m.jsonl"
-        assert merge_stores(merged, [full_a, full_b]) == 4
-        assert len(ResultStore(merged).records()) == 4
-
-    def test_merge_missing_input_is_an_error(self, tmp_path):
-        present = tmp_path / "a.jsonl"
-        ResultStore(present).append({"point_id": "x"})
-        with pytest.raises(ValueError, match="does not exist"):
-            merge_stores(tmp_path / "m.jsonl", [present, tmp_path / "ghost.jsonl"])
-
-
-class TestCostAwarePool:
-    def test_order_longest_first_is_deterministic_and_complete(self):
-        points = tiny_sweep().expand()
-        ordered = order_longest_first(points, {})
-        assert sorted(p.id for p in ordered) == sorted(p.id for p in points)
-        assert [p.id for p in order_longest_first(points, {})] == [
-            p.id for p in ordered
-        ]
-
-    def test_order_longest_first_puts_big_geometry_first(self):
-        points = tiny_sweep().expand()
-        ordered = order_longest_first(points, {})
-        weights = [
-            p.spec.num_tiles * p.spec.num_vaults * p.spec.clusters_per_vault
-            for p in ordered
-        ]
-        assert weights == sorted(weights, reverse=True)
-
-    def test_known_records_reorder_by_measured_rate(self, tmp_path):
-        outcome = run_campaign(tiny_sweep(), store_path=tmp_path / "s.jsonl")
-        known = {r["point_id"]: r for r in outcome.records}
-        ordered = order_longest_first(tiny_sweep().expand(), known)
-        # Rates only scale the geometry weight uniformly, so the LPT
-        # order survives — and stays deterministic — with history.
-        assert [p.id for p in ordered] == [
-            p.id for p in order_longest_first(tiny_sweep().expand(), {})
-        ]
-
-    def test_work_stealing_pool_matches_cold_sequential_run(self, tmp_path):
-        """Acceptance: the LPT + work-stealing pool is bit-identical to
-        a cold sequential run (the extended parity matrix)."""
-        reference = run_campaign(tiny_sweep(), store_path=tmp_path / "ref.jsonl")
-        pooled = run_campaign(
-            tiny_sweep(),
-            store_path=tmp_path / "pool.jsonl",
-            options=ExecutionOptions(workers=2),
-        )
-        assert pooled.executed_points == 4
-        expected = {
-            r["point_id"]: _strip_execution(r) for r in reference.records
-        }
-        got = {r["point_id"]: _strip_execution(r) for r in pooled.records}
-        assert got == expected
 
 
 class TestRegistry:

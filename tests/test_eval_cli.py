@@ -1,7 +1,5 @@
 """Tests for the ``python -m repro.eval`` command-line entry point."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.eval.__main__ import main
@@ -113,6 +111,9 @@ def test_scenario_run_without_memoization(capsys):
         ["system-scaling", "--parallel", "2"],
         ["system-scaling", "--no-batch"],
         ["campaign", "run", "dnn-scaling", "--no-batch"],
+        ["campaign", "run", "dnn-scaling", "--workers", "2"],
+        ["campaign", "run", "dnn-scaling", "--shard", "0/2"],
+        ["report", "--all", "--quick", "--workers", "2"],
         ["submit", "scenario", "conv-tiled", "--parallel", "2"],
     ],
 )
@@ -121,6 +122,25 @@ def test_retired_execution_flags_rejected(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["submit", "scenario", "conv-tiled"], "registered artifacts"),
+        (["submit", "campaign", "dnn-scaling", "--wait"], "unrecognized arguments"),
+        (["campaign", "merge", "--output", "m.jsonl", "a.jsonl"], "invalid choice"),
+    ],
+)
+def test_retired_subcommands_rejected(argv, message, capsys):
+    """The daemon's ``submit`` and the shard ``campaign merge`` are gone:
+    each is an unknown choice that exits 2 before anything runs."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_scenario_run_unknown_name_fails_cleanly(capsys):
@@ -217,50 +237,14 @@ def test_campaign_summary_without_cache_is_unchanged(tmp_path, capsys):
     assert "global cache" not in out
 
 
-def test_campaign_sharded_run_and_merge(tmp_path, capsys):
-    shards = []
-    for index in range(2):
-        store = str(tmp_path / f"shard{index}.jsonl")
-        shards.append(store)
-        assert main(
-            ["campaign", "run", "dnn-scaling", "--quick",
-             "--shard", f"{index}/2", "--store", store]
-        ) == 0
-        out = capsys.readouterr().out
-        assert f"[shard {index}/2]: 2 points" in out
-
-    merged = str(tmp_path / "merged.jsonl")
-    assert main(["campaign", "merge", "--output", merged] + shards) == 0
+def test_campaign_max_points_then_resume(tmp_path, capsys):
+    """A capped run leaves the rest pending; the next run resumes the
+    stored points and executes only the remainder."""
+    store = str(tmp_path / "s.jsonl")
+    run = ["campaign", "run", "dnn-scaling", "--quick", "--store", store]
+    assert main(run + ["--max-points", "2"]) == 0
     out = capsys.readouterr().out
-    assert f"merged 2 store(s) -> {merged} (4 points)" in out
-    first = Path(merged).read_bytes()
-
-    # Merging in the opposite order is byte-identical.
-    assert main(["campaign", "merge", "--output", merged] + shards[::-1]) == 0
-    capsys.readouterr()
-    assert Path(merged).read_bytes() == first
-
-    # The merged store resumes a full run completely.
-    assert main(
-        ["campaign", "run", "dnn-scaling", "--quick", "--store", merged]
-    ) == 0
+    assert "4 points, 0 resumed from the store, 2 executed" in out
+    assert main(run) == 0
     out = capsys.readouterr().out
-    assert "4 resumed from the store, 0 executed" in out
-
-
-def test_campaign_merge_missing_input_fails_cleanly(tmp_path, capsys):
-    assert main(
-        ["campaign", "merge", "--output", str(tmp_path / "m.jsonl"),
-         str(tmp_path / "ghost.jsonl")]
-    ) == 2
-    err = capsys.readouterr().err
-    assert "does not exist" in err
-
-
-def test_campaign_invalid_shard_selector_fails_cleanly(tmp_path, capsys):
-    assert main(
-        ["campaign", "run", "dnn-scaling", "--quick", "--shard", "4/2",
-         "--store", str(tmp_path / "s.jsonl")]
-    ) == 2
-    err = capsys.readouterr().err
-    assert "shard index" in err
+    assert "4 points, 2 resumed from the store, 2 executed" in out

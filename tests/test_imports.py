@@ -39,7 +39,6 @@ LAZY_PACKAGES = (
     "repro.report",
     "repro.riscv",
     "repro.scenarios",
-    "repro.server",
     "repro.system",
 )
 
@@ -169,7 +168,6 @@ class TestImportLayering:
             pytest.param(["-m", "repro.eval", "--help"], id="eval-help"),
             pytest.param(["-m", "repro.eval", "scenario", "list"], id="scenario-list"),
             pytest.param(["-m", "repro.eval", "campaign", "list"], id="campaign-list"),
-            pytest.param(["-c", "import repro.client"], id="client"),
         ],
     )
     def test_registry_paths_stay_light(self, args, tmp_path):
