@@ -27,6 +27,7 @@ from repro.campaign import (
 )
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, run_scenario
+from repro.system.memo import TileTimingCache
 
 
 def tiny_sweep(**overrides) -> SweepSpec:
@@ -627,6 +628,130 @@ class TestCampaignResultCache:
             assert record["axes"] == dict(point.axis_values)
             # Stored specs are JSON round-tripped (tuples -> lists).
             assert record["spec"] == json.loads(json.dumps(point.spec.to_dict()))
+
+
+QUICK = ExecutionOptions(quick=True)
+
+
+class TestEveryShippedCampaign:
+    """Every registered campaign, quick, through the one in-process loop:
+    verified points, deterministic records, capped calls that partition
+    the sweep, resume, and both caches returning cold-run results."""
+
+    @pytest.mark.parametrize("name", registered_campaigns())
+    def test_quick_run_verifies_every_point_in_expansion_order(
+        self, name, tmp_path
+    ):
+        outcome = run_campaign(name, store_path=tmp_path / "s.jsonl", options=QUICK)
+        assert outcome.complete
+        assert outcome.executed_points == len(outcome.points)
+        assert outcome.skipped_points == outcome.cached_points == 0
+        assert [r["point_id"] for r in outcome.records] == [
+            p.id for p in outcome.points
+        ]
+        assert all(record["verified"] for record in outcome.records)
+
+    @pytest.mark.parametrize("name", registered_campaigns())
+    def test_cold_runs_are_identical_apart_from_wall_time(self, name, tmp_path):
+        """Two cold runs in one process produce the same records, warmth
+        counters included: nothing depends on what ran before."""
+        first = run_campaign(name, store_path=tmp_path / "a.jsonl", options=QUICK)
+        second = run_campaign(name, store_path=tmp_path / "b.jsonl", options=QUICK)
+
+        def without_wall_time(records):
+            return [
+                {k: v for k, v in r.items() if k != "wall_seconds"} for r in records
+            ]
+
+        assert without_wall_time(second.records) == without_wall_time(first.records)
+
+    @pytest.mark.parametrize("name", registered_campaigns())
+    def test_capped_calls_partition_the_sweep(self, name, tmp_path):
+        """Calls capped at one point each execute disjoint points, in
+        expansion order, and end with the store an uncapped run writes."""
+        whole = run_campaign(name, store_path=tmp_path / "whole.jsonl", options=QUICK)
+        store = tmp_path / "capped.jsonl"
+        executed = []
+
+        def note_fresh(record, fresh):
+            if fresh:
+                executed.append(record["point_id"])
+
+        for _ in whole.points:
+            outcome = run_campaign(
+                name, store_path=store, options=QUICK, max_points=1, on_point=note_fresh
+            )
+            assert outcome.executed_points == 1
+        assert outcome.complete
+        assert executed == [p.id for p in whole.points]
+        assert [_strip_execution(r) for r in outcome.records] == [
+            _strip_execution(r) for r in whole.records
+        ]
+
+    @pytest.mark.parametrize("name", registered_campaigns())
+    def test_rerun_resumes_every_point_without_writing(self, name, tmp_path):
+        store = tmp_path / "s.jsonl"
+        first = run_campaign(name, store_path=store, options=QUICK)
+        before = store.read_bytes()
+        again = run_campaign(name, store_path=store, options=QUICK)
+        assert again.executed_points == 0
+        assert again.skipped_points == len(first.points)
+        assert store.read_bytes() == before
+        assert again.records == first.records
+
+    @pytest.mark.parametrize("name", registered_campaigns())
+    def test_store_reloads_the_outcome_records(self, name, tmp_path):
+        store = tmp_path / "s.jsonl"
+        outcome = run_campaign(name, store_path=store, options=QUICK)
+        assert ResultStore(store).select(p.id for p in outcome.points) == (
+            outcome.records
+        )
+        assert ResultStore(store).completed_ids() == {p.id for p in outcome.points}
+
+    @pytest.mark.parametrize("name", registered_campaigns())
+    def test_warm_result_cache_fills_a_fresh_store_with_cold_results(
+        self, name, tmp_path
+    ):
+        cache = GlobalResultCache(tmp_path / "cache")
+        cold = run_campaign(
+            name, store_path=tmp_path / "cold.jsonl", options=QUICK, cache=cache
+        )
+        warm = run_campaign(
+            name, store_path=tmp_path / "warm.jsonl", options=QUICK, cache=cache
+        )
+        assert warm.executed_points == 0
+        assert warm.cached_points == len(cold.points)
+        assert [_strip_execution(r) for r in warm.records] == [
+            _strip_execution(r) for r in cold.records
+        ]
+
+    @pytest.mark.parametrize("name", registered_campaigns())
+    def test_shared_timing_cache_changes_only_warmth(self, name, tmp_path):
+        """A tile-timing cache carried into a second run re-simulates
+        every point with the same results; only the warmth counters and
+        wall time may differ, and the warm run misses no more often."""
+        timing_cache = TileTimingCache()
+        cold = run_campaign(
+            name,
+            store_path=tmp_path / "cold.jsonl",
+            options=QUICK,
+            timing_cache=timing_cache,
+        )
+        warm = run_campaign(
+            name,
+            store_path=tmp_path / "warm.jsonl",
+            options=QUICK,
+            timing_cache=timing_cache,
+        )
+        assert warm.executed_points == len(cold.points)
+        assert [_strip_execution(r) for r in warm.records] == [
+            _strip_execution(r) for r in cold.records
+        ]
+
+        def misses(outcome):
+            return sum(r["metrics"].get("cache_misses", 0) for r in outcome.records)
+
+        assert misses(warm) <= misses(cold)
 
 
 class TestRegistry:

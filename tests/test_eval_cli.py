@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import get_campaign, registered_campaigns
 from repro.eval.__main__ import main
 from repro.report import registered_artifacts
 
@@ -151,7 +152,6 @@ def test_scenario_run_unknown_name_fails_cleanly(capsys):
 
 def test_epilog_is_generated_from_the_registries():
     """Satellite: the CLI help can never drift from the registries."""
-    from repro.campaign import registered_campaigns
     from repro.cluster.engine import available_engines
     from repro.eval.__main__ import _epilog
     from repro.scenarios import registered_scenarios
@@ -168,8 +168,6 @@ def test_epilog_is_generated_from_the_registries():
 
 
 def test_campaign_list(capsys):
-    from repro.campaign import registered_campaigns
-
     assert main(["campaign", "list"]) == 0
     out = capsys.readouterr().out
     for name in registered_campaigns():
@@ -248,3 +246,17 @@ def test_campaign_max_points_then_resume(tmp_path, capsys):
     assert main(run) == 0
     out = capsys.readouterr().out
     assert "4 points, 2 resumed from the store, 2 executed" in out
+
+
+@pytest.mark.parametrize("name", registered_campaigns())
+def test_every_campaign_runs_quick_and_resumes_from_its_store(
+    name, tmp_path, capsys
+):
+    count = len(get_campaign(name).for_quick().expand())
+    run = ["campaign", "run", name, "--quick", "--store", str(tmp_path / "s.jsonl")]
+    assert main(run) == 0
+    out = capsys.readouterr().out
+    assert f"{count} points, 0 resumed from the store, {count} executed" in out
+    assert main(run) == 0
+    out = capsys.readouterr().out
+    assert f"{count} points, {count} resumed from the store, 0 executed" in out
