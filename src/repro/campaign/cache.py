@@ -96,9 +96,6 @@ class GlobalResultCache:
         self.root = Path(root)
         #: Schema stamp written into (and required of) every entry.
         self.schema = spec_schema_version()
-        #: Lookup accounting (process-local, reported by :meth:`stats`).
-        self.hits = 0
-        self.misses = 0
         self._shards: Dict[str, Dict[str, Dict[str, Any]]] = {}
 
     # -- sharding -------------------------------------------------------------
@@ -139,10 +136,8 @@ class GlobalResultCache:
         """
         entry = self._load(self._shard_key(point_id)).get(point_id)
         if entry is None:
-            self.misses += 1
             _RESULT_MISSES.inc()
             return None
-        self.hits += 1
         _RESULT_HITS.inc()
         return self._strip(entry)
 
@@ -177,15 +172,6 @@ class GlobalResultCache:
                     if record.get("schema") == self.schema:
                         seen.add(record["point_id"])
         return len(seen)
-
-    def stats(self) -> Dict[str, Any]:
-        """A summary: cache dir, entries, hits, misses."""
-        return {
-            "dir": str(self.root),
-            "entries": self.entries(),
-            "hits": self.hits,
-            "misses": self.misses,
-        }
 
 
 def resolve_cache(

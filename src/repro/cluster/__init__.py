@@ -12,12 +12,13 @@
   schedule that overlaps DMA and compute.
 * :mod:`repro.cluster.sim` — the cycle-level simulator that contends all
   NTX streams (and the DMA) for TCDM banks.
-* :mod:`repro.cluster.engine` — the engine registry: the ``Engine``
-  protocol plus the registered ``"scalar"`` and ``"vectorized"`` backends
-  every layer resolves engine names through.
-* :mod:`repro.cluster.vecsim` — the vectorized engine itself: NumPy
-  precomputed request streams, an array data plane and an integer-only
-  timing core (see ``docs/performance.md``).
+* :mod:`repro.cluster.engine` — the two cycle engines (``"scalar"`` and
+  ``"vectorized"``), timing models every layer resolves engine names
+  through.
+* :mod:`repro.cluster.vecsim` — the vectorized engine's NumPy
+  precomputed request streams and integer-only timing core, and the one
+  array data plane both engines replay through (see
+  ``docs/performance.md``).
 * :mod:`repro.cluster.timing_core` — builds, caches and calls that timing
   core's compiled C loop (``timing_core.c``).
 """
@@ -34,7 +35,6 @@ if TYPE_CHECKING:
         Engine,
         available_engines,
         get_engine,
-        register_engine,
     )
     from repro.cluster.offload import NtxDriver
     from repro.cluster.sim import ClusterSimulator, SimulationResult
@@ -48,7 +48,6 @@ __all__ = [
     "Engine",
     "available_engines",
     "get_engine",
-    "register_engine",
     "NtxDriver",
     "DoubleBufferPlan",
     "TileSchedule",
@@ -66,7 +65,6 @@ _EXPORTS = {
     "Engine": "engine",
     "available_engines": "engine",
     "get_engine": "engine",
-    "register_engine": "engine",
     "NtxDriver": "offload",
     "DoubleBufferPlan": "tiling",
     "TileSchedule": "tiling",

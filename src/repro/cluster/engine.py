@@ -1,25 +1,26 @@
-"""Engine registry for the cycle-level cluster simulator.
+"""The two cycle engines of the cluster simulator, and their registry.
 
-The repository ships two implementations of the same machine — the scalar
-per-micro-op interpreter (the golden reference) and the vectorized NumPy
-engine (:mod:`repro.cluster.vecsim`).  Historically they were selected by
-bare strings compared in four different layers; this module makes the
-seam explicit:
+The repository ships two timing models of the same machine — the scalar
+per-micro-op interpreter (the golden reference) and the vectorized engine
+(:mod:`repro.cluster.vecsim`: precomputed request streams and a compiled
+timing core).  Both share one data plane,
+:func:`repro.cluster.vecsim.run_data_plane`, which applies a run's data
+effects on the live TCDM or on a word-major stack of batched tile images;
+an engine only names the mode that data plane replays in:
 
-* :class:`Engine` — the protocol every backend implements: ``run`` (the
-  full cycle-level simulation), ``run_data_plane`` (data effects only,
-  the timing-cache hit path) and ``timing_signature`` (the hashable key
-  under which a run's timing may be memoized).
-* :func:`register_engine` / :func:`get_engine` /
-  :func:`available_engines` — the registry.  Everything that accepts an
-  engine name (:class:`~repro.cluster.sim.ClusterSimulator`,
+* :class:`Engine` — what an engine is: ``run`` (the full cycle-level
+  simulation), ``timing_signature`` (the hashable key under which a run's
+  timing may be memoized, one recipe for both) and ``exact_replay``, the
+  data plane's mode for its runs and timing-cache hits.  The scalar
+  engine replays certified-exact — bit-identical to its per-op soft-float
+  walk on every input; the vectorized engine keeps the float64 running
+  sum of MAC products (see :mod:`repro.core.vecops`).
+* :func:`get_engine` / :func:`available_engines` /
+  :func:`describe_engines` — the registry of the two.  Everything that
+  accepts an engine name (:class:`~repro.cluster.sim.ClusterSimulator`,
   :class:`~repro.system.config.SystemConfig`, the eval and bench CLIs)
   resolves it here, so an unknown name fails once, early, with the list
   of valid choices.
-
-Registering a third backend (e.g. a compiled one) makes it available to
-every layer — the system simulator, the scenario subsystem and the
-benchmark harness — without touching any of them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "available_engines",
     "describe_engines",
     "get_engine",
-    "register_engine",
 ]
 
 Jobs = Sequence[Tuple[int, NtxCommand]]
@@ -47,17 +47,21 @@ Jobs = Sequence[Tuple[int, NtxCommand]]
 
 @runtime_checkable
 class Engine(Protocol):
-    """What a cycle-engine backend must provide.
+    """A cycle engine: a timing model over the shared data plane.
 
     Engines are stateless: all mutable state lives in the
     :class:`~repro.cluster.sim.ClusterSimulator` (cluster, interconnect)
     they are handed, so one registered instance serves every simulator.
     """
 
-    #: Registry key (``"scalar"``, ``"vectorized"``, ...).
+    #: Registry key (``"scalar"`` or ``"vectorized"``).
     name: str
     #: One-line description shown in CLI help.
     description: str
+    #: The data plane's mode for this engine's runs and timing-cache hits:
+    #: ``True`` replays certified-exact, ``False`` with the float64 running
+    #: sum (see :mod:`repro.core.vecops`).
+    exact_replay: bool
 
     def run(
         self,
@@ -68,26 +72,6 @@ class Engine(Protocol):
         stagger_cycles: int,
     ) -> "SimulationResult":
         """Simulate ``jobs`` cycle by cycle until every command completed."""
-        ...  # pragma: no cover - protocol
-
-    def run_data_plane(self, simulator: "ClusterSimulator", jobs: Jobs) -> None:
-        """Apply ``jobs``' data effects only (the timing-cache hit path)."""
-        ...  # pragma: no cover - protocol
-
-    def run_data_plane_batched(
-        self, simulator: "ClusterSimulator", jobs: Jobs, stack, base: int
-    ) -> bool:
-        """Replay ``jobs`` over a word-major stack of private TCDM images.
-
-        ``stack`` is a float32 array of shape ``(words, tiles)`` — one
-        column per tile of a same-signature batch group (see
-        :mod:`repro.system.batch`) — whose row ``w`` holds the word at
-        byte address ``base + 4 * w`` of every tile's image; the rows
-        cover every TCDM word the group stages or its commands touch.
-        The engine updates ``stack`` in place.  Returns ``True`` when it
-        executed the whole stack, ``False`` when it does not support
-        batched replay; the caller then replays the group tile by tile.
-        """
         ...  # pragma: no cover - protocol
 
     def timing_signature(
@@ -114,12 +98,6 @@ class _EngineBase:
 
     name = "abstract"
     description = ""
-    #: Whether :meth:`run_data_plane_batched` executes stacked groups.
-    supports_batched_replay = False
-
-    def run_data_plane_batched(self, simulator, jobs, stack, base) -> bool:
-        """Default: batched replay unsupported; caller replays per tile."""
-        return False
 
     def timing_signature(
         self,
@@ -138,13 +116,13 @@ class _EngineBase:
 
 
 class VectorizedEngine(_EngineBase):
-    """NumPy stream precompute + array data plane (:mod:`repro.cluster.vecsim`)."""
+    """NumPy stream precompute + compiled timing core (:mod:`repro.cluster.vecsim`)."""
 
     name = "vectorized"
     description = (
         "NumPy streams and data plane, compiled C timing core (default, ~200x faster)"
     )
-    supports_batched_replay = True
+    exact_replay = False
 
     def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
         from repro.cluster.vecsim import run_vectorized
@@ -153,56 +131,33 @@ class VectorizedEngine(_EngineBase):
             simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles
         )
 
-    def run_data_plane(self, simulator, jobs) -> None:
-        from repro.cluster.vecsim import run_data_plane
-
-        run_data_plane(simulator, jobs, exact=False)
-
-    def run_data_plane_batched(self, simulator, jobs, stack, base) -> bool:
-        from repro.cluster.vecsim import run_data_plane_batched
-
-        run_data_plane_batched(simulator, jobs, stack, base)
-        return True
-
 
 class ScalarEngine(_EngineBase):
     """The original per-micro-op interpreter, kept as the golden reference."""
 
     name = "scalar"
     description = "per-micro-op golden reference interpreter"
+    # Timing-cache hits replay certified-exact (the per-op soft-float walk
+    # for whatever the kernel cannot certify), so memoized scalar runs stay
+    # bit-identical to uncached ones.
+    exact_replay = True
 
     def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
         return _run_scalar(
             simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles
         )
 
-    def run_data_plane(self, simulator, jobs) -> None:
-        # Replay in the array kernel's certified-exact mode (per-op
-        # soft-float executor for what it cannot certify), so memoized
-        # scalar runs stay bit-identical to uncached scalar runs.
-        from repro.cluster.vecsim import run_data_plane
-
-        run_data_plane(simulator, jobs, exact=True)
-
 
 # --------------------------------------------------------------------------- #
 # Registry                                                                     #
 # --------------------------------------------------------------------------- #
 
-_REGISTRY: Dict[str, Engine] = {}
+_REGISTRY: Dict[str, Engine] = {
+    engine.name: engine for engine in (VectorizedEngine(), ScalarEngine())
+}
 
 #: Engine used when none is named explicitly.
 DEFAULT_ENGINE = "vectorized"
-
-
-def register_engine(engine: Engine, replace: bool = False) -> Engine:
-    """Add ``engine`` to the registry under ``engine.name``."""
-    if not engine.name or not isinstance(engine.name, str):
-        raise ValueError("an engine needs a non-empty string name")
-    if engine.name in _REGISTRY and not replace:
-        raise ValueError(f"engine {engine.name!r} is already registered")
-    _REGISTRY[engine.name] = engine
-    return engine
 
 
 def available_engines() -> Tuple[str, ...]:
@@ -224,10 +179,6 @@ def get_engine(name: Optional[str] = None) -> Engine:
         raise ValueError(
             f"unknown engine {key!r}; registered engines: {available_engines()}"
         ) from None
-
-
-register_engine(VectorizedEngine())
-register_engine(ScalarEngine())
 
 
 # --------------------------------------------------------------------------- #

@@ -15,20 +15,24 @@ requests presented until granted — because that is how the real streamers
 behave once their FIFOs are in steady state; its purpose is to measure
 conflict probability and sustained utilization, not to be an RTL replica.
 
-The cycle loop itself is pluggable: :class:`ClusterSimulator` resolves its
-backend through the engine registry (:mod:`repro.cluster.engine`), which
-ships the ``"vectorized"`` default and the ``"scalar"`` golden reference.
+:class:`ClusterSimulator` resolves its cycle engine through the registry
+(:mod:`repro.cluster.engine`): the ``"vectorized"`` default or the
+``"scalar"`` golden reference, two timing models over one shared data
+plane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.engine import DEFAULT_ENGINE, get_engine
 from repro.core.commands import NtxCommand
 from repro.mem.interconnect import TcdmInterconnect
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 __all__ = ["SimulationResult", "ClusterSimulator"]
 
@@ -142,14 +146,23 @@ class ClusterSimulator:
             self, jobs, dma_requests_per_cycle, stagger_cycles
         )
 
-    def run_data_plane(self, jobs: Sequence[Tuple[int, NtxCommand]]) -> None:
+    def run_data_plane(
+        self,
+        jobs: Sequence[Tuple[int, NtxCommand]],
+        stack: Optional[np.ndarray] = None,
+        base: int = 0,
+    ) -> None:
         """Execute ``jobs``' data effects only, skipping the cycle loop.
 
-        This is the timing-cache *hit* path: the TCDM ends up bit-identical
-        to a full :meth:`run` of the same engine, while the (already cached)
-        timing is not recomputed.  The scalar engine replays through the
-        array kernel's certified-exact mode, bit-identical to its per-op
-        soft-float executor (which runs whatever the kernel cannot
-        certify); the vectorized engine uses its usual array fast path.
+        This is the timing-cache *hit* path: the TCDM (or, with ``stack``,
+        every tile image of a batched group's word-major stack whose row
+        ``w`` holds address ``base + 4 * w``) ends up bit-identical to a
+        full :meth:`run` of the same engine, while the (already cached)
+        timing is not recomputed.  Both engines replay through the one
+        data plane (:func:`repro.cluster.vecsim.run_data_plane`) in the
+        mode their engine names: certified-exact for the scalar engine,
+        the float64 running sum for the vectorized one.
         """
-        self._engine.run_data_plane(self, jobs)
+        from repro.cluster.vecsim import run_data_plane
+
+        run_data_plane(self.cluster, jobs, self._engine.exact_replay, stack, base)

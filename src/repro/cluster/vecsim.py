@@ -11,18 +11,20 @@ phases so the per-cycle loop touches almost nothing:
    distinct command and shared read-only by every run of the process.
    Request generation inside the cycle loop reduces to indexing the plan's
    int32 bank streams (:class:`~repro.core.vecops.BankStreams`).
-2. **Vectorized data plane** (:func:`repro.core.vecops.execute_streams`):
-   reads, FPU issues and write-backs are replayed as array gathers,
-   segmented reductions and scatters — once per command instead of once per
-   cycle.  The kernel works on a word-major ``(words, tiles)`` stack: the
-   live TCDM is a stack of one, and a batched replay group
-   (:func:`run_data_plane_batched`) a stack of many, which the system
-   walker stages straight from and back to the HMC and the kernel
-   updates in place.  Commands with
-   intra-command read-after-write hazards fall back
-   to the exact per-op executor; on the fast path only MAC can differ from
-   the soft-float reference, by at most a final-ulp rounding, unless the
-   kernel runs in its certified-exact mode (see :mod:`repro.core.vecops`).
+2. **Data plane** (:func:`run_data_plane`, shared with the scalar
+   engine): reads, FPU issues and write-backs are replayed as array
+   gathers, segmented reductions and scatters
+   (:func:`repro.core.vecops.execute_streams_batched`) — once per command
+   instead of once per cycle.  The driver works on a word-major
+   ``(words, tiles)`` stack: the live TCDM is a stack of one, and a
+   batched replay group a stack of many, which the system walker stages
+   straight from and back to the HMC and the kernel updates in place.
+   The engine names the mode (:attr:`~repro.cluster.engine.Engine.exact_replay`):
+   this one keeps a float64 running sum, so a MAC store can differ from
+   the soft-float reference by a final-ulp rounding; the scalar engine's
+   certified-exact mode cannot (see :mod:`repro.core.vecops`).  Commands
+   the kernel refuses, and MACs of a non-default accumulator geometry,
+   run through the exact per-op executor.
 3. **Timing core**: a lean per-cycle loop that models exactly the same
    machine as the scalar engine — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
@@ -47,7 +49,7 @@ workloads, and fuzzes the compiled loop against the Python loop.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,15 +63,17 @@ from repro.core.vecops import (
     _fall_back,
     command_plan,
     execute_functional,
-    execute_streams,
     execute_streams_batched,
 )
 from repro.softfloat.pcs import PcsConfig
 
 
-__all__ = ["run_vectorized", "run_data_plane", "run_data_plane_batched"]
+__all__ = ["run_vectorized", "run_data_plane"]
 
 _IDLE, _SETUP, _RUN = 0, 1, 2
+
+#: The exact accumulator geometry; any other may truncate or saturate.
+_DEFAULT_PCS = PcsConfig()
 
 #: One NTX's queue: each command with its shared plan, in issue order.
 _Queue = List[Tuple[NtxCommand, CommandPlan]]
@@ -149,45 +153,6 @@ def _account_command(
             fpu_stats.comparisons += plan.total * count
 
 
-def _run_data_plane(cluster, jobs_per_ntx: List[_Queue], exact: bool = False) -> None:
-    """Apply every command's data effects in issue order.
-
-    With ``exact=True`` — the timing-cache hit path of the *scalar* engine
-    — the array kernel runs in its certified-exact mode, whose stores are
-    bit-identical to the per-op soft-float executor; every command it
-    cannot certify (and every MAC of an NTX whose accumulator geometry is
-    not the default, which may truncate) runs through that executor, so
-    cached scalar runs stay bit-identical to uncached ones.
-    """
-    tcdm = cluster.tcdm
-    for ntx, plans in zip(cluster.ntx, jobs_per_ntx):
-        default_pcs = ntx.config.pcs == PcsConfig()
-        for command, plan in plans:
-            if exact and command.opcode is NtxOpcode.MAC and not default_pcs:
-                fast_path = _fall_back("pcs_config")
-            else:
-                fast_path = execute_streams(command, plan, tcdm, exact)
-            if not fast_path:
-                execute_functional(ntx, command, tcdm)
-            _account_command(cluster, ntx, command, plan, fast_path)
-
-
-def run_data_plane(
-    simulator, jobs: Sequence[Tuple[int, NtxCommand]], exact: bool = False
-) -> None:
-    """Timing-cache hook: apply ``jobs``' data effects without the cycle loop.
-
-    Used by the tile-timing memoization layer (:mod:`repro.system.memo`) when
-    a tile's timing is already cached: the data plane still executes so the
-    TCDM contents stay bit-exact, while the per-cycle simulation is skipped.
-    Statistics are accounted exactly like :func:`run_vectorized`'s data-plane
-    phase; the caller is responsible for crediting the cached active/stall
-    cycles.
-    """
-    cluster = simulator.cluster
-    _run_data_plane(cluster, _plans_per_ntx(cluster, jobs), exact)
-
-
 class _ImageTcdm:
     """Adapter presenting one tile's private TCDM image as a scratchpad.
 
@@ -218,41 +183,62 @@ class _ImageTcdm:
         self._view[(address - self._base) >> 2] = np.float32(value)
 
 
-def run_data_plane_batched(
-    simulator, jobs: Sequence[Tuple[int, NtxCommand]], stack: np.ndarray, base: int
+def run_data_plane(
+    cluster,
+    jobs: Sequence[Tuple[int, NtxCommand]],
+    exact: bool,
+    stack: Optional[np.ndarray] = None,
+    base: int = 0,
 ) -> None:
-    """Replay one tile program over a word-major stack of TCDM images at once.
+    """Apply ``jobs``' data effects, in issue order, without the cycle loop.
 
-    ``stack`` is the ``(words, tiles)`` float32 stack of a batch group (see
-    :mod:`repro.system.batch`): row ``w`` holds the word at byte address
-    ``base + 4 * w`` of every tile's private scratchpad image, and the
-    rows cover every word the commands touch.  Every tile executes the
-    same ``jobs`` in the same order, so each command becomes one stacked
-    dispatch (:func:`repro.core.vecops.execute_streams_batched`) over
-    contiguous rows of ``tiles`` floats, in place.  Commands that need the
-    exact per-op path (RAW hazards, NaN comparator inputs) fall back tile
-    by tile through :class:`_ImageTcdm` on the tile's column of the stack,
-    preserving bit-exactness without abandoning the rest of the group.
+    The one data plane of both engines: the vectorized engine's cycle run,
+    every timing-cache hit (:mod:`repro.system.memo`) and every stacked
+    batch group (:mod:`repro.system.batch`) replay through it, in the mode
+    their engine names (``exact``, see
+    :attr:`~repro.cluster.engine.Engine.exact_replay`).
 
-    Statistics are accounted wholesale — each command's counters multiplied
-    by the stack height — onto ``simulator.cluster``.  Aggregate system
-    totals match the per-tile path exactly; per-cluster attribution of a
-    multi-cluster group lands on the representative cluster (nothing in the
-    system reports reads the per-cluster counters).
+    ``stack`` is a word-major ``(words, tiles)`` float32 stack of private
+    TCDM images whose row ``w`` holds the word at byte address
+    ``base + 4 * w`` of every tile, covering every word the commands
+    touch; every tile executes the same ``jobs``, so each command is one
+    stacked dispatch (:func:`repro.core.vecops.execute_streams_batched`)
+    updating the stack in place.  Without ``stack`` the live TCDM is the
+    stack, one tile high.
+
+    A command the kernel refuses (see :mod:`repro.core.vecops`), and every
+    MAC of an NTX whose accumulator geometry is not the default (which may
+    truncate or saturate, counted as ``pcs_config``), runs through the
+    exact per-op executor instead: on the live TCDM, or tile by tile
+    through :class:`_ImageTcdm` on each tile's column of the stack.
+
+    Statistics are accounted wholesale — each command's counters times the
+    stack height — onto ``cluster``; the caller credits the cycles.  A
+    multi-cluster group's counters land on its representative cluster,
+    which keeps aggregate system totals exact.
     """
-    cluster = simulator.cluster
     tcdm = cluster.tcdm
+    live = stack is None
+    if live:
+        # A backing that is not a writable buffer raises here instead of
+        # degrading to the per-op path.
+        stack, base = np.frombuffer(tcdm.memory.data, dtype="<f4")[:, None], tcdm.base
     num_tiles = stack.shape[1]
     for ntx, plans in zip(cluster.ntx, _plans_per_ntx(cluster, jobs)):
+        truncating = ntx.config.pcs != _DEFAULT_PCS
         for command, plan in plans:
-            fast_path = execute_streams_batched(command, plan, stack, base)
+            if truncating and command.opcode is NtxOpcode.MAC:
+                fast_path = _fall_back("pcs_config")
+            else:
+                fast_path = execute_streams_batched(command, plan, stack, base, exact)
             if fast_path:
                 _account_accesses(tcdm, plan, count=num_tiles)
             else:
-                for tile in range(num_tiles):
-                    execute_functional(
-                        ntx, command, _ImageTcdm(stack[:, tile], base, tcdm)
-                    )
+                images = [tcdm] if live else (
+                    _ImageTcdm(stack[:, tile], base, tcdm) for tile in range(num_tiles)
+                )
+                for image in images:
+                    execute_functional(ntx, command, image)
             _account_command(cluster, ntx, command, plan, fast_path, count=num_tiles)
 
 
@@ -484,10 +470,10 @@ def run_vectorized(
     tcdm = cluster.tcdm
     interconnect = simulator.interconnect
 
-    jobs_per_ntx = _plans_per_ntx(cluster, jobs)
     start_flops = [n.stats.flops for n in cluster.ntx]
     start_iterations = [n.stats.iterations for n in cluster.ntx]
-    _run_data_plane(cluster, jobs_per_ntx)
+    simulator.run_data_plane(jobs)
+    jobs_per_ntx = _plans_per_ntx(cluster, jobs)
 
     base, num_banks = tcdm.base, tcdm.config.num_banks
     loop = timing_core.load() or _reference_loop

@@ -27,13 +27,15 @@ hoisted out of the cycle loop entirely:
   (reads, FPU issues, write-backs) as array gathers, segmented reductions
   and scatters over a word-major ``(words, tiles)`` stack of TCDM images —
   the tile axis innermost, so every gather copies and every reduction step
-  adds whole contiguous rows.  :func:`execute_streams` is the same kernel
-  on the live TCDM viewed as a stack of one.  Commands whose plan records
-  a read-after-write hazard are executed through the exact per-op path
-  instead; every such fallback is counted in
-  ``repro_dataplane_fallbacks_total{reason}``.
+  adds whole contiguous rows.  The one data-plane driver of both engines
+  (:func:`repro.cluster.vecsim.run_data_plane`) runs it on the live TCDM
+  viewed as a stack of one or on a batched group's stack.  Commands whose
+  plan records a read-after-write hazard are executed through the exact
+  per-op path (:func:`execute_functional`) instead; every such fallback
+  is counted in ``repro_dataplane_fallbacks_total{reason}``.
 
-The kernel has two modes:
+The kernel has two modes; each engine names one
+(:attr:`~repro.cluster.engine.Engine.exact_replay`):
 
 * ``exact=False`` (the vectorized engine).  MAC keeps a per-step float64
   running sum of exact float64 products where the partial-carry-save
@@ -42,12 +44,13 @@ The kernel has two modes:
   by the parity tests at ``rtol=1e-6``).  The other opcodes match the
   soft-float FPU except in the sign of a zero that MAX/MIN pick among
   ``±0`` ties, and in which NaN payload COPY/MASK/MAX/MIN pass on.
-* ``exact=True`` (the scalar engine's timing-cache hits) checks every
-  addition of that running sum, and of the AGU2 init value, with a Knuth
-  TwoSum residual.  When every residual is zero and the sums are finite,
-  the float64 sum *is* the exact accumulator content, and its single
-  float32 conversion is the accumulator's round-to-nearest-even write-back
-  — bit-identical to :class:`~repro.softfloat.pcs.PcsAccumulator`.  Any
+* ``exact=True`` (the scalar engine's timing-cache hits and batched
+  groups) checks every addition of that running sum, and of the AGU2
+  init value, with a Knuth TwoSum residual.  When every residual is zero
+  and the sums are finite, the float64 sum *is* the exact accumulator
+  content, and its single float32 conversion is the accumulator's
+  round-to-nearest-even write-back — bit-identical to
+  :class:`~repro.softfloat.pcs.PcsAccumulator`.  Any
   other MAC, and any COPY/MASK/MAX/MIN whose operands hit the cases
   above, takes the per-op path, so every store is bit-identical.
 
@@ -57,12 +60,13 @@ reduction), and in exact mode only ``inexact_mac`` (a MAC sum the
 certificate cannot vouch for), ``nan_operand`` (a NaN that COPY/MASK
 would move, or MAX/MIN seed with, unlike the per-op FPU), ``signed_zero``
 (a ``-0.0`` input to MAX/MIN, whose ``±0`` ties NumPy breaks differently)
-and ``pcs_config`` (a MAC on an NTX with a non-default accumulator
-geometry, which may truncate; counted by :mod:`repro.cluster.vecsim`).
+and, in both modes, ``pcs_config`` (a MAC on an NTX with a non-default
+accumulator geometry, which may truncate or saturate; counted by the
+driver in :mod:`repro.cluster.vecsim`).
 
-The plans built here drive the vectorized data plane, the vectorized
-timing engine (:mod:`repro.cluster.vecsim`) and the self-containment gate
-of batched replay.
+The plans built here drive the shared data plane, the vectorized timing
+engine (:mod:`repro.cluster.vecsim`) and the self-containment gate of
+batched replay.
 """
 
 from __future__ import annotations
@@ -82,7 +86,6 @@ __all__ = [
     "CommandPlan",
     "PLAN_CACHE_SIZE",
     "command_plan",
-    "execute_streams",
     "execute_streams_batched",
     "publish_plan_cache_metrics",
 ]
@@ -122,8 +125,8 @@ def _fall_back(reason: str) -> bool:
 
 #: Distinct commands whose plans stay cached (least recently used go
 #: first).  A cold ``report --all --quick`` plans 69 distinct commands,
-#: 0.66 MB of arrays in all; the bound keeps a long-running process (the
-#: simulation service) from holding the streams of every command it saw.
+#: 0.66 MB of arrays in all; the bound keeps a long-running process from
+#: holding the streams of every command it saw.
 PLAN_CACHE_SIZE = 128
 
 
@@ -391,27 +394,6 @@ def _agu_addresses(base: int, selected_stride: np.ndarray) -> np.ndarray:
     return (base + addresses) & _ADDRESS_MASK
 
 
-def execute_streams(
-    command: NtxCommand, plan: CommandPlan, tcdm, exact: bool = False
-) -> bool:
-    """Replay ``command``'s data effects against ``tcdm`` with array ops.
-
-    The TCDM's float32 word view is a word-major stack of one tile, so this
-    is :func:`execute_streams_batched` on that view plus the access
-    counters.  Returns ``False`` when the command needs the exact per-op
-    path (see there); the caller then falls back to the functional
-    executor.  Returns ``True`` on success, with every store applied and
-    the TCDM access counters updated.
-    """
-    # A backing that is not a writable buffer raises here instead of
-    # degrading to the per-op path.
-    view = np.frombuffer(tcdm.memory.data, dtype="<f4")
-    if not execute_streams_batched(command, plan, view[:, None], tcdm.base, exact):
-        return False
-    _account_accesses(tcdm, plan)
-    return True
-
-
 def _account_accesses(tcdm, plan: CommandPlan, count: int = 1) -> None:
     """Mirror the per-access counters the scalar data path maintains.
 
@@ -440,7 +422,7 @@ def execute_streams_batched(
     stream over *different* data, so each gather copies whole contiguous
     rows of ``tiles`` floats, each reduction step adds whole rows, and each
     scatter writes whole rows: one NumPy dispatch per step for the whole
-    stack.  A stack of one tile (``view[:, None]``) is the inline path.
+    stack.  The live TCDM's word view (``view[:, None]``) is a stack of one.
 
     Returns ``False`` when the command needs the exact per-op path: a RAW
     hazard inside the command, addresses off the stack or unaligned, or a
@@ -451,9 +433,9 @@ def execute_streams_batched(
     without the walk's float conversions (which quiet signalling NaNs) or
     that seeds MAX/MIN, and a ``-0.0`` input to MAX/MIN (NumPy breaks
     ``±0`` ties differently from the FPU's strict first-wins compare).
-    The certified MAC materialises every float64 product, so it suits
-    the short stacks of inline replay.  Each refusal is counted by reason.
-    No access counters are touched here.
+    The certified MAC materialises every float64 product of the stack,
+    and one uncertified tile refuses the whole stack.  Each refusal is
+    counted by reason.  No access counters are touched here.
     """
     words, tiles = stack.shape
     if not plan.in_span(base, words):

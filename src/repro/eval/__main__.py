@@ -31,6 +31,11 @@ runnable.  The parsers themselves are exposed as ``build_*_parser``
 factories, which is how the generated ``docs/reference.md`` documents
 every flag without hand-maintained prose.
 
+A reader that closes stdout early (``campaign run NAME | head -1``) ends
+any subcommand quietly with exit status 0 and no traceback; files a
+subcommand writes (campaign stores, ``--output`` documents) are written
+before its stdout summary, so they are complete.
+
 Execution flags (``--engine/--no-memoize/--quick/...``) are not
 hand-copied per subcommand: they are derived from the
 :class:`~repro.options.ExecutionOptions` fields by
@@ -42,6 +47,7 @@ programmatic API.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -547,9 +553,20 @@ _SUBCOMMANDS: Dict[str, Callable[[List[str]], int]] = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
-    return report_main(argv, parser=build_parser())
+    try:
+        if argv and argv[0] in _SUBCOMMANDS:
+            return _SUBCOMMANDS[argv[0]](argv[1:])
+        return report_main(argv, parser=build_parser())
+    except BrokenPipeError:
+        # The reader closed stdout early (``... | head -1``): stop quietly
+        # with status 0.  Everything a subcommand writes to disk is written
+        # before its stdout summary, so stores stay complete.  Point stdout
+        # at /dev/null so the interpreter's exit flush of what is still
+        # buffered cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

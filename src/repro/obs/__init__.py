@@ -3,10 +3,9 @@
 ``repro.obs`` is the instrumentation spine of the reproduction.  It
 owns three small, stdlib-only facilities:
 
-* :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges and histograms with labels.  The tile-timing cache, the
-  global result cache, the campaign runner and the simulation phases
-  all account here.
+* :mod:`repro.obs.metrics` — a process-wide registry of counters and
+  gauges with labels.  The tile-timing cache, the global result cache,
+  the campaign runner and the data plane all account here.
 * :mod:`repro.obs.trace` — context-manager span tracing with per-track
   (per-cluster) timelines, JSONL emission and Chrome
   ``chrome://tracing`` / Perfetto export (``--trace-out FILE`` or
@@ -35,7 +34,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     counter,
     gauge,
-    histogram,
     metrics_enabled,
     reset_metrics,
     set_metrics_enabled,
@@ -68,7 +66,6 @@ __all__ = [
     "format_cache_summary",
     "gauge",
     "get_logger",
-    "histogram",
     "metrics_enabled",
     "read_spans_jsonl",
     "reset_metrics",

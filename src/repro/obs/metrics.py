@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges and histograms.
+"""Process-wide metrics registry: counters and gauges.
 
 The registry is the single accounting spine for the reproduction: the
 tile-timing cache, the global result cache, the campaign runner and the
@@ -7,15 +7,14 @@ objects.  Instrumentation is **off by default** — every mutator checks a
 single ``enabled`` flag first, so a disabled registry costs one attribute
 load and one branch per call site and allocates nothing.
 
-Every instrument reads back through ``value``/``count``/``sum`` and
-``samples()``, which yields ``(name, label pairs, value)`` with
-Prometheus naming: histograms expand into cumulative ``_bucket`` series
-plus ``_sum`` and ``_count``, label sets in sorted order.  The CLI's
+Every instrument reads back through ``value`` and ``samples()``, which
+yields ``(name, label pairs, value)`` with Prometheus naming, label sets
+in sorted order.  The CLI's
 cache summary (:func:`repro.obs.format_cache_summary`) and the perfbench
 harness read them that way.
 
 Instruments are process-global by default (module-level ``REGISTRY``
-plus the :func:`counter` / :func:`gauge` / :func:`histogram` helpers),
+plus the :func:`counter` / :func:`gauge` helpers),
 but :class:`MetricsRegistry` instances can also be owned privately.
 """
 
@@ -23,19 +22,15 @@ from __future__ import annotations
 
 import re
 import threading
-import time
-from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "counter",
     "gauge",
-    "histogram",
     "metrics_enabled",
     "reset_metrics",
     "set_metrics_enabled",
@@ -44,22 +39,8 @@ __all__ = [
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
-#: Default histogram buckets, in seconds — tuned for simulation phases
-#: that span sub-millisecond schedule passes to multi-minute campaigns.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0,
-)
-
-
-def _format_value(value: float) -> str:
-    """Render a sample value: integers without a trailing ``.0``."""
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
 class _Instrument:
-    """Common behaviour for counters, gauges and histograms."""
+    """Common behaviour for counters and gauges."""
 
     kind = "untyped"
 
@@ -158,84 +139,13 @@ class Gauge(_Instrument):
         self._values.clear()
 
 
-class Histogram(_Instrument):
-    """A cumulative-bucket distribution (Prometheus histogram semantics)."""
-
-    kind = "histogram"
-
-    def __init__(self, registry, name, help, labelnames, buckets) -> None:
-        super().__init__(registry, name, help, labelnames)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError(f"histogram {self.name!r} needs at least one bucket")
-        self.buckets = bounds
-        self._counts: Dict[Tuple[str, ...], List[int]] = {}
-        self._sums: Dict[Tuple[str, ...], float] = {}
-
-    def observe(self, value: float, **labels: object) -> None:
-        """Record one observation; a no-op while disabled."""
-        if not self._registry.enabled:
-            return
-        key = self._key(labels)
-        with self._registry._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = self._counts[key] = [0] * (len(self.buckets) + 1)
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[index] += 1
-                    break
-            else:
-                counts[-1] += 1
-            self._sums[key] = self._sums.get(key, 0.0) + float(value)
-
-    @contextmanager
-    def time(self, **labels: object):
-        """Observe the wall-clock seconds spent inside the block."""
-        if not self._registry.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - start, **labels)
-
-    def count(self, **labels: object) -> int:
-        """Total observations for one label combination."""
-        return sum(self._counts.get(self._key(labels), ()))
-
-    def sum(self, **labels: object) -> float:
-        return self._sums.get(self._key(labels), 0.0)
-
-    def samples(self) -> Iterator[Tuple[str, List[Tuple[str, str]], float]]:
-        for key in sorted(self._counts):
-            pairs = self._pairs(key)
-            cumulative = 0
-            for bound, bucket in zip(self.buckets, self._counts[key]):
-                cumulative += bucket
-                yield (
-                    self.name + "_bucket",
-                    pairs + [("le", _format_value(bound))],
-                    float(cumulative),
-                )
-            cumulative += self._counts[key][-1]
-            yield self.name + "_bucket", pairs + [("le", "+Inf")], float(cumulative)
-            yield self.name + "_sum", pairs, self._sums[key]
-            yield self.name + "_count", pairs, float(cumulative)
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self._sums.clear()
-
-
 class MetricsRegistry:
     """A named collection of instruments with one enabled flag.
 
-    ``counter`` / ``gauge`` / ``histogram`` return the existing
-    instrument when called twice with the same name (and raise on a
-    kind or label-set mismatch), so call sites can declare their
-    instruments at module scope without import-order coordination.
+    ``counter`` / ``gauge`` return the existing instrument when called
+    twice with the same name (and raise on a kind or label-set mismatch),
+    so call sites can declare their instruments at module scope without
+    import-order coordination.
     """
 
     def __init__(self, enabled: bool = False) -> None:
@@ -245,7 +155,7 @@ class MetricsRegistry:
 
     # -- instrument registration ------------------------------------
 
-    def _register(self, cls, name, help, labelnames, **kwargs) -> _Instrument:
+    def _register(self, cls, name, help, labelnames) -> _Instrument:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         for label in labelnames:
@@ -260,7 +170,7 @@ class MetricsRegistry:
                         f"{existing.kind} with labels {existing.labelnames}"
                     )
                 return existing
-            instrument = cls(self, name, help, labelnames, **kwargs)
+            instrument = cls(self, name, help, labelnames)
             self._instruments[name] = instrument
             return instrument
 
@@ -269,17 +179,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
         return self._register(Gauge, name, help, labelnames)  # type: ignore[return-value]
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._register(  # type: ignore[return-value]
-            Histogram, name, help, labelnames, buckets=buckets
-        )
 
     def get(self, name: str) -> Optional[_Instrument]:
         return self._instruments.get(name)
@@ -308,16 +207,6 @@ def counter(name: str, help: str = "", labelnames: Sequence[str] = ()) -> Counte
 def gauge(name: str, help: str = "", labelnames: Sequence[str] = ()) -> Gauge:
     """Register (or fetch) a gauge on the process-wide registry."""
     return REGISTRY.gauge(name, help, labelnames)
-
-
-def histogram(
-    name: str,
-    help: str = "",
-    labelnames: Sequence[str] = (),
-    buckets: Sequence[float] = DEFAULT_BUCKETS,
-) -> Histogram:
-    """Register (or fetch) a histogram on the process-wide registry."""
-    return REGISTRY.histogram(name, help, labelnames, buckets)
 
 
 def set_metrics_enabled(flag: bool = True) -> None:

@@ -190,17 +190,10 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def drain(self, track_prefix: Optional[str] = None) -> List[Span]:
-        """Remove and return spans, optionally only one track prefix."""
+    def drain(self) -> List[Span]:
+        """Remove and return every buffered span."""
         with self._lock:
-            if track_prefix is None:
-                drained, self._spans = self._spans, []
-                return drained
-            kept: List[Span] = []
-            drained = []
-            for item in self._spans:
-                (drained if item.track.startswith(track_prefix) else kept).append(item)
-            self._spans = kept
+            drained, self._spans = self._spans, []
             return drained
 
 

@@ -13,9 +13,8 @@ A big tiled workload is dominated by *identical* tile programs: the
 timing cache collapses their cycle simulation to one run per timing
 class, but replaying hits inline still costs one small NumPy dispatch per
 tile, all walking the same command streams.  So the walker defers hits
-and stacks them — only when a timing cache is present, the engine
-advertises ``supports_batched_replay``, and every tile of the run passes
-the self-containment gate below:
+and stacks them — whenever a timing cache is present and every tile of
+the run passes the self-containment gate below:
 
 1. every deferred hit is grouped under a **batch key** — its engine
    timing signature plus everything the signature deliberately leaves out
@@ -31,11 +30,13 @@ the self-containment gate below:
    address; each DMA-in row goes straight from the HMC into its rows of
    the stack — one strided view of the HMC copied 32 tiles at a time when
    the members sit one stride apart (a tiled workload), a gather through
-   a window view of the HMC otherwise.  The engine replays the shared
-   command stream over the stack in place
-   (:meth:`~repro.cluster.engine.Engine.run_data_plane_batched`), and the
-   DMA-out rows go straight back to each member's HMC region the same
-   way.  A group of one tile runs the ordinary inline hit path;
+   a window view of the HMC otherwise.  The one data plane of both
+   engines replays the shared command stream over the stack in place
+   (:meth:`~repro.cluster.sim.ClusterSimulator.run_data_plane`), in the
+   mode the engine names — certified-exact for the scalar engine, whose
+   uncertified commands walk per tile — and the DMA-out rows go straight
+   back to each member's HMC region the same way.  A group of one tile
+   runs the ordinary inline hit path;
 3. cache misses still run inline in walk order, so hit/miss accounting
    and cached timings are identical to a walk that defers nothing.
 
@@ -87,7 +88,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.engine import get_engine
 from repro.cluster.sim import ClusterSimulator
 from repro.cluster.tiling import TileSchedule
 from repro.core.vecops import CommandPlan, command_plan
@@ -111,14 +111,6 @@ _BATCH_GROUPS = _metrics.counter(
 )
 _BATCH_TILES = _metrics.counter(
     "repro_batched_tiles_total", "Tiles replayed through stacked groups"
-)
-#: Wall time per system-run phase: ``schedule`` and ``merge`` are timed by
-#: :meth:`~repro.system.simulator.SystemSimulator.run`, ``batched-replay``
-#: and ``cycle-sim`` by :func:`walk_tiles`.
-PHASE_SECONDS = _metrics.histogram(
-    "repro_phase_seconds",
-    "Wall seconds per system-run phase",
-    labelnames=("phase",),
 )
 
 _WORD = 4
@@ -465,26 +457,21 @@ def walk_tiles(
     ``busy_cycles`` left at zero; the caller derives it (and the
     bandwidth-contention stretch) from the per-tile cycle lists.
 
-    With ``cache`` present, a batch-capable engine and every tile passing
-    the self-containment gate, the walk runs inside a ``batched-replay``
-    span and defers hits into stacked groups.  Otherwise every tile runs
+    With ``cache`` present and every tile passing the self-containment
+    gate, the walk runs inside a ``batched-replay`` span and defers hits
+    into stacked groups, whichever the engine.  Otherwise every tile runs
     inline, each cluster inside a ``cluster-tiles`` span — after the
     ``batched-replay`` span of the gate when the gate refused.
     """
-    engine = get_engine(config.engine)
-    plans = None
-    if cache is not None and getattr(engine, "supports_batched_replay", False):
+    if cache is None:
+        plans = plan_tiles(config, work, signed=False)
+    else:
         tiles = sum(len(item.assigned) for item in work)
-        with PHASE_SECONDS.time(phase="batched-replay"), _trace.span(
-            "batched-replay", tiles=tiles
-        ):
+        with _trace.span("batched-replay", tiles=tiles):
             plans = plan_tiles(config, work, signed=True)
             if passes_gate(config, plans, cache.gate_verdicts):
                 return _walk(config, work, cache, plans, defer=True)
-    with PHASE_SECONDS.time(phase="cycle-sim"):
-        if plans is None:
-            plans = plan_tiles(config, work, signed=cache is not None)
-        return _walk(config, work, cache, plans, defer=False)
+    return _walk(config, work, cache, plans, defer=False)
 
 
 # Span factories of one walk; ``_walk`` picks its set once from ``defer``.
@@ -672,19 +659,12 @@ def _replay_group_batched(
             _stage_in(stack, dst - base, hmc_u8, sources[:, row], transfer0.row_bytes)
         _mirror_dma_stats(work, slots, per_item, transfer0, cycles, inbound=True)
 
-    # Compute: the engine replays the shared command stream over the stack.
-    # (Only reached for engines advertising ``supports_batched_replay``,
-    # whose hook must execute the stack — the vectorized engine handles
-    # per-command exactness fallbacks internally.)
+    # Compute: the shared command stream replays over the stack in the
+    # engine's mode; commands it refuses walk tile by tile.
     if tile0.commands:
-        simulator = ClusterSimulator(item0.cluster, engine=config.engine)
-        if not get_engine(config.engine).run_data_plane_batched(
-            simulator, members[0].plan.jobs, stack, base
-        ):  # pragma: no cover - contract violation of a custom engine
-            raise RuntimeError(
-                f"engine {config.engine!r} advertises batched replay but "
-                "refused a stacked group"
-            )
+        ClusterSimulator(item0.cluster, engine=config.engine).run_data_plane(
+            members[0].plan.jobs, stack, base
+        )
         for work_index, count in per_item.items():
             _credit_cached_stats(config, work[work_index].cluster, cached, count)
 

@@ -50,7 +50,7 @@ from repro.mem.hmc import Hmc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.options import ExecutionOptions
-from repro.system.batch import PHASE_SECONDS, ClusterAssignment, per_program, walk_tiles
+from repro.system.batch import ClusterAssignment, per_program, walk_tiles
 from repro.system.config import SystemConfig
 from repro.system.memo import TileTimingCache
 from repro.system.scheduler import ShardPlan, WorkQueueScheduler
@@ -255,9 +255,7 @@ class SystemSimulator:
     def run(self, tiles: Sequence[TileSchedule]) -> SystemResult:
         """Execute ``tiles`` end to end and aggregate the outcome."""
         config = self.config
-        with PHASE_SECONDS.time(phase="schedule"), _trace.span(
-            "schedule", tiles=len(tiles)
-        ):
+        with _trace.span("schedule", tiles=len(tiles)):
             plan = self.shard(tiles)
         cache = self.timing_cache if self.options.memoize else None
         hits_before = self.timing_cache.hits
@@ -274,7 +272,7 @@ class SystemSimulator:
         ]
         reports = walk_tiles(config, work, cache)
 
-        with PHASE_SECONDS.time(phase="merge"), _trace.span("merge"):
+        with _trace.span("merge"):
             # First pass: per-cluster double-buffered busy time without
             # memory contention, giving the uncontended makespan.
             for report in reports:

@@ -21,9 +21,12 @@ This file holds that promise in place:
   no-cache walk on the system bench shape, with identical outputs.
 
 The reference draws lattice-valued operands (multiples of 1/16) so both
-cycle engines produce bit-identical floating-point results; one test uses
-arbitrary normal data to check memo-off against memo-on *within* the
-vectorized engine, where no cross-engine rounding question arises.
+cycle engines produce bit-identical floating-point results.  Two tests use
+arbitrary normal data to check memo-off against memo-on *within* one
+engine, where no cross-engine rounding question arises: the vectorized
+engine, and the scalar engine, whose stacked groups walk uncertified MACs
+tile by tile.  A narrow accumulator geometry must give the scalar
+engine's bytes on every data-plane path of both engines.
 """
 
 import dataclasses
@@ -33,6 +36,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import ClusterConfig
+from repro.core.ntx import NtxConfig
 from repro.options import ExecutionOptions
 from repro.scenarios.workloads import _lattice
 from repro.system import (
@@ -41,6 +46,7 @@ from repro.system import (
     SystemSimulator,
     conv_tiled_workload,
 )
+from repro.softfloat.pcs import PcsConfig
 from repro.system.batch import passes_gate, plan_tiles, walk_tiles
 
 
@@ -66,6 +72,10 @@ def _run(
     )
     result = simulator.run(workload.tiles)
     return simulator, workload, result
+
+
+def _normal(rng, shape):
+    return rng.standard_normal(shape).astype(np.float32)
 
 
 def _hmc_bytes(simulator):
@@ -141,12 +151,94 @@ class TestMemoOffVsOnArbitraryData:
     the *same* engine."""
 
     def test_vectorized_engine_bit_identical(self):
-        def normal(rng, shape):
-            return rng.standard_normal(shape).astype(np.float32)
-
-        memo_off = _run(memoize=False, draw=normal, seed=7)
-        memo_on = _run(memoize=True, draw=normal, seed=7)
+        memo_off = _run(memoize=False, draw=_normal, seed=7)
+        memo_on = _run(memoize=True, draw=_normal, seed=7)
         _assert_matches_reference(memo_off, memo_on)
+
+
+def _fallbacks():
+    """``repro_dataplane_fallbacks_total`` by reason (metrics switched on)."""
+    from repro.obs import metrics
+
+    metrics.set_metrics_enabled(True)
+    counter = metrics.REGISTRY.get("repro_dataplane_fallbacks_total")
+    return lambda: {dict(pairs)["reason"]: value for _, pairs, value in counter.samples()}
+
+
+def _batched_groups():
+    from repro.obs import metrics
+
+    return metrics.REGISTRY.get("repro_batched_groups_total").value()
+
+
+class TestScalarBatchedReplay:
+    """The scalar engine's hits replay in stacked groups too, in the data
+    plane's certified-exact mode: on normal data the certificate refuses,
+    and the group's MACs walk tile by tile, bit-identical to the no-cache
+    walk."""
+
+    def test_normal_data_groups_walk_uncertified_macs_per_tile(self):
+        by_reason = _fallbacks()
+        config = SystemConfig(engine="scalar", num_vaults=1, clusters_per_vault=1)
+        reference = _run(num_tiles=4, memoize=False, config=config, draw=_normal, seed=7)
+        before = by_reason().get("inexact_mac", 0)
+        groups = _batched_groups()
+        candidate = _run(num_tiles=4, memoize=True, config=config, draw=_normal, seed=7)
+        assert (candidate[2].cache_hits, candidate[2].cache_misses) == (3, 1)
+        assert _batched_groups() >= groups + 1
+        assert by_reason()["inexact_mac"] > before
+        ref_sim, _, ref_result = reference
+        sim, _, result = candidate
+        assert np.array_equal(_hmc_bytes(ref_sim), _hmc_bytes(sim))
+        assert _timing_view(result) == _timing_view(ref_result)
+
+
+_NARROW = [PcsConfig(width=300), PcsConfig(lsb_exponent=-150, width=300)]
+
+
+class TestNarrowAccumulatorParity:
+    """A non-default accumulator geometry (which may saturate or truncate)
+    sends every MAC to the per-op walk on every data-plane path — the
+    vectorized cycle run, an inline timing-cache hit and a stacked group —
+    for both engines, so each leaves the scalar no-cache walk's bytes."""
+
+    @pytest.mark.parametrize("pcs", _NARROW, ids=["saturating", "truncating"])
+    @pytest.mark.parametrize(
+        "engine,path,num_tiles,memoize",
+        [
+            ("vectorized", "cold", 4, False),
+            ("vectorized", "inline-hit", 2, True),
+            ("vectorized", "batched-group", 4, True),
+            ("scalar", "inline-hit", 2, True),
+            ("scalar", "batched-group", 4, True),
+        ],
+    )
+    def test_path_matches_the_scalar_no_cache_walk(
+        self, pcs, engine, path, num_tiles, memoize
+    ):
+        by_reason = _fallbacks()
+        geometry = dict(
+            num_vaults=1,
+            clusters_per_vault=1,
+            cluster=ClusterConfig(ntx=NtxConfig(pcs=pcs)),
+        )
+        reference = _run(
+            num_tiles=num_tiles, memoize=False,
+            config=SystemConfig(engine="scalar", **geometry),
+        )
+        before = by_reason().get("pcs_config", 0)
+        groups = _batched_groups()
+        candidate = _run(
+            num_tiles=num_tiles, memoize=memoize,
+            config=SystemConfig(engine=engine, **geometry),
+        )
+        assert by_reason()["pcs_config"] > before
+        assert (_batched_groups() > groups) == (path == "batched-group")
+        assert candidate[2].cache_hits == (num_tiles - 1 if memoize else 0)
+        ref_sim, _, ref_result = reference
+        sim, _, result = candidate
+        assert np.array_equal(_hmc_bytes(ref_sim), _hmc_bytes(sim))
+        assert _timing_view(result) == _timing_view(ref_result)
 
 
 # -- walker accounting ---------------------------------------------------------

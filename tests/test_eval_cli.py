@@ -260,3 +260,34 @@ def test_every_campaign_runs_quick_and_resumes_from_its_store(
     assert main(run) == 0
     out = capsys.readouterr().out
     assert f"{count} points, {count} resumed from the store, 0 executed" in out
+
+
+def test_closed_stdout_ends_quietly_with_a_complete_store(tmp_path):
+    """``campaign run NAME | head -1``: a reader that closes stdout early
+    ends the command with status 0, an empty stderr (no BrokenPipeError
+    traceback) and every point of the campaign in its store."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.campaign.store import ResultStore
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    store = tmp_path / "sweep.jsonl"
+    command = [
+        sys.executable, "-m", "repro.eval", "campaign", "run", "conv-geometry-sweep",
+        "--quick", "-q", "--store", str(store),
+    ]
+    with subprocess.Popen(
+        command,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        proc.stdout.close()  # the reader is gone before the first write
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert stderr == b""
+    campaign = get_campaign("conv-geometry-sweep").for_quick()
+    assert len(ResultStore(store).records()) == len(campaign.expand())

@@ -1,7 +1,8 @@
 """The data-plane kernel's certified-exact mode against the per-op walk.
 
-The scalar engine's timing-cache hits replay through
-:func:`repro.core.vecops.execute_streams` with ``exact=True``: a MAC is
+The scalar engine's timing-cache hits replay through the shared data
+plane (:func:`repro.cluster.vecsim.run_data_plane`) in the kernel's
+``exact=True`` mode: a MAC is
 served from float64 running sums only when a TwoSum residual proves every
 addition exact, and any command the kernel cannot vouch for runs through
 :func:`~repro.core.vecops.execute_functional`.  These tests fuzz that mode
@@ -19,7 +20,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.sim import ClusterSimulator
-from repro.cluster.vecsim import _ImageTcdm, run_data_plane
+from repro.cluster.vecsim import _ImageTcdm
 from repro.core.commands import AguConfig, InitSource, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.ntx import NtxConfig
 from repro.core.vecops import command_plan, execute_functional, execute_streams_batched
@@ -129,7 +130,7 @@ def _replay_both(command, words, config=None):
         view = np.frombuffer(tcdm.memory.data, dtype=np.float32)
         view[: len(words)] = words
         if exact_replay:
-            run_data_plane(ClusterSimulator(cluster, engine="scalar"), [(0, command)], exact=True)
+            ClusterSimulator(cluster, engine="scalar").run_data_plane([(0, command)])
         else:
             execute_functional(cluster.ntx[0], command, tcdm)
         clusters.append(cluster)
@@ -301,6 +302,32 @@ def test_narrow_accumulator_never_takes_the_certified_path():
     _assert_same_effects(got, ref)
     default, _ = _replay_both(command, words)
     assert bytes(default.tcdm.memory.data) != bytes(got.tcdm.memory.data)
+
+
+@pytest.mark.parametrize(
+    "pcs",
+    [PcsConfig(width=300), PcsConfig(lsb_exponent=-150, width=300)],
+    ids=["saturating", "truncating"],
+)
+def test_narrow_accumulator_cold_runs_agree_across_engines(pcs):
+    """The data plane reads the accumulator geometry for both engines: a
+    vectorized cycle run of a MAC on a narrow accumulator walks per op and
+    stores the scalar engine's bytes (``inf`` where a 300-bit register
+    anchored at 2**-298 saturates, not the float64 sum's 4.5)."""
+    by_reason = _fallbacks()
+    config = ClusterConfig(ntx=NtxConfig(pcs=pcs))
+    command = _command(NtxOpcode.MAC, (4, 1, 1), 2, 2, InitSource.ZERO, Cluster().tcdm.base)
+    words = np.array([1.5, 1.0, 0.5, 1.0] * 2 + [0.0], np.float32)
+    clusters = {}
+    for engine in ("scalar", "vectorized"):
+        cluster = clusters[engine] = Cluster(config)
+        np.frombuffer(cluster.tcdm.memory.data, dtype=np.float32)[: len(words)] = words
+        before = by_reason().get("pcs_config", 0)
+        ClusterSimulator(cluster, engine=engine).run([(0, command)])
+    assert by_reason()["pcs_config"] == before + 1  # the vectorized run
+    stored = np.frombuffer(clusters["scalar"].tcdm.memory.data, dtype=np.float32)[8]
+    assert stored == (np.inf if pcs.lsb_exponent == -298 else 4.5)
+    _assert_same_effects(clusters["vectorized"], clusters["scalar"])
 
 
 def test_quick_engine_shootout_replays_without_fallbacks(tmp_path):

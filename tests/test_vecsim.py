@@ -303,7 +303,7 @@ class TestEdgeConfigurations:
             buf = cluster.tcdm.alloc_layout([(n + 1) * 4])[0]
             cluster.stage_in(buf, np.arange(1, n + 2, dtype=np.float32))
             # COPY that reads the word its previous iteration stored: a
-            # genuine intra-command RAW hazard, so execute_streams refuses
+            # genuine intra-command RAW hazard, so the array kernel refuses
             # and the exact per-op path runs.
             command = NtxCommand(
                 opcode=NtxOpcode.COPY,
@@ -364,13 +364,22 @@ class TestFallbackCounter:
             agu2=AguConfig(base=buf + 4, strides=(4, 0, 0, 0, 0)),
         )
 
-    def test_raw_hazard_command_is_counted(self):
-        from repro.core.vecops import execute_streams
+    @staticmethod
+    def _refused(command, cluster):
+        """Whether the array kernel refuses ``command`` on the live TCDM
+        (a stack of one); counts the refusal."""
+        from repro.core.vecops import execute_streams_batched
 
+        view = np.frombuffer(cluster.tcdm.memory.data, dtype="<f4")[:, None]
+        return not execute_streams_batched(
+            command, command_plan(command), view, cluster.tcdm.base
+        )
+
+    def test_raw_hazard_command_is_counted(self):
         by_reason = _fallbacks()
         cluster = Cluster()
         command = self._shift_copy(cluster)
-        assert not execute_streams(command, command_plan(command), cluster.tcdm)
+        ClusterSimulator(cluster).run_data_plane([(0, command)])
         assert by_reason() == {"raw_hazard": 1.0}
         ClusterSimulator(cluster, engine="vectorized").run([(0, command)])
         assert by_reason() == {"raw_hazard": 2.0}
@@ -388,8 +397,6 @@ class TestFallbackCounter:
         assert by_reason() == {"raw_hazard": 1.0}
 
     def test_outside_tcdm_and_nan_compare_are_counted(self):
-        from repro.core.vecops import execute_streams
-
         by_reason = _fallbacks()
         cluster = Cluster()
         src, dst = cluster.tcdm.alloc_layout([16, 4])
@@ -400,14 +407,14 @@ class TestFallbackCounter:
             agu0=AguConfig(base=src, strides=(4, 0, 0, 0, 0)),
             agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
         )
-        assert not execute_streams(maximum, command_plan(maximum), cluster.tcdm)
+        assert self._refused(maximum, cluster)
         unaligned = NtxCommand(
             opcode=NtxOpcode.COPY,
             loops=LoopConfig.nest(2),
             agu0=AguConfig(base=src + 2, strides=(4, 0, 0, 0, 0)),
             agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
         )
-        assert not execute_streams(unaligned, command_plan(unaligned), cluster.tcdm)
+        assert self._refused(unaligned, cluster)
         assert by_reason() == {"nan_compare": 1.0, "outside_tcdm": 1.0}
 
     def test_fast_path_counts_nothing(self):
@@ -418,14 +425,11 @@ class TestFallbackCounter:
         assert by_reason() == {}
 
     def test_non_buffer_backing_fails_loudly(self):
-        from repro.core.vecops import execute_streams
-
         cluster = Cluster()
         _, _, jobs, _, _ = _conv_setup(cluster, np.random.default_rng(5), (10, 12))
-        command = jobs[0][1]
         cluster.tcdm.memory.data = [0] * cluster.tcdm.size
         with pytest.raises(TypeError):
-            execute_streams(command, command_plan(command), cluster.tcdm)
+            ClusterSimulator(cluster).run_data_plane(jobs[:1])
 
 
 class TestEngineSelection:
