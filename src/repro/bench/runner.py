@@ -386,10 +386,11 @@ def _obs_suite(quick: bool) -> List[Dict]:
     """Instrumentation overhead on the memoized + batched system path.
 
     Both variants run the identical workload (fresh simulator and timing
-    cache per run, best-of-N wall time), so the ratio isolates the cost
+    cache per run, best-of-7 wall time), so the ratio isolates the cost
     of enabled counters and spans.  The runs alternate disabled/enabled,
-    so a burst of host load skews both variants alike rather than one
-    block of runs.  The simulated cycles must not move
+    and every other pair runs enabled first, so a burst of host load or
+    a warm-up skews both variants alike rather than one block of runs or
+    one side of every pair.  The simulated cycles must not move
     at all — instrumentation that changes results is a defect, not an
     overhead.  Only the ratio is emitted: the disabled run is the
     workload ``system-batched`` already gates.
@@ -397,13 +398,14 @@ def _obs_suite(quick: bool) -> List[Dict]:
     from repro.obs.metrics import REGISTRY
     from repro.obs.trace import TRACER
 
-    repeats = 3
+    repeats = 7
     was_metered, was_tracing = REGISTRY.enabled, TRACER.enabled
     off: List = []
     on: List = []
     try:
-        for _ in range(repeats):
-            for enabled, runs in ((False, off), (True, on)):
+        for repeat in range(repeats):
+            pair = ((False, off), (True, on))
+            for enabled, runs in pair if repeat % 2 == 0 else pair[::-1]:
                 REGISTRY.set_enabled(enabled)
                 TRACER.set_enabled(enabled)
                 runs.append(_run_system_variant(quick, memoize=True))

@@ -290,9 +290,10 @@ class SweepSpec:
         ]
         points: List[CampaignPoint] = []
         seen: Dict[str, Dict[str, Any]] = {}
+        base_names = self._namespace(self.base)
         for combo in self._combinations():
             axis_values = dict(zip(self.axes, combo))
-            probe = dict(self._namespace(self.base))
+            probe = dict(base_names)
             for path, value in axis_values.items():
                 probe[path[len(_PARAM_PREFIX):] if path.startswith(_PARAM_PREFIX) else path] = value
             probe["num_clusters"] = probe["num_vaults"] * probe["clusters_per_vault"]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.dnn.layers import ConvLayer, Layer, LinearLayer
 from repro.dnn.networks import Network
@@ -131,38 +131,54 @@ def _best_tiling_traffic(
     return best * _WORD
 
 
-def layer_traffic(layer: Layer, batch: int, tcdm_bytes: int = 64 * 1024) -> LayerTraffic:
-    """DRAM traffic and flop count of ``layer`` for one training step."""
+class _LayerCost(NamedTuple):
+    """Flops and DRAM bytes of one layer geometry for one training step."""
+
+    flops: int
+    forward_bytes: int
+    backward_bytes: int
+    update_bytes: int
+    #: ``flops`` if the layer does MAC work the NTX runs at full rate, else 0.
+    mac_flops: int
+
+
+@functools.lru_cache(maxsize=4096)
+def _geometry_cost(
+    kind: type, geometry: tuple, batch: int, tcdm_bytes: int
+) -> _LayerCost:
+    """The cost of a ``kind`` layer with the fields ``geometry``.
+
+    Keyed on the geometry, not the name: the six paper networks have 202
+    distinct layer geometries among 790 layers.
+    """
+    layer = kind("", *geometry)
     flops = layer.training_flops * batch
+    mac_flops = flops if layer.is_compute_layer else 0
     dims = _conv_like_dimensions(layer)
     if dims is None:
         # Parameter-free layer: stream activations once forward, once backward.
         forward = batch * (layer.input_bytes + layer.output_bytes)
-        backward = forward
-        return LayerTraffic(
-            name=layer.name,
-            flops=flops,
-            forward_bytes=forward,
-            backward_bytes=backward,
-            update_bytes=0,
-        )
+        return _LayerCost(flops, forward, forward, 0, mac_flops)
     out_pixels, in_channels, out_channels, kernel_elems = dims
     forward = _best_tiling_traffic(
         out_pixels, in_channels, out_channels, kernel_elems, batch, tcdm_bytes
     )
     # Backward-data mirrors the forward pass; backward-weights streams the
-    # same operands again to form the weight gradients.
-    backward = 2 * forward
-    # Optimiser update: read gradient, read weight, write weight — once per
-    # step, independent of the batch size.
-    update = 3 * layer.param_bytes
-    return LayerTraffic(
-        name=layer.name,
-        flops=flops,
-        forward_bytes=forward,
-        backward_bytes=backward,
-        update_bytes=update,
-    )
+    # same operands again to form the weight gradients.  Optimiser update:
+    # read gradient, read weight, write weight — once per step,
+    # independent of the batch size.
+    return _LayerCost(flops, forward, 2 * forward, 3 * layer.param_bytes, mac_flops)
+
+
+def _layer_cost(layer: Layer, batch: int, tcdm_bytes: int) -> _LayerCost:
+    # Every field of the layer but ``name``, which ``Layer`` declares first.
+    geometry = tuple(vars(layer).values())[1:]
+    return _geometry_cost(type(layer), geometry, batch, tcdm_bytes)
+
+
+def layer_traffic(layer: Layer, batch: int, tcdm_bytes: int = 64 * 1024) -> LayerTraffic:
+    """DRAM traffic and flop count of ``layer`` for one training step."""
+    return LayerTraffic(layer.name, *_layer_cost(layer, batch, tcdm_bytes)[:4])
 
 
 @dataclass(frozen=True)
@@ -176,7 +192,8 @@ class TrainingWorkload:
     network: Network
     batch: int = 64
     tcdm_bytes: int = 64 * 1024
-    _per_layer: Tuple[LayerTraffic, ...] = field(init=False, repr=False, compare=False)
+    _layers: Tuple[Layer, ...] = field(init=False, repr=False, compare=False)
+    _costs: Tuple[_LayerCost, ...] = field(init=False, repr=False, compare=False)
     #: Flops of one training step (whole batch).
     flops_per_step: int = field(init=False, repr=False, compare=False)
     #: DRAM bytes of one training step (whole batch).
@@ -185,20 +202,17 @@ class TrainingWorkload:
     mac_fraction: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        per_layer = tuple(
-            layer_traffic(layer, self.batch, self.tcdm_bytes)
-            for layer in self.network.layers
-        )
-        flops = sum(t.flops for t in per_layer)
-        mac_flops = sum(
-            layer.training_flops * self.batch
-            for layer in self.network.layers
-            if layer.is_compute_layer
-        )
-        object.__setattr__(self, "_per_layer", per_layer)
+        layers = tuple(self.network.layers)
+        costs = tuple(_layer_cost(layer, self.batch, self.tcdm_bytes) for layer in layers)
+        flops = sum(cost.flops for cost in costs)
+        mac_flops = sum(cost.mac_flops for cost in costs)
+        object.__setattr__(self, "_layers", layers)
+        object.__setattr__(self, "_costs", costs)
         object.__setattr__(self, "flops_per_step", flops)
         object.__setattr__(
-            self, "dram_bytes_per_step", sum(t.total_bytes for t in per_layer)
+            self,
+            "dram_bytes_per_step",
+            sum(cost.forward_bytes + cost.backward_bytes + cost.update_bytes for cost in costs),
         )
         object.__setattr__(self, "mac_fraction", mac_flops / flops if flops else 0.0)
 
@@ -208,7 +222,10 @@ class TrainingWorkload:
 
     @property
     def per_layer(self) -> List[LayerTraffic]:
-        return list(self._per_layer)
+        return [
+            LayerTraffic(layer.name, *cost[:4])
+            for layer, cost in zip(self._layers, self._costs)
+        ]
 
     @property
     def operational_intensity(self) -> float:

@@ -10,6 +10,7 @@ rounding, and (c) with the PCS accumulator, and the two RMSEs are compared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,13 @@ __all__ = ["PrecisionResult", "run", "PAPER_IMPROVEMENT"]
 
 #: The paper's reported RMSE advantage of the PCS accumulator.
 PAPER_IMPROVEMENT = 1.7
+
+#: ``rng.choice([-1.0, 1.0], n)`` is ``_SIGNS[rng.integers(0, 2, n)]``:
+#: the same draws from the same stream.
+_SIGNS = np.array([-1.0, 1.0])
+
+#: Dekker's split constant, 2**27 + 1.
+_SPLITTER = 134217729.0
 
 
 @dataclass(frozen=True)
@@ -62,26 +70,54 @@ def run(
     why the reported advantage is a factor rather than orders of magnitude.
     """
     rng = np.random.default_rng(seed)
-    # One draw per output, in this order: the draw order fixes the bits.
-    a32 = np.empty((outputs, reduction_length), dtype=np.float32)
-    b32 = np.empty((outputs, reduction_length), dtype=np.float32)
-    exact_values = []
-    # Beyond the binary32 range the casts into a32/b32 round to ±inf, as
-    # IEEE does.
+    # Four draws per output, in this order: the draw order fixes the bits.
+    shape = (outputs, reduction_length)
+    exponents_a, exponents_b = np.empty(shape), np.empty(shape)
+    signs_a = np.empty(shape, dtype=np.int64)
+    signs_b = np.empty(shape, dtype=np.int64)
+    for i in range(outputs):
+        exponents_a[i] = rng.uniform(-scale_spread / 2, scale_spread / 2, reduction_length)
+        exponents_b[i] = rng.uniform(-scale_spread / 2, scale_spread / 2, reduction_length)
+        signs_a[i] = rng.integers(0, 2, reduction_length)
+        signs_b[i] = rng.integers(0, 2, reduction_length)
+    # Beyond the binary32 range the casts round to ±inf, as IEEE does.
     with np.errstate(over="ignore"):
-        for i in range(outputs):
-            magnitudes_a = 10.0 ** rng.uniform(
-                -scale_spread / 2, scale_spread / 2, reduction_length
-            )
-            magnitudes_b = 10.0 ** rng.uniform(
-                -scale_spread / 2, scale_spread / 2, reduction_length
-            )
-            a64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_a
-            b64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_b
-            exact_values.append(fixed_to_float(*exact_dot(a64.tolist(), b64.tolist())))
-            a32[i] = a64
-            b32[i] = b64
+        a64 = _SIGNS[signs_a] * 10.0**exponents_a
+        b64 = _SIGNS[signs_b] * 10.0**exponents_b
+        a32, b32 = a64.astype(np.float32), b64.astype(np.float32)
+    exact_values = _exact_dots(a64, b64)
     return PrecisionResult(
         rmse_float32=rmse(fmac_chains_float32(a32, b32).tolist(), exact_values),
         rmse_pcs=rmse([fmac_chain_pcs(a, b) for a, b in zip(a32, b32)], exact_values),
     )
+
+
+def _exact_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """Row-wise exact dot products of two binary64 arrays, each rounded
+    once to binary64.
+
+    Dekker's TwoProduct splits every product into ``p + e`` exactly, and
+    one :func:`math.fsum` per row rounds the sum of all those terms
+    correctly.  A row where a split or a product could overflow or lose
+    bits to underflow takes :func:`~repro.softfloat.fmac.exact_dot`
+    instead, which equals it wherever both apply.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = a * b
+        big_a, big_b = _SPLITTER * a, _SPLITTER * b
+        a_hi = big_a - (big_a - a)
+        b_hi = big_b - (big_b - b)
+        a_lo, b_lo = a - a_hi, b - b_hi
+        e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        magnitude = np.abs(p)
+        safe = (
+            (magnitude >= 2.0**-900)
+            & (magnitude <= 2.0**1000)
+            & (np.abs(a) <= 2.0**995)
+            & (np.abs(b) <= 2.0**995)
+        ).all(axis=1)
+    rows = np.concatenate([p, e], axis=1).tolist()
+    return [
+        math.fsum(row) if ok else fixed_to_float(*exact_dot(x.tolist(), y.tolist()))
+        for row, ok, x, y in zip(rows, safe.tolist(), a, b)
+    ]

@@ -16,7 +16,7 @@ before any simulation starts.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 from repro.cluster.engine import DEFAULT_ENGINE, get_engine
@@ -126,8 +126,12 @@ class ScenarioSpec:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-data representation (JSON-compatible)."""
-        data = asdict(self)
+        """Plain-data representation (JSON-compatible).
+
+        Every field but ``params`` is a flat value, copied as it is;
+        ``params`` is copied one level deep.  Point ids hash this payload.
+        """
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data["params"] = dict(self.params)
         return data
 
@@ -159,3 +163,7 @@ class ScenarioSpec:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
         return cls.from_dict(json.loads(text))
+
+
+#: Field names in declaration order: the key order of :meth:`ScenarioSpec.to_dict`.
+_FIELD_NAMES = tuple(f.name for f in dataclass_fields(ScenarioSpec))

@@ -126,9 +126,14 @@ def _lattice(rng: np.random.Generator, shape) -> np.ndarray:
 
     Products and partial sums of lattice values stay exact in float64 (and
     in the PCS accumulator), which is what pins the two cycle engines and
-    the golden model to identical binary32 results.
+    the golden model to identical binary32 results.  The bounded int32
+    draw takes the same values from the same stream as an int64 one, and
+    scaling in float32 is exact, so the bytes equal
+    ``(rng.integers(-32, 32, size=shape) / 16.0).astype(np.float32)``.
     """
-    return (rng.integers(-32, 32, size=shape) / 16.0).astype(np.float32)
+    values = rng.integers(-32, 32, shape, dtype=np.int32).astype(np.float32)
+    values *= np.float32(0.0625)
+    return values
 
 
 class _Cursor:

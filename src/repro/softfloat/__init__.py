@@ -32,8 +32,6 @@ from repro.softfloat.fmac import (
     fmac_chains_float32,
     fmac_chain_pcs,
     fmac_chain_exact,
-    dot_product_float32,
-    dot_product_pcs,
 )
 from repro.softfloat.rmse import rmse, max_abs_error, relative_rmse, ulp_error
 
@@ -50,8 +48,6 @@ __all__ = [
     "fmac_chains_float32",
     "fmac_chain_pcs",
     "fmac_chain_exact",
-    "dot_product_float32",
-    "dot_product_pcs",
     "rmse",
     "max_abs_error",
     "relative_rmse",

@@ -22,8 +22,11 @@ Two exact shortcuts keep the study at the cost of its arithmetic:
 
 * A PCS accumulator that spans every binary32 product and has guard bits
   for the chain never truncates or overflows, so its write-back is the
-  exact sum rounded once: :func:`fmac_chain_pcs` returns that rounding of
-  :func:`exact_dot` and walks the
+  exact sum rounded once.  Every binary32 product is exact in binary64,
+  so :func:`fmac_chain_pcs` forms the correctly rounded sum with
+  :func:`math.fsum` (Shewchuk, "Adaptive Precision Floating-Point
+  Arithmetic", 1997), rounds it to odd with a second ``fsum`` of the
+  residual and casts that to binary32 (see below).  It walks the
   :class:`~repro.softfloat.pcs.PcsAccumulator` only for non-finite
   operands or a narrower geometry.
 * :func:`fmac_chains_float32` takes each step in binary64: the product of
@@ -33,11 +36,13 @@ Two exact shortcuts keep the study at the cost of its arithmetic:
   24 bits equals one rounding to nearest (Boldo and Melquiond, "Emulation
   of FMA and correctly rounded sums: proved algorithms using rounding to
   odd", IEEE Trans. Computers, 2008), so every row is bit-equal to
-  :func:`fmac_chain_float32`.
+  :func:`fmac_chain_float32`.  The PCS shortcut rounds its one sum to
+  odd the same way.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -51,8 +56,6 @@ __all__ = [
     "fmac_chain_float32",
     "fmac_chains_float32",
     "fmac_chain_pcs",
-    "dot_product_float32",
-    "dot_product_pcs",
     "exact_dot",
     "fixed_to_float",
 ]
@@ -215,15 +218,46 @@ def fmac_chain_pcs(
         and config.guard_bits > 0
         and len(av) + 1 <= 1 << (config.guard_bits - 1)
     ):
+        # Binary32 products are exact in binary64 (48 bits, 2**-298 …
+        # 2**256); a non-finite operand makes a product, and so the sum,
+        # non-finite, and fsum raises ValueError for inf - inf.
+        terms = [x * y for x, y in zip(av, bv)]
+        terms.append(init32)
         try:
-            return Float32.from_fixed(*exact_dot(av, bv, init32)).to_float()
-        except (OverflowError, ValueError):
-            pass  # an inf or NaN operand: the walk's sticky flags decide
+            total = math.fsum(terms)
+        except ValueError:
+            total = math.nan
+        if math.isfinite(total):
+            return _round_to_float32(terms, total)
+        # An inf or NaN operand: the walk's sticky flags decide.
     acc = PcsAccumulator(config)
     acc.init_from(init32)
     for x, y in zip(av, bv):
         acc.fma(x, y)
     return acc.to_float()
+
+
+def _round_to_float32(terms: list[float], total: float) -> float:
+    """The exact sum of ``terms`` rounded once to binary32.
+
+    ``total`` is ``math.fsum(terms)``: the exact sum rounded to nearest in
+    binary64.  Every term is a multiple of 2**-298, so the residual
+    ``sum(terms) - total`` is either zero or at least that large, and its
+    ``fsum`` has the residual's sign.  Stepping an even ``total`` one ulp
+    toward a non-zero residual rounds the sum to odd, and the cast to
+    binary32 then rounds it to nearest once.  An exact zero is ``+0``.
+    ``terms`` is consumed.
+    """
+    if total == 0:
+        return 0.0
+    terms.append(-total)
+    residual = math.fsum(terms)
+    if residual and int(total / math.ulp(total)) % 2 == 0:
+        total = math.nextafter(total, math.copysign(math.inf, residual))
+    if abs(total) <= _FLOAT32_MAX:
+        return float(np.float32(total))
+    with np.errstate(over="ignore"):
+        return float(np.float32(total))
 
 
 def fmac_chains_float32(
@@ -258,13 +292,3 @@ def fmac_chains_float32(
             s[s == 0] = 0.0
             acc = s.astype(np.float32).astype(np.float64)
     return acc.astype(np.float32)
-
-
-def dot_product_float32(a, b) -> float:
-    """Alias of :func:`fmac_chain_float32` with zero initial value."""
-    return fmac_chain_float32(a, b, init=0.0)
-
-
-def dot_product_pcs(a, b) -> float:
-    """Alias of :func:`fmac_chain_pcs` with zero initial value."""
-    return fmac_chain_pcs(a, b, init=0.0)

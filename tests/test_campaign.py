@@ -3,6 +3,8 @@ result store, exact resume after interruption, cross-engine parity of
 every shipped campaign family, the global content-addressed result
 cache, and the analysis layer's perf-model overlay."""
 
+import dataclasses
+import hashlib
 import json
 import multiprocessing
 
@@ -225,6 +227,26 @@ class TestSweepSpec:
         assert point_id(spec) != point_id(
             spec.with_overrides(params={"kernel": 5})
         )
+
+    @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+    @pytest.mark.parametrize("name", registered_campaigns())
+    def test_point_ids_hash_the_asdict_payload(self, name, quick):
+        """Every shipped point keeps the id of the ``dataclasses.asdict``
+        payload ``ScenarioSpec.to_dict`` was first written with, so stores
+        and result caches written before still resume."""
+        sweep = get_campaign(name)
+        sweep = sweep.for_quick() if quick else sweep
+        for point in sweep.expand():
+            spec = point.spec
+            payload = dataclasses.asdict(spec)
+            payload["params"] = dict(spec.params)
+            assert spec.to_dict() == payload
+            assert list(spec.to_dict()) == list(payload)
+            del payload["name"], payload["description"]
+            payload["params"] = spec.merged_params()
+            canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+            assert point.id == point_id(spec) == digest, point.describe()
 
     def test_quick_shrinks_the_base_never_the_axes(self):
         sweep = tiny_sweep(quick_overrides={"num_tiles": 1, "seed": 3})

@@ -9,7 +9,7 @@ import pytest
 
 from repro.eval import fig5, fig6, fig7, greenwave, precision, table1, table2
 from repro.report import render_artifact, run_report
-from repro.softfloat import PcsAccumulator, fmac_chain_float32, rmse
+from repro.softfloat import PcsAccumulator, fmac_chain_float32, fmac_chains_float32, rmse
 from repro.softfloat.fmac import exact_dot, fixed_to_float
 
 
@@ -154,8 +154,9 @@ def _precision_oracle(
         a64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_a
         b64 = rng.choice([-1.0, 1.0], reduction_length) * magnitudes_b
         exact = fixed_to_float(*exact_dot(a64.tolist(), b64.tolist()))
-        a = a64.astype(np.float32)
-        b = b64.astype(np.float32)
+        with np.errstate(over="ignore"):  # out of range rounds to ±inf
+            a = a64.astype(np.float32)
+            b = b64.astype(np.float32)
         errors_f32.append(fmac_chain_float32(a, b))
         acc = PcsAccumulator()
         acc.init_from(0.0)
@@ -180,13 +181,61 @@ class TestPrecision:
             {"seed": 7},
             {"seed": 31337},
             {"outputs": 128, "scale_spread": 12.0},
+            {"outputs": 64, "scale_spread": 60.0},
+            {"outputs": 64, "scale_spread": 80.0},
         ],
-        ids=["defaults", "long", "single-mac", "seed-1", "seed-7", "seed-31337", "wide-spread"],
+        ids=[
+            "defaults", "long", "single-mac", "seed-1", "seed-7", "seed-31337",
+            "wide-spread", "finite-and-overflowing-rows", "non-finite-operand-rows",
+        ],
     )
     def test_matches_the_scalar_loop_bit_for_bit(self, kwargs):
         got, want = precision.run(**kwargs), _precision_oracle(**kwargs)
         assert got.rmse_float32.hex() == want.rmse_float32.hex()
         assert got.rmse_pcs.hex() == want.rmse_pcs.hex()
+
+    def test_mixed_cases_hold_finite_and_non_finite_rows(self):
+        """What the two mixed oracle cases exercise: at a spread of 60
+        decades every operand is finite but some rows overflow binary32,
+        and at 80 some operands themselves round to ±inf."""
+        for spread, inf_operands in ((60.0, False), (80.0, True)):
+            rng = np.random.default_rng(2019)
+            draws = [
+                [
+                    rng.uniform(-spread / 2, spread / 2, 9),
+                    rng.uniform(-spread / 2, spread / 2, 9),
+                    rng.choice([-1.0, 1.0], 9),
+                    rng.choice([-1.0, 1.0], 9),
+                ]
+                for _ in range(64)
+            ]
+            with np.errstate(over="ignore"):
+                a = np.array([s * 10.0**e for e, _, s, _ in draws]).astype(np.float32)
+                b = np.array([s * 10.0**e for _, e, _, s in draws]).astype(np.float32)
+            rows = fmac_chains_float32(a, b)
+            assert np.isinf(a).any() == inf_operands
+            assert np.isfinite(rows).any() and not np.isfinite(rows).all()
+
+    def test_binary64_reference_rows_equal_exact_dot(self):
+        """Dekker rows and the rows that fall back to ``exact_dot``
+        (huge, tiny, zero and subnormal operands) round the same exact
+        sum."""
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((40, 9)) * 10.0 ** rng.uniform(-20, 20, (40, 9))
+        b = rng.standard_normal((40, 9)) * 10.0 ** rng.uniform(-20, 20, (40, 9))
+        # Two products overflow binary64 and cancel exactly.
+        a[1, 3:5], b[1, 3:5] = (1e300, -1e300), (1e10, 1e10)
+        a[2, 0], b[2, 0] = 2.0**1000, 2.0**-90  # the split overflows
+        a[3, :], b[3, :] = 1e-160, 1e-160  # products below 2**-900
+        a[4, 4] = 0.0
+        a[5, 2], b[5, 2] = 5e-324, 3.0  # a subnormal operand
+        a[6, 1::2], b[6, 1::2] = -a[6, 0:8:2], b[6, 0:8:2]
+        a[6, 8] = 0.0  # the row sums to exactly zero
+        got = precision._exact_dots(a, b)
+        want = [
+            fixed_to_float(*exact_dot(x.tolist(), y.tolist())) for x, y in zip(a, b)
+        ]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_pcs_is_more_accurate_by_a_similar_factor(self):
         result = precision.run()

@@ -13,8 +13,6 @@ from repro.softfloat import (
     Float32,
     PcsAccumulator,
     PcsConfig,
-    dot_product_float32,
-    dot_product_pcs,
     fmac_chain_exact,
     fmac_chain_float32,
     fmac_chain_pcs,
@@ -54,8 +52,8 @@ class TestChains:
     def test_chains_agree_on_short_exact_data(self):
         a = [1.0, 2.0, 3.0]
         b = [4.0, 5.0, 6.0]
-        assert dot_product_float32(a, b) == 32.0
-        assert dot_product_pcs(a, b) == 32.0
+        assert fmac_chain_float32(a, b) == 32.0
+        assert fmac_chain_pcs(a, b) == 32.0
 
     def test_init_value_used(self):
         assert fmac_chain_pcs([1.0], [1.0], init=5.0) == 6.0
@@ -402,6 +400,67 @@ class TestPcsShortcut:
                 before = len(walks)
                 assert _same(fmac_chain_pcs(x, y, init), _pcs_walk(x, y, init))
                 assert len(walks) - before == (0 if finite else 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edge_case_fuzz_against_the_walk(self, seed, walks):
+        """Rows built to hit each rounding edge of the one-rounding
+        shortcut, each bit-equal to the walk without walking."""
+        rng = np.random.default_rng(7100 + seed)
+        flt_max = float(np.finfo(np.float32).max)
+        half_ulp_max = 2.0**103  # FLT_MAX + this ties to 2**128: inf
+        cases = []
+        for _ in range(48):
+            steps = int(rng.integers(1, 12))
+            kind = int(rng.integers(0, 6))
+            a = (rng.standard_normal(steps) * 10.0 ** rng.uniform(-3, 3, steps)).tolist()
+            b = (rng.standard_normal(steps) * 10.0 ** rng.uniform(-3, 3, steps)).tolist()
+            init = 0.0
+            if kind == 0:  # subnormal operands, times subnormals and normals
+                for k in range(steps):
+                    a[k] = math.ldexp(float(rng.integers(-(2**23), 2**23)), -149)
+                    if rng.random() < 0.5:
+                        b[k] = math.ldexp(float(rng.integers(-(2**23), 2**23)), -149)
+            elif kind == 1:  # ±0 operands: an exact zero sum is +0
+                a = [float(rng.choice([0.0, -0.0])) for _ in range(steps)]
+                init = float(rng.choice([0.0, -0.0]))
+            elif kind == 2:  # exactly cancelling products and init
+                m = [float(rng.integers(-4096, 4096)) for _ in range(steps)]
+                a, b = m + [-x for x in m], [3.0] * (2 * steps)
+                init = float(rng.choice([0.0, -0.0]))
+            elif kind == 3:  # a sum halfway between two binary32 values
+                f, g = _tie_factors(rng)
+                scale = int(rng.integers(-100, 100))
+                a = [math.ldexp(f, scale - 24)]
+                b = [float(g)]
+                if rng.random() < 0.5:  # a sticky bit far below the tie
+                    a.append(math.ldexp(float(rng.choice([-1, 1])), scale - 90))
+                    b.append(1.0)
+            elif kind == 4:  # sums at and beyond FLT_MAX
+                top = float(rng.choice([flt_max, 2.0**127, 1.5 * 2.0**127]))
+                a = [top, 1.0]
+                b = [1.0, float(rng.choice([half_ulp_max, -half_ulp_max, 2.0**102, 2.0**104]))]
+                if rng.random() < 0.5:
+                    a, b = [-x for x in a], b
+            else:  # a non-zero init, on or off the products' scale
+                init = float(np.float32(rng.standard_normal() * 10.0 ** rng.uniform(-30, 30)))
+            cases.append((a, b, init))
+        cases += [
+            ([1.0, 2.0**-24], [1.0, 1.0], 0.0),  # tie to even: 1.0
+            ([1.0, 2.0**-24, 2.0**-80], [1.0, 1.0, 1.0], 0.0),  # sticky: up
+            ([1.0 + 2.0**-23, 2.0**-24], [1.0, 1.0], 0.0),  # tie to even: up
+            ([flt_max, 1.0], [1.0, half_ulp_max], 0.0),  # inf
+            ([flt_max, 1.0], [1.0, half_ulp_max - 2.0**80], 0.0),  # FLT_MAX
+            ([2.0**-149], [2.0**-149], 0.0),  # below half the least subnormal
+            ([2.0**-75], [-(2.0**-75)], 0.0),  # exactly half of it: -0
+            ([3.0, -3.0], [2.0, 2.0], -6.0),  # init decides
+            ([], [], -0.0),
+        ]
+        for a, b, init in cases:
+            got = fmac_chain_pcs(a, b, init)
+            assert _same(got, _pcs_walk(a, b, init)), (a, b, init)
+        assert walks == []
+        for init in (0.0, -0.0):
+            assert _bits(fmac_chain_pcs([2.0, -2.0], [1.0, 1.0], init)) == _bits(0.0)
 
     def test_subnormal_products_are_exact(self, walks):
         tiny = 2.0**-149

@@ -152,6 +152,19 @@ def test_one_batched_draw_equals_the_per_tile_draws(seed, draw):
     assert np.array_equal(np.stack(per_tile).view(np.uint32), batched.view(np.uint32))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5, 2019, 31337])
+def test_lattice_draw_is_the_int64_formula_bit_for_bit(seed):
+    """The int32 draw scaled in float32 leaves the bytes, and the stream
+    after them, of ``integers(-32, 32) / 16.0`` cast to float32."""
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for shape in (1, 7, (3, 5), (48, 52), (4, 3, 3, 3), (13, 2509), 0):
+        got = _lattice(new, shape)
+        want = (old.integers(-32, 32, size=shape) / 16.0).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert new.integers(0, 2**62) == old.integers(0, 2**62)
+
+
 def test_the_chunk_edges_are_exercised():
     assert 1 < _chunk_tiles((48, 52)) < 400
     assert _chunk_tiles((13, 17)) + 1 < 400
