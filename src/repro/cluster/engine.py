@@ -5,16 +5,13 @@ per-micro-op interpreter (the golden reference) and the vectorized engine
 (:mod:`repro.cluster.vecsim`: precomputed request streams and a compiled
 timing core).  Both share one data plane,
 :func:`repro.cluster.vecsim.run_data_plane`, which applies a run's data
-effects on the live TCDM or on a word-major stack of batched tile images;
-an engine only names the mode that data plane replays in:
+effects on the live TCDM or on a word-major stack of batched tile images,
+bit-identically to the per-op soft-float walk on every input; an engine
+is a timing model only:
 
 * :class:`Engine` — what an engine is: ``run`` (the full cycle-level
-  simulation), ``timing_signature`` (the hashable key under which a run's
-  timing may be memoized, one recipe for both) and ``exact_replay``, the
-  data plane's mode for its runs and timing-cache hits.  The scalar
-  engine replays certified-exact — bit-identical to its per-op soft-float
-  walk on every input; the vectorized engine keeps the float64 running
-  sum of MAC products (see :mod:`repro.core.vecops`).
+  simulation) and ``timing_signature`` (the hashable key under which a
+  run's timing may be memoized, one recipe for both).
 * :func:`get_engine` / :func:`available_engines` /
   :func:`describe_engines` — the registry of the two.  Everything that
   accepts an engine name (:class:`~repro.cluster.sim.ClusterSimulator`,
@@ -58,10 +55,6 @@ class Engine(Protocol):
     name: str
     #: One-line description shown in CLI help.
     description: str
-    #: The data plane's mode for this engine's runs and timing-cache hits:
-    #: ``True`` replays certified-exact, ``False`` with the float64 running
-    #: sum (see :mod:`repro.core.vecops`).
-    exact_replay: bool
 
     def run(
         self,
@@ -122,7 +115,6 @@ class VectorizedEngine(_EngineBase):
     description = (
         "NumPy streams and data plane, compiled C timing core (default, ~200x faster)"
     )
-    exact_replay = False
 
     def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
         from repro.cluster.vecsim import run_vectorized
@@ -137,10 +129,6 @@ class ScalarEngine(_EngineBase):
 
     name = "scalar"
     description = "per-micro-op golden reference interpreter"
-    # Timing-cache hits replay certified-exact (the per-op soft-float walk
-    # for whatever the kernel cannot certify), so memoized scalar runs stay
-    # bit-identical to uncached ones.
-    exact_replay = True
 
     def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
         return _run_scalar(

@@ -159,10 +159,9 @@ class ClusterSimulator:
         ``w`` holds address ``base + 4 * w``) ends up bit-identical to a
         full :meth:`run` of the same engine, while the (already cached)
         timing is not recomputed.  Both engines replay through the one
-        data plane (:func:`repro.cluster.vecsim.run_data_plane`) in the
-        mode their engine names: certified-exact for the scalar engine,
-        the float64 running sum for the vectorized one.
+        data plane (:func:`repro.cluster.vecsim.run_data_plane`), whose
+        stores are bit-identical to the per-op soft-float walk.
         """
         from repro.cluster.vecsim import run_data_plane
 
-        run_data_plane(self.cluster, jobs, self._engine.exact_replay, stack, base)
+        run_data_plane(self.cluster, jobs, stack, base)

@@ -1,7 +1,9 @@
 /*
- * Compiled timing core of the vectorized cluster engine.
+ * Compiled core of the cluster engines: the vectorized engine's cycle
+ * loop (tc_run) and the data plane's MAC write-back (tc_mac).  Both are
+ * built into one library from this one source (repro.cluster.timing_core).
  *
- * This is the per-cycle loop of repro.cluster.vecsim, transcribed from
+ * tc_run is the per-cycle loop of repro.cluster.vecsim, transcribed from
  * the Python reference loop (repro.cluster.vecsim._reference_loop) with
  * two exact rewrites: each request is arbitrated as it is presented
  * instead of being collected into a list first (same order, same
@@ -27,12 +29,18 @@
  * Returns TC_DONE, TC_EXCEEDED (max_cycles reached before every command
  * finished; outputs are then unspecified) or TC_NO_MEMORY.
  *
- * Build: cc -O2 -shared -fPIC (no -ffast-math: the DMA accumulator's
- * double arithmetic must round exactly like Python's floats).
+ * tc_mac is documented at its definition below.
+ *
+ * Build: cc -O2 -ftree-vectorize -ffp-contract=off -shared -fPIC (no
+ * -ffast-math: the DMA accumulator's double arithmetic must round
+ * exactly like Python's floats, and the MAC certificate needs every
+ * double operation rounded as written).
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { TC_DONE = 0, TC_EXCEEDED = 1, TC_NO_MEMORY = -1 };
 
@@ -342,5 +350,463 @@ done:
     free(best_prio);
     free(best_slot);
     free(touched);
+    return status;
+}
+
+/* ------------------------------------------------------------------------
+ * MAC write-back
+ *
+ * tc_mac replays one MAC command over a word-major (words, tiles) float32
+ * stack of TCDM images: row w holds word w of every tile, so the lane
+ * loop over tiles runs over contiguous memory.  read0/read1 hold one
+ * operand word index per iteration, init one AGU2 init-read word per
+ * init block (NULL for a zero init) and store one word per write-back.
+ * Every store is bit-identical to repro.softfloat.pcs.PcsAccumulator fed
+ * the same operands, for any register geometry (lsb_exponent, width).
+ *
+ * A block is one accumulator lifetime: period_init iterations, with a
+ * write-back at the end of every period_store iterations.  Its stores
+ * are staged in a buffer and written to the stack when the block ends.
+ * The caller refuses commands with a read of an earlier store of the same
+ * command, so no read of a block can observe any store of the command,
+ * and staging changes nothing.
+ *
+ * Two lanes:
+ *   fast   float64 products (exact for binary32 x binary32), a float64
+ *          running sum and a Knuth TwoSum residual per tile.  A tile whose
+ *          residuals are all zero and whose sum is finite holds exactly
+ *          the register content, so one (float) cast is the register's
+ *          single round-to-nearest-even write-back.  A residual is
+ *          accumulated as err += fabs(r): a positive residual never sums
+ *          back to zero, and NaN or inf leave err non-zero.  The lane only
+ *          runs where the register provably holds the exact sum: no
+ *          product bit lies below lsb_exponent and no block can reach the
+ *          register's overflow bound.
+ *   exact  every other tile, and every tile of any other geometry: the
+ *          register itself, as signed 32-bit digits in int64 chunks
+ *          anchored at lsb_exponent (Neal's small superaccumulator), with
+ *          PcsAccumulator's truncation toward zero below the LSB, its
+ *          sticky overflow test after every add, NaN and infinity flags,
+ *          and one rounding to binary32 at each write-back.
+ *
+ * Returns MAC_DONE or MAC_NO_MEMORY (the stack is then unchanged).
+ * ---------------------------------------------------------------------- */
+
+enum { MAC_DONE = 0, MAC_NO_MEMORY = -1 };
+
+#define QNAN_BITS 0x7FC00000u
+#define INF_BITS 0x7F800000u
+#define SIGN_BIT 0x80000000u
+#define MANT_MASK 0x007FFFFFu
+#define DIGIT_BITS 32
+#define DIGIT_MASK ((int64_t)0xFFFFFFFF)
+#define DIGIT_BASE ((int64_t)1 << DIGIT_BITS)
+/* Adds between carry normalisations: each add moves a digit by < 2**33,
+ * so 2**28 of them stay far inside int64. */
+#define PENDING_LIMIT ((int64_t)1 << 28)
+
+enum {
+    PRODUCT_LSB = -298, /* LSB of a subnormal x subnormal product */
+    PRODUCT_TOP = 256,  /* every binary32 product is below 2**256 */
+    EXP_BIAS = 127,
+    MIN_NORMAL_EXP = -126,
+    MIN_SUBNORMAL_EXP = -149
+};
+
+typedef struct {
+    int64_t *digit;   /* value = sum digit[i] * 2**(32 i + lsb) */
+    int64_t *scratch; /* the magnitude at write-back */
+    int64_t n;
+    int64_t lsb;
+    int64_t width;
+    int check_range;  /* whether a block can reach 2**(width - 1) */
+    int64_t pending;
+    int nan;
+    int overflow;
+    int inf_sign;     /* -1 without an infinity, else its sign */
+} pcs_register;
+
+static int64_t bit_length(uint64_t x)
+{
+    int64_t bits = 0;
+    while (x) {
+        bits++;
+        x >>= 1;
+    }
+    return bits;
+}
+
+/* Carry every digit but the top one into [0, 2**32); the value stays. */
+static void normalize(int64_t *digit, int64_t n)
+{
+    int64_t carry = 0, i;
+    for (i = 0; i + 1 < n; i++) {
+        int64_t v = digit[i] + carry;
+        int64_t low = v & DIGIT_MASK;
+        carry = (v - low) / DIGIT_BASE;
+        digit[i] = low;
+    }
+    digit[n - 1] += carry;
+}
+
+static int pcs_open(pcs_register *r, int64_t lsb, int64_t width, int64_t period_init)
+{
+    /* Magnitude bound of one block: period_init products and an init
+     * value, each below 2**PRODUCT_TOP, in units of 2**lsb. */
+    int64_t top = lsb < PRODUCT_TOP ? PRODUCT_TOP - lsb : 0;
+    int64_t reach = top + bit_length((uint64_t)period_init + 1);
+    r->n = (top + 64) / DIGIT_BITS + 3;
+    r->digit = malloc((size_t)(2 * r->n) * sizeof *r->digit);
+    r->scratch = r->digit ? r->digit + r->n : NULL;
+    r->lsb = lsb;
+    r->width = width;
+    r->check_range = width - 1 < reach;
+    return r->digit != NULL;
+}
+
+static void pcs_clear(pcs_register *r)
+{
+    memset(r->digit, 0, (size_t)r->n * sizeof *r->digit);
+    r->pending = 0;
+    r->nan = 0;
+    r->overflow = 0;
+    r->inf_sign = -1;
+}
+
+/* Whether the value lies outside [-2**(width-1), 2**(width-1)), i.e.
+ * value >> (width - 1) is neither 0 nor -1.  Only called when
+ * check_range holds, so width - 1 < 32 * (n - 1). */
+static int pcs_out_of_range(pcs_register *r)
+{
+    const int64_t top = r->width - 1;
+    const int64_t k = top / DIGIT_BITS;
+    const int b = (int)(top % DIGIT_BITS);
+    const int64_t *d = r->digit;
+    int64_t i;
+
+    normalize(r->digit, r->n);
+    r->pending = 0;
+    if (d[r->n - 1] >= 0) {
+        if (d[k] >> b)
+            return 1;
+        for (i = k + 1; i < r->n; i++)
+            if (d[i])
+                return 1;
+        return 0;
+    }
+    if ((d[k] >> b) != (DIGIT_MASK >> b))
+        return 1;
+    for (i = k + 1; i + 1 < r->n; i++)
+        if (d[i] != DIGIT_MASK)
+            return 1;
+    return d[r->n - 1] != -1;
+}
+
+/* Add (-1)**negative * magnitude * 2**exponent (magnitude < 2**48). */
+static void pcs_add(pcs_register *r, uint64_t magnitude, int negative, int64_t exponent)
+{
+    int64_t shift = exponent - r->lsb;
+    uint64_t low, high;
+    int64_t d0, d1, d2, index;
+    int offset;
+
+    if (shift < 0) {
+        /* Bits below the LSB are dropped, toward zero. */
+        magnitude = -shift >= 64 ? 0 : magnitude >> -shift;
+        shift = 0;
+    }
+    if (!magnitude)
+        return;
+    index = shift / DIGIT_BITS;
+    offset = (int)(shift % DIGIT_BITS);
+    low = (magnitude & (uint64_t)DIGIT_MASK) << offset;
+    high = (magnitude >> DIGIT_BITS) << offset;
+    d0 = (int64_t)(low & (uint64_t)DIGIT_MASK);
+    d1 = (int64_t)(low >> DIGIT_BITS) + (int64_t)(high & (uint64_t)DIGIT_MASK);
+    d2 = (int64_t)(high >> DIGIT_BITS);
+    if (negative) {
+        d0 = -d0;
+        d1 = -d1;
+        d2 = -d2;
+    }
+    r->digit[index] += d0;
+    r->digit[index + 1] += d1;
+    r->digit[index + 2] += d2;
+    if (++r->pending == PENDING_LIMIT) {
+        normalize(r->digit, r->n);
+        r->pending = 0;
+    }
+    /* The sticky overflow test after every add. */
+    if (r->check_range && !r->overflow && pcs_out_of_range(r))
+        r->overflow = 1;
+}
+
+static void pcs_infinity(pcs_register *r, int sign)
+{
+    if (r->inf_sign < 0)
+        r->inf_sign = sign;
+    else if (r->inf_sign != sign)
+        r->nan = 1; /* inf - inf */
+}
+
+static int f32_is_nan(uint32_t bits)
+{
+    return (bits & ~SIGN_BIT) > INF_BITS;
+}
+
+static int f32_is_inf(uint32_t bits)
+{
+    return (bits & ~SIGN_BIT) == INF_BITS;
+}
+
+static int f32_is_zero(uint32_t bits)
+{
+    return (bits & ~SIGN_BIT) == 0;
+}
+
+static uint64_t f32_significand(uint32_t bits)
+{
+    uint32_t biased = (bits >> 23) & 0xFF;
+    return biased ? (bits & MANT_MASK) | (MANT_MASK + 1) : bits & MANT_MASK;
+}
+
+static int64_t f32_lsb_exponent(uint32_t bits)
+{
+    int64_t biased = (bits >> 23) & 0xFF;
+    return biased ? biased - EXP_BIAS - 23 : MIN_SUBNORMAL_EXP;
+}
+
+/* PcsAccumulator.accumulate_value: the AGU2 init value. */
+static void pcs_value(pcs_register *r, uint32_t bits)
+{
+    if (f32_is_nan(bits))
+        r->nan = 1;
+    else if (f32_is_inf(bits))
+        pcs_infinity(r, (int)(bits >> 31));
+    else if (!f32_is_zero(bits))
+        pcs_add(r, f32_significand(bits), (int)(bits >> 31), f32_lsb_exponent(bits));
+}
+
+/* PcsAccumulator.fma: one exact product. */
+static void pcs_fma(pcs_register *r, uint32_t a, uint32_t b)
+{
+    if (f32_is_nan(a) || f32_is_nan(b)) {
+        r->nan = 1;
+    } else if (f32_is_inf(a) || f32_is_inf(b)) {
+        if (f32_is_zero(a) || f32_is_zero(b))
+            r->nan = 1; /* inf * 0 */
+        else
+            pcs_infinity(r, (int)((a ^ b) >> 31));
+    } else if (!f32_is_zero(a) && !f32_is_zero(b)) {
+        pcs_add(r, f32_significand(a) * f32_significand(b), (int)((a ^ b) >> 31),
+                f32_lsb_exponent(a) + f32_lsb_exponent(b));
+    }
+}
+
+/* Bits [pos, pos + count) of a normalised non-negative digit array
+ * (count <= 32, pos >= 0). */
+static uint64_t bits_at(const int64_t *digit, int64_t n, int64_t pos, int count)
+{
+    int64_t index = pos / DIGIT_BITS;
+    int offset = (int)(pos % DIGIT_BITS);
+    uint64_t value = index < n ? (uint64_t)digit[index] >> offset : 0;
+    if (offset && index + 1 < n)
+        value |= (uint64_t)digit[index + 1] << (DIGIT_BITS - offset);
+    return value & (((uint64_t)1 << count) - 1);
+}
+
+/* Whether any bit below pos is set. */
+static int any_below(const int64_t *digit, int64_t pos)
+{
+    int64_t index = pos / DIGIT_BITS, i;
+    int offset = (int)(pos % DIGIT_BITS);
+    if (offset && ((uint64_t)digit[index] & (((uint64_t)1 << offset) - 1)))
+        return 1;
+    for (i = 0; i < index; i++)
+        if (digit[i])
+            return 1;
+    return 0;
+}
+
+/* PcsAccumulator.to_float32 under round-to-nearest-even, as bits. */
+static uint32_t pcs_round(pcs_register *r)
+{
+    const int64_t n = r->n;
+    int64_t *mag = r->scratch;
+    int64_t i, h, msb, target, shift, length;
+    uint64_t kept;
+    uint32_t sign;
+
+    if (r->nan)
+        return QNAN_BITS;
+    if (r->inf_sign >= 0)
+        return INF_BITS | (r->inf_sign ? SIGN_BIT : 0);
+    normalize(r->digit, n);
+    r->pending = 0;
+    sign = r->digit[n - 1] < 0 ? SIGN_BIT : 0;
+    if (r->overflow)
+        return INF_BITS | sign;
+    for (i = 0; i < n; i++)
+        mag[i] = sign ? -r->digit[i] : r->digit[i];
+    normalize(mag, n);
+    for (h = n - 1; h >= 0 && !mag[h]; h--)
+        ;
+    if (h < 0)
+        return 0; /* an exact zero writes back +0 */
+    msb = r->lsb + h * DIGIT_BITS + bit_length((uint64_t)mag[h]) - 1;
+    if (msb > EXP_BIAS)
+        return INF_BITS | sign;
+    target = msb >= MIN_NORMAL_EXP ? msb - 23 : MIN_SUBNORMAL_EXP;
+    shift = target - r->lsb;
+    if (shift <= 0) {
+        kept = (uint64_t)mag[0] << -shift; /* below 2**24: exact */
+    } else {
+        kept = bits_at(mag, n, shift, 25);
+        if (bits_at(mag, n, shift - 1, 1) && (any_below(mag, shift - 1) || (kept & 1)))
+            kept++;
+    }
+    if (!kept)
+        return sign; /* underflow to a signed zero */
+    length = bit_length(kept);
+    if (target + length - 1 < MIN_NORMAL_EXP)
+        return sign | (uint32_t)kept; /* subnormal */
+    if (length > 24) {
+        kept >>= 1; /* the rounding carried: 2**24 -> 2**23, exactly */
+        target++;
+    }
+    if (target + 23 + EXP_BIAS >= 0xFF)
+        return INF_BITS | sign;
+    return sign | (uint32_t)(target + 23 + EXP_BIAS) << 23 | ((uint32_t)kept & MANT_MASK);
+}
+
+static uint32_t float_bits(float value)
+{
+    uint32_t bits;
+    memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+static float bits_float(uint32_t bits)
+{
+    float value;
+    memcpy(&value, &bits, sizeof value);
+    return value;
+}
+
+/* The lane loop also gets an AVX2 clone, picked at load time where the
+ * CPU has it (GCC/Clang function multi-versioning on x86-64 glibc): four
+ * doubles per vector instead of two.  AVX2 brings no FMA, and
+ * -ffp-contract=off forbids contraction anyway, so both clones round
+ * every operation as written. */
+#if defined(__x86_64__) && defined(__GLIBC__) && (defined(__GNUC__) || defined(__clang__))
+#define LANE_LOOP __attribute__((target_clones("avx2", "default")))
+#else
+#define LANE_LOOP
+#endif
+
+/* One TwoSum step of every tile: sum += a * b, err += |residual|. */
+LANE_LOOP
+static void two_sum_row(double *restrict sum, double *restrict err,
+                        const float *restrict a, const float *restrict b,
+                        int64_t tiles)
+{
+    int64_t lane;
+    for (lane = 0; lane < tiles; lane++) {
+        double product = (double)a[lane] * (double)b[lane];
+        double total = sum[lane] + product;
+        double b_part = total - sum[lane];
+        double residual = (sum[lane] - (total - b_part)) + (product - b_part);
+        err[lane] += fabs(residual);
+        sum[lane] = total;
+    }
+}
+
+/* The fast lane over one block; out receives the cast of every store. */
+static void fast_block(const float *stack, int64_t tiles, const int64_t *read0,
+                       const int64_t *read1, const int64_t *init_word,
+                       int64_t period_init, int64_t period_store,
+                       double *restrict sum, double *restrict err,
+                       float *restrict out)
+{
+    int64_t j, lane;
+    if (init_word) {
+        const float *row = stack + *init_word * tiles;
+        for (lane = 0; lane < tiles; lane++)
+            sum[lane] = row[lane];
+    } else {
+        for (lane = 0; lane < tiles; lane++)
+            sum[lane] = 0.0;
+    }
+    for (lane = 0; lane < tiles; lane++)
+        err[lane] = 0.0;
+    for (j = 0; j < period_init; j++) {
+        two_sum_row(sum, err, stack + read0[j] * tiles, stack + read1[j] * tiles, tiles);
+        if ((j + 1) % period_store == 0) {
+            float *row = out + ((j + 1) / period_store - 1) * tiles;
+            /* + 0.0 writes an exact zero sum back as +0. */
+            for (lane = 0; lane < tiles; lane++)
+                row[lane] = (float)(sum[lane] + 0.0);
+        }
+    }
+}
+
+/* The exact lane: one tile's block through the register. */
+static void exact_block(pcs_register *r, const float *stack, int64_t tiles,
+                        int64_t lane, const int64_t *read0, const int64_t *read1,
+                        const int64_t *init_word, int64_t period_init,
+                        int64_t period_store, float *out)
+{
+    int64_t j;
+    pcs_clear(r);
+    if (init_word)
+        pcs_value(r, float_bits(stack[*init_word * tiles + lane]));
+    for (j = 0; j < period_init; j++) {
+        pcs_fma(r, float_bits(stack[read0[j] * tiles + lane]),
+                float_bits(stack[read1[j] * tiles + lane]));
+        if ((j + 1) % period_store == 0)
+            out[((j + 1) / period_store - 1) * tiles + lane] = bits_float(pcs_round(r));
+    }
+}
+
+int tc_mac(float *stack, int64_t tiles, int64_t total, int64_t period_init,
+           int64_t period_store, const int64_t *read0, const int64_t *read1,
+           const int64_t *init, const int64_t *store, int64_t lsb, int64_t width)
+{
+    const int64_t per_block = period_init / period_store;
+    const int64_t blocks = total / period_init;
+    double *sum = malloc((size_t)tiles * sizeof *sum);
+    double *err = malloc((size_t)tiles * sizeof *err);
+    float *out = malloc((size_t)(per_block * tiles) * sizeof *out);
+    pcs_register reg;
+    int status = MAC_DONE, fast;
+    int64_t b, c, lane;
+
+    reg.digit = NULL;
+    if (!sum || !err || !out || !pcs_open(&reg, lsb, width, period_init)) {
+        status = MAC_NO_MEMORY;
+        goto done;
+    }
+    fast = lsb <= PRODUCT_LSB && !reg.check_range;
+    for (b = 0; b < blocks; b++) {
+        const int64_t *r0 = read0 + b * period_init;
+        const int64_t *r1 = read1 + b * period_init;
+        const int64_t *init_word = init ? init + b : NULL;
+        if (fast)
+            fast_block(stack, tiles, r0, r1, init_word, period_init, period_store,
+                       sum, err, out);
+        for (lane = 0; lane < tiles; lane++)
+            if (!fast || err[lane] != 0.0)
+                exact_block(&reg, stack, tiles, lane, r0, r1, init_word,
+                            period_init, period_store, out);
+        for (c = 0; c < per_block; c++)
+            memcpy(stack + store[b * per_block + c] * tiles, out + c * tiles,
+                   (size_t)tiles * sizeof *out);
+    }
+
+done:
+    free(sum);
+    free(err);
+    free(out);
+    free(reg.digit);
     return status;
 }

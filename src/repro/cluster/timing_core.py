@@ -1,22 +1,30 @@
-"""Build, cache and call the compiled timing core (``timing_core.c``).
+"""Build, cache and call the compiled core (``timing_core.c``).
 
-The vectorized engine's per-cycle loop is integer-only over precomputed
-bank streams, so it is written once in C and compiled on first use with
-the system C compiler (``cc -O2 -shared -fPIC``; no ``-ffast-math``, the
-DMA accumulator must round like Python floats).  The shared library is
-cached per user under ``~/.cache/repro`` as ``timing_core-<sha256>.so``,
-keyed by the source text and the compiler command line, and published
-through a temporary file plus :func:`os.replace`, so concurrent builders
-(separate processes sharing the cache directory) never load a
-half-written library.  It is loaded with :mod:`ctypes`.
+The library holds two entry points, both over precomputed integer
+streams: the vectorized engine's per-cycle loop (:func:`load`) and the
+data plane's MAC write-back (:func:`mac_kernel`), which replays a MAC
+command over a word-major stack of TCDM images bit-identically to the
+partial-carry-save register.  It is compiled on first use with the
+system C compiler (:data:`CFLAGS`: ``-O2 -ftree-vectorize`` so the MAC's
+lane loop over tiles vectorizes, ``-ffp-contract=off`` and no
+``-ffast-math``, so every double operation rounds as written — the DMA
+accumulator must round like Python floats, and the MAC's TwoSum
+certificate relies on it).  The shared library is cached per user under
+``~/.cache/repro`` as ``timing_core-<sha256>.so``, keyed by the source
+text and the compiler command line, and published through a temporary
+file plus :func:`os.replace`, so concurrent builders (separate processes
+sharing the cache directory) never load a half-written library.  It is
+loaded with :mod:`ctypes`.
 
-Nothing happens at import: :func:`load` builds and loads on the first
-call.  When the library cannot be had — no ``cc`` on ``PATH``, a failed
-compile, a failed load — :func:`load` returns ``None`` and the engine
-runs the Python reference loop (:func:`repro.cluster.vecsim._reference_loop`)
-instead, with identical results.  Every such run is counted in
-``repro_timing_core_fallbacks_total{reason}`` (``no_compiler``,
-``build_failed``, ``load_failed``).
+Nothing happens at import: the first :func:`load` or :func:`mac_kernel`
+call builds and loads.  When the library cannot be had — no ``cc`` on
+``PATH``, a failed compile, a failed load — both return ``None`` and
+:func:`unavailable_reason` names why (``no_compiler``, ``build_failed``,
+``load_failed``).  The engine then runs the Python reference loop
+(:func:`repro.cluster.vecsim._reference_loop`) instead, with identical
+results, and every such cycle-loop run is counted in
+``repro_timing_core_fallbacks_total{reason}``; the data plane walks MACs
+per op and counts them itself (``repro_dataplane_fallbacks_total``).
 """
 
 from __future__ import annotations
@@ -34,10 +42,10 @@ import numpy as np
 
 from repro.obs import metrics as _metrics
 
-__all__ = ["TimingParams", "TimingCounters", "load"]
+__all__ = ["TimingParams", "TimingCounters", "load", "mac_kernel", "unavailable_reason"]
 
 SOURCE = Path(__file__).with_name("timing_core.c")
-CFLAGS = ("-O2", "-shared", "-fPIC")
+CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC")
 
 _FALLBACKS = _metrics.counter(
     "repro_timing_core_fallbacks_total",
@@ -48,6 +56,7 @@ _FALLBACKS = _metrics.counter(
 #: Columns of the per-command table (``enum`` in ``timing_core.c``).
 _COLUMNS = 10
 _EXCEEDED = 1
+_NO_MEMORY = -1
 
 
 class TimingParams(NamedTuple):
@@ -100,8 +109,15 @@ class _Counters(ctypes.Structure):
     ]
 
 
-#: The loaded ``tc_run`` function, or the reason it is unavailable.
-_STATE: Union[None, str, Callable] = None
+class _Library(NamedTuple):
+    """The loaded entry points of ``timing_core.c``."""
+
+    run: Callable
+    mac: Callable
+
+
+#: The loaded library, or the reason it is unavailable.
+_STATE: Union[None, str, _Library] = None
 
 
 def _find_compiler() -> Optional[str]:
@@ -140,7 +156,7 @@ def _build(compiler: str) -> Optional[Path]:
     return library
 
 
-def _open() -> Union[str, Callable]:
+def _open() -> Union[str, _Library]:
     compiler = _find_compiler()
     if compiler is None:
         return "no_compiler"
@@ -151,15 +167,33 @@ def _open() -> Union[str, Callable]:
     if library is None:
         return "build_failed"
     try:
-        function = ctypes.CDLL(str(library)).tc_run
+        handle = ctypes.CDLL(str(library))
+        run, mac = handle.tc_run, handle.tc_mac
     except (OSError, AttributeError):
         return "load_failed"
-    function.argtypes = [
+    run.argtypes = [
         ctypes.POINTER(_Config), ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(_Counters),
     ]
-    function.restype = ctypes.c_int
-    return function
+    run.restype = ctypes.c_int
+    int64, pointer = ctypes.c_int64, ctypes.c_void_p
+    mac.argtypes = [pointer] + [int64] * 4 + [pointer] * 4 + [int64] * 2
+    mac.restype = ctypes.c_int
+    return _Library(run, mac)
+
+
+def _library() -> Optional[_Library]:
+    """The library, built and loaded on the first call of the process."""
+    global _STATE
+    if _STATE is None:
+        _STATE = _open()
+    return None if isinstance(_STATE, str) else _STATE
+
+
+def unavailable_reason() -> Optional[str]:
+    """Why the library could not be had, or ``None`` when it is loaded
+    (or not tried yet)."""
+    return _STATE if isinstance(_STATE, str) else None
 
 
 def load() -> Optional[Callable]:
@@ -168,13 +202,20 @@ def load() -> Optional[Callable]:
     Builds and loads the library on the first call of the process; a
     ``None`` is counted as one fallback under its reason every time.
     """
-    global _STATE
-    if _STATE is None:
-        _STATE = _open()
-    if isinstance(_STATE, str):
+    if _library() is None:
         _FALLBACKS.inc(reason=_STATE)
         return None
     return _compiled_loop
+
+
+def mac_kernel() -> Optional[Callable]:
+    """The compiled MAC write-back as ``mac(stack, plan, words, pcs)``,
+    or ``None`` (counted by the caller, see :func:`unavailable_reason`).
+
+    Separate from :func:`load`, so swapping the cycle loop for the
+    reference loop leaves the data plane compiled.
+    """
+    return None if _library() is None else _compiled_mac
 
 
 def _compiled_loop(jobs_per_ntx: Sequence[Sequence], params: TimingParams) -> TimingCounters:
@@ -217,7 +258,7 @@ def _compiled_loop(jobs_per_ntx: Sequence[Sequence], params: TimingParams) -> Ti
         params.rr_offset, params.dma_requests_per_cycle,
     )
     counters = _Counters()
-    status = _STATE(
+    status = _STATE.run(
         ctypes.byref(config), queues.ctypes.data, commands.ctypes.data,
         streams.ctypes.data, per_ntx.ctypes.data, ctypes.byref(counters),
     )
@@ -232,3 +273,20 @@ def _compiled_loop(jobs_per_ntx: Sequence[Sequence], params: TimingParams) -> Ti
         counters.conflicts, counters.conflict_cycles, counters.rr_offset,
         per_ntx[:num_ntx].tolist(), per_ntx[num_ntx:2 * num_ntx].tolist(),
     )
+
+
+def _compiled_mac(stack: np.ndarray, plan, words, pcs) -> None:
+    """Replay a MAC command over ``stack`` in place: ``plan`` is its
+    :class:`~repro.core.vecops.CommandPlan`, ``words`` its word-index
+    streams into ``stack`` (:class:`~repro.core.vecops.WordStreams`) and
+    ``pcs`` the accumulator geometry."""
+    if stack.dtype != np.float32 or not stack.flags.c_contiguous:
+        raise ValueError("the MAC kernel needs a C-contiguous float32 stack")
+    if not stack.flags.writeable:
+        raise ValueError("the MAC kernel needs a writable stack")
+    status = _STATE.mac(
+        stack.ctypes.data, stack.shape[1], plan.total, plan.period_init,
+        plan.period_store, *words.pointers, pcs.lsb_exponent, pcs.width,
+    )
+    if status == _NO_MEMORY:
+        raise MemoryError("the MAC kernel could not allocate its scratch state")

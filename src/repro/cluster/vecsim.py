@@ -15,16 +15,15 @@ phases so the per-cycle loop touches almost nothing:
    engine): reads, FPU issues and write-backs are replayed as array
    gathers, segmented reductions and scatters
    (:func:`repro.core.vecops.execute_streams_batched`) — once per command
-   instead of once per cycle.  The driver works on a word-major
-   ``(words, tiles)`` stack: the live TCDM is a stack of one, and a
-   batched replay group a stack of many, which the system walker stages
-   straight from and back to the HMC and the kernel updates in place.
-   The engine names the mode (:attr:`~repro.cluster.engine.Engine.exact_replay`):
-   this one keeps a float64 running sum, so a MAC store can differ from
-   the soft-float reference by a final-ulp rounding; the scalar engine's
-   certified-exact mode cannot (see :mod:`repro.core.vecops`).  Commands
-   the kernel refuses, and MACs of a non-default accumulator geometry,
-   run through the exact per-op executor.
+   instead of once per cycle — and MACs as one call of the compiled MAC
+   kernel, which reproduces the partial-carry-save register.  The driver
+   works on a word-major ``(words, tiles)`` stack: the live TCDM is a
+   stack of one, and a batched replay group a stack of many, which the
+   system walker stages straight from and back to the HMC and the kernel
+   updates in place.  There is one mode: every store is bit-identical to
+   the soft-float reference on every input.  Commands the kernel refuses
+   (a read-after-write hazard, an address off the stack, a MAC without
+   the compiled library) run through the exact per-op executor.
 3. **Timing core**: a lean per-cycle loop that models exactly the same
    machine as the scalar engine — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
@@ -60,20 +59,15 @@ from repro.core.vecops import (
     BankStreams,
     CommandPlan,
     _account_accesses,
-    _fall_back,
     command_plan,
     execute_functional,
     execute_streams_batched,
 )
-from repro.softfloat.pcs import PcsConfig
 
 
 __all__ = ["run_vectorized", "run_data_plane"]
 
 _IDLE, _SETUP, _RUN = 0, 1, 2
-
-#: The exact accumulator geometry; any other may truncate or saturate.
-_DEFAULT_PCS = PcsConfig()
 
 #: One NTX's queue: each command with its shared plan, in issue order.
 _Queue = List[Tuple[NtxCommand, CommandPlan]]
@@ -159,8 +153,8 @@ class _ImageTcdm:
     The per-op fallback executor reads and writes through ``read_f32`` /
     ``write_f32``; this adapter serves those from the tile's column of the
     word-major stack (word 0 at address ``base``) while mirroring the
-    access counters onto the real TCDM, so a batched group that falls back
-    per tile accounts exactly like the unbatched path.
+    access counters onto the real TCDM, so a command of a batched group
+    that falls back per tile accounts exactly like the unbatched path.
     """
 
     __slots__ = ("_view", "_base", "_tcdm")
@@ -186,7 +180,6 @@ class _ImageTcdm:
 def run_data_plane(
     cluster,
     jobs: Sequence[Tuple[int, NtxCommand]],
-    exact: bool,
     stack: Optional[np.ndarray] = None,
     base: int = 0,
 ) -> None:
@@ -194,23 +187,22 @@ def run_data_plane(
 
     The one data plane of both engines: the vectorized engine's cycle run,
     every timing-cache hit (:mod:`repro.system.memo`) and every stacked
-    batch group (:mod:`repro.system.batch`) replay through it, in the mode
-    their engine names (``exact``, see
-    :attr:`~repro.cluster.engine.Engine.exact_replay`).
+    batch group (:mod:`repro.system.batch`) replay through it, and every
+    store is bit-identical to the per-op soft-float walk.
 
     ``stack`` is a word-major ``(words, tiles)`` float32 stack of private
     TCDM images whose row ``w`` holds the word at byte address
     ``base + 4 * w`` of every tile, covering every word the commands
     touch; every tile executes the same ``jobs``, so each command is one
     stacked dispatch (:func:`repro.core.vecops.execute_streams_batched`)
-    updating the stack in place.  Without ``stack`` the live TCDM is the
-    stack, one tile high.
+    updating the stack in place, MACs as registers of their NTX's
+    accumulator geometry.  Without ``stack`` the live TCDM is the stack,
+    one tile high.
 
-    A command the kernel refuses (see :mod:`repro.core.vecops`), and every
-    MAC of an NTX whose accumulator geometry is not the default (which may
-    truncate or saturate, counted as ``pcs_config``), runs through the
-    exact per-op executor instead: on the live TCDM, or tile by tile
-    through :class:`_ImageTcdm` on each tile's column of the stack.
+    A command the kernel refuses (see :mod:`repro.core.vecops`) runs
+    through the exact per-op executor instead: on the live TCDM, or tile
+    by tile through :class:`_ImageTcdm` on each tile's column of the
+    stack.
 
     Statistics are accounted wholesale — each command's counters times the
     stack height — onto ``cluster``; the caller credits the cycles.  A
@@ -225,12 +217,9 @@ def run_data_plane(
         stack, base = np.frombuffer(tcdm.memory.data, dtype="<f4")[:, None], tcdm.base
     num_tiles = stack.shape[1]
     for ntx, plans in zip(cluster.ntx, _plans_per_ntx(cluster, jobs)):
-        truncating = ntx.config.pcs != _DEFAULT_PCS
+        pcs = ntx.config.pcs
         for command, plan in plans:
-            if truncating and command.opcode is NtxOpcode.MAC:
-                fast_path = _fall_back("pcs_config")
-            else:
-                fast_path = execute_streams_batched(command, plan, stack, base, exact)
+            fast_path = execute_streams_batched(command, plan, stack, base, pcs)
             if fast_path:
                 _account_accesses(tcdm, plan, count=num_tiles)
             else:

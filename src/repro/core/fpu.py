@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.commands import NtxOpcode
-from repro.softfloat.ieee754 import Float32
 from repro.softfloat.pcs import PcsAccumulator, PcsConfig
 
 __all__ = ["NtxFpu", "FpuStats"]
@@ -24,6 +23,17 @@ __all__ = ["NtxFpu", "FpuStats"]
 def _to_f32(value: float) -> float:
     """Round to binary32 the way a 32 bit register would hold the value."""
     return float(np.float32(value))
+
+
+def _first_nan(a: float, b: float, result: float) -> float:
+    """``result`` of ``a op b``, except that when both operands are NaN the
+    first one propagates.  A host float operation returns whichever NaN
+    its compiled operand order picks, and CPython's generic and
+    specialized float paths order them differently, so the model fixes
+    the choice."""
+    if a != a and b != b:
+        return a
+    return result
 
 
 @dataclass
@@ -110,11 +120,11 @@ class NtxFpu:
             self.stats.macs += 1
             self._acc.fma(a, b)
         elif opcode is NtxOpcode.MUL:
-            self._alu_register = _to_f32(a * b)
+            self._alu_register = _to_f32(_first_nan(a, b, a * b))
         elif opcode is NtxOpcode.ADD:
-            self._alu_register = _to_f32(a + b)
+            self._alu_register = _to_f32(_first_nan(a, b, a + b))
         elif opcode is NtxOpcode.SUB:
-            self._alu_register = _to_f32(a - b)
+            self._alu_register = _to_f32(_first_nan(a, b, a - b))
         elif opcode is NtxOpcode.MAX:
             self.stats.comparisons += 1
             if not self._has_extremum or a > self._alu_register:

@@ -17,52 +17,43 @@ hoisted out of the cycle loop entirely:
   of vector operations.  It also carries what every consumer used to
   rederive from those streams: the address bounds behind the span check,
   the read-after-write verdict (a read observing an *earlier* store of the
-  same command), the access counts and, per TCDM geometry, the int32 bank
-  streams the timing core reads (:class:`BankStreams`).  The data plane,
-  the timing engine (:mod:`repro.cluster.vecsim`) and the batched-replay
-  gate (:mod:`repro.system.batch`) all read the same plan.  The cache's
-  hits, misses and size are published once per system run
+  same command), the access counts, per TCDM geometry the int32 bank
+  streams the timing core reads (:class:`BankStreams`), and per stack
+  base the word-index streams the data plane reads (:class:`WordStreams`).
+  The data plane, the timing engine (:mod:`repro.cluster.vecsim`) and the
+  batched-replay gate (:mod:`repro.system.batch`) all read the same plan.
+  The cache's hits, misses and size are published once per system run
   (:func:`publish_plan_cache_metrics`).
 * :func:`execute_streams_batched` replays the command's data effects
-  (reads, FPU issues, write-backs) as array gathers, segmented reductions
-  and scatters over a word-major ``(words, tiles)`` stack of TCDM images —
-  the tile axis innermost, so every gather copies and every reduction step
-  adds whole contiguous rows.  The one data-plane driver of both engines
-  (:func:`repro.cluster.vecsim.run_data_plane`) runs it on the live TCDM
-  viewed as a stack of one or on a batched group's stack.  Commands whose
-  plan records a read-after-write hazard are executed through the exact
-  per-op path (:func:`execute_functional`) instead; every such fallback
-  is counted in ``repro_dataplane_fallbacks_total{reason}``.
+  (reads, FPU issues, write-backs) over a word-major ``(words, tiles)``
+  stack of TCDM images — the tile axis innermost, so every gather copies
+  and every reduction step adds whole contiguous rows.  The one data-plane
+  driver of both engines (:func:`repro.cluster.vecsim.run_data_plane`)
+  runs it on the live TCDM viewed as a stack of one or on a batched
+  group's stack.
 
-The kernel has two modes; each engine names one
-(:attr:`~repro.cluster.engine.Engine.exact_replay`):
+There is one mode, and every store is bit-identical to the per-op
+soft-float walk (:func:`execute_functional`) on every input:
 
-* ``exact=False`` (the vectorized engine).  MAC keeps a per-step float64
-  running sum of exact float64 products where the partial-carry-save
-  register adds them exactly and rounds once at write-back, so a partial
-  sum may differ from the scalar engine by a final-ulp rounding (bounded
-  by the parity tests at ``rtol=1e-6``).  The other opcodes match the
-  soft-float FPU except in the sign of a zero that MAX/MIN pick among
-  ``±0`` ties, and in which NaN payload COPY/MASK/MAX/MIN pass on.
-* ``exact=True`` (the scalar engine's timing-cache hits and batched
-  groups) checks every addition of that running sum, and of the AGU2
-  init value, with a Knuth TwoSum residual.  When every residual is zero
-  and the sums are finite, the float64 sum *is* the exact accumulator
-  content, and its single float32 conversion is the accumulator's
-  round-to-nearest-even write-back — bit-identical to
-  :class:`~repro.softfloat.pcs.PcsAccumulator`.  Any
-  other MAC, and any COPY/MASK/MAX/MIN whose operands hit the cases
-  above, takes the per-op path, so every store is bit-identical.
+* MAC runs in the compiled kernel (``tc_mac`` in
+  ``repro/cluster/timing_core.c``, loaded by
+  :func:`repro.cluster.timing_core.mac_kernel`), which indexes the stack
+  through the plan's word streams and reproduces the partial-carry-save
+  register of any :class:`~repro.softfloat.pcs.PcsConfig`: a vectorized
+  float64 lane certified by a TwoSum residual per tile, and an exact
+  superaccumulator lane for every tile the certificate does not cover.
+* The other opcodes are array formulas: MAX/MIN follow the comparator's
+  strict first-wins compare (``±0`` ties and a NaN seed included),
+  ARGMAX/ARGMIN keep index 0 behind a NaN first element, and
+  COPY/MASK/MAX/MIN quiet signalling NaNs as the FPU's float conversions
+  do.
 
-Fallback reasons: ``outside_tcdm`` (an address off the stack or
-unaligned), ``raw_hazard``, ``nan_compare`` (a NaN input to a comparator
-reduction), and in exact mode only ``inexact_mac`` (a MAC sum the
-certificate cannot vouch for), ``nan_operand`` (a NaN that COPY/MASK
-would move, or MAX/MIN seed with, unlike the per-op FPU), ``signed_zero``
-(a ``-0.0`` input to MAX/MIN, whose ``±0`` ties NumPy breaks differently)
-and, in both modes, ``pcs_config`` (a MAC on an NTX with a non-default
-accumulator geometry, which may truncate or saturate; counted by the
-driver in :mod:`repro.cluster.vecsim`).
+Commands run through the per-op path instead when the plan records a
+read-after-write hazard (``raw_hazard``), when an address lies off the
+stack or is unaligned (``outside_tcdm``), and — MACs only — when the
+compiled library is unavailable (its reason: ``no_compiler``,
+``build_failed`` or ``load_failed``).  Every such fallback is counted in
+``repro_dataplane_fallbacks_total{reason}``.
 
 The plans built here drive the shared data plane, the vectorized timing
 engine (:mod:`repro.cluster.vecsim`) and the self-containment gate of
@@ -73,18 +64,21 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cluster import timing_core
 from repro.core.commands import NUM_LOOPS, InitSource, NtxCommand, NtxOpcode
 from repro.core.controller import NtxController
 from repro.obs import metrics as _metrics
+from repro.softfloat.pcs import PcsConfig
 
 __all__ = [
     "BankStreams",
     "CommandPlan",
     "PLAN_CACHE_SIZE",
+    "WordStreams",
     "command_plan",
     "execute_streams_batched",
     "publish_plan_cache_metrics",
@@ -92,6 +86,10 @@ __all__ = [
 
 _ADDRESS_MASK = (1 << 32) - 1
 _WORD = 4
+#: The quiet bit of a binary32 NaN: the FPU's float conversions set it.
+_QUIET_BIT = np.uint32(0x00400000)
+#: The exact accumulator geometry, for callers that name none.
+_DEFAULT_PCS = PcsConfig()
 
 _FALLBACKS = _metrics.counter(
     "repro_dataplane_fallbacks_total",
@@ -170,6 +168,31 @@ class BankStreams:
         self.accesses = _frozen(accesses)
 
 
+class WordStreams:
+    """One plan's streams as word indices into a stack whose row 0 sits at
+    byte address ``base``: ``read0``/``read1``/``init``/``store`` are
+    contiguous int64 arrays (``None`` for an absent port) and ``pointers``
+    their addresses, the layout the compiled MAC kernel reads directly.
+    Every array is read-only."""
+
+    __slots__ = ("read0", "read1", "init", "store", "pointers")
+
+    def __init__(self, plan: "CommandPlan", base: int) -> None:
+        def to_words(addresses: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            if addresses is None:
+                return None
+            return _frozen(np.ascontiguousarray((addresses - base) >> 2))
+
+        self.read0 = to_words(plan.read0)
+        self.read1 = to_words(plan.read1)
+        self.init = to_words(plan.init_read_addrs)
+        self.store = to_words(plan.store_addrs)
+        self.pointers = tuple(
+            None if words is None else words.ctypes.data
+            for words in (self.read0, self.read1, self.init, self.store)
+        )
+
+
 class CommandPlan:
     """Everything the engines derive from one command's value, computed once.
 
@@ -188,9 +211,7 @@ class CommandPlan:
     ``period_init`` iterations, stores at the end of every ``period_store``
     block — which is what lets the data plane use uniform reshapes instead
     of ragged segment bookkeeping; ``store_columns`` are the store
-    positions within one init block, and ``read1_periodic`` is whether
-    operand 1 presents the same addresses in every init block (a conv's
-    weights), which lets a MAC gather them once.
+    positions within one init block.
 
     The verdicts: ``lo``/``hi`` bound every address the command presents
     (``None`` when it presents none) and ``residue`` is their common
@@ -199,14 +220,15 @@ class CommandPlan:
     operand 1, init), a mask of the reads that observe an earlier store
     of the same command, or ``None`` when no read does; ``raw_hazard`` is
     whether any does.  :meth:`banks` projects the streams onto one TCDM's
-    banks, lazily and once per ``(base, num_banks)``.
+    banks, lazily and once per ``(base, num_banks)``, and :meth:`words`
+    onto the rows of a stack, once per ``base``.
     """
 
     __slots__ = (
         "total", "read0", "read1", "agu2", "init_ts", "init_read_addrs",
         "store_ts", "store_addrs", "period_init", "period_store",
-        "store_columns", "read1_periodic", "num_reads", "num_stores", "lo",
-        "hi", "residue", "own_reads", "raw_hazard", "_banks",
+        "store_columns", "num_reads", "num_stores", "lo", "hi", "residue",
+        "own_reads", "raw_hazard", "_banks", "_words",
     )
 
     def __init__(self, command: NtxCommand) -> None:
@@ -256,10 +278,6 @@ class CommandPlan:
         self.store_columns = _frozen(
             np.arange(1, per_block + 1, dtype=np.int64) * period_store - 1
         )
-        read1 = self.read1
-        self.read1_periodic = read1 is not None and bool(
-            np.all(read1.reshape(-1, period_init) == read1[:period_init])
-        )
 
         reads = [addresses for addresses in self.read_ports
                  if addresses is not None and len(addresses)]
@@ -281,6 +299,7 @@ class CommandPlan:
             self.own_reads = _own_store_reads(self)
         self.raw_hazard = any(mask is not None for mask in self.own_reads)
         self._banks: Dict[Tuple[int, int], BankStreams] = {}
+        self._words: Dict[int, WordStreams] = {}
 
     @property
     def read_ports(self) -> Tuple[Optional[np.ndarray], ...]:
@@ -305,6 +324,13 @@ class CommandPlan:
         if projection is None:
             projection = self._banks.setdefault(key, BankStreams(self, base, num_banks))
         return projection
+
+    def words(self, base: int) -> WordStreams:
+        """The word indices into a stack whose row 0 sits at ``base``."""
+        streams = self._words.get(base)
+        if streams is None:
+            streams = self._words.setdefault(base, WordStreams(self, base))
+        return streams
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -412,91 +438,52 @@ def execute_streams_batched(
     plan: CommandPlan,
     stack: np.ndarray,
     base: int,
-    exact: bool = False,
+    pcs: PcsConfig = _DEFAULT_PCS,
 ) -> bool:
     """Replay one command over a word-major stack of TCDM images at once.
 
-    ``stack`` is a float32 array of shape ``(words, tiles)``: row ``w``
-    holds word ``w`` — at byte address ``base + 4 * w`` — of every tile's
-    private scratchpad image.  Every tile executes the *same* command
-    stream over *different* data, so each gather copies whole contiguous
-    rows of ``tiles`` floats, each reduction step adds whole rows, and each
-    scatter writes whole rows: one NumPy dispatch per step for the whole
-    stack.  The live TCDM's word view (``view[:, None]``) is a stack of one.
+    ``stack`` is a C-contiguous float32 array of shape ``(words, tiles)``:
+    row ``w`` holds word ``w`` — at byte address ``base + 4 * w`` — of
+    every tile's private scratchpad image.  Every tile executes the *same*
+    command stream over *different* data, so each gather copies whole
+    contiguous rows of ``tiles`` floats, each reduction step adds whole
+    rows, and each scatter writes whole rows: one NumPy dispatch per step
+    for the whole stack.  A MAC runs in the compiled kernel over the
+    stack in place, as a register of geometry ``pcs``.  The live TCDM's
+    word view (``view[:, None]``) is a stack of one.
 
-    Returns ``False`` when the command needs the exact per-op path: a RAW
-    hazard inside the command, addresses off the stack or unaligned, or a
-    NaN input to a comparator reduction anywhere in the stack.  With
-    ``exact=True`` every store must also be bit-identical to the per-op
-    soft-float walk, so the kernel further refuses a MAC whose sum the
-    TwoSum certificate cannot vouch for, a NaN that COPY/MASK would move
-    without the walk's float conversions (which quiet signalling NaNs) or
-    that seeds MAX/MIN, and a ``-0.0`` input to MAX/MIN (NumPy breaks
-    ``±0`` ties differently from the FPU's strict first-wins compare).
-    The certified MAC materialises every float64 product of the stack,
-    and one uncertified tile refuses the whole stack.  Each refusal is
-    counted by reason.  No access counters are touched here.
+    Every store is bit-identical to the per-op walk.  Returns ``False``
+    (counted by reason, the stack untouched) when the command needs that
+    walk instead: a RAW hazard inside the command, addresses off the
+    stack or unaligned, or a MAC without the compiled library.  No access
+    counters are touched here.
     """
     words, tiles = stack.shape
     if not plan.in_span(base, words):
         return _fall_back("outside_tcdm")
     if plan.raw_hazard:
         return _fall_back("raw_hazard")
+    if not plan.num_stores:
+        return True
+    streams = plan.words(base)
+    if command.opcode is NtxOpcode.MAC:
+        kernel = timing_core.mac_kernel()
+        if kernel is None:
+            return _fall_back(timing_core.unavailable_reason())
+        kernel(stack, plan, streams, pcs)
+        return True
 
-    def gather(addresses: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        return None if addresses is None else stack[(addresses - base) >> 2]
+    def gather(indices: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        return None if indices is None else stack[indices]
 
-    opcode = command.opcode
-    a = gather(plan.read0)
-    # A MAC operand 1 that repeats in every init block (a conv's weights)
-    # is gathered for one block and broadcast over the rest.
-    if plan.read1_periodic and opcode is NtxOpcode.MAC:
-        b = gather(plan.read1[: plan.period_init])
-    else:
-        b = gather(plan.read1)
-    init_values = gather(plan.init_read_addrs)
-
-    if opcode in (NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
-        if a is not None and np.any(np.isnan(a)):
-            return _fall_back("nan_compare")
-    if exact:
-        reason = _inexact_operands(opcode, a, init_values)
-        if reason:
-            return _fall_back(reason)
-
-    values = _store_values(command, plan, a, b, init_values, tiles, exact)
-    if values is None:
-        return _fall_back("inexact_mac")
-    if plan.num_stores:
-        # Duplicate store addresses resolve in program order (store_ts is
-        # ascending and NumPy fancy assignment applies rows left to right).
-        stack[(plan.store_addrs - base) >> 2] = values
+    values = _store_values(
+        command, plan, gather(streams.read0), gather(streams.read1),
+        gather(streams.init), tiles,
+    )
+    # Duplicate store addresses resolve in program order (store_ts is
+    # ascending and NumPy fancy assignment applies rows left to right).
+    stack[streams.store] = values
     return True
-
-
-def _inexact_operands(
-    opcode: NtxOpcode, a: Optional[np.ndarray], init_values: Optional[np.ndarray]
-) -> Optional[str]:
-    """Why the array formulas of a non-MAC ``opcode`` may not match the
-    per-op FPU bit for bit on these operands, or ``None``.
-
-    COPY and MASK move ``a`` without the walk's float conversions, which
-    quiet signalling NaNs; MAX/MIN may return a NaN init value with a
-    different payload, and break ``±0`` ties other than the FPU's strict
-    first-wins compare.
-    """
-    if opcode in (NtxOpcode.COPY, NtxOpcode.MASK):
-        moved = a
-    elif opcode in (NtxOpcode.MAX, NtxOpcode.MIN):
-        for data in (a, init_values):
-            if data is not None and np.any(np.signbit(data) & (data == 0)):
-                return "signed_zero"
-        moved = init_values
-    else:
-        return None
-    if moved is not None and np.any(np.isnan(moved)):
-        return "nan_operand"
-    return None
 
 
 #: Below this many ``blocks x tiles`` lanes a block-axis walk pays more in
@@ -506,79 +493,105 @@ _WALK_MIN_LANES = 2048
 
 
 def _running(
-    step: np.ufunc,
-    term: Callable[[object], np.ndarray],
-    shape: Tuple[int, int, int],
-    columns: np.ndarray,
+    step: np.ufunc, a: np.ndarray, columns: np.ndarray, nan_as: float
 ) -> np.ndarray:
     """The running ``step`` reduction of a ``(blocks, period, tiles)``
-    operand along its block axis, at the store ``columns`` only:
-    ``(blocks, len(columns), tiles)``.
+    operand along its block axis, with every NaN taken as ``nan_as``, at
+    the store ``columns`` only: ``(blocks, len(columns), tiles)``.
 
-    ``term(j)`` is the operand's ``(blocks, tiles)`` slice at block
-    position ``j``, or the whole operand for ``j = slice(None)``.  Narrow
-    inputs run ``step.accumulate`` over the whole operand; wide ones walk
-    the block axis one vector step at a time, ``running = step(running,
-    term(j))`` over ``blocks x tiles`` lanes, without materialising the
-    operand.  Both apply ``step`` in the same left-to-right order, so they
-    are bit-identical; the shape alone picks the faster one.
+    Narrow inputs run ``step.accumulate`` over the whole operand; wide
+    ones walk the block axis one vector step at a time, ``running =
+    step(running, a[:, j])`` over ``blocks x tiles`` lanes, without
+    materialising the cleaned operand.  Both apply ``step`` in the same
+    left-to-right order, so they are bit-identical; the shape alone picks
+    the faster one.
     """
-    num_blocks, period, tiles = shape
+    num_blocks, period, tiles = a.shape
     if num_blocks * tiles < _WALK_MIN_LANES:
-        return step.accumulate(term(slice(None)), axis=1)[:, columns]
-    running = np.array(term(0))
+        return step.accumulate(_nan_as(a, nan_as), axis=1)[:, columns]
+    running = np.array(_nan_as(a[:, 0], nan_as))
     out = np.empty((num_blocks, len(columns), tiles), dtype=running.dtype)
     column = 0
     for j in range(period):
         if j:
-            step(running, term(j), out=running)
+            step(running, _nan_as(a[:, j], nan_as), out=running)
         if j == columns[column]:
             out[:, column] = running
             column += 1
     return out
 
 
-def _two_sum_residual(a: np.ndarray, b: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Knuth's TwoSum: the rounding error of ``total = fl(a + b)``.
-
-    Exact for finite operands in round-to-nearest, so a zero residual
-    proves the addition rounded nothing; a non-finite sum yields NaN.
-    """
-    b_part = total - a
-    return (a - (total - b_part)) + (b - b_part)
+#: The element-wise arithmetic opcodes.
+_ARITHMETIC = {
+    NtxOpcode.MUL: np.multiply,
+    NtxOpcode.ADD: np.add,
+    NtxOpcode.SUB: np.subtract,
+}
 
 
-def _certified_mac(
+def _pick_nan_operand(element: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Give ``element`` the FPU's NaN wherever both operands are NaN: the
+    first operand's, quieted (NumPy leaves the choice to its loops)."""
+    both = np.isnan(a) & np.isnan(b)
+    if both.any():
+        element[both] = a[both]
+        _quiet(element)
+
+
+def _nan_as(values: np.ndarray, value: float) -> np.ndarray:
+    """``values`` with every NaN replaced by ``value`` (``values`` itself
+    when it holds none)."""
+    nan = np.isnan(values)
+    return np.where(nan, values.dtype.type(value), values) if nan.any() else values
+
+
+def _quiet(values: np.ndarray) -> np.ndarray:
+    """``values`` with every signalling NaN quieted in place, as the FPU's
+    float conversions quiet them (payload and sign kept)."""
+    nan = np.isnan(values)
+    if nan.any():
+        values.view(np.uint32)[nan] |= _QUIET_BIT
+    return values
+
+
+def _extremum(
+    opcode: NtxOpcode,
     a: np.ndarray,
-    b: np.ndarray,
     init_values: Optional[np.ndarray],
     columns: np.ndarray,
-) -> Optional[np.ndarray]:
-    """The MAC write-backs of ``(blocks, period, tiles)`` operands,
-    bit-identical to the partial-carry-save accumulator, or ``None`` when
-    some float64 addition of the running sum rounded.
+) -> np.ndarray:
+    """The comparator register of MAX/MIN at the store ``columns``, from
+    ``(blocks, period, tiles)`` operands and ``(blocks, tiles)`` AGU2 init
+    values: ``(blocks, len(columns), tiles)``, quieted.
 
-    The 24x24 bit products are exact in float64; if every addition of
-    their running sum (and of the init value) has a zero TwoSum residual,
-    the sums are exact too, and one float32 conversion is the
-    accumulator's single round-to-nearest-even.  ``+ 0.0`` maps an exact
-    zero sum to ``+0``, as the accumulator's fixed-point zero rounds.
+    The register starts at the init value (or takes the first operand) and
+    takes an operand only when it compares strictly greater (less), so it
+    holds the *first* element equal to the running extremum: a NaN first
+    element sticks, later NaNs never win, and among ``±0`` ties the first
+    zero's sign stays.  ``maximum``/``minimum`` over the operands with
+    every NaN made the identity give the extremum's value; the two fixups
+    below restore the rest.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        products = np.multiply(a, b, dtype=np.float64)
-        sums = np.add.accumulate(products, axis=1)
-        if np.any(_two_sum_residual(sums[:, :-1], products[:, 1:], sums[:, 1:])):
-            return None
-        running = sums[:, columns]
+    step = np.maximum if opcode is NtxOpcode.MAX else np.minimum
+    first = a[:, 0] if init_values is None else init_values
+    never = -np.inf if opcode is NtxOpcode.MAX else np.inf
+    running = _running(step, a, columns, never)
+    if init_values is not None:
+        step(running, init_values[:, None, :], out=running)
+    zero = running == 0
+    if zero.any():
+        # A zero extremum is the block's first zero, the init value first.
+        index = (a == 0).argmax(axis=1)[:, None, :]
+        negative = np.signbit(np.take_along_axis(a, index, axis=1))
         if init_values is not None:
-            init = init_values.astype(np.float64)[:, None, :]
-            seeded = running + init
-            if np.any(_two_sum_residual(running, init, seeded)):
-                return None
-            running = seeded
-        if not np.all(np.isfinite(running)):
-            return None
-        return (running + 0.0).astype(np.float32)
+            init = init_values[:, None, :]
+            negative = np.where(init == 0, np.signbit(init), negative)
+        signed_zero = np.where(negative, np.float32(-0.0), np.float32(0.0))
+        running = np.where(zero, signed_zero, running)
+    stuck = np.isnan(first)
+    if stuck.any():
+        running = np.where(stuck[:, None, :], first[:, None, :], running)
+    return _quiet(running)
 
 
 def _store_values(
@@ -588,19 +601,16 @@ def _store_values(
     b: Optional[np.ndarray],
     init_values: Optional[np.ndarray],
     tiles: int,
-    exact: bool = False,
-) -> Optional[np.ndarray]:
-    """The binary32 value of every write-back, ``(stores, tiles)`` in store
-    order, from ``(iterations, tiles)`` operands and ``(inits, tiles)``
-    init values; ``None`` when ``exact`` and a MAC sum is not certified.
+) -> np.ndarray:
+    """The binary32 value of every write-back of a non-MAC command,
+    ``(stores, tiles)`` in store order, from ``(iterations, tiles)``
+    operands and ``(inits, tiles)`` init values.
 
     Per-iteration data is viewed as ``(blocks, period_init, tiles)``; every
     reduction runs along the block axis, so each tile's column is
     bit-for-bit what that tile alone would produce.
     """
     num_stores = plan.num_stores
-    if not num_stores:
-        return np.empty((0, tiles), dtype=np.float32)
     opcode = command.opcode
     scalar = np.float32(command.scalar)
     columns = plan.store_columns
@@ -611,36 +621,16 @@ def _store_values(
     def stores(data: np.ndarray) -> np.ndarray:
         return data.reshape(num_stores, tiles)
 
-    if opcode is NtxOpcode.MAC:
-        a, b = blocks(a), blocks(b)
-        if exact:
-            values = _certified_mac(a, b, init_values, columns)
-            return None if values is None else stores(values)
-        # Exact 24x24 bit products fit a float64 significand, so only the
-        # running sum differs from the partial-carry-save accumulator — by
-        # at most one float64 rounding per added product.
-        running = _running(
-            np.add,
-            lambda j: np.multiply(a[:, j], b[:, j], dtype=np.float64),
-            a.shape,
-            columns,
-        )
-        if init_values is not None:
-            running += init_values.astype(np.float64)[:, None, :]
-        return stores(running).astype(np.float32)
-
     if opcode is NtxOpcode.FILL:
         return np.full((num_stores, tiles), scalar, dtype=np.float32)
 
     if opcode in (NtxOpcode.MUL, NtxOpcode.ADD, NtxOpcode.SUB, NtxOpcode.MASK,
                   NtxOpcode.RELU, NtxOpcode.THRESHOLD, NtxOpcode.COPY):
         zero = np.float32(0.0)
-        if opcode is NtxOpcode.MUL:
-            element = a * b
-        elif opcode is NtxOpcode.ADD:
-            element = a + b
-        elif opcode is NtxOpcode.SUB:
-            element = a - b
+        if opcode in _ARITHMETIC:
+            element = _ARITHMETIC[opcode](a, b)
+            if np.isnan(element).any():
+                _pick_nan_operand(element, a, b)
         elif opcode is NtxOpcode.MASK:
             element = np.where(b != zero, a, zero)
         elif opcode is NtxOpcode.RELU:
@@ -649,15 +639,13 @@ def _store_values(
             element = np.where(a > scalar, np.float32(1.0), zero)
         else:  # COPY
             element = a
-        return stores(blocks(element)[:, columns])
+        values = stores(blocks(element)[:, columns])
+        if opcode in (NtxOpcode.COPY, NtxOpcode.MASK):
+            _quiet(values)
+        return values
 
     if opcode in (NtxOpcode.MAX, NtxOpcode.MIN):
-        step = np.maximum if opcode is NtxOpcode.MAX else np.minimum
-        a = blocks(a)
-        running = _running(step, lambda j: a[:, j], a.shape, columns)
-        if init_values is not None:
-            step(running, init_values[:, None, :], out=running)
-        return stores(running)
+        return stores(_extremum(opcode, blocks(a), init_values, columns))
 
     if opcode in (NtxOpcode.ARGMAX, NtxOpcode.ARGMIN):
         signed = blocks(a) if opcode is NtxOpcode.ARGMAX else -blocks(a)
@@ -666,12 +654,16 @@ def _store_values(
         # block always becomes the initial best.
         seed = np.full((signed.shape[0], 1, tiles), -np.inf, dtype=signed.dtype)
         # Strictly-greater-than-all-previous elements become the new best;
-        # ties keep the earliest index.
-        prefix = np.maximum.accumulate(np.concatenate([seed, signed], axis=1), axis=1)
+        # ties keep the earliest index, and NaNs never win (they compare
+        # false, and count as -inf in the prefix).
+        ranked = _nan_as(signed, -np.inf)
+        prefix = np.maximum.accumulate(np.concatenate([seed, ranked], axis=1), axis=1)
         is_new = signed > prefix[:, :-1]
         indices = np.arange(signed.shape[1], dtype=np.int64)[None, :, None]
         best = np.maximum.accumulate(np.where(is_new, indices, -1), axis=1)
         best = np.maximum(best[:, columns], 0)
+        # A NaN first element holds the register: nothing compares greater.
+        best[np.broadcast_to(np.isnan(signed[:, :1]), best.shape)] = 0
         return stores(best).astype(np.float32)
 
     raise ValueError(f"unhandled opcode {opcode!r}")  # pragma: no cover

@@ -32,9 +32,8 @@ the run passes the self-containment gate below:
    the members sit one stride apart (a tiled workload), a gather through
    a window view of the HMC otherwise.  The one data plane of both
    engines replays the shared command stream over the stack in place
-   (:meth:`~repro.cluster.sim.ClusterSimulator.run_data_plane`), in the
-   mode the engine names — certified-exact for the scalar engine, whose
-   uncertified commands walk per tile — and the DMA-out rows go straight
+   (:meth:`~repro.cluster.sim.ClusterSimulator.run_data_plane`),
+   bit-identically to the per-op walk — and the DMA-out rows go straight
    back to each member's HMC region the same way.  A group of one tile
    runs the ordinary inline hit path;
 3. cache misses still run inline in walk order, so hit/miss accounting
@@ -659,8 +658,8 @@ def _replay_group_batched(
             _stage_in(stack, dst - base, hmc_u8, sources[:, row], transfer0.row_bytes)
         _mirror_dma_stats(work, slots, per_item, transfer0, cycles, inbound=True)
 
-    # Compute: the shared command stream replays over the stack in the
-    # engine's mode; commands it refuses walk tile by tile.
+    # Compute: the shared command stream replays over the stack; commands
+    # the kernel refuses walk tile by tile.
     if tile0.commands:
         ClusterSimulator(item0.cluster, engine=config.engine).run_data_plane(
             members[0].plan.jobs, stack, base

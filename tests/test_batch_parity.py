@@ -23,10 +23,10 @@ This file holds that promise in place:
 The reference draws lattice-valued operands (multiples of 1/16) so both
 cycle engines produce bit-identical floating-point results.  Two tests use
 arbitrary normal data to check memo-off against memo-on *within* one
-engine, where no cross-engine rounding question arises: the vectorized
-engine, and the scalar engine, whose stacked groups walk uncertified MACs
-tile by tile.  A narrow accumulator geometry must give the scalar
-engine's bytes on every data-plane path of both engines.
+engine: the vectorized engine, and the scalar engine, whose stacked
+groups replay every MAC in the compiled kernel without a fallback.  A
+narrow accumulator geometry must give the scalar engine's bytes on every
+data-plane path of both engines, also without one.
 """
 
 import dataclasses
@@ -172,21 +172,21 @@ def _batched_groups():
 
 
 class TestScalarBatchedReplay:
-    """The scalar engine's hits replay in stacked groups too, in the data
-    plane's certified-exact mode: on normal data the certificate refuses,
-    and the group's MACs walk tile by tile, bit-identical to the no-cache
-    walk."""
+    """The scalar engine's hits replay in stacked groups too: on normal
+    data, whose float64 sums round, the compiled kernel's exact lane
+    serves every MAC of the group without a fallback, bit-identical to
+    the no-cache walk."""
 
     def test_normal_data_groups_walk_uncertified_macs_per_tile(self):
         by_reason = _fallbacks()
         config = SystemConfig(engine="scalar", num_vaults=1, clusters_per_vault=1)
         reference = _run(num_tiles=4, memoize=False, config=config, draw=_normal, seed=7)
-        before = by_reason().get("inexact_mac", 0)
+        before = by_reason()
         groups = _batched_groups()
         candidate = _run(num_tiles=4, memoize=True, config=config, draw=_normal, seed=7)
         assert (candidate[2].cache_hits, candidate[2].cache_misses) == (3, 1)
         assert _batched_groups() >= groups + 1
-        assert by_reason()["inexact_mac"] > before
+        assert by_reason() == before
         ref_sim, _, ref_result = reference
         sim, _, result = candidate
         assert np.array_equal(_hmc_bytes(ref_sim), _hmc_bytes(sim))
@@ -198,9 +198,10 @@ _NARROW = [PcsConfig(width=300), PcsConfig(lsb_exponent=-150, width=300)]
 
 class TestNarrowAccumulatorParity:
     """A non-default accumulator geometry (which may saturate or truncate)
-    sends every MAC to the per-op walk on every data-plane path — the
-    vectorized cycle run, an inline timing-cache hit and a stacked group —
-    for both engines, so each leaves the scalar no-cache walk's bytes."""
+    runs every MAC through the compiled kernel's exact lane on every
+    data-plane path — the vectorized cycle run, an inline timing-cache hit
+    and a stacked group — for both engines, without a fallback, so each
+    leaves the scalar no-cache walk's bytes."""
 
     @pytest.mark.parametrize("pcs", _NARROW, ids=["saturating", "truncating"])
     @pytest.mark.parametrize(
@@ -226,13 +227,13 @@ class TestNarrowAccumulatorParity:
             num_tiles=num_tiles, memoize=False,
             config=SystemConfig(engine="scalar", **geometry),
         )
-        before = by_reason().get("pcs_config", 0)
+        before = by_reason()
         groups = _batched_groups()
         candidate = _run(
             num_tiles=num_tiles, memoize=memoize,
             config=SystemConfig(engine=engine, **geometry),
         )
-        assert by_reason()["pcs_config"] > before
+        assert by_reason() == before
         assert (_batched_groups() > groups) == (path == "batched-group")
         assert candidate[2].cache_hits == (num_tiles - 1 if memoize else 0)
         ref_sim, _, ref_result = reference

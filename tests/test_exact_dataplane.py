@@ -1,18 +1,24 @@
-"""The data-plane kernel's certified-exact mode against the per-op walk.
+"""The data plane's one mode against the per-op walk.
 
-The scalar engine's timing-cache hits replay through the shared data
-plane (:func:`repro.cluster.vecsim.run_data_plane`) in the kernel's
-``exact=True`` mode: a MAC is
-served from float64 running sums only when a TwoSum residual proves every
-addition exact, and any command the kernel cannot vouch for runs through
-:func:`~repro.core.vecops.execute_functional`.  These tests fuzz that mode
-against the per-op soft-float walk — TCDM bytes (NaN payloads included),
-bank accesses, memory read/write counts and ``FpuStats`` — over MAC
-commands of every init source, store level and stack height, over the
-data classes that exercise the certificate (lattice, normal, wide
-exponents, subnormals, signed zeros, near ``FLT_MAX``, ``±inf`` and NaN),
-and over the non-MAC opcodes with NaN and signed-zero inputs.
+Both engines replay through the shared data plane
+(:func:`repro.cluster.vecsim.run_data_plane`): MACs in the compiled
+kernel — a float64 lane certified by a TwoSum residual per tile, and an
+exact superaccumulator lane for every tile the certificate does not cover
+and for every non-default accumulator geometry — and the other opcodes as
+array formulas.  Every store must be bit-identical to the per-op
+soft-float walk (:func:`~repro.core.vecops.execute_functional`) on every
+input, with no fallback.  These tests check that against the walk — TCDM
+bytes (NaN payloads included), bank accesses, memory read/write counts
+and ``FpuStats`` — for both engines, over MAC commands of every init
+source, store level and stack height (1, 2, 37 and 400 tiles, a few
+poisoned lanes among lattice lanes), over narrow accumulators that
+saturate or truncate, over the data classes that defeat the certificate
+(normal, wide exponents, subnormals, signed zeros, near ``FLT_MAX``,
+``±inf`` and NaN payloads), and over the non-MAC opcodes with NaN and
+signed-zero inputs.
 """
+
+import shutil
 
 import numpy as np
 import pytest
@@ -23,8 +29,13 @@ from repro.cluster.sim import ClusterSimulator
 from repro.cluster.vecsim import _ImageTcdm
 from repro.core.commands import AguConfig, InitSource, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.ntx import NtxConfig
-from repro.core.vecops import command_plan, execute_functional, execute_streams_batched
+from repro.core.vecops import command_plan, execute_functional
 from repro.softfloat.pcs import PcsConfig
+
+ENGINES = ("scalar", "vectorized")
+
+#: Assertions that nothing fell back need the compiled MAC kernel.
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 
 _FLT_MAX = float(np.finfo(np.float32).max)
 #: NaN bit patterns: quiet and signalling, both signs, with payloads.
@@ -32,6 +43,14 @@ _NAN_BITS = np.array(
     [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF812345, 0x7FC12345, 0x7FA00000],
     dtype=np.uint32,
 )
+
+#: Accumulator geometries: the exact default, one that saturates at 2**2
+#: and one that truncates product bits below 2**-150.
+PCS_CONFIGS = {
+    "default": None,
+    "saturating": PcsConfig(width=300),
+    "truncating": PcsConfig(lsb_exponent=-150, width=300),
+}
 
 
 def _lattice(rng, n):
@@ -47,8 +66,7 @@ def _wide(rng, n):
 
 
 def _subnormal(rng, n):
-    # Products of two subnormals reach 2**-298; sums stay exact in float64
-    # only while the exponents stay close.
+    # Products of two subnormals reach 2**-298.
     return rng.integers(-8, 8, size=n) * np.exp2(rng.integers(-149, -120, size=n))
 
 
@@ -61,13 +79,21 @@ def _near_max(rng, n):
     return rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.5, 1.0, size=n) * _FLT_MAX
 
 
+def _infinite(rng, n):
+    return rng.choice([-np.inf, np.inf], size=n)
+
+
+def _nan(rng, n):
+    return rng.choice(_NAN_BITS, size=n).view(np.float32)
+
+
 def _nonfinite(rng, n):
     values = _lattice(rng, n).astype(np.float32)
     special = rng.random(n)
     values[special < 0.15] = np.inf
     values[(special >= 0.15) & (special < 0.3)] = -np.inf
     nan = special >= 0.85
-    values.view(np.uint32)[nan] = rng.choice(_NAN_BITS, size=int(nan.sum()))
+    values[nan] = _nan(rng, int(nan.sum()))
     return values
 
 
@@ -81,11 +107,21 @@ DATA_CLASSES = {
     "nonfinite": _nonfinite,
 }
 
+#: What a poisoned lane of a stack holds in some of its words.
+POISONS = {
+    "nan": _nan,
+    "inf": _infinite,
+    "subnormal": _subnormal,
+    "zeros": _zeros,
+    "wide": _wide,
+    "near_max": _near_max,
+}
 
-def _draw(data_class, rng, n):
+
+def _draw(data_class, rng, n, classes=DATA_CLASSES):
     """``n`` float32 words of ``data_class``."""
     with np.errstate(over="ignore"):
-        return np.asarray(DATA_CLASSES[data_class](rng, n)).astype(np.float32)
+        return np.asarray(classes[data_class](rng, n)).astype(np.float32)
 
 
 def _command(opcode, counts, init_level, store_level, init_source, base):
@@ -120,21 +156,35 @@ def _fallbacks():
     return by_reason
 
 
-def _replay_both(command, words, config=None):
-    """The exact-mode hit path and the per-op walk of ``command`` on two
-    clusters whose TCDMs start as ``words``; returns both clusters."""
-    clusters = []
-    for exact_replay in (True, False):
-        cluster = Cluster(config)
-        tcdm = cluster.tcdm
-        view = np.frombuffer(tcdm.memory.data, dtype=np.float32)
-        view[: len(words)] = words
-        if exact_replay:
-            ClusterSimulator(cluster, engine="scalar").run_data_plane([(0, command)])
-        else:
-            execute_functional(cluster.ntx[0], command, tcdm)
-        clusters.append(cluster)
-    return clusters
+def _config(pcs):
+    return None if pcs is None else ClusterConfig(ntx=NtxConfig(pcs=pcs))
+
+
+def _loaded(words, config=None):
+    """A cluster whose TCDM starts as ``words``."""
+    cluster = Cluster(config)
+    np.frombuffer(cluster.tcdm.memory.data, dtype=np.float32)[: len(words)] = words
+    return cluster
+
+
+def _replay(engine, command, words, config=None):
+    """``command`` through ``engine``'s data plane on a cluster whose TCDM
+    starts as ``words``: the scalar engine's timing-cache hit path, the
+    vectorized engine's cycle run."""
+    cluster = _loaded(words, config)
+    simulator = ClusterSimulator(cluster, engine=engine)
+    if engine == "scalar":
+        simulator.run_data_plane([(0, command)])
+    else:
+        simulator.run([(0, command)])
+    return cluster
+
+
+def _walk(command, words, config=None):
+    """The per-op soft-float walk of ``command``."""
+    cluster = _loaded(words, config)
+    execute_functional(cluster.ntx[0], command, cluster.tcdm)
+    return cluster
 
 
 def _assert_same_effects(got, ref):
@@ -147,78 +197,129 @@ def _assert_same_effects(got, ref):
     assert vars(got.ntx[0].fpu.stats) == vars(ref.ntx[0].fpu.stats)
 
 
+def _assert_both_engines_match_the_walk(command, words, config=None):
+    ref = _walk(command, words, config)
+    for engine in ENGINES:
+        _assert_same_effects(_replay(engine, command, words, config), ref)
+    return ref
+
+
+def _assert_stack_matches_the_walk(command, stack, config=None):
+    """Both engines' stacked replay of ``stack`` against the per-op walk of
+    each tile's column, counters summed over the tiles."""
+    base = Cluster().tcdm.base
+    expected = stack.copy()
+    ref = Cluster(config)
+    for tile in range(stack.shape[1]):
+        execute_functional(
+            ref.ntx[0], command, _ImageTcdm(expected[:, tile], base, ref.tcdm)
+        )
+    for engine in ENGINES:
+        got = Cluster(config)
+        replayed = stack.copy()
+        ClusterSimulator(got, engine=engine).run_data_plane([(0, command)], replayed, base)
+        assert np.array_equal(replayed.view(np.uint32), expected.view(np.uint32)), engine
+        assert np.array_equal(got.tcdm.bank_accesses, ref.tcdm.bank_accesses)
+        assert (got.tcdm.memory.reads, got.tcdm.memory.writes) == (
+            ref.tcdm.memory.reads, ref.tcdm.memory.writes
+        )
+        assert vars(got.ntx[0].fpu.stats) == vars(ref.ntx[0].fpu.stats)
+    return expected
+
+
+def _poisoned_stack(rng, words, tiles):
+    """Lattice lanes, with a few lanes holding poison in some of their
+    words (lane 0 always, so a stack of one is poisoned too)."""
+    stack = _draw("lattice", rng, words * tiles).reshape(words, tiles)
+    lanes = {0} | set(rng.choice(tiles, size=min(4, tiles), replace=False).tolist())
+    for number, lane in enumerate(sorted(lanes)):
+        kind = sorted(POISONS)[(number + int(rng.integers(len(POISONS)))) % len(POISONS)]
+        hit = rng.random(words) < 0.3
+        stack[hit, lane] = _draw(kind, rng, int(hit.sum()), POISONS)
+    return stack
+
+
+@needs_cc
+@pytest.mark.parametrize("pcs", list(PCS_CONFIGS), ids=list(PCS_CONFIGS))
+@pytest.mark.parametrize("store_level", [0, 1, 2])
+@pytest.mark.parametrize("init_source", [InitSource.ZERO, InitSource.AGU2])
+@pytest.mark.parametrize("tiles", [1, 2, 37, 400])
+def test_stacked_mac_with_poisoned_lanes_matches_the_walk(tiles, init_source, store_level, pcs):
+    by_reason = _fallbacks()
+    before = by_reason()
+    config = _config(PCS_CONFIGS[pcs])
+    command = _command(NtxOpcode.MAC, (4, 3, 2), 2, store_level, init_source,
+                       Cluster().tcdm.base)
+    rng = np.random.default_rng([tiles, store_level, list(PCS_CONFIGS).index(pcs)])
+    stack = _poisoned_stack(rng, 3 * command_plan(command).total, tiles)
+    _assert_stack_matches_the_walk(command, stack, config)
+    assert by_reason() == before
+
+
 @st.composite
 def _mac_cases(draw):
     counts = (
         draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     )
-    init_level = draw(st.integers(1, 2))
+    init_level = draw(st.integers(1, 3))
     return dict(
         counts=counts,
         init_level=init_level,
-        store_level=draw(st.integers(0, init_level - 1)),
+        store_level=draw(st.integers(0, init_level)),
         init_source=draw(st.sampled_from([InitSource.ZERO, InitSource.AGU2])),
         data_class=draw(st.sampled_from(sorted(DATA_CLASSES))),
+        pcs=draw(st.sampled_from(sorted(PCS_CONFIGS))),
         tiles=draw(st.sampled_from([1, 3])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
 @seed(20191105)
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=_mac_cases())
 def test_exact_mac_matches_the_per_op_walk(case):
     rng = np.random.default_rng(case["seed"])
-    base = Cluster().tcdm.base
     command = _command(
         NtxOpcode.MAC, case["counts"], case["init_level"], case["store_level"],
-        case["init_source"], base,
+        case["init_source"], Cluster().tcdm.base,
     )
-    streams = command_plan(command)
-    words = 3 * streams.total
+    config = _config(PCS_CONFIGS[case["pcs"]])
+    words = 3 * command_plan(command).total
     if case["tiles"] == 1:
-        got, ref = _replay_both(command, _draw(case["data_class"], rng, words))
-        _assert_same_effects(got, ref)
-        return
-    # A stack of several tiles: the kernel either certifies the whole stack
-    # or leaves it untouched for the caller's per-tile walk.
-    stack = _draw(case["data_class"], rng, words * case["tiles"]).reshape(words, -1)
-    expected = stack.copy()
-    scratch = Cluster()
-    for tile in range(case["tiles"]):
-        execute_functional(
-            scratch.ntx[0], command, _ImageTcdm(expected[:, tile], base, scratch.tcdm)
+        _assert_both_engines_match_the_walk(
+            command, _draw(case["data_class"], rng, words), config
         )
-    before = stack.copy()
-    if not execute_streams_batched(command, streams, stack, base, exact=True):
-        assert before.view(np.uint32).tobytes() == stack.view(np.uint32).tobytes()
-        return
-    assert np.array_equal(stack.view(np.uint32), expected.view(np.uint32))
+    else:
+        stack = _draw(case["data_class"], rng, words * case["tiles"]).reshape(words, -1)
+        _assert_stack_matches_the_walk(command, stack, config)
 
 
+@needs_cc
 @pytest.mark.parametrize("data_class", ["lattice", "zeros"])
 @pytest.mark.parametrize("init_source", [InitSource.ZERO, InitSource.AGU2])
 def test_lattice_and_zero_macs_are_certified(data_class, init_source):
-    """Exact data never falls back — the point of the certificate."""
+    """Exact data never falls back."""
     by_reason = _fallbacks()
     before = by_reason()
     command = _command(NtxOpcode.MAC, (5, 2, 3), 2, 0, init_source, Cluster().tcdm.base)
     words = _draw(data_class, np.random.default_rng(11), 3 * 30)
-    got, ref = _replay_both(command, words)
-    _assert_same_effects(got, ref)
+    _assert_both_engines_match_the_walk(command, words)
     assert by_reason() == before
 
 
+@needs_cc
 def test_inexact_standard_normal_mac_falls_back_and_matches():
+    """Normal data, whose float64 running sums round, no longer falls
+    back: the exact lane serves every store the certificate refuses."""
     by_reason = _fallbacks()
-    before = by_reason().get("inexact_mac", 0)
+    before = by_reason()
     command = _command(NtxOpcode.MAC, (16, 2, 2), 2, 1, InitSource.AGU2, Cluster().tcdm.base)
     words = _draw("normal", np.random.default_rng(7), 3 * 64)
-    got, ref = _replay_both(command, words)
-    assert by_reason()["inexact_mac"] == before + 1
-    _assert_same_effects(got, ref)
+    _assert_both_engines_match_the_walk(command, words)
+    assert by_reason() == before
 
 
+@needs_cc
 @pytest.mark.parametrize(
     "counts,init_source,words",
     [
@@ -231,14 +332,14 @@ def test_inexact_standard_normal_mac_falls_back_and_matches():
     ids=["init_add", "running_sum"],
 )
 def test_double_rounding_sums_are_refused(counts, init_source, words):
-    """A sum float64 rounds must not be certified: its float32 conversion
-    would round twice and miss the accumulator's single rounding."""
+    """A sum float64 rounds must not be cast as is: it would round twice
+    and miss the accumulator's single rounding.  The certificate refuses
+    it and the exact lane rounds once, without a fallback."""
     by_reason = _fallbacks()
-    before = by_reason().get("inexact_mac", 0)
+    before = by_reason()
     command = _command(NtxOpcode.MAC, counts, 2, 2, init_source, Cluster().tcdm.base)
-    got, ref = _replay_both(command, np.array(words, dtype=np.float32))
-    assert by_reason()["inexact_mac"] == before + 1
-    _assert_same_effects(got, ref)
+    ref = _assert_both_engines_match_the_walk(command, np.array(words, dtype=np.float32))
+    assert by_reason() == before
     stored = np.frombuffer(ref.tcdm.memory.data, dtype=np.float32)[len(words) - 1]
     assert stored == np.float32(1 + 2.0**-11 + 2.0**-23)
 
@@ -251,6 +352,7 @@ def _nan_cases(draw):
         init_source=draw(st.sampled_from([InitSource.ZERO, InitSource.AGU2])),
         store_level=draw(st.integers(0, 1)),
         data_class=draw(st.sampled_from(["nonfinite", "zeros"])),
+        tiles=draw(st.sampled_from([1, 3])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -259,77 +361,114 @@ def _nan_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=_nan_cases())
 def test_exact_non_mac_opcodes_with_nan_and_signed_zero_inputs(case):
+    by_reason = _fallbacks()
+    before = by_reason()
     command = _command(
         case["opcode"], case["counts"], 2, case["store_level"], case["init_source"],
         Cluster().tcdm.base,
     )
-    words = _draw(
-        case["data_class"], np.random.default_rng(case["seed"]),
-        3 * command_plan(command).total,
-    )
+    rng = np.random.default_rng(case["seed"])
+    words = 3 * command_plan(command).total
     with np.errstate(invalid="ignore", over="ignore"):
-        got, ref = _replay_both(command, words)
-    _assert_same_effects(got, ref)
+        if case["tiles"] == 1:
+            _assert_both_engines_match_the_walk(
+                command, _draw(case["data_class"], rng, words)
+            )
+        else:
+            stack = _draw(case["data_class"], rng, words * case["tiles"])
+            _assert_stack_matches_the_walk(command, stack.reshape(words, -1))
+    assert by_reason() == before
 
 
 @pytest.mark.parametrize(
-    "opcode,data,reason",
+    "opcode,bits,stored",
     [
-        (NtxOpcode.COPY, [1.0, np.nan], "nan_operand"),
-        (NtxOpcode.MAX, [0.0, -0.0], "signed_zero"),
+        # COPY moves a signalling NaN, which the FPU's conversions quiet.
+        (NtxOpcode.COPY, [0x3F800000, 0x7FA00000], 0x7FE00000),
+        # MAX keeps the first of a ``±0`` tie, either way round.
+        (NtxOpcode.MAX, [0x00000000, 0x80000000], 0x00000000),
+        (NtxOpcode.MAX, [0x80000000, 0x00000000], 0x80000000),
+        # A NaN first element sticks in the MIN register, quieted.
+        (NtxOpcode.MIN, [0xFF812345, 0xBF800000], 0xFFC12345),
     ],
+    ids=["copy_snan", "max_pos_zero_first", "max_neg_zero_first", "min_nan_first"],
 )
-def test_exact_mode_refusals_are_counted(opcode, data, reason):
+def test_exact_mode_refusals_are_counted(opcode, bits, stored):
+    """Operands the array formulas used to refuse (a NaN that COPY moves,
+    a ``±0`` tie or NaN seed of MAX/MIN) now match the walk and count
+    nothing."""
     by_reason = _fallbacks()
-    before = by_reason().get(reason, 0)
+    before = by_reason()
     command = _command(opcode, (2, 1, 1), 2, 2, InitSource.ZERO, Cluster().tcdm.base)
-    got, ref = _replay_both(command, np.array(data + [0.0] * 4, dtype=np.float32))
-    assert by_reason()[reason] == before + 1
-    _assert_same_effects(got, ref)
+    words = np.array(bits + [0] * 4, dtype=np.uint32).view(np.float32)
+    ref = _assert_both_engines_match_the_walk(command, words)
+    assert by_reason() == before
+    assert np.frombuffer(ref.tcdm.memory.data, dtype=np.uint32)[4] == stored
 
 
+@needs_cc
 def test_narrow_accumulator_never_takes_the_certified_path():
     """A 300-bit accumulator anchored at 2**-298 tops out at 2**2, so a
-    sum the float64 certificate would vouch for saturates there; its MACs
-    must run the per-op walk."""
+    sum the float64 certificate would vouch for saturates there: the
+    kernel runs every lane of that geometry through the exact lane."""
     by_reason = _fallbacks()
-    before = by_reason().get("pcs_config", 0)
-    narrow = ClusterConfig(ntx=NtxConfig(pcs=PcsConfig(width=300)))
+    before = by_reason()
+    narrow = _config(PCS_CONFIGS["saturating"])
     command = _command(NtxOpcode.MAC, (4, 1, 1), 2, 2, InitSource.ZERO, Cluster().tcdm.base)
     words = np.array([1.5, 1.0, 0.5, 1.0] + [1.5, 1.0, 0.5, 1.0] + [0.0], np.float32)
-    got, ref = _replay_both(command, words, narrow)
-    assert by_reason()["pcs_config"] == before + 1
-    _assert_same_effects(got, ref)
-    default, _ = _replay_both(command, words)
-    assert bytes(default.tcdm.memory.data) != bytes(got.tcdm.memory.data)
+    ref = _assert_both_engines_match_the_walk(command, words, narrow)
+    assert by_reason() == before
+    assert np.frombuffer(ref.tcdm.memory.data, dtype=np.float32)[8] == np.inf
+    assert bytes(_walk(command, words).tcdm.memory.data) != bytes(ref.tcdm.memory.data)
 
 
-@pytest.mark.parametrize(
-    "pcs",
-    [PcsConfig(width=300), PcsConfig(lsb_exponent=-150, width=300)],
-    ids=["saturating", "truncating"],
-)
+@needs_cc
+@pytest.mark.parametrize("tiles", [1, 37])
+def test_narrow_overflow_mid_chain_stays_infinite(tiles):
+    """The saturating register (300 bits from 2**-298) holds [-2, 2).
+    The chain 1.5 + 1 - 2 overflows at its second product and ends back in
+    range at 0.5, and 1.5 + 1 - 4 ends at -1.5: the overflow flag is
+    sticky, so they write back +inf and -inf (the sign of the final
+    content), while a chain that never leaves the range (1 + 0.5 - 1)
+    writes back 0.5."""
+    by_reason = _fallbacks()
+    before = by_reason()
+    narrow = _config(PCS_CONFIGS["saturating"])
+    command = _command(NtxOpcode.MAC, (3, 1, 1), 2, 2, InitSource.ZERO, Cluster().tcdm.base)
+    chains = {np.inf: [1.5, 1.0, -2.0], -np.inf: [1.5, 1.0, -4.0], 0.5: [1.0, 0.5, -1.0]}
+    results = list(chains)
+    stack = np.zeros((9, tiles), dtype=np.float32)
+    for lane in range(tiles):
+        stack[:3, lane] = chains[results[lane % 3]]
+        stack[3:6, lane] = 1.0
+    expected = _assert_stack_matches_the_walk(command, stack, narrow)
+    assert expected[6].tolist() == [results[lane % 3] for lane in range(tiles)]
+    assert by_reason() == before
+
+
+@needs_cc
+@pytest.mark.parametrize("pcs", ["saturating", "truncating"])
 def test_narrow_accumulator_cold_runs_agree_across_engines(pcs):
     """The data plane reads the accumulator geometry for both engines: a
-    vectorized cycle run of a MAC on a narrow accumulator walks per op and
-    stores the scalar engine's bytes (``inf`` where a 300-bit register
-    anchored at 2**-298 saturates, not the float64 sum's 4.5)."""
+    vectorized cycle run of a MAC on a narrow accumulator stores the
+    scalar engine's bytes (``inf`` where a 300-bit register anchored at
+    2**-298 saturates, not the float64 sum's 4.5), without a fallback."""
     by_reason = _fallbacks()
-    config = ClusterConfig(ntx=NtxConfig(pcs=pcs))
+    before = by_reason()
+    config = _config(PCS_CONFIGS[pcs])
     command = _command(NtxOpcode.MAC, (4, 1, 1), 2, 2, InitSource.ZERO, Cluster().tcdm.base)
     words = np.array([1.5, 1.0, 0.5, 1.0] * 2 + [0.0], np.float32)
     clusters = {}
-    for engine in ("scalar", "vectorized"):
-        cluster = clusters[engine] = Cluster(config)
-        np.frombuffer(cluster.tcdm.memory.data, dtype=np.float32)[: len(words)] = words
-        before = by_reason().get("pcs_config", 0)
+    for engine in ENGINES:
+        cluster = clusters[engine] = _loaded(words, config)
         ClusterSimulator(cluster, engine=engine).run([(0, command)])
-    assert by_reason()["pcs_config"] == before + 1  # the vectorized run
+    assert by_reason() == before
     stored = np.frombuffer(clusters["scalar"].tcdm.memory.data, dtype=np.float32)[8]
-    assert stored == (np.inf if pcs.lsb_exponent == -298 else 4.5)
+    assert stored == (np.inf if pcs == "saturating" else 4.5)
     _assert_same_effects(clusters["vectorized"], clusters["scalar"])
 
 
+@needs_cc
 def test_quick_engine_shootout_replays_without_fallbacks(tmp_path):
     """Both engines' points of the quick shootout run every command on the
     array kernel; a fallback here would silently cost the speedup."""

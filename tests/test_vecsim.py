@@ -151,7 +151,7 @@ class TestGoldenParity:
         assert vectorized.per_ntx_active == scalar.per_ntx_active
         assert vectorized.per_ntx_stall == scalar.per_ntx_stall
         for out_s, out_v in zip(outputs["scalar"], outputs["vectorized"]):
-            np.testing.assert_allclose(out_v, out_s, rtol=1e-6, atol=1e-7)
+            np.testing.assert_array_equal(out_v, out_s)
 
     def test_conv_parity_banded_guarantee(self):
         """The documented tolerance guarantee on the golden workload."""
@@ -212,9 +212,8 @@ class TestGoldenParity:
             scalar, vectorized = results["scalar"], results["vectorized"]
             assert vectorized.cycles == scalar.cycles, opcode
             assert vectorized.tcdm_conflicts == scalar.tcdm_conflicts, opcode
-            np.testing.assert_allclose(
-                outputs["vectorized"][0], outputs["scalar"][0], rtol=1e-6, atol=1e-7,
-                err_msg=str(opcode),
+            np.testing.assert_array_equal(
+                outputs["vectorized"][0], outputs["scalar"][0], err_msg=str(opcode)
             )
 
     def test_parity_raw_hazard_fallback(self):
@@ -256,9 +255,7 @@ class TestGoldenParity:
             return [(0, command)], [out_addr], (6,)
 
         results, outputs = _run_both(build)
-        np.testing.assert_allclose(
-            outputs["vectorized"][0], outputs["scalar"][0], rtol=1e-6, atol=1e-7
-        )
+        np.testing.assert_array_equal(outputs["vectorized"][0], outputs["scalar"][0])
         assert results["vectorized"].cycles == results["scalar"].cycles
 
     def test_small_cluster_parity(self):
@@ -270,7 +267,7 @@ class TestGoldenParity:
         results, outputs = _run_both(build, stagger_cycles=0)
         assert results["vectorized"].cycles == results["scalar"].cycles
         for out_s, out_v in zip(outputs["scalar"], outputs["vectorized"]):
-            np.testing.assert_allclose(out_v, out_s, rtol=1e-6, atol=1e-7)
+            np.testing.assert_array_equal(out_v, out_s)
 
 
 class TestEdgeConfigurations:
@@ -396,7 +393,10 @@ class TestFallbackCounter:
         )
         assert by_reason() == {"raw_hazard": 1.0}
 
-    def test_outside_tcdm_and_nan_compare_are_counted(self):
+    def test_outside_tcdm_is_counted_and_a_nan_compare_replays(self):
+        """An unaligned command is refused; a MAX over a NaN is not (the
+        comparator's NaN rule is an array formula) and stores the walk's
+        value."""
         by_reason = _fallbacks()
         cluster = Cluster()
         src, dst = cluster.tcdm.alloc_layout([16, 4])
@@ -406,8 +406,11 @@ class TestFallbackCounter:
             loops=LoopConfig.nest(4),
             agu0=AguConfig(base=src, strides=(4, 0, 0, 0, 0)),
             agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
+            init_level=1,
+            store_level=1,
         )
-        assert self._refused(maximum, cluster)
+        assert not self._refused(maximum, cluster)
+        assert cluster.stage_out(dst, (1,))[0] == 3.0
         unaligned = NtxCommand(
             opcode=NtxOpcode.COPY,
             loops=LoopConfig.nest(2),
@@ -415,7 +418,7 @@ class TestFallbackCounter:
             agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
         )
         assert self._refused(unaligned, cluster)
-        assert by_reason() == {"nan_compare": 1.0, "outside_tcdm": 1.0}
+        assert by_reason() == {"outside_tcdm": 1.0}
 
     def test_fast_path_counts_nothing(self):
         by_reason = _fallbacks()
@@ -673,6 +676,50 @@ class TestTimingCoreFallback:
         monkeypatch.setattr(timing_core, "_STATE", None)
         assert _conv_outcome() == expected
         assert by_reason() == {"no_compiler": 1.0}
+
+    @staticmethod
+    def _mac_replays():
+        """Conv MACs replayed through the data plane alone, on the live
+        TCDM and on a stack of three tile images: the bytes of both."""
+        cluster = Cluster()
+        _, _, jobs, _, _ = _conv_setup(cluster, np.random.default_rng(4), (10, 12))
+        view = np.frombuffer(cluster.tcdm.memory.data, dtype=np.float32)
+        stack = np.stack([view, view[::-1], view * 0.5], axis=1)
+        simulator = ClusterSimulator(cluster)
+        simulator.run_data_plane(jobs)
+        simulator.run_data_plane(jobs, stack, cluster.tcdm.base)
+        return bytes(cluster.tcdm.memory.data), stack.tobytes(), len(jobs)
+
+    @needs_cc
+    def test_missing_compiler_walks_macs_per_op_and_counts_them(self, monkeypatch):
+        """Without the library the data plane walks every MAC per op (tile
+        by tile on a stack) to the compiled kernel's bytes, counting each
+        command once under the library's reason; the timing-core counter
+        counts cycle-loop runs only."""
+        dataplane = _fallbacks()
+        timing = _fallbacks("repro_timing_core_fallbacks_total")
+        compiled = self._mac_replays()
+        assert dataplane() == {}
+        monkeypatch.setattr(timing_core, "_find_compiler", lambda: None)
+        monkeypatch.setattr(timing_core, "_STATE", None)
+        assert timing_core.mac_kernel() is None
+        live, stacked, num_jobs = self._mac_replays()
+        assert (live, stacked) == compiled[:2]
+        assert dataplane() == {"no_compiler": 2.0 * num_jobs}
+        assert timing() == {}
+        _conv_outcome()
+        assert timing() == {"no_compiler": 1.0}
+
+    @needs_cc
+    def test_reference_loop_keeps_the_mac_kernel_compiled(self):
+        """Swapping the cycle loop for the reference loop (as the parity
+        tests and the bench's reference timings do) leaves every MAC on
+        the compiled kernel: nothing falls back to the per-op walk."""
+        dataplane = _fallbacks()
+        with _reference_loop():
+            assert timing_core.mac_kernel() is not None
+            _conv_outcome()
+        assert dataplane() == {}
 
     @needs_cc
     def test_failed_build_and_load_are_counted(self, tmp_path, monkeypatch):
