@@ -372,18 +372,26 @@ done:
  * and staging changes nothing.
  *
  * Two lanes:
- *   fast   float64 products (exact for binary32 x binary32), a float64
- *          running sum and a Knuth TwoSum residual per tile.  A tile whose
- *          residuals are all zero and whose sum is finite holds exactly
- *          the register content, so one (float) cast is the register's
- *          single round-to-nearest-even write-back.  A residual is
- *          accumulated as err += fabs(r): a positive residual never sums
- *          back to zero, and NaN or inf leave err non-zero.  The lane only
- *          runs where the register provably holds the exact sum: no
- *          product bit lies below lsb_exponent and no block can reach the
- *          register's overflow bound.
- *   exact  every other tile, and every tile of any other geometry: the
- *          register itself, as signed 32-bit digits in int64 chunks
+ *   fast   float64 products (exact for binary32 x binary32) summed as a
+ *          double-double per tile: a running sum s, whose Knuth TwoSum
+ *          residual is added into a compensation c, whose own TwoSum
+ *          residual is accumulated as err += fabs(r2).  While err stays
+ *          zero every step was exact, so s + c is exactly the register
+ *          content; one more TwoSum splits s + c into hi + lo, rounding
+ *          hi to odd on lo (one step toward lo when hi is even and lo is
+ *          not zero) and casting that with (float) is the register's
+ *          single round-to-nearest-even write-back.  A positive r2 never
+ *          sums back to zero, and NaN or inf leave err non-zero.  The
+ *          lane only runs where the register provably holds the exact
+ *          sum: no product bit lies below lsb_exponent and no block can
+ *          reach the register's overflow bound.  A command starts
+ *          plain (comp stays zero and err sums the first residuals,
+ *          which lattice data never makes non-zero) and turns
+ *          compensated for good at the first block whose plain sum
+ *          rounded, which it then replays compensated.
+ *   exact  every other tile (a sum spanning more bits than s + c holds,
+ *          a NaN or an infinity), and every tile of any other geometry:
+ *          the register itself, as signed 32-bit digits in int64 chunks
  *          anchored at lsb_exponent (Neal's small superaccumulator), with
  *          PcsAccumulator's truncation toward zero below the LSB, its
  *          sticky overflow test after every add, NaN and infinity flags,
@@ -704,7 +712,7 @@ static float bits_float(uint32_t bits)
 #define LANE_LOOP
 #endif
 
-/* One TwoSum step of every tile: sum += a * b, err += |residual|. */
+/* One plain step of every tile: sum += a * b, err += |residual|. */
 LANE_LOOP
 static void two_sum_row(double *restrict sum, double *restrict err,
                         const float *restrict a, const float *restrict b,
@@ -721,14 +729,62 @@ static void two_sum_row(double *restrict sum, double *restrict err,
     }
 }
 
-/* The fast lane over one block; out receives the cast of every store. */
-static void fast_block(const float *stack, int64_t tiles, const int64_t *read0,
-                       const int64_t *read1, const int64_t *init_word,
-                       int64_t period_init, int64_t period_store,
-                       double *restrict sum, double *restrict err,
-                       float *restrict out)
+/* One compensated step of every tile: sum + comp += a * b, exactly
+ * while err stays zero. */
+LANE_LOOP
+static void compensated_row(double *restrict sum, double *restrict comp,
+                            double *restrict err, const float *restrict a,
+                            const float *restrict b, int64_t tiles)
+{
+    int64_t lane;
+    for (lane = 0; lane < tiles; lane++) {
+        double product = (double)a[lane] * (double)b[lane];
+        double total = sum[lane] + product;
+        double b_part = total - sum[lane];
+        double residual = (sum[lane] - (total - b_part)) + (product - b_part);
+        double carried = comp[lane] + residual;
+        double c_part = carried - comp[lane];
+        err[lane] += fabs((comp[lane] - (carried - c_part)) + (residual - c_part));
+        sum[lane] = total;
+        comp[lane] = carried;
+    }
+}
+
+/* The binary32 write-back of every tile's exact sum + comp. */
+LANE_LOOP
+static void round_row(float *restrict row, const double *restrict sum,
+                      const double *restrict comp, int64_t tiles)
+{
+    int64_t lane;
+    for (lane = 0; lane < tiles; lane++) {
+        double hi = sum[lane] + comp[lane];
+        double b_part = hi - sum[lane];
+        double lo = (sum[lane] - (hi - b_part)) + (comp[lane] - b_part);
+        int64_t bits, inexact, away;
+        /* Round hi to odd: an even hi with lo != 0 steps one ulp toward
+         * lo (hi is then not zero), so the cast rounds once.  Written
+         * without branches, so the loop vectorizes. */
+        memcpy(&bits, &hi, sizeof bits);
+        inexact = (lo != 0.0) & ~bits & 1;
+        away = (lo > 0.0) == (hi > 0.0);
+        bits += inexact * (2 * away - 1);
+        memcpy(&hi, &bits, sizeof hi);
+        /* + 0.0 writes an exact zero sum back as +0. */
+        row[lane] = (float)(hi + 0.0);
+    }
+}
+
+/* The fast lane over one block, compensated or plain (comp stays zero,
+ * and err sums the first residuals); out receives the write-back of
+ * every store.  Returns whether any tile's err is non-zero. */
+static int fast_block(const float *stack, int64_t tiles, const int64_t *read0,
+                      const int64_t *read1, const int64_t *init_word,
+                      int64_t period_init, int64_t period_store, int compensated,
+                      double *restrict sum, double *restrict comp,
+                      double *restrict err, float *restrict out)
 {
     int64_t j, lane;
+    int flagged = 0;
     if (init_word) {
         const float *row = stack + *init_word * tiles;
         for (lane = 0; lane < tiles; lane++)
@@ -737,17 +793,22 @@ static void fast_block(const float *stack, int64_t tiles, const int64_t *read0,
         for (lane = 0; lane < tiles; lane++)
             sum[lane] = 0.0;
     }
-    for (lane = 0; lane < tiles; lane++)
+    for (lane = 0; lane < tiles; lane++) {
+        comp[lane] = 0.0;
         err[lane] = 0.0;
-    for (j = 0; j < period_init; j++) {
-        two_sum_row(sum, err, stack + read0[j] * tiles, stack + read1[j] * tiles, tiles);
-        if ((j + 1) % period_store == 0) {
-            float *row = out + ((j + 1) / period_store - 1) * tiles;
-            /* + 0.0 writes an exact zero sum back as +0. */
-            for (lane = 0; lane < tiles; lane++)
-                row[lane] = (float)(sum[lane] + 0.0);
-        }
     }
+    for (j = 0; j < period_init; j++) {
+        const float *a = stack + read0[j] * tiles, *b = stack + read1[j] * tiles;
+        if (compensated)
+            compensated_row(sum, comp, err, a, b, tiles);
+        else
+            two_sum_row(sum, err, a, b, tiles);
+        if ((j + 1) % period_store == 0)
+            round_row(out + ((j + 1) / period_store - 1) * tiles, sum, comp, tiles);
+    }
+    for (lane = 0; lane < tiles; lane++)
+        flagged |= err[lane] != 0.0;
+    return flagged;
 }
 
 /* The exact lane: one tile's block through the register. */
@@ -775,14 +836,15 @@ int tc_mac(float *stack, int64_t tiles, int64_t total, int64_t period_init,
     const int64_t per_block = period_init / period_store;
     const int64_t blocks = total / period_init;
     double *sum = malloc((size_t)tiles * sizeof *sum);
+    double *comp = malloc((size_t)tiles * sizeof *comp);
     double *err = malloc((size_t)tiles * sizeof *err);
     float *out = malloc((size_t)(per_block * tiles) * sizeof *out);
     pcs_register reg;
-    int status = MAC_DONE, fast;
+    int status = MAC_DONE, fast, compensated = 0;
     int64_t b, c, lane;
 
     reg.digit = NULL;
-    if (!sum || !err || !out || !pcs_open(&reg, lsb, width, period_init)) {
+    if (!sum || !comp || !err || !out || !pcs_open(&reg, lsb, width, period_init)) {
         status = MAC_NO_MEMORY;
         goto done;
     }
@@ -791,10 +853,18 @@ int tc_mac(float *stack, int64_t tiles, int64_t total, int64_t period_init,
         const int64_t *r0 = read0 + b * period_init;
         const int64_t *r1 = read1 + b * period_init;
         const int64_t *init_word = init ? init + b : NULL;
-        if (fast)
-            fast_block(stack, tiles, r0, r1, init_word, period_init, period_store,
-                       sum, err, out);
-        for (lane = 0; lane < tiles; lane++)
+        int flagged = 1;
+        if (fast) {
+            flagged = fast_block(stack, tiles, r0, r1, init_word, period_init,
+                                 period_store, compensated, sum, comp, err, out);
+            if (flagged && !compensated) {
+                /* A plain sum rounded: carry the residuals from now on. */
+                compensated = 1;
+                flagged = fast_block(stack, tiles, r0, r1, init_word, period_init,
+                                     period_store, 1, sum, comp, err, out);
+            }
+        }
+        for (lane = 0; flagged && lane < tiles; lane++)
             if (!fast || err[lane] != 0.0)
                 exact_block(&reg, stack, tiles, lane, r0, r1, init_word,
                             period_init, period_store, out);
@@ -805,6 +875,7 @@ int tc_mac(float *stack, int64_t tiles, int64_t total, int64_t period_init,
 
 done:
     free(sum);
+    free(comp);
     free(err);
     free(out);
     free(reg.digit);

@@ -9,7 +9,7 @@ system C compiler (:data:`CFLAGS`: ``-O2 -ftree-vectorize`` so the MAC's
 lane loop over tiles vectorizes, ``-ffp-contract=off`` and no
 ``-ffast-math``, so every double operation rounds as written — the DMA
 accumulator must round like Python floats, and the MAC's TwoSum
-certificate relies on it).  The shared library is cached per user under
+certificates rely on it).  The shared library is cached per user under
 ``~/.cache/repro`` as ``timing_core-<sha256>.so``, keyed by the source
 text and the compiler command line, and published through a temporary
 file plus :func:`os.replace`, so concurrent builders (separate processes

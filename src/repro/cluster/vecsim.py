@@ -48,7 +48,7 @@ workloads, and fuzzes the compiled loop against the Python loop.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -177,6 +177,13 @@ class _ImageTcdm:
         self._view[(address - self._base) >> 2] = np.float32(value)
 
 
+def _mac_write_back() -> Union[Callable, str]:
+    """The compiled MAC write-back, or the reason it is unavailable (under
+    which the data plane refuses MACs and walks them per op)."""
+    kernel = timing_core.mac_kernel()
+    return timing_core.unavailable_reason() if kernel is None else kernel
+
+
 def run_data_plane(
     cluster,
     jobs: Sequence[Tuple[int, NtxCommand]],
@@ -216,10 +223,11 @@ def run_data_plane(
         # degrading to the per-op path.
         stack, base = np.frombuffer(tcdm.memory.data, dtype="<f4")[:, None], tcdm.base
     num_tiles = stack.shape[1]
+    mac = _mac_write_back()
     for ntx, plans in zip(cluster.ntx, _plans_per_ntx(cluster, jobs)):
         pcs = ntx.config.pcs
         for command, plan in plans:
-            fast_path = execute_streams_batched(command, plan, stack, base, pcs)
+            fast_path = execute_streams_batched(command, plan, stack, base, pcs, mac)
             if fast_path:
                 _account_accesses(tcdm, plan, count=num_tiles)
             else:

@@ -35,12 +35,12 @@ hoisted out of the cycle loop entirely:
 There is one mode, and every store is bit-identical to the per-op
 soft-float walk (:func:`execute_functional`) on every input:
 
-* MAC runs in the compiled kernel (``tc_mac`` in
-  ``repro/cluster/timing_core.c``, loaded by
+* MAC runs in the compiled kernel the driver passes in (``tc_mac`` in
+  ``repro/cluster/timing_core.c``, see
   :func:`repro.cluster.timing_core.mac_kernel`), which indexes the stack
   through the plan's word streams and reproduces the partial-carry-save
   register of any :class:`~repro.softfloat.pcs.PcsConfig`: a vectorized
-  float64 lane certified by a TwoSum residual per tile, and an exact
+  double-double lane certified per tile by TwoSum residuals, and an exact
   superaccumulator lane for every tile the certificate does not cover.
 * The other opcodes are array formulas: MAX/MIN follow the comparator's
   strict first-wins compare (``±0`` ties and a NaN seed included),
@@ -64,11 +64,10 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.cluster import timing_core
 from repro.core.commands import NUM_LOOPS, InitSource, NtxCommand, NtxOpcode
 from repro.core.controller import NtxController
 from repro.obs import metrics as _metrics
@@ -88,8 +87,6 @@ _ADDRESS_MASK = (1 << 32) - 1
 _WORD = 4
 #: The quiet bit of a binary32 NaN: the FPU's float conversions set it.
 _QUIET_BIT = np.uint32(0x00400000)
-#: The exact accumulator geometry, for callers that name none.
-_DEFAULT_PCS = PcsConfig()
 
 _FALLBACKS = _metrics.counter(
     "repro_dataplane_fallbacks_total",
@@ -438,7 +435,8 @@ def execute_streams_batched(
     plan: CommandPlan,
     stack: np.ndarray,
     base: int,
-    pcs: PcsConfig = _DEFAULT_PCS,
+    pcs: PcsConfig,
+    mac: Union[Callable, str],
 ) -> bool:
     """Replay one command over a word-major stack of TCDM images at once.
 
@@ -448,9 +446,11 @@ def execute_streams_batched(
     command stream over *different* data, so each gather copies whole
     contiguous rows of ``tiles`` floats, each reduction step adds whole
     rows, and each scatter writes whole rows: one NumPy dispatch per step
-    for the whole stack.  A MAC runs in the compiled kernel over the
-    stack in place, as a register of geometry ``pcs``.  The live TCDM's
-    word view (``view[:, None]``) is a stack of one.
+    for the whole stack.  A MAC runs in ``mac``, the compiled write-back
+    (:func:`repro.cluster.timing_core.mac_kernel`), over the stack in
+    place as a register of geometry ``pcs``; without the library ``mac``
+    is the reason it is unavailable, and MACs are refused under it.  The
+    live TCDM's word view (``view[:, None]``) is a stack of one.
 
     Every store is bit-identical to the per-op walk.  Returns ``False``
     (counted by reason, the stack untouched) when the command needs that
@@ -467,10 +467,9 @@ def execute_streams_batched(
         return True
     streams = plan.words(base)
     if command.opcode is NtxOpcode.MAC:
-        kernel = timing_core.mac_kernel()
-        if kernel is None:
-            return _fall_back(timing_core.unavailable_reason())
-        kernel(stack, plan, streams, pcs)
+        if isinstance(mac, str):
+            return _fall_back(mac)
+        mac(stack, plan, streams, pcs)
         return True
 
     def gather(indices: Optional[np.ndarray]) -> Optional[np.ndarray]:

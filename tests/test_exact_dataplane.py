@@ -2,9 +2,9 @@
 
 Both engines replay through the shared data plane
 (:func:`repro.cluster.vecsim.run_data_plane`): MACs in the compiled
-kernel — a float64 lane certified by a TwoSum residual per tile, and an
-exact superaccumulator lane for every tile the certificate does not cover
-and for every non-default accumulator geometry — and the other opcodes as
+kernel — a double-double lane certified per tile by TwoSum residuals, and
+an exact superaccumulator lane for every tile the certificate does not
+cover and for every non-default accumulator geometry — and the other opcodes as
 array formulas.  Every store must be bit-identical to the per-op
 soft-float walk (:func:`~repro.core.vecops.execute_functional`) on every
 input, with no fallback.  These tests check that against the walk — TCDM
@@ -34,8 +34,10 @@ from repro.softfloat.pcs import PcsConfig
 
 ENGINES = ("scalar", "vectorized")
 
-#: Assertions that nothing fell back need the compiled MAC kernel.
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+#: Without a C compiler every MAC walks per op by design, counted as
+#: ``no_compiler`` with the walk's bytes: the fallback checks leave that
+#: reason out on such a host and still see every other.
+_NO_COMPILER = () if shutil.which("cc") else ("no_compiler",)
 
 _FLT_MAX = float(np.finfo(np.float32).max)
 #: NaN bit patterns: quiet and signalling, both signs, with payloads.
@@ -151,7 +153,11 @@ def _fallbacks():
     counter = metrics.REGISTRY.get("repro_dataplane_fallbacks_total")
 
     def by_reason():
-        return {dict(pairs)["reason"]: value for _, pairs, value in counter.samples()}
+        return {
+            reason: value
+            for _, pairs, value in counter.samples()
+            if (reason := dict(pairs)["reason"]) not in _NO_COMPILER
+        }
 
     return by_reason
 
@@ -239,7 +245,6 @@ def _poisoned_stack(rng, words, tiles):
     return stack
 
 
-@needs_cc
 @pytest.mark.parametrize("pcs", list(PCS_CONFIGS), ids=list(PCS_CONFIGS))
 @pytest.mark.parametrize("store_level", [0, 1, 2])
 @pytest.mark.parametrize("init_source", [InitSource.ZERO, InitSource.AGU2])
@@ -275,7 +280,7 @@ def _mac_cases(draw):
 
 
 @seed(20191105)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(case=_mac_cases())
 def test_exact_mac_matches_the_per_op_walk(case):
     rng = np.random.default_rng(case["seed"])
@@ -294,7 +299,6 @@ def test_exact_mac_matches_the_per_op_walk(case):
         _assert_stack_matches_the_walk(command, stack, config)
 
 
-@needs_cc
 @pytest.mark.parametrize("data_class", ["lattice", "zeros"])
 @pytest.mark.parametrize("init_source", [InitSource.ZERO, InitSource.AGU2])
 def test_lattice_and_zero_macs_are_certified(data_class, init_source):
@@ -307,10 +311,10 @@ def test_lattice_and_zero_macs_are_certified(data_class, init_source):
     assert by_reason() == before
 
 
-@needs_cc
 def test_inexact_standard_normal_mac_falls_back_and_matches():
     """Normal data, whose float64 running sums round, no longer falls
-    back: the exact lane serves every store the certificate refuses."""
+    back: the compensated lane carries the residuals, and the exact lane
+    serves every store its certificate refuses."""
     by_reason = _fallbacks()
     before = by_reason()
     command = _command(NtxOpcode.MAC, (16, 2, 2), 2, 1, InitSource.AGU2, Cluster().tcdm.base)
@@ -319,7 +323,6 @@ def test_inexact_standard_normal_mac_falls_back_and_matches():
     assert by_reason() == before
 
 
-@needs_cc
 @pytest.mark.parametrize(
     "counts,init_source,words",
     [
@@ -333,8 +336,8 @@ def test_inexact_standard_normal_mac_falls_back_and_matches():
 )
 def test_double_rounding_sums_are_refused(counts, init_source, words):
     """A sum float64 rounds must not be cast as is: it would round twice
-    and miss the accumulator's single rounding.  The certificate refuses
-    it and the exact lane rounds once, without a fallback."""
+    and miss the accumulator's single rounding.  The compensated lane
+    keeps the residual and rounds once, without a fallback."""
     by_reason = _fallbacks()
     before = by_reason()
     command = _command(NtxOpcode.MAC, counts, 2, 2, init_source, Cluster().tcdm.base)
@@ -343,6 +346,50 @@ def test_double_rounding_sums_are_refused(counts, init_source, words):
     stored = np.frombuffer(ref.tcdm.memory.data, dtype=np.float32)[len(words) - 1]
     assert stored == np.float32(1 + 2.0**-11 + 2.0**-23)
 
+
+
+@pytest.mark.parametrize("tiles", [1, 37])
+def test_round_to_odd_steps_toward_the_residual(tiles):
+    """1 + 3 * 2**-24 is a binary32 tie that rounds to even, up to
+    1 + 2**-22.  A product of 2**-80 below it (or above it) must round it
+    down to 1 + 2**-23 (or up): float64 holds the tie, the residual holds
+    the sign, and the write-back rounds the tie to odd toward the residual
+    before its one cast.  Lanes alternate both signs and the bare tie."""
+    by_reason = _fallbacks()
+    before = by_reason()
+    command = _command(NtxOpcode.MAC, (3, 1, 1), 2, 2, InitSource.ZERO, Cluster().tcdm.base)
+    results = [1 + 2.0**-23, 1 + 2.0**-22, 1 + 2.0**-22]
+    tails = [-(2.0**-40), 2.0**-40, 0.0]
+    stack = np.zeros((9, tiles), dtype=np.float32)
+    for lane in range(tiles):
+        stack[:3, lane] = [1.0, 3 * 2.0**-24, tails[lane % 3]]
+        stack[3:6, lane] = [1.0, 1.0, 2.0**-40]
+    expected = _assert_stack_matches_the_walk(command, stack)
+    assert expected[6].tolist() == [np.float32(results[lane % 3]) for lane in range(tiles)]
+    assert by_reason() == before
+
+
+@pytest.mark.parametrize("tiles", [1, 37])
+def test_a_compensation_that_rounds_takes_the_exact_lane(tiles):
+    """The tie 1 + 3 * 2**-24, plus 2**-60, then -2**-140 (or +2**-140),
+    then -2**-60 lies just below (above) the tie and rounds down to
+    1 + 2**-23 (up to 1 + 2**-22).  float64 holds the tie and the
+    compensation holds 2**-60, but not 2**-60 - 2**-140 as well: its own
+    residual flags the tile for the exact lane.  A kernel that missed the
+    flag would write back the bare tie, which rounds to even, up."""
+    by_reason = _fallbacks()
+    before = by_reason()
+    command = _command(NtxOpcode.MAC, (5, 1, 1), 2, 2, InitSource.ZERO, Cluster().tcdm.base)
+    stack = np.zeros((15, tiles), dtype=np.float32)
+    for lane in range(tiles):
+        sign = -1.0 if lane % 2 == 0 else 1.0
+        stack[:5, lane] = [1.0, 3 * 2.0**-24, 2.0**-30, sign * 2.0**-70, -(2.0**-30)]
+        stack[5:10, lane] = [1.0, 1.0, 2.0**-30, 2.0**-70, 2.0**-30]
+    expected = _assert_stack_matches_the_walk(command, stack)
+    assert expected[10].tolist() == [
+        np.float32(1 + 2.0**-23 if lane % 2 == 0 else 1 + 2.0**-22) for lane in range(tiles)
+    ]
+    assert by_reason() == before
 
 @st.composite
 def _nan_cases(draw):
@@ -406,7 +453,6 @@ def test_exact_mode_refusals_are_counted(opcode, bits, stored):
     assert np.frombuffer(ref.tcdm.memory.data, dtype=np.uint32)[4] == stored
 
 
-@needs_cc
 def test_narrow_accumulator_never_takes_the_certified_path():
     """A 300-bit accumulator anchored at 2**-298 tops out at 2**2, so a
     sum the float64 certificate would vouch for saturates there: the
@@ -422,7 +468,6 @@ def test_narrow_accumulator_never_takes_the_certified_path():
     assert bytes(_walk(command, words).tcdm.memory.data) != bytes(ref.tcdm.memory.data)
 
 
-@needs_cc
 @pytest.mark.parametrize("tiles", [1, 37])
 def test_narrow_overflow_mid_chain_stays_infinite(tiles):
     """The saturating register (300 bits from 2**-298) holds [-2, 2).
@@ -446,7 +491,6 @@ def test_narrow_overflow_mid_chain_stays_infinite(tiles):
     assert by_reason() == before
 
 
-@needs_cc
 @pytest.mark.parametrize("pcs", ["saturating", "truncating"])
 def test_narrow_accumulator_cold_runs_agree_across_engines(pcs):
     """The data plane reads the accumulator geometry for both engines: a
@@ -468,7 +512,6 @@ def test_narrow_accumulator_cold_runs_agree_across_engines(pcs):
     _assert_same_effects(clusters["vectorized"], clusters["scalar"])
 
 
-@needs_cc
 def test_quick_engine_shootout_replays_without_fallbacks(tmp_path):
     """Both engines' points of the quick shootout run every command on the
     array kernel; a fallback here would silently cost the speedup."""

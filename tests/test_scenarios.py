@@ -2,6 +2,8 @@
 builders, golden-model verification (including its failure paths) and the
 scenario runner."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,13 @@ class TestWorkloadFamilies:
         outcome = run_scenario(name, timing_cache=TileTimingCache())
         assert outcome.verified
         fallbacks = metrics.REGISTRY.get("repro_dataplane_fallbacks_total")
-        assert list(fallbacks.samples()) == []
+        # Without a C compiler every MAC walks per op by design, counted
+        # as ``no_compiler``; every other reason is still a failure there.
+        no_compiler = () if shutil.which("cc") else ("no_compiler",)
+        assert [
+            sample for sample in fallbacks.samples()
+            if dict(sample[1])["reason"] not in no_compiler
+        ] == []
 
     def test_build_workload_is_deterministic(self):
         spec = get_scenario("dnn-training-step").with_overrides(num_tiles=1)

@@ -17,13 +17,18 @@ MAX over a NaN, which the stacked kernel replays itself, and checks it
 against the inline walk: same HMC bytes, same access counters.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.cluster.vecsim import _mac_write_back, run_data_plane
 from repro.core import vecops
 from repro.core.commands import AguConfig, InitSource, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.vecops import command_plan, execute_streams_batched
 from repro.softfloat.ieee754 import Float32
+from repro.softfloat.pcs import PcsConfig
 
 _BASE = 0x400
 #: Innermost loop count and store blocks per init block of every command.
@@ -152,6 +157,17 @@ def _exact_mac(a, b, init, columns):
     return bits.view(np.float32)
 
 
+def _replay(command, plan, stack):
+    """Run ``command`` over ``stack`` in the stacked kernel.  Only a MAC
+    without the compiled library is refused; it then walks each tile
+    through the data plane, which must give the same bytes."""
+    mac = _mac_write_back()
+    if execute_streams_batched(command, plan, stack, _BASE, PcsConfig(), mac):
+        return
+    assert command.opcode is NtxOpcode.MAC and shutil.which("cc") is None
+    run_data_plane(Cluster(), [(0, command)], stack, _BASE)
+
+
 @pytest.mark.parametrize("tiles,blocks", STACKS)
 @pytest.mark.parametrize("opcode", list(NtxOpcode), ids=lambda op: op.value)
 def test_stacked_kernel_is_bit_equal_to_tile_major_formulas(opcode, tiles, blocks):
@@ -164,7 +180,7 @@ def test_stacked_kernel_is_bit_equal_to_tile_major_formulas(opcode, tiles, block
             stack = np.ascontiguousarray(images.T)
             with np.errstate(invalid="ignore", over="ignore"):
                 expected = _oracle(command, streams, images)
-                assert execute_streams_batched(command, streams, stack, _BASE)
+                _replay(command, streams, stack)
             assert np.array_equal(stack.T.view(np.uint32), expected.view(np.uint32)), (
                 init_source, store_level
             )
