@@ -8,8 +8,8 @@ Five suites cover the repository's hot paths:
   only the default engine; the scalar golden engine joins in full mode).
   The vectorized tile also runs through the Python reference loop, which
   gives the compiled timing core's same-run ``speedup_vs_reference``.
-* ``system`` — the scale-out path: a tiled convolution workload on the
-  default :class:`~repro.system.SystemConfig`, run without the timing
+* ``system`` — the scale-out path: a tiled convolution scenario on
+  standard normal data and the default geometry, run without the timing
   cache (every tile fully simulated), then with it (misses simulated,
   hits replayed in stacked groups).  Both variants verify the HMC outputs
   against the NumPy reference, so a benchmark run is also a correctness
@@ -63,8 +63,8 @@ from repro.cluster import timing_core
 from repro.cluster.engine import DEFAULT_ENGINE, available_engines
 from repro.cluster.sim import ClusterSimulator
 from repro.options import ExecutionOptions
-from repro.scenarios import iter_scenarios, run_scenario
-from repro.system import SystemConfig, SystemSimulator, conv_tiled_workload
+from repro.scenarios import ScenarioSpec, build_workload, iter_scenarios, run_scenario
+from repro.system import SystemSimulator
 
 __all__ = [
     "SUITES",
@@ -107,20 +107,22 @@ def _scenario(
     return scenario
 
 
+def _normal_conv(name: str, image_shape, **fields) -> ScenarioSpec:
+    """A conv scenario on standard normal operands (the timed data)."""
+    return ScenarioSpec(
+        name=name,
+        family="conv",
+        params={"image_shape": image_shape, "draw": "normal"},
+        **fields,
+    )
+
+
 def _run_system_variant(quick: bool, memoize: bool) -> Tuple[float, "object"]:
     """One end-to-end system run; returns (wall seconds, SystemResult)."""
     shape, tiles = _SYSTEM_SIZES[quick]
-    simulator = SystemSimulator(
-        SystemConfig(), options=ExecutionOptions(memoize=memoize)
-    )
-    workload = conv_tiled_workload(
-        simulator.hmc, num_tiles=tiles, image_shape=shape
-    )
-    start = time.perf_counter()
-    result = simulator.run(workload.tiles)
-    wall = time.perf_counter() - start
-    workload.verify(simulator.hmc)
-    return wall, result
+    spec = _normal_conv("bench-system", shape, num_tiles=tiles)
+    outcome = run_scenario(spec, options=ExecutionOptions(memoize=memoize))
+    return outcome.run_seconds, outcome.result
 
 
 @contextlib.contextmanager
@@ -171,12 +173,15 @@ def _run_cluster_variant(
     """Best-of-``repeats`` wall time of one conv tile; ``reference=True``
     runs the vectorized engine's Python reference loop instead of the
     compiled one."""
-    shape = _CLUSTER_SIZES[quick]
-    system = SystemConfig(num_vaults=1, clusters_per_vault=1, engine=engine)
+    spec = _normal_conv(
+        "bench-cluster", _CLUSTER_SIZES[quick], num_tiles=1, num_vaults=1,
+        clusters_per_vault=1, engine=engine,
+    )
+    system = spec.system_config()
     best = float("inf")
     for _ in range(repeats):
-        simulator = SystemSimulator(system, options=ExecutionOptions(memoize=False))
-        workload = conv_tiled_workload(simulator.hmc, num_tiles=1, image_shape=shape)
+        simulator = SystemSimulator(system)
+        workload = build_workload(spec, simulator.hmc, system.cluster)
         cluster = simulator.clusters[0]
         for transfer in workload.tiles[0].transfers_in:
             cluster.run_dma(transfer)

@@ -131,10 +131,11 @@ def run_campaign(
 
     ``options`` is the unified :class:`~repro.options.ExecutionOptions`
     block: ``options.quick`` applies the campaign's ``quick_overrides``
-    to the base scenario (axes are never shrunk), and non-default
-    ``engine``/``memoize`` values override the *base* scenario before
-    expansion — which changes the expanded point ids, exactly as editing
-    the sweep definition would.
+    to the base scenario (axes are never shrunk), a non-``None``
+    ``engine`` overrides the *base* scenario's engine before expansion —
+    which changes the expanded point ids, exactly as editing the sweep
+    definition would — and ``memoize`` toggles the tile-timing cache of
+    the points this call executes without changing any id.
 
     ``max_points`` caps how many pending points this call executes (the
     rest stay pending for the next call).  ``on_point(record, fresh)``
@@ -155,9 +156,8 @@ def run_campaign(
 
     options = options if options is not None else ExecutionOptions()
     sweep = get_campaign(campaign) if isinstance(campaign, str) else campaign
-    base_overrides = options.spec_overrides()
-    if base_overrides:
-        sweep = replace(sweep, base=sweep.base.with_overrides(**base_overrides))
+    if options.engine is not None:
+        sweep = replace(sweep, base=sweep.base.with_overrides(engine=options.engine))
     if options.quick:
         sweep = sweep.for_quick()
     result_cache = resolve_cache(cache, options)
@@ -208,9 +208,11 @@ def run_campaign(
 
     start = time.perf_counter()
     warm = timing_cache if timing_cache is not None else TileTimingCache()
+    # The engine is already in the point specs (a sweep may set it per axis).
+    point_options = ExecutionOptions(memoize=options.memoize)
     for point in pending:
         with _trace.span("point", name=point.spec.name):
-            outcome = run_scenario(point.spec, timing_cache=warm)
+            outcome = run_scenario(point.spec, options=point_options, timing_cache=warm)
         record = store.append(point_record(point, outcome, outcome.run_seconds))
         stored[record["point_id"]] = record
         if result_cache is not None:

@@ -2,8 +2,8 @@
 
 A :class:`SweepSpec` is a base :class:`~repro.scenarios.spec.ScenarioSpec`
 plus named **axes**: ordered value lists over spec fields (``num_vaults``,
-``clusters_per_vault``, ``num_tiles``, ``engine``,
-``memoize``, ...) or family shape parameters (``params.kernel``).  Two
+``clusters_per_vault``, ``num_tiles``, ``engine``, ...) or family
+shape parameters (``params.kernel``).  Two
 expansion modes turn the axes into concrete scenario points:
 
 * ``grid`` — the cartesian product of every axis (Table-II style sweeps);
@@ -23,7 +23,7 @@ JSON cannot execute code.
 
 Like ``ScenarioSpec``, a sweep validates at construction (unknown axis
 paths, empty axes, mismatched ``zip`` lengths and malformed constraints
-all raise ``ValueError``) and round-trips through dict/JSON, so a
+all raise ``ValueError``) and round-trips through a plain dict, so a
 campaign definition *is* the reproduction recipe for a whole result set.
 
 Every expanded :class:`CampaignPoint` carries a **content hash** of its
@@ -60,7 +60,7 @@ def point_id(spec: ScenarioSpec) -> str:
     """Content hash of one scenario point (stable across processes).
 
     The hash covers everything that shapes the run — workload family and
-    parameters, geometry, engine, execution knobs, seed — but not the
+    parameters, geometry, engine, seed — but not the
     ``name`` and ``description``, which are presentation only.  Records
     in a campaign's result store are keyed by this, so a point whose
     definition changes in any run-relevant way is re-executed rather
@@ -370,10 +370,3 @@ class SweepSpec:
         payload["constraints"] = tuple(payload.get("constraints", ()))
         payload["quick_overrides"] = dict(payload.get("quick_overrides", {}))
         return cls(**payload)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))

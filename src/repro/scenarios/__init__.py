@@ -2,15 +2,15 @@
 
 The scenario subsystem is the "as many scenarios as you can imagine" seam
 of the roadmap: a workload is described as data (a
-:class:`~repro.scenarios.spec.ScenarioSpec` — family, shape, system
-geometry, engine/memoize knobs), built into HMC-staged tiles by
+:class:`~repro.scenarios.spec.ScenarioSpec` — family, shape, data, system
+geometry, engine), built into HMC-staged tiles by
 its workload family, executed by the ordinary
 :class:`~repro.system.simulator.SystemSimulator`, and verified against a
 NumPy golden model.  Adding a workload means registering a family builder
 and a spec — the eval CLI, the benchmark harness and the parity tests
 pick it up from the registry.
 
-* :mod:`repro.scenarios.spec` — :class:`ScenarioSpec` with dict/JSON
+* :mod:`repro.scenarios.spec` — :class:`ScenarioSpec` with a dict
   round trip and construction-time validation.
 * :mod:`repro.scenarios.families` — the family table: names, default
   parameters, validators and the name of each family's tile builder.

@@ -35,14 +35,27 @@ class WorkloadFamily:
     validate: Optional[Callable[[Dict[str, Any]], object]] = None
 
 
+#: Operand generators of the ``conv`` family: the 1/16 lattice every
+#: family draws from, or standard normal data whose float64 sums round.
+CONV_DRAWS = ("lattice", "normal")
+
+
+def _validate_conv(params: Dict[str, Any]) -> None:
+    if params["draw"] not in CONV_DRAWS:
+        raise ValueError(
+            f"unknown conv draw {params['draw']!r}; available draws: {CONV_DRAWS}"
+        )
+
+
 FAMILIES: Dict[str, WorkloadFamily] = {
     family.name: family
     for family in (
         WorkloadFamily(
             name="conv",
             description="independent 2D-convolution tiles, rows banded across NTX",
-            default_params={"image_shape": (12, 14), "kernel": 3},
+            default_params={"image_shape": (12, 14), "kernel": 3, "draw": "lattice"},
             builder="conv_workload",
+            validate=_validate_conv,
         ),
         WorkloadFamily(
             name="matmul",

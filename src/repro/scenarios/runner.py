@@ -78,17 +78,17 @@ def run_scenario(
     """Run ``scenario`` (a registered name or a spec) end to end.
 
     ``options`` is the unified :class:`~repro.options.ExecutionOptions`
-    block: its non-default ``engine``/``memoize`` values override the
-    corresponding spec fields (explicit ``overrides`` win over both).
-    The ``quick`` and ``cache_dir`` fields are campaign-level and ignored
-    here.
+    block: ``memoize`` toggles the tile-timing cache, and a non-``None``
+    ``engine`` overrides the spec's engine (explicit ``overrides`` win
+    over it).  The ``quick`` and ``cache_dir`` fields are campaign-level
+    and ignored here.
 
     ``overrides`` replace spec fields for this run only (e.g.
-    ``engine="scalar"``, ``num_tiles=2``, ``memoize=False``); they go through
-    the same validation as a freshly constructed spec.  ``timing_cache``
-    lets a caller that runs many scenarios (the campaign runner) share
-    one tile-timing cache across runs; it is only consulted
-    when the spec has ``memoize`` enabled.
+    ``engine="scalar"``, ``num_tiles=2``); they go through the same
+    validation as a freshly constructed spec.  ``timing_cache`` lets a
+    caller that runs many scenarios (the campaign runner) share one
+    tile-timing cache across runs; it is only consulted when
+    ``options.memoize`` is on.
     """
     options = options if options is not None else ExecutionOptions()
     if options.trace:
@@ -96,13 +96,14 @@ def run_scenario(
         # the process (the CLI scopes it with ``repro.obs.trace_session``).
         _trace.TRACER.set_enabled(True)
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    merged = {**options.spec_overrides(), **overrides}
-    if merged:
-        spec = spec.with_overrides(**merged)
+    if options.engine is not None:
+        overrides = {"engine": options.engine, **overrides}
+    if overrides:
+        spec = spec.with_overrides(**overrides)
     config = spec.system_config()
     simulator = SystemSimulator(
         config,
-        options=ExecutionOptions(memoize=spec.memoize),
+        options=ExecutionOptions(engine=spec.engine, memoize=options.memoize),
         timing_cache=timing_cache,
     )
     with _trace.span("scenario", name=spec.name, family=spec.family):

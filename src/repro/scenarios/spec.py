@@ -1,12 +1,14 @@
 """Declarative description of one runnable scenario.
 
-A :class:`ScenarioSpec` pins everything a run needs — the workload family
-and its shape parameters, the system geometry (vaults x clusters per
-vault), and the execution knobs that shape a run's record (cycle engine,
-tile-timing memoization) — as plain data with a dict/JSON round trip.  Specs are
-what the named-scenario registry stores, what ``python -m repro.eval
-scenario run`` resolves, and what the benchmark harness iterates; the
-same spec therefore *is* the reproduction recipe for a measurement.
+A :class:`ScenarioSpec` pins everything that decides a run's results —
+the workload family and its shape and data parameters, the system
+geometry (vaults x clusters per vault) and the cycle engine — as plain
+data with a dict round trip.  How a run executes (tile-timing
+memoization, tracing, ...) is no part of it: that is
+:class:`~repro.options.ExecutionOptions`.  Specs are what the
+named-scenario registry stores, what ``python -m repro.eval scenario
+run`` resolves, and what the benchmark harness iterates; the same spec
+therefore *is* the reproduction recipe for a measurement.
 
 Validation happens at construction: unknown workload families and engine
 names raise ``ValueError`` listing the valid choices, so a typo fails
@@ -15,7 +17,6 @@ before any simulation starts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import TYPE_CHECKING, Any, Dict, Mapping
 
@@ -32,8 +33,8 @@ def _normalize(value):
     """Canonicalize sequence-valued parameters to tuples.
 
     JSON has no tuple type, so shape parameters like ``image_shape``
-    deserialize as lists; normalizing both directions keeps
-    ``from_json(to_json(spec)) == spec`` an identity.  Mappings (e.g. the
+    deserialize as lists; normalizing keeps a spec read back from a JSON
+    store equal to the spec that was written.  Mappings (e.g. the
     stage dicts of the ``pipeline`` family) normalize recursively so a
     shape nested inside a stage round-trips the same way.
     """
@@ -46,7 +47,7 @@ def _normalize(value):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: workload family + shape + system + execution knobs."""
+    """One scenario: workload family + shape + data + system + engine."""
 
     #: Registry name of the scenario (``conv-tiled``, ``dnn-training-step``, ...).
     name: str
@@ -63,10 +64,9 @@ class ScenarioSpec:
     #: System geometry (the :class:`~repro.system.config.SystemConfig` knobs).
     num_vaults: int = 2
     clusters_per_vault: int = 4
-    #: Cycle engine (resolved through :mod:`repro.cluster.engine`).
+    #: Cycle engine (resolved through :mod:`repro.cluster.engine`); a spec
+    #: field so that ``engine-shootout`` can sweep it as an axis.
     engine: str = DEFAULT_ENGINE
-    #: Tile-timing memoization (exact; see :mod:`repro.system.memo`).
-    memoize: bool = True
     #: Per-cluster NTX start stagger.
     stagger_cycles: int = 7
 
@@ -102,7 +102,6 @@ class ScenarioSpec:
         return SystemConfig(
             num_vaults=self.num_vaults,
             clusters_per_vault=self.clusters_per_vault,
-            engine=self.engine,
             stagger_cycles=self.stagger_cycles,
         )
 
@@ -156,13 +155,6 @@ class ScenarioSpec:
             raise ValueError("params must be a mapping")
         payload["params"] = dict(params)
         return cls(**payload)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
 
 
 #: Field names in declaration order: the key order of :meth:`ScenarioSpec.to_dict`.

@@ -9,8 +9,7 @@ verified end to end (:meth:`ScenarioWorkload.verify`).
 Four families ship, all built on the existing kernel library:
 
 * ``conv`` — independent 2D-convolution tiles, output rows banded across
-  the co-processors (the port of
-  :func:`repro.system.workloads.conv_tiled_workload`).
+  the co-processors.
 * ``matmul`` — tiled GEMM (:mod:`repro.kernels.blas`), output rows split
   across the co-processors.
 * ``stencil`` — the 2D discrete Laplace operator
@@ -46,13 +45,15 @@ family then stays exactly representable in float64, so the scalar
 engine's partial-carry-save accumulator, the vectorized engine's float64
 data plane and the NumPy golden model all round the *same exact value* to
 binary32 — making scalar-vs-vectorized HMC contents bit-identical, not
-merely close (``tests/test_system.py`` asserts this per family).
+merely close (``tests/test_system.py`` asserts this per family).  The
+``conv`` family alone can draw standard normal operands instead
+(``params={"draw": "normal"}``), the data the benchmark suites time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,7 +80,6 @@ from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc
 from repro.mem.tcdm import TcdmConfig
 from repro.scenarios.spec import ScenarioSpec
-from repro.system.workloads import conv_tiled_workload, verify_references
 
 __all__ = [
     "FAMILIES",
@@ -93,6 +93,7 @@ __all__ = [
     "opstream_workload",
     "pipeline_workload",
     "stencil_workload",
+    "verify_references",
 ]
 
 _WORD = 4
@@ -116,6 +117,58 @@ class ScenarioWorkload:
         return sum(tile.flops for tile in self.tiles)
 
 
+def verify_references(
+    hmc: Hmc, references: Sequence[Tuple[int, np.ndarray]], rtol: float, atol: float
+) -> None:
+    """Assert every ``(hmc address, expected array)`` region of the HMC
+    matches its float32 reference.
+
+    References of one shape at uniformly strided addresses (every tile of
+    a tiled workload) compare as one strided view of the HMC against
+    their stack, and exact equality ends the check there.  Anything else —
+    another layout, or any difference at all — takes the per-region
+    path: exact equality first, then ``assert_allclose`` with its
+    diagnostics for the first region that differs.
+    """
+    memory = hmc.memory
+    if _equal_as_one_view(memory, references):
+        memory.reads += len(references)
+        return
+    for address, expected in references:
+        produced = memory.load_array(address, expected.shape)
+        # Exact equality implies allclose; anything else (NaNs
+        # included) gets the full check and its diagnostics.
+        if not np.array_equal(produced, expected):
+            np.testing.assert_allclose(produced, expected, rtol=rtol, atol=atol)
+
+
+def _equal_as_one_view(memory, references: Sequence[Tuple[int, np.ndarray]]) -> bool:
+    """Whether ``references`` lie uniformly strided in ``memory`` and all
+    equal it exactly (``False`` for any other layout)."""
+    if len(references) < 2:
+        return False
+    shape = references[0][1].shape
+    addresses = np.fromiter((address for address, _ in references), dtype=np.int64)
+    stride = int(addresses[1] - addresses[0])
+    first = int(addresses[0])
+    extent = int(addresses[-1]) - first + int(np.prod(shape)) * _WORD
+    if (
+        stride <= 0
+        or np.any(np.diff(addresses) != stride)
+        or any(expected.shape != shape for _, expected in references)
+        or not memory.contains(first, extent)
+    ):
+        return False
+    produced = np.ndarray(
+        (len(references), *shape),
+        dtype=np.float32,
+        buffer=memory.data,
+        offset=first - memory.base,
+        strides=(stride, *np.empty(shape, dtype=np.float32).strides),
+    )
+    return np.array_equal(produced, np.stack([expected for _, expected in references]))
+
+
 # --------------------------------------------------------------------------- #
 # Shared plumbing                                                              #
 # --------------------------------------------------------------------------- #
@@ -134,6 +187,18 @@ def _lattice(rng: np.random.Generator, shape) -> np.ndarray:
     values = rng.integers(-32, 32, shape, dtype=np.int32).astype(np.float32)
     values *= np.float32(0.0625)
     return values
+
+
+def _normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Float32 standard normal operands (their float64 sums round)."""
+    return rng.standard_normal(shape).astype(np.float32)
+
+
+#: The operand generators of the ``conv`` family's ``draw`` parameter.
+#: Both fill their array element by element in C order, as NumPy's
+#: generators do: one ``(tiles, words)`` draw equals each tile drawing
+#: its words in turn.
+_DRAWS = {"lattice": _lattice, "normal": _normal}
 
 
 class _Cursor:
@@ -172,29 +237,117 @@ def _transfer(src: int, dst: int, nbytes: int) -> DmaTransfer:
 # --------------------------------------------------------------------------- #
 
 
+#: Bytes of float64 image data one build chunk of tiles spans: the stacked
+#: golden model's working set then stays in a core's L2 cache.
+_CHUNK_BYTES = 1 << 18
+
+
+def _chunk_tiles(image_shape: Tuple[int, int]) -> int:
+    """Tiles drawn, stored and correlated per pass of the build."""
+    height, width = image_shape
+    return max(1, _CHUNK_BYTES // (height * width * 8))
+
+
 def conv_workload(
     spec: ScenarioSpec, hmc: Hmc, cluster: ClusterConfig
 ) -> ScenarioWorkload:
     """Independent 2D convolutions, one tile each, output rows banded.
 
-    The port of :func:`repro.system.workloads.conv_tiled_workload` — the
-    banding/staging logic is shared with it; only the data generator
-    differs (lattice values for cross-engine bit-identity).
+    Every tile stages one image and one kernel from the HMC into the TCDM,
+    splits the output rows into up to ``cluster.num_ntx`` bands (one NTX
+    command each, with the ``kernel - 1`` halo rows re-read from the
+    shared input), and writes the full output back to a distinct HMC
+    region.  The HMC holds each tile's image, kernel and output region
+    back to back.  A workload that does not fit raises
+    :class:`MemoryError` before anything is written.
+
+    The ``draw`` parameter picks the operand generator (:data:`_DRAWS`).
+    The build draws, stores and correlates a chunk of tiles at a time; one
+    ``(tiles, image + kernel words)`` draw equals each tile drawing its
+    image, then its kernel.
     """
     params = spec.merged_params()
-    legacy = conv_tiled_workload(
-        hmc,
-        spec.num_tiles,
-        image_shape=params["image_shape"],
-        kernel=params["kernel"],
-        num_ntx=cluster.num_ntx,
-        tcdm=cluster.tcdm,
-        seed=spec.seed,
-        draw=_lattice,
+    height, width = params["image_shape"]
+    kernel = params["kernel"]
+    draw = _DRAWS[params["draw"]]
+    num_tiles = spec.num_tiles
+    tcdm = cluster.tcdm
+    out_h, out_w = height - kernel + 1, width - kernel + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ValueError("kernel larger than image")
+
+    image_words = height * width
+    operand_words = image_words + kernel * kernel
+    image_bytes = image_words * _WORD
+    weight_bytes = kernel * kernel * _WORD
+    out_bytes = out_h * out_w * _WORD
+    stride = image_bytes + weight_bytes + out_bytes
+
+    # Per-cluster TCDM layout (identical on every cluster).
+    tcdm_image = tcdm.base_address
+    tcdm_weights = tcdm_image + image_bytes
+    tcdm_out = tcdm_weights + weight_bytes
+    if tcdm_out + out_bytes > tcdm.base_address + tcdm.size_bytes:
+        raise MemoryError("one tile does not fit the TCDM")
+    if num_tiles * stride > hmc.config.capacity_bytes:
+        raise MemoryError("workload exceeds the HMC capacity")
+
+    # The band commands depend only on the TCDM layout (and are frozen), so
+    # every tile shares them; each tile still gets its own list.
+    band_commands = []
+    bands = min(cluster.num_ntx, out_h)
+    rows_per_band = -(-out_h // bands)
+    row_start = 0
+    while row_start < out_h:
+        band_rows = min(rows_per_band, out_h - row_start)
+        band_commands.append(
+            conv2d_commands(
+                band_rows + kernel - 1,
+                width,
+                kernel,
+                tcdm_image + row_start * width * _WORD,
+                tcdm_weights,
+                tcdm_out + row_start * out_w * _WORD,
+            )[0]
+        )
+        row_start += band_rows
+
+    # Every tile's operand words (image, then kernel) as one strided view.
+    operands_in_hmc = np.ndarray(
+        (num_tiles, operand_words),
+        dtype=np.float32,
+        buffer=hmc.memory.data,
+        strides=(stride, _WORD),
     )
-    return ScenarioWorkload(
-        family="conv", tiles=legacy.tiles, references=legacy.references
-    )
+    rng = np.random.default_rng(spec.seed)
+    workload = ScenarioWorkload(family="conv", tiles=[])
+    chunk = _chunk_tiles((height, width))
+    for first in range(0, num_tiles, chunk):
+        count = min(chunk, num_tiles - first)
+        operands = draw(rng, (count, operand_words))
+        operands_in_hmc[first : first + count] = operands
+        outputs = conv2d_reference(
+            operands[:, :image_words].reshape(count, height, width),
+            operands[:, image_words:].reshape(count, kernel, kernel),
+        )
+        for index in range(count):
+            hmc_image = hmc.base + (first + index) * stride
+            hmc_weights = hmc_image + image_bytes
+            hmc_out = hmc_weights + weight_bytes
+            workload.tiles.append(
+                TileSchedule(
+                    transfers_in=[
+                        _transfer(hmc_image, tcdm_image, image_bytes),
+                        _transfer(hmc_weights, tcdm_weights, weight_bytes),
+                    ],
+                    commands=list(band_commands),
+                    transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
+                )
+            )
+            workload.references.append((hmc_out, outputs[index]))
+    # One store per image and per kernel, as a tile-by-tile build counts.
+    hmc.memory.writes += 2 * num_tiles
+    return workload
 
 
 # --------------------------------------------------------------------------- #

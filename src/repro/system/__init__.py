@@ -16,8 +16,9 @@
   through, with cross-tile batched replay: cache-hit tiles sharing one
   timing signature execute their data planes as a single stacked NumPy
   dispatch, guarded by a self-containment gate.
-* :mod:`repro.system.workloads` — workload builders (tiles staged in the
-  HMC, verified against NumPy references after the run).
+
+Workloads come from :mod:`repro.scenarios` (tiles staged in the HMC,
+verified against their golden models after the run).
 """
 
 from typing import TYPE_CHECKING
@@ -30,7 +31,6 @@ if TYPE_CHECKING:
     from repro.system.memo import CachedTiming, TileTimingCache
     from repro.system.scheduler import ShardPlan, WorkQueueScheduler, shard_round_robin
     from repro.system.simulator import ClusterReport, SystemResult, SystemSimulator
-    from repro.system.workloads import ConvWorkload, conv_tiled_workload
 
 __all__ = [
     "ClusterAssignment",
@@ -44,8 +44,6 @@ __all__ = [
     "ClusterReport",
     "SystemResult",
     "SystemSimulator",
-    "ConvWorkload",
-    "conv_tiled_workload",
 ]
 
 # Public name -> defining submodule, imported on first access (repro._lazy).
@@ -61,7 +59,5 @@ _EXPORTS = {
     "ClusterReport": "simulator",
     "SystemResult": "simulator",
     "SystemSimulator": "simulator",
-    "ConvWorkload": "workloads",
-    "conv_tiled_workload": "workloads",
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

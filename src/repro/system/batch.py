@@ -380,7 +380,7 @@ class _ReportSlots:
 
 
 def plan_tiles(
-    config: SystemConfig, work: Sequence[ClusterAssignment], signed: bool
+    config: SystemConfig, engine: str, work: Sequence[ClusterAssignment], signed: bool
 ) -> List[List[_TilePlan]]:
     """Jobs, timing signature and batch key of every tile — read-only.
 
@@ -391,7 +391,7 @@ def plan_tiles(
     num_ntx = config.cluster.num_ntx
     # Every cluster of a system shares one configuration, so one signer
     # serves all of them.
-    signer = ClusterSimulator(work[0].cluster, engine=config.engine) if work else None
+    signer = ClusterSimulator(work[0].cluster, engine=engine) if work else None
 
     def derive(tile: TileSchedule) -> Tuple[list, Optional[tuple], Optional[tuple]]:
         jobs = tile.jobs(num_ntx) if tile.commands else []
@@ -447,10 +447,12 @@ def passes_gate(
 
 def walk_tiles(
     config: SystemConfig,
+    engine: str,
     work: Sequence[ClusterAssignment],
     cache: Optional[TileTimingCache],
 ) -> List["object"]:
-    """Execute ``work`` and return one report per work item, in order.
+    """Execute ``work`` on the ``engine`` cycle engine and return one
+    report per work item, in order.
 
     Returns :class:`~repro.system.simulator.ClusterReport` objects with
     ``busy_cycles`` left at zero; the caller derives it (and the
@@ -463,14 +465,14 @@ def walk_tiles(
     ``batched-replay`` span of the gate when the gate refused.
     """
     if cache is None:
-        plans = plan_tiles(config, work, signed=False)
+        plans = plan_tiles(config, engine, work, signed=False)
     else:
         tiles = sum(len(item.assigned) for item in work)
         with _trace.span("batched-replay", tiles=tiles):
-            plans = plan_tiles(config, work, signed=True)
+            plans = plan_tiles(config, engine, work, signed=True)
             if passes_gate(config, plans, cache.gate_verdicts):
-                return _walk(config, work, cache, plans, defer=True)
-    return _walk(config, work, cache, plans, defer=False)
+                return _walk(config, engine, work, cache, plans, defer=True)
+    return _walk(config, engine, work, cache, plans, defer=False)
 
 
 # Span factories of one walk; ``_walk`` picks its set once from ``defer``.
@@ -498,6 +500,7 @@ def _tile_miss_span(item: ClusterAssignment, position: int) -> ContextManager[ob
 
 def _walk(
     config: SystemConfig,
+    engine: str,
     work: Sequence[ClusterAssignment],
     cache: Optional[TileTimingCache],
     plans: List[List[_TilePlan]],
@@ -537,8 +540,8 @@ def _walk(
                     continue
                 with tile_span(item, position):
                     _run_tile(
-                        config, item, slot, position, plan, cached, cache, core_ratio,
-                        miss_span,
+                        config, engine, item, slot, position, plan, cached, cache,
+                        core_ratio, miss_span,
                     )
 
     for group in groups.values():
@@ -546,11 +549,12 @@ def _walk(
             _BATCH_GROUPS.inc()
             _BATCH_TILES.inc(len(group.members))
             with _trace.span("batched-group", tiles=len(group.members)):
-                _replay_group_batched(config, work, slots, group, core_ratio)
+                _replay_group_batched(config, engine, work, slots, group, core_ratio)
         else:
             member = group.members[0]
             _run_tile(
                 config,
+                engine,
                 work[member.work_index],
                 slots[member.work_index],
                 member.position,
@@ -568,6 +572,7 @@ def _walk(
 
 def _run_tile(
     config: SystemConfig,
+    engine: str,
     item: ClusterAssignment,
     slot: _ReportSlots,
     position: int,
@@ -592,7 +597,7 @@ def _run_tile(
         dma_cycles += item.cluster.run_dma(transfer)
         report.dma_bytes += transfer.total_bytes
     if tile.commands:
-        simulator = ClusterSimulator(item.cluster, engine=config.engine)
+        simulator = ClusterSimulator(item.cluster, engine=engine)
         if cached is None:
             with miss_span(item, position):
                 result = simulator.run(plan.jobs, stagger_cycles=config.stagger_cycles)
@@ -623,6 +628,7 @@ def _credit_cached_stats(
 
 def _replay_group_batched(
     config: SystemConfig,
+    engine: str,
     work: Sequence[ClusterAssignment],
     slots: List[_ReportSlots],
     group: _Group,
@@ -661,7 +667,7 @@ def _replay_group_batched(
     # Compute: the shared command stream replays over the stack; commands
     # the kernel refuses walk tile by tile.
     if tile0.commands:
-        ClusterSimulator(item0.cluster, engine=config.engine).run_data_plane(
+        ClusterSimulator(item0.cluster, engine=engine).run_data_plane(
             members[0].plan.jobs, stack, base
         )
         for work_index, count in per_item.items():

@@ -11,6 +11,9 @@ govern scale-out:
 * the aggregate *compute* peak (clusters × per-cluster peak), and
 * the aggregate *memory bandwidth* the populated vaults can deliver, which
   caps the DMA traffic of all clusters together.
+
+It describes hardware only: which cycle engine simulates it is an
+execution choice (:class:`~repro.options.ExecutionOptions`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.engine import DEFAULT_ENGINE, get_engine
 from repro.mem.hmc import HmcConfig
 
 __all__ = ["SystemConfig"]
@@ -36,14 +38,10 @@ class SystemConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     #: The cube the clusters live in (shared by all of them).
     hmc: HmcConfig = field(default_factory=HmcConfig)
-    #: Cycle engine used for the per-tile cluster simulations (resolved
-    #: through the registry of :mod:`repro.cluster.engine`).
-    engine: str = DEFAULT_ENGINE
     #: Per-cluster NTX start stagger (see ``ClusterSimulator.run``).
     stagger_cycles: int = 7
 
     def __post_init__(self) -> None:
-        get_engine(self.engine)  # unknown names fail here, listing choices
         if self.num_vaults <= 0:
             raise ValueError("a system needs at least one populated vault")
         if self.clusters_per_vault <= 0:

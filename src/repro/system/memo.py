@@ -1,7 +1,7 @@
 """Tile-timing memoization for system-scale runs.
 
 A tiled workload at system scale is dominated by *identical* tiles: every
-interior tile of :func:`~repro.system.workloads.conv_tiled_workload` stages
+interior tile of :func:`~repro.scenarios.workloads.conv_workload` stages
 the same shapes to the same TCDM addresses and issues the same command
 stream — only the data differs.  The cycle-level engines are data-oblivious
 (request streams are generated from command structure alone, and every tile

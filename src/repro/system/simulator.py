@@ -39,10 +39,11 @@ with two exact accelerations on top of it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.engine import DEFAULT_ENGINE
 from repro.cluster.sim import SimulationResult
 from repro.cluster.tiling import TileSchedule, overlap_cycles
 from repro.core.vecops import publish_plan_cache_metrics
@@ -205,8 +206,8 @@ class SystemSimulator:
         """``options`` selects the execution path; see :mod:`repro.options`.
 
         ``options.memoize`` toggles the tile timing cache (which persists
-        across :meth:`run` calls); a non-``None`` ``options.engine``
-        overrides the engine of ``config``.
+        across :meth:`run` calls); ``options.engine`` names the cycle
+        engine every tile runs on (``None``: the default engine).
 
         A caller running many simulators over structurally similar
         workloads (the campaign runner, the perfbench harness) may pass a shared
@@ -215,11 +216,10 @@ class SystemSimulator:
         sharing is always exact.
         """
         options = options if options is not None else ExecutionOptions()
-        config = config or SystemConfig()
-        if options.engine is not None and config.engine != options.engine:
-            config = replace(config, engine=options.engine)
         self.options = options
-        self.config = config
+        self.config = config or SystemConfig()
+        #: Cycle engine of every cluster simulation this system runs.
+        self.engine = options.engine or DEFAULT_ENGINE
         self.timing_cache = timing_cache if timing_cache is not None else TileTimingCache()
         self.hmc = Hmc(self.config.hmc)
         self.clusters: List[Cluster] = [
@@ -270,7 +270,7 @@ class SystemSimulator:
             )
             for cluster_id, tile_indices in enumerate(plan.tiles_of)
         ]
-        reports = walk_tiles(config, work, cache)
+        reports = walk_tiles(config, self.engine, work, cache)
 
         with _trace.span("merge"):
             # First pass: per-cluster double-buffered busy time without

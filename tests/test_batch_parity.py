@@ -40,15 +40,21 @@ import pytest
 from repro.cluster.cluster import ClusterConfig
 from repro.core.ntx import NtxConfig
 from repro.options import ExecutionOptions
-from repro.scenarios.workloads import _lattice
-from repro.system import (
-    ClusterAssignment,
-    SystemConfig,
-    SystemSimulator,
-    conv_tiled_workload,
-)
+from repro.scenarios import ScenarioSpec, build_workload, run_scenario
+from repro.system import ClusterAssignment, SystemConfig, SystemSimulator
 from repro.softfloat.pcs import PcsConfig
 from repro.system.batch import passes_gate, plan_tiles, walk_tiles
+
+
+def _conv(num_tiles, image_shape=(12, 14), draw="lattice", **fields):
+    """A conv scenario of ``num_tiles`` tiles on ``draw`` operands."""
+    return ScenarioSpec(
+        name="parity-conv",
+        family="conv",
+        params={"image_shape": image_shape, "draw": draw},
+        num_tiles=num_tiles,
+        **fields,
+    )
 
 
 def _run(
@@ -57,26 +63,32 @@ def _run(
     seed=2019,
     engine="vectorized",
     memoize=True,
-    config=None,
-    draw=_lattice,
+    draw="lattice",
+    cluster=None,
+    **geometry,
 ):
-    """One end-to-end system run; returns (simulator, workload, result)."""
-    if config is None:
-        config = SystemConfig(engine=engine)
+    """One end-to-end system run; returns (simulator, workload, result).
+
+    ``cluster`` runs on a non-default cluster configuration, which no
+    scenario spec describes: the workload is then built and run by hand.
+    """
+    spec = _conv(num_tiles, image_shape, draw, seed=seed, engine=engine, **geometry)
+    options = ExecutionOptions(engine=engine, memoize=memoize)
+    if cluster is None:
+        outcome = run_scenario(spec, verify=False, options=options)
+        return outcome.simulator, outcome.workload, outcome.result
+    config = dataclasses.replace(spec.system_config(), cluster=cluster)
+    simulator = SystemSimulator(config, options=options)
+    workload = build_workload(spec, simulator.hmc, cluster)
+    return simulator, workload, simulator.run(workload.tiles)
+
+
+def _built(num_tiles, memoize=True, **geometry):
+    """A simulator and the lattice conv tiles staged in its HMC, not run."""
+    spec = _conv(num_tiles, **geometry)
+    config = spec.system_config()
     simulator = SystemSimulator(config, options=ExecutionOptions(memoize=memoize))
-    workload = conv_tiled_workload(
-        simulator.hmc,
-        num_tiles=num_tiles,
-        image_shape=image_shape,
-        seed=seed,
-        draw=draw,
-    )
-    result = simulator.run(workload.tiles)
-    return simulator, workload, result
-
-
-def _normal(rng, shape):
-    return rng.standard_normal(shape).astype(np.float32)
+    return simulator, build_workload(spec, simulator.hmc, config.cluster)
 
 
 def _hmc_bytes(simulator):
@@ -152,8 +164,8 @@ class TestMemoOffVsOnArbitraryData:
     the *same* engine."""
 
     def test_vectorized_engine_bit_identical(self):
-        memo_off = _run(memoize=False, draw=_normal, seed=7)
-        memo_on = _run(memoize=True, draw=_normal, seed=7)
+        memo_off = _run(memoize=False, draw="normal", seed=7)
+        memo_on = _run(memoize=True, draw="normal", seed=7)
         _assert_matches_reference(memo_off, memo_on)
 
 
@@ -190,11 +202,14 @@ class TestScalarBatchedReplay:
 
     def test_normal_data_groups_walk_uncertified_macs_per_tile(self):
         by_reason = _fallbacks()
-        config = SystemConfig(engine="scalar", num_vaults=1, clusters_per_vault=1)
-        reference = _run(num_tiles=4, memoize=False, config=config, draw=_normal, seed=7)
+        run = dict(
+            num_tiles=4, engine="scalar", draw="normal", seed=7,
+            num_vaults=1, clusters_per_vault=1,
+        )
+        reference = _run(memoize=False, **run)
         before = by_reason()
         groups = _batched_groups()
-        candidate = _run(num_tiles=4, memoize=True, config=config, draw=_normal, seed=7)
+        candidate = _run(memoize=True, **run)
         assert (candidate[2].cache_hits, candidate[2].cache_misses) == (3, 1)
         assert _batched_groups() >= groups + 1
         assert by_reason() == before
@@ -230,20 +245,15 @@ class TestNarrowAccumulatorParity:
     ):
         by_reason = _fallbacks()
         geometry = dict(
+            num_tiles=num_tiles,
             num_vaults=1,
             clusters_per_vault=1,
             cluster=ClusterConfig(ntx=NtxConfig(pcs=pcs)),
         )
-        reference = _run(
-            num_tiles=num_tiles, memoize=False,
-            config=SystemConfig(engine="scalar", **geometry),
-        )
+        reference = _run(engine="scalar", memoize=False, **geometry)
         before = by_reason()
         groups = _batched_groups()
-        candidate = _run(
-            num_tiles=num_tiles, memoize=memoize,
-            config=SystemConfig(engine=engine, **geometry),
-        )
+        candidate = _run(engine=engine, memoize=memoize, **geometry)
         assert by_reason() == before
         assert (_batched_groups() > groups) == (path == "batched-group")
         assert candidate[2].cache_hits == (num_tiles - 1 if memoize else 0)
@@ -265,9 +275,8 @@ def _topology_runs(topology):
     return [
         _run(
             memoize=memoize,
-            config=SystemConfig(
-                num_vaults=num_vaults, clusters_per_vault=clusters_per_vault
-            ),
+            num_vaults=num_vaults,
+            clusters_per_vault=clusters_per_vault,
         )
         for memoize in (False, True)
     ]
@@ -319,9 +328,7 @@ class TestWalkerAccounting:
         from repro.obs import metrics
 
         metrics.set_metrics_enabled(True)
-        _, _, result = _run(
-            num_tiles=8, config=SystemConfig(num_vaults=1, clusters_per_vault=1)
-        )
+        _, _, result = _run(num_tiles=8, num_vaults=1, clusters_per_vault=1)
         assert (result.cache_hits, result.cache_misses) == (7, 1)
         registry = metrics.REGISTRY
         assert registry.get("repro_batched_groups_total").value() == 1
@@ -356,12 +363,8 @@ class TestWalkerAccounting:
     def test_walk_reports_follow_work_order(self):
         """``walk_tiles`` returns one report per work item, in work order,
         with ``busy_cycles`` left for the caller to derive."""
-        simulator = SystemSimulator(
-            SystemConfig(num_vaults=1, clusters_per_vault=3),
-            options=ExecutionOptions(memoize=False),
-        )
-        workload = conv_tiled_workload(
-            simulator.hmc, num_tiles=7, image_shape=(12, 14), draw=_lattice
+        simulator, workload = _built(
+            7, memoize=False, num_vaults=1, clusters_per_vault=3
         )
         plan = simulator.shard(workload.tiles)
         # Visit the clusters in reverse to show order comes from ``work``.
@@ -374,7 +377,7 @@ class TestWalkerAccounting:
             )
             for cluster_id in reversed(range(simulator.config.num_clusters))
         ]
-        reports = walk_tiles(simulator.config, work, cache=None)
+        reports = walk_tiles(simulator.config, simulator.engine, work, cache=None)
         workload.verify(simulator.hmc)
         assert [r.cluster_id for r in reports] == [2, 1, 0]
         for item, report in zip(work, reports):
@@ -415,16 +418,18 @@ def _fuzz_one(draw, combos):
         num_tiles=draw["num_tiles"],
         image_shape=draw["image_shape"],
         seed=draw["seed"],
+        engine="scalar",
         memoize=False,
-        config=SystemConfig(engine="scalar", **draw["config_kwargs"]),
+        **draw["config_kwargs"],
     )
     for engine, memoize in combos:
         candidate = _run(
             num_tiles=draw["num_tiles"],
             image_shape=draw["image_shape"],
             seed=draw["seed"],
+            engine=engine,
             memoize=memoize,
-            config=SystemConfig(engine=engine, **draw["config_kwargs"]),
+            **draw["config_kwargs"],
         )
         _assert_matches_reference(reference, candidate)
 
@@ -455,19 +460,16 @@ class TestSelfContainmentGate:
     whatever residue the previous tile left in the TCDM) must make the
     walker defer nothing — decided before any state is touched."""
 
-    def _doctored(self, simulator, num_tiles=6):
-        workload = conv_tiled_workload(
-            simulator.hmc, num_tiles=num_tiles, image_shape=(12, 14), draw=_lattice
-        )
+    def _doctored(self, memoize=True):
+        simulator, workload = _built(6, memoize=memoize)
         # Strip the staging DMA of one interior tile: its commands now read
         # uncovered TCDM words, so the group containing it is not
         # self-contained.
         workload.tiles[2].transfers_in = []
-        return workload
+        return simulator, workload
 
     def test_gate_refuses_without_touching_state(self):
-        simulator = SystemSimulator(SystemConfig())
-        workload = self._doctored(simulator)
+        simulator, workload = self._doctored()
         hmc_before = _hmc_bytes(simulator).copy()
         plan = simulator.shard(workload.tiles)
         vault_of = simulator.config.vault_of_cluster
@@ -480,7 +482,7 @@ class TestSelfContainmentGate:
             )
             for cluster_id, tile_indices in enumerate(plan.tiles_of)
         ]
-        plans = plan_tiles(simulator.config, work, signed=True)
+        plans = plan_tiles(simulator.config, simulator.engine, work, signed=True)
         assert not passes_gate(simulator.config, plans)
         # The refusal happened in the read-only planning pass: nothing ran.
         assert np.array_equal(_hmc_bytes(simulator), hmc_before)
@@ -493,10 +495,7 @@ class TestSelfContainmentGate:
     def test_refused_run_matches_memo_off(self):
         runs = []
         for memoize in (False, True):
-            simulator = SystemSimulator(
-                SystemConfig(), options=ExecutionOptions(memoize=memoize)
-            )
-            workload = self._doctored(simulator)
+            simulator, workload = self._doctored(memoize)
             result = simulator.run(workload.tiles)
             runs.append((simulator, workload, result))
         (ref_sim, _, ref_result), (sim, _, result) = runs
@@ -511,11 +510,9 @@ class TestSelfContainmentGate:
         same DMA error as the no-cache walk instead of a wrapped read."""
         errors = []
         for memoize in (False, True):
-            simulator = SystemSimulator(
-                SystemConfig(num_vaults=1, clusters_per_vault=1),
-                options=ExecutionOptions(memoize=memoize),
+            simulator, workload = _built(
+                4, memoize=memoize, num_vaults=1, clusters_per_vault=1
             )
-            workload = conv_tiled_workload(simulator.hmc, num_tiles=4, draw=_lattice)
             tile = workload.tiles[3]
             stray = dataclasses.replace(tile.transfers_in[0], src=simulator.hmc.base - 4096)
             workload.tiles[3] = dataclasses.replace(
@@ -527,7 +524,7 @@ class TestSelfContainmentGate:
                         0, 0, simulator.clusters[0], list(enumerate(workload.tiles))
                     )
                 ]
-                plans = plan_tiles(simulator.config, work, signed=True)
+                plans = plan_tiles(simulator.config, simulator.engine, work, signed=True)
                 assert not passes_gate(simulator.config, plans)
             with pytest.raises(IndexError) as caught:
                 simulator.run(workload.tiles)
@@ -540,8 +537,7 @@ class TestPerProgram:
     program: same command objects, placements and TCDM-side DMA layout."""
 
     def _tiles(self):
-        simulator = SystemSimulator(SystemConfig())
-        workload = conv_tiled_workload(simulator.hmc, num_tiles=3, draw=_lattice)
+        simulator, workload = _built(3)
         return simulator, workload.tiles
 
     def test_tiles_of_one_program_share_one_derivation(self):

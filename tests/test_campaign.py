@@ -65,7 +65,7 @@ class TestSweepSpec:
         """JSON turns tuple axis values into lists; normalization keeps
         the round trip an identity (exactly like ScenarioSpec params)."""
         sweep = tiny_sweep(axes={"params.image_shape": ((6, 8), (8, 10))})
-        assert SweepSpec.from_json(sweep.to_json()) == sweep
+        assert SweepSpec.from_dict(json.loads(json.dumps(sweep.to_dict()))) == sweep
 
     def test_from_dict_rejects_unknown_fields(self):
         data = tiny_sweep().to_dict()
@@ -85,10 +85,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="sweepable"):
             tiny_sweep(axes={"name": ("a", "b")})
 
-    def test_retired_parallel_axis_rejected(self):
-        """A sweep file written when ``parallel`` was a spec field fails."""
-        with pytest.raises(ValueError, match="'parallel'.*sweepable"):
-            tiny_sweep(axes={"parallel": (0, 2)})
+    @pytest.mark.parametrize("retired", ["parallel", "memoize"])
+    def test_retired_axis_rejected(self, retired):
+        """A sweep file written when ``parallel`` or ``memoize`` was a
+        spec field fails, naming the field."""
+        with pytest.raises(ValueError, match=f"'{retired}'.*sweepable"):
+            tiny_sweep(axes={retired: (False, True)})
 
     def test_unknown_param_axis_lists_family_params(self):
         with pytest.raises(ValueError, match="params.image_shape"):
@@ -160,7 +162,7 @@ class TestSweepSpec:
         sweep = tiny_sweep(
             quick_overrides={"params": {"image_shape": (6, 8)}}
         )
-        assert SweepSpec.from_json(sweep.to_json()) == sweep
+        assert SweepSpec.from_dict(json.loads(json.dumps(sweep.to_dict()))) == sweep
 
     def test_grid_expansion_order_and_count(self):
         points = tiny_sweep().expand()
@@ -431,8 +433,37 @@ class TestRunCampaign:
 
         plain = ids()
         assert ids(cache_dir=str(tmp_path / "cache")) == plain
-        assert set(ids(memoize=False)).isdisjoint(plain)
+        assert ids(memoize=False) == plain
         assert set(ids(engine="scalar")).isdisjoint(plain)
+
+    def test_unmemoized_run_over_a_memoized_store_executes_nothing(self, tmp_path):
+        """Memoization is exact, so it is no part of a point's identity: a
+        ``memoize=False`` run finds every point a memoized run stored and
+        neither appends to the store nor publishes to the result cache."""
+        store = tmp_path / "s.jsonl"
+        cache = GlobalResultCache(tmp_path / "cache")
+        filled = run_campaign(tiny_sweep(), store_path=store, cache=cache)
+        assert filled.executed_points == 4
+        stored = store.read_bytes()
+        shards = {path.name: path.read_bytes() for path in cache.root.iterdir()}
+        rerun = run_campaign(
+            tiny_sweep(),
+            store_path=store,
+            cache=cache,
+            options=ExecutionOptions(memoize=False),
+        )
+        assert (rerun.executed_points, rerun.skipped_points) == (0, 4)
+        assert rerun.records == filled.records
+        assert store.read_bytes() == stored
+        assert {path.name: path.read_bytes() for path in cache.root.iterdir()} == shards
+        warm = run_campaign(
+            tiny_sweep(),
+            store_path=tmp_path / "fresh.jsonl",
+            cache=cache,
+            options=ExecutionOptions(memoize=False),
+        )
+        assert (warm.executed_points, warm.cached_points) == (0, 4)
+        assert {path.name: path.read_bytes() for path in cache.root.iterdir()} == shards
 
     def test_on_point_reports_resumed_points_as_not_fresh(self, tmp_path):
         store = tmp_path / "s.jsonl"

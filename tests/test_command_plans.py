@@ -285,27 +285,25 @@ def _gate_inputs(simulator, tiles):
         )
         for cluster_id, indices in enumerate(shards.tiles_of)
     ]
-    return plan_tiles(simulator.config, work, signed=True)
+    return plan_tiles(simulator.config, simulator.engine, work, signed=True)
 
 
 def test_gate_verdicts_are_kept_per_batch_key(monkeypatch):
     """A warm verdict skips the gate's stream walk, keeps its refusals,
     and still checks the HMC side of every run's tiles."""
-    from repro.scenarios.workloads import _lattice
+    from repro.scenarios import build_workload, get_scenario
     from repro.system import batch
-    from repro.system.config import SystemConfig
     from repro.system.simulator import SystemSimulator
-    from repro.system.workloads import conv_tiled_workload
 
     walks = []
     walk = batch._tcdm_self_contained
     monkeypatch.setattr(
         batch, "_tcdm_self_contained", lambda *args: walks.append(1) or walk(*args)
     )
-    simulator = SystemSimulator(SystemConfig())
-    tiles = conv_tiled_workload(
-        simulator.hmc, num_tiles=6, image_shape=(12, 14), draw=_lattice
-    ).tiles
+    spec = get_scenario("conv-tiled").with_overrides(num_tiles=6)
+    config = spec.system_config()
+    simulator = SystemSimulator(config)
+    tiles = build_workload(spec, simulator.hmc, config.cluster).tiles
     verdicts = {}
     assert batch.passes_gate(simulator.config, _gate_inputs(simulator, tiles), verdicts)
     assert len(walks) == len(verdicts) >= 1 and all(verdicts.values())

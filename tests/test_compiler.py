@@ -2,6 +2,8 @@
 validation error paths, compiled goldens, the differential pin against the
 hand-written stencil family, and pipeline chaining."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -310,7 +312,7 @@ class TestCompiledScenarioRoundTrips:
             "pipeline-blur-stencil-reduce",
         ):
             spec = get_scenario(name)
-            assert ScenarioSpec.from_json(spec.to_json()) == spec
+            assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_pipeline_run_verifies_and_reduces_to_one_word(self):
         outcome = run_scenario(

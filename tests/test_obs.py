@@ -24,8 +24,8 @@ from repro.obs.trace import (
     write_spans_jsonl,
 )
 from repro.options import ExecutionOptions
-from repro.scenarios import ScenarioSpec, run_scenario
-from repro.system import SystemConfig, SystemSimulator, conv_tiled_workload
+from repro.scenarios import ScenarioSpec, build_workload, run_scenario
+from repro.system import SystemSimulator
 
 def tiny_spec(**overrides) -> ScenarioSpec:
     settings = dict(
@@ -205,10 +205,12 @@ class TestInstrumentedRuns:
         """
 
         def traced_run(doctor):
-            simulator = SystemSimulator(SystemConfig())
-            workload = conv_tiled_workload(
-                simulator.hmc, num_tiles=6, image_shape=(12, 14)
+            spec = ScenarioSpec(
+                name="obs-conv", family="conv", params={"draw": "normal"}, num_tiles=6
             )
+            config = spec.system_config()
+            simulator = SystemSimulator(config)
+            workload = build_workload(spec, simulator.hmc, config.cluster)
             if doctor:
                 # Tile 2 now reads TCDM words no DMA staged.
                 workload.tiles[2].transfers_in = []
@@ -242,11 +244,10 @@ class TestInstrumentedRuns:
         """Without a cache, whichever the engine, the walker runs every
         tile inline and never enters the gate."""
         spec = tiny_spec(
-            name="tiny-obs-inline", num_tiles=4, clusters_per_vault=2,
-            engine=engine, memoize=memoize,
+            name="tiny-obs-inline", num_tiles=4, clusters_per_vault=2, engine=engine
         )
         with obs.trace_session(trace=True) as tracer:
-            outcome = run_scenario(spec)
+            outcome = run_scenario(spec, options=ExecutionOptions(memoize=memoize))
             spans = tracer.spans()
         assert outcome.verified
         names = [s.name for s in spans]
@@ -314,18 +315,15 @@ class TestExecutionOptionsTraceFields:
         options = ExecutionOptions(trace_out=str(tmp_path / "t.json"))
         assert options.trace is True
 
-    def test_trace_is_never_a_spec_override(self, tmp_path):
-        options = ExecutionOptions(trace=True, trace_out=str(tmp_path / "t"))
-        assert "trace" not in options.spec_overrides()
-        assert "trace_out" not in options.spec_overrides()
+    def test_trace_never_changes_the_spec(self):
+        spec = tiny_spec()
+        with obs.trace_session(trace=True):
+            outcome = run_scenario(spec, options=ExecutionOptions(trace=True))
+        assert outcome.spec == spec
 
     def test_non_bool_trace_rejected(self):
         with pytest.raises(ValueError):
             ExecutionOptions(trace=1)
-
-    def test_round_trips_through_dict(self, tmp_path):
-        options = ExecutionOptions(trace_out=str(tmp_path / "t.json"))
-        assert ExecutionOptions.from_dict(options.to_dict()) == options
 
 
 class TestLogging:

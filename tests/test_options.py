@@ -1,9 +1,12 @@
-"""The unified ExecutionOptions API: defaults, dict/JSON round trips,
-validation, the retired fields, and the entry points taking it as their
-only execution-knob argument."""
+"""The unified ExecutionOptions API: defaults, validation, the retired
+fields, and the entry points taking it as their only execution-knob
+argument."""
+
+from dataclasses import fields
 
 import pytest
 
+from repro.cluster.engine import DEFAULT_ENGINE
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, run_scenario
 from repro.system import SystemConfig, SystemSimulator
@@ -31,32 +34,14 @@ class TestExecutionOptions:
         assert options.quick is False
 
     def test_fields_are_the_six_execution_knobs(self):
-        assert list(ExecutionOptions().to_dict()) == [
+        assert [f.name for f in fields(ExecutionOptions)] == [
             "engine", "memoize", "quick", "cache_dir", "trace", "trace_out",
         ]
-
-    def test_dict_round_trip(self):
-        options = ExecutionOptions(engine="scalar", memoize=False, quick=True)
-        assert ExecutionOptions.from_dict(options.to_dict()) == options
-
-    def test_json_round_trip(self):
-        options = ExecutionOptions(quick=True, cache_dir="cache")
-        assert ExecutionOptions.from_json(options.to_json()) == options
-
-    def test_from_dict_missing_fields_default(self):
-        assert ExecutionOptions.from_dict({}) == ExecutionOptions()
-        assert ExecutionOptions.from_dict({"quick": True}).quick is True
-
-    def test_from_dict_unknown_field_lists_accepted(self):
-        with pytest.raises(ValueError, match="turbo.*accepted"):
-            ExecutionOptions.from_dict({"turbo": True})
 
     @pytest.mark.parametrize("retired", ["parallel", "batch", "workers", "shard"])
     def test_retired_fields_rejected(self, retired):
         """Worker dispatch, the batch switch, the campaign process pool
         and point sharding are gone, not ignored."""
-        with pytest.raises(ValueError, match=retired):
-            ExecutionOptions.from_dict({retired: 2})
         with pytest.raises(TypeError):
             ExecutionOptions(**{retired: 2})
 
@@ -74,24 +59,26 @@ class TestExecutionOptions:
         with pytest.raises(AttributeError):
             ExecutionOptions().quick = True
 
-    def test_spec_overrides_only_non_defaults(self):
-        assert ExecutionOptions().spec_overrides() == {}
-        overrides = ExecutionOptions(
-            engine="scalar", memoize=False, quick=True, cache_dir="cache",
-        ).spec_overrides()
-        assert overrides == {"engine": "scalar", "memoize": False}
-
-    def test_with_overrides_validates(self):
-        options = ExecutionOptions().with_overrides(quick=True)
-        assert options.quick is True
-        with pytest.raises(ValueError):
-            options.with_overrides(engine="warp")
-
-    def test_engine_option_threads_into_simulator_config(self):
+    def test_engine_option_selects_the_simulator_engine(self):
+        assert SystemSimulator(SystemConfig()).engine == DEFAULT_ENGINE
         simulator = SystemSimulator(
             SystemConfig(), options=ExecutionOptions(engine="scalar")
         )
-        assert simulator.config.engine == "scalar"
+        assert simulator.engine == "scalar"
+
+    def test_engine_option_overrides_the_spec(self):
+        outcome = run_scenario(tiny_spec(), options=ExecutionOptions(engine="scalar"))
+        assert outcome.spec.engine == outcome.simulator.engine == "scalar"
+        outcome = run_scenario(tiny_spec(engine="scalar"))
+        assert outcome.simulator.engine == "scalar"
+
+    def test_memoize_option_toggles_the_timing_cache(self):
+        plain = run_scenario(tiny_spec(), options=ExecutionOptions(memoize=False))
+        memoized = run_scenario(tiny_spec())
+        assert (plain.result.cache_hits, plain.result.cache_misses) == (0, 0)
+        assert memoized.result.cache_hits > 0
+        assert memoized.result.makespan_cycles == plain.result.makespan_cycles
+        assert plain.spec == memoized.spec
 
     def test_entry_points_take_no_legacy_keywords(self):
         with pytest.raises(TypeError):

@@ -2,6 +2,7 @@
 builders, golden-model verification (including its failure paths) and the
 scenario runner."""
 
+import json
 import shutil
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.cluster.engine import available_engines, get_engine
 from repro.cluster.tiling import TileSchedule
 from repro.mem.hmc import Hmc
+from repro.options import ExecutionOptions
 from repro.scenarios import (
     FAMILIES,
     ScenarioSpec,
@@ -34,21 +36,21 @@ class TestScenarioSpec:
             num_vaults=1,
             clusters_per_vault=2,
             engine="scalar",
-            memoize=False,
             stagger_cycles=5,
         )
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
     def test_json_round_trip(self):
+        """The path a result store takes: ``to_dict``, JSON and back."""
         spec = get_scenario("conv-tiled")
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_json_round_trip_with_tuple_params(self):
         """JSON turns tuples into lists; normalization keeps the identity."""
         spec = ScenarioSpec(
             name="rt2", family="conv", params={"image_shape": (8, 10)}
         )
-        round_tripped = ScenarioSpec.from_json(spec.to_json())
+        round_tripped = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert round_tripped == spec
         assert round_tripped.merged_params()["image_shape"] == (8, 10)
 
@@ -84,22 +86,24 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(name="x", family="conv", num_tiles=-1)
 
-    def test_retired_parallel_field_rejected(self):
-        """Worker dispatch is gone; a spec naming it must fail loudly."""
+    @pytest.mark.parametrize("retired", ["parallel", "memoize"])
+    def test_retired_field_rejected(self, retired):
+        """Worker dispatch is gone and memoization is an execution option;
+        a spec naming either must fail loudly."""
         data = get_scenario("conv-tiled").to_dict()
-        assert "parallel" not in data
-        with pytest.raises(ValueError, match="parallel"):
-            ScenarioSpec.from_dict({**data, "parallel": 2})
+        assert retired not in data
+        with pytest.raises(ValueError, match=retired):
+            ScenarioSpec.from_dict({**data, retired: False})
 
-    def test_system_config_carries_the_knobs(self):
+    def test_system_config_carries_the_geometry(self):
         spec = ScenarioSpec(
             name="x", family="conv", num_vaults=1, clusters_per_vault=3,
             engine="scalar", stagger_cycles=3,
         )
         config = spec.system_config()
         assert config.num_clusters == 3
-        assert config.engine == "scalar"
         assert config.stagger_cycles == 3
+        assert not hasattr(config, "engine")
 
 
 class TestRegistry:
@@ -148,11 +152,11 @@ class TestPlacements:
             tile.jobs(8)
 
 
-def _run_family(name, **overrides):
+def _run_family(name, memoize=True, **overrides):
     overrides.setdefault("num_tiles", 2)
     overrides.setdefault("num_vaults", 1)
     overrides.setdefault("clusters_per_vault", 2)
-    return run_scenario(name, **overrides)
+    return run_scenario(name, options=ExecutionOptions(memoize=memoize), **overrides)
 
 
 class TestWorkloadFamilies:
@@ -224,20 +228,17 @@ class TestWorkloadFamilies:
         for a, b in zip(plain.output_arrays(), fast.output_arrays()):
             assert np.array_equal(a, b)  # bit-identical HMC buffers
 
-    def test_conv_scenario_matches_legacy_workload_shape(self):
-        """The conv family is the port of conv_tiled_workload: same tiling
-        structure (bands, transfers) for the same shape parameters."""
-        from repro.system import conv_tiled_workload
-
+    def test_conv_draw_changes_data_not_structure(self):
+        """Normal and lattice operands share one tiling structure (bands,
+        transfers, commands) and differ only in the staged data."""
         spec = get_scenario("conv-tiled").with_overrides(num_tiles=2)
-        hmc = Hmc()
-        ported = build_workload(spec, hmc, ClusterConfig())
-        legacy = conv_tiled_workload(Hmc(), num_tiles=2)
-        assert len(ported.tiles) == len(legacy.tiles)
-        for new_tile, old_tile in zip(ported.tiles, legacy.tiles):
-            assert len(new_tile.commands) == len(old_tile.commands)
-            assert new_tile.bytes_in == old_tile.bytes_in
-            assert new_tile.bytes_out == old_tile.bytes_out
+        normal = spec.with_overrides(params={"draw": "normal"})
+        hmcs = Hmc(), Hmc()
+        lattice_build = build_workload(spec, hmcs[0], ClusterConfig())
+        normal_build = build_workload(normal, hmcs[1], ClusterConfig())
+        assert "draw" not in spec.params
+        assert lattice_build.tiles == normal_build.tiles
+        assert hmcs[0].memory.data != hmcs[1].memory.data
 
 
 class TestRunnerSurface:

@@ -8,28 +8,34 @@ import math
 import numpy as np
 import pytest
 
+from repro.cluster.engine import available_engines
 from repro.options import ExecutionOptions
+from repro.scenarios import ScenarioSpec, registered_scenarios, run_scenario
 from repro.system import (
     SystemConfig,
     SystemSimulator,
     WorkQueueScheduler,
-    conv_tiled_workload,
     shard_round_robin,
 )
 
 
-def _run_system(config, num_tiles, image_shape=(12, 14), memoize=True, seed=2019):
-    """One end-to-end run; returns (simulator, workload, result, outputs)."""
-    simulator = SystemSimulator(config, options=ExecutionOptions(memoize=memoize))
-    workload = conv_tiled_workload(
-        simulator.hmc, num_tiles=num_tiles, image_shape=image_shape, seed=seed
+def _normal_conv(num_tiles, **fields):
+    """A conv scenario on standard normal operands."""
+    return ScenarioSpec(
+        name="normal-conv",
+        family="conv",
+        params={"image_shape": (12, 14), "draw": "normal"},
+        num_tiles=num_tiles,
+        **fields,
     )
-    result = simulator.run(workload.tiles)
-    outputs = [
-        simulator.hmc.memory.load_array(address, expected.shape)
-        for address, expected in workload.references
-    ]
-    return simulator, workload, result, outputs
+
+
+def _run_system(num_tiles, memoize=True, **fields):
+    """One verified end-to-end run; returns (simulator, workload, result, outputs)."""
+    outcome = run_scenario(
+        _normal_conv(num_tiles, **fields), options=ExecutionOptions(memoize=memoize)
+    )
+    return outcome.simulator, outcome.workload, outcome.result, outcome.output_arrays()
 
 
 class TestWorkQueueScheduler:
@@ -108,11 +114,8 @@ class TestSystemConfig:
 
 class TestSystemSimulator:
     def test_two_vaults_four_clusters_end_to_end(self):
-        simulator = SystemSimulator(SystemConfig(num_vaults=2, clusters_per_vault=4))
-        workload = conv_tiled_workload(simulator.hmc, num_tiles=10)
-        result = simulator.run(workload.tiles)
-        # Every tile executed, results are bit-correct in the shared HMC.
-        workload.verify(simulator.hmc)
+        # Every tile executed, results are verified in the shared HMC.
+        _, workload, result, _ = _run_system(10, num_vaults=2, clusters_per_vault=4)
         assert result.num_tiles == 10
         assert result.makespan_cycles > 0
         assert 0.0 < result.utilization <= 1.0
@@ -130,10 +133,7 @@ class TestSystemSimulator:
         assert result.utilization == 0.0
 
     def test_single_tile_leaves_clusters_idle(self):
-        simulator = SystemSimulator(SystemConfig(num_vaults=2, clusters_per_vault=4))
-        workload = conv_tiled_workload(simulator.hmc, num_tiles=1)
-        result = simulator.run(workload.tiles)
-        workload.verify(simulator.hmc)
+        _, _, result, _ = _run_system(1, num_vaults=2, clusters_per_vault=4)
         busy = [r for r in result.reports if r.tile_indices]
         assert len(busy) == 1
         assert result.utilization <= 1.0 / 8 + 1e-9
@@ -141,23 +141,19 @@ class TestSystemSimulator:
     def test_more_clusters_shrink_the_makespan(self):
         makespans = {}
         for clusters_per_vault in (1, 4):
-            config = SystemConfig(num_vaults=2, clusters_per_vault=clusters_per_vault)
-            simulator = SystemSimulator(config)
-            workload = conv_tiled_workload(simulator.hmc, num_tiles=8)
-            makespans[clusters_per_vault] = simulator.run(workload.tiles).makespan_cycles
+            _, _, result, _ = _run_system(
+                8, num_vaults=2, clusters_per_vault=clusters_per_vault
+            )
+            makespans[clusters_per_vault] = result.makespan_cycles
         assert makespans[4] < makespans[1]
 
     def test_fewer_vaults_trigger_bandwidth_contention(self):
         """Same cluster count, fewer populated vaults: DMA slows down."""
         results = {}
         for num_vaults, clusters_per_vault in ((2, 4), (1, 8)):
-            config = SystemConfig(
-                num_vaults=num_vaults, clusters_per_vault=clusters_per_vault
+            _, _, results[num_vaults], _ = _run_system(
+                16, num_vaults=num_vaults, clusters_per_vault=clusters_per_vault
             )
-            simulator = SystemSimulator(config)
-            workload = conv_tiled_workload(simulator.hmc, num_tiles=16)
-            results[num_vaults] = simulator.run(workload.tiles)
-            workload.verify(simulator.hmc)
         assert results[2].contention_factor == pytest.approx(1.0)
         assert results[1].contention_factor > 1.0
         assert results[1].makespan_cycles > results[2].makespan_cycles
@@ -165,11 +161,9 @@ class TestSystemSimulator:
     def test_more_clusters_than_tiles_leaves_idle_clusters(self):
         """Regression: a mostly-idle system must run, not error out."""
         for memoize in (False, True):
-            config = SystemConfig(num_vaults=2, clusters_per_vault=4)
-            simulator, workload, result, _ = _run_system(
-                config, num_tiles=3, memoize=memoize
+            _, _, result, _ = _run_system(
+                3, memoize=memoize, num_vaults=2, clusters_per_vault=4
             )
-            workload.verify(simulator.hmc)
             assert result.num_tiles == 3
             assert sum(1 for r in result.reports if not r.tile_indices) == 5
             assert len(result.reports) == 8
@@ -189,20 +183,15 @@ class TestSystemSimulator:
             assert "workers" not in result.summary()
 
     def test_scalar_and_vectorized_systems_agree(self):
-        """Satellite: SimulationResult parity on a fixed-seed system run."""
+        """SimulationResult parity on a fixed-seed normal-data system run."""
         summaries = {}
         for engine in ("scalar", "vectorized"):
-            config = SystemConfig(num_vaults=1, clusters_per_vault=2, engine=engine)
-            simulator = SystemSimulator(config)
-            workload = conv_tiled_workload(simulator.hmc, num_tiles=4, seed=77)
-            result = simulator.run(workload.tiles)
-            workload.verify(simulator.hmc)
-            summaries[engine] = result
+            _, _, summaries[engine], _ = _run_system(
+                4, seed=77, engine=engine, num_vaults=1, clusters_per_vault=2
+            )
         scalar, vectorized = summaries["scalar"], summaries["vectorized"]
         assert vectorized.total_flops == scalar.total_flops
-        assert vectorized.makespan_cycles == pytest.approx(
-            scalar.makespan_cycles, rel=0.02
-        )
+        assert vectorized.makespan_cycles == scalar.makespan_cycles
         assert vectorized.conflict_probability == pytest.approx(
             scalar.conflict_probability, abs=0.01
         )
@@ -216,13 +205,9 @@ class TestSystemSimulator:
 
 
 def _verified_runs():
-    """A verified 4-tile conv run as a ``ConvWorkload`` and as a
-    ``ScenarioWorkload``: ``[(workload, hmc), ...]``."""
-    from repro.scenarios import run_scenario
-
-    simulator, workload, _, _ = _run_system(
-        SystemConfig(num_vaults=1, clusters_per_vault=1), num_tiles=4
-    )
+    """Verified 4-tile conv runs on normal and on lattice operands:
+    ``[(workload, hmc), ...]``."""
+    simulator, workload, _, _ = _run_system(4, num_vaults=1, clusters_per_vault=1)
     outcome = run_scenario(
         "conv-tiled", num_tiles=4, num_vaults=1, clusters_per_vault=1
     )
@@ -258,57 +243,40 @@ class TestVerify:
 
 
 class TestScenarioEngineParity:
-    """Satellite: the golden-parity guarantee extended to every registered
-    scenario family — scalar and vectorized engines must leave *bit-identical*
+    """The golden-parity guarantee over every registered scenario: every
+    engine, with memoization off and on, must leave *bit-identical*
     contents in the HMC (the lattice-valued workload data makes every
-    intermediate exact in both data planes), and their timing must agree."""
+    intermediate exact in both data planes) and the same makespan.
+    Execution options never change a result."""
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "conv-tiled",
-            "matmul-tiled",
-            "stencil-laplace2d",
-            "dnn-training-step",
-            # The compiled (declarative) scenarios ride the same guarantee:
-            # coefficient quantization keeps every product dyadic-exact.
-            "cstencil-laplace27",
-            "cstencil-heat3d",
-            "cstencil-gauss-blur",
-            "cstencil-bilateral",
-            "pipeline-blur-stencil-reduce",
-        ],
-    )
+    @pytest.mark.parametrize("name", registered_scenarios())
     def test_scalar_and_vectorized_hmc_contents_are_bit_identical(self, name):
-        from repro.cluster.engine import available_engines
-        from repro.scenarios import run_scenario
-
         outcomes = {
-            engine: run_scenario(
+            (engine, memoize): run_scenario(
                 name,
-                engine=engine,
+                options=ExecutionOptions(engine=engine, memoize=memoize),
                 num_tiles=2,
                 num_vaults=1,
                 clusters_per_vault=2,
             )
             for engine in available_engines()
+            for memoize in (False, True)
         }
-        assert {"scalar", "vectorized"} <= set(outcomes)
+        assert {"scalar", "vectorized"} <= set(available_engines())
         for outcome in outcomes.values():
             assert outcome.verified  # every engine matches the golden model
-        reference = outcomes["scalar"]
-        for engine, outcome in outcomes.items():
+        reference = outcomes["scalar", False]
+        for run, outcome in outcomes.items():
+            assert outcome.spec.engine == run[0]
             assert outcome.result.total_flops == reference.result.total_flops
-            assert outcome.result.makespan_cycles == pytest.approx(
-                reference.result.makespan_cycles, rel=0.02
-            )
+            assert outcome.result.makespan_cycles == reference.result.makespan_cycles
             for produced, golden in zip(
                 outcome.output_arrays(), reference.output_arrays()
             ):
-                assert np.array_equal(produced, golden), (name, engine)
+                assert np.array_equal(produced, golden), (name, run)
 
     def test_registry_lists_both_engines(self):
-        from repro.cluster.engine import available_engines, get_engine
+        from repro.cluster.engine import get_engine
 
         names = available_engines()
         assert "scalar" in names and "vectorized" in names
@@ -327,8 +295,9 @@ class TestTilingMemoization:
         timing-cache entry while each still producing its own correct output
         in the HMC.
         """
-        config = SystemConfig(num_vaults=1, clusters_per_vault=1)
-        simulator, workload, result, outputs = _run_system(config, num_tiles=2)
+        simulator, workload, result, outputs = _run_system(
+            2, num_vaults=1, clusters_per_vault=1
+        )
         assert result.cache_misses == 1
         assert result.cache_hits == 1
         assert result.cache_hit_rate == pytest.approx(0.5)
@@ -344,13 +313,9 @@ class TestTilingMemoization:
 
     def test_memoized_run_is_identical_to_unmemoized(self):
         """Memoization only skips recomputation — never changes any result."""
-        config = SystemConfig(num_vaults=2, clusters_per_vault=2)
-        _, _, plain, outputs_plain = _run_system(
-            config, num_tiles=10, memoize=False
-        )
-        _, workload, memoized, outputs_memoized = _run_system(
-            config, num_tiles=10, memoize=True
-        )
+        geometry = dict(num_vaults=2, clusters_per_vault=2)
+        _, _, plain, outputs_plain = _run_system(10, memoize=False, **geometry)
+        _, _, memoized, outputs_memoized = _run_system(10, memoize=True, **geometry)
         assert plain.cache_hits == plain.cache_misses == 0
         assert memoized.cache_hits > 0
         assert memoized.makespan_cycles == plain.makespan_cycles
@@ -361,13 +326,9 @@ class TestTilingMemoization:
 
     def test_scalar_engine_memoized_stays_bit_exact(self):
         """The hit path replays scalar tiles through the exact executor."""
-        config = SystemConfig(num_vaults=1, clusters_per_vault=2, engine="scalar")
-        _, _, plain, outputs_plain = _run_system(
-            config, num_tiles=4, memoize=False, seed=7
-        )
-        _, _, memoized, outputs_memoized = _run_system(
-            config, num_tiles=4, memoize=True, seed=7
-        )
+        fields = dict(seed=7, engine="scalar", num_vaults=1, clusters_per_vault=2)
+        _, _, plain, outputs_plain = _run_system(4, memoize=False, **fields)
+        _, _, memoized, outputs_memoized = _run_system(4, memoize=True, **fields)
         assert memoized.cache_hits > 0
         assert memoized.makespan_cycles == plain.makespan_cycles
         for a, b in zip(outputs_plain, outputs_memoized):
@@ -375,10 +336,9 @@ class TestTilingMemoization:
 
     def test_cache_persists_across_runs(self):
         """A second run of the same workload shape is all cache hits."""
-        config = SystemConfig(num_vaults=1, clusters_per_vault=2)
-        simulator = SystemSimulator(config)
-        first = conv_tiled_workload(simulator.hmc, num_tiles=4)
-        result_first = simulator.run(first.tiles)
+        simulator, first, result_first, _ = _run_system(
+            4, num_vaults=1, clusters_per_vault=2
+        )
         assert result_first.cache_misses == 1
         result_second = simulator.run(first.tiles)
         assert result_second.cache_misses == 0

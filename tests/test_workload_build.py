@@ -1,12 +1,12 @@
-"""The chunked conv-tiled build equals a tile-by-tile build byte for byte.
+"""The chunked conv build equals a tile-by-tile build byte for byte.
 
-:func:`repro.system.workloads.conv_tiled_workload` draws, stores and
+:func:`repro.scenarios.workloads.conv_workload` draws, stores and
 correlates a chunk of tiles at a time.  The reference below is the
 tile-by-tile builder it replaced — per tile: draw the image, draw the
 kernel, store both, compute the golden model — kept here, not in
 ``src/``, as the definition the chunked build must reproduce: the same
 HMC bytes, references, transfers, commands and store count, for every
-tile count around the chunk edges, both operand generators and odd
+tile count around the chunk edges, both ``draw`` generators and odd
 image/kernel shapes.  A workload over the HMC capacity must raise before
 it writes anything.
 
@@ -19,22 +19,44 @@ pass without ``assert_allclose``.
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import ClusterConfig
 from repro.cluster.tiling import TileSchedule
 from repro.kernels.conv import conv2d_commands, conv2d_f64, conv2d_reference
 from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc, HmcConfig
 from repro.mem.tcdm import TcdmConfig
-from repro.scenarios.workloads import _lattice
-from repro.system.workloads import _chunk_tiles, conv_tiled_workload
+from repro.scenarios import ScenarioSpec, run_scenario
+from repro.scenarios.families import CONV_DRAWS
+from repro.scenarios.workloads import _DRAWS as DRAWS
+from repro.scenarios.workloads import _chunk_tiles, _lattice, conv_workload
 
 _WORD = 4
 
 
-def _standard_normal(rng, shape):
-    return rng.standard_normal(shape).astype(np.float32)
+def _conv_build(hmc, num_tiles, image_shape=(12, 14), kernel=3, seed=2019, draw="lattice"):
+    """The shipped chunked build of a conv scenario into ``hmc``."""
+    spec = ScenarioSpec(
+        name="build-conv",
+        family="conv",
+        params={"image_shape": image_shape, "kernel": kernel, "draw": draw},
+        num_tiles=num_tiles,
+        seed=seed,
+    )
+    return conv_workload(spec, hmc, ClusterConfig())
 
 
-DRAWS = {"lattice": _lattice, "standard_normal": _standard_normal}
+def test_normal_draw_is_the_standard_normal_stream():
+    """``draw="normal"`` takes ``standard_normal`` cast to float32."""
+    got = DRAWS["normal"](np.random.default_rng(7), (3, 5))
+    want = np.random.default_rng(7).standard_normal((3, 5)).astype(np.float32)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_unknown_draw_rejected_at_spec_time():
+    """The family table names exactly the draws the builder has."""
+    assert tuple(DRAWS) == CONV_DRAWS
+    with pytest.raises(ValueError, match="lattice"):
+        ScenarioSpec(name="x", family="conv", params={"draw": "uniform"})
 
 
 def _per_tile_build(hmc, num_tiles, image_shape, kernel, num_ntx, seed, draw):
@@ -98,11 +120,9 @@ def _hmc_bytes(hmc):
 
 def _assert_same_build(shape, kernel, num_tiles, draw, seed=2019):
     chunked_hmc, reference_hmc = Hmc(), Hmc()
-    workload = conv_tiled_workload(
-        chunked_hmc, num_tiles, image_shape=shape, kernel=kernel, seed=seed, draw=draw
-    )
+    workload = _conv_build(chunked_hmc, num_tiles, shape, kernel, seed, draw)
     tiles, references = _per_tile_build(
-        reference_hmc, num_tiles, shape, kernel, num_ntx=8, seed=seed, draw=draw
+        reference_hmc, num_tiles, shape, kernel, num_ntx=8, seed=seed, draw=DRAWS[draw]
     )
     assert np.array_equal(_hmc_bytes(chunked_hmc), _hmc_bytes(reference_hmc))
     assert chunked_hmc.memory.writes == reference_hmc.memory.writes == 2 * num_tiles
@@ -134,7 +154,7 @@ def test_chunked_build_equals_per_tile_build(draw, shape, kernel, where):
         "none": 0, "one": 1, "chunk-1": chunk - 1, "chunk": chunk,
         "chunk+1": chunk + 1, "400": 400,
     }[where]
-    _assert_same_build(shape, kernel, num_tiles, DRAWS[draw])
+    _assert_same_build(shape, kernel, num_tiles, draw)
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2019])
@@ -175,9 +195,9 @@ def test_a_workload_over_capacity_raises_before_writing():
     shape, kernel = (12, 14), 3
     per_tile = (12 * 14 + 3 * 3 + 10 * 12) * _WORD
     fits = hmc.config.capacity_bytes // per_tile
-    conv_tiled_workload(Hmc(HmcConfig(capacity_bytes=64 * 1024)), fits, image_shape=shape)
+    _conv_build(Hmc(HmcConfig(capacity_bytes=64 * 1024)), fits, shape)
     with pytest.raises(MemoryError, match="HMC capacity"):
-        conv_tiled_workload(hmc, fits + 1, image_shape=shape, kernel=kernel)
+        _conv_build(hmc, fits + 1, shape, kernel)
     assert not _hmc_bytes(hmc).any()
     assert hmc.memory.writes == 0
 
@@ -226,12 +246,10 @@ def _per_region_verify(hmc, references, rtol, atol):
 
 
 def _ran_workload(num_tiles=8):
-    from repro.system import SystemConfig, SystemSimulator
-
-    simulator = SystemSimulator(SystemConfig(num_vaults=1, clusters_per_vault=2))
-    workload = conv_tiled_workload(simulator.hmc, num_tiles, draw=_lattice)
-    simulator.run(workload.tiles)
-    return simulator.hmc, workload
+    outcome = run_scenario(
+        "conv-tiled", verify=False, num_tiles=num_tiles, num_vaults=1, clusters_per_vault=2
+    )
+    return outcome.simulator.hmc, outcome.workload
 
 
 def _failure(check):
@@ -270,17 +288,16 @@ def test_a_wrong_output_fails_with_the_per_region_diagnostics(bad, order):
     assert hmc.memory.reads - reads == 6
     assert "Not equal to tolerance" in message
     assert message == _failure(
-        lambda: _per_region_verify(hmc, references, rtol=1e-5, atol=1e-6)
+        lambda: _per_region_verify(hmc, references, rtol=1e-6, atol=1e-7)
     )
 
 
-def test_each_workload_keeps_its_tolerance():
-    from repro.scenarios.workloads import ScenarioWorkload
-
+def test_verify_keeps_its_tight_tolerance():
+    """Verification passes within ``rtol=1e-6`` and fails beyond it."""
     hmc, workload = _ran_workload()
     address, expected = workload.references[2]
-    nudged = expected.flat[0] * np.float32(1 + 3e-6) if expected.flat[0] else 1e-6
-    hmc.memory.write_f32(address, nudged)
-    workload.verify(hmc)  # rtol 1e-5
-    scenario = ScenarioWorkload("conv", workload.tiles, workload.references)
-    assert "Not equal to tolerance" in _failure(lambda: scenario.verify(hmc))  # rtol 1e-6
+    value = expected.flat[0] if expected.flat[0] else np.float32(1e-6)
+    hmc.memory.write_f32(address, value * np.float32(1 + 5e-7))
+    workload.verify(hmc)
+    hmc.memory.write_f32(address, value * np.float32(1 + 3e-6))
+    assert "Not equal to tolerance" in _failure(lambda: workload.verify(hmc))
