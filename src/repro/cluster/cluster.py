@@ -19,6 +19,7 @@ control programs on the embedded ISS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -89,7 +90,6 @@ class Cluster:
         self.config = config or ClusterConfig()
         self.amap = self.config.address_map
         self.tcdm = Tcdm(self.config.tcdm)
-        self.l2 = Memory(self.amap.l2_size, base=self.amap.l2_base, name="l2")
         # ``hmc`` may be shared: the scale-out simulator (:mod:`repro.system`)
         # places many clusters on the logic base of one cube, so they all see
         # the same DRAM contents and vault bandwidth accounting.
@@ -99,11 +99,22 @@ class Cluster:
         self.ntx: List[Ntx] = [
             Ntx(self.config.ntx, ntx_id=i) for i in range(self.config.num_ntx)
         ]
-        self.ntx_regs: List[NtxRegisterFile] = [
-            NtxRegisterFile() for _ in range(self.config.num_ntx)
-        ]
         self.bus = ClusterBus(self)
         self.cpu: Optional[Cpu] = None
+
+    # The L2 and the NTX register files serve the control core and the
+    # functional offload only; a cycle-engine run never touches them, so
+    # each is built on first use.
+
+    @cached_property
+    def l2(self) -> Memory:
+        """The cluster's L2 memory (the control core's program memory)."""
+        return Memory(self.amap.l2_size, base=self.amap.l2_base, name="l2")
+
+    @cached_property
+    def ntx_regs(self) -> List[NtxRegisterFile]:
+        """One memory-mapped register file per NTX."""
+        return [NtxRegisterFile() for _ in range(self.config.num_ntx)]
 
     # ------------------------------------------------------------------ #
     # NTX offload (functional path)                                      #

@@ -135,7 +135,7 @@ def _account_command(
     if fast_path:
         # The fallback executor issued the real FPU (which counts its own
         # statistics); the fast path accounts them wholesale.
-        fpu_stats = ntx.fpu.stats
+        fpu_stats = ntx.fpu_stats
         fpu_stats.issues += plan.total * count
         fpu_stats.writebacks += plan.num_stores * count
         if command.opcode is NtxOpcode.MAC:

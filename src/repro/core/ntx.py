@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Protocol, Tuple
+from typing import Deque, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.commands import NtxCommand, NtxOpcode
 from repro.core.controller import MicroOp, NtxController
-from repro.core.fpu import NtxFpu
+from repro.core.fpu import FpuStats, NtxFpu
 from repro.softfloat.pcs import PcsConfig
 
 __all__ = ["MemoryPort", "NtxConfig", "NtxStats", "Ntx"]
@@ -130,6 +130,9 @@ class _InflightOp:
         return not self.pending
 
 
+#: The FIFOs of an NTX that has not started a command: empty, and read-only.
+_NO_FIFO: Deque = ()  # type: ignore[assignment]
+
 #: TCDM ports of one NTX: AGU0 and AGU1 feed the two read ports, AGU2 owns
 #: the third port for accumulator-init reads and result writes.
 _PORT_SLOTS = ((0, "a"), (1, "b"), (2, "init"))
@@ -141,21 +144,31 @@ class Ntx:
     def __init__(self, config: Optional[NtxConfig] = None, ntx_id: int = 0) -> None:
         self.config = config or NtxConfig()
         self.ntx_id = ntx_id
-        self.fpu = NtxFpu(self.config.pcs)
         self.stats = NtxStats()
-        # Cycle-interface state.
+        #: The FPU's counters, kept here so an engine that credits them
+        #: wholesale (the vectorized one) never builds the datapath.
+        self.fpu_stats = FpuStats()
+        self._fpu: Optional[NtxFpu] = None
+        # Cycle-interface state.  :meth:`start` builds each command's
+        # operand and write-back FIFOs; an NTX never started reads as empty.
         self._controller: Optional[NtxController] = None
         self._command: Optional[NtxCommand] = None
-        self._inflight: Deque[_InflightOp] = deque()
-        self._port_queues: Dict[int, Deque[Tuple[_InflightOp, str, int]]] = {
-            0: deque(),
-            1: deque(),
-            2: deque(),
-        }
-        self._wb_queue: Deque[Tuple[int, float]] = deque()
+        self._inflight: Deque[_InflightOp] = _NO_FIFO
+        self._port_queues: Sequence[Deque[Tuple[_InflightOp, str, int]]] = (
+            _NO_FIFO,
+        ) * 3
+        self._wb_queue: Deque[Tuple[int, float]] = _NO_FIFO
         self._presented_write = False
         self._setup_cycles_left = 0
         self._drain_cycles_left = 0
+
+    @property
+    def fpu(self) -> NtxFpu:
+        """The FPU/partial-carry-save datapath, built on first use: only
+        :meth:`execute` and the cycle interface step it."""
+        if self._fpu is None:
+            self._fpu = NtxFpu(self.config.pcs, stats=self.fpu_stats)
+        return self._fpu
 
     # ------------------------------------------------------------------ #
     # Functional execution                                               #
@@ -220,12 +233,12 @@ class Ntx:
             raise RuntimeError(f"NTX {self.ntx_id} is busy")
         self._command = command
         self._controller = NtxController(command)
+        self._fpu = self.fpu  # built here; the per-cycle path reads _fpu
         self._setup_cycles_left = self.config.command_setup_cycles
         self._drain_cycles_left = 0
-        self._inflight.clear()
-        for queue in self._port_queues.values():
-            queue.clear()
-        self._wb_queue.clear()
+        self._inflight = deque()
+        self._port_queues = (deque(), deque(), deque())
+        self._wb_queue = deque()
         self.stats.commands += 1
 
     def cycle_requests(self) -> List[Tuple[int, bool]]:
@@ -290,7 +303,7 @@ class Ntx:
                 self._compute(entry)
                 if op.store is not None:
                     self._wb_queue.append(
-                        (op.store, self.fpu.writeback(self._command.opcode))
+                        (op.store, self._fpu.writeback(self._command.opcode))
                     )
                 retired = True
                 if op.last:
@@ -355,10 +368,10 @@ class Ntx:
         op = entry.op
         if op.init:
             init_value = entry.values.get("init") if op.init_read is not None else None
-            self.fpu.init_block(opcode, init_value)
+            self._fpu.init_block(opcode, init_value)
         operand0 = entry.values.get("a") if op.read0 is not None else None
         operand1 = entry.values.get("b") if op.read1 is not None else None
-        self.fpu.issue(opcode, operand0, operand1, self._command.scalar)
+        self._fpu.issue(opcode, operand0, operand1, self._command.scalar)
         self.stats.iterations += 1
         self.stats.flops += opcode.flops_per_element
 

@@ -325,23 +325,26 @@ def conv3d_reference(volume: np.ndarray, weights: np.ndarray) -> np.ndarray:
     partial stays exact, so the rounding points are harmless — but keeping
     them in the reference pins the golden model to the command stream, not
     to an idealised single-rounding convolution.
+
+    One stacked :func:`conv2d_f64` call per ``dz`` covers every output
+    plane at once (plane ``z`` reads input plane ``z + dz``), and leading
+    axes of ``volume`` (a stack of tiles) broadcast; every plane is
+    bit-identical to its own 2D calls.
     """
     volume = np.asarray(volume, dtype=np.float32)
     weights = np.asarray(weights, dtype=np.float32)
-    depth = volume.shape[0]
+    depth = volume.shape[-3]
     k = weights.shape[0]
     out_d = depth - k + 1
     if out_d <= 0:
         raise ValueError("kernel larger than volume")
-    planes = []
-    for z in range(out_d):
-        acc = conv2d_f64(volume[z], weights[0]).astype(np.float32)
-        for dz in range(1, k):
-            acc = (
-                acc.astype(np.float64) + conv2d_f64(volume[z + dz], weights[dz])
-            ).astype(np.float32)
-        planes.append(acc)
-    return np.stack(planes)
+    acc = conv2d_f64(volume[..., :out_d, :, :], weights[0]).astype(np.float32)
+    for dz in range(1, k):
+        acc = (
+            acc.astype(np.float64)
+            + conv2d_f64(volume[..., dz : dz + out_d, :, :], weights[dz])
+        ).astype(np.float32)
+    return acc
 
 
 def conv3d_commands(

@@ -40,6 +40,7 @@ scenarios bit-identical across engines like the hand-written families.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Mapping, Tuple
 
 import numpy as np
@@ -94,7 +95,12 @@ class StencilSpec(StencilParams):
     its dense kernel, command stream and golden model."""
 
     def dense_kernel(self) -> np.ndarray:
-        """The dense ``(2r+1)^dims`` float32 kernel (absent offsets are 0)."""
+        """The dense ``(2r+1)^dims`` float32 kernel (absent offsets are 0),
+        expanded once per spec and shared read-only."""
+        return self._dense_kernel
+
+    @cached_property
+    def _dense_kernel(self) -> np.ndarray:
         coeffs = self.resolved_coefficients()
         kernel = np.zeros((self.kernel_width,) * self.dims, dtype=np.float32)
         for offset, distance in neighborhood_offsets(
@@ -102,24 +108,30 @@ class StencilSpec(StencilParams):
         ):
             index = tuple(step + self.radius for step in offset)
             kernel[index] = np.float32(coeffs[distance])
+        kernel.flags.writeable = False
         return kernel
 
     # -- compilation ---------------------------------------------------------
 
     def pad(self, grid: np.ndarray) -> np.ndarray:
-        """The staged field: ``grid`` pre-padded per the boundary rule."""
+        """The staged field: ``grid`` pre-padded per the boundary rule.
+
+        Leading axes (a stack of tiles' grids) are kept, not padded.
+        """
         grid = np.asarray(grid, dtype=np.float32)
-        if grid.shape != self.grid_shape:
+        lead = grid.ndim - self.dims
+        if lead < 0 or grid.shape[lead:] != self.grid_shape:
             raise ValueError(
                 f"grid_shape: field of shape {grid.shape} does not match the "
                 f"declared grid {self.grid_shape}"
             )
         if self.boundary == "valid":
             return grid
+        widths = [(0, 0)] * lead + [(self.radius, self.radius)] * self.dims
         pad_mode = _PAD_MODES[self.boundary]
         if pad_mode == "constant":
-            return np.pad(grid, self.radius, mode="constant", constant_values=0.0)
-        return np.pad(grid, self.radius, mode=pad_mode)
+            return np.pad(grid, widths, mode="constant", constant_values=0.0)
+        return np.pad(grid, widths, mode=pad_mode)
 
     def commands(
         self, src_addr: int, kernel_addr: int, dst_addr: int
@@ -146,7 +158,11 @@ class StencilSpec(StencilParams):
         return commands, chains
 
     def reference(self, grid: np.ndarray) -> np.ndarray:
-        """The auto-derived NumPy golden of the compiled stencil."""
+        """The auto-derived NumPy golden of the compiled stencil.
+
+        Leading axes of ``grid`` broadcast: a stack of tiles' grids gives
+        the stack of their goldens, each bit-identical to its own call.
+        """
         staged = self.pad(grid)
         kernel = self.dense_kernel()
         if self.dims == 2:

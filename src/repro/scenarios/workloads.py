@@ -88,6 +88,7 @@ __all__ = [
     "build_workload",
     "compiled_stencil_workload",
     "conv_workload",
+    "dnn_step_reference",
     "dnn_step_workload",
     "matmul_workload",
     "opstream_workload",
@@ -370,6 +371,9 @@ def matmul_workload(
     tcdm_a = layout.alloc(a_bytes)
     tcdm_b = layout.alloc(b_bytes)
     tcdm_c = layout.alloc(c_bytes)
+    commands = gemm_commands(
+        m, k, n, tcdm_a, tcdm_b, tcdm_c, split_rows=cluster.num_ntx
+    )
 
     rng = np.random.default_rng(spec.seed)
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
@@ -380,17 +384,13 @@ def matmul_workload(
         hmc_a = _stage(hmc, cursor, a)
         hmc_b = _stage(hmc, cursor, b)
         hmc_c = cursor.alloc(c_bytes)
-
-        commands = gemm_commands(
-            m, k, n, tcdm_a, tcdm_b, tcdm_c, split_rows=cluster.num_ntx
-        )
         workload.tiles.append(
             TileSchedule(
                 transfers_in=[
                     _transfer(hmc_a, tcdm_a, a_bytes),
                     _transfer(hmc_b, tcdm_b, b_bytes),
                 ],
-                commands=commands,
+                commands=list(commands),
                 transfers_out=[_transfer(tcdm_c, hmc_c, c_bytes)],
             )
         )
@@ -428,6 +428,7 @@ def stencil_workload(
     tcdm_field = layout.alloc(field_bytes)
     tcdm_taps = layout.alloc(LAPLACE_TAPS.nbytes)
     tcdm_out = layout.alloc(out_bytes)
+    commands = laplace_commands(2, (height, width), tcdm_field, tcdm_taps, tcdm_out)
 
     rng = np.random.default_rng(spec.seed)
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
@@ -437,17 +438,13 @@ def stencil_workload(
         field_data = _lattice(rng, (height, width))
         hmc_field = _stage(hmc, cursor, field_data)
         hmc_out = cursor.alloc(out_bytes)
-
-        commands = laplace_commands(
-            2, (height, width), tcdm_field, tcdm_taps, tcdm_out
-        )
         workload.tiles.append(
             TileSchedule(
                 transfers_in=[
                     _transfer(hmc_field, tcdm_field, field_bytes),
                     _transfer(hmc_taps, tcdm_taps, LAPLACE_TAPS.nbytes),
                 ],
-                commands=commands,
+                commands=list(commands),
                 transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
                 placements=[0] * len(commands),
             )
@@ -509,11 +506,69 @@ def dnn_step_workload(
     tcdm_grad = layout.alloc(target_bytes)
     tcdm_dw = layout.alloc(weights_bytes)
 
+    commands: List[NtxCommand] = []
+    placements: List[int] = []
+    for co in range(out_channels):
+        chain: List[NtxCommand] = []
+        out_co = tcdm_out + co * grad_plane
+        grad_co = tcdm_grad + co * grad_plane
+        target_co = tcdm_target + co * grad_plane
+        # 1) forward: accumulate the input channels into out[co].
+        chain.extend(
+            conv2d_multichannel_commands(
+                in_channels,
+                size,
+                size,
+                kernel,
+                tcdm_image,
+                tcdm_weights + co * in_channels * filt,
+                out_co,
+            )
+        )
+        # 2) loss gradient: grad[co] = out[co] - target[co].
+        chain.append(
+            NtxCommand(
+                opcode=NtxOpcode.SUB,
+                loops=LoopConfig.nest(out_size * out_size),
+                agu0=AguConfig(base=out_co, strides=(_WORD, 0, 0, 0, 0)),
+                agu1=AguConfig(base=target_co, strides=(_WORD, 0, 0, 0, 0)),
+                agu2=AguConfig(base=grad_co, strides=(_WORD, 0, 0, 0, 0)),
+                init_level=0,
+                store_level=0,
+            )
+        )
+        # 3) weight gradient: correlate each input channel with grad[co]
+        # (a conv2d whose "kernel" is the out_size x out_size gradient).
+        for ci in range(in_channels):
+            chain.append(
+                conv2d_commands(
+                    size,
+                    size,
+                    out_size,
+                    tcdm_image + ci * plane,
+                    grad_co,
+                    tcdm_dw + (co * in_channels + ci) * filt,
+                )[0]
+            )
+        # 4) SGD update over the channel's whole weight block.
+        chain.append(
+            axpy_commands(
+                in_channels * kernel * kernel,
+                tcdm_neg_lr,
+                tcdm_dw + co * in_channels * filt,
+                tcdm_weights + co * in_channels * filt,
+            )[0]
+        )
+        commands.extend(chain)
+        placements.extend([co % num_ntx] * len(chain))
+
     neg_lr = np.array([-lr], dtype=np.float32)
     rng = np.random.default_rng(spec.seed)
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
     hmc_neg_lr = _stage(hmc, cursor, neg_lr)
     workload = ScenarioWorkload(family="dnn", tiles=[])
+    operands = []
+    hmc_outputs = []
     for _ in range(spec.num_tiles):
         image = _lattice(rng, (in_channels, size, size))
         weights = _lattice(rng, (out_channels, in_channels, kernel, kernel))
@@ -522,63 +577,6 @@ def dnn_step_workload(
         hmc_weights = _stage(hmc, cursor, weights)
         hmc_target = _stage(hmc, cursor, target)
         hmc_grad = cursor.alloc(target_bytes)
-
-        commands: List[NtxCommand] = []
-        placements: List[int] = []
-        for co in range(out_channels):
-            chain: List[NtxCommand] = []
-            out_co = tcdm_out + co * grad_plane
-            grad_co = tcdm_grad + co * grad_plane
-            target_co = tcdm_target + co * grad_plane
-            # 1) forward: accumulate the input channels into out[co].
-            chain.extend(
-                conv2d_multichannel_commands(
-                    in_channels,
-                    size,
-                    size,
-                    kernel,
-                    tcdm_image,
-                    tcdm_weights + co * in_channels * filt,
-                    out_co,
-                )
-            )
-            # 2) loss gradient: grad[co] = out[co] - target[co].
-            chain.append(
-                NtxCommand(
-                    opcode=NtxOpcode.SUB,
-                    loops=LoopConfig.nest(out_size * out_size),
-                    agu0=AguConfig(base=out_co, strides=(_WORD, 0, 0, 0, 0)),
-                    agu1=AguConfig(base=target_co, strides=(_WORD, 0, 0, 0, 0)),
-                    agu2=AguConfig(base=grad_co, strides=(_WORD, 0, 0, 0, 0)),
-                    init_level=0,
-                    store_level=0,
-                )
-            )
-            # 3) weight gradient: correlate each input channel with grad[co]
-            # (a conv2d whose "kernel" is the out_size x out_size gradient).
-            for ci in range(in_channels):
-                chain.append(
-                    conv2d_commands(
-                        size,
-                        size,
-                        out_size,
-                        tcdm_image + ci * plane,
-                        grad_co,
-                        tcdm_dw + (co * in_channels + ci) * filt,
-                    )[0]
-                )
-            # 4) SGD update over the channel's whole weight block.
-            chain.append(
-                axpy_commands(
-                    in_channels * kernel * kernel,
-                    tcdm_neg_lr,
-                    tcdm_dw + co * in_channels * filt,
-                    tcdm_weights + co * in_channels * filt,
-                )[0]
-            )
-            commands.extend(chain)
-            placements.extend([co % num_ntx] * len(chain))
-
         workload.tiles.append(
             TileSchedule(
                 transfers_in=[
@@ -587,37 +585,52 @@ def dnn_step_workload(
                     _transfer(hmc_target, tcdm_target, target_bytes),
                     _transfer(hmc_neg_lr, tcdm_neg_lr, _WORD),
                 ],
-                commands=commands,
+                commands=list(commands),
                 transfers_out=[
                     _transfer(tcdm_weights, hmc_weights, weights_bytes),
                     _transfer(tcdm_grad, hmc_grad, target_bytes),
                 ],
-                placements=placements,
+                placements=list(placements),
             )
         )
+        operands.append((image, weights, target))
+        hmc_outputs.append((hmc_weights, hmc_grad))
 
-        # Golden model, rounding to binary32 exactly where the engines do.
-        grad_ref = np.empty((out_channels, out_size, out_size), dtype=np.float32)
-        w_new = np.empty_like(weights)
-        for co in range(out_channels):
-            out_co = conv2d_reference(image[0], weights[co, 0])
-            for ci in range(1, in_channels):
-                out_co = (
-                    out_co.astype(np.float64)
-                    + conv2d_f64(image[ci], weights[co, ci])
-                ).astype(np.float32)
-            grad_ref[co] = (
-                out_co.astype(np.float64) - target[co].astype(np.float64)
-            ).astype(np.float32)
-            for ci in range(in_channels):
-                dw = conv2d_reference(image[ci], grad_ref[co])
-                w_new[co, ci] = (
-                    weights[co, ci].astype(np.float64)
-                    - np.float64(lr) * dw.astype(np.float64)
-                ).astype(np.float32)
+    images, weights, targets = (np.stack(stack) for stack in zip(*operands))
+    new_weights, grads = dnn_step_reference(images, weights, targets, lr)
+    for (hmc_weights, hmc_grad), w_new, grad in zip(hmc_outputs, new_weights, grads):
         workload.references.append((hmc_weights, w_new))
-        workload.references.append((hmc_grad, grad_ref))
+        workload.references.append((hmc_grad, grad))
     return workload
+
+
+def dnn_step_reference(
+    image: np.ndarray, weights: np.ndarray, target: np.ndarray, lr: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Golden model of :func:`dnn_step_workload`: updated weights and loss
+    gradients, rounded to binary32 exactly where the engines round.
+
+    ``image`` is ``(tiles, in, H, W)``, ``weights`` ``(tiles, out, in, k,
+    k)`` and ``target`` ``(tiles, out, H', W')``.  Every tile, output
+    channel and input channel is one slice of a stacked
+    :func:`~repro.kernels.conv.conv2d_f64` call, bit-identical to its own
+    call: the forward pass sums the input channels in order, rounding each
+    accumulate command's result; the loss gradient, the weight gradient
+    (the input correlated with the gradient) and the SGD update each round
+    once.
+    """
+    in_channels = image.shape[1]
+    # Each input channel's forward contribution: (tiles, out, in, H', W').
+    partials = conv2d_f64(image[:, None], weights)
+    out = partials[:, :, 0].astype(np.float32)
+    for ci in range(1, in_channels):
+        out = (out.astype(np.float64) + partials[:, :, ci]).astype(np.float32)
+    grad = (out.astype(np.float64) - target.astype(np.float64)).astype(np.float32)
+    dw = conv2d_reference(image[:, None], grad[:, :, None])
+    w_new = (
+        weights.astype(np.float64) - np.float64(lr) * dw.astype(np.float64)
+    ).astype(np.float32)
+    return w_new, grad
 
 
 # --------------------------------------------------------------------------- #
@@ -699,6 +712,20 @@ def opstream_workload(
     tcdm_a = layout.alloc(n * _WORD)
     tcdm_b = layout.alloc(n * _WORD)
     tcdm_out = layout.alloc(out_words * _WORD)
+    command = NtxCommand(
+        opcode=opcode,
+        loops=LoopConfig.nest(n),
+        agu0=AguConfig(base=tcdm_a, strides=(_WORD, 0, 0, 0, 0)),
+        agu1=AguConfig(base=tcdm_b, strides=(_WORD, 0, 0, 0, 0)),
+        agu2=AguConfig(
+            base=tcdm_out,
+            strides=((_WORD if elementwise else 0), 0, 0, 0, 0),
+        ),
+        init_level=0 if elementwise else 1,
+        store_level=0 if elementwise else 1,
+        init_source=InitSource.ZERO,
+        scalar=scalar,
+    )
 
     rng = np.random.default_rng(spec.seed)
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
@@ -709,21 +736,6 @@ def opstream_workload(
         hmc_a = _stage(hmc, cursor, a)
         hmc_b = _stage(hmc, cursor, b)
         hmc_out = cursor.alloc(out_words * _WORD)
-
-        command = NtxCommand(
-            opcode=opcode,
-            loops=LoopConfig.nest(n),
-            agu0=AguConfig(base=tcdm_a, strides=(_WORD, 0, 0, 0, 0)),
-            agu1=AguConfig(base=tcdm_b, strides=(_WORD, 0, 0, 0, 0)),
-            agu2=AguConfig(
-                base=tcdm_out,
-                strides=((_WORD if elementwise else 0), 0, 0, 0, 0),
-            ),
-            init_level=0 if elementwise else 1,
-            store_level=0 if elementwise else 1,
-            init_source=InitSource.ZERO,
-            scalar=scalar,
-        )
         transfers_in = []
         if opcode.reads_operand0:
             transfers_in.append(_transfer(hmc_a, tcdm_a, n * _WORD))
@@ -773,30 +785,33 @@ def compiled_stencil_workload(
     tcdm_field = layout.alloc(field_bytes)
     tcdm_kernel = layout.alloc(kernel.nbytes)
     tcdm_out = layout.alloc(out_bytes)
+    commands, chains = stencil.commands(tcdm_field, tcdm_kernel, tcdm_out)
+    placements = [chain % cluster.num_ntx for chain in chains]
 
+    # One draw of every tile's grid equals each tile drawing its own in turn.
     rng = np.random.default_rng(spec.seed)
+    grids = _lattice(rng, (spec.num_tiles, *stencil.grid_shape))
+    staged = stencil.pad(grids)
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
     hmc_kernel = _stage(hmc, cursor, kernel)
     workload = ScenarioWorkload(family="cstencil", tiles=[])
-    num_ntx = cluster.num_ntx
-    for _ in range(spec.num_tiles):
-        grid = _lattice(rng, stencil.grid_shape)
-        hmc_field = _stage(hmc, cursor, stencil.pad(grid))
+    hmc_outs = []
+    for field_data in staged:
+        hmc_field = _stage(hmc, cursor, field_data)
         hmc_out = cursor.alloc(out_bytes)
-
-        commands, chains = stencil.commands(tcdm_field, tcdm_kernel, tcdm_out)
         workload.tiles.append(
             TileSchedule(
                 transfers_in=[
                     _transfer(hmc_field, tcdm_field, field_bytes),
                     _transfer(hmc_kernel, tcdm_kernel, kernel.nbytes),
                 ],
-                commands=commands,
+                commands=list(commands),
                 transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
-                placements=[chain % num_ntx for chain in chains],
+                placements=list(placements),
             )
         )
-        workload.references.append((hmc_out, stencil.reference(grid)))
+        hmc_outs.append(hmc_out)
+    workload.references.extend(zip(hmc_outs, stencil.reference(grids)))
     return workload
 
 
