@@ -38,7 +38,7 @@ if TYPE_CHECKING:
     )
     from repro.cluster.offload import NtxDriver
     from repro.cluster.sim import ClusterSimulator, SimulationResult
-    from repro.cluster.tiling import DoubleBufferPlan, TileSchedule, plan_tiles
+    from repro.cluster.tiling import DoubleBufferPlan, TileProgram, TileSchedule, plan_tiles
 
 __all__ = [
     "AddressMap",
@@ -50,6 +50,7 @@ __all__ = [
     "get_engine",
     "NtxDriver",
     "DoubleBufferPlan",
+    "TileProgram",
     "TileSchedule",
     "plan_tiles",
     "ClusterSimulator",
@@ -67,6 +68,7 @@ _EXPORTS = {
     "get_engine": "engine",
     "NtxDriver": "offload",
     "DoubleBufferPlan": "tiling",
+    "TileProgram": "tiling",
     "TileSchedule": "tiling",
     "plan_tiles": "tiling",
     "ClusterSimulator": "sim",

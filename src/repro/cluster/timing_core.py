@@ -42,7 +42,14 @@ import numpy as np
 
 from repro.obs import metrics as _metrics
 
-__all__ = ["TimingParams", "TimingCounters", "load", "mac_kernel", "unavailable_reason"]
+__all__ = [
+    "TimingCounters",
+    "TimingInput",
+    "TimingParams",
+    "load",
+    "mac_kernel",
+    "unavailable_reason",
+]
 
 SOURCE = Path(__file__).with_name("timing_core.c")
 CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC")
@@ -197,7 +204,7 @@ def unavailable_reason() -> Optional[str]:
 
 
 def load() -> Optional[Callable]:
-    """The compiled loop as ``loop(jobs_per_ntx, params)``, or ``None``.
+    """The compiled loop as ``loop(timing_input, params)``, or ``None``.
 
     Builds and loads the library on the first call of the process; a
     ``None`` is counted as one fallback under its reason every time.
@@ -218,38 +225,63 @@ def mac_kernel() -> Optional[Callable]:
     return None if _library() is None else _compiled_mac
 
 
-def _compiled_loop(jobs_per_ntx: Sequence[Sequence], params: TimingParams) -> TimingCounters:
-    """Run the cycle loop in C over ``jobs_per_ntx``' bank streams."""
-    num_ntx = len(jobs_per_ntx)
-    queue_start = [0]
-    rows = []
-    chunks = []
-    filled = 0
+class TimingInput:
+    """Every NTX's queue of :class:`~repro.core.vecops.BankStreams`, in
+    issue order, laid out once for the compiled loop: a queue-start index
+    per NTX and one row of ``_COLUMNS`` integers per command, whose stream
+    offsets index the concatenation of ``chunks``.  The arrays are
+    read-only, so a tile program keeps its input for every run of it.
+    The streams themselves are concatenated per run (:meth:`streams`, a
+    few microseconds): kept, they would duplicate the plans' bank
+    streams.
+    """
 
-    def place(stream: Optional[np.ndarray]) -> int:
-        nonlocal filled
-        if stream is None:
-            return -1
-        chunks.append(stream)
-        filled += len(stream)
-        return filled - len(stream)
+    __slots__ = ("queues", "starts", "commands", "chunks")
 
-    for plans in jobs_per_ntx:
-        for plan in plans:
-            rows.append((
-                plan.total, plan.period_init, plan.period_store,
-                plan.num_init_reads, plan.num_stores,
-                place(plan.p0_banks), place(plan.p1_banks),
-                place(plan.init_banks), place(plan.init_ts),
-                place(plan.store_banks),
-            ))
-        queue_start.append(len(rows))
-    queues = np.array(queue_start, dtype=np.int64)
-    commands = np.array(rows or [(0,) * _COLUMNS], dtype=np.int64)
-    streams = (
-        np.concatenate(chunks, dtype=np.int32) if chunks
-        else np.zeros(1, dtype=np.int32)
-    )
+    def __init__(self, queues: Sequence[Sequence]) -> None:
+        self.queues = tuple(tuple(queue) for queue in queues)
+        starts = [0]
+        rows = []
+        chunks = []
+        filled = 0
+
+        def place(stream: Optional[np.ndarray]) -> int:
+            nonlocal filled
+            if stream is None:
+                return -1
+            chunks.append(stream)
+            filled += len(stream)
+            return filled - len(stream)
+
+        for queue in self.queues:
+            for plan in queue:
+                rows.append((
+                    plan.total, plan.period_init, plan.period_store,
+                    plan.num_init_reads, plan.num_stores,
+                    place(plan.p0_banks), place(plan.p1_banks),
+                    place(plan.init_banks), place(plan.init_ts),
+                    place(plan.store_banks),
+                ))
+            starts.append(len(rows))
+        self.starts = _frozen(np.array(starts, dtype=np.int64))
+        self.commands = _frozen(np.array(rows or [(0,) * _COLUMNS], dtype=np.int64))
+        self.chunks = tuple(chunks)
+
+    def streams(self) -> np.ndarray:
+        """Every bank stream, concatenated in the order the rows index."""
+        if not self.chunks:
+            return np.zeros(1, dtype=np.int32)
+        return np.concatenate(self.chunks, dtype=np.int32)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _compiled_loop(timing_input: TimingInput, params: TimingParams) -> TimingCounters:
+    """Run the cycle loop in C over ``timing_input``'s packed streams."""
+    num_ntx = len(timing_input.queues)
     per_ntx = np.zeros(max(2 * num_ntx, 1), dtype=np.int64)
     config = _Config(
         num_ntx, params.num_banks, params.num_masters, params.window,
@@ -258,9 +290,11 @@ def _compiled_loop(jobs_per_ntx: Sequence[Sequence], params: TimingParams) -> Ti
         params.rr_offset, params.dma_requests_per_cycle,
     )
     counters = _Counters()
+    streams = timing_input.streams()
     status = _STATE.run(
-        ctypes.byref(config), queues.ctypes.data, commands.ctypes.data,
-        streams.ctypes.data, per_ntx.ctypes.data, ctypes.byref(counters),
+        ctypes.byref(config), timing_input.starts.ctypes.data,
+        timing_input.commands.ctypes.data, streams.ctypes.data,
+        per_ntx.ctypes.data, ctypes.byref(counters),
     )
     if status == _EXCEEDED:
         raise RuntimeError(

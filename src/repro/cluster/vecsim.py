@@ -48,12 +48,13 @@ workloads, and fuzzes the compiled loop against the Python loop.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
 from repro.cluster import timing_core
-from repro.cluster.timing_core import TimingCounters, TimingParams
+from repro.cluster.tiling import ProgramJobs
+from repro.cluster.timing_core import TimingCounters, TimingInput, TimingParams
 from repro.core.commands import NtxCommand, NtxOpcode
 from repro.core.vecops import (
     BankStreams,
@@ -68,6 +69,8 @@ from repro.core.vecops import (
 __all__ = ["run_vectorized", "run_data_plane"]
 
 _IDLE, _SETUP, _RUN = 0, 1, 2
+
+T = TypeVar("T")
 
 #: One NTX's queue: each command with its shared plan, in issue order.
 _Queue = List[Tuple[NtxCommand, CommandPlan]]
@@ -109,9 +112,15 @@ def _as_list(stream):
     return None if stream is None else stream.tolist()
 
 
-def _plans_per_ntx(cluster, jobs: Sequence[Tuple[int, NtxCommand]]) -> List[_Queue]:
-    """Each NTX's commands with their plans, in issue order."""
+def _plans_per_ntx(cluster, jobs: Sequence[Tuple[int, NtxCommand]]) -> Sequence[_Queue]:
+    """Each NTX's commands with their plans, in issue order.
+
+    Jobs of a :class:`~repro.cluster.tiling.TileProgram` carry it, and
+    the program keeps its plans; any other job list is planned here.
+    """
     num_ntx = cluster.config.num_ntx
+    if isinstance(jobs, ProgramJobs) and jobs.num_ntx == num_ntx:
+        return jobs.program.plans(num_ntx)
     jobs_per_ntx: List[_Queue] = [[] for _ in range(num_ntx)]
     for ntx_id, command in jobs:
         if not 0 <= ntx_id < num_ntx:
@@ -120,31 +129,94 @@ def _plans_per_ntx(cluster, jobs: Sequence[Tuple[int, NtxCommand]]) -> List[_Que
     return jobs_per_ntx
 
 
-def _account_command(
-    cluster, ntx, command: NtxCommand, plan: CommandPlan, fast_path: bool,
-    count: int = 1,
-) -> None:
-    """Credit ``count`` executions of ``command`` to ``ntx``'s statistics."""
-    stats = ntx.stats
-    stats.commands += count
-    stats.iterations += plan.total * count
-    stats.flops += command.flops * count
-    stats.tcdm_reads += plan.num_reads * count
-    stats.tcdm_writes += plan.num_stores * count
-    stats.ideal_cycles += cluster.config.ntx.ideal_cycles(command) * count
-    if fast_path:
-        # The fallback executor issued the real FPU (which counts its own
-        # statistics); the fast path accounts them wholesale.
-        fpu_stats = ntx.fpu_stats
-        fpu_stats.issues += plan.total * count
-        fpu_stats.writebacks += plan.num_stores * count
-        if command.opcode is NtxOpcode.MAC:
-            fpu_stats.macs += plan.total * count
-        elif command.opcode in (
-            NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX,
-            NtxOpcode.ARGMIN, NtxOpcode.RELU, NtxOpcode.THRESHOLD,
-        ):
-            fpu_stats.comparisons += plan.total * count
+def _program_fact(jobs, key: tuple, derive: Callable[[], T]) -> T:
+    """``derive()``, kept on the jobs' program under ``key`` when the jobs
+    come from one (``key`` pins everything else it depends on)."""
+    if isinstance(jobs, ProgramJobs):
+        return jobs.program.derived(key, derive)
+    return derive()
+
+
+_COMPARISONS = frozenset((
+    NtxOpcode.MAX, NtxOpcode.MIN, NtxOpcode.ARGMAX,
+    NtxOpcode.ARGMIN, NtxOpcode.RELU, NtxOpcode.THRESHOLD,
+))
+
+
+def _fpu_counts(command: NtxCommand, plan: CommandPlan) -> Tuple[int, int, int, int]:
+    """FPU issues, write-backs, MACs and comparisons of one command: what
+    the per-op walk's real FPU counts itself, and the array data plane
+    accounts wholesale."""
+    macs = plan.total if command.opcode is NtxOpcode.MAC else 0
+    comparisons = plan.total if command.opcode in _COMPARISONS else 0
+    return plan.total, plan.num_stores, macs, comparisons
+
+
+class _Accounts:
+    """What one data-plane execution of a job list credits.
+
+    ``per_ntx`` holds, per NTX, the command, iteration, flop, TCDM read
+    and write and ideal-cycle totals, and then the FPU totals; ``accesses``
+    / ``reads`` / ``writes`` are the TCDM bank-access and memory counts of
+    every command.  The FPU and TCDM totals assume the array data plane
+    ran every command; :meth:`credit` takes back the share of the commands
+    the per-op walk ran (it counts its own).  A function of the job list
+    and the cluster configuration alone, so a program keeps it.
+    """
+
+    __slots__ = ("per_ntx", "accesses", "reads", "writes")
+
+    def __init__(self, config, queues: Sequence[_Queue]) -> None:
+        base, num_banks = config.tcdm.base_address, config.tcdm.num_banks
+        ideal_cycles = config.ntx.ideal_cycles
+        accesses = np.zeros(num_banks, dtype=np.int64)
+        self.per_ntx = []
+        for plans in queues:
+            totals = [len(plans), 0, 0, 0, 0, 0, 0, 0, 0, 0]
+            for command, plan in plans:
+                counts = (
+                    plan.total, command.flops, plan.num_reads, plan.num_stores,
+                    ideal_cycles(command), *_fpu_counts(command, plan),
+                )
+                for index, count in enumerate(counts, start=1):
+                    totals[index] += count
+                accesses += plan.banks(base, num_banks).accesses
+            self.per_ntx.append(tuple(totals))
+        accesses.flags.writeable = False
+        self.accesses = accesses
+        self.reads = sum(totals[3] for totals in self.per_ntx)
+        self.writes = sum(totals[4] for totals in self.per_ntx)
+
+    def credit(self, cluster, count: int, walked: Sequence[tuple]) -> None:
+        """Credit ``count`` executions to ``cluster``; ``walked`` lists the
+        ``(ntx, command, plan)`` of every command the per-op walk ran."""
+        for ntx, totals in zip(cluster.ntx, self.per_ntx):
+            if not totals[0]:
+                continue
+            stats, fpu_stats = ntx.stats, ntx.fpu_stats
+            stats.commands += totals[0] * count
+            stats.iterations += totals[1] * count
+            stats.flops += totals[2] * count
+            stats.tcdm_reads += totals[3] * count
+            stats.tcdm_writes += totals[4] * count
+            stats.ideal_cycles += totals[5] * count
+            fpu_stats.issues += totals[6] * count
+            fpu_stats.writebacks += totals[7] * count
+            fpu_stats.macs += totals[8] * count
+            fpu_stats.comparisons += totals[9] * count
+        tcdm = cluster.tcdm
+        tcdm.bank_accesses += self.accesses * count
+        tcdm.memory.reads += self.reads * count
+        tcdm.memory.writes += self.writes * count
+        for ntx, command, plan in walked:
+            # The per-op walk counted its own FPU issues and TCDM accesses.
+            issues, writebacks, macs, comparisons = _fpu_counts(command, plan)
+            fpu_stats = ntx.fpu_stats
+            fpu_stats.issues -= issues * count
+            fpu_stats.writebacks -= writebacks * count
+            fpu_stats.macs -= macs * count
+            fpu_stats.comparisons -= comparisons * count
+            _account_accesses(tcdm, plan, count=-count)
 
 
 class _ImageTcdm:
@@ -211,8 +283,9 @@ def run_data_plane(
     by tile through :class:`_ImageTcdm` on each tile's column of the
     stack.
 
-    Statistics are accounted wholesale — each command's counters times the
-    stack height — onto ``cluster``; the caller credits the cycles.  A
+    Statistics are accounted wholesale — the job list's totals times the
+    stack height (kept on its program, see :class:`_Accounts`) — onto
+    ``cluster``; the caller credits the cycles.  A
     multi-cluster group's counters land on its representative cluster,
     which keeps aggregate system totals exact.
     """
@@ -224,26 +297,29 @@ def run_data_plane(
         stack, base = np.frombuffer(tcdm.memory.data, dtype="<f4")[:, None], tcdm.base
     num_tiles = stack.shape[1]
     mac = _mac_write_back()
-    for ntx, plans in zip(cluster.ntx, _plans_per_ntx(cluster, jobs)):
+    queues = _plans_per_ntx(cluster, jobs)
+    walked = []
+    for ntx, plans in zip(cluster.ntx, queues):
         pcs = ntx.config.pcs
         for command, plan in plans:
-            fast_path = execute_streams_batched(command, plan, stack, base, pcs, mac)
-            if fast_path:
-                _account_accesses(tcdm, plan, count=num_tiles)
-            else:
-                images = [tcdm] if live else (
-                    _ImageTcdm(stack[:, tile], base, tcdm) for tile in range(num_tiles)
-                )
-                for image in images:
-                    execute_functional(ntx, command, image)
-            _account_command(cluster, ntx, command, plan, fast_path, count=num_tiles)
+            if execute_streams_batched(command, plan, stack, base, pcs, mac):
+                continue
+            images = [tcdm] if live else (
+                _ImageTcdm(stack[:, tile], base, tcdm) for tile in range(num_tiles)
+            )
+            for image in images:
+                execute_functional(ntx, command, image)
+            walked.append((ntx, command, plan))
+    accounts = _program_fact(
+        jobs, ("accounts", cluster.config), lambda: _Accounts(cluster.config, queues)
+    )
+    accounts.credit(cluster, num_tiles, walked)
 
 
-def _reference_loop(
-    jobs_per_ntx: List[List[BankStreams]], params: TimingParams
-) -> TimingCounters:
+def _reference_loop(timing_input: TimingInput, params: TimingParams) -> TimingCounters:
     """The per-cycle loop in Python: the reference the compiled core
     (``timing_core.c``) transcribes and is fuzzed against."""
+    jobs_per_ntx = timing_input.queues
     num_ntx = len(jobs_per_ntx)
     num_banks = params.num_banks
     num_masters = params.num_masters
@@ -470,12 +546,19 @@ def run_vectorized(
     start_flops = [n.stats.flops for n in cluster.ntx]
     start_iterations = [n.stats.iterations for n in cluster.ntx]
     simulator.run_data_plane(jobs)
-    jobs_per_ntx = _plans_per_ntx(cluster, jobs)
 
     base, num_banks = tcdm.base, tcdm.config.num_banks
+    timing_input = _program_fact(
+        jobs,
+        ("timing-input", num_ntx, base, num_banks),
+        lambda: TimingInput([
+            [plan.banks(base, num_banks) for _, plan in plans]
+            for plans in _plans_per_ntx(cluster, jobs)
+        ]),
+    )
     loop = timing_core.load() or _reference_loop
     counters = loop(
-        [[plan.banks(base, num_banks) for _, plan in plans] for plans in jobs_per_ntx],
+        timing_input,
         TimingParams(
             num_banks=tcdm.config.num_banks,
             num_masters=interconnect.num_masters,

@@ -163,7 +163,11 @@ class StencilSpec(StencilParams):
         Leading axes of ``grid`` broadcast: a stack of tiles' grids gives
         the stack of their goldens, each bit-identical to its own call.
         """
-        staged = self.pad(grid)
+        return self.staged_reference(self.pad(grid))
+
+    def staged_reference(self, staged: np.ndarray) -> np.ndarray:
+        """:meth:`reference` of the field as staged (already padded), so a
+        builder that staged it pads nothing twice."""
         kernel = self.dense_kernel()
         if self.dims == 2:
             return conv2d_f64(staged, kernel).astype(np.float32)
@@ -173,14 +177,22 @@ class StencilSpec(StencilParams):
 class ReduceSpec(ReduceParams):
     """A terminal streaming reduction plus its golden model."""
 
-    def reference(self, value: np.ndarray) -> np.ndarray:
-        """Golden single-word result, mirroring the engines' reductions."""
-        flat = np.asarray(value, dtype=np.float32).ravel()
+    def reference(self, value: np.ndarray, lead: int = 0) -> np.ndarray:
+        """Golden single-word result, mirroring the engines' reductions.
+
+        The first ``lead`` axes of ``value`` index tiles: each tile reduces
+        to its own word (shape ``(*value.shape[:lead], 1)``), bit-identical
+        to its own call.
+        """
+        value = np.asarray(value, dtype=np.float32)
+        rows = value.reshape(*value.shape[:lead], -1)
         if self.op == "sum":
-            return np.array([flat.astype(np.float64).sum()], dtype=np.float32)
-        if self.op == "max":
-            return np.array([flat.max()], dtype=np.float32)
-        return np.array([flat.min()], dtype=np.float32)
+            reduced = rows.astype(np.float64).sum(axis=-1)
+        elif self.op == "max":
+            reduced = rows.max(axis=-1)
+        else:
+            reduced = rows.min(axis=-1)
+        return np.asarray(reduced, dtype=np.float32)[..., None]
 
 
 class PipelineSpec(PipelineParams):
@@ -191,10 +203,29 @@ class PipelineSpec(PipelineParams):
     reduce_type = ReduceSpec
 
     def reference(self, grid: np.ndarray) -> np.ndarray:
-        """Golden of the whole chain: stage goldens composed in order."""
-        value = np.asarray(grid, dtype=np.float32)
-        for stage in self.stages:
-            value = stage.reference(value)
+        """Golden of the whole chain: stage goldens composed in order.
+
+        Leading axes of ``grid`` broadcast, as in :meth:`staged_reference`.
+        """
+        first = self.stages[0]
+        if isinstance(first, StencilSpec):
+            return self.staged_reference(first.pad(grid))
+        return self.staged_reference(grid)
+
+    def staged_reference(self, staged: np.ndarray) -> np.ndarray:
+        """:meth:`reference` of the input as staged (padded for a first
+        stencil stage).  Leading axes index tiles: a stack of tiles' inputs
+        gives the stack of their goldens, each bit-identical to its own
+        call."""
+        value = np.asarray(staged, dtype=np.float32)
+        lead = value.ndim - len(self.grid_shape)
+        for index, stage in enumerate(self.stages):
+            if isinstance(stage, ReduceSpec):
+                value = stage.reference(value, lead)
+            elif index == 0:
+                value = stage.staged_reference(value)
+            else:
+                value = stage.reference(value)  # later stages do not pad
         return value
 
     # -- compilation ---------------------------------------------------------

@@ -6,6 +6,16 @@ shared HMC — the same schedule format the system simulator executes — plus
 the NumPy golden reference of every output region, so a run can always be
 verified end to end (:meth:`ScenarioWorkload.verify`).
 
+Every tile of a workload runs one :class:`~repro.cluster.tiling.TileProgram`
+and differs from the others only in its HMC addresses.  A builder takes
+its program — with whatever else it derived from the geometry alone, such
+as a dense stencil kernel — from one bounded, process-wide memo keyed by
+the family, its merged params and the cluster configuration, never by the
+seed or the tile count (:data:`PROGRAM_CACHE_SIZE` entries, least
+recently used go first).  Equal workloads therefore share one program
+object across runs, and everything the simulator derives from it (plans,
+gate verdict, signature, cost) is derived once per process.
+
 Four families ship, all built on the existing kernel library:
 
 * ``conv`` — independent 2D-convolution tiles, output rows banded across
@@ -52,13 +62,15 @@ merely close (``tests/test_system.py`` asserts this per family).  The
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.tiling import TileSchedule
+from repro.cluster.tiling import TileProgram, TileSchedule
 from repro.core.commands import (
     AguConfig,
     InitSource,
@@ -76,13 +88,13 @@ from repro.kernels.conv import (
 from repro.kernels.stencil import LAPLACE_TAPS, laplace_2d_reference, laplace_commands
 from repro.scenarios.compiler import PipelineSpec, StencilSpec
 from repro.scenarios.families import FAMILIES, WorkloadFamily
-from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc
 from repro.mem.tcdm import TcdmConfig
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
     "FAMILIES",
+    "PROGRAM_CACHE_SIZE",
     "ScenarioWorkload",
     "WorkloadFamily",
     "build_workload",
@@ -229,8 +241,68 @@ def _stage(hmc: Hmc, cursor: _Cursor, array: np.ndarray) -> int:
     return address
 
 
-def _transfer(src: int, dst: int, nbytes: int) -> DmaTransfer:
-    return DmaTransfer(src=src, dst=dst, row_bytes=nbytes)
+T = TypeVar("T")
+
+#: Distinct ``(family, params, cluster)`` programs kept, like the command
+#: plans (:data:`repro.core.vecops.PLAN_CACHE_SIZE`): a cold
+#: ``report --all --quick`` builds 19 of them.
+PROGRAM_CACHE_SIZE = 128
+
+
+class _ProgramMemo:
+    """A bounded, thread-safe memo: least recently used entries go first.
+
+    Concurrent first builds of one key may both build; the first one
+    stored is kept and handed out.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def get(self, key: Hashable, build: Callable[[], T]) -> T:
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                return value
+        value = build()
+        with self._lock:
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+        return value
+
+
+_PROGRAMS = _ProgramMemo(PROGRAM_CACHE_SIZE)
+
+
+def _frozen(value: Any) -> Hashable:
+    """A hashable stand-in for merged ``params`` (mappings and sequences
+    nested in them compare by their items)."""
+    if isinstance(value, dict):
+        return (dict, tuple(sorted((key, _frozen(item)) for key, item in value.items())))
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+def _program(
+    family: str, params: Dict[str, Any], cluster: ClusterConfig, build: Callable[[], T]
+) -> T:
+    """``build()`` — a family's tile program and what it derived with it
+    from the geometry — memoized per family, merged ``params`` and
+    cluster configuration (``build`` must depend on nothing else)."""
+    return _PROGRAMS.get((family, _frozen(params), cluster), build)
 
 
 # --------------------------------------------------------------------------- #
@@ -293,25 +365,33 @@ def conv_workload(
     if num_tiles * stride > hmc.config.capacity_bytes:
         raise MemoryError("workload exceeds the HMC capacity")
 
-    # The band commands depend only on the TCDM layout (and are frozen), so
-    # every tile shares them; each tile still gets its own list.
-    band_commands = []
-    bands = min(cluster.num_ntx, out_h)
-    rows_per_band = -(-out_h // bands)
-    row_start = 0
-    while row_start < out_h:
-        band_rows = min(rows_per_band, out_h - row_start)
-        band_commands.append(
-            conv2d_commands(
-                band_rows + kernel - 1,
-                width,
-                kernel,
-                tcdm_image + row_start * width * _WORD,
-                tcdm_weights,
-                tcdm_out + row_start * out_w * _WORD,
-            )[0]
+    def build() -> TileProgram:
+        # One band command per NTX, over the shared input (the halo rows
+        # re-read), each writing its rows of the output.
+        band_commands = []
+        bands = min(cluster.num_ntx, out_h)
+        rows_per_band = -(-out_h // bands)
+        row_start = 0
+        while row_start < out_h:
+            band_rows = min(rows_per_band, out_h - row_start)
+            band_commands.append(
+                conv2d_commands(
+                    band_rows + kernel - 1,
+                    width,
+                    kernel,
+                    tcdm_image + row_start * width * _WORD,
+                    tcdm_weights,
+                    tcdm_out + row_start * out_w * _WORD,
+                )[0]
+            )
+            row_start += band_rows
+        return TileProgram(
+            band_commands,
+            dma_in=[(tcdm_image, image_bytes), (tcdm_weights, weight_bytes)],
+            dma_out=[(tcdm_out, out_bytes)],
         )
-        row_start += band_rows
+
+    program = _program("conv", params, cluster, build)
 
     # Every tile's operand words (image, then kernel) as one strided view.
     operands_in_hmc = np.ndarray(
@@ -336,14 +416,7 @@ def conv_workload(
             hmc_weights = hmc_image + image_bytes
             hmc_out = hmc_weights + weight_bytes
             workload.tiles.append(
-                TileSchedule(
-                    transfers_in=[
-                        _transfer(hmc_image, tcdm_image, image_bytes),
-                        _transfer(hmc_weights, tcdm_weights, weight_bytes),
-                    ],
-                    commands=list(band_commands),
-                    transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
-                )
+                TileSchedule(program, ((hmc_image, 0), (hmc_weights, 0)), ((hmc_out, 0),))
             )
             workload.references.append((hmc_out, outputs[index]))
     # One store per image and per kernel, as a tile-by-tile build counts.
@@ -367,13 +440,19 @@ def matmul_workload(
     tcdm: TcdmConfig = cluster.tcdm
 
     a_bytes, b_bytes, c_bytes = m * k * _WORD, k * n * _WORD, m * n * _WORD
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_a = layout.alloc(a_bytes)
-    tcdm_b = layout.alloc(b_bytes)
-    tcdm_c = layout.alloc(c_bytes)
-    commands = gemm_commands(
-        m, k, n, tcdm_a, tcdm_b, tcdm_c, split_rows=cluster.num_ntx
-    )
+
+    def build() -> TileProgram:
+        layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
+        tcdm_a = layout.alloc(a_bytes)
+        tcdm_b = layout.alloc(b_bytes)
+        tcdm_c = layout.alloc(c_bytes)
+        return TileProgram(
+            gemm_commands(m, k, n, tcdm_a, tcdm_b, tcdm_c, split_rows=cluster.num_ntx),
+            dma_in=[(tcdm_a, a_bytes), (tcdm_b, b_bytes)],
+            dma_out=[(tcdm_c, c_bytes)],
+        )
+
+    program = _program("matmul", params, cluster, build)
 
     rng = np.random.default_rng(spec.seed)
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
@@ -385,14 +464,7 @@ def matmul_workload(
         hmc_b = _stage(hmc, cursor, b)
         hmc_c = cursor.alloc(c_bytes)
         workload.tiles.append(
-            TileSchedule(
-                transfers_in=[
-                    _transfer(hmc_a, tcdm_a, a_bytes),
-                    _transfer(hmc_b, tcdm_b, b_bytes),
-                ],
-                commands=list(commands),
-                transfers_out=[_transfer(tcdm_c, hmc_c, c_bytes)],
-            )
+            TileSchedule(program, ((hmc_a, 0), (hmc_b, 0)), ((hmc_c, 0),))
         )
         expected = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
         workload.references.append((hmc_c, expected))
@@ -424,11 +496,21 @@ def stencil_workload(
 
     field_bytes = height * width * _WORD
     out_bytes = out_h * out_w * _WORD
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_field = layout.alloc(field_bytes)
-    tcdm_taps = layout.alloc(LAPLACE_TAPS.nbytes)
-    tcdm_out = layout.alloc(out_bytes)
-    commands = laplace_commands(2, (height, width), tcdm_field, tcdm_taps, tcdm_out)
+
+    def build() -> TileProgram:
+        layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
+        tcdm_field = layout.alloc(field_bytes)
+        tcdm_taps = layout.alloc(LAPLACE_TAPS.nbytes)
+        tcdm_out = layout.alloc(out_bytes)
+        commands = laplace_commands(2, (height, width), tcdm_field, tcdm_taps, tcdm_out)
+        return TileProgram(
+            commands,
+            placements=[0] * len(commands),
+            dma_in=[(tcdm_field, field_bytes), (tcdm_taps, LAPLACE_TAPS.nbytes)],
+            dma_out=[(tcdm_out, out_bytes)],
+        )
+
+    program = _program("stencil", params, cluster, build)
 
     rng = np.random.default_rng(spec.seed)
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
@@ -439,15 +521,7 @@ def stencil_workload(
         hmc_field = _stage(hmc, cursor, field_data)
         hmc_out = cursor.alloc(out_bytes)
         workload.tiles.append(
-            TileSchedule(
-                transfers_in=[
-                    _transfer(hmc_field, tcdm_field, field_bytes),
-                    _transfer(hmc_taps, tcdm_taps, LAPLACE_TAPS.nbytes),
-                ],
-                commands=list(commands),
-                transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
-                placements=[0] * len(commands),
-            )
+            TileSchedule(program, ((hmc_field, 0), (hmc_taps, 0)), ((hmc_out, 0),))
         )
         workload.references.append((hmc_out, laplace_2d_reference(field_data)))
     return workload
@@ -497,70 +571,85 @@ def dnn_step_workload(
     weights_bytes = out_channels * in_channels * filt
     target_bytes = out_channels * grad_plane
 
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_image = layout.alloc(image_bytes)
-    tcdm_weights = layout.alloc(weights_bytes)
-    tcdm_target = layout.alloc(target_bytes)
-    tcdm_neg_lr = layout.alloc(_WORD)
-    tcdm_out = layout.alloc(target_bytes)
-    tcdm_grad = layout.alloc(target_bytes)
-    tcdm_dw = layout.alloc(weights_bytes)
+    def build() -> TileProgram:
+        layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
+        tcdm_image = layout.alloc(image_bytes)
+        tcdm_weights = layout.alloc(weights_bytes)
+        tcdm_target = layout.alloc(target_bytes)
+        tcdm_neg_lr = layout.alloc(_WORD)
+        tcdm_out = layout.alloc(target_bytes)
+        tcdm_grad = layout.alloc(target_bytes)
+        tcdm_dw = layout.alloc(weights_bytes)
 
-    commands: List[NtxCommand] = []
-    placements: List[int] = []
-    for co in range(out_channels):
-        chain: List[NtxCommand] = []
-        out_co = tcdm_out + co * grad_plane
-        grad_co = tcdm_grad + co * grad_plane
-        target_co = tcdm_target + co * grad_plane
-        # 1) forward: accumulate the input channels into out[co].
-        chain.extend(
-            conv2d_multichannel_commands(
-                in_channels,
-                size,
-                size,
-                kernel,
-                tcdm_image,
-                tcdm_weights + co * in_channels * filt,
-                out_co,
+        commands: List[NtxCommand] = []
+        placements: List[int] = []
+        for co in range(out_channels):
+            chain: List[NtxCommand] = []
+            out_co = tcdm_out + co * grad_plane
+            grad_co = tcdm_grad + co * grad_plane
+            target_co = tcdm_target + co * grad_plane
+            # 1) forward: accumulate the input channels into out[co].
+            chain.extend(
+                conv2d_multichannel_commands(
+                    in_channels,
+                    size,
+                    size,
+                    kernel,
+                    tcdm_image,
+                    tcdm_weights + co * in_channels * filt,
+                    out_co,
+                )
             )
-        )
-        # 2) loss gradient: grad[co] = out[co] - target[co].
-        chain.append(
-            NtxCommand(
-                opcode=NtxOpcode.SUB,
-                loops=LoopConfig.nest(out_size * out_size),
-                agu0=AguConfig(base=out_co, strides=(_WORD, 0, 0, 0, 0)),
-                agu1=AguConfig(base=target_co, strides=(_WORD, 0, 0, 0, 0)),
-                agu2=AguConfig(base=grad_co, strides=(_WORD, 0, 0, 0, 0)),
-                init_level=0,
-                store_level=0,
-            )
-        )
-        # 3) weight gradient: correlate each input channel with grad[co]
-        # (a conv2d whose "kernel" is the out_size x out_size gradient).
-        for ci in range(in_channels):
+            # 2) loss gradient: grad[co] = out[co] - target[co].
             chain.append(
-                conv2d_commands(
-                    size,
-                    size,
-                    out_size,
-                    tcdm_image + ci * plane,
-                    grad_co,
-                    tcdm_dw + (co * in_channels + ci) * filt,
+                NtxCommand(
+                    opcode=NtxOpcode.SUB,
+                    loops=LoopConfig.nest(out_size * out_size),
+                    agu0=AguConfig(base=out_co, strides=(_WORD, 0, 0, 0, 0)),
+                    agu1=AguConfig(base=target_co, strides=(_WORD, 0, 0, 0, 0)),
+                    agu2=AguConfig(base=grad_co, strides=(_WORD, 0, 0, 0, 0)),
+                    init_level=0,
+                    store_level=0,
+                )
+            )
+            # 3) weight gradient: correlate each input channel with grad[co]
+            # (a conv2d whose "kernel" is the out_size x out_size gradient).
+            for ci in range(in_channels):
+                chain.append(
+                    conv2d_commands(
+                        size,
+                        size,
+                        out_size,
+                        tcdm_image + ci * plane,
+                        grad_co,
+                        tcdm_dw + (co * in_channels + ci) * filt,
+                    )[0]
+                )
+            # 4) SGD update over the channel's whole weight block.
+            chain.append(
+                axpy_commands(
+                    in_channels * kernel * kernel,
+                    tcdm_neg_lr,
+                    tcdm_dw + co * in_channels * filt,
+                    tcdm_weights + co * in_channels * filt,
                 )[0]
             )
-        # 4) SGD update over the channel's whole weight block.
-        chain.append(
-            axpy_commands(
-                in_channels * kernel * kernel,
-                tcdm_neg_lr,
-                tcdm_dw + co * in_channels * filt,
-                tcdm_weights + co * in_channels * filt,
-            )[0]
+            commands.extend(chain)
+            placements.extend([co % num_ntx] * len(chain))
+
+        return TileProgram(
+            commands,
+            placements,
+            dma_in=[
+                (tcdm_image, image_bytes),
+                (tcdm_weights, weights_bytes),
+                (tcdm_target, target_bytes),
+                (tcdm_neg_lr, _WORD),
+            ],
+            dma_out=[(tcdm_weights, weights_bytes), (tcdm_grad, target_bytes)],
         )
-        commands.extend(chain)
-        placements.extend([co % num_ntx] * len(chain))
+
+    program = _program("dnn", params, cluster, build)
 
     neg_lr = np.array([-lr], dtype=np.float32)
     rng = np.random.default_rng(spec.seed)
@@ -579,18 +668,9 @@ def dnn_step_workload(
         hmc_grad = cursor.alloc(target_bytes)
         workload.tiles.append(
             TileSchedule(
-                transfers_in=[
-                    _transfer(hmc_image, tcdm_image, image_bytes),
-                    _transfer(hmc_weights, tcdm_weights, weights_bytes),
-                    _transfer(hmc_target, tcdm_target, target_bytes),
-                    _transfer(hmc_neg_lr, tcdm_neg_lr, _WORD),
-                ],
-                commands=list(commands),
-                transfers_out=[
-                    _transfer(tcdm_weights, hmc_weights, weights_bytes),
-                    _transfer(tcdm_grad, hmc_grad, target_bytes),
-                ],
-                placements=list(placements),
+                program,
+                ((hmc_image, 0), (hmc_weights, 0), (hmc_target, 0), (hmc_neg_lr, 0)),
+                ((hmc_weights, 0), (hmc_grad, 0)),
             )
         )
         operands.append((image, weights, target))
@@ -708,24 +788,34 @@ def opstream_workload(
     out_words = n if elementwise else 1
     tcdm: TcdmConfig = cluster.tcdm
 
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_a = layout.alloc(n * _WORD)
-    tcdm_b = layout.alloc(n * _WORD)
-    tcdm_out = layout.alloc(out_words * _WORD)
-    command = NtxCommand(
-        opcode=opcode,
-        loops=LoopConfig.nest(n),
-        agu0=AguConfig(base=tcdm_a, strides=(_WORD, 0, 0, 0, 0)),
-        agu1=AguConfig(base=tcdm_b, strides=(_WORD, 0, 0, 0, 0)),
-        agu2=AguConfig(
-            base=tcdm_out,
-            strides=((_WORD if elementwise else 0), 0, 0, 0, 0),
-        ),
-        init_level=0 if elementwise else 1,
-        store_level=0 if elementwise else 1,
-        init_source=InitSource.ZERO,
-        scalar=scalar,
-    )
+    def build() -> TileProgram:
+        layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
+        tcdm_a = layout.alloc(n * _WORD)
+        tcdm_b = layout.alloc(n * _WORD)
+        tcdm_out = layout.alloc(out_words * _WORD)
+        command = NtxCommand(
+            opcode=opcode,
+            loops=LoopConfig.nest(n),
+            agu0=AguConfig(base=tcdm_a, strides=(_WORD, 0, 0, 0, 0)),
+            agu1=AguConfig(base=tcdm_b, strides=(_WORD, 0, 0, 0, 0)),
+            agu2=AguConfig(
+                base=tcdm_out,
+                strides=((_WORD if elementwise else 0), 0, 0, 0, 0),
+            ),
+            init_level=0 if elementwise else 1,
+            store_level=0 if elementwise else 1,
+            init_source=InitSource.ZERO,
+            scalar=scalar,
+        )
+        staged = [(tcdm_a, opcode.reads_operand0), (tcdm_b, opcode.reads_operand1)]
+        return TileProgram(
+            [command],
+            placements=[0],
+            dma_in=[(address, n * _WORD) for address, read in staged if read],
+            dma_out=[(tcdm_out, out_words * _WORD)],
+        )
+
+    program = _program("opstream", params, cluster, build)
 
     rng = np.random.default_rng(spec.seed)
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
@@ -736,19 +826,12 @@ def opstream_workload(
         hmc_a = _stage(hmc, cursor, a)
         hmc_b = _stage(hmc, cursor, b)
         hmc_out = cursor.alloc(out_words * _WORD)
-        transfers_in = []
-        if opcode.reads_operand0:
-            transfers_in.append(_transfer(hmc_a, tcdm_a, n * _WORD))
-        if opcode.reads_operand1:
-            transfers_in.append(_transfer(hmc_b, tcdm_b, n * _WORD))
+        sources = [(hmc_a, opcode.reads_operand0), (hmc_b, opcode.reads_operand1)]
         workload.tiles.append(
             TileSchedule(
-                transfers_in=transfers_in,
-                commands=[command],
-                transfers_out=[
-                    _transfer(tcdm_out, hmc_out, out_words * _WORD)
-                ],
-                placements=[0],
+                program,
+                [(address, 0) for address, read in sources if read],
+                ((hmc_out, 0),),
             )
         )
         workload.references.append(
@@ -775,43 +858,45 @@ def compiled_stencil_workload(
     padding happens here, host-side, when the field is staged.
     """
     params = spec.merged_params()
-    stencil = StencilSpec.from_params(params)
-    kernel = stencil.dense_kernel()
-    field_bytes = int(np.prod(stencil.padded_shape)) * _WORD
-    out_bytes = int(np.prod(stencil.output_shape)) * _WORD
     tcdm: TcdmConfig = cluster.tcdm
 
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_field = layout.alloc(field_bytes)
-    tcdm_kernel = layout.alloc(kernel.nbytes)
-    tcdm_out = layout.alloc(out_bytes)
-    commands, chains = stencil.commands(tcdm_field, tcdm_kernel, tcdm_out)
-    placements = [chain % cluster.num_ntx for chain in chains]
+    def build() -> Tuple[TileProgram, StencilSpec]:
+        stencil = StencilSpec.from_params(params)
+        kernel = stencil.dense_kernel()
+        field_bytes = int(np.prod(stencil.padded_shape)) * _WORD
+        out_bytes = int(np.prod(stencil.output_shape)) * _WORD
+        layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
+        tcdm_field = layout.alloc(field_bytes)
+        tcdm_kernel = layout.alloc(kernel.nbytes)
+        tcdm_out = layout.alloc(out_bytes)
+        commands, chains = stencil.commands(tcdm_field, tcdm_kernel, tcdm_out)
+        program = TileProgram(
+            commands,
+            placements=[chain % cluster.num_ntx for chain in chains],
+            dma_in=[(tcdm_field, field_bytes), (tcdm_kernel, kernel.nbytes)],
+            dma_out=[(tcdm_out, out_bytes)],
+        )
+        return program, stencil
 
-    # One draw of every tile's grid equals each tile drawing its own in turn.
+    program, stencil = _program("cstencil", params, cluster, build)
+    out_bytes = program.dma_out[0].total_bytes
+
+    # One draw of every tile's grid equals each tile drawing its own in
+    # turn; the stack is padded once, staged and checked as staged.
     rng = np.random.default_rng(spec.seed)
-    grids = _lattice(rng, (spec.num_tiles, *stencil.grid_shape))
-    staged = stencil.pad(grids)
+    staged = stencil.pad(_lattice(rng, (spec.num_tiles, *stencil.grid_shape)))
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
-    hmc_kernel = _stage(hmc, cursor, kernel)
+    hmc_kernel = _stage(hmc, cursor, stencil.dense_kernel())
     workload = ScenarioWorkload(family="cstencil", tiles=[])
     hmc_outs = []
     for field_data in staged:
         hmc_field = _stage(hmc, cursor, field_data)
         hmc_out = cursor.alloc(out_bytes)
         workload.tiles.append(
-            TileSchedule(
-                transfers_in=[
-                    _transfer(hmc_field, tcdm_field, field_bytes),
-                    _transfer(hmc_kernel, tcdm_kernel, kernel.nbytes),
-                ],
-                commands=list(commands),
-                transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
-                placements=list(placements),
-            )
+            TileSchedule(program, ((hmc_field, 0), (hmc_kernel, 0)), ((hmc_out, 0),))
         )
         hmc_outs.append(hmc_out)
-    workload.references.extend(zip(hmc_outs, stencil.reference(grids)))
+    workload.references.extend(zip(hmc_outs, stencil.staged_reference(staged)))
     return workload
 
 
@@ -832,57 +917,62 @@ def pipeline_workload(
     intermediates never touch the HMC.
     """
     params = spec.merged_params()
-    pipe = PipelineSpec.from_params(params)
-    first = pipe.stages[0]
-    staged_shape = (
-        first.padded_shape if isinstance(first, StencilSpec) else pipe.grid_shape
-    )
-    input_bytes = int(np.prod(staged_shape)) * _WORD
-    out_bytes = int(np.prod(pipe.output_shape)) * _WORD
     tcdm: TcdmConfig = cluster.tcdm
 
-    layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
-    tcdm_input = layout.alloc(input_bytes)
-    constants: List[Tuple[int, np.ndarray]] = []  # (tcdm_addr, value)
-    constant_addrs: Dict[int, int] = {}
-    for index, stage in enumerate(pipe.stages):
-        if isinstance(stage, StencilSpec):
-            value: np.ndarray = stage.dense_kernel()
-        elif stage.op == "sum":
-            value = np.ones(1, dtype=np.float32)  # MAC against stationary 1.0
-        else:
-            continue  # max/min reductions need no constant
-        address = layout.alloc(value.nbytes)
-        constants.append((address, value))
-        constant_addrs[index] = address
-    commands, tcdm_out = pipe.compile(layout.alloc, tcdm_input, constant_addrs)
+    def build() -> Tuple[TileProgram, PipelineSpec, List[np.ndarray]]:
+        pipe = PipelineSpec.from_params(params)
+        first = pipe.stages[0]
+        staged_shape = (
+            first.padded_shape if isinstance(first, StencilSpec) else pipe.grid_shape
+        )
+        input_bytes = int(np.prod(staged_shape)) * _WORD
+        out_bytes = int(np.prod(pipe.output_shape)) * _WORD
+        layout = _Cursor(tcdm.base_address, tcdm.size_bytes, "TCDM")
+        tcdm_input = layout.alloc(input_bytes)
+        constants: List[Tuple[int, np.ndarray]] = []  # (tcdm_addr, value)
+        constant_addrs: Dict[int, int] = {}
+        for index, stage in enumerate(pipe.stages):
+            if isinstance(stage, StencilSpec):
+                value: np.ndarray = stage.dense_kernel()
+            elif stage.op == "sum":
+                value = np.ones(1, dtype=np.float32)  # MAC against stationary 1.0
+                value.flags.writeable = False  # shared through the memo
+            else:
+                continue  # max/min reductions need no constant
+            address = layout.alloc(value.nbytes)
+            constants.append((address, value))
+            constant_addrs[index] = address
+        commands, tcdm_out = pipe.compile(layout.alloc, tcdm_input, constant_addrs)
+        program = TileProgram(
+            commands,
+            placements=[0] * len(commands),
+            dma_in=[(tcdm_input, input_bytes)]
+            + [(address, value.nbytes) for address, value in constants],
+            dma_out=[(tcdm_out, out_bytes)],
+        )
+        return program, pipe, [value for _, value in constants]
 
+    program, pipe, constants = _program("pipeline", params, cluster, build)
+    out_bytes = program.dma_out[0].total_bytes
+
+    # One draw of every tile's grid equals each tile drawing its own in
+    # turn; the stack is padded once, staged and checked as staged.
     rng = np.random.default_rng(spec.seed)
+    grids = _lattice(rng, (spec.num_tiles, *pipe.grid_shape))
+    first = pipe.stages[0]
+    staged = first.pad(grids) if isinstance(first, StencilSpec) else grids
     cursor = _Cursor(hmc.base, hmc.config.capacity_bytes, "HMC")
-    staged_constants = [
-        (_stage(hmc, cursor, value), address, value.nbytes)
-        for address, value in constants
-    ]
+    hmc_constants = tuple((_stage(hmc, cursor, value), 0) for value in constants)
     workload = ScenarioWorkload(family="pipeline", tiles=[])
-    for _ in range(spec.num_tiles):
-        grid = _lattice(rng, pipe.grid_shape)
-        staged = first.pad(grid) if isinstance(first, StencilSpec) else grid
-        hmc_input = _stage(hmc, cursor, staged)
+    hmc_outs = []
+    for field_data in staged:
+        hmc_input = _stage(hmc, cursor, field_data)
         hmc_out = cursor.alloc(out_bytes)
-
-        transfers_in = [_transfer(hmc_input, tcdm_input, input_bytes)]
-        transfers_in.extend(
-            _transfer(src, dst, nbytes) for src, dst, nbytes in staged_constants
-        )
         workload.tiles.append(
-            TileSchedule(
-                transfers_in=transfers_in,
-                commands=list(commands),
-                transfers_out=[_transfer(tcdm_out, hmc_out, out_bytes)],
-                placements=[0] * len(commands),
-            )
+            TileSchedule(program, ((hmc_input, 0), *hmc_constants), ((hmc_out, 0),))
         )
-        workload.references.append((hmc_out, pipe.reference(grid)))
+        hmc_outs.append(hmc_out)
+    workload.references.extend(zip(hmc_outs, pipe.staged_reference(staged)))
     return workload
 
 

@@ -20,8 +20,10 @@ the run passes the self-containment gate below:
    timing signature plus everything the signature deliberately leaves out
    but the data plane needs (per-command scalar immediates and the
    TCDM-side layout of its DMA transfers).  Jobs, signature and key are
-   functions of the *tile program* (:func:`per_program`), so they are
-   derived once per distinct program, not once per tile;
+   functions of the tile's :class:`~repro.cluster.tiling.TileProgram` and
+   the run's engine, stagger and cluster configuration, so the program
+   keeps them: they are derived once per program, not once per tile or
+   per run;
 2. each group's data plane executes as **one stacked dispatch** on a
    zero-initialised word-major ``(words, tiles)`` float32 stack: row ``w``
    holds TCDM word ``w`` of every member, over the word span the tile
@@ -40,7 +42,7 @@ the run passes the self-containment gate below:
    and cached timings are identical to a walk that defers nothing.
 
 Bit-exactness rests on a conservative **self-containment gate** checked
-per batch key, read-only, before anything executes: every word a tile's
+per tile program, read-only, before anything executes: every word a tile's
 commands read must be covered by its own DMA-in transfers or by stores of
 earlier commands of the same tile (own-command RAW reads resolve like the
 unbatched fast path), and every byte its DMA-out transfers push back must
@@ -53,9 +55,10 @@ gate being clever.  The gate reads each command's shared plan
 (:func:`repro.core.vecops.command_plan`) — its address bounds and the
 reads it records as observing the command's own stores — the same plan
 the data plane and the timing core run from.  Its TCDM-side verdict is a
-function of the batch key and the TCDM geometry, so the timing cache
-keeps it (``TileTimingCache.gate_verdicts``) and a warm cache checks
-only the HMC-side rows of every tile again.
+function of the program and the TCDM geometry, so the program keeps it
+and a warm program is not walked again; the HMC-side rows of every tile
+(what members of a program differ in) are checked on every run, as one
+array computation per program over the tiles' HMC addresses.
 
 Statistics are mirrored so a batched run's reports equal the inline
 walk's: DMA engine/AXI/memory counters are credited per member on its own
@@ -77,10 +80,10 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
 )
 
 import numpy as np
@@ -88,8 +91,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.sim import ClusterSimulator
-from repro.cluster.tiling import TileSchedule
-from repro.core.vecops import CommandPlan, command_plan
+from repro.cluster.tiling import (
+    ProgramJobs,
+    TcdmRows,
+    TileProgram,
+    TileSchedule,
+    program_facts,
+)
+from repro.core.vecops import CommandPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.system.config import SystemConfig
@@ -98,12 +107,9 @@ from repro.system.memo import CachedTiming, TileTimingCache
 __all__ = [
     "ClusterAssignment",
     "passes_gate",
-    "per_program",
     "plan_tiles",
     "walk_tiles",
 ]
-
-T = TypeVar("T")
 
 _BATCH_GROUPS = _metrics.counter(
     "repro_batched_groups_total", "Stacked cache-hit groups replayed"
@@ -128,16 +134,15 @@ class ClusterAssignment:
     assigned: List[Tuple[int, TileSchedule]]
 
 
-@dataclass
-class _TilePlan:
-    """What the walk needs of one tile, derived read-only up front."""
+class _ProgramPlan(NamedTuple):
+    """What the walk needs of one tile program in one run context: its
+    jobs, timing signature (``None`` without commands) and batch key.
+    Kept on the program, shared by every tile of it."""
 
-    tile: TileSchedule
-    jobs: List[Tuple[int, object]]
-    #: Timing signature (``None`` without a cache or without commands).
+    program: TileProgram
+    jobs: ProgramJobs
     signature: Optional[tuple]
-    #: Batch key (``None`` without a cache).
-    key: Optional[tuple] = None
+    key: tuple
 
 
 @dataclass
@@ -146,7 +151,8 @@ class _Member:
 
     work_index: int
     position: int
-    plan: _TilePlan
+    plan: _ProgramPlan
+    tile: TileSchedule
 
 
 @dataclass
@@ -162,7 +168,7 @@ class _HashedKey(tuple):
 
     Timing signatures and batch keys nest the whole cluster configuration,
     and the walk looks each tile's keys up several times (timing cache,
-    batch groups, the gate); equal to, and hashed like, the plain tuple.
+    batch groups); equal to, and hashed like, the plain tuple.
     """
 
     def __hash__(self) -> int:
@@ -177,22 +183,7 @@ class _HashedKey(tuple):
         return (_HashedKey, (tuple(self),))
 
 
-def _dma_layout(tile: TileSchedule) -> tuple:
-    """The TCDM-side layout of ``tile``'s DMA transfers: what the members
-    of a batch group share (their HMC-side addresses are what varies)."""
-    return (
-        tuple(
-            (t.dst, t.row_bytes, t.rows, t.dst_pitch or t.row_bytes)
-            for t in tile.transfers_in
-        ),
-        tuple(
-            (t.src, t.row_bytes, t.rows, t.src_pitch or t.row_bytes)
-            for t in tile.transfers_out
-        ),
-    )
-
-
-def _group_key(tile: TileSchedule, signature: tuple) -> tuple:
+def _batch_key(program: TileProgram, signature: Optional[tuple]) -> tuple:
     """Batch key: timing signature + what the data plane additionally pins.
 
     The timing signature deliberately excludes the per-command ``scalar``
@@ -201,34 +192,8 @@ def _group_key(tile: TileSchedule, signature: tuple) -> tuple:
     Only the TCDM-side layout of a transfer is pinned — the HMC-side
     addresses are exactly what varies across the members of a group.
     """
-    scalars = tuple(command.scalar for command in tile.commands)
-    return (signature, scalars, *_dma_layout(tile))
-
-
-def per_program(derive: Callable[[TileSchedule], T]) -> Callable[[TileSchedule], T]:
-    """``derive`` computed once per distinct *tile program*.
-
-    A tile program is a tile's commands and placements plus the TCDM-side
-    layout of its DMA transfers: everything a tile shares with the tiles
-    that compute the same way on other data.  Whatever is a function of
-    the program alone — jobs, scheduling cost, timing signature, batch
-    key — is derived for its first tile and shared.  Commands count by
-    identity: a workload builder hands every tile of one program the same
-    command objects, and hashing commands by value would cost as much as
-    deriving.  The memo keeps the commands it has seen alive, so an
-    identity cannot be reused.
-    """
-    known: Dict[tuple, Tuple[tuple, T]] = {}
-
-    def lookup(tile: TileSchedule) -> T:
-        placements = None if tile.placements is None else tuple(tile.placements)
-        key = (tuple(map(id, tile.commands)), placements, *_dma_layout(tile))
-        entry = known.get(key)
-        if entry is None:
-            entry = known[key] = (tuple(tile.commands), derive(tile))
-        return entry[1]
-
-    return lookup
+    scalars = tuple(command.scalar for command in program.commands)
+    return (signature, scalars, program.dma_in, program.dma_out)
 
 
 # --------------------------------------------------------------------------- #
@@ -271,29 +236,39 @@ def _rows_within(start: int, pitch: int, transfer, lo: int, hi: int) -> bool:
     return lo <= first and end <= hi
 
 
-def _stages_in_hmc(config: SystemConfig, tile: TileSchedule) -> bool:
-    """Whether every HMC-side row of ``tile``'s transfers lies in the HMC.
+def _stages_in_hmc(
+    config: SystemConfig, program: TileProgram, tiles: Sequence[TileSchedule]
+) -> bool:
+    """Whether every HMC-side row of ``tiles``' transfers lies in the HMC.
 
-    The only part of the gate the batch key does not pin (members of a
-    group differ exactly in their HMC addresses), so it is checked on
-    every run.
+    The only part of the gate a tile program does not pin (tiles of one
+    program differ exactly in their HMC addresses), so it is checked on
+    every run: one array computation per transfer side over the HMC
+    regions of every tile of ``program``.
     """
     hmc_base = config.hmc.base_address
     hmc_top = hmc_base + config.hmc.capacity_bytes
-    return all(
-        _rows_within(t.src, t.src_pitch, t, hmc_base, hmc_top)
-        for t in tile.transfers_in
-    ) and all(
-        _rows_within(t.dst, t.dst_pitch, t, hmc_base, hmc_top)
-        for t in tile.transfers_out
-    )
+    for side, regions_of in (
+        (program.dma_in, lambda tile: tile.hmc_in),
+        (program.dma_out, lambda tile: tile.hmc_out),
+    ):
+        if not side:
+            continue
+        regions = np.array([regions_of(tile) for tile in tiles], dtype=np.int64)
+        starts, pitches = regions[..., 0], regions[..., 1]
+        row_bytes = np.array([rows.row_bytes for rows in side], dtype=np.int64)
+        spans = np.array([rows.rows - 1 for rows in side], dtype=np.int64)
+        last = starts + spans * np.where(pitches == 0, row_bytes, pitches)
+        if (np.minimum(starts, last) < hmc_base).any():
+            return False
+        if (np.maximum(starts, last) + row_bytes > hmc_top).any():
+            return False
+    return True
 
 
-def _tcdm_self_contained(
-    config: SystemConfig, tile: TileSchedule, jobs: Sequence[Tuple[int, object]]
-) -> bool:
-    """The TCDM side of :func:`_self_contained`: a function of the batch
-    key and the TCDM geometry alone.
+def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
+    """The TCDM side of :func:`_self_contained`: a function of the program
+    and the TCDM geometry alone.
 
     Coverage is kept twice and updated in place: ``covered`` per byte (for
     the DMA-out check, which may move partial words) and ``cov_words`` per
@@ -308,23 +283,18 @@ def _tcdm_self_contained(
     top = base + size
     covered = np.zeros(size, dtype=bool)
 
-    for transfer in tile.transfers_in:
-        if not _rows_within(transfer.dst, transfer.dst_pitch, transfer, base, top):
+    for rows in program.dma_in:
+        if not _rows_within(rows.address, rows.pitch, rows, base, top):
             return False
-        for _, dst in transfer.row_addresses():
-            covered[dst - base : dst - base + transfer.row_bytes] = True
+        for dst in rows.row_addresses():
+            covered[dst - base : dst - base + rows.row_bytes] = True
 
-    num_ntx = config.cluster.num_ntx
-    per_ntx: List[List[object]] = [[] for _ in range(num_ntx)]
-    for ntx_id, command in jobs:
-        per_ntx[ntx_id].append(command)
     cov_bytes = covered.reshape(-1, _WORD)
     # A word is covered when all four of its byte flags are.
     cov_words = covered.view(np.uint32) == _ALL_BYTES
     words = size // _WORD
-    for commands in per_ntx:
-        for command in commands:
-            plan = command_plan(command)
+    for plans in program.plans(config.cluster.num_ntx):
+        for _, plan in plans:
             if not (plan.in_span(base, words) and _reads_resolved(plan, cov_words, base)):
                 return False
             if plan.num_stores:
@@ -332,26 +302,35 @@ def _tcdm_self_contained(
                 cov_bytes[stored] = True
                 cov_words[stored] = True
 
-    for transfer in tile.transfers_out:
-        if not _rows_within(transfer.src, transfer.src_pitch, transfer, base, top):
+    for rows in program.dma_out:
+        if not _rows_within(rows.address, rows.pitch, rows, base, top):
             return False
-        for src, _ in transfer.row_addresses():
-            if not covered[src - base : src - base + transfer.row_bytes].all():
+        for src in rows.row_addresses():
+            if not covered[src - base : src - base + rows.row_bytes].all():
                 return False
     return True
 
 
-def _self_contained(
-    config: SystemConfig, tile: TileSchedule, jobs: Sequence[Tuple[int, object]]
-) -> bool:
+def _tcdm_verdict(config: SystemConfig, program: TileProgram) -> bool:
+    """:func:`_tcdm_self_contained`, kept on the program per TCDM geometry."""
+    cluster = config.cluster
+    geometry = (cluster.tcdm.base_address, cluster.tcdm.size_bytes, cluster.num_ntx)
+    return program.derived(
+        ("tcdm-gate", *geometry), lambda: _tcdm_self_contained(config, program)
+    )
+
+
+def _self_contained(config: SystemConfig, tile: TileSchedule) -> bool:
     """Whether ``tile`` computes identically on a zeroed private image.
 
-    Every member of a batch key shares the command streams and the
-    TCDM-side DMA layout, so :func:`passes_gate` checks one tile per key.
-    Also rejects tiles staging outside the HMC↔TCDM address classes —
-    those must run through the real DMA router.
+    Every tile of a program shares the command streams and the TCDM-side
+    DMA layout, so :func:`passes_gate` walks one program once.  Also
+    rejects tiles staging outside the HMC↔TCDM address classes — those
+    must run through the real DMA router.
     """
-    return _stages_in_hmc(config, tile) and _tcdm_self_contained(config, tile, jobs)
+    return _stages_in_hmc(config, tile.program, [tile]) and _tcdm_self_contained(
+        config, tile.program
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -380,69 +359,57 @@ class _ReportSlots:
 
 
 def plan_tiles(
-    config: SystemConfig, engine: str, work: Sequence[ClusterAssignment], signed: bool
-) -> List[List[_TilePlan]]:
+    config: SystemConfig, engine: str, work: Sequence[ClusterAssignment]
+) -> List[List[_ProgramPlan]]:
     """Jobs, timing signature and batch key of every tile — read-only.
 
-    ``signed`` (the run has a cache) computes timing signatures and batch
-    keys; without it both stay ``None``.  All three are functions of the
-    tile program, so tiles of one program share them (:func:`per_program`).
+    All three are functions of the tile's program and of the run's engine,
+    stagger and cluster configuration, so the program keeps them
+    (:func:`~repro.cluster.tiling.program_facts`): a warm program signs
+    nothing again.
     """
     num_ntx = config.cluster.num_ntx
-    # Every cluster of a system shares one configuration, so one signer
-    # serves all of them.
-    signer = ClusterSimulator(work[0].cluster, engine=engine) if work else None
 
-    def derive(tile: TileSchedule) -> Tuple[list, Optional[tuple], Optional[tuple]]:
-        jobs = tile.jobs(num_ntx) if tile.commands else []
-        signature = key = None
-        if signed:
-            if tile.commands:
-                signature = _HashedKey(
-                    signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)
-                )
-            key = _HashedKey(_group_key(tile, signature))
-        return jobs, signature, key
+    def derive(program: TileProgram) -> _ProgramPlan:
+        jobs = program.jobs(num_ntx)
+        signature = None
+        if program.commands:
+            # Every cluster of a system shares one configuration, so any
+            # of them signs for all.
+            signer = ClusterSimulator(work[0].cluster, engine=engine)
+            signature = _HashedKey(
+                signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)
+            )
+        return _ProgramPlan(program, jobs, signature, _HashedKey(_batch_key(program, signature)))
 
-    program = per_program(derive)
-    return [
-        [_TilePlan(tile, *program(tile)) for _, tile in item.assigned] for item in work
-    ]
+    key = ("walk", engine, config.stagger_cycles, config.cluster)
+    flat = program_facts((tile for item in work for _, tile in item.assigned), key, derive)
+    plans, start = [], 0
+    for item in work:
+        plans.append(flat[start : start + len(item.assigned)])
+        start += len(item.assigned)
+    return plans
 
 
 def passes_gate(
     config: SystemConfig,
-    plans: List[List[_TilePlan]],
-    verdicts: Optional[Dict[tuple, bool]] = None,
+    work: Sequence[ClusterAssignment],
+    plans: List[List[_ProgramPlan]],
 ) -> bool:
-    """Whether every tile of a signed plan is self-contained — read-only.
+    """Whether every tile of a planned run is self-contained — read-only.
 
-    Checks each distinct batch key once and stops at the first refusal,
-    before any cluster, DMA or HMC state has been touched.  ``verdicts``
-    (a timing cache's :attr:`~repro.system.memo.TileTimingCache.gate_verdicts`)
-    keeps the TCDM-side verdict of each key across runs; the HMC-side rows
-    of every tile are checked on every run (members of a key differ in
-    exactly those).
+    Checks the HMC side of every tile, then the TCDM side of each distinct
+    program once (kept on the program, so a warm program is not walked
+    again), and stops at the first refusal, before any cluster, DMA or
+    HMC state has been touched.
     """
-    tcdm_cfg = config.cluster.tcdm
-    geometry = (tcdm_cfg.base_address, tcdm_cfg.size_bytes)
-    checked = set()
-    for infos in plans:
-        for plan in infos:
-            if not _stages_in_hmc(config, plan.tile):
-                return False
-            if plan.key in checked:
-                continue
-            key = (geometry, plan.key)
-            verdict = None if verdicts is None else verdicts.get(key)
-            if verdict is None:
-                verdict = _tcdm_self_contained(config, plan.tile, plan.jobs)
-                if verdicts is not None:
-                    verdicts[key] = verdict
-            if not verdict:
-                return False
-            checked.add(plan.key)
-    return True
+    tiles_of: Dict[TileProgram, List[TileSchedule]] = {}
+    for item, item_plans in zip(work, plans):
+        for (_, tile), plan in zip(item.assigned, item_plans):
+            tiles_of.setdefault(plan.program, []).append(tile)
+    return all(
+        _stages_in_hmc(config, program, tiles) for program, tiles in tiles_of.items()
+    ) and all(_tcdm_verdict(config, program) for program in tiles_of)
 
 
 def walk_tiles(
@@ -465,12 +432,12 @@ def walk_tiles(
     ``batched-replay`` span of the gate when the gate refused.
     """
     if cache is None:
-        plans = plan_tiles(config, engine, work, signed=False)
+        plans = plan_tiles(config, engine, work)
     else:
         tiles = sum(len(item.assigned) for item in work)
         with _trace.span("batched-replay", tiles=tiles):
-            plans = plan_tiles(config, engine, work, signed=True)
-            if passes_gate(config, plans, cache.gate_verdicts):
+            plans = plan_tiles(config, engine, work)
+            if passes_gate(config, work, plans):
                 return _walk(config, engine, work, cache, plans, defer=True)
     return _walk(config, engine, work, cache, plans, defer=False)
 
@@ -503,7 +470,7 @@ def _walk(
     engine: str,
     work: Sequence[ClusterAssignment],
     cache: Optional[TileTimingCache],
-    plans: List[List[_TilePlan]],
+    plans: List[List[_ProgramPlan]],
     defer: bool,
 ) -> List["object"]:
     """Visit every tile in (cluster, position) order; see :func:`walk_tiles`."""
@@ -531,17 +498,20 @@ def _walk(
         slots.append(slot)
         with cluster_span(item):
             for position, plan in enumerate(plans[work_index]):
-                cached = None if plan.signature is None else cache.get(plan.signature)
+                tile = item.assigned[position][1]
+                cached = None
+                if cache is not None and plan.signature is not None:
+                    cached = cache.get(plan.signature)
                 if defer and cached is not None:
                     group = groups.get(plan.key)
                     if group is None:
                         group = groups[plan.key] = _Group(cached=cached, members=[])
-                    group.members.append(_Member(work_index, position, plan))
+                    group.members.append(_Member(work_index, position, plan, tile))
                     continue
                 with tile_span(item, position):
                     _run_tile(
-                        config, engine, item, slot, position, plan, cached, cache,
-                        core_ratio, miss_span,
+                        config, engine, item, slot, position, tile, plan, cached,
+                        cache, core_ratio, miss_span,
                     )
 
     for group in groups.values():
@@ -558,6 +528,7 @@ def _walk(
                 work[member.work_index],
                 slots[member.work_index],
                 member.position,
+                member.tile,
                 member.plan,
                 group.cached,
                 cache,
@@ -576,7 +547,8 @@ def _run_tile(
     item: ClusterAssignment,
     slot: _ReportSlots,
     position: int,
-    plan: _TilePlan,
+    tile: TileSchedule,
+    plan: _ProgramPlan,
     cached: Optional[CachedTiming],
     cache: Optional[TileTimingCache],
     core_ratio: float,
@@ -590,7 +562,6 @@ def _run_tile(
     timing under the tile's signature.  ``miss_span`` wraps that cycle
     simulation (a ``tile-miss`` span in deferring walks).
     """
-    tile = plan.tile
     report = slot.report
     dma_cycles = 0
     for transfer in tile.transfers_in:
@@ -640,7 +611,10 @@ def _replay_group_batched(
     # Counters are credited per work item: members times one tile's worth.
     per_item = Counter(member.work_index for member in members)
     cached = group.cached
-    tile0 = members[0].plan.tile
+    # Members share the batch key, so the first one's program stands for
+    # the TCDM side of all of them.
+    plan0 = members[0].plan
+    program = plan0.program
     item0 = work[members[0].work_index]
     tcdm_base = config.cluster.tcdm.base_address
     hmc = item0.cluster.hmc
@@ -648,27 +622,26 @@ def _replay_group_batched(
 
     # The word-major stack: word ``w`` of every member's private image in
     # row ``w``, over the word span the tile program stages or touches.
-    lo, hi = _stack_span(tile0, tcdm_base)
+    lo, hi = _stack_span(config, program)
     stack = np.zeros((hi - lo, num_tiles), dtype=np.float32)
     base = tcdm_base + lo * _WORD
     dma_cycles = 0
 
     # DMA-in: each transfer row of every member goes from the HMC straight
     # into its rows of the stack (the TCDM-side layout is shared).
-    for index, transfer0 in enumerate(tile0.transfers_in):
-        cycles = item0.cluster.dma.transfer_cycles(transfer0)
+    for index, rows0 in enumerate(program.dma_in):
+        cycles = item0.cluster.dma.transfer_cycles(rows0)
         dma_cycles += cycles
-        peers = [member.plan.tile.transfers_in[index] for member in members]
-        sources = _row_offsets([(t.src, t.src_pitch) for t in peers], transfer0, hmc.base)
-        for row, (_, dst) in enumerate(transfer0.row_addresses()):
-            _stage_in(stack, dst - base, hmc_u8, sources[:, row], transfer0.row_bytes)
-        _mirror_dma_stats(work, slots, per_item, transfer0, cycles, inbound=True)
+        sources = _row_offsets([member.tile.hmc_in[index] for member in members], rows0, hmc.base)
+        for row, dst in enumerate(rows0.row_addresses()):
+            _stage_in(stack, dst - base, hmc_u8, sources[:, row], rows0.row_bytes)
+        _mirror_dma_stats(work, slots, per_item, rows0, cycles, inbound=True)
 
     # Compute: the shared command stream replays over the stack; commands
     # the kernel refuses walk tile by tile.
-    if tile0.commands:
+    if program.commands:
         ClusterSimulator(item0.cluster, engine=engine).run_data_plane(
-            members[0].plan.jobs, stack, base
+            plan0.jobs, stack, base
         )
         for work_index, count in per_item.items():
             _credit_cached_stats(config, work[work_index].cluster, cached, count)
@@ -676,16 +649,15 @@ def _replay_group_batched(
     # DMA-out: every member's output rows go from the stack straight back
     # to its HMC region (disjoint by the workload contract, so order
     # cannot matter).
-    for index, transfer0 in enumerate(tile0.transfers_out):
-        cycles = item0.cluster.dma.transfer_cycles(transfer0)
+    for index, rows0 in enumerate(program.dma_out):
+        cycles = item0.cluster.dma.transfer_cycles(rows0)
         dma_cycles += cycles
-        peers = [member.plan.tile.transfers_out[index] for member in members]
         destinations = _row_offsets(
-            [(t.dst, t.dst_pitch) for t in peers], transfer0, hmc.base
+            [member.tile.hmc_out[index] for member in members], rows0, hmc.base
         )
-        for row, (src, _) in enumerate(transfer0.row_addresses()):
-            _stage_out(stack, src - base, hmc_u8, destinations[:, row], transfer0.row_bytes)
-        _mirror_dma_stats(work, slots, per_item, transfer0, cycles, inbound=False)
+        for row, src in enumerate(rows0.row_addresses()):
+            _stage_out(stack, src - base, hmc_u8, destinations[:, row], rows0.row_bytes)
+        _mirror_dma_stats(work, slots, per_item, rows0, cycles, inbound=False)
 
     for member in members:
         slot = slots[member.work_index]
@@ -697,42 +669,47 @@ def _replay_group_batched(
 def _in_hmc_order(members: List[_Member]) -> List[_Member]:
     """``members`` sorted by the HMC address of their first transfer, so a
     tiled workload's members sit one stride apart."""
-    tile = members[0].plan.tile
-    if tile.transfers_in:
-        return sorted(members, key=lambda member: member.plan.tile.transfers_in[0].src)
-    if tile.transfers_out:
-        return sorted(members, key=lambda member: member.plan.tile.transfers_out[0].dst)
+    program = members[0].plan.program
+    if program.dma_in:
+        return sorted(members, key=lambda member: member.tile.hmc_in[0][0])
+    if program.dma_out:
+        return sorted(members, key=lambda member: member.tile.hmc_out[0][0])
     return members
 
 
-def _stack_span(tile: TileSchedule, base: int) -> Tuple[int, int]:
-    """The ``[lo, hi)`` words, counted from the TCDM ``base``, that cover
-    every TCDM byte ``tile`` stages or its commands touch (the gate has
-    checked that all of them lie in the TCDM)."""
-    spans = [_row_span(t.dst, t.dst_pitch, t) for t in tile.transfers_in]
-    spans += [_row_span(t.src, t.src_pitch, t) for t in tile.transfers_out]
-    for command in tile.commands:
-        plan = command_plan(command)
-        if plan.lo is not None:
-            spans.append((plan.lo, plan.hi + _WORD))
-    if not spans:
-        return 0, 0
-    lo = min(first for first, _ in spans)
-    hi = max(end for _, end in spans)
-    return (lo - base) // _WORD, -(-(hi - base) // _WORD)
+def _stack_span(config: SystemConfig, program: TileProgram) -> Tuple[int, int]:
+    """The ``[lo, hi)`` words, counted from the TCDM base, that cover every
+    TCDM byte ``program`` stages or its commands touch (the gate has
+    checked that all of them lie in the TCDM); kept on the program."""
+    base = config.cluster.tcdm.base_address
+    num_ntx = config.cluster.num_ntx
+
+    def derive() -> Tuple[int, int]:
+        spans = [_row_span(rows.address, rows.pitch, rows) for rows in program.dma_in]
+        spans += [_row_span(rows.address, rows.pitch, rows) for rows in program.dma_out]
+        for plans in program.plans(num_ntx):
+            for _, plan in plans:
+                if plan.lo is not None:
+                    spans.append((plan.lo, plan.hi + _WORD))
+        if not spans:
+            return 0, 0
+        lo = min(first for first, _ in spans)
+        hi = max(end for _, end in spans)
+        return (lo - base) // _WORD, -(-(hi - base) // _WORD)
+
+    return program.derived(("stack-span", base, num_ntx), derive)
 
 
 def _row_offsets(
-    starts_and_pitches: Sequence[Tuple[int, int]], transfer0, origin: int
+    regions: Sequence[Tuple[int, int]], rows0: TcdmRows, origin: int
 ) -> np.ndarray:
     """``(members, rows)`` byte offsets from ``origin`` of every HMC-side
-    row of each member's transfer, given its start address and pitch (the
-    row count and size are pinned by the batch key, as in ``transfer0``)."""
-    starts = np.array([start for start, _ in starts_and_pitches], dtype=np.int64)
-    pitches = np.array(
-        [pitch or transfer0.row_bytes for _, pitch in starts_and_pitches], dtype=np.int64
-    )
-    rows = np.arange(transfer0.rows, dtype=np.int64)
+    row of each member's transfer, given its ``(start, pitch)`` region (the
+    row count and size are pinned by the batch key, as in ``rows0``)."""
+    regions = np.array(regions, dtype=np.int64)
+    starts, pitches = regions[:, 0], regions[:, 1]
+    pitches = np.where(pitches == 0, rows0.row_bytes, pitches)
+    rows = np.arange(rows0.rows, dtype=np.int64)
     return (starts - origin)[:, None] + pitches[:, None] * rows
 
 

@@ -17,6 +17,10 @@ The cache key is produced by
 canonicalizes the engine, the stagger, the full cluster configuration and
 each command's :attr:`~repro.core.commands.NtxCommand.timing_signature`
 (loop nest, AGU bases/strides, init/store levels — everything but the data).
+Keys are values, so a cache shared across simulators hits for equal
+programs from different builds; the walker signs each
+:class:`~repro.cluster.tiling.TileProgram` once and keeps the signature on
+it (:func:`repro.system.batch.plan_tiles`).
 
 The per-lookup hot path is deliberately *not* instrumented: the cache
 keeps its own plain-integer ``hits``/``misses`` and
@@ -80,15 +84,15 @@ class CachedTiming:
 class TileTimingCache:
     """Maps timing signatures to cached timings, with hit/miss accounting.
 
-    ``gate_verdicts`` keeps, next to the timings, the TCDM-side verdict of
-    batched replay's self-containment gate per batch key and TCDM geometry
-    (:func:`repro.system.batch.passes_gate`), so a warm cache skips the
-    gate's stream walk.
+    It holds timings only.  Everything else a warm run would otherwise
+    rederive — signatures, batch keys, batched replay's gate verdict — is
+    a function of the tile program and kept on the
+    :class:`~repro.cluster.tiling.TileProgram`, so it survives a fresh
+    cache.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[tuple, CachedTiming] = {}
-        self.gate_verdicts: Dict[tuple, bool] = {}
         self.hits = 0
         self.misses = 0
 

@@ -45,13 +45,13 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.cluster import Cluster
 from repro.cluster.engine import DEFAULT_ENGINE
 from repro.cluster.sim import SimulationResult
-from repro.cluster.tiling import TileSchedule, overlap_cycles
+from repro.cluster.tiling import TileProgram, TileSchedule, overlap_cycles, program_facts
 from repro.core.vecops import publish_plan_cache_metrics
 from repro.mem.hmc import Hmc
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.options import ExecutionOptions
-from repro.system.batch import ClusterAssignment, per_program, walk_tiles
+from repro.system.batch import ClusterAssignment, walk_tiles
 from repro.system.config import SystemConfig
 from repro.system.memo import TileTimingCache
 from repro.system.scheduler import ShardPlan, WorkQueueScheduler
@@ -230,24 +230,22 @@ class SystemSimulator:
 
     # -- scheduling -----------------------------------------------------------
 
-    def _estimate_cost(self, tile: TileSchedule) -> float:
-        """Scheduling estimate of a tile's busy time in NTX cycles (a
-        function of the tile program, see
-        :func:`~repro.system.batch.per_program`)."""
+    def _estimate_cost(self, program: TileProgram) -> float:
+        """Scheduling estimate of a tile program's busy time in NTX cycles."""
         config = self.config.cluster
         per_ntx = [0.0] * config.num_ntx
-        for ntx_id, command in tile.jobs(config.num_ntx):
+        for ntx_id, command in program.jobs(config.num_ntx):
             per_ntx[ntx_id] += config.ntx.ideal_cycles(command)
-        compute = max(per_ntx) if tile.commands else 0.0
-        dma_bytes = tile.bytes_in + tile.bytes_out
+        compute = max(per_ntx) if program.commands else 0.0
+        dma_bytes = program.bytes_in + program.bytes_out
         dma_seconds = dma_bytes / config.axi.peak_bandwidth_bytes_per_s
         dma = dma_seconds * config.ntx_frequency_hz
         return max(compute, dma)
 
     def shard(self, tiles: Sequence[TileSchedule]) -> ShardPlan:
-        """Work-queue assignment of ``tiles`` to this system's clusters."""
-        cost = per_program(self._estimate_cost)
-        costs = [cost(tile) for tile in tiles]
+        """Work-queue assignment of ``tiles`` to this system's clusters
+        (each program's cost is kept on it, per cluster configuration)."""
+        costs = program_facts(tiles, ("cost", self.config.cluster), self._estimate_cost)
         return self.scheduler.assign(costs, self.config.num_clusters)
 
     # -- execution ------------------------------------------------------------

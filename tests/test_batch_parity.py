@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
+from repro.cluster.tiling import TileSchedule, program_facts
 from repro.core.ntx import NtxConfig
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, build_workload, run_scenario
@@ -89,6 +90,19 @@ def _built(num_tiles, memoize=True, **geometry):
     config = spec.system_config()
     simulator = SystemSimulator(config, options=ExecutionOptions(memoize=memoize))
     return simulator, build_workload(spec, simulator.hmc, config.cluster)
+
+
+def _with(tile, **changes):
+    """``tile`` with ``changes`` to its transfers, commands or placements,
+    as a tile of a program of its own."""
+    fields = dict(
+        transfers_in=tile.transfers_in,
+        commands=tile.commands,
+        transfers_out=tile.transfers_out,
+        placements=tile.placements,
+    )
+    fields.update(changes)
+    return TileSchedule.from_transfers(**fields)
 
 
 def _hmc_bytes(simulator):
@@ -465,7 +479,7 @@ class TestSelfContainmentGate:
         # Strip the staging DMA of one interior tile: its commands now read
         # uncovered TCDM words, so the group containing it is not
         # self-contained.
-        workload.tiles[2].transfers_in = []
+        workload.tiles[2] = _with(workload.tiles[2], transfers_in=[])
         return simulator, workload
 
     def test_gate_refuses_without_touching_state(self):
@@ -482,8 +496,8 @@ class TestSelfContainmentGate:
             )
             for cluster_id, tile_indices in enumerate(plan.tiles_of)
         ]
-        plans = plan_tiles(simulator.config, simulator.engine, work, signed=True)
-        assert not passes_gate(simulator.config, plans)
+        plans = plan_tiles(simulator.config, simulator.engine, work)
+        assert not passes_gate(simulator.config, work, plans)
         # The refusal happened in the read-only planning pass: nothing ran.
         assert np.array_equal(_hmc_bytes(simulator), hmc_before)
         assert simulator.timing_cache.lookups == 0
@@ -514,9 +528,9 @@ class TestSelfContainmentGate:
                 4, memoize=memoize, num_vaults=1, clusters_per_vault=1
             )
             tile = workload.tiles[3]
-            stray = dataclasses.replace(tile.transfers_in[0], src=simulator.hmc.base - 4096)
-            workload.tiles[3] = dataclasses.replace(
-                tile, transfers_in=[stray, *tile.transfers_in[1:]]
+            stray = (simulator.hmc.base - 4096, 0)
+            workload.tiles[3] = TileSchedule(
+                tile.program, [stray, *tile.hmc_in[1:]], tile.hmc_out
             )
             if memoize:
                 work = [
@@ -524,8 +538,8 @@ class TestSelfContainmentGate:
                         0, 0, simulator.clusters[0], list(enumerate(workload.tiles))
                     )
                 ]
-                plans = plan_tiles(simulator.config, simulator.engine, work, signed=True)
-                assert not passes_gate(simulator.config, plans)
+                plans = plan_tiles(simulator.config, simulator.engine, work)
+                assert not passes_gate(simulator.config, work, plans)
             with pytest.raises(IndexError) as caught:
                 simulator.run(workload.tiles)
             errors.append(str(caught.value))
@@ -534,43 +548,46 @@ class TestSelfContainmentGate:
 
 class TestPerProgram:
     """Jobs, signatures, batch keys and costs are derived once per tile
-    program: same command objects, placements and TCDM-side DMA layout."""
+    program: its commands, placements and TCDM-side DMA layout."""
 
     def _tiles(self):
         simulator, workload = _built(3)
         return simulator, workload.tiles
 
     def test_tiles_of_one_program_share_one_derivation(self):
-        from repro.system.batch import per_program
-
         _, tiles = self._tiles()
         calls = []
-        lookup = per_program(lambda tile: calls.append(tile) or len(calls))
-        assert [lookup(tile) for tile in tiles] == [1, 1, 1]
-        assert calls == [tiles[0]]
+        key = object()
+        derive = lambda program: calls.append(program) or len(calls)  # noqa: E731
+        assert program_facts(tiles, key, derive) == [1, 1, 1]
+        assert calls == [tiles[0].program]
+        # The program keeps the fact: a later call derives nothing.
+        assert program_facts(tiles, key, derive) == [1, 1, 1]
+        assert len(calls) == 1
 
     def test_layout_placements_and_commands_each_split_programs(self):
-        from repro.system.batch import per_program
-
         _, tiles = self._tiles()
         tile = tiles[0]
         moved = dataclasses.replace(tile.transfers_out[0], src=tile.transfers_out[0].src + 4)
         variants = [
-            dataclasses.replace(tile, transfers_out=[moved]),
-            dataclasses.replace(tile, placements=[0] * len(tile.commands)),
-            dataclasses.replace(tile, commands=[dataclasses.replace(c) for c in tile.commands]),
-            dataclasses.replace(tile, transfers_in=tile.transfers_in[:1]),
+            _with(tile, transfers_out=[moved]),
+            _with(tile, placements=[0] * len(tile.commands)),
+            _with(tile, commands=tile.commands[:-1]),
+            _with(tile, transfers_in=tile.transfers_in[:1]),
         ]
-        lookup = per_program(id)
-        derived = {lookup(t) for t in [tile, *variants]}
-        assert len(derived) == 1 + len(variants)
-        # HMC-side addresses are not part of the program.
-        assert lookup(tiles[1]) == lookup(tile)
+        derived = program_facts([tile, *variants], object(), id)
+        assert len(set(derived)) == 1 + len(variants)
+        # HMC-side addresses are not part of the program, and programs
+        # compare by value: equal commands built apart are one program.
+        copied = _with(tile, commands=[dataclasses.replace(c) for c in tile.commands])
+        assert copied.program == tile.program and copied.program is not tile.program
+        assert hash(copied.program) == hash(tile.program)
+        assert len(set(program_facts([tile, tiles[1], copied], object(), id))) == 1
 
     def test_shard_costs_follow_the_program(self, monkeypatch):
         simulator, tiles = self._tiles()
         tile = tiles[0]
-        wider = dataclasses.replace(
+        wider = _with(
             tile,
             transfers_in=[
                 dataclasses.replace(t, rows=40, dst_pitch=t.row_bytes) for t in tile.transfers_in
@@ -585,7 +602,7 @@ class TestPerProgram:
         )
         shard = [tile, wider, tiles[1]]
         simulator.shard(shard)
-        assert seen == [[simulator._estimate_cost(t) for t in shard]]
+        assert seen == [[simulator._estimate_cost(t.program) for t in shard]]
         assert seen[0][1] > seen[0][0] == seen[0][2]
 
 def _byte_mask_self_contained(config, tile, jobs):
@@ -698,7 +715,7 @@ def _partial_word_in(tile, num_ntx):
                 rows.append(
                     DmaTransfer(src=src + head + 2, dst=read + 4, row_bytes=end - read - 4)
                 )
-    return dataclasses.replace(tile, transfers_in=rows)
+    return _with(tile, transfers_in=rows)
 
 
 class TestGateParity:
@@ -722,37 +739,36 @@ class TestGateParity:
         verdicts = []
         for tile in workload.tiles:
             partial = _partial_word_in(tile, num_ntx)
-            variants = [tile, dataclasses.replace(tile, transfers_in=[]), partial]
+            variants = [tile, _with(tile, transfers_in=[]), partial]
             for variant in variants:
                 jobs = variant.jobs(num_ntx)
-                verdict = _self_contained(config, variant, jobs)
+                verdict = _self_contained(config, variant)
                 assert verdict == _byte_mask_self_contained(config, variant, jobs)
                 verdicts.append(verdict)
             # A tile whose DMA-in covers only part of a word it reads is
             # still refused.
-            assert not _self_contained(config, partial, partial.jobs(num_ntx))
+            assert not _self_contained(config, partial)
         assert True in verdicts and False in verdicts
 
     def test_partial_word_round_trip_is_byte_granular(self):
         """DMA-out may move bytes of a word only partly staged in, as long
         as no command reads that word."""
-        from repro.cluster.tiling import TileSchedule
         from repro.mem.dma import DmaTransfer
         from repro.system.batch import _self_contained
 
         config = SystemConfig()
         tcdm = config.cluster.tcdm.base_address
         hmc = config.hmc.base_address
-        tile = TileSchedule(
+        tile = TileSchedule.from_transfers(
             transfers_in=[DmaTransfer(src=hmc, dst=tcdm, row_bytes=6)],
             transfers_out=[DmaTransfer(src=tcdm, dst=hmc + 64, row_bytes=6)],
         )
-        assert _self_contained(config, tile, [])
+        assert _self_contained(config, tile)
         assert _byte_mask_self_contained(config, tile, [])
-        wider = dataclasses.replace(
+        wider = _with(
             tile, transfers_out=[DmaTransfer(src=tcdm, dst=hmc + 64, row_bytes=8)]
         )
-        assert not _self_contained(config, wider, [])
+        assert not _self_contained(config, wider)
         assert not _byte_mask_self_contained(config, wider, [])
 
 

@@ -6,12 +6,14 @@
   before the builders shared their programs).  A builder and its golden
   model drifting together would still verify; these pins would not.
 * **One program per workload.**  Every tile of a registered workload
-  carries the same command objects, so
-  :func:`~repro.system.batch.per_program` derives once per workload.
+  carries the same :class:`~repro.cluster.tiling.TileProgram` object, so
+  everything derived from it is derived once per workload.
 * **Stacked goldens.**  The 3D stencil, compiled 2D stencil and ``dnn``
-  goldens run as stacked :func:`~repro.kernels.conv.conv2d_f64` calls;
-  they must equal the per-plane, per-tile and per-channel loops kept
-  below bit for bit, on lattice and on standard normal float32 data.
+  goldens run as stacked :func:`~repro.kernels.conv.conv2d_f64` calls,
+  and the ``pipeline`` golden chains its stages over a stack of tiles
+  padded once; they must equal the per-plane, per-tile and per-channel
+  loops kept below bit for bit, on lattice and on standard normal float32
+  data.
 * **Only the hardware a run steps.**  A vectorized-engine run builds no
   NTX register file, FPU datapath or L2; either engine still leaves the
   per-NTX statistics recorded before those became lazy.
@@ -35,7 +37,7 @@ from repro.options import ExecutionOptions
 from repro.scenarios import get_scenario, registered_scenarios, run_scenario
 from repro.scenarios.compiler import StencilSpec
 from repro.scenarios.workloads import build_workload, dnn_step_reference
-from repro.system.batch import per_program
+from repro.cluster.tiling import program_facts
 
 # --------------------------------------------------------------------------- #
 # Pinned bytes                                                                #
@@ -134,15 +136,13 @@ def test_tiles_share_one_program(name):
     assert len(tiles) == spec.num_tiles > 1
     first = tiles[0]
     for tile in tiles[1:]:
-        assert tile.commands is not first.commands  # each tile owns its list
-        assert len(tile.commands) == len(first.commands)
-        assert all(a is b for a, b in zip(tile.commands, first.commands))
-        assert tile.placements == first.placements
+        assert tile.program is first.program
+        assert tile.hmc_in != first.hmc_in or tile.hmc_out != first.hmc_out
 
     calls = []
-    derive = per_program(lambda tile: calls.append(tile) or len(calls))
-    assert {derive(tile) for tile in tiles} == {1}
-    assert calls == [first]
+    derived = program_facts(tiles, object(), lambda program: calls.append(program) or len(calls))
+    assert set(derived) == {1}
+    assert calls == [first.program]
 
 
 # --------------------------------------------------------------------------- #
@@ -199,6 +199,8 @@ def test_stencil_reference_over_tiles_equals_the_per_tile_calls(draw, params):
     grids = DRAWS[draw](np.random.default_rng(3), (4, *spec.grid_shape))
     stacked = spec.reference(grids)
     assert np.array_equal(spec.pad(grids)[1], spec.pad(grids[1]))
+    # The builder's path: the stack padded once, checked as staged.
+    assert spec.staged_reference(spec.pad(grids)).tobytes() == stacked.tobytes()
     for grid, got in zip(grids, stacked):
         staged = spec.pad(grid)
         if spec.dims == 2:
@@ -206,6 +208,57 @@ def test_stencil_reference_over_tiles_equals_the_per_tile_calls(draw, params):
         else:
             want = _conv3d_per_plane(staged, spec.dense_kernel())
         assert got.tobytes() == want.tobytes()
+
+
+def _pipeline_per_tile(pipe, grid):
+    """The per-tile chain the stacked ``pipeline`` golden replaced: every
+    stencil stage pads its own input, a reduction flattens it."""
+    value = np.asarray(grid, dtype=np.float32)
+    for stage in pipe.stages:
+        if isinstance(stage, StencilSpec):
+            value = stage.reference(value)
+            continue
+        flat = value.ravel()
+        if stage.op == "sum":
+            value = np.array([flat.astype(np.float64).sum()], dtype=np.float32)
+        elif stage.op == "max":
+            value = np.array([flat.max()], dtype=np.float32)
+        else:
+            value = np.array([flat.min()], dtype=np.float32)
+    return value
+
+
+def _stencil_stage(**fields):
+    return {"kind": "stencil", "neighborhood": "moore", "radius": 1, **fields}
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+@pytest.mark.parametrize(
+    "grid_shape, stages",
+    [
+        ((12, 12), ({"kind": "stencil", "neighborhood": "von_neumann"}, {"kind": "reduce"})),
+        (
+            (9, 11),
+            (_stencil_stage(boundary="edge"), _stencil_stage(), {"kind": "reduce", "op": "max"}),
+        ),
+        ((7, 8, 6), (_stencil_stage(boundary="wrap"), {"kind": "reduce", "op": "min"})),
+        ((10, 9), (_stencil_stage(radius=2, boundary="constant"), _stencil_stage())),
+        ((33, 65), ({"kind": "reduce", "op": "sum"},)),
+    ],
+)
+def test_pipeline_golden_over_tiles_equals_the_per_tile_chain(draw, grid_shape, stages):
+    from repro.scenarios.compiler import PipelineSpec
+
+    pipe = PipelineSpec.from_params({"grid_shape": grid_shape, "stages": stages})
+    grids = DRAWS[draw](np.random.default_rng(5), (5, *grid_shape))
+    first = pipe.stages[0]
+    staged = first.pad(grids) if isinstance(first, StencilSpec) else grids
+    stacked = pipe.staged_reference(staged)
+    assert stacked.shape == (5, *pipe.output_shape)
+    for grid, got in zip(grids, stacked):
+        want = _pipeline_per_tile(pipe, grid)
+        assert got.tobytes() == want.tobytes()
+        assert pipe.reference(grid).tobytes() == want.tobytes()
 
 
 def test_dense_kernel_is_computed_once_and_read_only():

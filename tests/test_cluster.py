@@ -190,7 +190,7 @@ class TestTiling:
         cluster.stage_in(hmc + 0x1000, y)
         a_addr, x_addr, y_addr = cluster.tcdm.alloc_layout([4, n * 4, n * 4])
         cluster.stage_in(a_addr, np.array([1.0], np.float32))
-        tile = TileSchedule(
+        tile = TileSchedule.from_transfers(
             transfers_in=[
                 DmaTransfer(src=hmc + 0x0, dst=x_addr, row_bytes=n * 4),
                 DmaTransfer(src=hmc + 0x1000, dst=y_addr, row_bytes=n * 4),

@@ -27,10 +27,18 @@ _BASE = Cluster().tcdm.base
 
 @pytest.fixture
 def cold_plans():
-    """An empty plan cache for the test, emptied again afterwards."""
+    """An empty plan cache for the test, emptied again afterwards.
+
+    Tile programs keep the plans of their commands, so the memo of the
+    workload builders' programs is emptied with it.
+    """
+    from repro.scenarios import workloads
+
     command_plan.cache_clear()
+    workloads._PROGRAMS.clear()
     yield
     command_plan.cache_clear()
+    workloads._PROGRAMS.clear()
 
 
 def _streaming(base: int = _BASE, stride: int = 4, count: int = 8) -> NtxCommand:
@@ -248,9 +256,10 @@ def test_cold_quick_report_builds_one_plan_per_distinct_command(cold_plans, tmp_
     )
     info = command_plan.cache_info()
     # Every distinct command is planned once (nothing was evicted and
-    # rebuilt) and every other use is a hit: 69 plans serve 512 lookups.
+    # rebuilt), and every other use reads the plan its tile program keeps:
+    # 69 plans, 69 lookups.
     assert info.misses == info.currsize == 69
-    assert info.hits > 5 * info.misses
+    assert info.hits == 0
 
 
 def test_system_run_publishes_the_plan_cache_counts(cold_plans):
@@ -261,6 +270,10 @@ def test_system_run_publishes_the_plan_cache_counts(cold_plans):
     metrics.REGISTRY.reset()
     vecops.publish_plan_cache_metrics()  # settle earlier lookups
     metrics.REGISTRY.reset()
+    outcome = run_scenario("conv-tiled")
+    # A warm program looks nothing up; a lookup outside any program is a
+    # hit the next system run publishes.
+    command_plan(outcome.workload.tiles[0].commands[0])
     run_scenario("conv-tiled")
     info = command_plan.cache_info()
     registry = metrics.REGISTRY
@@ -285,12 +298,13 @@ def _gate_inputs(simulator, tiles):
         )
         for cluster_id, indices in enumerate(shards.tiles_of)
     ]
-    return plan_tiles(simulator.config, simulator.engine, work, signed=True)
+    return work, plan_tiles(simulator.config, simulator.engine, work)
 
 
-def test_gate_verdicts_are_kept_per_batch_key(monkeypatch):
-    """A warm verdict skips the gate's stream walk, keeps its refusals,
+def test_gate_verdicts_are_kept_per_program(monkeypatch):
+    """A warm program skips the gate's stream walk, keeps its refusals,
     and still checks the HMC side of every run's tiles."""
+    from repro.cluster.tiling import TileProgram, TileSchedule
     from repro.scenarios import build_workload, get_scenario
     from repro.system import batch
     from repro.system.simulator import SystemSimulator
@@ -303,32 +317,40 @@ def test_gate_verdicts_are_kept_per_batch_key(monkeypatch):
     spec = get_scenario("conv-tiled").with_overrides(num_tiles=6)
     config = spec.system_config()
     simulator = SystemSimulator(config)
-    tiles = build_workload(spec, simulator.hmc, config.cluster).tiles
-    verdicts = {}
-    assert batch.passes_gate(simulator.config, _gate_inputs(simulator, tiles), verdicts)
-    assert len(walks) == len(verdicts) >= 1 and all(verdicts.values())
+    built = build_workload(spec, simulator.hmc, config.cluster).tiles
+    # A copy of the memoized program that no earlier run has warmed.
+    shared = built[0].program
+    program = TileProgram(shared.commands, shared.placements, shared.dma_in, shared.dma_out)
+    tiles = [TileSchedule(program, tile.hmc_in, tile.hmc_out) for tile in built]
+    assert batch.passes_gate(simulator.config, *_gate_inputs(simulator, tiles))
+    assert len(walks) == 1
     walks.clear()
-    assert batch.passes_gate(simulator.config, _gate_inputs(simulator, tiles), verdicts)
+    assert batch.passes_gate(simulator.config, *_gate_inputs(simulator, tiles))
     assert walks == []
 
-    # Every tile staged from beyond the HMC: the TCDM-side verdicts are
-    # warm and true, the HMC-side check still refuses.
+    # Every tile staged from beyond the HMC: the TCDM-side verdict is warm
+    # and true, the HMC-side check still refuses.
     hmc_top = simulator.config.hmc.base_address + simulator.config.hmc.capacity_bytes
     stray = [
-        replace(tile, transfers_in=[
-            replace(t, src=hmc_top - t.row_bytes + 4) for t in tile.transfers_in
-        ])
+        TileSchedule(
+            program,
+            [(hmc_top - rows.row_bytes + 4, 0) for rows in program.dma_in],
+            tile.hmc_out,
+        )
         for tile in tiles
     ]
-    assert not batch.passes_gate(simulator.config, _gate_inputs(simulator, stray), verdicts)
+    assert not batch.passes_gate(simulator.config, *_gate_inputs(simulator, stray))
     assert walks == []
 
     # A refusal is kept too: a tile without its staging DMA reads
     # uncovered words.
-    unstaged = [replace(tile, transfers_in=[]) for tile in tiles]
-    assert not batch.passes_gate(simulator.config, _gate_inputs(simulator, unstaged), verdicts)
-    assert len(walks) == 1 and False in verdicts.values()
-    assert not batch.passes_gate(simulator.config, _gate_inputs(simulator, unstaged), verdicts)
+    unstaged_program = TileProgram(
+        program.commands, program.placements, (), program.dma_out
+    )
+    unstaged = [TileSchedule(unstaged_program, (), tile.hmc_out) for tile in tiles]
+    assert not batch.passes_gate(simulator.config, *_gate_inputs(simulator, unstaged))
+    assert len(walks) == 1
+    assert not batch.passes_gate(simulator.config, *_gate_inputs(simulator, unstaged))
     assert len(walks) == 1
 
 
@@ -358,10 +380,14 @@ def test_gate_resolves_reads_of_the_commands_own_stores():
         DmaTransfer(src=hmc + 64, dst=seed_word, row_bytes=4),
     ]
     result = [DmaTransfer(src=out, dst=hmc + 128, row_bytes=32)]
-    tile = TileSchedule(transfers_in=stage, commands=[command], transfers_out=result)
-    assert batch._self_contained(config, tile, tile.jobs(8))
-    unseeded = TileSchedule(transfers_in=stage[:1], commands=[command], transfers_out=result)
-    assert not batch._self_contained(config, unseeded, unseeded.jobs(8))
+    tile = TileSchedule.from_transfers(
+        transfers_in=stage, commands=[command], transfers_out=result
+    )
+    assert batch._self_contained(config, tile)
+    unseeded = TileSchedule.from_transfers(
+        transfers_in=stage[:1], commands=[command], transfers_out=result
+    )
+    assert not batch._self_contained(config, unseeded)
 
 
 def test_hashed_batch_keys_behave_as_plain_tuples():

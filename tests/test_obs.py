@@ -13,6 +13,7 @@ import pytest
 from repro import obs
 from repro.campaign import SweepSpec, run_campaign
 from repro.campaign.cache import GlobalResultCache
+from repro.cluster.tiling import TileSchedule
 from repro.obs.logs import configure_logging, get_logger
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import (
@@ -213,7 +214,12 @@ class TestInstrumentedRuns:
             workload = build_workload(spec, simulator.hmc, config.cluster)
             if doctor:
                 # Tile 2 now reads TCDM words no DMA staged.
-                workload.tiles[2].transfers_in = []
+                tile = workload.tiles[2]
+                workload.tiles[2] = TileSchedule.from_transfers(
+                    commands=tile.commands,
+                    transfers_out=tile.transfers_out,
+                    placements=tile.placements,
+                )
             with obs.trace_session(trace=True) as tracer:
                 simulator.run(workload.tiles)
                 return tracer.spans()

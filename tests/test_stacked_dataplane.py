@@ -227,7 +227,7 @@ def _fallback_workload(hmc, num_tiles, n=8):
             data[n + 3] = np.nan
         hmc.memory.store_array(cursor, data)
         tiles.append(
-            TileSchedule(
+            TileSchedule.from_transfers(
                 transfers_in=[DmaTransfer(src=cursor, dst=buf, row_bytes=data.nbytes)],
                 commands=[shift, maximum],
                 transfers_out=[
@@ -340,7 +340,7 @@ def _staging_workload(hmc, num_tiles, layout):
         hmc.memory.store_array(region, block)  # rows 32 B apart
         hmc.memory.write_bytes(region + 101, rng.integers(0, 256, 6, dtype=np.uint8).tobytes())
         tiles.append(
-            TileSchedule(
+            TileSchedule.from_transfers(
                 transfers_in=[
                     DmaTransfer(src=region, dst=t_in, row_bytes=row_bytes, rows=_ROWS,
                                 src_pitch=32, dst_pitch=24),

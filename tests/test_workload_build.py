@@ -101,7 +101,7 @@ def _per_tile_build(hmc, num_tiles, image_shape, kernel, num_ntx, seed, draw):
         hmc.memory.store_array(hmc_image, image)
         hmc.memory.store_array(hmc_weights, weights)
         tiles.append(
-            TileSchedule(
+            TileSchedule.from_transfers(
                 transfers_in=[
                     DmaTransfer(src=hmc_image, dst=tcdm_image, row_bytes=image_bytes),
                     DmaTransfer(src=hmc_weights, dst=tcdm_weights, row_bytes=weight_bytes),
