@@ -19,7 +19,9 @@ A :class:`~repro.campaign.cache.GlobalResultCache` (``options.cache_dir``
 populated after every fresh execution — a point computed by *any* earlier
 campaign, bench pass or report run is served from the cache and only
 re-presented (name/axes/spec rewritten for the current sweep) into the
-local store.
+local store.  Every record the cache serves lands in the store in one
+locked write per call (:meth:`~repro.campaign.store.ResultStore.extend`);
+executed points are still appended one by one as each completes.
 """
 
 from __future__ import annotations
@@ -150,7 +152,12 @@ def run_campaign(
     :func:`~repro.campaign.cache.resolve_cache`) enables the global
     result cache: points found there are served without simulation
     (``on_point(record, False)``, counted as ``cached_points``) and
-    every freshly executed point is published back.
+    every freshly executed point is published back.  The served records
+    are written to the store in one locked write before any callback
+    fires; each executed point is appended on its own as it completes,
+    so a kill still loses at most the point in flight.  Callbacks fire
+    once per point: first every resumed or served point in expansion
+    order, then every executed one.
     """
     from repro.campaign.store import ResultStore
 
@@ -175,14 +182,14 @@ def run_campaign(
         "campaign %s: %d points, store %s", sweep.name, len(points), store.path
     )
     pending: List[CampaignPoint] = []
-    skipped = 0
-    cached = 0
+    # Expansion order of the points accounted for without executing,
+    # each resumed from the store or served by the result cache.
+    accounted: List[str] = []
+    served: Dict[str, Dict[str, Any]] = {}
     for point in points:
-        if point.id in stored:
-            skipped += 1
+        if point.id in stored or point.id in served:
+            accounted.append(point.id)
             _POINTS.inc(outcome="resumed")
-            if on_point is not None:
-                on_point(stored[point.id], False)
             continue
         if result_cache is not None:
             hit = result_cache.get(point.id)
@@ -195,14 +202,19 @@ def run_campaign(
                 hit["name"] = point.spec.name
                 hit["axes"] = dict(point.axis_values)
                 hit["spec"] = point.spec.to_dict()
-                record = store.append(hit)
-                stored[record["point_id"]] = record
-                cached += 1
+                served[point.id] = hit
+                accounted.append(point.id)
                 _POINTS.inc(outcome="cached")
-                if on_point is not None:
-                    on_point(record, False)
                 continue
         pending.append(point)
+    # Every served record lands in one locked write, before any callback.
+    for record in store.extend(served.values()):
+        stored[record["point_id"]] = record
+    cached = len(served)
+    skipped = len(accounted) - cached
+    if on_point is not None:
+        for point_id in accounted:
+            on_point(stored[point_id], False)
     if max_points is not None:
         pending = pending[: max(0, max_points)]
 

@@ -2,17 +2,21 @@
 
 Every completed campaign point becomes one JSON line keyed by the point's
 content hash (:func:`repro.campaign.spec.point_id`).  Appending is the
-only write operation, each record is flushed as soon as its point
-completes, and loading tolerates a truncated final line — exactly the
-state a killed campaign leaves behind — so a rerun simply skips every
-point whose id is already on disk and finishes the rest.  Corruption
-anywhere *else* in the file is not a truncation artefact (appends never
-rewrite earlier lines) but damage — a bad merge, a stray editor, a disk
-fault — so an ill-formed interior line raises :class:`ResultStoreError`
-naming the line number instead of silently dropping results.  Appends
-take an ``fcntl`` advisory lock on the file, so concurrent writers
-(separate ``repro.eval`` processes running against the same store or
-``--cache-dir``) interleave whole records safely.  Records of
+only write operation (:meth:`ResultStore.extend`; :meth:`~ResultStore.append`
+is ``extend`` of one record), and loading tolerates a truncated final
+line — exactly the state a killed campaign leaves behind — so a rerun
+simply skips every point whose id is already on disk and finishes the
+rest.  The campaign runner writes the records the global result cache
+served in one locked write per call, and still appends each executed
+point on its own as soon as it completes, so a kill loses at most the
+point in flight.  Corruption anywhere *else* in the file is not a
+truncation artefact (appends never rewrite earlier lines) but damage — a
+bad merge, a stray editor, a disk fault — so an ill-formed interior line
+raises :class:`ResultStoreError` naming the line number instead of
+silently dropping results.  Every write takes an ``fcntl`` advisory lock
+on the file, so concurrent writers (separate ``repro.eval`` processes
+running against the same store or ``--cache-dir``) interleave whole
+records safely.  Records of
 points that no longer exist in the campaign (a changed sweep definition)
 stay in the file but are ignored by the runner and the analysis layer,
 which select records by the *current* expansion's ids.
@@ -105,35 +109,44 @@ class ResultStore:
     # -- writing --------------------------------------------------------------
 
     def append(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        """Append one completed point, flushed immediately.
+        """Append one completed point, flushed immediately: :meth:`extend`
+        of one record."""
+        return self.extend([record])[0]
+
+    def extend(self, records: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Append ``records`` in one locked write, flushed immediately.
 
         The write is serialized with an ``fcntl`` advisory lock on the
         store file, so concurrent writers — separate ``repro.eval``
         processes appending to the same store or global-cache file —
-        interleave whole records instead of corrupting each other's
-        lines.  ``flock`` binds to the open file description, so the
-        same lock also serializes threads within one process.  A writer that ignores the lock (or
-        a non-POSIX platform, where ``fcntl`` is unavailable) falls back
-        to the previous guarantee: one buffered write per record, with
-        any torn line caught by the :class:`ResultStoreError` /
-        truncated-tail diagnostics of :meth:`records`.
+        interleave whole batches of records instead of corrupting each
+        other's lines.  ``flock`` binds to the open file description, so
+        the same lock also serializes threads within one process.  A
+        writer that ignores the lock (or a non-POSIX platform, where
+        ``fcntl`` is unavailable) falls back to one buffered write per
+        call, with any torn line caught by the :class:`ResultStoreError` /
+        truncated-tail diagnostics of :meth:`records`.  No records, no
+        write: the file is not even created.
 
-        Returns the record as it will read back from disk (the JSON
+        Returns the records as they will read back from disk (the JSON
         round trip canonicalizes tuples to lists), so callers that keep
         records in memory hold exactly what a resumed run would load.
         """
-        if not record.get("point_id"):
-            raise ValueError("a result record needs a point_id")
+        lines = []
+        for record in records:
+            if not record.get("point_id"):
+                raise ValueError("a result record needs a point_id")
+            lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        if not lines:
+            return []
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         with self.path.open("a", encoding="utf-8") as handle:
             if fcntl is not None:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
-                handle.write(line + "\n")
+                handle.write("".join(line + "\n" for line in lines))
                 handle.flush()
             finally:
                 if fcntl is not None:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        return json.loads(line)
-
+        return [json.loads(line) for line in lines]

@@ -19,8 +19,8 @@ from repro.softfloat import rmse
 from repro.softfloat.fmac import (
     exact_dot,
     fixed_to_float,
-    fmac_chain_pcs,
     fmac_chains_float32,
+    fmac_chains_pcs,
 )
 
 __all__ = ["PrecisionResult", "run", "PAPER_IMPROVEMENT"]
@@ -28,8 +28,8 @@ __all__ = ["PrecisionResult", "run", "PAPER_IMPROVEMENT"]
 #: The paper's reported RMSE advantage of the PCS accumulator.
 PAPER_IMPROVEMENT = 1.7
 
-#: ``rng.choice([-1.0, 1.0], n)`` is ``_SIGNS[rng.integers(0, 2, n)]``:
-#: the same draws from the same stream.
+#: A sign draw of 0 or 1 picks ``-1.0`` or ``1.0``, as
+#: ``rng.choice([-1.0, 1.0])`` does.
 _SIGNS = np.array([-1.0, 1.0])
 
 #: Dekker's split constant, 2**27 + 1.
@@ -68,18 +68,20 @@ def run(
     binary32-quantised operands, so they share the input-quantisation error
     floor and differ only in the error added by per-step rounding — which is
     why the reported advantage is a factor rather than orders of magnitude.
+
+    Each output draws, in this order, two uniform exponent vectors and
+    two sign vectors of ``reduction_length`` values from one PCG64
+    stream.  All of them are taken in one ``random_raw`` call of
+    ``3 * reduction_length`` 64-bit words per output and decoded as NumPy
+    decodes them (:func:`_draws`): an exponent is ``low + (high - low) *
+    ((w >> 11) * 2**-53)`` of one word, and a sign is bit 31 of a 32-bit
+    half-word, low half first.  The bits equal those of four generator
+    calls per output.
     """
     rng = np.random.default_rng(seed)
-    # Four draws per output, in this order: the draw order fixes the bits.
-    shape = (outputs, reduction_length)
-    exponents_a, exponents_b = np.empty(shape), np.empty(shape)
-    signs_a = np.empty(shape, dtype=np.int64)
-    signs_b = np.empty(shape, dtype=np.int64)
-    for i in range(outputs):
-        exponents_a[i] = rng.uniform(-scale_spread / 2, scale_spread / 2, reduction_length)
-        exponents_b[i] = rng.uniform(-scale_spread / 2, scale_spread / 2, reduction_length)
-        signs_a[i] = rng.integers(0, 2, reduction_length)
-        signs_b[i] = rng.integers(0, 2, reduction_length)
+    exponents_a, exponents_b, signs_a, signs_b = _draws(
+        rng, outputs, reduction_length, scale_spread
+    )
     # Beyond the binary32 range the casts round to ±inf, as IEEE does.
     with np.errstate(over="ignore"):
         a64 = _SIGNS[signs_a] * 10.0**exponents_a
@@ -88,8 +90,38 @@ def run(
     exact_values = _exact_dots(a64, b64)
     return PrecisionResult(
         rmse_float32=rmse(fmac_chains_float32(a32, b32).tolist(), exact_values),
-        rmse_pcs=rmse([fmac_chain_pcs(a, b) for a, b in zip(a32, b32)], exact_values),
+        rmse_pcs=rmse(fmac_chains_pcs(a32, b32).tolist(), exact_values),
     )
+
+
+def _draws(
+    rng: np.random.Generator, outputs: int, length: int, spread: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each output's two exponent and two sign vectors, decoded from one
+    block of raw generator words.
+
+    The draws equal, bit for bit, ``rng.uniform(-spread / 2, spread / 2,
+    length)`` twice and then ``rng.integers(0, 2, length)`` twice per
+    output.  A uniform draw takes one 64-bit word.  A draw below 2 takes
+    one 32-bit half-word ``h`` as ``h >> 31`` (Lemire's method never
+    rejects for a range of 2); PCG64 serves half-words low half first
+    and keeps an unused high half across the uniform draws.  The
+    ``2 * length`` sign draws of an output use up exactly ``length``
+    words, so every output starts with that buffer empty and takes
+    ``3 * length`` words: ``[0, 2L)`` the exponents, ``[2L, 3L)`` the
+    signs.  The generator ends where the per-output calls leave it.
+    """
+    words = rng.bit_generator.random_raw(outputs * 3 * length).reshape(
+        outputs, 3, length
+    )
+    low = -spread / 2
+    exponents = low + (spread / 2 - low) * ((words[:, :2] >> np.uint64(11)) * 2.0**-53)
+    sign_words = words[:, 2]
+    signs = np.stack(
+        [(sign_words >> np.uint64(31)) & np.uint64(1), sign_words >> np.uint64(63)],
+        axis=-1,
+    ).reshape(outputs, 2 * length)
+    return exponents[:, 0], exponents[:, 1], signs[:, :length], signs[:, length:]
 
 
 def _exact_dots(a: np.ndarray, b: np.ndarray) -> list[float]:

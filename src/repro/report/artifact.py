@@ -20,9 +20,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.campaign import (
+    GlobalResultCache,
     PointAnalysis,
     analyze_records,
     default_store_path,
+    resolve_cache,
     run_campaign,
 )
 from repro.campaign.runner import CampaignOutcome
@@ -64,7 +66,9 @@ class ArtifactContext:
     configured (``cache_dir`` / ``$REPRO_CACHE_DIR``) the shared
     campaigns run once *ever*: any report invocation against a warm
     cache serves every point without simulation, regardless of which
-    store directory it writes into.
+    store directory it writes into.  The cache is resolved once per
+    context and shared by every campaign, so each shard file is parsed
+    at most once per report.
     """
 
     def __init__(
@@ -76,6 +80,11 @@ class ArtifactContext:
         self.quick = quick
         self.store_dir = Path(store_dir) if store_dir is not None else None
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
+        # The one result cache every campaign of this report consults:
+        # ``cache_dir``, else ``$REPRO_CACHE_DIR``, else none.
+        self._result_cache: Optional[GlobalResultCache] = resolve_cache(
+            options=ExecutionOptions(cache_dir=self.cache_dir)
+        )
         self._outcomes: Dict[str, CampaignOutcome] = {}
         self._training_workloads: Optional[Dict[str, TrainingWorkload]] = None
 
@@ -89,7 +98,8 @@ class ArtifactContext:
             self._outcomes[name] = run_campaign(
                 name,
                 store_path=store,
-                options=ExecutionOptions(quick=self.quick, cache_dir=self.cache_dir),
+                options=ExecutionOptions(quick=self.quick),
+                cache=self._result_cache,
             )
         return self._outcomes[name]
 

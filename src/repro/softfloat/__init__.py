@@ -13,8 +13,9 @@ provides:
 * :func:`~repro.softfloat.fmac.fmac_chain_float32` /
   :func:`~repro.softfloat.fmac.fmac_chain_pcs` — reference reduction
   implementations used for the precision (RMSE) study of §II-C, and
-  :func:`~repro.softfloat.fmac.fmac_chains_float32`, the binary32 chain
-  over every row of a ``(rows, steps)`` array at once.
+  :func:`~repro.softfloat.fmac.fmac_chains_float32` /
+  :func:`~repro.softfloat.fmac.fmac_chains_pcs`, the same chains over every
+  row of a ``(rows, steps)`` array at once.
 * :mod:`~repro.softfloat.rmse` — error metrics against an exact reference.
 """
 
@@ -31,6 +32,7 @@ from repro.softfloat.fmac import (
     fmac_chain_float32,
     fmac_chains_float32,
     fmac_chain_pcs,
+    fmac_chains_pcs,
     fmac_chain_exact,
 )
 from repro.softfloat.rmse import rmse, max_abs_error, relative_rmse, ulp_error
@@ -47,6 +49,7 @@ __all__ = [
     "fmac_chain_float32",
     "fmac_chains_float32",
     "fmac_chain_pcs",
+    "fmac_chains_pcs",
     "fmac_chain_exact",
     "rmse",
     "max_abs_error",

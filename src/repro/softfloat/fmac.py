@@ -10,7 +10,7 @@ need three reductions of the same data:
   rounded to binary32 before the next accumulation;
   :func:`fmac_chains_float32` runs many such chains at once;
 * :func:`fmac_chain_pcs` — the NTX path: exact accumulation, one rounding at
-  write-back.
+  write-back; :func:`fmac_chains_pcs` runs many such chains at once.
 
 Every finite binary32 or binary64 value is an integer times a power of two
 (:meth:`float.as_integer_ratio`), so exact products and sums are plain
@@ -23,7 +23,7 @@ Two exact shortcuts keep the study at the cost of its arithmetic:
 * A PCS accumulator that spans every binary32 product and has guard bits
   for the chain never truncates or overflows, so its write-back is the
   exact sum rounded once.  Every binary32 product is exact in binary64,
-  so :func:`fmac_chain_pcs` forms the correctly rounded sum with
+  so :func:`fmac_chains_pcs` forms each row's correctly rounded sum with
   :func:`math.fsum` (Shewchuk, "Adaptive Precision Floating-Point
   Arithmetic", 1997), rounds it to odd with a second ``fsum`` of the
   residual and casts that to binary32 (see below).  It walks the
@@ -56,6 +56,7 @@ __all__ = [
     "fmac_chain_float32",
     "fmac_chains_float32",
     "fmac_chain_pcs",
+    "fmac_chains_pcs",
     "exact_dot",
     "fixed_to_float",
 ]
@@ -208,56 +209,78 @@ def fmac_chain_pcs(
     doubling of the chain length, no product is truncated and the register
     cannot overflow, so the result is the exact sum rounded once.  Chains
     with a non-finite operand, or a narrower (truncating) geometry, walk
-    the :class:`~repro.softfloat.pcs.PcsAccumulator` step by step.
+    the :class:`~repro.softfloat.pcs.PcsAccumulator` step by step.  This
+    is :func:`fmac_chains_pcs` on one row.
+    """
+    av, bv = np.asarray(a).ravel(), np.asarray(b).ravel()
+    if av.shape != bv.shape:
+        raise ValueError(f"operand shapes differ: {av.shape} vs {bv.shape}")
+    return float(fmac_chains_pcs(av[None, :], bv[None, :], init, config)[0])
+
+
+def fmac_chains_pcs(
+    a: np.ndarray,
+    b: np.ndarray,
+    init: float = 0.0,
+    config: PcsConfig | None = None,
+) -> np.ndarray:
+    """Row-wise :func:`fmac_chain_pcs` of two ``(rows, steps)`` arrays.
+
+    Returns one binary32 result per row.  Binary32 products are exact in
+    binary64 (48 bits, 2**-298 … 2**256), so the shortcut forms them all
+    in one array, then per row takes the correctly rounded sum ``total``
+    with :func:`math.fsum` and a second ``fsum`` of the residual
+    ``sum - total`` for its sign.  Every term is a multiple of 2**-298, so
+    a non-zero residual is at least that large and its sign is exact.
+    Stepping an even ``total`` one ulp toward a non-zero residual rounds
+    the sum to odd, and the cast to binary32 then rounds it to nearest
+    once; an exact zero is ``+0``.  A row whose sum is not finite (an inf
+    or NaN operand, whose sticky flags decide), and every row under a
+    geometry the shortcut does not cover, walks the
+    :class:`~repro.softfloat.pcs.PcsAccumulator`.
     """
     config = config or PcsConfig()
-    av, bv, init32 = _as_float32_lists(a, b, init)
-    # |init + sum(products)| < (len + 1) * 2**256 <= 2**(msb_exponent - 1).
+    x, y, init32 = _binary32(a, b, init)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(
+            f"expected two (rows, steps) arrays of one shape: {x.shape} vs {y.shape}"
+        )
+    rows, steps = x.shape
+    init_value = float(init32)
+    totals, residuals = np.zeros(rows), np.zeros(rows)
+    walk = np.ones(rows, dtype=bool)
+    # |init + sum(products)| < (steps + 1) * 2**256 <= 2**(msb_exponent - 1).
     if (
         config.lsb_exponent <= _PRODUCT_LSB_EXP
         and config.guard_bits > 0
-        and len(av) + 1 <= 1 << (config.guard_bits - 1)
+        and steps + 1 <= 1 << (config.guard_bits - 1)
     ):
-        # Binary32 products are exact in binary64 (48 bits, 2**-298 …
-        # 2**256); a non-finite operand makes a product, and so the sum,
+        # A non-finite operand makes a product, and so the sum,
         # non-finite, and fsum raises ValueError for inf - inf.
-        terms = [x * y for x, y in zip(av, bv)]
-        terms.append(init32)
-        try:
-            total = math.fsum(terms)
-        except ValueError:
-            total = math.nan
-        if math.isfinite(total):
-            return _round_to_float32(terms, total)
-        # An inf or NaN operand: the walk's sticky flags decide.
-    acc = PcsAccumulator(config)
-    acc.init_from(init32)
-    for x, y in zip(av, bv):
-        acc.fma(x, y)
-    return acc.to_float()
-
-
-def _round_to_float32(terms: list[float], total: float) -> float:
-    """The exact sum of ``terms`` rounded once to binary32.
-
-    ``total`` is ``math.fsum(terms)``: the exact sum rounded to nearest in
-    binary64.  Every term is a multiple of 2**-298, so the residual
-    ``sum(terms) - total`` is either zero or at least that large, and its
-    ``fsum`` has the residual's sign.  Stepping an even ``total`` one ulp
-    toward a non-zero residual rounds the sum to odd, and the cast to
-    binary32 then rounds it to nearest once.  An exact zero is ``+0``.
-    ``terms`` is consumed.
-    """
-    if total == 0:
-        return 0.0
-    terms.append(-total)
-    residual = math.fsum(terms)
-    if residual and int(total / math.ulp(total)) % 2 == 0:
-        total = math.nextafter(total, math.copysign(math.inf, residual))
-    if abs(total) <= _FLOAT32_MAX:
-        return float(np.float32(total))
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = x.astype(np.float64) * y
+        for i, terms in enumerate(products.tolist()):
+            terms.append(init_value)
+            try:
+                total = math.fsum(terms)
+            except ValueError:
+                continue
+            if math.isfinite(total):
+                walk[i] = False
+                if total:
+                    terms.append(-total)
+                    totals[i], residuals[i] = total, math.fsum(terms)
+    to_odd = (residuals != 0) & ((totals.view(np.int64) & 1) == 0)
+    totals[to_odd] = np.nextafter(totals[to_odd], np.copysign(np.inf, residuals[to_odd]))
     with np.errstate(over="ignore"):
-        return float(np.float32(total))
+        result = totals.astype(np.float32)
+    for i in np.flatnonzero(walk).tolist():
+        acc = PcsAccumulator(config)
+        acc.init_from(init_value)
+        for xi, yi in zip(x[i].tolist(), y[i].tolist()):
+            acc.fma(xi, yi)
+        result[i] = acc.to_float()
+    return result
 
 
 def fmac_chains_float32(

@@ -5,6 +5,7 @@ cache, and the analysis layer's perf-model overlay."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import multiprocessing
 
@@ -327,6 +328,72 @@ class TestResultStore:
         with pytest.raises(ValueError, match="point_id"):
             ResultStore(tmp_path / "s.jsonl").append({"metrics": {}})
 
+    def test_append_is_extend_of_one_record(self, tmp_path):
+        record = self._record("a", axes=(1, 2))
+        one, many = ResultStore(tmp_path / "one.jsonl"), ResultStore(tmp_path / "many.jsonl")
+        assert one.append(record) == many.extend([record])[0] == json.loads(
+            json.dumps(record)
+        )
+        assert one.path.read_bytes() == many.path.read_bytes()
+
+    def test_extend_round_trips_in_order(self, tmp_path):
+        store = ResultStore(tmp_path / "s.jsonl")
+        written = store.extend(self._record(pid, axes=(pid,)) for pid in "abc")
+        assert written == store.records()
+        assert [r["point_id"] for r in written] == ["a", "b", "c"]
+        assert store.path.read_bytes().count(b"\n") == 3
+
+    def test_empty_extend_writes_nothing(self, tmp_path):
+        store = ResultStore(tmp_path / "sub" / "s.jsonl")
+        assert store.extend([]) == []
+        assert not store.path.parent.exists()
+
+    def test_extend_rejects_a_record_without_point_id_before_writing(self, tmp_path):
+        store = ResultStore(tmp_path / "s.jsonl")
+        with pytest.raises(ValueError, match="point_id"):
+            store.extend([self._record("a"), {"metrics": {}}])
+        assert not store.exists()
+
+    def test_truncated_last_line_after_extend_is_skipped(self, tmp_path):
+        store = ResultStore(tmp_path / "s.jsonl")
+        store.extend([self._record(pid) for pid in "abc"])
+        data = store.path.read_bytes()
+        store.path.write_bytes(data[: len(data) - 10])
+        assert [r["point_id"] for r in store.records()] == ["a", "b"]
+
+    def test_corrupt_line_before_an_extend_raises_with_line_number(self, tmp_path):
+        store = ResultStore(tmp_path / "s.jsonl")
+        store.extend([self._record(pid) for pid in "ab"])
+        with store.path.open("a", encoding="utf-8") as handle:
+            handle.write("{torn\n")
+        store.extend([self._record(pid) for pid in "cd"])
+        with pytest.raises(ResultStoreError, match=r"s\.jsonl.*line 3"):
+            store.records()
+
+    def test_concurrent_extends_keep_every_line_whole(self, tmp_path):
+        """Two processes each extend 200 large records at a time into one
+        store: every line reads back whole, and each call's records stay
+        contiguous, because a call is one locked write."""
+        path = tmp_path / "s.jsonl"
+        workers, batches, size = 2, 3, 200
+        context = multiprocessing.get_context("fork")
+        processes = [
+            context.Process(target=_extend_batches, args=(path, worker, batches, size))
+            for worker in range(workers)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=60)
+            assert not process.is_alive() and process.exitcode == 0
+        records = ResultStore(path).records()
+        assert path.read_bytes().count(b"\n") == len(records) == workers * batches * size
+        assert all(record["pad"] == _PAD for record in records)
+        calls = [record["point_id"].rsplit("-", 1)[0] for record in records]
+        runs = [call for call, _ in itertools.groupby(calls)]
+        assert sorted(runs) == sorted(set(calls))
+        assert len(runs) == workers * batches
+
 
 class TestRunCampaign:
     def test_fresh_run_executes_and_verifies_every_point(self, tmp_path):
@@ -491,6 +558,21 @@ def _strip_execution(record):
         k: v for k, v in record["metrics"].items() if k not in warmth
     }
     return record
+
+
+#: A record payload large enough that one call's write spans many pages.
+_PAD = "x" * 1000
+
+
+def _extend_batches(path, worker, batches, size):
+    """Worker for the concurrent-extend test: ``batches`` calls of
+    ``size`` records each."""
+    store = ResultStore(path)
+    for batch in range(batches):
+        store.extend(
+            {"point_id": f"w{worker}-{batch}-{index:03d}", "pad": _PAD}
+            for index in range(size)
+        )
 
 
 def _append_records(root, start, count):
@@ -668,6 +750,62 @@ class TestCampaignResultCache:
         assert outcome.cache_dir is None
         assert outcome.cached_points == 0
         assert outcome.executed_points == 4
+
+    def test_served_records_land_in_one_write_and_executed_points_one_each(
+        self, tmp_path, monkeypatch
+    ):
+        """A fresh store over a cache that holds half the sweep: the served
+        records are one ``extend``, each executed point its own, and
+        ``on_point`` still fires once per point with the same flags."""
+        cache = GlobalResultCache(tmp_path / "cache")
+        run_campaign(tiny_sweep(), store_path=tmp_path / "cold.jsonl", cache=cache, max_points=2)
+        store = tmp_path / "fresh.jsonl"
+        writes = []
+        real_extend = ResultStore.extend
+
+        def counting(self, records):
+            records = list(records)
+            if self.path == store:
+                writes.append([record["point_id"] for record in records])
+            return real_extend(self, records)
+
+        monkeypatch.setattr(ResultStore, "extend", counting)
+        calls = []
+        outcome = run_campaign(
+            tiny_sweep(),
+            store_path=store,
+            cache=cache,
+            on_point=lambda record, fresh: calls.append((record["point_id"], fresh)),
+        )
+        ids = [point.id for point in outcome.points]
+        assert (outcome.cached_points, outcome.executed_points) == (2, 2)
+        assert writes == [ids[:2], [ids[2]], [ids[3]]]
+        assert calls == [(ids[0], False), (ids[1], False), (ids[2], True), (ids[3], True)]
+        assert [r["point_id"] for r in ResultStore(store).records()] == ids
+
+    def test_on_point_over_a_partial_store_and_a_warm_cache(self, tmp_path):
+        """A store that holds some points and a cache that holds the rest:
+        one callback per point, in expansion order, every one not fresh."""
+        cache = GlobalResultCache(tmp_path / "cache")
+        cold = run_campaign(tiny_sweep(), store_path=tmp_path / "cold.jsonl", cache=cache)
+        store = ResultStore(tmp_path / "mixed.jsonl")
+        store.extend([cold.records[1], cold.records[3]])
+        calls = []
+        outcome = run_campaign(
+            tiny_sweep(),
+            store_path=store.path,
+            cache=cache,
+            on_point=lambda record, fresh: calls.append((record, fresh)),
+        )
+        assert (outcome.skipped_points, outcome.cached_points) == (2, 2)
+        assert outcome.executed_points == 0
+        assert [(record["point_id"], fresh) for record, fresh in calls] == [
+            (point.id, False) for point in outcome.points
+        ]
+        assert [record for record, _ in calls] == outcome.records
+        assert [r["point_id"] for r in store.records()] == [
+            outcome.points[i].id for i in (1, 3, 0, 2)
+        ]
 
     def test_cache_is_shared_across_renamed_campaigns(self, tmp_path):
         """Content addressing: a different campaign naming the same

@@ -170,6 +170,20 @@ def _precision_oracle(
     )
 
 
+def _draw_loop(rng, outputs, length, spread):
+    """The study's draws as four generator calls per output, in order."""
+    rows = [
+        (
+            rng.uniform(-spread / 2, spread / 2, length),
+            rng.uniform(-spread / 2, spread / 2, length),
+            rng.integers(0, 2, length),
+            rng.integers(0, 2, length),
+        )
+        for _ in range(outputs)
+    ]
+    return [np.array([row[k] for row in rows]).reshape(outputs, length) for k in range(4)]
+
+
 class TestPrecision:
     @pytest.mark.parametrize(
         "kwargs",
@@ -193,6 +207,24 @@ class TestPrecision:
         got, want = precision.run(**kwargs), _precision_oracle(**kwargs)
         assert got.rmse_float32.hex() == want.rmse_float32.hex()
         assert got.rmse_pcs.hex() == want.rmse_pcs.hex()
+
+    @pytest.mark.parametrize("spread", [1.0, 12.0, 60.0, 80.0])
+    @pytest.mark.parametrize("length", [1, 2, 9, 10, 81])
+    def test_decoded_draws_equal_the_per_output_calls(self, length, spread):
+        """One block of raw words decodes to the per-output draws bit for
+        bit and leaves the generator where those calls leave it."""
+        for outputs in (1, 7, 256):
+            for seed in (1, 5, 2019, 31337):
+                looped, block = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = _draw_loop(looped, outputs, length, spread)
+                got = precision._draws(block, outputs, length, spread)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape
+                    assert g.astype(w.dtype).tobytes() == w.tobytes()
+                after = looped.bit_generator.state, block.bit_generator.state
+                assert after[0]["state"] == after[1]["state"]
+                assert after[0]["has_uint32"] == after[1]["has_uint32"] == 0
+                assert looped.integers(0, 2**62, 4).tolist() == block.integers(0, 2**62, 4).tolist()
 
     def test_mixed_cases_hold_finite_and_non_finite_rows(self):
         """What the two mixed oracle cases exercise: at a spread of 60

@@ -342,6 +342,44 @@ class TestBenchSuite:
             for outcome in outcomes
         )
 
+    def test_warm_report_is_one_pass_of_io(self, tmp_path, monkeypatch):
+        """A warm report parses each cache shard at most once, writes each
+        campaign store once, and renders the committed document."""
+        from collections import Counter
+
+        from repro.campaign import ResultStore, default_store_path
+
+        cache = tmp_path / "cache"
+        cold, _ = generate_paper_results(
+            path=tmp_path / "cold.md", quick=True,
+            store_dir=tmp_path / "cold", cache_dir=cache,
+        )
+        reads, writes = Counter(), Counter()
+        real_records, real_extend = ResultStore.records, ResultStore.extend
+
+        def records(self):
+            reads[self.path] += 1
+            return real_records(self)
+
+        def extend(self, batch):
+            writes[self.path] += 1
+            return real_extend(self, batch)
+
+        monkeypatch.setattr(ResultStore, "records", records)
+        monkeypatch.setattr(ResultStore, "extend", extend)
+        warm, results = generate_paper_results(
+            path=tmp_path / "warm.md", quick=True,
+            store_dir=tmp_path / "warm", cache_dir=cache,
+        )
+        shards = {path: count for path, count in reads.items() if path.parent == cache}
+        assert shards and set(shards.values()) == {1}
+        campaigns = {name for result in results for name in result.artifact.campaigns}
+        assert writes == Counter(
+            tmp_path / "warm" / default_store_path(name, True).name for name in campaigns
+        )
+        assert warm.read_bytes() == cold.read_bytes()
+        assert warm.read_bytes() == (REPO / "docs" / "paper_results.md").read_bytes()
+
     def test_run_report_shares_one_context(self, store_dir):
         """table2 and fig6 both consume dnn-scaling: one campaign run."""
         calls = []

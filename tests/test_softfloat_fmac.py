@@ -17,6 +17,7 @@ from repro.softfloat import (
     fmac_chain_float32,
     fmac_chain_pcs,
     fmac_chains_float32,
+    fmac_chains_pcs,
     max_abs_error,
     relative_rmse,
     rmse,
@@ -522,6 +523,79 @@ class TestPcsShortcut:
         assert _pcs_walk(a, b, config=coarse) == 2.0**-100
         assert fmac_chain_pcs(a, b) == 2.0**-100 + 2.0**-120
         assert walks == [coarse]
+
+
+def _assert_pcs_rows_match(a, b, init=0.0, config=None):
+    """``fmac_chains_pcs`` equals ``fmac_chain_pcs`` and the step-by-step
+    walk on every row, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = fmac_chains_pcs(a, b, init, config)
+        per_row = [fmac_chain_pcs(x, y, init, config) for x, y in zip(a, b)]
+    assert batched.dtype == np.float32 and batched.shape == (len(a),)
+    for row, (got, one) in enumerate(zip(batched.tolist(), per_row)):
+        walked = _pcs_walk(a[row], b[row], init, config)
+        assert _same(got, one) and _same(got, walked), (row, a[row], b[row], init)
+
+
+class TestBatchedPcsChains:
+    """``fmac_chains_pcs`` is ``fmac_chain_pcs`` on every row."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 9, 10, 39])
+    def test_fuzz_rows_against_the_one_row_chain(self, steps, walks):
+        """Plain, cancelling, overflowing, inf/NaN and tie rows; only the
+        rows with a non-finite operand walk."""
+        rng = np.random.default_rng(7200 + steps)
+        a, b = _fuzz_rows(rng, 128, steps)
+        non_finite = int((~(np.isfinite(a) & np.isfinite(b)).all(axis=1)).sum())
+        for init in (0.0, -0.0, float(np.float32(rng.uniform(-1e20, 1e20)))):
+            before = len(walks)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fmac_chains_pcs(a, b, init)
+            assert len(walks) - before == non_finite
+            _assert_pcs_rows_match(a, b, init)
+
+    def test_finite_rows_that_overflow_binary32(self, walks):
+        """Finite operands whose sum lies beyond FLT_MAX round to ±inf
+        through the shortcut, not the walk."""
+        a = np.array([[3e38, 3e38], [-3e38, -3e38], [3e38, -3e38]], dtype=np.float32)
+        b = np.ones((3, 2), dtype=np.float32)
+        result = fmac_chains_pcs(a, b).tolist()
+        assert result == [math.inf, -math.inf, 0.0] and walks == []
+        _assert_pcs_rows_match(a, b)
+
+    def test_non_finite_operand_rows(self):
+        a = np.array(
+            [[1.0, np.inf], [np.inf, -np.inf], [np.inf, 1.0], [np.nan, 1.0], [1.0, 2.0]],
+            dtype=np.float32,
+        )
+        b = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, 1.0], [3.0, 4.0]], dtype=np.float32)
+        _assert_pcs_rows_match(a, b)
+        for init in (math.inf, -math.inf, math.nan):
+            _assert_pcs_rows_match(a, b, init)
+
+    def test_narrow_accumulator_walks_every_row(self, walks):
+        narrow = PcsConfig(width=300)  # MSB at 2**2: |sum| >= 2 overflows
+        a = np.array([[3.0, 0.0], [0.5, 0.25], [-1.0, -1.5]], dtype=np.float32)
+        b = np.ones((3, 2), dtype=np.float32)
+        assert fmac_chains_pcs(a, b, config=narrow).tolist() == [math.inf, 0.75, -math.inf]
+        assert walks == [narrow] * 3
+        rng = np.random.default_rng(7300)
+        _assert_pcs_rows_match(*_fuzz_rows(rng, 32, 9), config=narrow)
+
+    def test_empty_shapes(self):
+        assert fmac_chains_pcs(np.zeros((0, 4)), np.zeros((0, 4))).shape == (0,)
+        empty = np.zeros((3, 0), dtype=np.float32)
+        for init in (0.0, -0.0, 1.1, -math.inf):
+            want = _pcs_walk([], [], init)
+            assert all(_same(v, want) for v in fmac_chains_pcs(empty, empty, init).tolist())
+
+    def test_rejects_mismatched_or_flat_operands(self):
+        with pytest.raises(ValueError):
+            fmac_chains_pcs(np.zeros((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            fmac_chains_pcs(np.zeros(3), np.zeros(3))
 
 
 class TestErrorMetrics:
