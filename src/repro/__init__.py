@@ -8,13 +8,16 @@ Reduction Workloads in 22 nm FD-SOI" by Schuiki, Schaffner and Benini:
   wide partial-carry-save (PCS) accumulator used by the NTX FMAC unit.
 * :mod:`repro.core` — the NTX co-processor itself: hardware loops, address
   generation units, the command set, the controller and the FPU datapath,
-  both as a fast functional executor and as a cycle-approximate model.
+  the cycle-approximate model and the array data plane that replays a
+  command's data effects.
 * :mod:`repro.mem` — the memory substrate: TCDM, logarithmic interconnect,
   2D DMA engine, instruction cache, AXI port and the Hybrid Memory Cube.
 * :mod:`repro.riscv` — a small RV32IM instruction-set simulator standing in
   for the RI5CY control core.
-* :mod:`repro.cluster` — the processing cluster tying the above together,
-  the offload driver and the double-buffering tile scheduler.
+* :mod:`repro.cluster` — the processing cluster tying the above together:
+  command offload through the register files, the two cycle engines over
+  one shared data plane, and tile programs with the double-buffering
+  model.
 * :mod:`repro.kernels` — BLAS, convolution and stencil kernels compiled to
   NTX command streams.
 * :mod:`repro.dnn` — DNN training workloads (AlexNet … ResNet-152).

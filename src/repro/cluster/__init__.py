@@ -6,10 +6,8 @@
   stores to the mapped devices.
 * :mod:`repro.cluster.cluster` — the cluster itself: one RV32IM core, eight
   NTX co-processors, 64 kB TCDM, DMA engine, 2 kB I-cache and L2.
-* :mod:`repro.cluster.offload` — the NTX offload driver (the software the
-  RISC-V core would run, expressed as a Python API).
-* :mod:`repro.cluster.tiling` — tile-size selection and the double-buffering
-  schedule that overlaps DMA and compute.
+* :mod:`repro.cluster.tiling` — tile programs and schedules, and the
+  double-buffering model that overlaps DMA and compute.
 * :mod:`repro.cluster.sim` — the cycle-level simulator that contends all
   NTX streams (and the DMA) for TCDM banks.
 * :mod:`repro.cluster.engine` — the two cycle engines (``"scalar"`` and
@@ -36,9 +34,8 @@ if TYPE_CHECKING:
         available_engines,
         get_engine,
     )
-    from repro.cluster.offload import NtxDriver
     from repro.cluster.sim import ClusterSimulator, SimulationResult
-    from repro.cluster.tiling import DoubleBufferPlan, TileProgram, TileSchedule, plan_tiles
+    from repro.cluster.tiling import TileProgram, TileSchedule
 
 __all__ = [
     "AddressMap",
@@ -48,11 +45,8 @@ __all__ = [
     "Engine",
     "available_engines",
     "get_engine",
-    "NtxDriver",
-    "DoubleBufferPlan",
     "TileProgram",
     "TileSchedule",
-    "plan_tiles",
     "ClusterSimulator",
     "SimulationResult",
 ]
@@ -66,11 +60,8 @@ _EXPORTS = {
     "Engine": "engine",
     "available_engines": "engine",
     "get_engine": "engine",
-    "NtxDriver": "offload",
-    "DoubleBufferPlan": "tiling",
     "TileProgram": "tiling",
     "TileSchedule": "tiling",
-    "plan_tiles": "tiling",
     "ClusterSimulator": "sim",
     "SimulationResult": "sim",
 }

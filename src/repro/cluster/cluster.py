@@ -10,10 +10,12 @@ One cluster combines (Figure 1, right-hand side):
 * a 2 kB instruction cache, and
 * a 64 bit AXI master port into the HMC (5 GB/s at 625 MHz).
 
-The cluster object is the main entry point of the library: it provides the
-functional offload path (used by the kernel library and the examples), owns
-the cycle-level simulator (:mod:`repro.cluster.sim`) and can run RISC-V
-control programs on the embedded ISS.
+The cluster object is the main entry point of the library: it offloads
+commands through the NTX register files (used by the kernel library, the
+examples and the RISC-V control core on the embedded ISS) and executes them
+on the cycle engines' shared data plane at ideal timing; the cycle-level
+simulator (:mod:`repro.cluster.sim`) runs the same commands with TCDM
+contention.
 """
 
 from __future__ import annotations
@@ -82,7 +84,11 @@ class ClusterConfig:
 
 
 class Cluster:
-    """A functional model of one NTX processing cluster."""
+    """One NTX processing cluster: memories, co-processors and control core.
+
+    :meth:`offload` executes commands at conflict-free ideal timing;
+    :class:`repro.cluster.sim.ClusterSimulator` times them cycle by cycle.
+    """
 
     def __init__(
         self, config: Optional[ClusterConfig] = None, hmc: Optional[Hmc] = None
@@ -102,8 +108,8 @@ class Cluster:
         self.bus = ClusterBus(self)
         self.cpu: Optional[Cpu] = None
 
-    # The L2 and the NTX register files serve the control core and the
-    # functional offload only; a cycle-engine run never touches them, so
+    # The L2 and the NTX register files serve the control core and
+    # :meth:`offload` only; a cycle-engine run never touches them, so
     # each is built on first use.
 
     @cached_property
@@ -117,11 +123,12 @@ class Cluster:
         return [NtxRegisterFile() for _ in range(self.config.num_ntx)]
 
     # ------------------------------------------------------------------ #
-    # NTX offload (functional path)                                      #
+    # NTX offload                                                        #
     # ------------------------------------------------------------------ #
 
     def offload(self, command: NtxCommand, ntx_id: int = 0) -> None:
-        """Issue ``command`` to NTX ``ntx_id`` through its register file."""
+        """Issue ``command`` to NTX ``ntx_id`` through its register file
+        and run it to completion (see :meth:`drain_ntx`)."""
         if not 0 <= ntx_id < self.config.num_ntx:
             raise ValueError(f"NTX index {ntx_id} out of range")
         self.ntx_regs[ntx_id].issue(command)
@@ -133,15 +140,22 @@ class Cluster:
             self.offload(command, index % self.config.num_ntx)
 
     def drain_ntx(self, ntx_id: int) -> None:
-        """Execute every queued command of NTX ``ntx_id`` against the TCDM."""
+        """Execute every queued command of NTX ``ntx_id``, in queue order.
+
+        Each command runs on the cycle engines' one data plane
+        (:func:`repro.cluster.vecsim.run_data_plane`), which credits every
+        statistic but the cycles; the command is credited its
+        conflict-free ideal as active cycles.  Use the cluster simulator
+        for contention effects.
+        """
+        from repro.cluster.vecsim import run_data_plane
+
         regs = self.ntx_regs[ntx_id]
-        ntx = self.ntx[ntx_id]
-        while True:
-            command = regs.next_command()
-            if command is None:
-                break
+        stats = self.ntx[ntx_id].stats
+        while (command := regs.next_command()) is not None:
             regs.set_busy(True)
-            ntx.execute(command, self.tcdm)
+            run_data_plane(self, [(ntx_id, command)])
+            stats.active_cycles += self.config.ntx.ideal_cycles(command)
         regs.set_busy(False)
 
     def drain_all_ntx(self) -> None:

@@ -22,16 +22,12 @@ the DMA moves the same TCDM rows.  So a tile is split in two here:
   :class:`~repro.mem.dma.DmaTransfer` objects are derived only for the
   inline DMA path.
 
-Also here: :func:`plan_tiles` (pick a tile size that fits half the TCDM),
-:class:`DoubleBufferPlan` (an ordered list of tiles that
-:meth:`repro.cluster.offload.NtxDriver.run_tiled` executes) and the
-analytical overlap timing used by the roofline and DNN models.
+Also here: the analytical double-buffered overlap timing
+(:func:`overlap_cycles`) the system simulator applies per cluster.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -50,13 +46,11 @@ from repro.core.commands import NtxCommand
 from repro.mem.dma import DmaTransfer
 
 __all__ = [
-    "DoubleBufferPlan",
     "ProgramJobs",
     "TcdmRows",
     "TileProgram",
     "TileSchedule",
     "overlap_cycles",
-    "plan_tiles",
     "program_facts",
 ]
 
@@ -355,62 +349,6 @@ class TileSchedule:
     @property
     def flops(self) -> int:
         return self.program.flops
-
-
-@dataclass
-class DoubleBufferPlan:
-    """An ordered list of tiles executed with double buffering."""
-
-    tiles: List[TileSchedule] = field(default_factory=list)
-
-    @property
-    def total_flops(self) -> int:
-        return sum(t.flops for t in self.tiles)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(t.bytes_in + t.bytes_out for t in self.tiles)
-
-    @property
-    def operational_intensity(self) -> float:
-        """Flop per byte of off-cluster traffic over the whole plan."""
-        total_bytes = self.total_bytes
-        return self.total_flops / total_bytes if total_bytes else math.inf
-
-
-def plan_tiles(
-    total_elements: int,
-    bytes_per_element_in: float,
-    bytes_per_element_out: float,
-    tcdm_bytes: int,
-    num_buffers: int = 2,
-    max_tile_elements: int | None = None,
-) -> List[int]:
-    """Split ``total_elements`` into tiles that fit 1/``num_buffers`` of the TCDM.
-
-    ``bytes_per_element_in``/``out`` describe the tile footprint per output
-    element (e.g. for AXPY each output element needs 8 bytes of input and
-    4 bytes of output in the tile).  Returns the element count of every tile.
-    """
-    if total_elements <= 0:
-        raise ValueError("total_elements must be positive")
-    per_element = bytes_per_element_in + bytes_per_element_out
-    if per_element <= 0:
-        raise ValueError("per-element footprint must be positive")
-    budget = tcdm_bytes // num_buffers
-    tile_elements = int(budget // per_element)
-    if tile_elements <= 0:
-        raise MemoryError(
-            f"a single element footprint of {per_element} bytes does not fit "
-            f"the per-buffer budget of {budget} bytes"
-        )
-    if max_tile_elements is not None:
-        tile_elements = min(tile_elements, max_tile_elements)
-    tile_elements = min(tile_elements, total_elements)
-    num_tiles = -(-total_elements // tile_elements)
-    tiles = [tile_elements] * (num_tiles - 1)
-    tiles.append(total_elements - tile_elements * (num_tiles - 1))
-    return tiles
 
 
 def overlap_cycles(

@@ -4,9 +4,12 @@ The controller decodes an offloaded command into the per-cycle
 micro-instructions issued to the FPU and the TCDM ports: for every innermost
 iteration it determines which addresses are read, whether the accumulator is
 (re)initialised, which operation the FPU executes, and whether (and where)
-the result is written back.  Both the fast functional executor and the
-cycle-approximate model consume this micro-op stream, so the two can never
-disagree about *what* is executed — only about *when*.
+the result is written back.  The cycle-approximate model
+(:class:`repro.core.ntx.Ntx`) and the data plane's exact per-op fallback
+(:func:`repro.core.vecops.execute_functional`) consume this micro-op stream,
+and the data plane's command plans (:func:`repro.core.vecops.command_plan`)
+are its closed form, so they can never disagree about *what* is executed —
+only about *when*.
 """
 
 from __future__ import annotations

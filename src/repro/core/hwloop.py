@@ -100,13 +100,16 @@ class HardwareLoopNest:
         indices = tuple(self._indices)
         levels = len(self._counts)
 
-        first_of_level = tuple(
-            all(indices[i] == 0 for i in range(k)) for k in range(levels + 1)
-        )
-        last_of_level = tuple(
-            all(indices[i] == self._counts[i] - 1 for i in range(k))
-            for k in range(levels + 1)
-        )
+        # Level k is fresh (or ending) when every index below k is zero
+        # (or at its maximum): one running prefix over the levels.
+        first = last = True
+        first_of_level = [True]
+        last_of_level = [True]
+        for index, count in zip(indices, self._counts):
+            first = first and index == 0
+            last = last and index == count - 1
+            first_of_level.append(first)
+            last_of_level.append(last)
 
         # Cascade increment: find the outermost loop that advances.
         wrap_level = 0
@@ -123,8 +126,8 @@ class HardwareLoopNest:
         return LoopStep(
             indices=indices,
             wrap_level=wrap_level,
-            first_of_level=first_of_level,
-            last_of_level=last_of_level,
+            first_of_level=tuple(first_of_level),
+            last_of_level=tuple(last_of_level),
             done=self.done,
         )
 

@@ -1,21 +1,20 @@
 """The NTX co-processor.
 
-Two views of the same machine are provided:
+An :class:`Ntx` holds one co-processor's statistics and its cycle
+interface (:meth:`~Ntx.start`, :meth:`~Ntx.cycle_requests`,
+:meth:`~Ntx.cycle_commit`), which the scalar cycle engine steps, moving
+operands through the FPU as it goes.  Every other execution of a command —
+the vectorized engine, timing-cache hits, batched replay and
+:meth:`repro.cluster.cluster.Cluster.offload` — runs on the one shared data
+plane (:func:`repro.cluster.vecsim.run_data_plane`).
 
-* :meth:`Ntx.execute` — the *functional executor*: it walks the controller's
-  micro-op stream, performs every read, FPU issue and write against a memory
-  object, and returns an estimate of the cycles the command would have taken
-  in the absence of TCDM bank conflicts.  This is the work-horse used by the
-  kernel library and the golden-model tests.
-* the *cycle interface* (:meth:`start`, :meth:`cycle_requests`,
-  :meth:`cycle_commit`) — used by the cluster simulator.  It models the
-  elastic decoupling of Figure 2: the address generators run ahead of the
-  FPU through per-port address/data FIFOs, so an isolated bank conflict only
-  delays one operand fetch rather than the whole pipeline; the FPU stalls
-  only when a FIFO runs dry or the write-back FIFO fills.  Sustained
-  throughput is therefore limited by the per-port conflict probability —
-  the ~13 % the paper measures — rather than by its square, which is what
-  lets the cluster reach ~87 % of its peak.
+The cycle interface models the elastic decoupling of Figure 2: the address
+generators run ahead of the FPU through per-port address/data FIFOs, so an
+isolated bank conflict only delays one operand fetch rather than the whole
+pipeline; the FPU stalls only when a FIFO runs dry or the write-back FIFO
+fills.  Sustained throughput is therefore limited by the per-port conflict
+probability — the ~13 % the paper measures — rather than by its square,
+which is what lets the cluster reach ~87 % of its peak.
 """
 
 from __future__ import annotations
@@ -102,16 +101,6 @@ class NtxStats:
         total = self.total_cycles
         return self.active_cycles / total if total else 0.0
 
-    def merge(self, other: "NtxStats") -> None:
-        self.commands += other.commands
-        self.iterations += other.iterations
-        self.flops += other.flops
-        self.tcdm_reads += other.tcdm_reads
-        self.tcdm_writes += other.tcdm_writes
-        self.ideal_cycles += other.ideal_cycles
-        self.active_cycles += other.active_cycles
-        self.stall_cycles += other.stall_cycles
-
 
 class _InflightOp:
     """One micro-op travelling through the operand FIFOs."""
@@ -165,51 +154,11 @@ class Ntx:
     @property
     def fpu(self) -> NtxFpu:
         """The FPU/partial-carry-save datapath, built on first use: only
-        :meth:`execute` and the cycle interface step it."""
+        the cycle interface and the data plane's per-op fallback
+        (:func:`repro.core.vecops.execute_functional`) step it."""
         if self._fpu is None:
             self._fpu = NtxFpu(self.config.pcs, stats=self.fpu_stats)
         return self._fpu
-
-    # ------------------------------------------------------------------ #
-    # Functional execution                                               #
-    # ------------------------------------------------------------------ #
-
-    def execute(self, command: NtxCommand, memory: MemoryPort) -> NtxStats:
-        """Run ``command`` to completion against ``memory``.
-
-        Returns the statistics of this command only (the instance-level
-        :attr:`stats` are updated as well).  Timing is the conflict-free
-        ideal; use the cluster simulator for contention effects.
-        """
-        controller = NtxController(command)
-        fpu = self.fpu
-        opcode = command.opcode
-        scalar = command.scalar
-
-        for op in controller.micro_ops():
-            if op.init:
-                init_value = (
-                    memory.read_f32(op.init_read) if op.init_read is not None else None
-                )
-                fpu.init_block(opcode, init_value)
-            operand0 = memory.read_f32(op.read0) if op.read0 is not None else None
-            operand1 = memory.read_f32(op.read1) if op.read1 is not None else None
-            fpu.issue(opcode, operand0, operand1, scalar)
-            if op.store is not None:
-                memory.write_f32(op.store, fpu.writeback(opcode))
-
-        local = NtxStats(
-            commands=1,
-            iterations=command.total_iterations,
-            flops=command.flops,
-            tcdm_reads=command.tcdm_reads,
-            tcdm_writes=command.tcdm_writes,
-            ideal_cycles=self.config.ideal_cycles(command),
-            active_cycles=self.config.ideal_cycles(command),
-            stall_cycles=0,
-        )
-        self.stats.merge(local)
-        return local
 
     # ------------------------------------------------------------------ #
     # Cycle-level co-simulation interface                                #

@@ -256,7 +256,7 @@ class NtxRegisterFile:
             raise ValueError(f"write to unmapped NTX register offset {offset:#x}")
         return True
 
-    # -- convenience (used by the offload driver) ----------------------------------
+    # -- convenience (used by Cluster.offload) -------------------------------------
 
     def write_scalar(self, value: float) -> None:
         self.write(RegisterMap.SCALAR, _float_to_u32(value))

@@ -671,9 +671,11 @@ def _store_values(
 def execute_functional(ntx, command: NtxCommand, memory) -> None:
     """Exact per-op fallback: controller walk + soft-float FPU.
 
-    Identical to :meth:`repro.core.ntx.Ntx.execute` but without touching
-    the cycle statistics — the vectorized timing engine accounts those
-    itself.
+    Runs ``command`` to completion against ``memory`` (anything with
+    ``read_f32``/``write_f32``) on ``ntx``'s FPU, which counts its own
+    issues; every other statistic is the caller's to credit.  The one
+    per-op executor of the library: the data plane runs it for the
+    commands its array kernels refuse.
     """
     controller = NtxController(command)
     fpu = ntx.fpu

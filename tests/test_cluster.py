@@ -6,8 +6,7 @@ import pytest
 from repro.cluster.addressmap import AddressMap
 from repro.cluster.bus import DmaRegisterMap
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.offload import NtxDriver
-from repro.cluster.tiling import DoubleBufferPlan, TileSchedule, overlap_cycles, plan_tiles
+from repro.cluster.tiling import overlap_cycles
 from repro.core.commands import NtxOpcode
 from repro.core.registers import RegisterMap
 from repro.kernels.blas import axpy_commands, axpy_reference
@@ -125,50 +124,24 @@ class TestOffload:
         cluster.offload_round_robin(commands)
         assert all(ntx.stats.commands == 1 for ntx in cluster.ntx)
 
-    def test_driver_dma_and_stats(self, cluster, rng):
-        driver = NtxDriver(cluster)
+    def test_dma_and_stats(self, cluster, rng):
         data = rng.standard_normal(64).astype(np.float32)
         cluster.stage_in(cluster.amap.hmc_base + 0x1000, data)
-        driver.copy_in(cluster.amap.hmc_base + 0x1000, cluster.tcdm.base, data.nbytes)
+        cycles = cluster.run_dma(
+            DmaTransfer(
+                src=cluster.amap.hmc_base + 0x1000,
+                dst=cluster.tcdm.base,
+                row_bytes=data.nbytes,
+            )
+        )
         np.testing.assert_array_equal(cluster.stage_out(cluster.tcdm.base, (64,)), data)
-        assert driver.stats.dma_transfers == 1
-        assert driver.stats.dma_bytes == data.nbytes
+        assert cluster.dma.stats.transfers == 1
+        assert cluster.dma.stats.bytes_moved == data.nbytes
+        assert cluster.dma.stats.busy_cycles == cycles
         assert cluster.axi.bytes_transferred == data.nbytes
-
-    def test_driver_broadcast_scalar(self, cluster):
-        driver = NtxDriver(cluster)
-        driver.broadcast_scalar(3.5)
-        for regs in cluster.ntx_regs:
-            assert regs.read(RegisterMap.SCALAR) == 0x40600000  # 3.5f
-
-    def test_run_parallel_tracks_max_cycles(self, cluster):
-        driver = NtxDriver(cluster)
-        base = cluster.tcdm.base
-        commands = [axpy_commands(16, base, base + 4, base + 128)[0] for _ in range(4)]
-        driver.run_parallel(commands)
-        assert driver.stats.commands_issued == 4
-        single = cluster.config.ntx.ideal_cycles(commands[0])
-        assert driver.stats.compute_ideal_cycles == single  # spread over 4 NTX
 
 
 class TestTiling:
-    def test_plan_tiles_respects_budget(self):
-        tiles = plan_tiles(
-            total_elements=100_000,
-            bytes_per_element_in=8,
-            bytes_per_element_out=4,
-            tcdm_bytes=64 * 1024,
-        )
-        assert sum(tiles) == 100_000
-        assert max(tiles) * 12 <= 32 * 1024
-
-    def test_plan_tiles_single_tile_when_it_fits(self):
-        assert plan_tiles(10, 8, 4, 64 * 1024) == [10]
-
-    def test_plan_tiles_rejects_oversized_element(self):
-        with pytest.raises(MemoryError):
-            plan_tiles(10, 64 * 1024, 4, 64 * 1024)
-
     def test_overlap_cycles_hides_shorter_phase(self):
         compute = [100.0] * 4
         dma = [60.0] * 4
@@ -179,33 +152,6 @@ class TestTiling:
         compute = [10.0] * 3
         dma = [50.0] * 3
         assert overlap_cycles(compute, dma) == pytest.approx(150.0 + 50.0)
-
-    def test_driver_run_tiled_executes_and_times(self, cluster, rng):
-        driver = NtxDriver(cluster)
-        n = 64
-        hmc = cluster.amap.hmc_base
-        x = rng.standard_normal(n).astype(np.float32)
-        y = rng.standard_normal(n).astype(np.float32)
-        cluster.stage_in(hmc + 0x0, x)
-        cluster.stage_in(hmc + 0x1000, y)
-        a_addr, x_addr, y_addr = cluster.tcdm.alloc_layout([4, n * 4, n * 4])
-        cluster.stage_in(a_addr, np.array([1.0], np.float32))
-        tile = TileSchedule.from_transfers(
-            transfers_in=[
-                DmaTransfer(src=hmc + 0x0, dst=x_addr, row_bytes=n * 4),
-                DmaTransfer(src=hmc + 0x1000, dst=y_addr, row_bytes=n * 4),
-            ],
-            commands=axpy_commands(n, a_addr, x_addr, y_addr),
-            transfers_out=[DmaTransfer(src=y_addr, dst=hmc + 0x2000, row_bytes=n * 4)],
-        )
-        plan = DoubleBufferPlan(tiles=[tile])
-        timing = driver.run_tiled(plan)
-        np.testing.assert_allclose(
-            cluster.stage_out(hmc + 0x2000, (n,)), axpy_reference(1.0, x, y), rtol=1e-6
-        )
-        assert timing["overlapped_cycles"] <= timing["serial_cycles"]
-        assert plan.total_flops == 2 * n
-        assert plan.operational_intensity == pytest.approx(2 * n / (3 * 4 * n))
 
 
 class TestRiscvIntegration:

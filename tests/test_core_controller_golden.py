@@ -1,8 +1,9 @@
-"""Controller micro-op stream and golden-model equivalence of the executors."""
+"""Controller micro-op stream and golden-model equivalence of the per-op executor."""
 
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.core.commands import (
     AguConfig,
     InitSource,
@@ -13,6 +14,7 @@ from repro.core.commands import (
 from repro.core.controller import NtxController
 from repro.core.golden import GoldenMemory, golden_address, golden_execute
 from repro.core.ntx import Ntx
+from repro.core.vecops import execute_functional
 
 
 def _axpy_command(n, a_addr, x_addr, y_addr):
@@ -102,7 +104,7 @@ class TestExecutorAgainstGolden:
         golden_execute(command, golden_mem)
 
         ntx_mem = GoldenMemory(dict(values))
-        Ntx().execute(command, ntx_mem)
+        execute_functional(Ntx(), command, ntx_mem)
 
         store_addresses = {
             addr for addr in golden_mem.words if addr >= 0x200
@@ -133,16 +135,17 @@ class TestExecutorAgainstGolden:
             store_level=1,
         )
         memory = GoldenMemory(values)
-        Ntx().execute(command, memory)
+        execute_functional(Ntx(), command, memory)
         result = np.array([memory.read_f32(y_base + 4 * i) for i in range(rows)])
         np.testing.assert_allclose(result, matrix @ x, rtol=1e-5, atol=1e-6)
 
     def test_stats_accumulate_across_commands(self):
-        ntx = Ntx()
-        memory = GoldenMemory()
-        command = _axpy_command(8, 0x300, 0x000, 0x100)
-        ntx.execute(command, memory)
-        ntx.execute(command, memory)
+        cluster = Cluster()
+        base = cluster.tcdm.base
+        command = _axpy_command(8, base + 0x300, base + 0x000, base + 0x100)
+        cluster.offload(command)
+        cluster.offload(command)
+        ntx = cluster.ntx[0]
         assert ntx.stats.commands == 2
         assert ntx.stats.iterations == 16
         assert ntx.stats.flops == 32

@@ -1,10 +1,37 @@
 """Unit tests for the hardware-loop cascade and the address generation units."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 from repro.core.agu import AddressGenerationUnit
 from repro.core.commands import AguConfig, LoopConfig
-from repro.core.hwloop import HardwareLoopNest
+from repro.core.hwloop import HardwareLoopNest, LoopStep
+
+
+def _reference_steps(counts):
+    """Every LoopStep of a nest, by enumeration and the all()-per-level
+    block formulas (the oracle of the cascade's running prefix)."""
+    levels, total = len(counts), math.prod(counts)
+    for number, outer_first in enumerate(itertools.product(*map(range, counts[::-1]))):
+        indices = outer_first[::-1]
+        wrap_level = next(
+            (k for k in range(levels) if indices[k] != counts[k] - 1), levels
+        )
+        yield LoopStep(
+            indices=indices,
+            wrap_level=wrap_level,
+            first_of_level=tuple(
+                all(indices[i] == 0 for i in range(k)) for k in range(levels + 1)
+            ),
+            last_of_level=tuple(
+                all(indices[i] == counts[i] - 1 for i in range(k))
+                for k in range(levels + 1)
+            ),
+            done=number == total - 1,
+        )
 
 
 class TestHardwareLoops:
@@ -47,6 +74,16 @@ class TestHardwareLoops:
         nest.reset()
         assert nest.indices == (0,)
         assert not nest.done
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_steps_match_the_per_level_formulas(self, seed):
+        rng = random.Random(seed)
+        for _ in range(12):
+            counts = tuple(rng.choice((1, 1, 2, 3, 4)) for _ in range(rng.randint(1, 5)))
+            nest = HardwareLoopNest(LoopConfig.nest(*counts))
+            assert nest.counts == counts
+            assert list(nest) == list(_reference_steps(counts))
+            assert nest.done
 
     def test_counter_width_enforced(self):
         # 2^16 iterations fit the 16 bit counter (counts up to max-1).

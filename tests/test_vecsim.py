@@ -35,7 +35,7 @@ from repro.core.commands import (
 )
 from repro.core.controller import NtxController
 from repro.core.ntx import NtxConfig
-from repro.core.vecops import command_plan
+from repro.core.vecops import command_plan, execute_functional
 from repro.kernels.blas import axpy_commands
 from repro.kernels.conv import conv2d_commands
 from repro.mem.tcdm import TcdmConfig
@@ -319,10 +319,10 @@ class TestEdgeConfigurations:
         # A RAW hazard inside the FIFO window is timing-sensitive on the
         # real machine (reads can beat earlier stores); the vectorized
         # engine resolves it deterministically in program order, i.e. like
-        # the functional executor: buf[0] propagates through the chain.
+        # the per-op walk: buf[0] propagates through the chain.
         functional = Cluster()
         jobs, outs, shape = build(functional)
-        functional.ntx[0].execute(jobs[0][1], functional.tcdm)
+        execute_functional(functional.ntx[0], jobs[0][1], functional.tcdm)
         expected = functional.stage_out(outs[0], shape)
 
         cluster = Cluster()
@@ -393,6 +393,24 @@ class TestFallbackCounter:
         assert by_reason() == {"raw_hazard": 1.0}
         ClusterSimulator(cluster, engine="vectorized").run([(0, command)])
         assert by_reason() == {"raw_hazard": 2.0}
+
+    def test_offloaded_raw_hazard_walks_per_op_and_is_counted(self):
+        by_reason = _fallbacks()
+        cluster = Cluster()
+        command = self._shift_copy(cluster)
+        buf = command.agu0.base
+        memory = cluster.tcdm.memory
+        staged = (memory.reads, memory.writes)
+        cluster.offload(command, ntx_id=2)
+        assert by_reason() == {"raw_hazard": 1.0}
+        fpu_stats = cluster.ntx[2].fpu_stats
+        assert fpu_stats.issues == fpu_stats.writebacks == 8
+        assert (memory.reads - staged[0], memory.writes - staged[1]) == (8, 8)
+        assert cluster.ntx[2].stats.commands == 1
+        # The walk runs in program order: word 0 propagates down the chain.
+        np.testing.assert_array_equal(
+            cluster.stage_out(buf, (9,)), np.ones(9, dtype=np.float32)
+        )
 
     def test_batched_raw_hazard_is_counted_once_per_stack(self):
         from repro.cluster.vecsim import _mac_write_back
