@@ -62,6 +62,7 @@ from repro.campaign import default_store_path, iter_campaigns, run_campaign
 from repro.cluster import timing_core
 from repro.cluster.engine import DEFAULT_ENGINE, available_engines
 from repro.cluster.sim import ClusterSimulator
+from repro.mem.dma import DmaTransfer
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, build_workload, iter_scenarios, run_scenario
 from repro.system import SystemSimulator
@@ -183,8 +184,14 @@ def _run_cluster_variant(
         simulator = SystemSimulator(system)
         workload = build_workload(spec, simulator.hmc, system.cluster)
         cluster = simulator.clusters[0]
-        for transfer in workload.tiles[0].transfers_in:
-            cluster.run_dma(transfer)
+        tile = workload.tiles[0]
+        for rows, (src, pitch) in zip(tile.program.dma_in, tile.hmc_in):
+            cluster.run_dma(
+                DmaTransfer(
+                    src=src, dst=rows.address, row_bytes=rows.row_bytes,
+                    rows=rows.rows, src_pitch=pitch, dst_pitch=rows.pitch,
+                )
+            )
         jobs = workload.tiles[0].jobs(system.cluster.num_ntx)
         engine_sim = ClusterSimulator(cluster, engine=engine)
         with _reference_timing_loop() if reference else contextlib.nullcontext():

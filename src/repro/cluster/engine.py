@@ -267,12 +267,12 @@ def _run_scalar(
     else:
         raise RuntimeError(f"simulation did not finish within {max_cycles} cycles")
 
-    per_ntx_active = [
+    per_ntx_active = tuple(
         cluster.ntx[i].stats.active_cycles - start_active[i] for i in range(num_ntx)
-    ]
-    per_ntx_stall = [
+    )
+    per_ntx_stall = tuple(
         cluster.ntx[i].stats.stall_cycles - start_stall[i] for i in range(num_ntx)
-    ]
+    )
     flops = sum(cluster.ntx[i].stats.flops - start_flops[i] for i in range(num_ntx))
     iterations = sum(
         cluster.ntx[i].stats.iterations - start_iterations[i] for i in range(num_ntx)

@@ -24,7 +24,7 @@ plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.engine import DEFAULT_ENGINE, get_engine
@@ -37,17 +37,21 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = ["SimulationResult", "ClusterSimulator"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of one cycle-level run."""
+    """Outcome of one cycle-level run.
+
+    Frozen, so the timing cache (:mod:`repro.system.memo`) keeps a run's
+    result itself and every tile that replays it reports that one object.
+    """
 
     cycles: int
     flops: int
     iterations: int
     tcdm_requests: int
     tcdm_conflicts: int
-    per_ntx_active: List[int]
-    per_ntx_stall: List[int]
+    per_ntx_active: Tuple[int, ...]
+    per_ntx_stall: Tuple[int, ...]
     frequency_hz: float
 
     @property

@@ -18,9 +18,9 @@ the DMA moves the same TCDM rows.  So a tile is split in two here:
   and kept on it (:meth:`TileProgram.derived`), keyed by the context it
   depends on.
 * :class:`TileSchedule` — one tile: its program plus the HMC side (start
-  address and pitch) of each transfer.  Whole
-  :class:`~repro.mem.dma.DmaTransfer` objects are derived only for the
-  inline DMA path.
+  address and pitch) of each transfer.  The system walker
+  (:mod:`repro.system.batch`) stages every tile from these two halves
+  directly.
 
 Also here: the analytical double-buffered overlap timing
 (:func:`overlap_cycles`) the system simulator applies per cluster.
@@ -43,7 +43,6 @@ from typing import (
 )
 
 from repro.core.commands import NtxCommand
-from repro.mem.dma import DmaTransfer
 
 __all__ = [
     "ProgramJobs",
@@ -124,6 +123,8 @@ class TileProgram:
             tuple(TcdmRows(*rows) for rows in dma_in),
             tuple(TcdmRows(*rows) for rows in dma_out),
         )
+        if any(rows.rows <= 0 or rows.row_bytes <= 0 for rows in fields[2] + fields[3]):
+            raise ValueError("transfer dimensions must be positive")
         setattr_ = object.__setattr__
         for name, value in zip(self.__slots__, fields):
             setattr_(self, name, value)
@@ -270,28 +271,6 @@ class TileSchedule:
         self.hmc_in = tuple(hmc_in)
         self.hmc_out = tuple(hmc_out)
 
-    @classmethod
-    def from_transfers(
-        cls,
-        transfers_in: Sequence[DmaTransfer] = (),
-        commands: Sequence[NtxCommand] = (),
-        transfers_out: Sequence[DmaTransfer] = (),
-        placements: Optional[Sequence[int]] = None,
-    ) -> "TileSchedule":
-        """A tile, and a program of its own, from whole DMA transfers
-        (inbound ones read the HMC, outbound ones write it)."""
-        program = TileProgram(
-            commands,
-            placements,
-            dma_in=[(t.dst, t.row_bytes, t.rows, t.dst_pitch) for t in transfers_in],
-            dma_out=[(t.src, t.row_bytes, t.rows, t.src_pitch) for t in transfers_out],
-        )
-        return cls(
-            program,
-            [(t.src, t.src_pitch) for t in transfers_in],
-            [(t.dst, t.dst_pitch) for t in transfers_out],
-        )
-
     def __repr__(self) -> str:
         return f"TileSchedule({self.program!r}, in={self.hmc_in}, out={self.hmc_out})"
 
@@ -315,28 +294,6 @@ class TileSchedule:
     def jobs(self, num_ntx: int) -> ProgramJobs:
         """The ``(ntx_id, command)`` pairs a cluster simulator executes."""
         return self.program.jobs(num_ntx)
-
-    @property
-    def transfers_in(self) -> List[DmaTransfer]:
-        """The DMA-in transfers, HMC to TCDM (built on every access)."""
-        return [
-            DmaTransfer(
-                src=src, dst=rows.address, row_bytes=rows.row_bytes,
-                rows=rows.rows, src_pitch=pitch, dst_pitch=rows.pitch,
-            )
-            for rows, (src, pitch) in zip(self.program.dma_in, self.hmc_in)
-        ]
-
-    @property
-    def transfers_out(self) -> List[DmaTransfer]:
-        """The DMA-out transfers, TCDM to HMC (built on every access)."""
-        return [
-            DmaTransfer(
-                src=rows.address, dst=dst, row_bytes=rows.row_bytes,
-                rows=rows.rows, src_pitch=rows.pitch, dst_pitch=pitch,
-            )
-            for rows, (dst, pitch) in zip(self.program.dma_out, self.hmc_out)
-        ]
 
     @property
     def bytes_in(self) -> int:

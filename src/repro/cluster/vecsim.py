@@ -66,7 +66,7 @@ from repro.core.vecops import (
 )
 
 
-__all__ = ["run_vectorized", "run_data_plane"]
+__all__ = ["run_vectorized", "run_data_plane", "live_stack"]
 
 _IDLE, _SETUP, _RUN = 0, 1, 2
 
@@ -256,6 +256,16 @@ def _mac_write_back() -> Union[Callable, str]:
     return timing_core.unavailable_reason() if kernel is None else kernel
 
 
+def live_stack(tcdm) -> Tuple[np.ndarray, int]:
+    """The live TCDM as a word-major stack one tile high, and the address
+    of its row 0.
+
+    A backing that is not a writable buffer raises here instead of
+    degrading to the per-op path.
+    """
+    return np.frombuffer(tcdm.memory.data, dtype="<f4")[:, None], tcdm.base
+
+
 def run_data_plane(
     cluster,
     jobs: Sequence[Tuple[int, NtxCommand]],
@@ -276,7 +286,7 @@ def run_data_plane(
     stacked dispatch (:func:`repro.core.vecops.execute_streams_batched`)
     updating the stack in place, MACs as registers of their NTX's
     accumulator geometry.  Without ``stack`` the live TCDM is the stack,
-    one tile high.
+    one tile high (:func:`live_stack`).
 
     A command the kernel refuses (see :mod:`repro.core.vecops`) runs
     through the exact per-op executor instead: on the live TCDM, or tile
@@ -292,9 +302,7 @@ def run_data_plane(
     tcdm = cluster.tcdm
     live = stack is None
     if live:
-        # A backing that is not a writable buffer raises here instead of
-        # degrading to the per-op path.
-        stack, base = np.frombuffer(tcdm.memory.data, dtype="<f4")[:, None], tcdm.base
+        stack, base = live_stack(tcdm)
     num_tiles = stack.shape[1]
     mac = _mac_write_back()
     queues = _plans_per_ntx(cluster, jobs)
@@ -595,7 +603,7 @@ def run_vectorized(
         ),
         tcdm_requests=counters.requests,
         tcdm_conflicts=counters.conflicts,
-        per_ntx_active=counters.active,
-        per_ntx_stall=counters.stall,
+        per_ntx_active=tuple(counters.active),
+        per_ntx_stall=tuple(counters.stall),
         frequency_hz=config.ntx_frequency_hz,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.commands import (
     NUM_AGUS,
@@ -147,19 +147,16 @@ class NtxRegisterFile:
 
     Writes update the staging area; a write to ``CMD`` converts the staged
     state into an :class:`NtxCommand` and pushes it into a two-deep command
-    queue.  ``on_command`` (if provided) is invoked for every successfully
-    enqueued command — the cluster model uses it to hand the command to the
-    NTX execution engine.
+    queue, from which the execution engine takes it (:meth:`next_command`).
     """
 
     #: Depth of the command queue: the command currently executing plus one
     #: staged command, i.e. double buffering.
     QUEUE_DEPTH = 2
 
-    def __init__(self, on_command: Optional[Callable[[NtxCommand], None]] = None) -> None:
+    def __init__(self) -> None:
         self._staged = _StagedConfig()
         self.command_queue: Fifo[NtxCommand] = Fifo(self.QUEUE_DEPTH, name="cmd_queue")
-        self._on_command = on_command
         self._busy = False
         self.commands_issued = 0
         self.rejected_writes = 0
@@ -223,8 +220,6 @@ class NtxRegisterFile:
                 self.rejected_writes += 1
                 return False
             self.commands_issued += 1
-            if self._on_command is not None:
-                self._on_command(command)
             return True
         if offset == RegisterMap.STATUS:
             return True  # read-only; writes ignored

@@ -13,9 +13,9 @@
   memoization so identical tiles pay for cycle simulation once (the data
   plane always re-executes — bit-exactness is never traded for speed).
 * :mod:`repro.system.batch` — the one tile walker every run goes
-  through, with cross-tile batched replay: cache-hit tiles sharing one
-  timing signature execute their data planes as a single stacked NumPy
-  dispatch, guarded by a self-containment gate.
+  through, with cross-tile batched replay: cache-hit tiles of one tile
+  program execute their data planes as a single stacked NumPy dispatch,
+  guarded by a self-containment gate.
 
 Workloads come from :mod:`repro.scenarios` (tiles staged in the HMC,
 verified against their golden models after the run).
@@ -28,7 +28,7 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.system.batch import ClusterAssignment, walk_tiles
     from repro.system.config import SystemConfig
-    from repro.system.memo import CachedTiming, TileTimingCache
+    from repro.system.memo import TileTimingCache
     from repro.system.scheduler import ShardPlan, WorkQueueScheduler, shard_round_robin
     from repro.system.simulator import ClusterReport, SystemResult, SystemSimulator
 
@@ -36,7 +36,6 @@ __all__ = [
     "ClusterAssignment",
     "walk_tiles",
     "SystemConfig",
-    "CachedTiming",
     "TileTimingCache",
     "ShardPlan",
     "WorkQueueScheduler",
@@ -51,7 +50,6 @@ _EXPORTS = {
     "ClusterAssignment": "batch",
     "walk_tiles": "batch",
     "SystemConfig": "config",
-    "CachedTiming": "memo",
     "TileTimingCache": "memo",
     "ShardPlan": "scheduler",
     "WorkQueueScheduler": "scheduler",

@@ -2,71 +2,78 @@
 
 :func:`walk_tiles` is the one execution path of
 :meth:`~repro.system.simulator.SystemSimulator.run`.  It visits tiles in
-(cluster, position) order and runs each one inline: the tile's DMA-in
-transfers, then its commands — a full cycle simulation on a timing-cache
-miss, only the data plane on a hit (:mod:`repro.system.memo`) — then its
-DMA-out transfers.  Without a timing cache every tile is fully simulated
-in that order, which is the reference every other configuration is
-tested against.
+(cluster, position) order and runs every tile through one routine
+(:meth:`_Walk.run_tiles`) over a word-major ``(words, tiles)`` float32
+stack, whose row ``w`` holds TCDM word ``w`` of each of its tiles:
+
+1. DMA-in: each transfer of every tile on the stack is copied from the
+   HMC into the stack at once (:func:`_stage`);
+2. compute: a full cycle simulation on a timing-cache miss; on a hit
+   (:mod:`repro.system.memo`) the one data plane of both engines
+   (:meth:`~repro.cluster.sim.ClusterSimulator.run_data_plane`) replays
+   the command stream over the stack in place, bit-identically to the
+   per-op walk, and the cached per-NTX active/stall cycles are credited;
+3. DMA-out: each transfer is copied back to the HMC the same way.
+
+A tile that runs *inline* — a miss, or any tile of a walk that defers
+nothing — runs on its cluster's live TCDM, viewed as a stack one tile
+high (:func:`~repro.cluster.vecsim.live_stack`).  Without a timing cache
+every tile is fully simulated inline in walk order, which is the
+reference every other configuration is tested against.
 
 A big tiled workload is dominated by *identical* tile programs: the
 timing cache collapses their cycle simulation to one run per timing
-class, but replaying hits inline still costs one small NumPy dispatch per
-tile, all walking the same command streams.  So the walker defers hits
-and stacks them — whenever a timing cache is present and every tile of
-the run passes the self-containment gate below:
+class, and replaying the hits one by one would still cost one small
+NumPy dispatch per command and tile.  So, whenever a timing cache is
+present and every tile of the run passes the self-containment gate below,
+the walker defers hits and stacks them:
 
-1. every deferred hit is grouped under a **batch key** — its engine
-   timing signature plus everything the signature deliberately leaves out
-   but the data plane needs (per-command scalar immediates and the
-   TCDM-side layout of its DMA transfers).  Jobs, signature and key are
-   functions of the tile's :class:`~repro.cluster.tiling.TileProgram` and
-   the run's engine, stagger and cluster configuration, so the program
-   keeps them: they are derived once per program, not once per tile or
-   per run;
-2. each group's data plane executes as **one stacked dispatch** on a
-   zero-initialised word-major ``(words, tiles)`` float32 stack: row ``w``
-   holds TCDM word ``w`` of every member, over the word span the tile
-   program stages or touches, so each gather and reduction step moves
-   contiguous rows of ``tiles`` floats.  Members are ordered by HMC
-   address; each DMA-in row goes straight from the HMC into its rows of
-   the stack — one strided view of the HMC copied 32 tiles at a time when
-   the members sit one stride apart (a tiled workload), a gather through
-   a window view of the HMC otherwise.  The one data plane of both
-   engines replays the shared command stream over the stack in place
-   (:meth:`~repro.cluster.sim.ClusterSimulator.run_data_plane`),
-   bit-identically to the per-op walk — and the DMA-out rows go straight
-   back to each member's HMC region the same way.  A group of one tile
-   runs the ordinary inline hit path;
+1. every deferred hit is grouped under its
+   :class:`~repro.cluster.tiling.TileProgram`.  Within one walk (one
+   engine, stagger and cluster configuration) equal programs have equal
+   timing signatures, so a group shares one cached timing.  Jobs and
+   signature are functions of the program and that context, so the
+   program keeps them: they are derived once per program, not once per
+   tile or per run;
+2. each group — of any size, one included — runs once, after the walk,
+   on a zero-initialised stack over the word span the program stages or
+   touches, one column per member.  Members are ordered by HMC address,
+   so a tiled workload's members sit one stride apart and each transfer
+   is one strided view of the HMC on that side, copied 32 members at a
+   time; other layouts gather and scatter;
 3. cache misses still run inline in walk order, so hit/miss accounting
    and cached timings are identical to a walk that defers nothing.
 
-Bit-exactness rests on a conservative **self-containment gate** checked
-per tile program, read-only, before anything executes: every word a tile's
-commands read must be covered by its own DMA-in transfers or by stores of
-earlier commands of the same tile (own-command RAW reads resolve like the
-unbatched fast path), and every byte its DMA-out transfers push back must
-be covered by its DMA-in data or its command stores.  A self-contained
-tile computes the same result on a zero-initialised private image as on
-the residue-carrying shared TCDM.  If *any* tile of a run fails the gate
-(or stages outside the HMC↔TCDM address classes), the walk defers
-nothing and runs every tile inline, so correctness never depends on the
-gate being clever.  The gate reads each command's shared plan
+Before any state changes, every tile's DMA rows must lie in the HMC on
+one side and in the TCDM on the other (:func:`_check_staging`); a tile
+that stages elsewhere raises :class:`IndexError` naming it, with and
+without a timing cache.
+
+Bit-exactness of deferring rests on a conservative **self-containment
+gate** checked per tile program, read-only, before anything executes:
+every word a tile's commands read must be covered by its own DMA-in
+transfers or by stores of earlier commands of the same tile (own-command
+RAW reads resolve like the unbatched fast path), and every byte its
+DMA-out transfers push back must be covered by its DMA-in data or its
+command stores.  A self-contained tile computes the same result on a
+zero-initialised private image as on the residue-carrying shared TCDM.
+If *any* tile of a run fails the gate, the walk defers nothing and runs
+every tile inline, so correctness never depends on the gate being clever.
+The gate reads each command's shared plan
 (:func:`repro.core.vecops.command_plan`) — its address bounds and the
 reads it records as observing the command's own stores — the same plan
-the data plane and the timing core run from.  Its TCDM-side verdict is a
-function of the program and the TCDM geometry, so the program keeps it
-and a warm program is not walked again; the HMC-side rows of every tile
-(what members of a program differ in) are checked on every run, as one
-array computation per program over the tiles' HMC addresses.
+the data plane and the timing core run from.  Its verdict is a function
+of the program and the TCDM geometry, so the program keeps it and a warm
+program is not walked again.
 
-Statistics are mirrored so a batched run's reports equal the inline
-walk's: DMA engine/AXI/memory counters are credited per member on its own
-cluster from the shared transfer geometry, and cached per-NTX active/stall
-cycles are credited exactly like the inline hit path.  Data-plane
-access counters of a multi-cluster group are accounted wholesale on the
-group's representative cluster — aggregate totals match exactly; nothing
-in the system reports reads the per-cluster breakdown.
+Statistics are mirrored so every run reports what the cluster DMA engine
+would have: its transfer, byte and busy-cycle counters, the AXI port and
+one TCDM and one HMC access per row are credited per member on its own
+cluster from the shared transfer geometry, and cached per-NTX
+active/stall cycles per member too.  Data-plane access counters of a
+multi-cluster group are accounted wholesale on the group's representative
+cluster — aggregate totals match exactly; nothing in the system reports
+reads the per-cluster breakdown.
 """
 
 from __future__ import annotations
@@ -75,7 +82,6 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import (
-    Callable,
     ContextManager,
     Dict,
     Iterator,
@@ -90,19 +96,21 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.sim import ClusterSimulator
+from repro.cluster.sim import ClusterSimulator, SimulationResult
 from repro.cluster.tiling import (
+    HmcRows,
     ProgramJobs,
     TcdmRows,
     TileProgram,
     TileSchedule,
     program_facts,
 )
+from repro.cluster.vecsim import live_stack
 from repro.core.vecops import CommandPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.system.config import SystemConfig
-from repro.system.memo import CachedTiming, TileTimingCache
+from repro.system.memo import TileTimingCache
 
 __all__ = [
     "ClusterAssignment",
@@ -136,18 +144,16 @@ class ClusterAssignment:
 
 class _ProgramPlan(NamedTuple):
     """What the walk needs of one tile program in one run context: its
-    jobs, timing signature (``None`` without commands) and batch key.
-    Kept on the program, shared by every tile of it."""
+    jobs and timing signature (``None`` without commands).  Kept on the
+    program, shared by every tile of it."""
 
     program: TileProgram
     jobs: ProgramJobs
     signature: Optional[tuple]
-    key: tuple
 
 
-@dataclass
-class _Member:
-    """One cache-hit tile deferred into a batch group."""
+class _Member(NamedTuple):
+    """One tile of a walk: where its report goes, its plan and itself."""
 
     work_index: int
     position: int
@@ -157,18 +163,18 @@ class _Member:
 
 @dataclass
 class _Group:
-    """All deferred hit tiles sharing one batch key."""
+    """All deferred hit tiles of one program."""
 
-    cached: CachedTiming
+    timing: SimulationResult
     members: List[_Member]
 
 
 class _HashedKey(tuple):
     """A tuple that computes its hash once.
 
-    Timing signatures and batch keys nest the whole cluster configuration,
-    and the walk looks each tile's keys up several times (timing cache,
-    batch groups); equal to, and hashed like, the plain tuple.
+    Timing signatures nest the whole cluster configuration, and every
+    run looks each tile's signature up in the timing cache; equal to, and
+    hashed like, the plain tuple.
     """
 
     def __hash__(self) -> int:
@@ -183,22 +189,75 @@ class _HashedKey(tuple):
         return (_HashedKey, (tuple(self),))
 
 
-def _batch_key(program: TileProgram, signature: Optional[tuple]) -> tuple:
-    """Batch key: timing signature + what the data plane additionally pins.
+# --------------------------------------------------------------------------- #
+# Staging bounds and the self-containment gate                                #
+# --------------------------------------------------------------------------- #
 
-    The timing signature deliberately excludes the per-command ``scalar``
-    immediate (it cannot influence arbitration) and knows nothing about the
-    DMA transfers; both determine the replayed data, so they join the key.
-    Only the TCDM-side layout of a transfer is pinned — the HMC-side
-    addresses are exactly what varies across the members of a group.
+
+def _row_span(start: int, pitch: int, transfer) -> Tuple[int, int]:
+    """The ``[lo, hi)`` bytes that ``transfer``'s rows cover when they start
+    at ``start``, ``pitch`` bytes apart."""
+    last = start + (transfer.rows - 1) * (pitch or transfer.row_bytes)
+    return min(start, last), max(start, last) + transfer.row_bytes
+
+
+def _tcdm_rows_within(program: TileProgram, lo: int, hi: int) -> bool:
+    """Whether every TCDM-side row of ``program``'s transfers lies in
+    ``[lo, hi)``."""
+    for rows in program.dma_in + program.dma_out:
+        first, end = _row_span(rows.address, rows.pitch, rows)
+        if first < lo or end > hi:
+            return False
+    return True
+
+
+def _check_staging(config: SystemConfig, work: Sequence[ClusterAssignment]) -> None:
+    """Raise :class:`IndexError` naming a tile whose DMA rows leave the
+    TCDM on one side or the HMC on the other — read-only, before any
+    cluster, DMA or HMC state changes.
+
+    The TCDM side is a function of the program, kept on it; the HMC side
+    (what the tiles of a program differ in) is one array computation per
+    program and transfer side over its tiles' HMC regions.
     """
-    scalars = tuple(command.scalar for command in program.commands)
-    return (signature, scalars, program.dma_in, program.dma_out)
-
-
-# --------------------------------------------------------------------------- #
-# Self-containment gate                                                       #
-# --------------------------------------------------------------------------- #
+    tcdm = config.cluster.tcdm
+    tcdm_lo, tcdm_hi = tcdm.base_address, tcdm.base_address + tcdm.size_bytes
+    hmc_lo = config.hmc.base_address
+    hmc_hi = hmc_lo + config.hmc.capacity_bytes
+    tiles_of: Dict[TileProgram, List[Tuple[int, TileSchedule]]] = {}
+    for item in work:
+        for index, tile in item.assigned:
+            tiles_of.setdefault(tile.program, []).append((index, tile))
+    for program, tiles in tiles_of.items():
+        within = program.derived(
+            ("tcdm-rows", tcdm_lo, tcdm_hi),
+            lambda: _tcdm_rows_within(program, tcdm_lo, tcdm_hi),
+        )
+        if not within:
+            raise IndexError(
+                f"tile {tiles[0][0]} stages TCDM rows outside "
+                f"[{tcdm_lo:#010x}, {tcdm_hi:#010x})"
+            )
+        for side, regions_of in (
+            (program.dma_in, lambda tile: tile.hmc_in),
+            (program.dma_out, lambda tile: tile.hmc_out),
+        ):
+            if not side:
+                continue
+            regions = np.array([regions_of(tile) for _, tile in tiles], dtype=np.int64)
+            starts, pitches = regions[..., 0], regions[..., 1]
+            row_bytes = np.array([rows.row_bytes for rows in side], dtype=np.int64)
+            spans = np.array([rows.rows - 1 for rows in side], dtype=np.int64)
+            last = starts + spans * np.where(pitches == 0, row_bytes, pitches)
+            outside = (np.minimum(starts, last) < hmc_lo) | (
+                np.maximum(starts, last) + row_bytes > hmc_hi
+            )
+            if outside.any():
+                index = tiles[int(outside.any(axis=1).argmax())][0]
+                raise IndexError(
+                    f"tile {index} stages HMC rows outside "
+                    f"[{hmc_lo:#010x}, {hmc_hi:#010x})"
+                )
 
 
 def _reads_resolved(plan: CommandPlan, cov_words: np.ndarray, base: int) -> bool:
@@ -222,53 +281,10 @@ def _reads_resolved(plan: CommandPlan, cov_words: np.ndarray, base: int) -> bool
     return True
 
 
-def _row_span(start: int, pitch: int, transfer) -> Tuple[int, int]:
-    """The ``[lo, hi)`` bytes that ``transfer``'s rows cover when they start
-    at ``start``, ``pitch`` bytes apart."""
-    last = start + (transfer.rows - 1) * (pitch or transfer.row_bytes)
-    return min(start, last), max(start, last) + transfer.row_bytes
-
-
-def _rows_within(start: int, pitch: int, transfer, lo: int, hi: int) -> bool:
-    """Whether every row of ``transfer`` starting at ``start``, ``pitch``
-    bytes apart, lies in ``[lo, hi)``."""
-    first, end = _row_span(start, pitch, transfer)
-    return lo <= first and end <= hi
-
-
-def _stages_in_hmc(
-    config: SystemConfig, program: TileProgram, tiles: Sequence[TileSchedule]
-) -> bool:
-    """Whether every HMC-side row of ``tiles``' transfers lies in the HMC.
-
-    The only part of the gate a tile program does not pin (tiles of one
-    program differ exactly in their HMC addresses), so it is checked on
-    every run: one array computation per transfer side over the HMC
-    regions of every tile of ``program``.
-    """
-    hmc_base = config.hmc.base_address
-    hmc_top = hmc_base + config.hmc.capacity_bytes
-    for side, regions_of in (
-        (program.dma_in, lambda tile: tile.hmc_in),
-        (program.dma_out, lambda tile: tile.hmc_out),
-    ):
-        if not side:
-            continue
-        regions = np.array([regions_of(tile) for tile in tiles], dtype=np.int64)
-        starts, pitches = regions[..., 0], regions[..., 1]
-        row_bytes = np.array([rows.row_bytes for rows in side], dtype=np.int64)
-        spans = np.array([rows.rows - 1 for rows in side], dtype=np.int64)
-        last = starts + spans * np.where(pitches == 0, row_bytes, pitches)
-        if (np.minimum(starts, last) < hmc_base).any():
-            return False
-        if (np.maximum(starts, last) + row_bytes > hmc_top).any():
-            return False
-    return True
-
-
 def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
-    """The TCDM side of :func:`_self_contained`: a function of the program
-    and the TCDM geometry alone.
+    """Whether every tile of ``program`` computes identically on a zeroed
+    private image: a function of the program and the TCDM geometry alone
+    (its DMA rows lie in the TCDM, :func:`_check_staging`).
 
     Coverage is kept twice and updated in place: ``covered`` per byte (for
     the DMA-out check, which may move partial words) and ``cov_words`` per
@@ -280,12 +296,9 @@ def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
     size = tcdm_cfg.size_bytes
     if size % _WORD:  # pragma: no cover - TCDM sizes are word multiples
         return False
-    top = base + size
     covered = np.zeros(size, dtype=bool)
 
     for rows in program.dma_in:
-        if not _rows_within(rows.address, rows.pitch, rows, base, top):
-            return False
         for dst in rows.row_addresses():
             covered[dst - base : dst - base + rows.row_bytes] = True
 
@@ -303,8 +316,6 @@ def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
                 cov_words[stored] = True
 
     for rows in program.dma_out:
-        if not _rows_within(rows.address, rows.pitch, rows, base, top):
-            return False
         for src in rows.row_addresses():
             if not covered[src - base : src - base + rows.row_bytes].all():
                 return False
@@ -317,19 +328,6 @@ def _tcdm_verdict(config: SystemConfig, program: TileProgram) -> bool:
     geometry = (cluster.tcdm.base_address, cluster.tcdm.size_bytes, cluster.num_ntx)
     return program.derived(
         ("tcdm-gate", *geometry), lambda: _tcdm_self_contained(config, program)
-    )
-
-
-def _self_contained(config: SystemConfig, tile: TileSchedule) -> bool:
-    """Whether ``tile`` computes identically on a zeroed private image.
-
-    Every tile of a program shares the command streams and the TCDM-side
-    DMA layout, so :func:`passes_gate` walks one program once.  Also
-    rejects tiles staging outside the HMC↔TCDM address classes — those
-    must run through the real DMA router.
-    """
-    return _stages_in_hmc(config, tile.program, [tile]) and _tcdm_self_contained(
-        config, tile.program
     )
 
 
@@ -347,7 +345,7 @@ class _ReportSlots:
         self.report = report
         self.compute = [0.0] * num_tiles
         self.dma = [0.0] * num_tiles
-        self.results_by_pos: Dict[int, object] = {}
+        self.results_by_pos: Dict[int, SimulationResult] = {}
 
     def finish(self) -> None:
         self.report.compute_cycles_per_tile = self.compute
@@ -361,9 +359,9 @@ class _ReportSlots:
 def plan_tiles(
     config: SystemConfig, engine: str, work: Sequence[ClusterAssignment]
 ) -> List[List[_ProgramPlan]]:
-    """Jobs, timing signature and batch key of every tile — read-only.
+    """Jobs and timing signature of every tile — read-only.
 
-    All three are functions of the tile's program and of the run's engine,
+    Both are functions of the tile's program and of the run's engine,
     stagger and cluster configuration, so the program keeps them
     (:func:`~repro.cluster.tiling.program_facts`): a warm program signs
     nothing again.
@@ -380,7 +378,7 @@ def plan_tiles(
             signature = _HashedKey(
                 signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)
             )
-        return _ProgramPlan(program, jobs, signature, _HashedKey(_batch_key(program, signature)))
+        return _ProgramPlan(program, jobs, signature)
 
     key = ("walk", engine, config.stagger_cycles, config.cluster)
     flat = program_facts((tile for item in work for _, tile in item.assigned), key, derive)
@@ -391,25 +389,15 @@ def plan_tiles(
     return plans
 
 
-def passes_gate(
-    config: SystemConfig,
-    work: Sequence[ClusterAssignment],
-    plans: List[List[_ProgramPlan]],
-) -> bool:
+def passes_gate(config: SystemConfig, plans: List[List[_ProgramPlan]]) -> bool:
     """Whether every tile of a planned run is self-contained — read-only.
 
-    Checks the HMC side of every tile, then the TCDM side of each distinct
-    program once (kept on the program, so a warm program is not walked
-    again), and stops at the first refusal, before any cluster, DMA or
-    HMC state has been touched.
+    Checks each distinct program once (the verdict is kept on the
+    program, so a warm program is not walked again) and stops at the
+    first refusal.
     """
-    tiles_of: Dict[TileProgram, List[TileSchedule]] = {}
-    for item, item_plans in zip(work, plans):
-        for (_, tile), plan in zip(item.assigned, item_plans):
-            tiles_of.setdefault(plan.program, []).append(tile)
-    return all(
-        _stages_in_hmc(config, program, tiles) for program, tiles in tiles_of.items()
-    ) and all(_tcdm_verdict(config, program) for program in tiles_of)
+    programs = dict.fromkeys(plan.program for item_plans in plans for plan in item_plans)
+    return all(_tcdm_verdict(config, program) for program in programs)
 
 
 def walk_tiles(
@@ -425,24 +413,24 @@ def walk_tiles(
     ``busy_cycles`` left at zero; the caller derives it (and the
     bandwidth-contention stretch) from the per-tile cycle lists.
 
-    With ``cache`` present and every tile passing the self-containment
-    gate, the walk runs inside a ``batched-replay`` span and defers hits
-    into stacked groups, whichever the engine.  Otherwise every tile runs
-    inline, each cluster inside a ``cluster-tiles`` span — after the
-    ``batched-replay`` span of the gate when the gate refused.
+    Raises :class:`IndexError` naming a tile that stages outside the HMC
+    or the TCDM before anything runs.  With ``cache`` present and every
+    tile passing the self-containment gate, the walk runs inside a
+    ``batched-replay`` span and defers hits into stacked groups, whichever
+    the engine.  Otherwise every tile runs inline, each cluster inside a
+    ``cluster-tiles`` span — after the ``batched-replay`` span of the gate
+    when the gate refused.
     """
-    if cache is None:
+    tiles = sum(len(item.assigned) for item in work)
+    with nullcontext() if cache is None else _trace.span("batched-replay", tiles=tiles):
+        _check_staging(config, work)
         plans = plan_tiles(config, engine, work)
-    else:
-        tiles = sum(len(item.assigned) for item in work)
-        with _trace.span("batched-replay", tiles=tiles):
-            plans = plan_tiles(config, engine, work)
-            if passes_gate(config, work, plans):
-                return _walk(config, engine, work, cache, plans, defer=True)
-    return _walk(config, engine, work, cache, plans, defer=False)
+        if cache is not None and passes_gate(config, plans):
+            return _Walk(config, engine, work, cache, defer=True).run(plans)
+    return _Walk(config, engine, work, cache, defer=False).run(plans)
 
 
-# Span factories of one walk; ``_walk`` picks its set once from ``defer``.
+# Span factories of one walk; ``_Walk`` picks its set once from ``defer``.
 
 
 def _no_span(*_args: object) -> ContextManager[object]:
@@ -465,205 +453,176 @@ def _tile_miss_span(item: ClusterAssignment, position: int) -> ContextManager[ob
     return _trace.span("tile-miss", cluster=item.cluster_id, position=position)
 
 
-def _walk(
-    config: SystemConfig,
-    engine: str,
-    work: Sequence[ClusterAssignment],
-    cache: Optional[TileTimingCache],
-    plans: List[List[_ProgramPlan]],
-    defer: bool,
-) -> List["object"]:
-    """Visit every tile in (cluster, position) order; see :func:`walk_tiles`."""
-    from repro.system.simulator import ClusterReport
+class _Walk:
+    """One walk over planned work; see :func:`walk_tiles`."""
 
-    cluster_cfg = config.cluster
-    core_ratio = cluster_cfg.ntx_frequency_hz / cluster_cfg.core_frequency_hz
-    # ``defer`` fixes the span shape of the whole walk: a deferring walk
-    # (already inside ``batched-replay``) traces only its cycle-simulated
-    # misses; an inline walk traces each cluster on its own track and
-    # every tile.
-    if defer:
-        cluster_span, tile_span, miss_span = _no_span, _no_span, _tile_miss_span
-    else:
-        cluster_span, tile_span, miss_span = _cluster_tiles_span, _tile_span, _no_span
-    slots: List[_ReportSlots] = []
-    groups: Dict[tuple, _Group] = {}
-    for work_index, item in enumerate(work):
-        report = ClusterReport(
-            cluster_id=item.cluster_id,
-            vault_id=item.vault_id,
-            tile_indices=[index for index, _ in item.assigned],
+    def __init__(
+        self,
+        config: SystemConfig,
+        engine: str,
+        work: Sequence[ClusterAssignment],
+        cache: Optional[TileTimingCache],
+        defer: bool,
+    ) -> None:
+        self.config = config
+        self.engine = engine
+        self.work = work
+        self.cache = cache
+        self.defer = defer
+        cluster = config.cluster
+        # DMA cycles tick at the core/AXI clock; tiles report NTX cycles.
+        self.core_ratio = cluster.ntx_frequency_hz / cluster.core_frequency_hz
+        self.slots: List[_ReportSlots] = []
+        # Every cluster of a system shares one HMC.
+        self.hmc_u8 = (
+            np.frombuffer(work[0].cluster.hmc.memory.data, dtype=np.uint8) if work else None
         )
-        slot = _ReportSlots(report, len(item.assigned))
-        slots.append(slot)
-        with cluster_span(item):
-            for position, plan in enumerate(plans[work_index]):
-                tile = item.assigned[position][1]
-                cached = None
-                if cache is not None and plan.signature is not None:
-                    cached = cache.get(plan.signature)
-                if defer and cached is not None:
-                    group = groups.get(plan.key)
-                    if group is None:
-                        group = groups[plan.key] = _Group(cached=cached, members=[])
-                    group.members.append(_Member(work_index, position, plan, tile))
-                    continue
-                with tile_span(item, position):
-                    _run_tile(
-                        config, engine, item, slot, position, tile, plan, cached,
-                        cache, core_ratio, miss_span,
-                    )
+        # ``defer`` fixes the span shape of the whole walk: a deferring walk
+        # (already inside ``batched-replay``) traces only its cycle-simulated
+        # misses and its groups; an inline walk traces each cluster on its
+        # own track and every tile.
+        if defer:
+            self.cluster_span, self.tile_span, self.miss_span = (
+                _no_span, _no_span, _tile_miss_span
+            )
+        else:
+            self.cluster_span, self.tile_span, self.miss_span = (
+                _cluster_tiles_span, _tile_span, _no_span
+            )
 
-    for group in groups.values():
-        if len(group.members) >= 2:
+    def run(self, plans: List[List[_ProgramPlan]]) -> List["object"]:
+        """Visit every tile in (cluster, position) order, then every
+        deferred group; return one report per work item."""
+        from repro.system.simulator import ClusterReport
+
+        cache = self.cache
+        groups: Dict[TileProgram, _Group] = {}
+        for work_index, item in enumerate(self.work):
+            report = ClusterReport(
+                cluster_id=item.cluster_id,
+                vault_id=item.vault_id,
+                tile_indices=[index for index, _ in item.assigned],
+            )
+            self.slots.append(_ReportSlots(report, len(item.assigned)))
+            with self.cluster_span(item):
+                for position, plan in enumerate(plans[work_index]):
+                    member = _Member(work_index, position, plan, item.assigned[position][1])
+                    timing = None
+                    if cache is not None and plan.signature is not None:
+                        timing = cache.get(plan.signature)
+                    if self.defer and timing is not None:
+                        group = groups.get(plan.program)
+                        if group is None:
+                            group = groups[plan.program] = _Group(timing, [])
+                        group.members.append(member)
+                        continue
+                    with self.tile_span(item, position):
+                        self.run_tiles([member], timing, live=True)
+
+        for group in groups.values():
             _BATCH_GROUPS.inc()
             _BATCH_TILES.inc(len(group.members))
             with _trace.span("batched-group", tiles=len(group.members)):
-                _replay_group_batched(config, engine, work, slots, group, core_ratio)
+                self.run_tiles(_in_hmc_order(group.members), group.timing, live=False)
+
+        for slot in self.slots:
+            slot.finish()
+        return [slot.report for slot in self.slots]
+
+    def run_tiles(
+        self, members: List[_Member], timing: Optional[SimulationResult], live: bool
+    ) -> None:
+        """Run ``members`` — tiles of one program — over one word-major stack.
+
+        ``live``: one tile on its cluster's live TCDM, a stack one tile
+        high; a miss (``timing`` is ``None``) only runs so.  Otherwise a
+        fresh zeroed stack over the program's word span, one column per
+        member, with the first member's cluster representing the group.
+        Each transfer is staged for every member at once and credited per
+        member.  Compute is an engine run on a miss, recorded in the cache;
+        on a hit the data plane over the stack plus the cached per-NTX
+        active/stall cycles.
+        """
+        config = self.config
+        first = members[0]
+        plan = first.plan
+        program = plan.program
+        cluster = self.work[first.work_index].cluster
+        if live:
+            stack, base = live_stack(cluster.tcdm)
         else:
-            member = group.members[0]
-            _run_tile(
-                config,
-                engine,
-                work[member.work_index],
-                slots[member.work_index],
-                member.position,
-                member.tile,
-                member.plan,
-                group.cached,
-                cache,
-                core_ratio,
-                miss_span,
-            )
+            lo, hi = _stack_span(config, program)
+            stack = np.zeros((hi - lo, len(members)), dtype=np.float32)
+            base = config.cluster.tcdm.base_address + lo * _WORD
+        hmc = cluster.hmc
+        hmc_u8 = self.hmc_u8
+        per_item = Counter(member.work_index for member in members)
+        dma_cycles = 0
 
-    for slot in slots:
-        slot.finish()
-    return [slot.report for slot in slots]
+        for index, rows in enumerate(program.dma_in):
+            regions = [member.tile.hmc_in[index] for member in members]
+            _stage(stack, base, hmc_u8, hmc.base, regions, rows, inbound=True)
+            dma_cycles += self._mirror_dma_stats(per_item, rows, inbound=True)
 
+        if program.commands:
+            simulator = ClusterSimulator(cluster, engine=self.engine)
+            if timing is None:
+                with self.miss_span(self.work[first.work_index], first.position):
+                    timing = simulator.run(plan.jobs, stagger_cycles=config.stagger_cycles)
+                if self.cache is not None:
+                    self.cache.put(plan.signature, timing)
+            else:
+                simulator.run_data_plane(plan.jobs, None if live else stack, base)
+                for work_index, count in per_item.items():
+                    for ntx, active, stall in zip(
+                        self.work[work_index].cluster.ntx,
+                        timing.per_ntx_active,
+                        timing.per_ntx_stall,
+                    ):
+                        ntx.stats.active_cycles += active * count
+                        ntx.stats.stall_cycles += stall * count
 
-def _run_tile(
-    config: SystemConfig,
-    engine: str,
-    item: ClusterAssignment,
-    slot: _ReportSlots,
-    position: int,
-    tile: TileSchedule,
-    plan: _ProgramPlan,
-    cached: Optional[CachedTiming],
-    cache: Optional[TileTimingCache],
-    core_ratio: float,
-    miss_span: Callable[[ClusterAssignment, int], ContextManager[object]],
-) -> None:
-    """One tile inline: DMA in, cycle simulation or cached replay, DMA out.
+        # Members' DMA-out regions are disjoint by the workload contract,
+        # so the order they are written in cannot matter.
+        for index, rows in enumerate(program.dma_out):
+            regions = [member.tile.hmc_out[index] for member in members]
+            _stage(stack, base, hmc_u8, hmc.base, regions, rows, inbound=False)
+            dma_cycles += self._mirror_dma_stats(per_item, rows, inbound=False)
 
-    A hit (``cached``) executes only the data plane and credits the cached
-    per-NTX active/stall cycles, which keeps the HMC bit-identical to a
-    full simulation; a miss simulates and, with a ``cache``, records the
-    timing under the tile's signature.  ``miss_span`` wraps that cycle
-    simulation (a ``tile-miss`` span in deferring walks).
-    """
-    report = slot.report
-    dma_cycles = 0
-    for transfer in tile.transfers_in:
-        dma_cycles += item.cluster.run_dma(transfer)
-        report.dma_bytes += transfer.total_bytes
-    if tile.commands:
-        simulator = ClusterSimulator(item.cluster, engine=engine)
-        if cached is None:
-            with miss_span(item, position):
-                result = simulator.run(plan.jobs, stagger_cycles=config.stagger_cycles)
-            if cache is not None:
-                cache.put(plan.signature, CachedTiming.from_result(result))
-        else:
-            simulator.run_data_plane(plan.jobs)
-            _credit_cached_stats(config, item.cluster, cached)
-            result = cached.to_result()
-        slot.results_by_pos[position] = result
-        slot.compute[position] = float(result.cycles)
-    for transfer in tile.transfers_out:
-        dma_cycles += item.cluster.run_dma(transfer)
-        report.dma_bytes += transfer.total_bytes
-    # DMA cycles tick at the core/AXI clock; convert to NTX cycles.
-    slot.dma[position] = dma_cycles * core_ratio
+        for member in members:
+            slot = self.slots[member.work_index]
+            if program.commands:
+                slot.results_by_pos[member.position] = timing
+                slot.compute[member.position] = float(timing.cycles)
+            slot.dma[member.position] = dma_cycles * self.core_ratio
 
-
-def _credit_cached_stats(
-    config: SystemConfig, cluster: Cluster, cached: CachedTiming, count: int = 1
-) -> None:
-    """Credit ``count`` replayed tiles' cached per-NTX active/stall cycles."""
-    for ntx_id in range(config.cluster.num_ntx):
-        stats = cluster.ntx[ntx_id].stats
-        stats.active_cycles += cached.per_ntx_active[ntx_id] * count
-        stats.stall_cycles += cached.per_ntx_stall[ntx_id] * count
-
-
-def _replay_group_batched(
-    config: SystemConfig,
-    engine: str,
-    work: Sequence[ClusterAssignment],
-    slots: List[_ReportSlots],
-    group: _Group,
-    core_ratio: float,
-) -> None:
-    """Replay one hit group as a single stacked data-plane dispatch."""
-    members = _in_hmc_order(group.members)
-    num_tiles = len(members)
-    # Counters are credited per work item: members times one tile's worth.
-    per_item = Counter(member.work_index for member in members)
-    cached = group.cached
-    # Members share the batch key, so the first one's program stands for
-    # the TCDM side of all of them.
-    plan0 = members[0].plan
-    program = plan0.program
-    item0 = work[members[0].work_index]
-    tcdm_base = config.cluster.tcdm.base_address
-    hmc = item0.cluster.hmc
-    hmc_u8 = np.frombuffer(hmc.memory.data, dtype=np.uint8)
-
-    # The word-major stack: word ``w`` of every member's private image in
-    # row ``w``, over the word span the tile program stages or touches.
-    lo, hi = _stack_span(config, program)
-    stack = np.zeros((hi - lo, num_tiles), dtype=np.float32)
-    base = tcdm_base + lo * _WORD
-    dma_cycles = 0
-
-    # DMA-in: each transfer row of every member goes from the HMC straight
-    # into its rows of the stack (the TCDM-side layout is shared).
-    for index, rows0 in enumerate(program.dma_in):
-        cycles = item0.cluster.dma.transfer_cycles(rows0)
-        dma_cycles += cycles
-        sources = _row_offsets([member.tile.hmc_in[index] for member in members], rows0, hmc.base)
-        for row, dst in enumerate(rows0.row_addresses()):
-            _stage_in(stack, dst - base, hmc_u8, sources[:, row], rows0.row_bytes)
-        _mirror_dma_stats(work, slots, per_item, rows0, cycles, inbound=True)
-
-    # Compute: the shared command stream replays over the stack; commands
-    # the kernel refuses walk tile by tile.
-    if program.commands:
-        ClusterSimulator(item0.cluster, engine=engine).run_data_plane(
-            plan0.jobs, stack, base
-        )
+    def _mirror_dma_stats(
+        self, per_item: Dict[int, int], rows: TcdmRows, inbound: bool
+    ) -> int:
+        """Credit one staged transfer's DMA, AXI, TCDM and HMC counters and
+        DMA bytes per member, as the cluster DMA engine would, and return its
+        cycles; ``per_item`` counts the members per work item."""
+        work = self.work
+        cluster0 = work[next(iter(per_item))].cluster
+        cycles = cluster0.dma.transfer_cycles(rows)
+        total_bytes = rows.total_bytes
         for work_index, count in per_item.items():
-            _credit_cached_stats(config, work[work_index].cluster, cached, count)
-
-    # DMA-out: every member's output rows go from the stack straight back
-    # to its HMC region (disjoint by the workload contract, so order
-    # cannot matter).
-    for index, rows0 in enumerate(program.dma_out):
-        cycles = item0.cluster.dma.transfer_cycles(rows0)
-        dma_cycles += cycles
-        destinations = _row_offsets(
-            [member.tile.hmc_out[index] for member in members], rows0, hmc.base
-        )
-        for row, src in enumerate(rows0.row_addresses()):
-            _stage_out(stack, src - base, hmc_u8, destinations[:, row], rows0.row_bytes)
-        _mirror_dma_stats(work, slots, per_item, rows0, cycles, inbound=False)
-
-    for member in members:
-        slot = slots[member.work_index]
-        slot.results_by_pos[member.position] = cached.to_result()
-        slot.compute[member.position] = float(cached.cycles)
-        slot.dma[member.position] = dma_cycles * core_ratio
+            cluster = work[work_index].cluster
+            cluster.dma.stats.transfers += count
+            cluster.dma.stats.bytes_moved += total_bytes * count
+            cluster.dma.stats.busy_cycles += cycles * count
+            cluster.axi.record(total_bytes * count, cycles * count)
+            if inbound:
+                cluster.tcdm.memory.writes += rows.rows * count
+            else:
+                cluster.tcdm.memory.reads += rows.rows * count
+            self.slots[work_index].report.dma_bytes += total_bytes * count
+        members = sum(per_item.values())
+        if inbound:
+            cluster0.hmc.memory.reads += rows.rows * members
+        else:
+            cluster0.hmc.memory.writes += rows.rows * members
+        return cycles
 
 
 def _in_hmc_order(members: List[_Member]) -> List[_Member]:
@@ -700,115 +659,113 @@ def _stack_span(config: SystemConfig, program: TileProgram) -> Tuple[int, int]:
     return program.derived(("stack-span", base, num_ntx), derive)
 
 
-def _row_offsets(
-    regions: Sequence[Tuple[int, int]], rows0: TcdmRows, origin: int
-) -> np.ndarray:
-    """``(members, rows)`` byte offsets from ``origin`` of every HMC-side
-    row of each member's transfer, given its ``(start, pitch)`` region (the
-    row count and size are pinned by the batch key, as in ``rows0``)."""
-    regions = np.array(regions, dtype=np.int64)
-    starts, pitches = regions[:, 0], regions[:, 1]
-    pitches = np.where(pitches == 0, rows0.row_bytes, pitches)
-    rows = np.arange(rows0.rows, dtype=np.int64)
-    return (starts - origin)[:, None] + pitches[:, None] * rows
+# --------------------------------------------------------------------------- #
+# Staging between the HMC and a stack                                         #
+# --------------------------------------------------------------------------- #
 
+#: The element a copy moves: a word where the TCDM side of a transfer is
+#: word-aligned, a byte otherwise.
+_UNIT_DTYPES = {_WORD: np.dtype(np.uint32), 1: np.dtype(np.uint8)}
 
-#: Tiles per block of a copy between tile-major rows and the word-major
-#: stack: one whole-stack transposing copy strides across every member's
-#: rows at once and thrashes the cache; 32 tiles at a time do not.
+#: Members per block of a copy between the HMC and a stack many tiles
+#: wide: one whole-stack copy strides across every member's rows at once
+#: and thrashes the cache; 32 members at a time do not.
 _BLOCK_TILES = 32
 
 
-def _strided_rows(
-    hmc_u8: np.ndarray, starts: np.ndarray, row_bytes: int
-) -> Optional[np.ndarray]:
-    """The ``(members, row_bytes)`` HMC rows at byte offsets ``starts`` as
-    one strided view, or ``None`` unless the starts lie one stride apart.
-    (The gate has checked that every row lies in the HMC; NumPy checks the
-    view's extent against the buffer again.)"""
-    steps = np.diff(starts)
-    if not steps.size or np.any(steps != steps[0]):
-        return None
-    return np.ndarray(
-        (len(starts), row_bytes),
-        dtype=np.uint8,
-        buffer=hmc_u8,
-        offset=int(starts[0]),
-        strides=(int(steps[0]), 1),
-    )
-
-
-def _stage_in(
-    stack: np.ndarray, offset: int, hmc_u8: np.ndarray, starts: np.ndarray, row_bytes: int
-) -> None:
-    """Copy each member's HMC row at ``starts`` to byte ``offset`` of its
-    column of ``stack``."""
-    rows = _strided_rows(hmc_u8, starts, row_bytes)
-    if rows is None:
-        rows = sliding_window_view(hmc_u8, row_bytes)[starts]
-    if offset % _WORD or row_bytes % _WORD:
-        images, skip = _partial_words(stack, offset, row_bytes)
-        images.view(np.uint8)[:, skip : skip + row_bytes] = rows
-        stack[offset // _WORD : offset // _WORD + images.shape[1]] = images.T
-        return
-    words = stack[offset // _WORD : (offset + row_bytes) // _WORD]
-    rows = rows.view(np.float32)
-    for first in range(0, len(starts), _BLOCK_TILES):
-        words[:, first : first + _BLOCK_TILES] = rows[first : first + _BLOCK_TILES].T
-
-
-def _stage_out(
-    stack: np.ndarray, offset: int, hmc_u8: np.ndarray, starts: np.ndarray, row_bytes: int
-) -> None:
-    """Copy ``row_bytes`` from byte ``offset`` of each member's column of
-    ``stack`` to its HMC row at ``starts``."""
-    rows = _strided_rows(hmc_u8, starts, row_bytes)
-    target = np.empty((len(starts), row_bytes), np.uint8) if rows is None else rows
-    if offset % _WORD or row_bytes % _WORD:
-        images, skip = _partial_words(stack, offset, row_bytes)
-        target[...] = images.view(np.uint8)[:, skip : skip + row_bytes]
-    else:
-        words = stack[offset // _WORD : (offset + row_bytes) // _WORD]
-        out = target.view(np.float32)
-        for first in range(0, len(starts), _BLOCK_TILES):
-            out[first : first + _BLOCK_TILES] = words[:, first : first + _BLOCK_TILES].T
-    if rows is None:
-        sliding_window_view(hmc_u8, row_bytes, writeable=True)[starts] = target
-
-
-def _partial_words(stack: np.ndarray, offset: int, row_bytes: int) -> Tuple[np.ndarray, int]:
-    """A tile-major copy of the words holding bytes ``[offset, offset +
-    row_bytes)`` of every column, and the offset of the first byte in it
-    (rows that start or end inside a word)."""
-    first, end = offset // _WORD, -(-(offset + row_bytes) // _WORD)
-    return np.ascontiguousarray(stack[first:end].T), offset - first * _WORD
-
-
-def _mirror_dma_stats(
-    work: Sequence[ClusterAssignment],
-    slots: List[_ReportSlots],
-    per_item: Dict[int, int],
-    transfer0,
-    cycles: int,
+def _stage(
+    stack: np.ndarray,
+    base: int,
+    hmc_u8: np.ndarray,
+    hmc_base: int,
+    regions: List[HmcRows],
+    rows: TcdmRows,
     inbound: bool,
 ) -> None:
-    """Credit one staged transfer's counters per member, like ``run_dma``;
-    ``per_item`` counts the group's members per work item."""
-    hmc_memory = work[next(iter(per_item))].cluster.hmc.memory
-    total_bytes = transfer0.total_bytes
-    for work_index, count in per_item.items():
-        cluster = work[work_index].cluster
-        cluster.dma.stats.transfers += count
-        cluster.dma.stats.bytes_moved += total_bytes * count
-        cluster.dma.stats.busy_cycles += cycles * count
-        cluster.axi.record(total_bytes * count, cycles * count)
-        if inbound:
-            cluster.tcdm.memory.writes += transfer0.rows * count
-        else:
-            cluster.tcdm.memory.reads += transfer0.rows * count
-        slots[work_index].report.dma_bytes += total_bytes * count
-    members = sum(per_item.values())
+    """Copy one transfer of every member between its HMC rows and its
+    column of the word-major ``stack``.
+
+    Row ``w`` of ``stack`` holds the TCDM word at ``base + 4 * w`` of each
+    member, in ``regions`` order; ``regions`` holds each member's HMC
+    ``(start, pitch)``.  Each side is one ``(members, rows, row units)``
+    view — a unit is a word when the TCDM side of the transfer is
+    word-aligned, a byte otherwise — so one member is the case of a stack
+    one tile high and a member stride of zero.  A stack more than one tile
+    high is not byte-addressable, so partial-word rows are staged through a
+    tile-major copy of the words they touch.
+    """
+    offset = rows.address - base
+    pitch = rows.pitch or rows.row_bytes
+    unit = _WORD if (offset | pitch | rows.row_bytes) % _WORD == 0 else 1
+    shape = (len(regions), rows.rows, rows.row_bytes // unit)
+    dtype = _UNIT_DTYPES[unit]
+    tiles = stack.shape[1]
+    # Byte ``b`` of a column sits ``tiles * b`` bytes past the column's
+    # start: exact for whole words, and for every byte one tile high.
+    images, first, member_stride, scale = stack, 0, _WORD, tiles
+    if unit < _WORD and tiles > 1:
+        first = offset // _WORD
+        end = -(-(offset + (rows.rows - 1) * pitch + rows.row_bytes) // _WORD)
+        images = np.ascontiguousarray(stack[first:end].T)
+        member_stride, scale = images.shape[1] * _WORD, 1
+        offset -= first * _WORD
+    tcdm = np.ndarray(
+        shape, dtype, buffer=images, offset=offset * scale,
+        strides=(member_stride, pitch * scale, unit * scale),
+    )
+    hmc, offsets = _hmc_rows(hmc_u8, hmc_base, regions, rows, shape, dtype)
     if inbound:
-        hmc_memory.reads += transfer0.rows * members
+        if hmc is None:
+            hmc = sliding_window_view(hmc_u8, rows.row_bytes)[offsets].view(dtype)
+        _blocked_copy(tcdm, hmc)
+        if images is not stack:
+            stack[first : first + images.shape[1]] = images.T
+    elif hmc is not None:
+        _blocked_copy(hmc, tcdm)
     else:
-        hmc_memory.writes += transfer0.rows * members
+        rows_out = np.ascontiguousarray(tcdm).view(np.uint8)
+        sliding_window_view(hmc_u8, rows.row_bytes, writeable=True)[offsets] = rows_out
+
+
+def _hmc_rows(
+    hmc_u8: np.ndarray,
+    hmc_base: int,
+    regions: List[HmcRows],
+    rows: TcdmRows,
+    shape: Tuple[int, int, int],
+    dtype: np.dtype,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """The HMC side of one transfer of every member.
+
+    ``(view, None)``: a ``shape`` view of ``dtype`` units when the members
+    sit one stride apart with one pitch (one member always does).
+    ``(None, offsets)`` otherwise: the ``(members, rows)`` byte offsets of
+    every row, to gather or scatter.  (Every row lies in the HMC,
+    :func:`_check_staging`; NumPy checks the view's extent again.)
+    """
+    (start, pitch), *others = regions
+    pitch = pitch or rows.row_bytes
+    step = others[0][0] - start if others else 0
+    if all(
+        other == start + number * step and (other_pitch or rows.row_bytes) == pitch
+        for number, (other, other_pitch) in enumerate(others, 1)
+    ):
+        view = np.ndarray(
+            shape, dtype, buffer=hmc_u8, offset=start - hmc_base,
+            strides=(step, pitch, dtype.itemsize),
+        )
+        return view, None
+    regions = np.array(regions, dtype=np.int64)
+    pitches = np.where(regions[:, 1] == 0, rows.row_bytes, regions[:, 1])
+    starts = regions[:, 0] - hmc_base
+    return None, starts[:, None] + pitches[:, None] * np.arange(rows.rows)
+
+
+def _blocked_copy(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` over the leading (member) axis, in blocks of
+    :data:`_BLOCK_TILES`."""
+    if len(dst) <= _BLOCK_TILES:
+        dst[...] = src
+        return
+    for first in range(0, len(dst), _BLOCK_TILES):
+        dst[first : first + _BLOCK_TILES] = src[first : first + _BLOCK_TILES]

@@ -33,73 +33,34 @@ the dict rendering of that accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cluster.sim import SimulationResult
 
-__all__ = ["CachedTiming", "TileTimingCache"]
-
-
-@dataclass(frozen=True)
-class CachedTiming:
-    """The timing-only payload of one memoized cluster-simulator run."""
-
-    cycles: int
-    flops: int
-    iterations: int
-    tcdm_requests: int
-    tcdm_conflicts: int
-    per_ntx_active: Tuple[int, ...]
-    per_ntx_stall: Tuple[int, ...]
-    frequency_hz: float
-
-    @classmethod
-    def from_result(cls, result: SimulationResult) -> "CachedTiming":
-        return cls(
-            cycles=result.cycles,
-            flops=result.flops,
-            iterations=result.iterations,
-            tcdm_requests=result.tcdm_requests,
-            tcdm_conflicts=result.tcdm_conflicts,
-            per_ntx_active=tuple(result.per_ntx_active),
-            per_ntx_stall=tuple(result.per_ntx_stall),
-            frequency_hz=result.frequency_hz,
-        )
-
-    def to_result(self) -> SimulationResult:
-        """Materialise a fresh, independently mutable ``SimulationResult``."""
-        return SimulationResult(
-            cycles=self.cycles,
-            flops=self.flops,
-            iterations=self.iterations,
-            tcdm_requests=self.tcdm_requests,
-            tcdm_conflicts=self.tcdm_conflicts,
-            per_ntx_active=list(self.per_ntx_active),
-            per_ntx_stall=list(self.per_ntx_stall),
-            frequency_hz=self.frequency_hz,
-        )
+__all__ = ["TileTimingCache"]
 
 
 class TileTimingCache:
-    """Maps timing signatures to cached timings, with hit/miss accounting.
+    """Maps timing signatures to the frozen
+    :class:`~repro.cluster.sim.SimulationResult` of the run that first
+    simulated them, with hit/miss accounting.
 
     It holds timings only.  Everything else a warm run would otherwise
-    rederive — signatures, batch keys, batched replay's gate verdict — is
-    a function of the tile program and kept on the
+    rederive — signatures, batched replay's gate verdict — is a function
+    of the tile program and kept on the
     :class:`~repro.cluster.tiling.TileProgram`, so it survives a fresh
     cache.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[tuple, CachedTiming] = {}
+        self._entries: Dict[tuple, SimulationResult] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple) -> Optional[CachedTiming]:
+    def get(self, key: tuple) -> Optional[SimulationResult]:
         """Look up ``key``, counting the access as a hit or a miss."""
         timing = self._entries.get(key)
         if timing is None:
@@ -108,9 +69,8 @@ class TileTimingCache:
             self.hits += 1
         return timing
 
-    def put(self, key: tuple, timing: CachedTiming) -> None:
+    def put(self, key: tuple, timing: SimulationResult) -> None:
         self._entries[key] = timing
-
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
@@ -130,6 +90,6 @@ class TileTimingCache:
             "hit_rate": round(self.hit_rate, 4),
         }
 
-    def snapshot(self) -> Dict[tuple, CachedTiming]:
-        """Copy of the entries: timing signature → cached timing."""
+    def snapshot(self) -> Dict[tuple, SimulationResult]:
+        """Copy of the entries: timing signature → simulation result."""
         return dict(self._entries)

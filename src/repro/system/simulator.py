@@ -29,9 +29,9 @@ with two exact accelerations on top of it:
   simulated before replay the cached timing and only re-execute the data
   plane, so the thousands of identical interior tiles of a big tiled
   workload pay for cycle simulation once (:mod:`repro.system.memo`).
-* **Cross-tile batched replay**: when the timing cache is on, the engine
-  supports it and every tile passes a self-containment gate, cache-hit
-  tiles sharing one timing signature replay their data planes as a single
+* **Cross-tile batched replay**: when the timing cache is on and every
+  tile passes a self-containment gate, cache-hit tiles of one tile
+  program replay their data planes as a single
   stacked NumPy dispatch instead of one dispatch per tile
   (:mod:`repro.system.batch`).  Nothing selects it but those facts; a run
   the gate refuses walks every tile inline.

@@ -38,13 +38,15 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.tiling import TileSchedule, program_facts
+from repro.cluster.tiling import TileProgram, TileSchedule, program_facts
 from repro.core.ntx import NtxConfig
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, build_workload, run_scenario
 from repro.system import ClusterAssignment, SystemConfig, SystemSimulator
 from repro.softfloat.pcs import PcsConfig
 from repro.system.batch import passes_gate, plan_tiles, walk_tiles
+
+from dma_tiles import tile_from_transfers, transfers_in, transfers_out
 
 
 def _conv(num_tiles, image_shape=(12, 14), draw="lattice", **fields):
@@ -96,13 +98,13 @@ def _with(tile, **changes):
     """``tile`` with ``changes`` to its transfers, commands or placements,
     as a tile of a program of its own."""
     fields = dict(
-        transfers_in=tile.transfers_in,
+        transfers_in=transfers_in(tile),
         commands=tile.commands,
-        transfers_out=tile.transfers_out,
+        transfers_out=transfers_out(tile),
         placements=tile.placements,
     )
     fields.update(changes)
-    return TileSchedule.from_transfers(**fields)
+    return tile_from_transfers(**fields)
 
 
 def _hmc_bytes(simulator):
@@ -239,18 +241,18 @@ _NARROW = [PcsConfig(width=300), PcsConfig(lsb_exponent=-150, width=300)]
 class TestNarrowAccumulatorParity:
     """A non-default accumulator geometry (which may saturate or truncate)
     runs every MAC through the compiled kernel's exact lane on every
-    data-plane path — the vectorized cycle run, an inline timing-cache hit
-    and a stacked group — for both engines, without a fallback, so each
-    leaves the scalar no-cache walk's bytes."""
+    data-plane path — the vectorized cycle run on the live TCDM, a stacked
+    group of one and of three — for both engines, without a fallback, so
+    each leaves the scalar no-cache walk's bytes."""
 
     @pytest.mark.parametrize("pcs", _NARROW, ids=["saturating", "truncating"])
     @pytest.mark.parametrize(
         "engine,path,num_tiles,memoize",
         [
             ("vectorized", "cold", 4, False),
-            ("vectorized", "inline-hit", 2, True),
+            ("vectorized", "group-of-one", 2, True),
             ("vectorized", "batched-group", 4, True),
-            ("scalar", "inline-hit", 2, True),
+            ("scalar", "group-of-one", 2, True),
             ("scalar", "batched-group", 4, True),
         ],
     )
@@ -269,7 +271,7 @@ class TestNarrowAccumulatorParity:
         groups = _batched_groups()
         candidate = _run(engine=engine, memoize=memoize, **geometry)
         assert by_reason() == before
-        assert (_batched_groups() > groups) == (path == "batched-group")
+        assert (_batched_groups() > groups) == (path != "cold")
         assert candidate[2].cache_hits == (num_tiles - 1 if memoize else 0)
         ref_sim, _, ref_result = reference
         sim, _, result = candidate
@@ -280,14 +282,18 @@ class TestNarrowAccumulatorParity:
 # -- walker accounting ---------------------------------------------------------
 
 
-TOPOLOGIES = [(1, 2), (2, 2)]
+#: (vaults, clusters per vault, tiles).  Two tiles on two clusters leave
+#: the second cluster one hit: a stacked group of one.
+TOPOLOGIES = [(1, 2, 8), (2, 2, 8), (1, 2, 2)]
+TOPOLOGY_IDS = ["1x2", "2x2", "1x2-group-of-one"]
 
 
 def _topology_runs(topology):
-    """Memo-off and memo-on runs of one (vaults, clusters/vault) topology."""
-    num_vaults, clusters_per_vault = topology
+    """Memo-off and memo-on runs of one topology."""
+    num_vaults, clusters_per_vault, num_tiles = topology
     return [
         _run(
+            num_tiles=num_tiles,
             memoize=memoize,
             num_vaults=num_vaults,
             clusters_per_vault=clusters_per_vault,
@@ -302,7 +308,7 @@ class TestWalkerAccounting:
     counters in aggregate (a multi-cluster group books its accesses on the
     group's representative cluster)."""
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["1x2", "2x2"])
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPOLOGY_IDS)
     def test_per_cluster_dma_and_axi_counters_match(self, topology):
         (ref_sim, _, _), (sim, _, result) = _topology_runs(topology)
         assert result.cache_hits > 0
@@ -313,7 +319,7 @@ class TestWalkerAccounting:
             assert cluster.axi.busy_cycles == ref.axi.busy_cycles
             assert cluster.axi.bytes_transferred == ref.axi.bytes_transferred
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["1x2", "2x2"])
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPOLOGY_IDS)
     def test_per_ntx_active_and_stall_cycles_match(self, topology):
         (ref_sim, _, _), (sim, _, _) = _topology_runs(topology)
         for ref, cluster in zip(ref_sim.clusters, sim.clusters):
@@ -321,7 +327,7 @@ class TestWalkerAccounting:
                 assert ntx.stats.active_cycles == ref_ntx.stats.active_cycles
                 assert ntx.stats.stall_cycles == ref_ntx.stats.stall_cycles
 
-    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["1x2", "2x2"])
+    @pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPOLOGY_IDS)
     def test_aggregate_memory_counters_match(self, topology):
         (ref_sim, _, _), (sim, _, _) = _topology_runs(topology)
 
@@ -348,18 +354,21 @@ class TestWalkerAccounting:
         assert registry.get("repro_batched_groups_total").value() == 1
         assert registry.get("repro_batched_tiles_total").value() == 7
 
-    def test_group_of_one_hit_replays_inline(self):
-        """A batch key with a single deferred hit takes the ordinary inline
-        hit path: no ``batched-group`` span, same results."""
+    def test_group_of_one_hit_replays_on_a_stack_of_one(self):
+        """A program with a single deferred hit replays like any group: one
+        ``batched-group`` span of one tile, same results as the no-cache
+        walk."""
         from repro import obs
 
         reference = _run(num_tiles=2, memoize=False)
         with obs.trace_session(trace=True) as tracer:
             candidate = _run(num_tiles=2, memoize=True)
-            names = {span.name for span in tracer.spans()}
+            spans = tracer.spans()
+        names = {span.name for span in spans}
         assert (candidate[2].cache_hits, candidate[2].cache_misses) == (1, 1)
         assert "batched-replay" in names and "tile-miss" in names
-        assert "batched-group" not in names
+        groups = [span for span in spans if span.name == "batched-group"]
+        assert [span.args["tiles"] for span in groups] == [1]
         _assert_matches_reference(reference, candidate)
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
@@ -497,7 +506,7 @@ class TestSelfContainmentGate:
             for cluster_id, tile_indices in enumerate(plan.tiles_of)
         ]
         plans = plan_tiles(simulator.config, simulator.engine, work)
-        assert not passes_gate(simulator.config, work, plans)
+        assert not passes_gate(simulator.config, plans)
         # The refusal happened in the read-only planning pass: nothing ran.
         assert np.array_equal(_hmc_bytes(simulator), hmc_before)
         assert simulator.timing_cache.lookups == 0
@@ -517,37 +526,67 @@ class TestSelfContainmentGate:
         assert np.array_equal(_hmc_bytes(ref_sim), _hmc_bytes(sim))
         assert _timing_view(result) == _timing_view(ref_result)
 
-    def test_a_later_member_staging_outside_the_hmc_is_refused(self):
-        """Members of a batch key differ in their HMC-side rows, so the
-        gate checks those rows for every tile, not one tile per key: a
-        later tile reading from below the HMC runs inline and hits the
-        same DMA error as the no-cache walk instead of a wrapped read."""
+    def _refused_before_running(self, doctor, message):
+        """Run 4 tiles, the last doctored by ``doctor(simulator, tile)``, with
+        memoize off and on: each run raises ``IndexError`` naming tile 3
+        before any HMC byte, DMA, AXI, TCDM or HMC counter or timing-cache
+        lookup changes, with one message."""
         errors = []
         for memoize in (False, True):
             simulator, workload = _built(
                 4, memoize=memoize, num_vaults=1, clusters_per_vault=1
             )
-            tile = workload.tiles[3]
-            stray = (simulator.hmc.base - 4096, 0)
-            workload.tiles[3] = TileSchedule(
-                tile.program, [stray, *tile.hmc_in[1:]], tile.hmc_out
-            )
-            if memoize:
-                work = [
-                    ClusterAssignment(
-                        0, 0, simulator.clusters[0], list(enumerate(workload.tiles))
-                    )
-                ]
-                plans = plan_tiles(simulator.config, simulator.engine, work)
-                assert not passes_gate(simulator.config, work, plans)
-            with pytest.raises(IndexError) as caught:
+            workload.tiles[3] = doctor(simulator, workload.tiles[3])
+            hmc_before = _hmc_bytes(simulator).copy()
+            hmc_counts = (simulator.hmc.memory.reads, simulator.hmc.memory.writes)
+            with pytest.raises(IndexError, match=message) as caught:
                 simulator.run(workload.tiles)
             errors.append(str(caught.value))
+            assert np.array_equal(_hmc_bytes(simulator), hmc_before)
+            assert (simulator.hmc.memory.reads, simulator.hmc.memory.writes) == hmc_counts
+            assert simulator.timing_cache.lookups == 0
+            for cluster in simulator.clusters:
+                assert (cluster.tcdm.memory.reads, cluster.tcdm.memory.writes) == (0, 0)
+                assert vars(cluster.dma.stats) == {
+                    "transfers": 0, "bytes_moved": 0, "busy_cycles": 0
+                }
+                assert (cluster.axi.bytes_transferred, cluster.axi.busy_cycles) == (0, 0)
         assert errors[0] == errors[1]
+
+    def test_a_later_member_staging_outside_the_hmc_is_refused(self):
+        """Tiles of one program differ in their HMC-side rows, so those are
+        checked for every tile, not one tile per program: a later tile
+        reading from below the HMC stops the run before anything runs."""
+
+        def stray(simulator, tile):
+            below = (simulator.hmc.base - 4096, 0)
+            return TileSchedule(tile.program, [below, *tile.hmc_in[1:]], tile.hmc_out)
+
+        self._refused_before_running(stray, "tile 3 stages HMC rows outside")
+
+    def test_a_later_member_staging_outside_the_tcdm_is_refused(self):
+        """The TCDM-side twin: a later tile whose program writes its first
+        DMA-in row past the TCDM top stops the run before anything runs."""
+
+        def stray(simulator, tile):
+            program = tile.program
+            tcdm = simulator.config.cluster.tcdm
+            first = program.dma_in[0]._replace(
+                address=tcdm.base_address + tcdm.size_bytes - 4, rows=1
+            )
+            moved = TileProgram(
+                program.commands,
+                program.placements,
+                [first, *program.dma_in[1:]],
+                program.dma_out,
+            )
+            return TileSchedule(moved, tile.hmc_in, tile.hmc_out)
+
+        self._refused_before_running(stray, "tile 3 stages TCDM rows outside")
 
 
 class TestPerProgram:
-    """Jobs, signatures, batch keys and costs are derived once per tile
+    """Jobs, signatures and costs are derived once per tile
     program: its commands, placements and TCDM-side DMA layout."""
 
     def _tiles(self):
@@ -568,12 +607,12 @@ class TestPerProgram:
     def test_layout_placements_and_commands_each_split_programs(self):
         _, tiles = self._tiles()
         tile = tiles[0]
-        moved = dataclasses.replace(tile.transfers_out[0], src=tile.transfers_out[0].src + 4)
+        moved = dataclasses.replace(transfers_out(tile)[0], src=transfers_out(tile)[0].src + 4)
         variants = [
             _with(tile, transfers_out=[moved]),
             _with(tile, placements=[0] * len(tile.commands)),
             _with(tile, commands=tile.commands[:-1]),
-            _with(tile, transfers_in=tile.transfers_in[:1]),
+            _with(tile, transfers_in=transfers_in(tile)[:1]),
         ]
         derived = program_facts([tile, *variants], object(), id)
         assert len(set(derived)) == 1 + len(variants)
@@ -590,7 +629,7 @@ class TestPerProgram:
         wider = _with(
             tile,
             transfers_in=[
-                dataclasses.replace(t, rows=40, dst_pitch=t.row_bytes) for t in tile.transfers_in
+                dataclasses.replace(t, rows=40, dst_pitch=t.row_bytes) for t in transfers_in(tile)
             ],
         )
         seen = []
@@ -657,7 +696,7 @@ def _byte_mask_self_contained(config, tile, jobs):
             and resolved(streams.init_read_addrs, streams.init_ts)
         )
 
-    for transfer in tile.transfers_in:
+    for transfer in transfers_in(tile):
         for src, dst in transfer.row_addresses():
             if not (base <= dst and dst + transfer.row_bytes <= base + size):
                 return False
@@ -676,7 +715,7 @@ def _byte_mask_self_contained(config, tile, jobs):
                 if not in_tcdm(streams.store_addrs):
                     return False
                 covered.reshape(-1, word)[(streams.store_addrs - base) >> 2] = True
-    for transfer in tile.transfers_out:
+    for transfer in transfers_out(tile):
         for src, dst in transfer.row_addresses():
             if not (base <= src and src + transfer.row_bytes <= base + size):
                 return False
@@ -703,7 +742,7 @@ def _partial_word_in(tile, num_ntx):
         if addresses is not None and len(addresses)
     ))
     rows = []
-    for transfer in tile.transfers_in:
+    for transfer in transfers_in(tile):
         for src, dst in transfer.row_addresses():
             end = dst + transfer.row_bytes
             if not dst <= read < end:
@@ -730,7 +769,7 @@ class TestGateParity:
     def test_verdicts_match_the_byte_mask_reference(self, name):
         from repro.mem.hmc import Hmc
         from repro.scenarios import build_workload, get_scenario
-        from repro.system.batch import _self_contained
+        from repro.system.batch import _tcdm_self_contained
 
         spec = get_scenario(name)
         config = spec.system_config()
@@ -742,33 +781,33 @@ class TestGateParity:
             variants = [tile, _with(tile, transfers_in=[]), partial]
             for variant in variants:
                 jobs = variant.jobs(num_ntx)
-                verdict = _self_contained(config, variant)
+                verdict = _tcdm_self_contained(config, variant.program)
                 assert verdict == _byte_mask_self_contained(config, variant, jobs)
                 verdicts.append(verdict)
             # A tile whose DMA-in covers only part of a word it reads is
             # still refused.
-            assert not _self_contained(config, partial)
+            assert not _tcdm_self_contained(config, partial.program)
         assert True in verdicts and False in verdicts
 
     def test_partial_word_round_trip_is_byte_granular(self):
         """DMA-out may move bytes of a word only partly staged in, as long
         as no command reads that word."""
         from repro.mem.dma import DmaTransfer
-        from repro.system.batch import _self_contained
+        from repro.system.batch import _tcdm_self_contained
 
         config = SystemConfig()
         tcdm = config.cluster.tcdm.base_address
         hmc = config.hmc.base_address
-        tile = TileSchedule.from_transfers(
+        tile = tile_from_transfers(
             transfers_in=[DmaTransfer(src=hmc, dst=tcdm, row_bytes=6)],
             transfers_out=[DmaTransfer(src=tcdm, dst=hmc + 64, row_bytes=6)],
         )
-        assert _self_contained(config, tile)
+        assert _tcdm_self_contained(config, tile.program)
         assert _byte_mask_self_contained(config, tile, [])
         wider = _with(
             tile, transfers_out=[DmaTransfer(src=tcdm, dst=hmc + 64, row_bytes=8)]
         )
-        assert not _self_contained(config, wider)
+        assert not _tcdm_self_contained(config, wider.program)
         assert not _byte_mask_self_contained(config, wider, [])
 
 

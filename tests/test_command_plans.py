@@ -22,6 +22,8 @@ from repro.core.vecops import PLAN_CACHE_SIZE, command_plan
 from repro.kernels.blas import axpy_commands
 from repro.kernels.conv import conv2d_commands
 
+from dma_tiles import tile_from_transfers
+
 _BASE = Cluster().tcdm.base
 
 
@@ -302,8 +304,8 @@ def _gate_inputs(simulator, tiles):
 
 
 def test_gate_verdicts_are_kept_per_program(monkeypatch):
-    """A warm program skips the gate's stream walk, keeps its refusals,
-    and still checks the HMC side of every run's tiles."""
+    """A warm program skips the gate's stream walk and keeps its refusals;
+    the HMC side of every run's tiles is still checked, before the gate."""
     from repro.cluster.tiling import TileProgram, TileSchedule
     from repro.scenarios import build_workload, get_scenario
     from repro.system import batch
@@ -322,14 +324,14 @@ def test_gate_verdicts_are_kept_per_program(monkeypatch):
     shared = built[0].program
     program = TileProgram(shared.commands, shared.placements, shared.dma_in, shared.dma_out)
     tiles = [TileSchedule(program, tile.hmc_in, tile.hmc_out) for tile in built]
-    assert batch.passes_gate(simulator.config, *_gate_inputs(simulator, tiles))
+    assert batch.passes_gate(simulator.config, _gate_inputs(simulator, tiles)[1])
     assert len(walks) == 1
     walks.clear()
-    assert batch.passes_gate(simulator.config, *_gate_inputs(simulator, tiles))
+    assert batch.passes_gate(simulator.config, _gate_inputs(simulator, tiles)[1])
     assert walks == []
 
     # Every tile staged from beyond the HMC: the TCDM-side verdict is warm
-    # and true, the HMC-side check still refuses.
+    # and true, the staging check refuses the run before the gate.
     hmc_top = simulator.config.hmc.base_address + simulator.config.hmc.capacity_bytes
     stray = [
         TileSchedule(
@@ -339,7 +341,9 @@ def test_gate_verdicts_are_kept_per_program(monkeypatch):
         )
         for tile in tiles
     ]
-    assert not batch.passes_gate(simulator.config, *_gate_inputs(simulator, stray))
+    work, _ = _gate_inputs(simulator, stray)
+    with pytest.raises(IndexError, match="tile 0 stages HMC rows outside"):
+        batch.walk_tiles(simulator.config, simulator.engine, work, simulator.timing_cache)
     assert walks == []
 
     # A refusal is kept too: a tile without its staging DMA reads
@@ -348,9 +352,9 @@ def test_gate_verdicts_are_kept_per_program(monkeypatch):
         program.commands, program.placements, (), program.dma_out
     )
     unstaged = [TileSchedule(unstaged_program, (), tile.hmc_out) for tile in tiles]
-    assert not batch.passes_gate(simulator.config, *_gate_inputs(simulator, unstaged))
+    assert not batch.passes_gate(simulator.config, _gate_inputs(simulator, unstaged)[1])
     assert len(walks) == 1
-    assert not batch.passes_gate(simulator.config, *_gate_inputs(simulator, unstaged))
+    assert not batch.passes_gate(simulator.config, _gate_inputs(simulator, unstaged)[1])
     assert len(walks) == 1
 
 
@@ -359,7 +363,6 @@ def test_gate_resolves_reads_of_the_commands_own_stores():
     iteration on, the word it stored one iteration earlier: the gate
     takes those reads as resolved through the plan, and only the first,
     ``out[-1]``, needs staging."""
-    from repro.cluster.tiling import TileSchedule
     from repro.mem.dma import DmaTransfer
     from repro.system import batch
     from repro.system.config import SystemConfig
@@ -380,14 +383,14 @@ def test_gate_resolves_reads_of_the_commands_own_stores():
         DmaTransfer(src=hmc + 64, dst=seed_word, row_bytes=4),
     ]
     result = [DmaTransfer(src=out, dst=hmc + 128, row_bytes=32)]
-    tile = TileSchedule.from_transfers(
+    tile = tile_from_transfers(
         transfers_in=stage, commands=[command], transfers_out=result
     )
-    assert batch._self_contained(config, tile)
-    unseeded = TileSchedule.from_transfers(
+    assert batch._tcdm_self_contained(config, tile.program)
+    unseeded = tile_from_transfers(
         transfers_in=stage[:1], commands=[command], transfers_out=result
     )
-    assert not batch._self_contained(config, unseeded)
+    assert not batch._tcdm_self_contained(config, unseeded.program)
 
 
 def test_hashed_batch_keys_behave_as_plain_tuples():

@@ -52,12 +52,12 @@ class TestRegisterMap:
 
 class TestRegisterFile:
     def test_issue_reconstructs_command(self):
-        captured = []
-        regs = NtxRegisterFile(on_command=captured.append)
+        regs = NtxRegisterFile()
         command = _example_command()
         assert regs.issue(command)
-        assert len(captured) == 1
-        staged = captured[0]
+        staged = regs.next_command()
+        assert staged is not None
+        assert regs.next_command() is None
         assert staged.opcode is command.opcode
         assert staged.loops == command.loops
         assert staged.agu0 == command.agu0

@@ -13,7 +13,6 @@ import pytest
 from repro import obs
 from repro.campaign import SweepSpec, run_campaign
 from repro.campaign.cache import GlobalResultCache
-from repro.cluster.tiling import TileSchedule
 from repro.obs.logs import configure_logging, get_logger
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.trace import (
@@ -27,6 +26,8 @@ from repro.obs.trace import (
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, build_workload, run_scenario
 from repro.system import SystemSimulator
+
+from dma_tiles import tile_from_transfers, transfers_out
 
 def tiny_spec(**overrides) -> ScenarioSpec:
     settings = dict(
@@ -215,9 +216,9 @@ class TestInstrumentedRuns:
             if doctor:
                 # Tile 2 now reads TCDM words no DMA staged.
                 tile = workload.tiles[2]
-                workload.tiles[2] = TileSchedule.from_transfers(
+                workload.tiles[2] = tile_from_transfers(
                     commands=tile.commands,
-                    transfers_out=tile.transfers_out,
+                    transfers_out=transfers_out(tile),
                     placements=tile.placements,
                 )
             with obs.trace_session(trace=True) as tracer:

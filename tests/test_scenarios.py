@@ -10,7 +10,6 @@ import pytest
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.engine import available_engines, get_engine
-from repro.cluster.tiling import TileSchedule
 from repro.mem.hmc import Hmc
 from repro.options import ExecutionOptions
 from repro.scenarios import (
@@ -22,6 +21,8 @@ from repro.scenarios import (
     registered_scenarios,
     run_scenario,
 )
+
+from dma_tiles import tile_from_transfers
 
 
 class TestScenarioSpec:
@@ -133,21 +134,21 @@ class TestRegistry:
 
 class TestPlacements:
     def test_default_round_robin(self):
-        tile = TileSchedule.from_transfers(commands=[object(), object(), object()])
+        tile = tile_from_transfers(commands=[object(), object(), object()])
         assert [ntx for ntx, _ in tile.jobs(2)] == [0, 1, 0]
 
     def test_explicit_placements(self):
         commands = [object(), object()]
-        tile = TileSchedule.from_transfers(commands=commands, placements=[1, 1])
+        tile = tile_from_transfers(commands=commands, placements=[1, 1])
         assert list(tile.jobs(4)) == [(1, commands[0]), (1, commands[1])]
 
     def test_length_mismatch_rejected(self):
-        tile = TileSchedule.from_transfers(commands=[object()], placements=[0, 1])
+        tile = tile_from_transfers(commands=[object()], placements=[0, 1])
         with pytest.raises(ValueError, match="placements"):
             tile.jobs(8)
 
     def test_out_of_range_placement_rejected(self):
-        tile = TileSchedule.from_transfers(commands=[object()], placements=[9])
+        tile = tile_from_transfers(commands=[object()], placements=[9])
         with pytest.raises(ValueError, match="out of range"):
             tile.jobs(8)
 

@@ -30,6 +30,8 @@ from repro.core.vecops import command_plan, execute_streams_batched
 from repro.softfloat.ieee754 import Float32
 from repro.softfloat.pcs import PcsConfig
 
+from dma_tiles import tile_from_transfers
+
 _BASE = 0x400
 #: Innermost loop count and store blocks per init block of every command.
 _INNER, _STORE_BLOCKS = 3, 2
@@ -200,7 +202,6 @@ def _fallback_workload(hmc, num_tiles, n=8):
     """Tiles whose first command the stacked kernel refuses — a COPY that
     reads the word its previous iteration stored (RAW hazard) — and whose
     second it replays: a MAX over data holding a NaN in one tile."""
-    from repro.cluster.tiling import TileSchedule
     from repro.mem.dma import DmaTransfer
     from repro.mem.tcdm import TcdmConfig
 
@@ -227,7 +228,7 @@ def _fallback_workload(hmc, num_tiles, n=8):
             data[n + 3] = np.nan
         hmc.memory.store_array(cursor, data)
         tiles.append(
-            TileSchedule.from_transfers(
+            tile_from_transfers(
                 transfers_in=[DmaTransfer(src=cursor, dst=buf, row_bytes=data.nbytes)],
                 commands=[shift, maximum],
                 transfers_out=[
@@ -305,7 +306,6 @@ def _staging_workload(hmc, num_tiles, layout):
     apart; ``"scattered"`` shuffles the regions and adds uneven gaps, so
     no stride exists and staging gathers.
     """
-    from repro.cluster.tiling import TileSchedule
     from repro.mem.dma import DmaTransfer
     from repro.mem.tcdm import TcdmConfig
 
@@ -340,7 +340,7 @@ def _staging_workload(hmc, num_tiles, layout):
         hmc.memory.store_array(region, block)  # rows 32 B apart
         hmc.memory.write_bytes(region + 101, rng.integers(0, 256, 6, dtype=np.uint8).tobytes())
         tiles.append(
-            TileSchedule.from_transfers(
+            tile_from_transfers(
                 transfers_in=[
                     DmaTransfer(src=region, dst=t_in, row_bytes=row_bytes, rows=_ROWS,
                                 src_pitch=32, dst_pitch=24),
@@ -375,14 +375,15 @@ def test_staging_paths_match_the_inline_walk(monkeypatch, topology, layout, grou
     from repro.system import SystemConfig, SystemSimulator, batch
 
     strided = []
-    rows_of = batch._strided_rows
+    rows_of = batch._hmc_rows
 
-    def spy(*args, **kwargs):
-        rows = rows_of(*args, **kwargs)
-        strided.append(rows is not None)
-        return rows
+    def spy(hmc_u8, hmc_base, regions, *args):
+        view, offsets = rows_of(hmc_u8, hmc_base, regions, *args)
+        if len(regions) > 1:
+            strided.append(view is not None)
+        return view, offsets
 
-    monkeypatch.setattr(batch, "_strided_rows", spy)
+    monkeypatch.setattr(batch, "_hmc_rows", spy)
 
     def run(memoize):
         num_vaults, clusters_per_vault = topology
@@ -402,8 +403,9 @@ def test_staging_paths_match_the_inline_walk(monkeypatch, topology, layout, grou
     assert (result.cache_hits, result.cache_misses) == (group, 1)
     assert metrics.REGISTRY.get("repro_batched_groups_total").value() == groups + 1
     assert metrics.REGISTRY.get("repro_batched_tiles_total").value() == stacked_tiles + group
-    # Every transfer row stages strided exactly when the layout is uniform
-    # (any two members sit one stride apart).
+    # Every transfer of the group stages strided exactly when the layout is
+    # uniform (any two members sit one stride apart); a single tile always
+    # does.
     assert strided and set(strided) == {layout == "uniform" or group == 2}
 
     assert np.array_equal(

@@ -156,6 +156,16 @@ def test_a_pickled_program_carries_its_fields_only():
         copy.commands = ()
 
 
+@pytest.mark.parametrize("rows", [(0x1000_0000, 0, 1), (0x1000_0000, 4, 0)])
+def test_a_transfer_without_rows_or_bytes_is_refused(rows):
+    """The walker stages a program's transfers as given, so an empty one
+    is refused when the program is built."""
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        TileProgram(dma_in=[rows])
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        TileProgram(dma_out=[rows])
+
+
 def _outcome(name):
     outcome = run_scenario(name, timing_cache=TileTimingCache())
     digest = hashlib.sha256()

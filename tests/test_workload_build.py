@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.tiling import TileSchedule
 from repro.kernels.conv import conv2d_commands, conv2d_f64, conv2d_reference
 from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import Hmc, HmcConfig
@@ -29,6 +28,8 @@ from repro.scenarios import ScenarioSpec, run_scenario
 from repro.scenarios.families import CONV_DRAWS
 from repro.scenarios.workloads import _DRAWS as DRAWS
 from repro.scenarios.workloads import _chunk_tiles, _lattice, conv_workload
+
+from dma_tiles import tile_from_transfers, transfers_in, transfers_out
 
 _WORD = 4
 
@@ -101,7 +102,7 @@ def _per_tile_build(hmc, num_tiles, image_shape, kernel, num_ntx, seed, draw):
         hmc.memory.store_array(hmc_image, image)
         hmc.memory.store_array(hmc_weights, weights)
         tiles.append(
-            TileSchedule.from_transfers(
+            tile_from_transfers(
                 transfers_in=[
                     DmaTransfer(src=hmc_image, dst=tcdm_image, row_bytes=image_bytes),
                     DmaTransfer(src=hmc_weights, dst=tcdm_weights, row_bytes=weight_bytes),
@@ -136,8 +137,8 @@ def _assert_same_build(shape, kernel, num_tiles, draw, seed=2019):
         assert np.array_equal(expected.view(np.uint32), ref_expected.view(np.uint32))
     assert len(workload.tiles) == num_tiles
     for tile, ref_tile in zip(workload.tiles, tiles):
-        assert tile.transfers_in == ref_tile.transfers_in
-        assert tile.transfers_out == ref_tile.transfers_out
+        assert transfers_in(tile) == transfers_in(ref_tile)
+        assert transfers_out(tile) == transfers_out(ref_tile)
         assert tile.commands == ref_tile.commands
         assert tile.placements == ref_tile.placements
 
