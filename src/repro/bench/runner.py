@@ -6,16 +6,16 @@ Five suites cover the repository's hot paths:
   behind ``benchmarks/test_cluster_utilization.py``): one convolution tile
   simulated cycle by cycle, once per registered engine (quick mode keeps
   only the default engine; the scalar golden engine joins in full mode).
-  The vectorized tile also runs through the Python reference loop, which
-  gives the compiled timing core's same-run ``speedup_vs_reference``.
+  The same tile is also timed on the scalar engine in every mode, which
+  gives the vectorized engine's same-run ``speedup_vs_reference``.
 * ``system`` — the scale-out path: a tiled convolution scenario on
   standard normal data and the default geometry, run without the timing
   cache (every tile fully simulated), then with it (misses simulated,
   hits replayed in stacked groups).  Both variants verify the HMC outputs
   against the NumPy reference, so a benchmark run is also a correctness
-  run.  The gated ``speedup_vs_sequential`` of memoization is timed with
-  both variants on the Python reference loop, so it tracks memoization
-  and batched replay alone, not the speed of the timing loop.
+  run.  The gated ``speedup_vs_sequential`` of memoization is the ratio
+  of the two variants' best-of-three wall times, both on the compiled
+  timing core.
 * ``scenarios`` — every scenario registered in :mod:`repro.scenarios`
   (quick mode runs the registered sizes, full mode scales the tile count
   up), so a newly registered workload family is perf-gated automatically.
@@ -48,19 +48,16 @@ carried over from the previous baseline.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import platform
 import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-from unittest import mock
 
 from repro.bench.schema import SCHEMA_VERSION, validate_document
 from repro.campaign import default_store_path, iter_campaigns, run_campaign
 from repro.cluster import timing_core
-from repro.cluster.engine import DEFAULT_ENGINE, available_engines
 from repro.cluster.sim import ClusterSimulator
 from repro.mem.dma import DmaTransfer
 from repro.options import ExecutionOptions
@@ -126,23 +123,22 @@ def _run_system_variant(quick: bool, memoize: bool) -> Tuple[float, "object"]:
     return outcome.run_seconds, outcome.result
 
 
-@contextlib.contextmanager
-def _reference_timing_loop():
-    """Run the vectorized engine's Python reference loop, not the compiled one."""
-    with mock.patch.object(timing_core, "load", lambda: None):
-        yield
+#: Runs per variant of ``speedup_vs_sequential``; the fastest is reported.
+#: A quick memoized run lasts ~2 ms, so one scheduler stall in a single
+#: run would halve the ratio.
+_SYSTEM_REPEATS = 3
 
 
 def _system_suite(quick: bool) -> List[Dict]:
-    wall_seq, result_seq = _run_system_variant(quick, memoize=False)
-    wall_batch, result_batch = _run_system_variant(quick, memoize=True)
-    # The compiled timing loop makes every simulated tile ~5x cheaper,
-    # which shrinks what a cache hit saves without any change to
-    # memoization.  Timed over the reference loop on both sides, the
-    # speedup tracks memoization and batched replay alone.
-    with _reference_timing_loop():
-        reference_seq, _ = _run_system_variant(quick, memoize=False)
-        reference_batch, _ = _run_system_variant(quick, memoize=True)
+    timing_core.load()  # the one-time build stays out of both timings
+    wall_seq, result_seq = min(
+        (_run_system_variant(quick, memoize=False) for _ in range(_SYSTEM_REPEATS)),
+        key=lambda run: run[0],
+    )
+    wall_batch, result_batch = min(
+        (_run_system_variant(quick, memoize=True) for _ in range(_SYSTEM_REPEATS)),
+        key=lambda run: run[0],
+    )
     return [
         _scenario(
             "system-sequential",
@@ -156,24 +152,22 @@ def _system_suite(quick: bool) -> List[Dict]:
             wall_batch,
             result_batch.makespan_cycles,
             cache_hit_rate=result_batch.cache_hit_rate,
-            speedup_vs_sequential=(
-                reference_seq / reference_batch if reference_batch else 0.0
-            ),
+            speedup_vs_sequential=wall_seq / wall_batch if wall_batch else 0.0,
         ),
     ]
 
 
-#: Timings per side of ``speedup_vs_reference``; the fastest is reported,
-#: which keeps the same-run ratio clear of scheduler noise.
-_REFERENCE_REPEATS = 5
+#: Timings of the vectorized side of ``speedup_vs_reference``; the fastest
+#: is reported, which keeps the same-run ratio clear of scheduler noise.
+_VECTORIZED_REPEATS = 5
+#: Timings of the scalar side: one run lasts a few hundred milliseconds.
+_SCALAR_REPEATS = 2
 
 
 def _run_cluster_variant(
-    quick: bool, engine: str, reference: bool = False, repeats: int = 1
+    quick: bool, engine: str, repeats: int = 1
 ) -> Tuple[float, "object"]:
-    """Best-of-``repeats`` wall time of one conv tile; ``reference=True``
-    runs the vectorized engine's Python reference loop instead of the
-    compiled one."""
+    """Best-of-``repeats`` wall time of one conv tile on ``engine``."""
     spec = _normal_conv(
         "bench-cluster", _CLUSTER_SIZES[quick], num_tiles=1, num_vaults=1,
         clusters_per_vault=1, engine=engine,
@@ -194,53 +188,41 @@ def _run_cluster_variant(
             )
         jobs = workload.tiles[0].jobs(system.cluster.num_ntx)
         engine_sim = ClusterSimulator(cluster, engine=engine)
-        with _reference_timing_loop() if reference else contextlib.nullcontext():
-            start = time.perf_counter()
-            result = engine_sim.run(jobs, stagger_cycles=system.stagger_cycles)
-            best = min(best, time.perf_counter() - start)
+        start = time.perf_counter()
+        result = engine_sim.run(jobs, stagger_cycles=system.stagger_cycles)
+        best = min(best, time.perf_counter() - start)
     return best, result
 
 
 def _cluster_suite(quick: bool) -> List[Dict]:
-    """One convolution tile per registered engine (quick: default only).
+    """One convolution tile per engine (quick: the vectorized one only).
 
-    The vectorized entry also times the same tile through the Python
-    reference loop and reports the compiled timing core's same-run
-    ``speedup_vs_reference`` (the one-time build is kept out of it).
+    The vectorized entry reports its same-run ``speedup_vs_reference``
+    over the scalar engine on the same tile, timed in every mode (the
+    one-time build is kept out of it); both must report the same run.
     """
     timing_core.load()
-    engines = [
-        name
-        for name in available_engines()
-        if not quick or name == DEFAULT_ENGINE
-    ]
-    scenarios = []
-    for engine in engines:
-        extra = {}
-        if engine != "vectorized":
-            wall, result = _run_cluster_variant(quick, engine)
-        else:
-            wall, result = _run_cluster_variant(
-                quick, engine, repeats=_REFERENCE_REPEATS
-            )
-            reference_wall, reference = _run_cluster_variant(
-                quick, engine, reference=True, repeats=_REFERENCE_REPEATS
-            )
-            if reference != result:
-                raise AssertionError(
-                    "compiled timing core disagrees with the reference loop"
-                )
-            extra["speedup_vs_reference"] = reference_wall / wall
-        scenarios.append(
-            _scenario(
-                f"cluster-conv-{engine}",
-                f"one convolution tile through the {engine} cycle engine",
-                wall,
-                result.cycles,
-                **extra,
-            )
+    wall, result = _run_cluster_variant(
+        quick, "vectorized", repeats=_VECTORIZED_REPEATS
+    )
+    scalar_wall, scalar = _run_cluster_variant(
+        quick, "scalar", repeats=_SCALAR_REPEATS
+    )
+    if scalar != result:
+        raise AssertionError("the vectorized engine disagrees with the scalar engine")
+    runs = [("vectorized", wall, result, {"speedup_vs_reference": scalar_wall / wall})]
+    if not quick:
+        runs.append(("scalar", scalar_wall, scalar, {}))
+    return [
+        _scenario(
+            f"cluster-conv-{engine}",
+            f"one convolution tile through the {engine} cycle engine",
+            engine_wall,
+            engine_result.cycles,
+            **extra,
         )
-    return scenarios
+        for engine, engine_wall, engine_result, extra in runs
+    ]
 
 
 #: Full-mode tile-count multiplier for the ``scenarios`` suite.

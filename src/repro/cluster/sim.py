@@ -97,7 +97,8 @@ class ClusterSimulator:
     * ``"vectorized"`` (the default) — precomputes every port's request
       stream with NumPy, replays the data plane as array operations and
       runs the cycle loop in compiled C (:mod:`repro.cluster.vecsim`);
-      roughly two orders of magnitude faster.
+      roughly two orders of magnitude faster, and cycle-exact against
+      the scalar engine, which times the runs the C loop cannot.
     * ``"scalar"`` — the original per-micro-op interpreter, kept as the
       golden reference the vectorized engine is tested against.
     """

@@ -3,17 +3,20 @@
  * loop (tc_run) and the data plane's MAC write-back (tc_mac).  Both are
  * built into one library from this one source (repro.cluster.timing_core).
  *
- * tc_run is the per-cycle loop of repro.cluster.vecsim, transcribed from
- * the Python reference loop (repro.cluster.vecsim._reference_loop) with
- * two exact rewrites: each request is arbitrated as it is presented
- * instead of being collected into a list first (same order, same
- * winners), and hot-path integer divisions become multiplications and
- * compares (all operands are non-negative there).  It covers the per-NTX
- * phase machine (idle -> setup -> run -> drain), the operand-FIFO
- * run-ahead window, one retirement per cycle, write-back backpressure,
- * background DMA beats and rotating-priority per-bank arbitration over
- * precomputed bank ids.  Both loops must produce identical counters for every input;
- * tests/test_vecsim.py fuzzes them against each other.
+ * tc_run is the per-cycle loop of repro.cluster.vecsim: the scalar
+ * engine's timing model (repro.core.ntx.Ntx stepped against
+ * repro.mem.interconnect.TcdmInterconnect) over precomputed bank ids and
+ * integer state.  Each request is arbitrated as it is presented instead
+ * of being collected into a list first (same order, same winners), and
+ * hot-path integer divisions become multiplications and compares (all
+ * operands are non-negative there).  It covers the per-NTX phase machine
+ * (idle -> setup -> run -> drain), the operand-FIFO run-ahead window, one
+ * retirement per cycle, write-back backpressure, background DMA beats and
+ * rotating-priority per-bank arbitration.  It leaves out store-to-load
+ * forwarding and the shared grant of one address to two ports; the
+ * engine hands the runs that could meet either to the scalar engine.  On
+ * every other input its counters equal the scalar engine's;
+ * tests/test_vecsim.py fuzzes the two against each other.
  *
  * Inputs (all owned by the caller):
  *   cfg          machine and run parameters;

@@ -20,11 +20,11 @@ Nothing happens at import: the first :func:`load` or :func:`mac_kernel`
 call builds and loads.  When the library cannot be had — no ``cc`` on
 ``PATH``, a failed compile, a failed load — both return ``None`` and
 :func:`unavailable_reason` names why (``no_compiler``, ``build_failed``,
-``load_failed``).  The engine then runs the Python reference loop
-(:func:`repro.cluster.vecsim._reference_loop`) instead, with identical
-results, and every such cycle-loop run is counted in
-``repro_timing_core_fallbacks_total{reason}``; the data plane walks MACs
-per op and counts them itself (``repro_dataplane_fallbacks_total``).
+``load_failed``).  The callers count it: the vectorized engine times the
+run on the scalar engine instead
+(:func:`repro.cluster.vecsim.run_vectorized`, counted in
+``repro_timing_core_fallbacks_total{reason}``), with the same counters;
+the data plane walks MACs per op (``repro_dataplane_fallbacks_total``).
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.obs import metrics as _metrics
-
 __all__ = [
     "TimingCounters",
     "TimingInput",
@@ -53,12 +51,6 @@ __all__ = [
 
 SOURCE = Path(__file__).with_name("timing_core.c")
 CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC")
-
-_FALLBACKS = _metrics.counter(
-    "repro_timing_core_fallbacks_total",
-    "Cycle-loop runs the compiled timing core refused to the Python loop",
-    labelnames=("reason",),
-)
 
 #: Columns of the per-command table (``enum`` in ``timing_core.c``).
 _COLUMNS = 10
@@ -204,23 +196,20 @@ def unavailable_reason() -> Optional[str]:
 
 
 def load() -> Optional[Callable]:
-    """The compiled loop as ``loop(timing_input, params)``, or ``None``.
+    """The compiled loop as ``loop(timing_input, params)``, or ``None``
+    (counted by the caller, see :func:`unavailable_reason`).
 
-    Builds and loads the library on the first call of the process; a
-    ``None`` is counted as one fallback under its reason every time.
+    Builds and loads the library on the first call of the process.
     """
-    if _library() is None:
-        _FALLBACKS.inc(reason=_STATE)
-        return None
-    return _compiled_loop
+    return None if _library() is None else _compiled_loop
 
 
 def mac_kernel() -> Optional[Callable]:
     """The compiled MAC write-back as ``mac(stack, plan, words, pcs)``,
     or ``None`` (counted by the caller, see :func:`unavailable_reason`).
 
-    Separate from :func:`load`, so swapping the cycle loop for the
-    reference loop leaves the data plane compiled.
+    Separate from :func:`load`, so a run the scalar engine times leaves
+    the data plane compiled.
     """
     return None if _library() is None else _compiled_mac
 

@@ -7,7 +7,7 @@ phases so the per-cycle loop touches almost nothing:
 
 1. **Command plans** (:func:`repro.core.vecops.command_plan`): the
    complete address stream of every TCDM port of every command, its
-   read-after-write verdict and its bank projection are compiled once per
+   hazard verdicts and its bank projection are compiled once per
    distinct command and shared read-only by every run of the process.
    Request generation inside the cycle loop reduces to indexing the plan's
    int32 bank streams (:class:`~repro.core.vecops.BankStreams`).
@@ -24,26 +24,26 @@ phases so the per-cycle loop touches almost nothing:
    the soft-float reference on every input.  Commands the kernel refuses
    (a read-after-write hazard, an address off the stack, a MAC without
    the compiled library) run through the exact per-op executor.
-3. **Timing core**: a lean per-cycle loop that models exactly the same
-   machine as the scalar engine — per-port head-of-line requests, the
+3. **Timing core**: a lean per-cycle loop that models the same machine
+   as the scalar engine — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
    backpressure, rotating-priority bank arbitration, command setup/drain —
    but over precomputed int32 bank arrays and integer state only.  The
    loop is compiled C (``timing_core.c``), built with the system ``cc`` on
    the first :func:`run_vectorized` call of a process, cached per user and
    loaded with :mod:`ctypes` (see :mod:`repro.cluster.timing_core`); one C
-   call runs every cycle of a run.  Where it cannot be built or loaded,
-   the same loop runs in Python (:func:`_reference_loop`) with identical
-   results, and each such run is counted in
-   ``repro_timing_core_fallbacks_total{reason}``.
+   call runs every cycle of a run.
 
-The timing core is behaviourally equivalent to the scalar engine except
-for two deliberately dropped micro-behaviours (store-to-load forwarding
-across the write-back FIFO, and the shared-grant case where two ports of
-one NTX present the same address in the same cycle), both of which are
-vanishingly rare for streaming kernels.  ``tests/test_vecsim.py`` pins the
-resulting conflict-probability and cycle-count agreement on golden
-workloads, and fuzzes the compiled loop against the Python loop.
+The compiled loop leaves out two behaviours of the scalar engine:
+store-to-load forwarding across the write-back FIFO, and the shared grant
+when two ports of one NTX present the same address in one cycle.  A run
+that could meet either — a command with a read-after-write hazard
+(``raw_hazard``) or with two read ports sharing an address
+(``shared_reads``) — and every run without the compiled library are timed
+by the scalar engine instead, on a scratch cluster (:func:`_scalar_timing`),
+and counted in ``repro_timing_core_fallbacks_total{reason}``.  So the
+timing is cycle-exact against the scalar engine on every input, and
+``tests/test_vecsim.py`` fuzzes the compiled loop against it.
 """
 
 from __future__ import annotations
@@ -57,59 +57,27 @@ from repro.cluster.tiling import ProgramJobs
 from repro.cluster.timing_core import TimingCounters, TimingInput, TimingParams
 from repro.core.commands import NtxCommand, NtxOpcode
 from repro.core.vecops import (
-    BankStreams,
     CommandPlan,
     _account_accesses,
     command_plan,
     execute_functional,
     execute_streams_batched,
 )
+from repro.obs import metrics as _metrics
 
 
 __all__ = ["run_vectorized", "run_data_plane", "live_stack"]
 
-_IDLE, _SETUP, _RUN = 0, 1, 2
-
 T = TypeVar("T")
+
+_FALLBACKS = _metrics.counter(
+    "repro_timing_core_fallbacks_total",
+    "Cycle-loop runs the scalar engine timed instead of the compiled timing core",
+    labelnames=("reason",),
+)
 
 #: One NTX's queue: each command with its shared plan, in issue order.
 _Queue = List[Tuple[NtxCommand, CommandPlan]]
-
-
-class _NtxState:
-    """Integer-only cycle state of one co-processor (reference loop).
-
-    ``p0``/``p1``/``init``/``init_ts``/``store`` are the current command's
-    bank streams as Python lists: indexing a list is what keeps the reference
-    loop tolerable, so the conversion happens once per command here.
-    """
-
-    __slots__ = (
-        "queue", "next_command", "start_cycle", "phase", "setup_left",
-        "drain_left", "plan", "p0", "p1", "init", "init_ts", "store",
-        "pos0", "pos1", "rpos", "wpos", "retired", "active", "stall",
-    )
-
-    def __init__(self, queue: List[BankStreams], start_cycle: int) -> None:
-        self.queue = queue
-        self.next_command = 0
-        self.start_cycle = start_cycle
-        self.phase = _IDLE
-        self.setup_left = 0
-        self.drain_left = 0
-        self.plan: BankStreams | None = None
-        self.p0 = self.p1 = self.init = self.init_ts = self.store = None
-        self.pos0 = 0
-        self.pos1 = 0
-        self.rpos = 0
-        self.wpos = 0
-        self.retired = 0
-        self.active = 0
-        self.stall = 0
-
-
-def _as_list(stream):
-    return None if stream is None else stream.tolist()
 
 
 def _plans_per_ntx(cluster, jobs: Sequence[Tuple[int, NtxCommand]]) -> Sequence[_Queue]:
@@ -324,209 +292,38 @@ def run_data_plane(
     accounts.credit(cluster, num_tiles, walked)
 
 
-def _reference_loop(timing_input: TimingInput, params: TimingParams) -> TimingCounters:
-    """The per-cycle loop in Python: the reference the compiled core
-    (``timing_core.c``) transcribes and is fuzzed against."""
-    jobs_per_ntx = timing_input.queues
-    num_ntx = len(jobs_per_ntx)
-    num_banks = params.num_banks
-    num_masters = params.num_masters
-    window = params.window
-    wb_depth = params.wb_depth
-    setup_cycles = params.setup_cycles
-    drain_cycles = params.drain_cycles
-    max_cycles = params.max_cycles
-    dma_requests_per_cycle = params.dma_requests_per_cycle
-    tcdm_words = params.tcdm_words
+def _timing_hazard(queues: Sequence[_Queue]) -> Optional[str]:
+    """The first verdict, if any, under which a command of ``queues`` may
+    meet a behaviour the compiled loop does not model."""
+    plans = [plan for queue in queues for _, plan in queue]
+    if any(plan.raw_hazard for plan in plans):
+        return "raw_hazard"
+    if any(plan.shared_reads for plan in plans):
+        return "shared_reads"
+    return None
 
-    states = [
-        _NtxState(plans, ntx_id * params.stagger)
-        for ntx_id, plans in enumerate(jobs_per_ntx)
-    ]
 
-    # Arbitration scratch: per-bank best priority / request slot, reset via
-    # the list of touched banks only.
-    best_prio = [num_masters + 1] * num_banks
-    best_slot = [0] * num_banks
-    req_banks: List[int] = []
-    req_slots: List[int] = []
-    touched: List[int] = []
+def _scalar_timing(config, jobs, params: TimingParams) -> TimingCounters:
+    """``jobs``' timing from the scalar engine, run on a scratch
+    ``Cluster(config)`` whose interconnect starts at ``params.rr_offset``.
 
-    rr_offset = params.rr_offset
-    requests = 0
-    grants = 0
-    conflicts = 0
-    conflict_cycles = 0
+    Timing follows addresses, never data, so the scratch TCDM stays
+    zeroed and the live one is left to the data plane.
+    """
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.sim import ClusterSimulator
 
-    dma_master = num_ntx
-    dma_accumulator = 0.0
-    dma_word = 0
-
-    cycles = 0
-    while cycles < max_cycles:
-        req_banks.clear()
-        req_slots.clear()
-        any_busy = False
-
-        for ntx_id in range(num_ntx):
-            state = states[ntx_id]
-            phase = state.phase
-            if phase == _IDLE:
-                if state.next_command >= len(state.queue):
-                    continue
-                if cycles < state.start_cycle:
-                    any_busy = True  # staggered start still pending
-                    continue
-                plan = state.plan = state.queue[state.next_command]
-                state.next_command += 1
-                state.p0 = _as_list(plan.p0_banks)
-                state.p1 = _as_list(plan.p1_banks)
-                state.init = _as_list(plan.init_banks)
-                state.init_ts = _as_list(plan.init_ts)
-                state.store = _as_list(plan.store_banks)
-                # A zero-cycle setup phase starts streaming immediately,
-                # exactly like the scalar engine's setup guard.
-                state.phase = _SETUP if setup_cycles > 0 else _RUN
-                state.setup_left = setup_cycles
-                state.pos0 = state.pos1 = state.rpos = state.wpos = 0
-                state.retired = 0
-                phase = state.phase
-            any_busy = True
-            if phase != _RUN:
-                continue
-
-            plan = state.plan
-            limit = state.retired + window
-            slot_base = ntx_id << 2
-            pos0 = state.pos0
-            if state.p0 is not None and pos0 < plan.total and pos0 < limit:
-                req_banks.append(state.p0[pos0])
-                req_slots.append(slot_base)
-            pos1 = state.pos1
-            if state.p1 is not None and pos1 < plan.total and pos1 < limit:
-                req_banks.append(state.p1[pos1])
-                req_slots.append(slot_base | 1)
-            rpos = state.rpos
-            if state.init is not None and rpos < plan.num_init_reads and (
-                state.init_ts[rpos] < limit
-            ):
-                req_banks.append(state.init[rpos])
-                req_slots.append(slot_base | 2)
-            elif plan.has_store and (
-                min(state.retired, plan.total) // plan.period_store > state.wpos
-            ):
-                req_banks.append(state.store[state.wpos])
-                req_slots.append(slot_base | 3)
-
-        if not any_busy:
-            break
-
-        # Background DMA traffic: fire-and-forget requests, like the scalar
-        # engine's (a stalled DMA beat is not retried).
-        dma_accumulator += dma_requests_per_cycle
-        while dma_accumulator >= 1.0:
-            req_banks.append(dma_word % num_banks)
-            req_slots.append(-1)
-            dma_word = (dma_word + 1) % tcdm_words
-            dma_accumulator -= 1.0
-
-        # Rotating-priority arbitration: at most one grant per bank.
-        num_requests = len(req_banks)
-        requests += num_requests
-        if num_requests:
-            for index in range(num_requests):
-                bank = req_banks[index]
-                slot = req_slots[index]
-                master = dma_master if slot < 0 else (slot >> 2)
-                prio = (master - rr_offset) % num_masters
-                if best_prio[bank] > prio:
-                    if best_prio[bank] > num_masters:
-                        touched.append(bank)
-                    best_prio[bank] = prio
-                    best_slot[bank] = slot
-            granted_here = len(touched)
-            grants += granted_here
-            if granted_here != num_requests:
-                conflicts += num_requests - granted_here
-                conflict_cycles += 1
-            for bank in touched:
-                slot = best_slot[bank]
-                best_prio[bank] = num_masters + 1
-                if slot < 0:
-                    continue
-                state = states[slot >> 2]
-                port = slot & 3
-                if port == 0:
-                    state.pos0 += 1
-                elif port == 1:
-                    state.pos1 += 1
-                elif port == 2:
-                    state.rpos += 1
-                else:
-                    state.wpos += 1
-            touched.clear()
-        rr_offset = (rr_offset + 1) % num_masters
-
-        # Commit: setup/drain phases, one retirement per co-processor.
-        for ntx_id in range(num_ntx):
-            state = states[ntx_id]
-            phase = state.phase
-            if phase == _IDLE:
-                continue
-            if phase == _SETUP:
-                state.setup_left -= 1
-                state.active += 1
-                if state.setup_left == 0:
-                    state.phase = _RUN
-                continue
-            plan = state.plan
-            retired = state.retired
-            if retired < plan.total:
-                k = retired
-                ready = True
-                if state.p0 is not None and state.pos0 <= k:
-                    ready = False
-                elif state.p1 is not None and state.pos1 <= k:
-                    ready = False
-                elif state.init is not None and (
-                    state.rpos <= k // plan.period_init
-                ):
-                    ready = False
-                if ready and plan.has_store and (
-                    k % plan.period_store == plan.period_store - 1
-                ):
-                    if k // plan.period_store - state.wpos >= wb_depth:
-                        ready = False  # write-back FIFO full
-                if ready:
-                    state.retired = k + 1
-                    state.active += 1
-                    if state.retired == plan.total:
-                        state.drain_left = drain_cycles
-                        if drain_cycles == 0 and state.wpos == plan.num_stores:
-                            state.phase = _IDLE
-                            state.plan = None
-                    continue
-                state.stall += 1
-                continue
-            # All micro-ops retired: drain the write-back FIFO, then the
-            # fixed pipeline-drain cycles.
-            if state.wpos == plan.num_stores:
-                if state.drain_left > 0:
-                    state.drain_left -= 1
-                    state.active += 1
-                if state.drain_left <= 0:
-                    state.phase = _IDLE
-                    state.plan = None
-                continue
-            state.stall += 1
-
-        cycles += 1
-    else:
-        raise RuntimeError(f"simulation did not finish within {max_cycles} cycles")
-
+    simulator = ClusterSimulator(Cluster(config), engine="scalar")
+    interconnect = simulator.interconnect
+    interconnect._rr_offset = params.rr_offset
+    result = simulator.run(
+        jobs, params.max_cycles, params.dma_requests_per_cycle, params.stagger
+    )
     return TimingCounters(
-        cycles, requests, grants, conflicts, conflict_cycles, rr_offset,
-        [state.active for state in states], [state.stall for state in states],
+        result.cycles, interconnect.requests, interconnect.grants,
+        interconnect.conflicts, interconnect.conflict_cycles,
+        interconnect._rr_offset, list(result.per_ntx_active),
+        list(result.per_ntx_stall),
     )
 
 
@@ -540,8 +337,9 @@ def run_vectorized(
     """Cycle-level run over precomputed streams; see module docstring.
 
     The cycle loop runs in the compiled timing core, built on the first
-    call; without it (counted, see :mod:`repro.cluster.timing_core`) the
-    Python reference loop runs instead, with identical results.
+    call; where the core is unavailable or a command carries a hazard it
+    does not model, the scalar engine times the run instead (counted by
+    reason), with the same counters.
     """
     from repro.cluster.sim import SimulationResult
 
@@ -555,32 +353,35 @@ def run_vectorized(
     start_iterations = [n.stats.iterations for n in cluster.ntx]
     simulator.run_data_plane(jobs)
 
-    base, num_banks = tcdm.base, tcdm.config.num_banks
-    timing_input = _program_fact(
-        jobs,
-        ("timing-input", num_ntx, base, num_banks),
-        lambda: TimingInput([
-            [plan.banks(base, num_banks) for _, plan in plans]
-            for plans in _plans_per_ntx(cluster, jobs)
-        ]),
+    queues = _plans_per_ntx(cluster, jobs)
+    params = TimingParams(
+        num_banks=tcdm.config.num_banks,
+        num_masters=interconnect.num_masters,
+        window=config.ntx.data_fifo_depth,
+        wb_depth=config.ntx.writeback_fifo_depth,
+        setup_cycles=config.ntx.command_setup_cycles,
+        drain_cycles=config.ntx.writeback_drain_cycles,
+        stagger=max(stagger_cycles, 0),
+        max_cycles=max_cycles,
+        dma_requests_per_cycle=float(dma_requests_per_cycle),
+        tcdm_words=tcdm.size // 4,
+        rr_offset=interconnect._rr_offset,
     )
-    loop = timing_core.load() or _reference_loop
-    counters = loop(
-        timing_input,
-        TimingParams(
-            num_banks=tcdm.config.num_banks,
-            num_masters=interconnect.num_masters,
-            window=config.ntx.data_fifo_depth,
-            wb_depth=config.ntx.writeback_fifo_depth,
-            setup_cycles=config.ntx.command_setup_cycles,
-            drain_cycles=config.ntx.writeback_drain_cycles,
-            stagger=max(stagger_cycles, 0),
-            max_cycles=max_cycles,
-            dma_requests_per_cycle=float(dma_requests_per_cycle),
-            tcdm_words=tcdm.size // 4,
-            rr_offset=interconnect._rr_offset,
-        ),
-    )
+    hazard = _program_fact(jobs, ("timing-hazard",), lambda: _timing_hazard(queues))
+    loop = None if hazard else timing_core.load()
+    if loop is None:
+        _FALLBACKS.inc(reason=hazard or timing_core.unavailable_reason())
+        counters = _scalar_timing(config, jobs, params)
+    else:
+        base, num_banks = tcdm.base, tcdm.config.num_banks
+        timing_input = _program_fact(
+            jobs,
+            ("timing-input", num_ntx, base, num_banks),
+            lambda: TimingInput([
+                [plan.banks(base, num_banks) for _, plan in plans] for plans in queues
+            ]),
+        )
+        counters = loop(timing_input, params)
 
     interconnect.cycles += counters.cycles
     interconnect.requests += counters.requests

@@ -17,8 +17,9 @@ hoisted out of the cycle loop entirely:
   of vector operations.  It also carries what every consumer used to
   rederive from those streams: the address bounds behind the span check,
   the read-after-write verdict (a read observing an *earlier* store of the
-  same command), the access counts, per TCDM geometry the int32 bank
-  streams the timing core reads (:class:`BankStreams`), and per stack
+  same command), whether two read ports share an address, the access
+  counts, per TCDM geometry the int32 bank streams the timing core reads
+  (:class:`BankStreams`), and per stack
   base the word-index streams the data plane reads (:class:`WordStreams`).
   The data plane, the timing engine (:mod:`repro.cluster.vecsim`) and the
   batched-replay gate (:mod:`repro.system.batch`) all read the same plan.
@@ -216,7 +217,9 @@ class CommandPlan:
     :meth:`in_span`.  ``own_reads`` holds, per read port (operand 0,
     operand 1, init), a mask of the reads that observe an earlier store
     of the same command, or ``None`` when no read does; ``raw_hazard`` is
-    whether any does.  :meth:`banks` projects the streams onto one TCDM's
+    whether any does.  ``shared_reads`` is whether two read ports present
+    a common address, which the scalar engine grants to both ports at
+    once.  :meth:`banks` projects the streams onto one TCDM's
     banks, lazily and once per ``(base, num_banks)``, and :meth:`words`
     onto the rows of a stack, once per ``base``.
     """
@@ -225,7 +228,7 @@ class CommandPlan:
         "total", "read0", "read1", "agu2", "init_ts", "init_read_addrs",
         "store_ts", "store_addrs", "period_init", "period_store",
         "store_columns", "num_reads", "num_stores", "lo", "hi", "residue",
-        "own_reads", "raw_hazard", "_banks", "_words",
+        "own_reads", "raw_hazard", "shared_reads", "_banks", "_words",
     )
 
     def __init__(self, command: NtxCommand) -> None:
@@ -295,6 +298,7 @@ class CommandPlan:
         ):
             self.own_reads = _own_store_reads(self)
         self.raw_hazard = any(mask is not None for mask in self.own_reads)
+        self.shared_reads = _shares_an_address(reads)
         self._banks: Dict[Tuple[int, int], BankStreams] = {}
         self._words: Dict[int, WordStreams] = {}
 
@@ -344,6 +348,18 @@ def _bounds(streams: Sequence[np.ndarray]) -> Tuple[Optional[int], Optional[int]
     return (
         min(int(addresses.min()) for addresses in streams),
         max(int(addresses.max()) for addresses in streams),
+    )
+
+
+def _shares_an_address(streams: Sequence[np.ndarray]) -> bool:
+    """Whether two of ``streams`` hold a common address.  Disjoint ranges
+    (every conv) cannot; only overlapping ones pay for the intersection."""
+    bounds = [_bounds([addresses]) for addresses in streams]
+    return any(
+        bounds[i][0] <= bounds[j][1] and bounds[j][0] <= bounds[i][1]
+        and len(np.intersect1d(streams[i], streams[j])) > 0
+        for i in range(len(streams))
+        for j in range(i + 1, len(streams))
     )
 
 

@@ -185,6 +185,55 @@ class TestMemoOffVsOnArbitraryData:
         _assert_matches_reference(memo_off, memo_on)
 
 
+def _shift_tiles(hmc, num_tiles=4, n=16):
+    """Tiles of one in-place COPY, ``x[k + 1] = x[k]`` over ``n`` words: a
+    read-after-write hazard inside the operand-FIFO window.  Tile ``t``
+    stages ``100 t + 1, 100 t + 2, ...``."""
+    from repro.core.commands import AguConfig, LoopConfig, NtxCommand, NtxOpcode
+    from repro.mem.dma import DmaTransfer
+
+    buf = ClusterConfig().tcdm.base_address
+    shift = NtxCommand(
+        opcode=NtxOpcode.COPY,
+        loops=LoopConfig.nest(n),
+        agu0=AguConfig(base=buf, strides=(4, 0, 0, 0, 0)),
+        agu2=AguConfig(base=buf + 4, strides=(4, 0, 0, 0, 0)),
+    )
+    tiles = []
+    for tile in range(num_tiles):
+        region = hmc.base + 1024 * tile
+        hmc.memory.store_array(region, 100 * tile + np.arange(1, n + 2, dtype=np.float32))
+        tiles.append(tile_from_transfers(
+            transfers_in=[DmaTransfer(src=region, dst=buf, row_bytes=4 * (n + 1))],
+            commands=[shift],
+            transfers_out=[
+                DmaTransfer(src=buf, dst=region + 512, row_bytes=4 * (n + 1))
+            ],
+        ))
+    return tiles
+
+
+class TestRawHazardTiles:
+    """A program with a read-after-write hazard is never memoized: the
+    scalar engine's reads run ahead of its stores, so its run and the
+    program-order replay of a hit would write different bytes."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
+    def test_memoize_on_and_off_leave_the_same_hmc_bytes(self, engine):
+        runs = []
+        for memoize in (False, True):
+            simulator = SystemSimulator(
+                SystemConfig(num_vaults=1, clusters_per_vault=1),
+                options=ExecutionOptions(engine=engine, memoize=memoize),
+            )
+            result = simulator.run(_shift_tiles(simulator.hmc))
+            runs.append((_hmc_bytes(simulator).copy(), _timing_view(result)))
+        (off_bytes, off_timing), (on_bytes, on_timing) = runs
+        assert np.array_equal(on_bytes, off_bytes)
+        assert on_timing == off_timing
+        assert simulator.timing_cache.lookups == 0
+
+
 #: Without a C compiler every MAC walks per op by design, counted as
 #: ``no_compiler`` with the walk's bytes: the fallback checks leave that
 #: reason out on such a host and still see every other.

@@ -88,8 +88,8 @@ class TestRunner:
         names = [scenario["name"] for scenario in cluster["scenarios"]]
         assert names == ["cluster-conv-vectorized"]
         assert cluster["scenarios"][0]["simulated_cycles"] > 0
-        # Same-run ratio against the Python reference loop (the suite
-        # also checks that both loops report the identical result).
+        # Same-run ratio against the scalar engine on the same tile (the
+        # suite also checks that both engines report the identical result).
         assert cluster["scenarios"][0]["speedup_vs_reference"] > 0
 
     def test_scenarios_suite_covers_every_registered_scenario(self, quick_documents):

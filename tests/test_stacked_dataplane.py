@@ -12,9 +12,10 @@ infinities, and stacks of 1, 2 and 400 tiles on both sides of the
 walk/accumulate choice.
 
 The second half runs a batched group holding a command that falls back
-to the per-op executor tile by tile (a read-after-write hazard) and a
-MAX over a NaN, which the stacked kernel replays itself, and checks it
-against the inline walk: same HMC bytes, same access counters.
+to the per-op executor tile by tile (a MAC while the compiled kernel is
+withheld, as on a host without a C compiler) and a MAX over a NaN, which
+the stacked kernel replays itself, and checks it against the inline
+walk: same HMC bytes, same access counters.
 """
 
 import shutil
@@ -199,20 +200,23 @@ def test_each_stack_height_covers_both_sides_of_the_walk_choice():
 
 
 def _fallback_workload(hmc, num_tiles, n=8):
-    """Tiles whose first command the stacked kernel refuses — a COPY that
-    reads the word its previous iteration stored (RAW hazard) — and whose
-    second it replays: a MAX over data holding a NaN in one tile."""
+    """Tiles whose first command the stacked kernel refuses while the
+    compiled MAC kernel is withheld — a dot product — and whose second it
+    replays: a MAX over data holding a NaN in one tile."""
     from repro.mem.dma import DmaTransfer
     from repro.mem.tcdm import TcdmConfig
 
     # Off the TCDM base, so the stacked span starts past word 0.
     buf = TcdmConfig().base_address + 256
     src, dst = buf + 4 * (n + 1), buf + 4 * (2 * n + 1)
-    shift = NtxCommand(
-        opcode=NtxOpcode.COPY,
+    dot = NtxCommand(
+        opcode=NtxOpcode.MAC,
         loops=LoopConfig.nest(n),
         agu0=AguConfig(base=buf, strides=(4, 0, 0, 0, 0)),
-        agu2=AguConfig(base=buf + 4, strides=(4, 0, 0, 0, 0)),
+        agu1=AguConfig(base=src, strides=(4, 0, 0, 0, 0)),
+        agu2=AguConfig(base=buf + 4 * n, strides=(0, 0, 0, 0, 0)),
+        init_level=1,
+        store_level=1,
     )
     maximum = NtxCommand(
         opcode=NtxOpcode.MAX,
@@ -230,7 +234,7 @@ def _fallback_workload(hmc, num_tiles, n=8):
         tiles.append(
             tile_from_transfers(
                 transfers_in=[DmaTransfer(src=cursor, dst=buf, row_bytes=data.nbytes)],
-                commands=[shift, maximum],
+                commands=[dot, maximum],
                 transfers_out=[
                     DmaTransfer(src=buf, dst=cursor + 4096, row_bytes=4 * (n + 1)),
                     DmaTransfer(src=dst, dst=cursor + 8192, row_bytes=4),
@@ -242,7 +246,8 @@ def _fallback_workload(hmc, num_tiles, n=8):
     return tiles
 
 
-def test_batched_group_falling_back_per_tile_matches_the_inline_walk():
+def test_batched_group_falling_back_per_tile_matches_the_inline_walk(monkeypatch):
+    from repro.cluster import vecsim
     from repro.obs import metrics
     from repro.options import ExecutionOptions
     from repro.system import SystemConfig, SystemSimulator
@@ -255,6 +260,7 @@ def test_batched_group_falling_back_per_tile_matches_the_inline_walk():
         result = simulator.run(_fallback_workload(simulator.hmc, num_tiles=6))
         return simulator, result
 
+    monkeypatch.setattr(vecsim, "_mac_write_back", lambda: "no_compiler")
     metrics.set_metrics_enabled(True)
     inline, _ = run(memoize=False)
     groups = metrics.REGISTRY.get("repro_batched_groups_total").value()
@@ -265,10 +271,10 @@ def test_batched_group_falling_back_per_tile_matches_the_inline_walk():
 
     assert (result.cache_hits, result.cache_misses) == (5, 1)
     assert metrics.REGISTRY.get("repro_batched_groups_total").value() == groups + 1
-    # The miss refuses its RAW command inline, the stacked group once for
-    # the whole stack; the MAX over a NaN (in a hit tile) is no refusal.
+    # The miss refuses its MAC inline, the stacked group once for the
+    # whole stack; the MAX over a NaN (in a hit tile) is no refusal.
     assert {reason: value - before.get(reason, 0) for reason, value in after.items()
-            if value != before.get(reason, 0)} == {"raw_hazard": 2}
+            if value != before.get(reason, 0)} == {"no_compiler": 2}
     assert np.array_equal(
         np.frombuffer(batched.hmc.memory.data, dtype=np.uint8),
         np.frombuffer(inline.hmc.memory.data, dtype=np.uint8),

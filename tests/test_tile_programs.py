@@ -17,6 +17,7 @@
 import dataclasses
 import hashlib
 import pickle
+import shutil
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -137,7 +138,10 @@ def test_every_array_a_program_keeps_is_read_only():
     outcome = run_scenario("dnn-training-step", timing_cache=TileTimingCache())
     facts = outcome.workload.tiles[0].program._facts
     kinds = {type(fact).__name__ for fact in facts.values()}
-    assert {"TimingInput", "_Accounts", "_ProgramPlan"} <= kinds
+    # Only the compiled timing loop reads a ``TimingInput``; without a C
+    # compiler the scalar engine times the run.
+    compiled = {"TimingInput"} if shutil.which("cc") else set()
+    assert {"_Accounts", "_ProgramPlan", *compiled} <= kinds
     arrays = list(_arrays(list(facts.values()), set()))
     assert len(arrays) > 20
     assert not any(array.flags.writeable for array in arrays)
