@@ -1,13 +1,15 @@
 """The two cycle engines of the cluster simulator, and their registry.
 
 The repository ships two timing models of the same machine — the scalar
-per-micro-op interpreter (the golden reference) and the vectorized engine
-(:mod:`repro.cluster.vecsim`: precomputed request streams and a compiled
-timing core).  Both share one data plane,
-:func:`repro.cluster.vecsim.run_data_plane`, which applies a run's data
-effects on the live TCDM or on a word-major stack of batched tile images,
-bit-identically to the per-op soft-float walk on every input; an engine
-is a timing model only:
+per-micro-op loop (:func:`scalar_loop`, the golden reference) and the
+compiled loop of the vectorized engine (:mod:`repro.cluster.vecsim`:
+precomputed bank streams and a compiled timing core).  Both engines run
+through one routine (:func:`repro.cluster.vecsim.run_cycles`): the one
+data plane, :func:`repro.cluster.vecsim.run_data_plane`, writes a run's
+data and credits its statistics, then a loop that sees addresses only
+returns the run's :class:`~repro.cluster.timing_core.TimingCounters`.
+The engines differ only in that loop, so the engine never changes bytes
+or counters, only how fast the cycles are counted:
 
 * :class:`Engine` — what an engine is: ``run`` (the full cycle-level
   simulation) and ``timing_signature`` (the hashable key under which a
@@ -18,16 +20,19 @@ is a timing model only:
   :class:`~repro.system.config.SystemConfig`, the eval and bench CLIs)
   resolves it here, so an unknown name fails once, early, with the list
   of valid choices.
+* :func:`scalar_loop` — the reference loop itself.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from repro.core.commands import NtxCommand
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.cluster.sim import ClusterSimulator, SimulationResult
+    from repro.cluster.timing_core import TimingCounters, TimingParams
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -37,6 +42,7 @@ __all__ = [
     "available_engines",
     "describe_engines",
     "get_engine",
+    "scalar_loop",
 ]
 
 Jobs = Sequence[Tuple[int, NtxCommand]]
@@ -79,18 +85,27 @@ class Engine(Protocol):
 
 
 class _EngineBase:
-    """Shared timing-signature canonicalization.
+    """The one run routine and the shared timing-signature recipe.
 
-    Both engines generate request streams from command structure alone and
-    start from a fresh interconnect, so the signature is the same recipe:
-    engine name, background-DMA rate, stagger, the full cluster
-    configuration, and each command's structural signature.  The data
-    flowing through the TCDM is deliberately absent — it cannot influence
-    arbitration.
+    Both engines time from command structure alone and start from a fresh
+    interconnect, so the signature is the same recipe: engine name,
+    background-DMA rate, stagger, the full cluster configuration, and
+    each command's structural signature.  The data flowing through the
+    TCDM is deliberately absent — it cannot influence arbitration.
     """
 
     name = "abstract"
     description = ""
+    #: Whether the compiled loop times the runs it models.
+    compiled = False
+
+    def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
+        from repro.cluster.vecsim import run_cycles
+
+        return run_cycles(
+            simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles,
+            self.compiled,
+        )
 
     def timing_signature(
         self,
@@ -115,25 +130,15 @@ class VectorizedEngine(_EngineBase):
     description = (
         "NumPy streams and data plane, compiled C timing core (default, ~200x faster)"
     )
-
-    def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
-        from repro.cluster.vecsim import run_vectorized
-
-        return run_vectorized(
-            simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles
-        )
+    compiled = True
 
 
 class ScalarEngine(_EngineBase):
-    """The original per-micro-op interpreter, kept as the golden reference."""
+    """The per-micro-op timing loop (:func:`scalar_loop`), kept as the
+    golden reference."""
 
     name = "scalar"
     description = "per-micro-op golden reference interpreter"
-
-    def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
-        return _run_scalar(
-            simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -170,120 +175,80 @@ def get_engine(name: Optional[str] = None) -> Engine:
 
 
 # --------------------------------------------------------------------------- #
-# The scalar reference implementation                                          #
+# The scalar reference loop                                                    #
 # --------------------------------------------------------------------------- #
 
 
-def _run_scalar(
-    simulator: "ClusterSimulator",
-    jobs: Jobs,
-    max_cycles: int = 5_000_000,
-    dma_requests_per_cycle: float = 0.0,
-    stagger_cycles: int = 7,
-) -> "SimulationResult":
-    """Reference per-micro-op cycle loop (see ``ClusterSimulator.run``).
+def scalar_loop(
+    queues: Sequence[Sequence[NtxCommand]], params: "TimingParams"
+) -> "TimingCounters":
+    """The reference cycle loop: each NTX's ``queues`` entry in order,
+    timed per micro-op over addresses only.
 
-    ``jobs`` is a list of ``(ntx_id, command)`` pairs; each co-processor
-    executes its commands in order.  ``dma_requests_per_cycle`` injects
-    background TCDM traffic from the DMA engine (a double-buffered
-    transfer touches one word per bank-interleaved address per beat) to
-    model compute/copy interference.
-
-    ``stagger_cycles`` delays the first command of co-processor ``i`` by
-    ``i * stagger_cycles`` cycles.  This reproduces how the RISC-V core
-    programs the co-processors one after the other (a handful of stores
-    each); without it, identical phase-locked access patterns suffer
-    systematically correlated bank conflicts that the real system does
-    not exhibit.
+    The compiled loop's counterpart (same shape, same counters): one
+    :class:`~repro.core.ntx.NtxStepper` per co-processor presents its
+    ports' requests each cycle, background DMA beats walk the TCDM one
+    word each (``params.dma_requests_per_cycle``), and a
+    :class:`~repro.mem.interconnect.TcdmInterconnect` whose round-robin
+    order starts at ``params.rr_offset`` grants one request per bank.
+    Co-processor ``i`` starts its first command at cycle
+    ``i * params.stagger``: that reproduces how the RISC-V core programs
+    the co-processors one after the other, and keeps identical
+    phase-locked streams from conflicting in lockstep.  Addresses come
+    from the AGUs (:class:`~repro.core.controller.NtxController`), never
+    from command plans, so the two loops stay independent models.
     """
-    from repro.cluster.sim import SimulationResult
-    from repro.mem.interconnect import MemoryRequest
+    from repro.cluster.timing_core import TimingCounters
+    from repro.core.ntx import NtxConfig, NtxStepper
+    from repro.mem.interconnect import TcdmInterconnect
 
-    cluster = simulator.cluster
-    num_ntx = cluster.config.num_ntx
-    queues = [[] for _ in range(num_ntx)]
-    for ntx_id, command in jobs:
-        if not 0 <= ntx_id < num_ntx:
-            raise ValueError(f"NTX index {ntx_id} out of range")
-        queues[ntx_id].append(command)
-    start_cycle = [i * max(stagger_cycles, 0) for i in range(num_ntx)]
-
-    # Reset per-run statistics on the co-processors we use.
-    start_flops = [n.stats.flops for n in cluster.ntx]
-    start_iterations = [n.stats.iterations for n in cluster.ntx]
-    start_active = [n.stats.active_cycles for n in cluster.ntx]
-    start_stall = [n.stats.stall_cycles for n in cluster.ntx]
-    interconnect = simulator.interconnect
-    start_requests = interconnect.requests
-    start_conflicts = interconnect.conflicts
-
-    dma_address = cluster.tcdm.base
-    dma_accumulator = 0.0
+    config = NtxConfig(
+        command_setup_cycles=params.setup_cycles,
+        writeback_drain_cycles=params.drain_cycles,
+        data_fifo_depth=params.window,
+        writeback_fifo_depth=params.wb_depth,
+    )
+    num_ntx = len(queues)
+    steppers = [NtxStepper(config) for _ in range(num_ntx)]
+    waiting = [deque(queue) for queue in queues]
+    start_cycle = [i * params.stagger for i in range(num_ntx)]
+    interconnect = TcdmInterconnect(params.num_masters, params.rr_offset)
+    base, num_banks = params.tcdm_base, params.num_banks
+    dma_accumulator, dma_word = 0.0, 0
+    no_grant: frozenset = frozenset()
     cycles = 0
-    while cycles < max_cycles:
-        # Start new commands on idle co-processors.
-        any_busy = False
-        for ntx_id in range(num_ntx):
-            ntx = cluster.ntx[ntx_id]
-            if not ntx.busy and queues[ntx_id] and cycles >= start_cycle[ntx_id]:
-                ntx.start(queues[ntx_id].pop(0))
-            if ntx.busy or queues[ntx_id]:
-                any_busy = True
-        if not any_busy:
+    while cycles < params.max_cycles:
+        stepping, waiting_start = [], False
+        for ntx_id, stepper in enumerate(steppers):
+            queue = waiting[ntx_id]
+            if queue and not stepper.busy and cycles >= start_cycle[ntx_id]:
+                stepper.start(queue.popleft())
+            if stepper.busy:
+                stepping.append((ntx_id, stepper))
+            elif queue:
+                waiting_start = True
+        if not stepping and not waiting_start:
             break
 
-        requests = []
-        for ntx_id in range(num_ntx):
-            ntx = cluster.ntx[ntx_id]
-            if not ntx.busy:
-                continue
-            for address, is_write in ntx.cycle_requests():
-                requests.append(
-                    MemoryRequest(master=ntx_id, address=address, is_write=is_write)
-                )
-
-        # Optional background DMA traffic.
-        dma_accumulator += dma_requests_per_cycle
+        requests = [
+            (ntx_id, ((address - base) >> 2) % num_banks, address)
+            for ntx_id, stepper in stepping
+            for address in stepper.requests()
+        ]
+        dma_accumulator += params.dma_requests_per_cycle
         while dma_accumulator >= 1.0:
-            requests.append(
-                MemoryRequest(master=num_ntx, address=dma_address, is_write=False)
-            )
-            dma_address = cluster.tcdm.base + (
-                (dma_address - cluster.tcdm.base + 4) % cluster.tcdm.size
-            )
+            requests.append((num_ntx, dma_word % num_banks, base + 4 * dma_word))
+            dma_word = (dma_word + 1) % params.tcdm_words
             dma_accumulator -= 1.0
-
-        result = interconnect.arbitrate(requests)
-        granted_by_master = result.granted_addresses_by_master
-
-        for ntx_id in range(num_ntx):
-            ntx = cluster.ntx[ntx_id]
-            if not ntx.busy:
-                continue
-            granted = granted_by_master.get(ntx_id, set())
-            ntx.cycle_commit(granted, cluster.tcdm)
-
+        granted = interconnect.arbitrate(requests)
+        for ntx_id, stepper in stepping:
+            stepper.commit(granted.get(ntx_id, no_grant))
         cycles += 1
     else:
-        raise RuntimeError(f"simulation did not finish within {max_cycles} cycles")
-
-    per_ntx_active = tuple(
-        cluster.ntx[i].stats.active_cycles - start_active[i] for i in range(num_ntx)
-    )
-    per_ntx_stall = tuple(
-        cluster.ntx[i].stats.stall_cycles - start_stall[i] for i in range(num_ntx)
-    )
-    flops = sum(cluster.ntx[i].stats.flops - start_flops[i] for i in range(num_ntx))
-    iterations = sum(
-        cluster.ntx[i].stats.iterations - start_iterations[i] for i in range(num_ntx)
-    )
-    return SimulationResult(
-        cycles=cycles,
-        flops=flops,
-        iterations=iterations,
-        tcdm_requests=interconnect.requests - start_requests,
-        tcdm_conflicts=interconnect.conflicts - start_conflicts,
-        per_ntx_active=per_ntx_active,
-        per_ntx_stall=per_ntx_stall,
-        frequency_hz=cluster.config.ntx_frequency_hz,
+        raise RuntimeError(f"simulation did not finish within {params.max_cycles} cycles")
+    return TimingCounters(
+        cycles, interconnect.requests, interconnect.grants, interconnect.conflicts,
+        interconnect.conflict_cycles, interconnect._rr_offset,
+        [stepper.active for stepper in steppers],
+        [stepper.stall for stepper in steppers],
     )

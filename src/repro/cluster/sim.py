@@ -17,8 +17,10 @@ conflict probability and sustained utilization, not to be an RTL replica.
 
 :class:`ClusterSimulator` resolves its cycle engine through the registry
 (:mod:`repro.cluster.engine`): the ``"vectorized"`` default or the
-``"scalar"`` golden reference, two timing models over one shared data
-plane.
+``"scalar"`` golden reference.  Both run through one routine
+(:func:`repro.cluster.vecsim.run_cycles`): the one data plane writes the
+data and credits the statistics, and only the cycle loop that times the
+addresses differs, so the engine changes no byte and no counter.
 """
 
 from __future__ import annotations
@@ -98,9 +100,11 @@ class ClusterSimulator:
       stream with NumPy, replays the data plane as array operations and
       runs the cycle loop in compiled C (:mod:`repro.cluster.vecsim`);
       roughly two orders of magnitude faster, and cycle-exact against
-      the scalar engine, which times the runs the C loop cannot.
-    * ``"scalar"`` — the original per-micro-op interpreter, kept as the
-      golden reference the vectorized engine is tested against.
+      the scalar engine, whose loop times the runs the C loop cannot.
+    * ``"scalar"`` — the per-micro-op timing loop
+      (:func:`repro.cluster.engine.scalar_loop`) over the same data
+      plane, kept as the golden reference the compiled loop is tested
+      against.
     """
 
     #: Master indices: NTX co-processors first, then the DMA, then the core.
@@ -111,7 +115,7 @@ class ClusterSimulator:
         self.engine = self._engine.name
         self.cluster = cluster
         num_masters = cluster.config.num_ntx + 2
-        self.interconnect = TcdmInterconnect(cluster.tcdm, num_masters=num_masters)
+        self.interconnect = TcdmInterconnect(num_masters)
 
     def run(
         self,

@@ -4,18 +4,16 @@
  * built into one library from this one source (repro.cluster.timing_core).
  *
  * tc_run is the per-cycle loop of repro.cluster.vecsim: the scalar
- * engine's timing model (repro.core.ntx.Ntx stepped against
- * repro.mem.interconnect.TcdmInterconnect) over precomputed bank ids and
- * integer state.  Each request is arbitrated as it is presented instead
- * of being collected into a list first (same order, same winners), and
- * hot-path integer divisions become multiplications and compares (all
- * operands are non-negative there).  It covers the per-NTX phase machine
+ * engine's timing model (repro.cluster.engine.scalar_loop, which steps a
+ * repro.core.ntx.NtxStepper per NTX) over precomputed bank ids and
+ * integer state; hot-path integer divisions become multiplications and
+ * compares (all operands are non-negative there).  It covers the per-NTX phase machine
  * (idle -> setup -> run -> drain), the operand-FIFO run-ahead window, one
  * retirement per cycle, write-back backpressure, background DMA beats and
  * rotating-priority per-bank arbitration.  It leaves out store-to-load
  * forwarding and the shared grant of one address to two ports; the
- * engine hands the runs that could meet either to the scalar engine.  On
- * every other input its counters equal the scalar engine's;
+ * engine hands the runs that could meet either to the scalar loop.  On
+ * every other input its counters equal the scalar loop's;
  * tests/test_vecsim.py fuzzes the two against each other.
  *
  * Inputs (all owned by the caller):

@@ -21,10 +21,11 @@ call builds and loads.  When the library cannot be had — no ``cc`` on
 ``PATH``, a failed compile, a failed load — both return ``None`` and
 :func:`unavailable_reason` names why (``no_compiler``, ``build_failed``,
 ``load_failed``).  The callers count it: the vectorized engine times the
-run on the scalar engine instead
-(:func:`repro.cluster.vecsim.run_vectorized`, counted in
-``repro_timing_core_fallbacks_total{reason}``), with the same counters;
-the data plane walks MACs per op (``repro_dataplane_fallbacks_total``).
+run on the scalar engine's loop instead
+(:func:`repro.cluster.engine.scalar_loop`, which takes the same
+:class:`TimingParams` and returns the same :class:`TimingCounters`;
+counted in ``repro_timing_core_fallbacks_total{reason}``); the data plane
+walks MACs per op (``repro_dataplane_fallbacks_total``).
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ class TimingParams(NamedTuple):
     dma_requests_per_cycle: float
     tcdm_words: int
     rr_offset: int
+    #: Address of TCDM word 0 (the compiled loop reads banks off its
+    #: streams; the scalar loop maps addresses itself).
+    tcdm_base: int
 
 
 class TimingCounters(NamedTuple):

@@ -1,9 +1,13 @@
-"""Vectorized cycle-level engine for the cluster simulator.
+"""The run routine of both cycle engines, its data plane and the
+vectorized engine's compiled timing.
 
-The scalar engine (:mod:`repro.cluster.sim`) interprets every micro-op
-through Python objects — controller steps, operand FIFOs, soft-float FPU
-issues — inside the cycle loop.  This engine splits that work into three
-phases so the per-cycle loop touches almost nothing:
+Every cycle-level run, whichever engine times it, goes through
+:func:`run_cycles`: the data plane writes the run's data and credits
+every statistic but the cycles, then a cycle loop that sees addresses
+only returns its :class:`~repro.cluster.timing_core.TimingCounters`.  The
+scalar engine's loop (:func:`repro.cluster.engine.scalar_loop`) steps
+controller, AGUs and operand FIFOs per micro-op; the vectorized engine
+splits the work into phases so the per-cycle loop touches almost nothing:
 
 1. **Command plans** (:func:`repro.core.vecops.command_plan`): the
    complete address stream of every TCDM port of every command, its
@@ -11,8 +15,8 @@ phases so the per-cycle loop touches almost nothing:
    distinct command and shared read-only by every run of the process.
    Request generation inside the cycle loop reduces to indexing the plan's
    int32 bank streams (:class:`~repro.core.vecops.BankStreams`).
-2. **Data plane** (:func:`run_data_plane`, shared with the scalar
-   engine): reads, FPU issues and write-backs are replayed as array
+2. **Data plane** (:func:`run_data_plane`, the one writer of both
+   engines): reads, FPU issues and write-backs are replayed as array
    gathers, segmented reductions and scatters
    (:func:`repro.core.vecops.execute_streams_batched`) — once per command
    instead of once per cycle — and MACs as one call of the compiled MAC
@@ -21,28 +25,29 @@ phases so the per-cycle loop touches almost nothing:
    stack of one, and a batched replay group a stack of many, which the
    system walker stages straight from and back to the HMC and the kernel
    updates in place.  There is one mode: every store is bit-identical to
-   the soft-float reference on every input.  Commands the kernel refuses
-   (a read-after-write hazard, an address off the stack, a MAC without
-   the compiled library) run through the exact per-op executor.
+   the soft-float reference on every input, in program order.  Commands
+   the kernel refuses (a read-after-write hazard, an address off the
+   stack, a MAC without the compiled library) run through the exact
+   per-op executor.
 3. **Timing core**: a lean per-cycle loop that models the same machine
-   as the scalar engine — per-port head-of-line requests, the
+   as the scalar loop — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
    backpressure, rotating-priority bank arbitration, command setup/drain —
    but over precomputed int32 bank arrays and integer state only.  The
    loop is compiled C (``timing_core.c``), built with the system ``cc`` on
-   the first :func:`run_vectorized` call of a process, cached per user and
-   loaded with :mod:`ctypes` (see :mod:`repro.cluster.timing_core`); one C
-   call runs every cycle of a run.
+   the first vectorized run of a process, cached per user and loaded
+   with :mod:`ctypes` (see :mod:`repro.cluster.timing_core`); one C call
+   runs every cycle of a run.
 
-The compiled loop leaves out two behaviours of the scalar engine:
+The compiled loop leaves out two behaviours of the scalar loop:
 store-to-load forwarding across the write-back FIFO, and the shared grant
 when two ports of one NTX present the same address in one cycle.  A run
 that could meet either — a command with a read-after-write hazard
 (``raw_hazard``) or with two read ports sharing an address
 (``shared_reads``) — and every run without the compiled library are timed
-by the scalar engine instead, on a scratch cluster (:func:`_scalar_timing`),
-and counted in ``repro_timing_core_fallbacks_total{reason}``.  So the
-timing is cycle-exact against the scalar engine on every input, and
+by the scalar loop instead, and counted in
+``repro_timing_core_fallbacks_total{reason}``.  So the timing is
+cycle-exact against the scalar engine on every input, and
 ``tests/test_vecsim.py`` fuzzes the compiled loop against it.
 """
 
@@ -54,7 +59,7 @@ import numpy as np
 
 from repro.cluster import timing_core
 from repro.cluster.tiling import ProgramJobs
-from repro.cluster.timing_core import TimingCounters, TimingInput, TimingParams
+from repro.cluster.timing_core import TimingInput, TimingParams
 from repro.core.commands import NtxCommand, NtxOpcode
 from repro.core.vecops import (
     CommandPlan,
@@ -66,7 +71,7 @@ from repro.core.vecops import (
 from repro.obs import metrics as _metrics
 
 
-__all__ = ["run_vectorized", "run_data_plane", "live_stack"]
+__all__ = ["run_cycles", "run_data_plane", "live_stack"]
 
 T = TypeVar("T")
 
@@ -303,60 +308,36 @@ def _timing_hazard(queues: Sequence[_Queue]) -> Optional[str]:
     return None
 
 
-def _scalar_timing(config, jobs, params: TimingParams) -> TimingCounters:
-    """``jobs``' timing from the scalar engine, run on a scratch
-    ``Cluster(config)`` whose interconnect starts at ``params.rr_offset``.
-
-    Timing follows addresses, never data, so the scratch TCDM stays
-    zeroed and the live one is left to the data plane.
-    """
-    from repro.cluster.cluster import Cluster
-    from repro.cluster.sim import ClusterSimulator
-
-    simulator = ClusterSimulator(Cluster(config), engine="scalar")
-    interconnect = simulator.interconnect
-    interconnect._rr_offset = params.rr_offset
-    result = simulator.run(
-        jobs, params.max_cycles, params.dma_requests_per_cycle, params.stagger
+def _compiled_timing(jobs, queues: Sequence[_Queue], params: TimingParams):
+    """``jobs``' counters from the compiled loop, or ``None`` where it
+    cannot time them (counted by reason): a command with a hazard verdict
+    it does not model, or no compiled library."""
+    hazard = _program_fact(jobs, ("timing-hazard",), lambda: _timing_hazard(queues))
+    loop = None if hazard else timing_core.load()
+    if loop is None:
+        _FALLBACKS.inc(reason=hazard or timing_core.unavailable_reason())
+        return None
+    base, num_banks = params.tcdm_base, params.num_banks
+    timing_input = _program_fact(
+        jobs,
+        ("timing-input", len(queues), base, num_banks),
+        lambda: TimingInput([
+            [plan.banks(base, num_banks) for _, plan in plans] for plans in queues
+        ]),
     )
-    return TimingCounters(
-        result.cycles, interconnect.requests, interconnect.grants,
-        interconnect.conflicts, interconnect.conflict_cycles,
-        interconnect._rr_offset, list(result.per_ntx_active),
-        list(result.per_ntx_stall),
-    )
+    return loop(timing_input, params)
 
 
-def run_vectorized(
-    simulator,
-    jobs: Sequence[Tuple[int, NtxCommand]],
-    max_cycles: int,
-    dma_requests_per_cycle: float,
-    stagger_cycles: int,
-):
-    """Cycle-level run over precomputed streams; see module docstring.
-
-    The cycle loop runs in the compiled timing core, built on the first
-    call; where the core is unavailable or a command carries a hazard it
-    does not model, the scalar engine times the run instead (counted by
-    reason), with the same counters.
-    """
-    from repro.cluster.sim import SimulationResult
-
-    cluster = simulator.cluster
-    config = cluster.config
-    num_ntx = config.num_ntx
-    tcdm = cluster.tcdm
-    interconnect = simulator.interconnect
-
-    start_flops = [n.stats.flops for n in cluster.ntx]
-    start_iterations = [n.stats.iterations for n in cluster.ntx]
-    simulator.run_data_plane(jobs)
-
-    queues = _plans_per_ntx(cluster, jobs)
-    params = TimingParams(
+def timing_params(
+    simulator, max_cycles: int, dma_requests_per_cycle: float, stagger_cycles: int
+) -> TimingParams:
+    """The parameters of a cycle loop over ``simulator``'s cluster,
+    starting from its interconnect's round-robin offset."""
+    config = simulator.cluster.config
+    tcdm = simulator.cluster.tcdm
+    return TimingParams(
         num_banks=tcdm.config.num_banks,
-        num_masters=interconnect.num_masters,
+        num_masters=simulator.interconnect.num_masters,
         window=config.ntx.data_fifo_depth,
         wb_depth=config.ntx.writeback_fifo_depth,
         setup_cycles=config.ntx.command_setup_cycles,
@@ -365,23 +346,43 @@ def run_vectorized(
         max_cycles=max_cycles,
         dma_requests_per_cycle=float(dma_requests_per_cycle),
         tcdm_words=tcdm.size // 4,
-        rr_offset=interconnect._rr_offset,
+        rr_offset=simulator.interconnect._rr_offset,
+        tcdm_base=tcdm.base,
     )
-    hazard = _program_fact(jobs, ("timing-hazard",), lambda: _timing_hazard(queues))
-    loop = None if hazard else timing_core.load()
-    if loop is None:
-        _FALLBACKS.inc(reason=hazard or timing_core.unavailable_reason())
-        counters = _scalar_timing(config, jobs, params)
-    else:
-        base, num_banks = tcdm.base, tcdm.config.num_banks
-        timing_input = _program_fact(
-            jobs,
-            ("timing-input", num_ntx, base, num_banks),
-            lambda: TimingInput([
-                [plan.banks(base, num_banks) for _, plan in plans] for plans in queues
-            ]),
+
+
+def run_cycles(
+    simulator,
+    jobs: Sequence[Tuple[int, NtxCommand]],
+    max_cycles: int,
+    dma_requests_per_cycle: float,
+    stagger_cycles: int,
+    compiled: bool,
+):
+    """The run routine of both engines (see ``ClusterSimulator.run``).
+
+    The data plane writes ``jobs``' data and credits every statistic but
+    the cycles; then a cycle loop times the run over addresses only, and
+    its counters are credited to the interconnect and the co-processors.
+    With ``compiled``, the compiled loop times every run it models; the
+    rest, and every run without ``compiled``, are timed by
+    :func:`repro.cluster.engine.scalar_loop`, to the same counters.
+    """
+    from repro.cluster.engine import scalar_loop
+    from repro.cluster.sim import SimulationResult
+
+    cluster = simulator.cluster
+    interconnect = simulator.interconnect
+    start = [(ntx.stats.flops, ntx.stats.iterations) for ntx in cluster.ntx]
+    simulator.run_data_plane(jobs)
+
+    queues = _plans_per_ntx(cluster, jobs)
+    params = timing_params(simulator, max_cycles, dma_requests_per_cycle, stagger_cycles)
+    counters = _compiled_timing(jobs, queues, params) if compiled else None
+    if counters is None:
+        counters = scalar_loop(
+            [[command for command, _ in plans] for plans in queues], params
         )
-        counters = loop(timing_input, params)
 
     interconnect.cycles += counters.cycles
     interconnect.requests += counters.requests
@@ -389,22 +390,20 @@ def run_vectorized(
     interconnect.conflicts += counters.conflicts
     interconnect.conflict_cycles += counters.conflict_cycles
     interconnect._rr_offset = counters.rr_offset
-
-    for ntx_id in range(num_ntx):
-        stats = cluster.ntx[ntx_id].stats
-        stats.active_cycles += counters.active[ntx_id]
-        stats.stall_cycles += counters.stall[ntx_id]
+    for ntx, active, stall in zip(cluster.ntx, counters.active, counters.stall):
+        ntx.stats.active_cycles += active
+        ntx.stats.stall_cycles += stall
 
     return SimulationResult(
         cycles=counters.cycles,
-        flops=sum(n.stats.flops - start_flops[i] for i, n in enumerate(cluster.ntx)),
+        flops=sum(ntx.stats.flops - flops for ntx, (flops, _) in zip(cluster.ntx, start)),
         iterations=sum(
-            n.stats.iterations - start_iterations[i]
-            for i, n in enumerate(cluster.ntx)
+            ntx.stats.iterations - iterations
+            for ntx, (_, iterations) in zip(cluster.ntx, start)
         ),
         tcdm_requests=counters.requests,
         tcdm_conflicts=counters.conflicts,
         per_ntx_active=tuple(counters.active),
         per_ntx_stall=tuple(counters.stall),
-        frequency_hz=config.ntx_frequency_hz,
+        frequency_hz=cluster.config.ntx_frequency_hz,
     )

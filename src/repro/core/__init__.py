@@ -13,8 +13,8 @@ The subpackage mirrors the block diagram of Figure 2 of the paper:
 * :mod:`repro.core.fpu` — the FPU: fast FMAC around the partial-carry-save
   accumulator, comparator, index counter and ALU register.
 * :mod:`repro.core.controller` — command decode into per-cycle micro-ops.
-* :mod:`repro.core.ntx` — the NTX co-processor itself: its statistics and a
-  cycle-approximate model that contends for TCDM banks.
+* :mod:`repro.core.ntx` — the NTX co-processor itself: its statistics and
+  its address-only cycle model, which contends for TCDM banks.
 * :mod:`repro.core.vecops` — command plans and the array data plane every
   executed command runs on, with its exact per-op fallback.
 * :mod:`repro.core.golden` — NumPy reference semantics for every command,

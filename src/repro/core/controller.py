@@ -5,7 +5,7 @@ micro-instructions issued to the FPU and the TCDM ports: for every innermost
 iteration it determines which addresses are read, whether the accumulator is
 (re)initialised, which operation the FPU executes, and whether (and where)
 the result is written back.  The cycle-approximate model
-(:class:`repro.core.ntx.Ntx`) and the data plane's exact per-op fallback
+(:class:`repro.core.ntx.NtxStepper`) and the data plane's exact per-op fallback
 (:func:`repro.core.vecops.execute_functional`) consume this micro-op stream,
 and the data plane's command plans (:func:`repro.core.vecops.command_plan`)
 are its closed form, so they can never disagree about *what* is executed —

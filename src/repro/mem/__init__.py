@@ -25,11 +25,7 @@ if TYPE_CHECKING:
     from repro.mem.dma import DmaConfig, DmaEngine, DmaTransfer
     from repro.mem.hmc import Hmc, HmcConfig, Vault
     from repro.mem.icache import ICacheConfig, InstructionCache
-    from repro.mem.interconnect import (
-        ArbitrationResult,
-        MemoryRequest,
-        TcdmInterconnect,
-    )
+    from repro.mem.interconnect import TcdmInterconnect
     from repro.mem.memory import Memory
     from repro.mem.tcdm import Tcdm, TcdmConfig
 
@@ -38,8 +34,6 @@ __all__ = [
     "Tcdm",
     "TcdmConfig",
     "TcdmInterconnect",
-    "MemoryRequest",
-    "ArbitrationResult",
     "DmaEngine",
     "DmaTransfer",
     "DmaConfig",
@@ -58,8 +52,6 @@ _EXPORTS = {
     "Tcdm": "tcdm",
     "TcdmConfig": "tcdm",
     "TcdmInterconnect": "interconnect",
-    "MemoryRequest": "interconnect",
-    "ArbitrationResult": "interconnect",
     "DmaEngine": "dma",
     "DmaTransfer": "dma",
     "DmaConfig": "dma",

@@ -15,43 +15,24 @@ arbitration tree without modelling its exact topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence, Set, Tuple
 
-__all__ = ["MemoryRequest", "ArbitrationResult", "TcdmInterconnect"]
+__all__ = ["TcdmInterconnect"]
 
-
-@dataclass(frozen=True)
-class MemoryRequest:
-    """One master→bank request presented in a cycle."""
-
-    master: int
-    address: int
-    is_write: bool = False
-
-
-@dataclass
-class ArbitrationResult:
-    """Outcome of one arbitration cycle."""
-
-    granted: List[MemoryRequest] = field(default_factory=list)
-    stalled: List[MemoryRequest] = field(default_factory=list)
-
-    @property
-    def granted_addresses_by_master(self) -> Dict[int, set]:
-        out: Dict[int, set] = {}
-        for req in self.granted:
-            out.setdefault(req.master, set()).add(req.address)
-        return out
+#: One request presented in a cycle: ``(master, bank, address)``.
+Request = Tuple[int, int, int]
 
 
 class TcdmInterconnect:
-    """Single-cycle, per-bank arbitrated crossbar."""
+    """Single-cycle, per-bank arbitrated crossbar, and its statistics.
 
-    def __init__(self, tcdm, num_masters: int) -> None:
-        self.tcdm = tcdm
+    The round-robin order starts at ``rr_offset`` and rotates every
+    cycle.
+    """
+
+    def __init__(self, num_masters: int, rr_offset: int = 0) -> None:
         self.num_masters = num_masters
-        self._rr_offset = 0
+        self._rr_offset = rr_offset
         # Statistics.
         self.cycles = 0
         self.requests = 0
@@ -59,40 +40,34 @@ class TcdmInterconnect:
         self.conflicts = 0
         self.conflict_cycles = 0
 
-    def arbitrate(self, requests: Sequence[MemoryRequest]) -> ArbitrationResult:
-        """Grant at most one request per bank; stall the rest.
+    def arbitrate(self, requests: Sequence[Request]) -> Dict[int, Set[int]]:
+        """Grant at most one of ``requests`` per bank; return the granted
+        addresses by master.
 
-        Within a bank the request whose master index comes first in the
-        current round-robin order wins.  The round-robin offset advances
-        every cycle so no master is systematically favoured.
+        Within a bank the request whose master comes first in the current
+        round-robin order wins, the first presented on a tie (one master's
+        ports).  A grant serves every port of its master that presents
+        the granted address.  The offset advances every cycle so no
+        master is systematically favoured.
         """
+        rr, num_masters = self._rr_offset, self.num_masters
+        winners: Dict[int, Tuple[int, Request]] = {}
+        for request in requests:
+            priority = (request[0] - rr) % num_masters
+            best = winners.get(request[1])
+            if best is None or priority < best[0]:
+                winners[request[1]] = (priority, request)
         self.cycles += 1
         self.requests += len(requests)
-        by_bank: Dict[int, List[MemoryRequest]] = {}
-        for request in requests:
-            bank = self.tcdm.bank_of(request.address)
-            by_bank.setdefault(bank, []).append(request)
-
-        result = ArbitrationResult()
-        had_conflict = False
-        for bank, bank_requests in by_bank.items():
-            if len(bank_requests) == 1:
-                result.granted.append(bank_requests[0])
-                continue
-            had_conflict = True
-            self.conflicts += len(bank_requests) - 1
-            winner = min(
-                bank_requests,
-                key=lambda r: (r.master - self._rr_offset) % self.num_masters,
-            )
-            result.granted.append(winner)
-            result.stalled.extend(r for r in bank_requests if r is not winner)
-
-        if had_conflict:
+        self.grants += len(winners)
+        if len(winners) != len(requests):
+            self.conflicts += len(requests) - len(winners)
             self.conflict_cycles += 1
-        self.grants += len(result.granted)
-        self._rr_offset = (self._rr_offset + 1) % max(self.num_masters, 1)
-        return result
+        self._rr_offset = (rr + 1) % max(num_masters, 1)
+        granted: Dict[int, Set[int]] = {}
+        for _, (master, _, address) in winners.values():
+            granted.setdefault(master, set()).add(address)
+        return granted
 
     @property
     def conflict_probability(self) -> float:

@@ -144,9 +144,8 @@ class ClusterAssignment:
 
 class _ProgramPlan(NamedTuple):
     """What the walk needs of one tile program in one run context: its
-    jobs and timing signature (``None`` without commands or with a
-    read-after-write hazard: never memoized).  Kept on the
-    program, shared by every tile of it."""
+    jobs and timing signature (``None`` without commands: never
+    memoized).  Kept on the program, shared by every tile of it."""
 
     program: TileProgram
     jobs: ProgramJobs
@@ -366,19 +365,13 @@ def plan_tiles(
     stagger and cluster configuration, so the program keeps them
     (:func:`~repro.cluster.tiling.program_facts`): a warm program signs
     nothing again.
-
-    A program with a read-after-write hazard gets no signature, so it is
-    never looked up or stored: the scalar engine's reads run ahead of its
-    stores there, so its run is not the program-order replay of a hit.
     """
     num_ntx = config.cluster.num_ntx
 
     def derive(program: TileProgram) -> _ProgramPlan:
         jobs = program.jobs(num_ntx)
         signature = None
-        if program.commands and not any(
-            plan.raw_hazard for queue in program.plans(num_ntx) for _, plan in queue
-        ):
+        if program.commands:
             # Every cluster of a system shares one configuration, so any
             # of them signs for all.
             signer = ClusterSimulator(work[0].cluster, engine=engine)

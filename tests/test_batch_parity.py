@@ -30,22 +30,27 @@ data-plane path of both engines, also without one.
 """
 
 import dataclasses
+import hashlib
 import math
 import shutil
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.tiling import TileProgram, TileSchedule, program_facts
 from repro.core.ntx import NtxConfig
+from repro.mem.dma import DmaTransfer
+from repro.mem.hmc import HmcConfig
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, build_workload, run_scenario
 from repro.system import ClusterAssignment, SystemConfig, SystemSimulator
 from repro.softfloat.pcs import PcsConfig
 from repro.system.batch import passes_gate, plan_tiles, walk_tiles
 
+from command_draws import draw_cluster_config, draw_jobs
 from dma_tiles import tile_from_transfers, transfers_in, transfers_out
 
 
@@ -214,24 +219,65 @@ def _shift_tiles(hmc, num_tiles=4, n=16):
 
 
 class TestRawHazardTiles:
-    """A program with a read-after-write hazard is never memoized: the
-    scalar engine's reads run ahead of its stores, so its run and the
-    program-order replay of a hit would write different bytes."""
+    """A program with a read-after-write hazard memoizes like any other:
+    both engines write through the one data plane, in program order, so a
+    cache miss and the replay of a hit write the same bytes."""
+
+    @staticmethod
+    def _run(engine, memoize):
+        simulator = SystemSimulator(
+            SystemConfig(num_vaults=1, clusters_per_vault=1),
+            options=ExecutionOptions(engine=engine, memoize=memoize),
+        )
+        result = simulator.run(_shift_tiles(simulator.hmc))
+        return simulator, _hmc_bytes(simulator).copy(), _timing_view(result)
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     def test_memoize_on_and_off_leave_the_same_hmc_bytes(self, engine):
-        runs = []
-        for memoize in (False, True):
-            simulator = SystemSimulator(
-                SystemConfig(num_vaults=1, clusters_per_vault=1),
-                options=ExecutionOptions(engine=engine, memoize=memoize),
-            )
-            result = simulator.run(_shift_tiles(simulator.hmc))
-            runs.append((_hmc_bytes(simulator).copy(), _timing_view(result)))
-        (off_bytes, off_timing), (on_bytes, on_timing) = runs
+        _, off_bytes, off_timing = self._run(engine, memoize=False)
+        simulator, on_bytes, on_timing = self._run(engine, memoize=True)
         assert np.array_equal(on_bytes, off_bytes)
         assert on_timing == off_timing
-        assert simulator.timing_cache.lookups == 0
+        cache = simulator.timing_cache
+        assert (cache.misses, cache.hits) == (1, 3)
+
+    def test_the_engines_write_program_order(self):
+        """``x[k + 1] = x[k]`` in program order copies ``x[0]`` through
+        the whole buffer, whichever engine times the run."""
+        _, scalar_bytes, scalar_timing = self._run("scalar", memoize=False)
+        simulator, vectorized_bytes, vectorized_timing = self._run(
+            "vectorized", memoize=False
+        )
+        assert np.array_equal(scalar_bytes, vectorized_bytes)
+        assert scalar_timing == vectorized_timing
+        hmc = simulator.hmc
+        for tile in range(4):
+            out = hmc.memory.load_array(hmc.base + 1024 * tile + 512, (17,))
+            np.testing.assert_array_equal(out, np.full(17, 100 * tile + 1, np.float32))
+
+    def test_no_option_changes_a_counter(self):
+        """NTX and FPU statistics, TCDM bank accesses and memory counts
+        are the same for every engine, memoize on and off."""
+
+        def counters(simulator):
+            return [
+                (
+                    [
+                        (dataclasses.astuple(ntx.stats), dataclasses.astuple(ntx.fpu_stats))
+                        for ntx in cluster.ntx
+                    ],
+                    cluster.tcdm.bank_accesses.tolist(),
+                    (cluster.tcdm.memory.reads, cluster.tcdm.memory.writes),
+                )
+                for cluster in simulator.clusters
+            ]
+
+        runs = [
+            counters(self._run(engine, memoize)[0])
+            for engine in ("scalar", "vectorized")
+            for memoize in (False, True)
+        ]
+        assert all(run == runs[0] for run in runs)
 
 
 #: Without a C compiler every MAC walks per op by design, counted as
@@ -522,6 +568,154 @@ class TestFuzzParity:
     @pytest.mark.parametrize("draw", _fuzz_draws(8, entropy=0x5C41E))
     def test_full_depth_sweep(self, draw):
         _fuzz_one(draw, self.FULL_COMBOS)
+
+
+# -- the program fuzz -----------------------------------------------------------
+
+
+def _draw_transfer(draw, config, window, inbound):
+    """One 2D transfer of 1-3 rows of 1-6 words, strided on both sides:
+    its TCDM side anywhere in the TCDM, its HMC side at a word offset in
+    ``[0, window)`` of the tile's HMC region, where it may overlap the
+    tile's other transfers."""
+    row_words = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 3))
+    tcdm_pitch = 4 * (row_words + draw(st.integers(0, 3)))
+    hmc_pitch = 4 * (row_words + draw(st.integers(0, 3)))
+    span = (rows - 1) * tcdm_pitch + 4 * row_words
+    tcdm = config.tcdm.base_address + 4 * draw(
+        st.integers(0, (config.tcdm.size_bytes - span) // 4)
+    )
+    hmc = 4 * draw(st.integers(0, window - 1))
+    if inbound:
+        return DmaTransfer(hmc, tcdm, 4 * row_words, rows, hmc_pitch, tcdm_pitch)
+    return DmaTransfer(tcdm, hmc, 4 * row_words, rows, tcdm_pitch, hmc_pitch)
+
+
+@st.composite
+def _walker_cases(draw):
+    """A system of drawn clusters and tiles of 1-2 drawn programs.
+
+    Each program's commands come from the timing fuzz's draws, with their
+    placements or spread round-robin; its DMA-in may stage the whole TCDM
+    (so the self-containment gate can pass) and adds partial, strided
+    transfers, and its DMA-out pushes back partial, strided rows that may
+    overlap the inbound ones in the HMC.  Transfers carry offsets into
+    each tile's own HMC region."""
+    config = draw_cluster_config(draw)
+    window = 64
+    programs = []
+    for _ in range(draw(st.integers(1, 2))):
+        jobs = draw_jobs(draw, config)
+        placed = draw(st.booleans())
+        inbound = [
+            _draw_transfer(draw, config, window, inbound=True)
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        if draw(st.booleans()):
+            whole = config.tcdm.size_bytes
+            inbound.insert(0, DmaTransfer(0, config.tcdm.base_address, whole))
+        outbound = [
+            _draw_transfer(draw, config, window, inbound=False)
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        programs.append(dict(
+            commands=[command for _, command in jobs],
+            placements=[ntx_id for ntx_id, _ in jobs] if placed else None,
+            transfers_in=inbound,
+            transfers_out=outbound,
+        ))
+    system = SystemConfig(
+        num_vaults=draw(st.integers(1, 2)),
+        clusters_per_vault=draw(st.integers(1, 3)),
+        cluster=config,
+        hmc=HmcConfig(capacity_bytes=1 << 20),
+        stagger_cycles=draw(st.integers(0, 12)),
+    )
+    return dict(
+        system=system,
+        programs=programs,
+        num_tiles=draw(st.integers(1, 6)),
+        region=config.tcdm.size_bytes + 4 * window + 64,
+        seed=draw(st.integers(0, 2**31)),
+    )
+
+
+def _walk_case(case, engine, memoize):
+    """One run of a drawn case: HMC digest, timing and counter totals."""
+    simulator = SystemSimulator(
+        case["system"], options=ExecutionOptions(engine=engine, memoize=memoize)
+    )
+    hmc = simulator.hmc
+    rng = np.random.default_rng(case["seed"])
+    region = case["region"]
+    tiles = []
+    for index in range(case["num_tiles"]):
+        base = hmc.base + index * region
+        values = rng.integers(-64, 65, region // 4).astype(np.float32) / 8
+        hmc.memory.store_array(base, values)
+        program = case["programs"][index % len(case["programs"])]
+
+        def moved(transfer, side):
+            return dataclasses.replace(transfer, **{side: getattr(transfer, side) + base})
+
+        tiles.append(tile_from_transfers(
+            transfers_in=[moved(t, "src") for t in program["transfers_in"]],
+            commands=program["commands"],
+            transfers_out=[moved(t, "dst") for t in program["transfers_out"]],
+            placements=program["placements"],
+        ))
+    result = simulator.run(tiles)
+    digest = hashlib.sha256(hmc.memory.data).hexdigest()
+    return digest, _timing_view(result), _counter_totals(simulator)
+
+
+def _counter_totals(simulator):
+    """Every cluster counter summed over the system's clusters, per NTX
+    index and per TCDM bank: a batched group's counters land on its
+    representative cluster, so only the totals are the walk's."""
+
+    def counters(cluster):
+        values = []
+        for ntx in cluster.ntx:
+            values += dataclasses.astuple(ntx.stats) + dataclasses.astuple(ntx.fpu_stats)
+        return values + [
+            *cluster.tcdm.bank_accesses.tolist(),
+            cluster.tcdm.memory.reads,
+            cluster.tcdm.memory.writes,
+            *dataclasses.astuple(cluster.dma.stats),
+            cluster.axi.busy_cycles,
+            cluster.axi.bytes_transferred,
+        ]
+
+    return [sum(column) for column in zip(*map(counters, simulator.clusters))]
+
+
+def _assert_no_option_changes_the_walk(case):
+    reference = _walk_case(case, "scalar", memoize=False)
+    for engine in ("scalar", "vectorized"):
+        for memoize in (False, True):
+            assert _walk_case(case, engine, memoize) == reference, (engine, memoize)
+
+
+class TestProgramFuzz:
+    """Drawn tile programs through the whole system walk — DMA staging,
+    the self-containment gate, stacked groups, the timing cache and the
+    HMC — under every engine x memoize combination: each leaves the
+    scalar no-cache walk's HMC bytes, timing and counters."""
+
+    @seed(20190326)
+    @settings(max_examples=20, deadline=None)
+    @given(case=_walker_cases())
+    def test_execution_options_never_change_a_walk(self, case):
+        _assert_no_option_changes_the_walk(case)
+
+    @pytest.mark.slow
+    @seed(36)
+    @settings(max_examples=300, deadline=None)
+    @given(case=_walker_cases())
+    def test_execution_options_never_change_a_walk_deep(self, case):
+        _assert_no_option_changes_the_walk(case)
 
 
 # -- the self-containment gate -------------------------------------------------

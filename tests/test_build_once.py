@@ -370,14 +370,17 @@ def test_a_vectorized_run_builds_no_register_file_fpu_or_l2(name, constructions)
         assert constructions["fpu"] <= num_ntx
 
 
-def test_the_scalar_engine_builds_the_fpus_it_steps(constructions):
+def test_the_scalar_engine_builds_no_fpu(constructions):
+    """The scalar engine times addresses only and leaves the data to the
+    data plane, so, like the vectorized engine, it builds no FPU."""
     outcome = run_scenario(
         "opcode-stream", num_tiles=1, options=ExecutionOptions(engine="scalar")
     )
-    assert constructions == {"regs": 0, "fpu": 1, "l2": 0}
-    (ntx, *idle) = outcome.simulator.clusters[0].ntx
-    assert ntx.fpu.stats is ntx.fpu_stats
-    assert all(other._fpu is None for other in idle)
+    assert outcome.verified
+    assert constructions["regs"] == constructions["l2"] == 0
+    if timing_core.mac_kernel() is not None:
+        assert constructions["fpu"] == 0
+        assert all(ntx._fpu is None for ntx in outcome.simulator.clusters[0].ntx)
 
 
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])

@@ -1,28 +1,30 @@
-"""Cycle-level NTX model: correctness and timing behaviour."""
+"""The NTX cycle model: its address-only timing, and the data its
+commands write, checked against the independent golden model."""
 
 import numpy as np
 import pytest
 
+from repro.cluster.cluster import Cluster
+from repro.cluster.vecsim import run_data_plane
 from repro.core.commands import AguConfig, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.golden import GoldenMemory, golden_execute
-from repro.core.ntx import Ntx, NtxConfig
+from repro.core.ntx import NtxConfig, NtxStepper
 
 
-class _AlwaysGrantingMemory(GoldenMemory):
-    """Runs the cycle interface standalone by granting every request."""
-
-
-def _run_cycle_level(command, memory, config=None):
-    ntx = Ntx(config)
-    ntx.start(command)
+def _step_granting_all(command, config=None):
+    """Step ``command`` on one NTX whose every request is granted; the
+    stepper, the cycle count and every address presented as a read."""
+    stepper = NtxStepper(config)
+    stepper.start(command)
     cycles = 0
-    while ntx.busy:
-        requests = ntx.cycle_requests()
-        granted = {address for address, _ in requests}
-        ntx.cycle_commit(granted, memory)
+    reads = []
+    while stepper.busy:
+        requests = stepper.requests()
+        reads += requests[:-1] if stepper.presented_write else requests
+        stepper.commit(set(requests))
         cycles += 1
         assert cycles < 100_000, "cycle-level execution did not terminate"
-    return ntx, cycles
+    return stepper, cycles, reads
 
 
 def _dot_command(n, a_base=0x0, b_base=0x400, out=0x800):
@@ -37,50 +39,64 @@ def _dot_command(n, a_base=0x0, b_base=0x400, out=0x800):
     )
 
 
-class TestCycleLevelCorrectness:
+def _copy_command(n, src, dst):
+    return NtxCommand(
+        opcode=NtxOpcode.COPY,
+        loops=LoopConfig.nest(n),
+        agu0=AguConfig(base=src, strides=(4, 0, 0, 0, 0)),
+        agu2=AguConfig(base=dst, strides=(4, 0, 0, 0, 0)),
+        init_level=0,
+        store_level=0,
+    )
+
+
+def _data_plane_against_golden(command, values, outputs):
+    """Run ``command`` on the data plane over TCDM words ``values`` (word
+    offset -> value) and on the golden model; the words at ``outputs``."""
+    cluster = Cluster()
+    base = cluster.tcdm.base
+    for word, value in values.items():
+        cluster.tcdm.write_f32(base + 4 * word, value)
+    run_data_plane(cluster, [(0, command)])
+    golden = GoldenMemory({base + 4 * word: value for word, value in values.items()})
+    golden_execute(command, golden)
+    return (
+        [cluster.tcdm.read_f32(base + 4 * word) for word in outputs],
+        [golden.read_f32(base + 4 * word) for word in outputs],
+    )
+
+
+class TestDataAgainstGolden:
     def test_dot_product_matches_golden(self, rng):
         n = 37
         values = {}
         for i in range(n):
-            values[0x0 + 4 * i] = float(np.float32(rng.standard_normal()))
-            values[0x400 + 4 * i] = float(np.float32(rng.standard_normal()))
-        command = _dot_command(n)
+            values[i] = float(np.float32(rng.standard_normal()))
+            values[0x100 + i] = float(np.float32(rng.standard_normal()))
+        base = Cluster().tcdm.base
+        command = _dot_command(n, base, base + 0x400, base + 0x800)
+        (ours,), (golden,) = _data_plane_against_golden(command, values, [0x200])
+        assert ours == pytest.approx(golden, rel=1e-6)
 
-        golden = GoldenMemory(dict(values))
-        golden_execute(command, golden)
-
-        memory = GoldenMemory(dict(values))
-        _run_cycle_level(command, memory)
-        assert memory.read_f32(0x800) == pytest.approx(golden.read_f32(0x800), rel=1e-6)
-
-    def test_elementwise_copy_with_store_to_load_forwarding(self):
-        # In-place prefix-style pattern: read an address that an earlier
-        # iteration's store may still hold in the write-back FIFO.
+    def test_elementwise_copy_matches_golden(self):
         n = 16
-        values = {0x0 + 4 * i: float(i) for i in range(n)}
-        command = NtxCommand(
-            opcode=NtxOpcode.COPY,
-            loops=LoopConfig.nest(n),
-            agu0=AguConfig(base=0x0, strides=(4, 0, 0, 0, 0)),
-            agu2=AguConfig(base=0x100, strides=(4, 0, 0, 0, 0)),
-            init_level=0,
-            store_level=0,
+        base = Cluster().tcdm.base
+        values = {i: float(i) for i in range(n)}
+        command = _copy_command(n, base, base + 0x100)
+        ours, golden = _data_plane_against_golden(
+            command, values, range(0x40, 0x40 + n)
         )
-        memory = GoldenMemory(dict(values))
-        _run_cycle_level(command, memory)
-        for i in range(n):
-            assert memory.read_f32(0x100 + 4 * i) == float(i)
+        assert ours == golden == [float(i) for i in range(n)]
 
 
 class TestCycleLevelTiming:
     def test_conflict_free_throughput_near_one_per_cycle(self):
         n = 512
-        command = _dot_command(n)
-        memory = GoldenMemory()
-        ntx, cycles = _run_cycle_level(command, memory)
-        overhead = ntx.config.command_setup_cycles + ntx.config.writeback_drain_cycles
+        stepper, cycles, reads = _step_granting_all(_dot_command(n))
+        config = NtxConfig()
+        overhead = config.command_setup_cycles + config.writeback_drain_cycles
         assert cycles <= n + overhead + 5
-        assert ntx.stats.iterations == n
+        assert len(reads) == 2 * n
 
     def test_ideal_cycles_estimate(self):
         config = NtxConfig()
@@ -89,47 +105,53 @@ class TestCycleLevelTiming:
             config.writeback_drain_cycles
         )
 
+    def test_forwarded_read_presents_no_request(self):
+        """``x[k + 4] = x[k]`` reads the word stored four iterations
+        earlier, one operand-FIFO window back: the store is still in the
+        write-back FIFO, which serves the read, so it never reaches the
+        TCDM.  The same copy into a disjoint buffer presents every read."""
+        n = 16
+        _, _, disjoint = _step_granting_all(_copy_command(n, 0x0, 0x100))
+        assert disjoint == [4 * k for k in range(n)]
+        _, _, shifted = _step_granting_all(_copy_command(n, 0x0, 0x10))
+        assert shifted[:4] == [0x0, 0x4, 0x8, 0xC]
+        assert len(shifted) < n
+        assert set(shifted) < set(disjoint)
+
     def test_stall_when_requests_denied(self):
-        command = _dot_command(8)
-        memory = GoldenMemory()
-        ntx = Ntx()
-        ntx.start(command)
+        stepper = NtxStepper()
+        stepper.start(_dot_command(8))
         # Deny everything for a few cycles after setup: no progress, stalls count.
-        for _ in range(ntx.config.command_setup_cycles):
-            ntx.cycle_commit(set(), memory)
-        stalls_before = ntx.stats.stall_cycles
-        ntx.cycle_requests()
-        ntx.cycle_commit(set(), memory)
-        assert ntx.stats.stall_cycles == stalls_before + 1
+        for _ in range(NtxConfig().command_setup_cycles):
+            assert stepper.requests() == []
+            stepper.commit(set())
+        stalls_before = stepper.stall
+        assert stepper.requests()
+        assert not stepper.commit(set())
+        assert stepper.stall == stalls_before + 1
 
     def test_busy_until_writeback_drains(self):
-        command = _dot_command(4)
-        memory = GoldenMemory()
-        ntx = Ntx()
-        ntx.start(command)
+        stepper = NtxStepper()
+        stepper.start(_dot_command(4))
         # Grant reads but never the store: the NTX must stay busy.
         for _ in range(200):
-            requests = ntx.cycle_requests()
-            granted = {addr for addr, is_write in requests if not is_write}
-            ntx.cycle_commit(granted, memory)
-        assert ntx.busy
+            requests = stepper.requests()
+            stepper.commit(set(requests[:-1] if stepper.presented_write else requests))
+        assert stepper.busy
         # Now allow the write and let it finish.
         for _ in range(200):
-            if not ntx.busy:
+            if not stepper.busy:
                 break
-            requests = ntx.cycle_requests()
-            ntx.cycle_commit({addr for addr, _ in requests}, memory)
-        assert not ntx.busy
+            stepper.commit(set(stepper.requests()))
+        assert not stepper.busy
 
     def test_start_while_busy_rejected(self):
-        command = _dot_command(4)
-        ntx = Ntx()
-        ntx.start(command)
+        stepper = NtxStepper()
+        stepper.start(_dot_command(4))
         with pytest.raises(RuntimeError):
-            ntx.start(command)
+            stepper.start(_dot_command(4))
 
     def test_utilization_statistic(self):
-        command = _dot_command(64)
-        memory = GoldenMemory()
-        ntx, _cycles = _run_cycle_level(command, memory)
-        assert 0.9 <= ntx.stats.utilization <= 1.0
+        stepper, cycles, _ = _step_granting_all(_dot_command(64))
+        assert stepper.active + stepper.stall == cycles
+        assert 0.9 <= stepper.active / cycles <= 1.0

@@ -7,59 +7,56 @@ from repro.mem.axi import AxiConfig, AxiPort
 from repro.mem.dma import DmaConfig, DmaEngine, DmaTransfer
 from repro.mem.hmc import Hmc, HmcConfig
 from repro.mem.icache import ICacheConfig, InstructionCache
-from repro.mem.interconnect import MemoryRequest, TcdmInterconnect
+from repro.mem.interconnect import TcdmInterconnect
 from repro.mem.memory import Memory
-from repro.mem.tcdm import Tcdm
 
 
 class TestInterconnect:
+    """Requests are ``(master, bank, address)``; ``arbitrate`` returns the
+    granted addresses by master."""
+
+    BASE = 0x1000_0000
+
     def _interconnect(self):
-        return TcdmInterconnect(Tcdm(), num_masters=4)
+        return TcdmInterconnect(num_masters=4)
 
     def test_no_conflict_all_granted(self):
         ic = self._interconnect()
-        base = ic.tcdm.base
-        requests = [MemoryRequest(master=i, address=base + 4 * i) for i in range(4)]
-        result = ic.arbitrate(requests)
-        assert len(result.granted) == 4
-        assert not result.stalled
+        requests = [(i, i, self.BASE + 4 * i) for i in range(4)]
+        granted = ic.arbitrate(requests)
+        assert granted == {i: {self.BASE + 4 * i} for i in range(4)}
         assert ic.conflict_probability == 0.0
 
     def test_same_bank_conflict_grants_one(self):
         ic = self._interconnect()
-        base = ic.tcdm.base
         # Same bank: addresses 0 and 0 + 32 words.
-        requests = [
-            MemoryRequest(master=0, address=base),
-            MemoryRequest(master=1, address=base + 4 * 32),
-        ]
-        result = ic.arbitrate(requests)
-        assert len(result.granted) == 1
-        assert len(result.stalled) == 1
-        assert ic.conflicts == 1
+        granted = ic.arbitrate([(0, 0, self.BASE), (1, 0, self.BASE + 4 * 32)])
+        assert len(granted) == 1
+        assert ic.conflicts == 1 and ic.conflict_cycles == 1
 
     def test_round_robin_rotates_winner(self):
         ic = self._interconnect()
-        base = ic.tcdm.base
         winners = []
         for _ in range(4):
-            requests = [
-                MemoryRequest(master=0, address=base),
-                MemoryRequest(master=1, address=base),
-            ]
-            result = ic.arbitrate(requests)
-            winners.append(result.granted[0].master)
+            granted = ic.arbitrate([(0, 0, self.BASE), (1, 0, self.BASE)])
+            (winner,) = granted
+            winners.append(winner)
         assert set(winners) == {0, 1}
 
+    def test_round_robin_starts_at_the_offset(self):
+        ic = TcdmInterconnect(num_masters=4, rr_offset=1)
+        assert list(ic.arbitrate([(0, 0, self.BASE), (1, 0, self.BASE)])) == [1]
+
     def test_granted_addresses_by_master(self):
+        """A grant serves every port of its master presenting its address."""
         ic = self._interconnect()
-        base = ic.tcdm.base
-        result = ic.arbitrate([MemoryRequest(master=2, address=base + 8)])
-        assert result.granted_addresses_by_master == {2: {base + 8}}
+        granted = ic.arbitrate([(2, 2, self.BASE + 8), (2, 2, self.BASE + 8)])
+        assert granted == {2: {self.BASE + 8}}
+        assert ic.conflicts == 1
 
     def test_stats_dictionary(self):
         ic = self._interconnect()
-        ic.arbitrate([MemoryRequest(master=0, address=ic.tcdm.base)])
+        ic.arbitrate([(0, 0, self.BASE)])
         stats = ic.stats
         assert stats["cycles"] == 1 and stats["requests"] == 1 and stats["grants"] == 1
 

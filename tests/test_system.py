@@ -243,11 +243,15 @@ class TestVerify:
 
 
 class TestScenarioEngineParity:
-    """The golden-parity guarantee over every registered scenario: every
-    engine, with memoization off and on, must leave *bit-identical*
-    contents in the HMC (the lattice-valued workload data makes every
-    intermediate exact in both data planes) and the same makespan.
-    Execution options never change a result."""
+    """The golden-parity guarantee over every registered scenario.
+
+    The independent data oracle is each family's golden output
+    (``outcome.verified``): both engines write through the one data
+    plane, so their bytes agreeing checks the walk's staging, caching
+    and batching paths, not the arithmetic.  Every engine, with
+    memoization off and on, must verify and leave *bit-identical*
+    contents in the HMC with the same makespan.  Execution options never
+    change a result."""
 
     @pytest.mark.parametrize("name", registered_scenarios())
     def test_scalar_and_vectorized_hmc_contents_are_bit_identical(self, name):

@@ -1,20 +1,21 @@
 """Golden parity of the vectorized cycle engine against the scalar engine.
 
 The vectorized engine must be a drop-in replacement: identical memory
-contents, identical static counters (flops, iterations), and identical
-timing and conflict statistics on every input.  The compiled timing core
-leaves out two behaviours of the scalar engine (store-to-load forwarding
-and the shared grant of one address to two ports); the runs that could
-meet either are timed by the scalar engine instead, so every check here
-is exact, and a fuzz over raw command streams compares the two engines
-field by field.
+contents, identical statistics, and identical timing and conflict
+statistics on every input.  Both engines write through the one data
+plane, so the timing is what differs between their loops: the compiled
+timing core leaves out two behaviours of the scalar loop (store-to-load
+forwarding and the shared grant of one address to two ports); the runs
+that could meet either are timed by the scalar loop instead, so every
+check here is exact, and a fuzz over raw command streams compares the
+two engines field by field.
 """
 
 import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,11 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from repro.cluster import timing_core, vecsim
+from repro.cluster.engine import scalar_loop
+from repro.cluster.timing_core import TimingCounters
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.sim import ClusterSimulator
 from repro.core.commands import (
-    NUM_LOOPS,
     AguConfig,
     InitSource,
     LoopConfig,
@@ -33,12 +35,13 @@ from repro.core.commands import (
     NtxOpcode,
 )
 from repro.core.controller import NtxController
-from repro.core.ntx import NtxConfig
+from repro.core import vecops
 from repro.core.vecops import command_plan, execute_functional
 from repro.kernels.blas import axpy_commands
 from repro.kernels.conv import conv2d_commands
-from repro.mem.tcdm import TcdmConfig
 from repro.scenarios import registered_scenarios, run_scenario
+
+from command_draws import draw_cluster_config, draw_jobs
 
 
 def _conv_setup(cluster, rng, image_shape=(20, 22), kernel=3):
@@ -211,7 +214,7 @@ class TestGoldenParity:
             return [(0, command), (0, command)], [y_addr], (n,)
 
         results, outputs = _run_both(build)
-        # The data plane must be bit-exact here (same soft-float path).
+        # Both engines write through the data plane's exact per-op walk here.
         np.testing.assert_array_equal(outputs["vectorized"][0], outputs["scalar"][0])
         assert results["vectorized"] == results["scalar"]
 
@@ -298,9 +301,9 @@ class TestEdgeConfigurations:
         assert command_plan(jobs[0][1]).raw_hazard
 
         # A RAW hazard inside the FIFO window is timing-sensitive on the
-        # real machine (reads can beat earlier stores); the vectorized
-        # engine resolves it deterministically in program order, i.e. like
-        # the per-op walk: buf[0] propagates through the chain.
+        # real machine (reads can beat earlier stores); the data plane
+        # resolves it deterministically in program order, i.e. like the
+        # per-op walk: buf[0] propagates through the chain.
         functional = Cluster()
         jobs, outs, shape = build(functional)
         execute_functional(functional.ntx[0], jobs[0][1], functional.tcdm)
@@ -512,64 +515,13 @@ needs_cc = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler on PATH"
 )
 
-#: A base far from both ends of the 32-bit space: an AGU's excursion
-#: measured from it never wraps around.
-_PROBE_BASE = 1 << 31
-
 
 @st.composite
 def _timing_cases(draw):
     """A random machine plus raw per-NTX command queues for it."""
-    num_ntx = draw(st.integers(1, 8))
-    num_banks = draw(st.integers(4, 32))
-    config = ClusterConfig(
-        num_ntx=num_ntx,
-        tcdm=TcdmConfig(size_bytes=num_banks * 4 * 512, num_banks=num_banks),
-        ntx=NtxConfig(
-            command_setup_cycles=draw(st.integers(0, 6)),
-            writeback_drain_cycles=draw(st.integers(0, 6)),
-            data_fifo_depth=draw(st.integers(1, 6)),
-            writeback_fifo_depth=draw(st.integers(1, 4)),
-        ),
-    )
-    tcdm_base, tcdm_words = config.tcdm.base_address, config.tcdm.total_words
-    jobs = []
-    for ntx_id in range(num_ntx):
-        for _ in range(draw(st.integers(0, 3))):
-            counts = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-            levels = len(counts)
-            init_level = draw(st.integers(0, levels))
-
-            def strides():
-                words = draw(st.lists(
-                    st.integers(-8, 8), min_size=levels, max_size=levels
-                ))
-                return tuple(4 * w for w in words) + (0,) * (NUM_LOOPS - levels)
-
-            agus = [AguConfig(_PROBE_BASE, strides()) for _ in range(3)]
-            command = NtxCommand(
-                opcode=draw(st.sampled_from(list(NtxOpcode))),
-                loops=LoopConfig.nest(*counts),
-                agu0=agus[0], agu1=agus[1], agu2=agus[2],
-                init_level=init_level,
-                store_level=draw(st.integers(0, init_level)),
-                init_source=draw(st.sampled_from(list(InitSource))),
-                writeback=draw(st.booleans()),
-                scalar=0.5,
-            )
-            # Place every AGU so its whole address stream lies in the TCDM.
-            probe = command_plan(replace(command, opcode=NtxOpcode.MAC))
-            placed = {}
-            for name, addresses in (
-                ("agu0", probe.read0), ("agu1", probe.read1), ("agu2", probe.agu2)
-            ):
-                words = (addresses - _PROBE_BASE) // 4
-                low, high = -int(words.min()), tcdm_words - 1 - int(words.max())
-                start = draw(st.integers(low, high))
-                placed[name] = AguConfig(
-                    tcdm_base + 4 * start, getattr(command, name).strides
-                )
-            jobs.append((ntx_id, replace(command, **placed)))
+    config = draw_cluster_config(draw)
+    jobs = draw_jobs(draw, config)
+    num_ntx = config.num_ntx
     return {
         "config": config,
         "jobs": jobs,
@@ -654,6 +606,37 @@ class TestCompiledTimingCore:
         for ours, theirs in zip(compiled.output_arrays(), scalar.output_arrays()):
             np.testing.assert_array_equal(ours, theirs)
 
+    def test_the_scalar_loop_reads_no_command_plan(self, monkeypatch):
+        """The scalar loop takes its addresses from the AGUs, never from
+        the command plans the compiled loop runs on, so the fuzz compares
+        two independent models: with plans refused, it still returns the
+        compiled loop's counters."""
+        cluster = Cluster()
+        _, _, jobs, _, _ = _conv_setup(cluster, np.random.default_rng(5), (10, 12))
+        simulator = ClusterSimulator(cluster)
+        params = vecsim.timing_params(simulator, 1_000_000, 0.6, 7)
+        by_reason = _fallbacks("repro_timing_core_fallbacks_total")
+        result = simulator.run(jobs, 1_000_000, 0.6, 7)
+        assert by_reason() == {}
+        interconnect = simulator.interconnect
+        compiled = TimingCounters(
+            result.cycles, interconnect.requests, interconnect.grants,
+            interconnect.conflicts, interconnect.conflict_cycles,
+            interconnect._rr_offset, list(result.per_ntx_active),
+            list(result.per_ntx_stall),
+        )
+
+        def refuse(command):
+            raise AssertionError("the scalar loop read a command plan")
+
+        monkeypatch.setattr(vecops, "command_plan", refuse)
+        monkeypatch.setattr(vecsim, "command_plan", refuse)
+        queues = [
+            [command for ntx_id, command in jobs if ntx_id == ntx]
+            for ntx in range(cluster.config.num_ntx)
+        ]
+        assert scalar_loop(queues, params) == compiled
+
     def test_library_is_cached_by_source_and_argv(self, tmp_path, monkeypatch):
         monkeypatch.setattr(timing_core, "_cache_dir", lambda: tmp_path)
         monkeypatch.setattr(timing_core, "_STATE", None)
@@ -709,12 +692,27 @@ def _shared_grant_case(cluster, n=32):
     ]
 
 
+def _counters(simulator):
+    """Every counter a run leaves on ``simulator``'s cluster: NTX and FPU
+    statistics, TCDM bank accesses and memory reads/writes, and the
+    interconnect's statistics."""
+    cluster = simulator.cluster
+    tcdm = cluster.tcdm
+    return (
+        [(astuple(ntx.stats), astuple(ntx.fpu_stats)) for ntx in cluster.ntx],
+        tcdm.bank_accesses.tolist(),
+        (tcdm.memory.reads, tcdm.memory.writes),
+        simulator.interconnect.stats,
+    )
+
+
 @needs_cc
 class TestHandBuiltHazards:
     """Each behaviour the compiled loop leaves out, built by hand: the
     compiled loop alone disagrees with the scalar engine, and the
     vectorized engine returns the scalar engine's timing instead, counted
-    under the command's verdict."""
+    under the command's verdict.  The engine changes no byte and no
+    counter: both write through the one data plane."""
 
     @pytest.mark.parametrize(
         "build, verdict",
@@ -730,18 +728,32 @@ class TestHandBuiltHazards:
         def run(engine):
             cluster = Cluster()
             jobs = build(cluster)
-            result = ClusterSimulator(cluster, engine=engine).run(jobs)
-            return result, bytes(cluster.tcdm.memory.data)
+            simulator = ClusterSimulator(cluster, engine=engine)
+            result = simulator.run(jobs)
+            return result, bytes(cluster.tcdm.memory.data), _counters(simulator)
 
         scalar = run("scalar")
         vectorized = run("vectorized")
         assert by_reason() == {verdict: 1.0}
-        assert vectorized[0] == scalar[0]
-        if verdict == "shared_reads":  # no hazard on the data: same bytes
-            assert vectorized[1] == scalar[1]
+        assert vectorized == scalar
         monkeypatch.setattr(vecsim, "_timing_hazard", lambda queues: None)
         assert run("vectorized")[0] != scalar[0]
         assert by_reason() == {verdict: 1.0}
+
+    def test_forwarded_reads_count_like_the_data_plane(self):
+        """A forwarded read presents no TCDM request, yet the NTX, FPU
+        and TCDM counters count every read of the command, as the data
+        plane accounts it."""
+        cluster = Cluster()
+        jobs = _forwarding_case(cluster)
+        simulator = ClusterSimulator(cluster, engine="scalar")
+        simulator.run(jobs)
+        plan = command_plan(jobs[0][1])
+        stats = cluster.ntx[0].stats
+        assert (stats.tcdm_reads, stats.tcdm_writes) == (plan.num_reads, plan.num_stores)
+        assert cluster.tcdm.memory.reads == plan.num_reads
+        assert cluster.ntx[0].fpu_stats.issues == plan.total
+        assert simulator.interconnect.requests < plan.num_reads + plan.num_stores
 
 
 def _conv_outcome(engine="vectorized"):
