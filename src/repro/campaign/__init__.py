@@ -40,7 +40,12 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.campaign.analysis import PointAnalysis, analyze_records, format_report
+    from repro.campaign.analysis import (
+        PointAnalysis,
+        analyze_outcome,
+        analyze_records,
+        format_report,
+    )
     from repro.campaign.cache import (
         CACHE_DIR_ENV,
         GlobalResultCache,
@@ -71,6 +76,7 @@ __all__ = [
     "ResultStore",
     "ResultStoreError",
     "SweepSpec",
+    "analyze_outcome",
     "analyze_records",
     "default_store_path",
     "format_report",
@@ -95,6 +101,7 @@ _EXPORTS = {
     "ResultStore": "store",
     "ResultStoreError": "store",
     "SweepSpec": "spec",
+    "analyze_outcome": "analysis",
     "analyze_records": "analysis",
     "default_store_path": "runner",
     "format_report": "analysis",

@@ -28,20 +28,29 @@ at the same vault count form the geometry-scaling curve whose
 flattening (`plateau`) reproduces the paper's bandwidth-bound
 scale-out story: throughput stops growing with added clusters exactly
 when the model says the bandwidth roof binds.
+
+Every analysis runs one routine over ``(spec, record)`` pairs.
+:func:`analyze_outcome` takes each point's spec from the expansion a
+:class:`~repro.campaign.runner.CampaignOutcome` already holds;
+:func:`analyze_records` serves records read from a store alone, and
+parses each one's stored ``spec``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.perf.energy import EnergyModel
 from repro.perf.scaling import NtxSystemConfig
 from repro.perf.technology import TECH_22FDX
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["PointAnalysis", "analyze_records", "format_report"]
+if TYPE_CHECKING:
+    from repro.campaign.runner import CampaignOutcome
+
+__all__ = ["PointAnalysis", "analyze_outcome", "analyze_records", "format_report"]
 
 #: Throughput gain below which an added-cluster step counts as plateaued.
 PLATEAU_GAIN = 0.05
@@ -106,8 +115,9 @@ def _series_key(spec: ScenarioSpec) -> str:
     )
 
 
-def _analyze_one(record: Dict[str, Any]) -> PointAnalysis:
-    spec = ScenarioSpec.from_dict(record["spec"])
+def _analyze_one(
+    spec: ScenarioSpec, record: Dict[str, Any], energy: EnergyModel
+) -> PointAnalysis:
     metrics = record["metrics"]
     config = spec.system_config()
     flops = float(metrics.get("total_flops", 0))
@@ -131,7 +141,7 @@ def _analyze_one(record: Dict[str, Any]) -> PointAnalysis:
         )
         utilization = min(max(float(metrics.get("utilization", 0.0)), 0.0), 1.0)
         if utilization > 0:
-            efficiency = EnergyModel().training_efficiency(
+            efficiency = energy.training_efficiency(
                 system, intensity, utilization=utilization
             )
 
@@ -169,8 +179,29 @@ def analyze_records(records: Sequence[Dict[str, Any]]) -> List[PointAnalysis]:
     ratios relative to the series' fewest-cluster row, and ``plateau``
     marks rows whose throughput gain over the previous same-vault-count
     row fell under :data:`PLATEAU_GAIN` despite added clusters.
+
+    Each record's spec is parsed from its ``spec`` field: this serves
+    records read back from a store.  A campaign run's records go through
+    :func:`analyze_outcome`, which parses none.
     """
-    rows = [_analyze_one(record) for record in records]
+    return _analyze(
+        (ScenarioSpec.from_dict(record["spec"]), record) for record in records
+    )
+
+
+def analyze_outcome(outcome: "CampaignOutcome") -> List[PointAnalysis]:
+    """:func:`analyze_records` of a campaign run, with its expansion's specs."""
+    return _analyze(
+        (point.spec, record) for point, record in outcome.recorded_points()
+    )
+
+
+def _analyze(
+    points: Iterable[Tuple[ScenarioSpec, Dict[str, Any]]]
+) -> List[PointAnalysis]:
+    """The routine of both: analyse ``(spec, record)`` pairs."""
+    energy = EnergyModel()
+    rows = [_analyze_one(spec, record, energy) for spec, record in points]
     by_series: Dict[str, List[PointAnalysis]] = {}
     for row in rows:
         by_series.setdefault(row.series, []).append(row)

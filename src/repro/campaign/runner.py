@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.cache import GlobalResultCache, resolve_cache
 from repro.campaign.registry import get_campaign
@@ -118,6 +118,11 @@ class CampaignOutcome:
     def complete(self) -> bool:
         """Whether every expanded point now has a record."""
         return len(self.records) == len(self.points)
+
+    def recorded_points(self) -> List[Tuple[CampaignPoint, Dict[str, Any]]]:
+        """Each point that has a record, with that record, in expansion order."""
+        by_id = {point.id: point for point in self.points}
+        return [(by_id[record["point_id"]], record) for record in self.records]
 
 
 def run_campaign(

@@ -1,17 +1,24 @@
 """Layer-by-layer descriptions of the six networks evaluated in Table II.
 
-The builders construct each network as a flat list of layers with concrete
-input geometries (ImageNet-sized 224x224 inputs, 299x299 for Inception v3),
-so the training model can account flops and DRAM traffic per layer.  The
-descriptions follow the original publications ([20] AlexNet, [10] GoogLeNet,
-[21] Inception v3, [11] ResNets); auxiliary classifier heads are omitted, as
-is conventional when quoting training cost.
+The builders record each network as a flat sequence of geometry rows, one
+``(kind, geometry)`` pair per layer: ``kind`` is a
+:class:`~repro.dnn.layers.Layer` subclass and ``geometry`` its fields after
+``name``, with concrete input geometries (ImageNet-sized 224x224 inputs,
+299x299 for Inception v3).  The training model of
+:mod:`repro.dnn.training` accounts flops and DRAM traffic per row, cached
+per geometry, so describing a network builds no layer object;
+:attr:`Network.layers` builds them, named ``conv1``, ``relu2``, ... in
+layer order, only when a caller asks.  The descriptions follow the
+original publications ([20] AlexNet, [10] GoogLeNet, [21] Inception v3,
+[11] ResNets); auxiliary classifier heads are omitted, as is conventional
+when quoting training cost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.dnn.layers import ActivationLayer, ConvLayer, Layer, LinearLayer, PoolLayer
 
@@ -25,13 +32,43 @@ __all__ = [
     "PAPER_NETWORKS",
 ]
 
+#: One layer: its class and its fields after ``name``, in declaration order.
+Row = Tuple[Type[Layer], tuple]
 
-@dataclass
+#: The name prefix of each layer kind; the suffix is the layer's 1-based index.
+_PREFIX: Dict[type, str] = {
+    ConvLayer: "conv",
+    ActivationLayer: "relu",
+    PoolLayer: "pool",
+    LinearLayer: "fc",
+}
+
+
+@functools.lru_cache(maxsize=4096)
+def _output_shape(kind: Type[Layer], geometry: tuple) -> Tuple[int, int, int]:
+    """``output_shape`` of a ``kind`` layer with the fields ``geometry``."""
+    return kind("", *geometry).output_shape
+
+
+@dataclass(frozen=True)
 class Network:
-    """A named, flat stack of layers."""
+    """A named, flat stack of layers, held as geometry rows."""
 
     name: str
-    layers: List[Layer] = field(default_factory=list)
+    rows: Tuple[Row, ...] = ()
+
+    @functools.cached_property
+    def layers(self) -> Tuple[Layer, ...]:
+        """The layer objects of the rows, named ``conv1``, ``relu2``, ..."""
+        return tuple(
+            kind(name, *geometry)
+            for name, (kind, geometry) in zip(self.layer_names, self.rows)
+        )
+
+    @property
+    def layer_names(self) -> List[str]:
+        """The names of :attr:`layers`, without building them."""
+        return [f"{_PREFIX[kind]}{index}" for index, (kind, _) in enumerate(self.rows, start=1)]
 
     @property
     def forward_macs(self) -> int:
@@ -64,7 +101,7 @@ class Network:
     def summary(self) -> Dict[str, float]:
         return {
             "name": self.name,
-            "layers": len(self.layers),
+            "layers": len(self.rows),
             "params_m": self.param_count / 1e6,
             "forward_gmacs": self.forward_macs / 1e9,
             "training_gflops": self.training_flops / 1e9,
@@ -72,23 +109,27 @@ class Network:
 
 
 class _Builder:
-    """Tracks the activation geometry while layers are appended."""
+    """Tracks the activation geometry while layer rows are appended."""
 
     def __init__(self, name: str, channels: int, height: int, width: int) -> None:
-        self.network = Network(name=name)
+        self.name = name
+        self.rows: List[Row] = []
         self.channels = channels
         self.height = height
         self.width = width
-        self._counter = 0
 
-    def _next_name(self, kind: str) -> str:
-        self._counter += 1
-        return f"{kind}{self._counter}"
+    def network(self) -> Network:
+        return Network(self.name, tuple(self.rows))
 
-    def _append(self, layer: Layer) -> Layer:
-        self.network.layers.append(layer)
-        self.channels, self.height, self.width = layer.output_shape
-        return layer
+    def _append(self, kind: Type[Layer], *fields: int) -> None:
+        """Append a ``kind`` row on the current geometry and move past it.
+
+        ``fields`` are the kind's fields after the input geometry, every
+        one given, so equal layers have equal rows.
+        """
+        geometry = (self.channels, self.height, self.width, *fields)
+        self.rows.append((kind, geometry))
+        self.channels, self.height, self.width = _output_shape(kind, geometry)
 
     def conv(
         self,
@@ -97,61 +138,25 @@ class _Builder:
         stride: int = 1,
         padding: int = 0,
         relu: bool = True,
-        name: str = "",
-    ) -> Layer:
-        layer = ConvLayer(
-            name=name or self._next_name("conv"),
-            in_channels=self.channels,
-            in_height=self.height,
-            in_width=self.width,
-            out_channels_=out_channels,
-            kernel=kernel,
-            stride=stride,
-            padding=padding,
-        )
-        self._append(layer)
+    ) -> None:
+        # out_channels_, kernel, stride, padding, groups
+        self._append(ConvLayer, out_channels, kernel, stride, padding, 1)
         if relu:
             self.relu()
-        return layer
 
-    def relu(self) -> Layer:
-        return self._append(
-            ActivationLayer(
-                name=self._next_name("relu"),
-                in_channels=self.channels,
-                in_height=self.height,
-                in_width=self.width,
-            )
-        )
+    def relu(self) -> None:
+        self._append(ActivationLayer, 1)  # flops_per_element
 
-    def pool(self, kernel: int, stride: int, padding: int = 0) -> Layer:
-        return self._append(
-            PoolLayer(
-                name=self._next_name("pool"),
-                in_channels=self.channels,
-                in_height=self.height,
-                in_width=self.width,
-                kernel=kernel,
-                stride=stride,
-                padding=padding,
-            )
-        )
+    def pool(self, kernel: int, stride: int, padding: int = 0) -> None:
+        self._append(PoolLayer, kernel, stride, padding)
 
-    def global_pool(self) -> Layer:
-        return self.pool(kernel=self.height, stride=self.height)
+    def global_pool(self) -> None:
+        self.pool(kernel=self.height, stride=self.height)
 
-    def linear(self, out_features: int, relu: bool = False) -> Layer:
-        layer = LinearLayer(
-            name=self._next_name("fc"),
-            in_channels=self.channels,
-            in_height=self.height,
-            in_width=self.width,
-            out_features=out_features,
-        )
-        self._append(layer)
+    def linear(self, out_features: int, relu: bool = False) -> None:
+        self._append(LinearLayer, out_features)
         if relu:
             self.relu()
-        return layer
 
     # -- composite blocks -------------------------------------------------------------
 
@@ -224,7 +229,7 @@ def build_alexnet() -> Network:
     b.linear(4096, relu=True)
     b.linear(4096, relu=True)
     b.linear(1000)
-    return b.network
+    return b.network()
 
 
 # --------------------------------------------------------------------------- #
@@ -253,7 +258,7 @@ def build_googlenet() -> Network:
     b.inception_v1(384, 192, 384, 48, 128, 128)   # 5b
     b.global_pool()
     b.linear(1000)
-    return b.network
+    return b.network()
 
 
 # --------------------------------------------------------------------------- #
@@ -367,7 +372,7 @@ def build_inception_v3() -> Network:
     module_c()
     b.global_pool()
     b.linear(1000)
-    return b.network
+    return b.network()
 
 
 # --------------------------------------------------------------------------- #
@@ -399,7 +404,7 @@ def build_resnet(depth: int) -> Network:
                 b.residual_bottleneck(channels, stride=stride)
     b.global_pool()
     b.linear(1000)
-    return b.network
+    return b.network()
 
 
 # --------------------------------------------------------------------------- #

@@ -19,6 +19,11 @@ with the least DRAM traffic, then accounts:
 Parameter-free layers (pooling, ReLU) stream their activations once in each
 direction.  The per-step traffic of the optimiser update (read gradient,
 read weight, write weight) is included once per step.
+
+The cost depends only on a layer's kind and geometry, so it is cached per
+``(kind, geometry)`` row of :class:`~repro.dnn.networks.Network`, and a
+:class:`TrainingWorkload` is a sum over the network's rows: it builds no
+layer object once the geometries are cached.
 """
 
 from __future__ import annotations
@@ -185,14 +190,14 @@ def layer_traffic(layer: Layer, batch: int, tcdm_bytes: int = 64 * 1024) -> Laye
 class TrainingWorkload:
     """One training step of a network on the NTX system.
 
-    The per-step totals are summed once at construction; the workload is
-    frozen so they cannot go stale.
+    The per-step totals are summed once at construction, over the cached
+    cost of each of the network's geometry rows; the workload is frozen
+    so they cannot go stale.
     """
 
     network: Network
     batch: int = 64
     tcdm_bytes: int = 64 * 1024
-    _layers: Tuple[Layer, ...] = field(init=False, repr=False, compare=False)
     _costs: Tuple[_LayerCost, ...] = field(init=False, repr=False, compare=False)
     #: Flops of one training step (whole batch).
     flops_per_step: int = field(init=False, repr=False, compare=False)
@@ -202,11 +207,13 @@ class TrainingWorkload:
     mac_fraction: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        layers = tuple(self.network.layers)
-        costs = tuple(_layer_cost(layer, self.batch, self.tcdm_bytes) for layer in layers)
+        batch, tcdm_bytes = self.batch, self.tcdm_bytes
+        costs = tuple(
+            _geometry_cost(kind, geometry, batch, tcdm_bytes)
+            for kind, geometry in self.network.rows
+        )
         flops = sum(cost.flops for cost in costs)
         mac_flops = sum(cost.mac_flops for cost in costs)
-        object.__setattr__(self, "_layers", layers)
         object.__setattr__(self, "_costs", costs)
         object.__setattr__(self, "flops_per_step", flops)
         object.__setattr__(
@@ -222,9 +229,10 @@ class TrainingWorkload:
 
     @property
     def per_layer(self) -> List[LayerTraffic]:
+        """The traffic of each layer, named as in :attr:`Network.layers`."""
         return [
-            LayerTraffic(layer.name, *cost[:4])
-            for layer, cost in zip(self._layers, self._costs)
+            LayerTraffic(name, *cost[:4])
+            for name, cost in zip(self.network.layer_names, self._costs)
         ]
 
     @property

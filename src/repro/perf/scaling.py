@@ -17,6 +17,7 @@ the operating frequency of the clusters:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -30,7 +31,12 @@ __all__ = ["NtxSystemConfig", "build_ntx_configurations"]
 
 @dataclass(frozen=True)
 class NtxSystemConfig:
-    """One NTX (n x) configuration of Table II."""
+    """One NTX (n x) configuration of Table II.
+
+    The operating point (the frequency and the peak it sets) and the area
+    model are evaluated once per object, on first use: the fields are
+    frozen, so they cannot go stale.
+    """
 
     technology: Technology
     num_clusters: int
@@ -81,7 +87,7 @@ class NtxSystemConfig:
         )
         return plateau_flops / (self.num_clusters * self.ntx_per_cluster * 2.0)
 
-    @property
+    @functools.cached_property
     def frequency_hz(self) -> float:
         """Operating frequency: the tightest of the three limits."""
         return min(
@@ -92,7 +98,7 @@ class NtxSystemConfig:
 
     # -- headline figures ---------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def peak_flops(self) -> float:
         return self.num_clusters * self.ntx_per_cluster * 2.0 * self.frequency_hz
 
@@ -100,15 +106,15 @@ class NtxSystemConfig:
     def peak_tops(self) -> float:
         return self.peak_flops / 1e12
 
-    @property
+    @functools.cached_property
     def area_model(self) -> SystemAreaModel:
         return SystemAreaModel(technology=self.technology, num_clusters=self.num_clusters)
 
-    @property
+    @functools.cached_property
     def area_mm2(self) -> float:
         return self.area_model.total_cluster_area_mm2
 
-    @property
+    @functools.cached_property
     def lim_dies(self) -> int:
         return self.area_model.lim_dies_required
 

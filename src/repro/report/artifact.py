@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Union
 from repro.campaign import (
     GlobalResultCache,
     PointAnalysis,
-    analyze_records,
+    analyze_outcome,
     default_store_path,
     resolve_cache,
     run_campaign,
@@ -69,6 +69,12 @@ class ArtifactContext:
     store directory it writes into.  The cache is resolved once per
     context and shared by every campaign, so each shard file is parsed
     at most once per report.
+
+    What artifacts derive from those outcomes is kept per context too:
+    each campaign is analysed at most once (:meth:`analysis`, with the
+    specs of the outcome's expansion), and the Table II workloads are
+    built at most once (:meth:`training_workloads`).  Nothing outlives
+    the context, so a report costs the same in a fresh process.
     """
 
     def __init__(
@@ -86,6 +92,7 @@ class ArtifactContext:
             options=ExecutionOptions(cache_dir=self.cache_dir)
         )
         self._outcomes: Dict[str, CampaignOutcome] = {}
+        self._analyses: Dict[str, List[PointAnalysis]] = {}
         self._training_workloads: Optional[Dict[str, TrainingWorkload]] = None
 
     def campaign(self, name: str) -> CampaignOutcome:
@@ -114,5 +121,7 @@ class ArtifactContext:
         return self.campaign(name).records
 
     def analysis(self, name: str) -> List[PointAnalysis]:
-        """The scaling/model analysis rows of campaign ``name``."""
-        return analyze_records(self.campaign(name).records)
+        """The (memoized) scaling/model analysis rows of campaign ``name``."""
+        if name not in self._analyses:
+            self._analyses[name] = analyze_outcome(self.campaign(name))
+        return self._analyses[name]

@@ -25,7 +25,6 @@ from repro.perf.roofline import RooflineModel
 from repro.report.artifact import ArtifactContext
 from repro.report.registry import ArtifactData, Section, register_default_artifacts
 from repro.report.render import ascii_bar_chart
-from repro.scenarios.spec import ScenarioSpec
 
 # ``register_default_artifacts`` lives in :mod:`repro.report.registry`;
 # it is re-exported here, where it used to be defined.
@@ -276,9 +275,8 @@ def _build_table2(context: ArtifactContext) -> ArtifactData:
 
 def _build_fig3b(context: ArtifactContext) -> ArtifactData:
     rows = []
-    for record in context.records("opcode-throughput"):
-        spec = ScenarioSpec.from_dict(record["spec"])
-        params = spec.merged_params()
+    for point, record in context.campaign("opcode-throughput").recorded_points():
+        params = point.spec.merged_params()
         cycles = float(record["metrics"]["compute_cycles"])
         elements = int(params["n"])
         rows.append(

@@ -18,6 +18,7 @@ from repro.dnn import (
     build_resnet,
     layer_traffic,
 )
+from repro.dnn import networks
 from repro.dnn.training import _best_tiling_traffic, _conv_like_dimensions
 
 #: (flops, DRAM bytes) of one batch-64 training step with a 64 KiB TCDM.
@@ -29,6 +30,59 @@ STEP_TOTALS_BATCH64 = {
     "ResNet-50": (1571720724480, 311981622496),
     "ResNet-152": (4424170930176, 833291470048),
 }
+
+
+class _LayerBuilder(networks._Builder):
+    """The per-``Layer`` construction the geometry rows replaced.
+
+    One named layer object per layer, its output shape read off the
+    object; the composite blocks are inherited, so driving the network
+    builders with this class gives the layers of the same definitions.
+    """
+
+    def __init__(self, name, channels, height, width):
+        super().__init__(name, channels, height, width)
+        self.layers = []
+
+    def _add(self, kind, prefix, **fields):
+        layer = kind(
+            name=f"{prefix}{len(self.layers) + 1}",
+            in_channels=self.channels,
+            in_height=self.height,
+            in_width=self.width,
+            **fields,
+        )
+        self.layers.append(layer)
+        self.channels, self.height, self.width = layer.output_shape
+
+    def conv(self, out_channels, kernel, stride=1, padding=0, relu=True):
+        self._add(
+            ConvLayer, "conv",
+            out_channels_=out_channels, kernel=kernel, stride=stride, padding=padding,
+        )
+        if relu:
+            self.relu()
+
+    def relu(self):
+        self._add(ActivationLayer, "relu")
+
+    def pool(self, kernel, stride, padding=0):
+        self._add(PoolLayer, "pool", kernel=kernel, stride=stride, padding=padding)
+
+    def linear(self, out_features, relu=False):
+        self._add(LinearLayer, "fc", out_features=out_features)
+        if relu:
+            self.relu()
+
+    def network(self):
+        return self.layers
+
+
+def oracle_layers(name, monkeypatch):
+    """The layers of network ``name``, built one object at a time."""
+    with monkeypatch.context() as patch:
+        patch.setattr(networks, "_Builder", _LayerBuilder)
+        return networks._BUILDERS[name]()
 
 
 class TestLayers:
@@ -183,3 +237,39 @@ class TestTrainingModel:
         assert summary["network"] == "AlexNet"
         assert summary["gflops_per_step"] > 0
         assert summary["dram_gb_per_step"] > 0
+
+
+class TestGeometryRows:
+    """The rows give what one layer object per layer gave, layer by layer.
+
+    The totals catch a dropped layer; the per-layer traffic and the
+    layers catch a dropped, reordered or renamed one.
+    """
+
+    @pytest.mark.parametrize("name", PAPER_NETWORKS)
+    def test_layers_equal_the_object_construction(self, name, monkeypatch):
+        expected = oracle_layers(name, monkeypatch)
+        layers = build_network(name).layers
+        assert len(layers) == len(expected)
+        for index, (layer, oracle) in enumerate(zip(layers, expected)):
+            assert layer == oracle, (name, index)
+
+    @pytest.mark.parametrize("tcdm_kib", (32, 64, 256))
+    @pytest.mark.parametrize("batch", (16, 64))
+    @pytest.mark.parametrize("name", PAPER_NETWORKS)
+    def test_workload_equals_the_per_layer_sum(self, name, batch, tcdm_kib, monkeypatch):
+        tcdm = tcdm_kib * 1024
+        expected = oracle_layers(name, monkeypatch)
+        traffic = [layer_traffic(layer, batch, tcdm) for layer in expected]
+        flops = sum(t.flops for t in traffic)
+        mac_flops = sum(
+            t.flops for layer, t in zip(expected, traffic) if layer.is_compute_layer
+        )
+        workload = TrainingWorkload(build_network(name), batch=batch, tcdm_bytes=tcdm)
+        assert workload.flops_per_step == flops
+        assert workload.dram_bytes_per_step == sum(t.total_bytes for t in traffic)
+        assert workload.mac_fraction == mac_flops / flops
+        per_layer = workload.per_layer
+        assert len(per_layer) == len(traffic)
+        for index, (entry, oracle) in enumerate(zip(per_layer, traffic)):
+            assert entry == oracle, (name, index)
