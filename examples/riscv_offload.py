@@ -16,6 +16,7 @@ import numpy as np
 from repro import Cluster
 from repro.cluster.bus import DmaRegisterMap
 from repro.core.commands import NtxOpcode
+from repro.core.ntx import STAT_COLUMNS
 from repro.core.registers import RegisterMap
 
 
@@ -86,8 +87,10 @@ def main() -> None:
           f"({cluster.cpu.cycles} core cycles, "
           f"I-cache hit rate {cluster.cpu.icache.hit_rate:.1%})")
     print(f"exit code                : {exit_code}")
-    print(f"NTX 0 executed           : {cluster.ntx[0].stats.commands} command, "
-          f"{cluster.ntx[0].stats.iterations} elements")
+    # One row of counters per NTX; the columns are named in STAT_COLUMNS.
+    ntx0 = dict(zip(STAT_COLUMNS, cluster.ntx_stats[0].tolist()))
+    print(f"NTX 0 executed           : {ntx0['commands']} command, "
+          f"{ntx0['iterations']} elements")
     print(f"ReLU result matches NumPy: {np.array_equal(result, expected)}")
     assert np.array_equal(result, expected)
 

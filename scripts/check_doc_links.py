@@ -23,6 +23,7 @@ Exits non-zero with one line per problem; silent success otherwise.
 
 from __future__ import annotations
 
+import ast
 import functools
 import re
 import sys
@@ -82,18 +83,72 @@ def anchors_of(path: Path) -> set[str]:
     return anchors
 
 
+def _module_file(parts: list[str]) -> Path | None:
+    """The source file of module ``repro.a.b`` under src/, if any."""
+    base = REPO / "src" / Path(*parts)
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _bound_names(statements: list[ast.stmt]) -> set[str]:
+    """Names a block of statements binds at its own level (descending
+    into ``if``/``try``/``with`` blocks, not into functions or classes)."""
+    names: set[str] = set()
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(
+                    name.id for name in ast.walk(target) if isinstance(name, ast.Name)
+                )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(
+                (alias.asname or alias.name).split(".")[0] for alias in node.names
+            )
+        if isinstance(node, (ast.If, ast.Try, ast.With, ast.ExceptHandler)):
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                names |= _bound_names(getattr(node, block, []))
+    return names
+
+
+@functools.lru_cache(maxsize=None)
+def top_level_names(path: Path) -> frozenset[str]:
+    """Every name a module defines at top level, and every name its
+    ``__all__`` exports (the packages re-export lazily)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = _bound_names(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                names.update(
+                    item.value for item in node.value.elts
+                    if isinstance(item, ast.Constant) and isinstance(item.value, str)
+                )
+    return frozenset(names)
+
+
 def module_exists(dotted: str) -> bool:
-    """Whether some prefix of ``dotted`` resolves to a module under src/.
+    """Whether ``dotted`` names a module under src/ or a top-level name
+    of one.
 
     References like ``repro.cluster.sim.ClusterSimulator`` name an
-    attribute of a module; the longest resolvable prefix is what must
-    exist on disk.
+    attribute of a module: the longest prefix that is a module on disk
+    must be followed by nothing, or by a name that module defines at top
+    level (``repro.cluster.sim.ClusterSimulator.run`` checks
+    ``ClusterSimulator`` only).
     """
     parts = dotted.split(".")
     for depth in range(len(parts), 0, -1):
-        base = REPO / "src" / Path(*parts[:depth])
-        if base.with_suffix(".py").is_file() or (base / "__init__.py").is_file():
-            return True
+        path = _module_file(parts[:depth])
+        if path is not None:
+            return depth == len(parts) or parts[depth] in top_level_names(path)
     return False
 
 

@@ -48,11 +48,10 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.cluster.cluster import Cluster, ClusterConfig
     from repro.core.commands import NtxCommand, NtxOpcode
-    from repro.core.ntx import Ntx, NtxConfig
+    from repro.core.ntx import NtxConfig
     from repro.options import ExecutionOptions
 
 __all__ = [
-    "Ntx",
     "NtxConfig",
     "NtxCommand",
     "NtxOpcode",
@@ -66,7 +65,6 @@ __all__ = [
 # ``import repro`` and its subpackages stay NumPy-free until a name that
 # needs the simulator is used.
 _EXPORTS = {
-    "Ntx": "core.ntx",
     "NtxConfig": "core.ntx",
     "NtxCommand": "core.commands",
     "NtxOpcode": "core.commands",

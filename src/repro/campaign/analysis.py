@@ -38,6 +38,7 @@ parses each one's stored ``spec``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence, Tuple
@@ -49,6 +50,7 @@ from repro.scenarios.spec import ScenarioSpec
 
 if TYPE_CHECKING:
     from repro.campaign.runner import CampaignOutcome
+    from repro.system.config import SystemConfig
 
 __all__ = ["PointAnalysis", "analyze_outcome", "analyze_records", "format_report"]
 
@@ -115,11 +117,26 @@ def _series_key(spec: ScenarioSpec) -> str:
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _system_config(
+    num_vaults: int, clusters_per_vault: int, stagger_cycles: int
+) -> SystemConfig:
+    """The :meth:`ScenarioSpec.system_config` of every spec on one system
+    geometry, built once: the roofs of a point depend on nothing else."""
+    from repro.system.config import SystemConfig
+
+    return SystemConfig(
+        num_vaults=num_vaults,
+        clusters_per_vault=clusters_per_vault,
+        stagger_cycles=stagger_cycles,
+    )
+
+
 def _analyze_one(
     spec: ScenarioSpec, record: Dict[str, Any], energy: EnergyModel
 ) -> PointAnalysis:
     metrics = record["metrics"]
-    config = spec.system_config()
+    config = _system_config(spec.num_vaults, spec.clusters_per_vault, spec.stagger_cycles)
     flops = float(metrics.get("total_flops", 0))
     dma_bytes = float(metrics.get("total_dma_bytes", 0))
     intensity = flops / dma_bytes if dma_bytes else 0.0

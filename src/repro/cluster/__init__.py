@@ -5,14 +5,16 @@
 * :mod:`repro.cluster.bus` — the cluster bus that routes RISC-V loads and
   stores to the mapped devices.
 * :mod:`repro.cluster.cluster` — the cluster itself: one RV32IM core, eight
-  NTX co-processors, 64 kB TCDM, DMA engine, 2 kB I-cache and L2.
+  NTX co-processors (their statistics one int64 array, a row per NTX),
+  64 kB TCDM, DMA engine, 2 kB I-cache and L2.
 * :mod:`repro.cluster.tiling` — tile programs and schedules, and the
   double-buffering model that overlaps DMA and compute.
 * :mod:`repro.cluster.sim` — the cycle-level simulator that contends all
   NTX streams (and the DMA) for TCDM banks.
-* :mod:`repro.cluster.engine` — the two cycle engines (``"scalar"`` and
-  ``"vectorized"``), timing models every layer resolves engine names
-  through.
+* :mod:`repro.cluster.engine` — the names of the two cycle engines
+  (``"scalar"`` and ``"vectorized"``, which differ only in the loop that
+  times a run), which every layer resolves engine names through, and
+  the scalar reference loop.
 * :mod:`repro.cluster.vecsim` — the vectorized engine's NumPy
   precomputed request streams and integer-only timing core, and the one
   array data plane both engines replay through (see
@@ -28,12 +30,7 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.cluster.addressmap import AddressMap
     from repro.cluster.cluster import Cluster, ClusterConfig
-    from repro.cluster.engine import (
-        DEFAULT_ENGINE,
-        Engine,
-        available_engines,
-        get_engine,
-    )
+    from repro.cluster.engine import DEFAULT_ENGINE, available_engines, resolve_engine
     from repro.cluster.sim import ClusterSimulator, SimulationResult
     from repro.cluster.tiling import TileProgram, TileSchedule
 
@@ -42,9 +39,8 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "DEFAULT_ENGINE",
-    "Engine",
     "available_engines",
-    "get_engine",
+    "resolve_engine",
     "TileProgram",
     "TileSchedule",
     "ClusterSimulator",
@@ -57,9 +53,8 @@ _EXPORTS = {
     "Cluster": "cluster",
     "ClusterConfig": "cluster",
     "DEFAULT_ENGINE": "engine",
-    "Engine": "engine",
     "available_engines": "engine",
-    "get_engine": "engine",
+    "resolve_engine": "engine",
     "TileProgram": "tiling",
     "TileSchedule": "tiling",
     "ClusterSimulator": "sim",

@@ -29,7 +29,8 @@ import numpy as np
 from repro.cluster.addressmap import AddressMap
 from repro.cluster.bus import ClusterBus
 from repro.core.commands import NtxCommand
-from repro.core.ntx import Ntx, NtxConfig
+from repro.core.fpu import NtxFpu
+from repro.core.ntx import ACTIVE_CYCLES, FLOPS, STAT_COLUMNS, NtxConfig
 from repro.core.registers import NtxRegisterFile
 from repro.mem.axi import AxiConfig, AxiPort
 from repro.mem.dma import DmaConfig, DmaEngine, DmaTransfer
@@ -102,15 +103,31 @@ class Cluster:
         self.hmc = hmc if hmc is not None else Hmc(self.config.hmc)
         self.dma = DmaEngine(self.config.dma)
         self.axi = AxiPort(self.config.axi)
-        self.ntx: List[Ntx] = [
-            Ntx(self.config.ntx, ntx_id=i) for i in range(self.config.num_ntx)
-        ]
-        self.bus = ClusterBus(self)
+        #: The statistics of the co-processors: one row per NTX, one
+        #: column per counter (:data:`repro.core.ntx.STAT_COLUMNS`).
+        self.ntx_stats = np.zeros(
+            (self.config.num_ntx, len(STAT_COLUMNS)), dtype=np.int64
+        )
         self.cpu: Optional[Cpu] = None
 
-    # The L2 and the NTX register files serve the control core and
-    # :meth:`offload` only; a cycle-engine run never touches them, so
-    # each is built on first use.
+    # The L2, the cluster bus and the NTX register files serve the control
+    # core and :meth:`offload` only, and the FPU the data plane's per-op
+    # walk only; a cycle-engine run touches none of them unless a command
+    # walks, so each is built on first use.
+
+    @cached_property
+    def bus(self) -> ClusterBus:
+        """The cluster bus the control core loads and stores through."""
+        return ClusterBus(self)
+
+    @cached_property
+    def fpu(self) -> NtxFpu:
+        """The FPU the data plane's per-op walk
+        (:func:`repro.core.vecops.execute_functional`) steps for every
+        co-processor of the cluster; each command re-initialises it, and
+        its counters are nobody's (the data plane credits
+        :attr:`ntx_stats`)."""
+        return NtxFpu(self.config.ntx.pcs)
 
     @cached_property
     def l2(self) -> Memory:
@@ -151,11 +168,10 @@ class Cluster:
         from repro.cluster.vecsim import run_data_plane
 
         regs = self.ntx_regs[ntx_id]
-        stats = self.ntx[ntx_id].stats
         while (command := regs.next_command()) is not None:
             regs.set_busy(True)
             run_data_plane(self, [(ntx_id, command)])
-            stats.active_cycles += self.config.ntx.ideal_cycles(command)
+            self.ntx_stats[ntx_id, ACTIVE_CYCLES] += self.config.ntx.ideal_cycles(command)
         regs.set_busy(False)
 
     def drain_all_ntx(self) -> None:
@@ -225,15 +241,7 @@ class Cluster:
 
     @property
     def total_flops_executed(self) -> int:
-        return sum(n.stats.flops for n in self.ntx)
-
-    @property
-    def total_commands_executed(self) -> int:
-        return sum(n.stats.commands for n in self.ntx)
-
-    def reset_stats(self) -> None:
-        for ntx in self.ntx:
-            ntx.stats.__init__()
+        return int(self.ntx_stats[:, FLOPS].sum())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

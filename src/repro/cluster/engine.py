@@ -1,4 +1,5 @@
-"""The two cycle engines of the cluster simulator, and their registry.
+"""The two cycle engines of the cluster simulator by name, and the
+scalar reference loop.
 
 The repository ships two timing models of the same machine — the scalar
 per-micro-op loop (:func:`scalar_loop`, the golden reference) and the
@@ -8,170 +9,70 @@ through one routine (:func:`repro.cluster.vecsim.run_cycles`): the one
 data plane, :func:`repro.cluster.vecsim.run_data_plane`, writes a run's
 data and credits its statistics, then a loop that sees addresses only
 returns the run's :class:`~repro.cluster.timing_core.TimingCounters`.
-The engines differ only in that loop, so the engine never changes bytes
-or counters, only how fast the cycles are counted:
+The engines differ only in that loop, so an engine is a name: it never
+changes bytes or counters, only how fast the cycles are counted.
 
-* :class:`Engine` — what an engine is: ``run`` (the full cycle-level
-  simulation) and ``timing_signature`` (the hashable key under which a
-  run's timing may be memoized, one recipe for both).
-* :func:`get_engine` / :func:`available_engines` /
-  :func:`describe_engines` — the registry of the two.  Everything that
-  accepts an engine name (:class:`~repro.cluster.sim.ClusterSimulator`,
-  :class:`~repro.system.config.SystemConfig`, the eval and bench CLIs)
-  resolves it here, so an unknown name fails once, early, with the list
-  of valid choices.
+* :func:`available_engines` / :func:`describe_engines` /
+  :func:`resolve_engine` — the two names and their descriptions.
+  Everything that accepts an engine name
+  (:class:`~repro.cluster.sim.ClusterSimulator`,
+  :class:`~repro.options.ExecutionOptions`, the scenario specs, the eval
+  and bench CLIs) resolves it here, so an unknown name fails once,
+  early, with the list of valid choices.
 * :func:`scalar_loop` — the reference loop itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.core.commands import NtxCommand
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.cluster.sim import ClusterSimulator, SimulationResult
     from repro.cluster.timing_core import TimingCounters, TimingParams
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "Engine",
-    "ScalarEngine",
-    "VectorizedEngine",
     "available_engines",
     "describe_engines",
-    "get_engine",
+    "resolve_engine",
     "scalar_loop",
 ]
-
-Jobs = Sequence[Tuple[int, NtxCommand]]
-
-
-@runtime_checkable
-class Engine(Protocol):
-    """A cycle engine: a timing model over the shared data plane.
-
-    Engines are stateless: all mutable state lives in the
-    :class:`~repro.cluster.sim.ClusterSimulator` (cluster, interconnect)
-    they are handed, so one registered instance serves every simulator.
-    """
-
-    #: Registry key (``"scalar"`` or ``"vectorized"``).
-    name: str
-    #: One-line description shown in CLI help.
-    description: str
-
-    def run(
-        self,
-        simulator: "ClusterSimulator",
-        jobs: Jobs,
-        max_cycles: int,
-        dma_requests_per_cycle: float,
-        stagger_cycles: int,
-    ) -> "SimulationResult":
-        """Simulate ``jobs`` cycle by cycle until every command completed."""
-        ...  # pragma: no cover - protocol
-
-    def timing_signature(
-        self,
-        simulator: "ClusterSimulator",
-        jobs: Jobs,
-        dma_requests_per_cycle: float,
-        stagger_cycles: int,
-    ) -> tuple:
-        """Hashable key under which a run's timing may be memoized."""
-        ...  # pragma: no cover - protocol
-
-
-class _EngineBase:
-    """The one run routine and the shared timing-signature recipe.
-
-    Both engines time from command structure alone and start from a fresh
-    interconnect, so the signature is the same recipe: engine name,
-    background-DMA rate, stagger, the full cluster configuration, and
-    each command's structural signature.  The data flowing through the
-    TCDM is deliberately absent — it cannot influence arbitration.
-    """
-
-    name = "abstract"
-    description = ""
-    #: Whether the compiled loop times the runs it models.
-    compiled = False
-
-    def run(self, simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles):
-        from repro.cluster.vecsim import run_cycles
-
-        return run_cycles(
-            simulator, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles,
-            self.compiled,
-        )
-
-    def timing_signature(
-        self,
-        simulator: "ClusterSimulator",
-        jobs: Jobs,
-        dma_requests_per_cycle: float = 0.0,
-        stagger_cycles: int = 7,
-    ) -> tuple:
-        return (
-            self.name,
-            float(dma_requests_per_cycle),
-            int(stagger_cycles),
-            simulator.cluster.config,
-            tuple((ntx_id, command.timing_signature) for ntx_id, command in jobs),
-        )
-
-
-class VectorizedEngine(_EngineBase):
-    """NumPy stream precompute + compiled timing core (:mod:`repro.cluster.vecsim`)."""
-
-    name = "vectorized"
-    description = (
-        "NumPy streams and data plane, compiled C timing core (default, ~200x faster)"
-    )
-    compiled = True
-
-
-class ScalarEngine(_EngineBase):
-    """The per-micro-op timing loop (:func:`scalar_loop`), kept as the
-    golden reference."""
-
-    name = "scalar"
-    description = "per-micro-op golden reference interpreter"
-
-
-# --------------------------------------------------------------------------- #
-# Registry                                                                     #
-# --------------------------------------------------------------------------- #
-
-_REGISTRY: Dict[str, Engine] = {
-    engine.name: engine for engine in (VectorizedEngine(), ScalarEngine())
-}
 
 #: Engine used when none is named explicitly.
 DEFAULT_ENGINE = "vectorized"
 
+#: ``name -> description`` of every engine: the vectorized engine times a
+#: run with the compiled loop wherever that loop models it, the scalar
+#: engine always with :func:`scalar_loop`.
+_ENGINES: Dict[str, str] = {
+    "vectorized": (
+        "NumPy streams and data plane, compiled C timing core (default, ~200x faster)"
+    ),
+    "scalar": "per-micro-op golden reference interpreter",
+}
+
 
 def available_engines() -> Tuple[str, ...]:
-    """Names of every registered engine, in registration order."""
-    return tuple(_REGISTRY)
+    """Names of every engine, the default first."""
+    return tuple(_ENGINES)
 
 
 def describe_engines() -> Dict[str, str]:
-    """``name -> description`` of every registered engine."""
-    return {name: engine.description for name, engine in _REGISTRY.items()}
+    """``name -> description`` of every engine."""
+    return dict(_ENGINES)
 
 
-def get_engine(name: Optional[str] = None) -> Engine:
-    """Resolve an engine by name (``None`` selects :data:`DEFAULT_ENGINE`)."""
+def resolve_engine(name: Optional[str] = None) -> str:
+    """The engine ``name`` (``None`` selects :data:`DEFAULT_ENGINE`);
+    an unknown name raises :class:`ValueError` listing the choices."""
     key = DEFAULT_ENGINE if name is None else name
-    try:
-        return _REGISTRY[key]
-    except KeyError:
+    if key not in _ENGINES:
         raise ValueError(
             f"unknown engine {key!r}; registered engines: {available_engines()}"
-        ) from None
+        )
+    return key
 
 
 # --------------------------------------------------------------------------- #

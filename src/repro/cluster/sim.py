@@ -15,8 +15,8 @@ requests presented until granted — because that is how the real streamers
 behave once their FIFOs are in steady state; its purpose is to measure
 conflict probability and sustained utilization, not to be an RTL replica.
 
-:class:`ClusterSimulator` resolves its cycle engine through the registry
-(:mod:`repro.cluster.engine`): the ``"vectorized"`` default or the
+:class:`ClusterSimulator` runs on a cycle engine named in
+:mod:`repro.cluster.engine`: the ``"vectorized"`` default or the
 ``"scalar"`` golden reference.  Both run through one routine
 (:func:`repro.cluster.vecsim.run_cycles`): the one data plane writes the
 data and credits the statistics, and only the cycle loop that times the
@@ -28,15 +28,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.engine import DEFAULT_ENGINE, get_engine
+from repro.cluster.cluster import Cluster, ClusterConfig
+from repro.cluster.engine import DEFAULT_ENGINE, resolve_engine
 from repro.core.commands import NtxCommand
 from repro.mem.interconnect import TcdmInterconnect
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
 
-__all__ = ["SimulationResult", "ClusterSimulator"]
+__all__ = ["SimulationResult", "ClusterSimulator", "timing_signature"]
+
+Jobs = Sequence[Tuple[int, NtxCommand]]
+
+
+def timing_signature(
+    engine: str,
+    config: ClusterConfig,
+    jobs: Jobs,
+    dma_requests_per_cycle: float = 0.0,
+    stagger_cycles: int = 7,
+) -> tuple:
+    """Hashable key under which a run's *timing* may be memoized.
+
+    Two runs with equal signatures produce identical
+    :class:`SimulationResult` timing (cycles, conflicts, per-NTX
+    active/stall): request streams are generated from command structure
+    alone, each simulator starts from a fresh interconnect, and the
+    cluster configuration pins every microarchitectural parameter.  The
+    key is the engine name, the background-DMA rate, the stagger, the
+    cluster configuration and each command's structural signature; the
+    data flowing through the TCDM is deliberately absent — it cannot
+    influence arbitration.
+    """
+    return (
+        engine,
+        float(dma_requests_per_cycle),
+        int(stagger_cycles),
+        config,
+        tuple((ntx_id, command.timing_signature) for ntx_id, command in jobs),
+    )
 
 
 @dataclass(frozen=True)
@@ -92,9 +122,8 @@ class SimulationResult:
 class ClusterSimulator:
     """Runs a set of per-NTX command queues cycle by cycle against the TCDM.
 
-    The backend is resolved through the engine registry
-    (:mod:`repro.cluster.engine`); both registered engines implement the
-    same machine:
+    ``engine`` names the cycle engine (:mod:`repro.cluster.engine`); both
+    implement the same machine:
 
     * ``"vectorized"`` (the default) — precomputes every port's request
       stream with NumPy, replays the data plane as array operations and
@@ -111,55 +140,52 @@ class ClusterSimulator:
     DMA_MASTER_OFFSET = 0
 
     def __init__(self, cluster: Cluster, engine: str = DEFAULT_ENGINE) -> None:
-        self._engine = get_engine(engine)
-        self.engine = self._engine.name
+        self.engine = resolve_engine(engine)
         self.cluster = cluster
         num_masters = cluster.config.num_ntx + 2
         self.interconnect = TcdmInterconnect(num_masters)
 
     def run(
         self,
-        jobs: Sequence[Tuple[int, NtxCommand]],
+        jobs: Jobs,
         max_cycles: int = 5_000_000,
         dma_requests_per_cycle: float = 0.0,
         stagger_cycles: int = 7,
     ) -> SimulationResult:
         """Simulate until every queued command has completed.
 
-        Dispatches to the engine selected at construction; every engine
-        accepts the same arguments and produces a :class:`SimulationResult`.
+        Both engines run through :func:`repro.cluster.vecsim.run_cycles`;
+        the vectorized engine lets the compiled loop time the runs it
+        models.
         """
-        return self._engine.run(
-            self, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles
+        from repro.cluster.vecsim import run_cycles
+
+        return run_cycles(
+            self, jobs, max_cycles, dma_requests_per_cycle, stagger_cycles,
+            compiled=self.engine == "vectorized",
         )
 
     # -- timing-cache hooks (used by repro.system.memo) ---------------------
 
     def timing_signature(
         self,
-        jobs: Sequence[Tuple[int, NtxCommand]],
+        jobs: Jobs,
         dma_requests_per_cycle: float = 0.0,
         stagger_cycles: int = 7,
     ) -> tuple:
-        """Hashable key under which a run's *timing* may be memoized.
-
-        Two :meth:`run` invocations with equal signatures produce identical
-        :class:`SimulationResult` timing (cycles, conflicts, per-NTX
-        active/stall): request streams are generated from command structure
-        alone, each simulator starts from a fresh interconnect, and the
-        cluster configuration pins every microarchitectural parameter.  The
-        data flowing through the TCDM is deliberately absent from the key —
-        it cannot influence arbitration.
-        """
-        return self._engine.timing_signature(
-            self, jobs, dma_requests_per_cycle, stagger_cycles
+        """:func:`timing_signature` of ``jobs`` on this simulator's engine
+        and cluster configuration."""
+        return timing_signature(
+            self.engine, self.cluster.config, jobs, dma_requests_per_cycle,
+            stagger_cycles,
         )
 
     def run_data_plane(
         self,
-        jobs: Sequence[Tuple[int, NtxCommand]],
+        jobs: Jobs,
         stack: Optional[np.ndarray] = None,
         base: int = 0,
+        owners: Optional[Sequence[Cluster]] = None,
     ) -> None:
         """Execute ``jobs``' data effects only, skipping the cycle loop.
 
@@ -169,8 +195,10 @@ class ClusterSimulator:
         full :meth:`run` of the same engine, while the (already cached)
         timing is not recomputed.  Both engines replay through the one
         data plane (:func:`repro.cluster.vecsim.run_data_plane`), whose
-        stores are bit-identical to the per-op soft-float walk.
+        stores are bit-identical to the per-op soft-float walk; ``owners``
+        names the cluster credited with each tile of ``stack`` (by
+        default this simulator's).
         """
         from repro.cluster.vecsim import run_data_plane
 
-        run_data_plane(self.cluster, jobs, stack, base)
+        run_data_plane(self.cluster, jobs, stack, base, owners)

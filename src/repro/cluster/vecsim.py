@@ -53,6 +53,8 @@ cycle-exact against the scalar engine on every input, and
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import astuple
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
@@ -61,6 +63,17 @@ from repro.cluster import timing_core
 from repro.cluster.tiling import ProgramJobs
 from repro.cluster.timing_core import TimingInput, TimingParams
 from repro.core.commands import NtxCommand, NtxOpcode
+from repro.core.fpu import FpuStats
+from repro.core.ntx import (
+    ACTIVE_CYCLES,
+    FLOPS,
+    ITERATIONS,
+    STALL_CYCLES,
+    STAT_COLUMNS,
+    TCDM_READS,
+    TCDM_WRITES,
+    NtxStats,
+)
 from repro.core.vecops import (
     CommandPlan,
     _account_accesses,
@@ -116,25 +129,28 @@ _COMPARISONS = frozenset((
 ))
 
 
-def _fpu_counts(command: NtxCommand, plan: CommandPlan) -> Tuple[int, int, int, int]:
-    """FPU issues, write-backs, MACs and comparisons of one command: what
-    the per-op walk's real FPU counts itself, and the array data plane
-    accounts wholesale."""
-    macs = plan.total if command.opcode is NtxOpcode.MAC else 0
-    comparisons = plan.total if command.opcode in _COMPARISONS else 0
-    return plan.total, plan.num_stores, macs, comparisons
+def _fpu_stats(command: NtxCommand, plan: CommandPlan) -> FpuStats:
+    """The FPU counters of one command: functions of its structure alone,
+    whichever path ran it."""
+    return FpuStats(
+        issues=plan.total,
+        macs=plan.total if command.opcode is NtxOpcode.MAC else 0,
+        comparisons=plan.total if command.opcode in _COMPARISONS else 0,
+        writebacks=plan.num_stores,
+    )
 
 
 class _Accounts:
     """What one data-plane execution of a job list credits.
 
-    ``per_ntx`` holds, per NTX, the command, iteration, flop, TCDM read
-    and write and ideal-cycle totals, and then the FPU totals; ``accesses``
-    / ``reads`` / ``writes`` are the TCDM bank-access and memory counts of
-    every command.  The FPU and TCDM totals assume the array data plane
-    ran every command; :meth:`credit` takes back the share of the commands
-    the per-op walk ran (it counts its own).  A function of the job list
-    and the cluster configuration alone, so a program keeps it.
+    ``per_ntx`` is the per-NTX counter array of one execution (rows and
+    columns as :attr:`~repro.cluster.cluster.Cluster.ntx_stats`, cycles
+    left at zero); ``accesses`` / ``reads`` / ``writes`` are the TCDM
+    bank-access and memory counts of every command.  The TCDM totals
+    assume the array data plane ran every command; :meth:`credit` takes
+    back the share of the commands the per-op walk ran (it counts its
+    own).  A function of the job list and the cluster configuration
+    alone, so a program keeps it.
     """
 
     __slots__ = ("per_ntx", "accesses", "reads", "writes")
@@ -143,52 +159,36 @@ class _Accounts:
         base, num_banks = config.tcdm.base_address, config.tcdm.num_banks
         ideal_cycles = config.ntx.ideal_cycles
         accesses = np.zeros(num_banks, dtype=np.int64)
-        self.per_ntx = []
-        for plans in queues:
-            totals = [len(plans), 0, 0, 0, 0, 0, 0, 0, 0, 0]
+        per_ntx = np.zeros((len(queues), len(STAT_COLUMNS)), dtype=np.int64)
+        for row, plans in zip(per_ntx, queues):
             for command, plan in plans:
-                counts = (
-                    plan.total, command.flops, plan.num_reads, plan.num_stores,
-                    ideal_cycles(command), *_fpu_counts(command, plan),
+                stats = NtxStats(
+                    commands=1,
+                    iterations=plan.total,
+                    flops=command.flops,
+                    tcdm_reads=plan.num_reads,
+                    tcdm_writes=plan.num_stores,
+                    ideal_cycles=ideal_cycles(command),
                 )
-                for index, count in enumerate(counts, start=1):
-                    totals[index] += count
+                row += (*astuple(stats), *astuple(_fpu_stats(command, plan)))
                 accesses += plan.banks(base, num_banks).accesses
-            self.per_ntx.append(tuple(totals))
-        accesses.flags.writeable = False
+        for array in (per_ntx, accesses):
+            array.flags.writeable = False
+        self.per_ntx = per_ntx
         self.accesses = accesses
-        self.reads = sum(totals[3] for totals in self.per_ntx)
-        self.writes = sum(totals[4] for totals in self.per_ntx)
+        self.reads = int(per_ntx[:, TCDM_READS].sum())
+        self.writes = int(per_ntx[:, TCDM_WRITES].sum())
 
-    def credit(self, cluster, count: int, walked: Sequence[tuple]) -> None:
+    def credit(self, cluster, count: int, walked: Sequence[CommandPlan]) -> None:
         """Credit ``count`` executions to ``cluster``; ``walked`` lists the
-        ``(ntx, command, plan)`` of every command the per-op walk ran."""
-        for ntx, totals in zip(cluster.ntx, self.per_ntx):
-            if not totals[0]:
-                continue
-            stats, fpu_stats = ntx.stats, ntx.fpu_stats
-            stats.commands += totals[0] * count
-            stats.iterations += totals[1] * count
-            stats.flops += totals[2] * count
-            stats.tcdm_reads += totals[3] * count
-            stats.tcdm_writes += totals[4] * count
-            stats.ideal_cycles += totals[5] * count
-            fpu_stats.issues += totals[6] * count
-            fpu_stats.writebacks += totals[7] * count
-            fpu_stats.macs += totals[8] * count
-            fpu_stats.comparisons += totals[9] * count
+        plan of every command the per-op walk ran on it."""
+        cluster.ntx_stats += self.per_ntx * count
         tcdm = cluster.tcdm
         tcdm.bank_accesses += self.accesses * count
         tcdm.memory.reads += self.reads * count
         tcdm.memory.writes += self.writes * count
-        for ntx, command, plan in walked:
-            # The per-op walk counted its own FPU issues and TCDM accesses.
-            issues, writebacks, macs, comparisons = _fpu_counts(command, plan)
-            fpu_stats = ntx.fpu_stats
-            fpu_stats.issues -= issues * count
-            fpu_stats.writebacks -= writebacks * count
-            fpu_stats.macs -= macs * count
-            fpu_stats.comparisons -= comparisons * count
+        for plan in walked:
+            # The per-op walk counted its own TCDM accesses.
             _account_accesses(tcdm, plan, count=-count)
 
 
@@ -198,8 +198,9 @@ class _ImageTcdm:
     The per-op fallback executor reads and writes through ``read_f32`` /
     ``write_f32``; this adapter serves those from the tile's column of the
     word-major stack (word 0 at address ``base``) while mirroring the
-    access counters onto the real TCDM, so a command of a batched group
-    that falls back per tile accounts exactly like the unbatched path.
+    access counters onto its cluster's TCDM, so a command of a batched
+    group that falls back per tile accounts exactly like the unbatched
+    path.
     """
 
     __slots__ = ("_view", "_base", "_tcdm")
@@ -244,6 +245,7 @@ def run_data_plane(
     jobs: Sequence[Tuple[int, NtxCommand]],
     stack: Optional[np.ndarray] = None,
     base: int = 0,
+    owners: Optional[Sequence] = None,
 ) -> None:
     """Apply ``jobs``' data effects, in issue order, without the cycle loop.
 
@@ -257,44 +259,45 @@ def run_data_plane(
     ``base + 4 * w`` of every tile, covering every word the commands
     touch; every tile executes the same ``jobs``, so each command is one
     stacked dispatch (:func:`repro.core.vecops.execute_streams_batched`)
-    updating the stack in place, MACs as registers of their NTX's
+    updating the stack in place, MACs as registers of the NTX
     accumulator geometry.  Without ``stack`` the live TCDM is the stack,
     one tile high (:func:`live_stack`).
 
-    A command the kernel refuses (see :mod:`repro.core.vecops`) runs
+    ``owners`` names the cluster each tile of ``stack`` belongs to (by
+    default ``cluster``, whose configuration every owner shares).  A
+    command the kernel refuses (see :mod:`repro.core.vecops`) runs
     through the exact per-op executor instead: on the live TCDM, or tile
     by tile through :class:`_ImageTcdm` on each tile's column of the
-    stack.
+    stack, mirroring its accesses on its owner's TCDM.
 
-    Statistics are accounted wholesale — the job list's totals times the
-    stack height (kept on its program, see :class:`_Accounts`) — onto
-    ``cluster``; the caller credits the cycles.  A
-    multi-cluster group's counters land on its representative cluster,
-    which keeps aggregate system totals exact.
+    Statistics are accounted wholesale — the job list's totals (kept on
+    its program, see :class:`_Accounts`) times the number of tiles each
+    owner has on the stack — onto each owner; the caller credits the
+    cycles.
     """
-    tcdm = cluster.tcdm
     live = stack is None
     if live:
-        stack, base = live_stack(tcdm)
+        stack, base = live_stack(cluster.tcdm)
     num_tiles = stack.shape[1]
+    if owners is None:
+        owners = [cluster] * num_tiles
     mac = _mac_write_back()
     queues = _plans_per_ntx(cluster, jobs)
+    pcs = cluster.config.ntx.pcs
     walked = []
-    for ntx, plans in zip(cluster.ntx, queues):
-        pcs = ntx.config.pcs
+    for plans in queues:
         for command, plan in plans:
             if execute_streams_batched(command, plan, stack, base, pcs, mac):
                 continue
-            images = [tcdm] if live else (
-                _ImageTcdm(stack[:, tile], base, tcdm) for tile in range(num_tiles)
-            )
-            for image in images:
-                execute_functional(ntx, command, image)
-            walked.append((ntx, command, plan))
+            for tile, owner in enumerate(owners):
+                image = owner.tcdm if live else _ImageTcdm(stack[:, tile], base, owner.tcdm)
+                execute_functional(owner.fpu, command, image)
+            walked.append(plan)
     accounts = _program_fact(
         jobs, ("accounts", cluster.config), lambda: _Accounts(cluster.config, queues)
     )
-    accounts.credit(cluster, num_tiles, walked)
+    for owner, count in Counter(owners).items():
+        accounts.credit(owner, count, walked)
 
 
 def _timing_hazard(queues: Sequence[_Queue]) -> Optional[str]:
@@ -373,8 +376,10 @@ def run_cycles(
 
     cluster = simulator.cluster
     interconnect = simulator.interconnect
-    start = [(ntx.stats.flops, ntx.stats.iterations) for ntx in cluster.ntx]
+    stats = cluster.ntx_stats
+    before = stats[:, (FLOPS, ITERATIONS)].sum(axis=0)
     simulator.run_data_plane(jobs)
+    flops, iterations = (stats[:, (FLOPS, ITERATIONS)].sum(axis=0) - before).tolist()
 
     queues = _plans_per_ntx(cluster, jobs)
     params = timing_params(simulator, max_cycles, dma_requests_per_cycle, stagger_cycles)
@@ -390,17 +395,13 @@ def run_cycles(
     interconnect.conflicts += counters.conflicts
     interconnect.conflict_cycles += counters.conflict_cycles
     interconnect._rr_offset = counters.rr_offset
-    for ntx, active, stall in zip(cluster.ntx, counters.active, counters.stall):
-        ntx.stats.active_cycles += active
-        ntx.stats.stall_cycles += stall
+    stats[:, ACTIVE_CYCLES] += counters.active
+    stats[:, STALL_CYCLES] += counters.stall
 
     return SimulationResult(
         cycles=counters.cycles,
-        flops=sum(ntx.stats.flops - flops for ntx, (flops, _) in zip(cluster.ntx, start)),
-        iterations=sum(
-            ntx.stats.iterations - iterations
-            for ntx, (_, iterations) in zip(cluster.ntx, start)
-        ),
+        flops=flops,
+        iterations=iterations,
         tcdm_requests=counters.requests,
         tcdm_conflicts=counters.conflicts,
         per_ntx_active=tuple(counters.active),

@@ -13,8 +13,9 @@ The subpackage mirrors the block diagram of Figure 2 of the paper:
 * :mod:`repro.core.fpu` — the FPU: fast FMAC around the partial-carry-save
   accumulator, comparator, index counter and ALU register.
 * :mod:`repro.core.controller` — command decode into per-cycle micro-ops.
-* :mod:`repro.core.ntx` — the NTX co-processor itself: its statistics and
-  its address-only cycle model, which contends for TCDM banks.
+* :mod:`repro.core.ntx` — the NTX co-processor itself: its configuration,
+  the columns of a cluster's per-NTX statistics array and its
+  address-only cycle model, which contends for TCDM banks.
 * :mod:`repro.core.vecops` — command plans and the array data plane every
   executed command runs on, with its exact per-op fallback.
 * :mod:`repro.core.golden` — NumPy reference semantics for every command,
@@ -38,7 +39,7 @@ if TYPE_CHECKING:
     from repro.core.fifo import Fifo
     from repro.core.fpu import NtxFpu
     from repro.core.hwloop import HardwareLoopNest
-    from repro.core.ntx import Ntx, NtxConfig
+    from repro.core.ntx import NtxConfig
     from repro.core.registers import NtxRegisterFile, RegisterMap
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
     "NtxFpu",
     "NtxController",
     "MicroOp",
-    "Ntx",
     "NtxConfig",
 ]
 
@@ -74,7 +74,6 @@ _EXPORTS = {
     "NtxFpu": "fpu",
     "NtxController": "controller",
     "MicroOp": "controller",
-    "Ntx": "ntx",
     "NtxConfig": "ntx",
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -61,9 +61,7 @@ class NtxFpu:
     the value to be stored through AGU2.
     """
 
-    def __init__(
-        self, pcs_config: Optional[PcsConfig] = None, stats: Optional[FpuStats] = None
-    ) -> None:
+    def __init__(self, pcs_config: Optional[PcsConfig] = None) -> None:
         self._acc = PcsAccumulator(pcs_config)
         self._alu_register = 0.0  # comparator extremum / element-wise result
         self._index_counter = 0  # running element index within the block
@@ -71,7 +69,7 @@ class NtxFpu:
         self._use_accumulator = False
         self._use_index = False
         self._has_extremum = False
-        self.stats = stats if stats is not None else FpuStats()
+        self.stats = FpuStats()
 
     # -- block control -------------------------------------------------------
 

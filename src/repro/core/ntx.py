@@ -1,12 +1,13 @@
 """The NTX co-processor.
 
-An :class:`Ntx` holds one co-processor's statistics (:class:`NtxStats`,
-the FPU's :class:`~repro.core.fpu.FpuStats`) and, built on first use, the
-FPU that the data plane's per-op fallback steps.  Every execution of a
+A cluster keeps the statistics of its co-processors as one int64 array,
+one row per NTX (:attr:`repro.cluster.cluster.Cluster.ntx_stats`), whose
+columns are :data:`STAT_COLUMNS`: the :class:`NtxStats` counters and then
+the :class:`~repro.core.fpu.FpuStats` counters.  Every execution of a
 command — both cycle engines, timing-cache hits, batched replay and
 :meth:`repro.cluster.cluster.Cluster.offload` — writes its data through
 the one shared data plane (:func:`repro.cluster.vecsim.run_data_plane`),
-which credits every statistic but the cycles.
+which credits every statistic but the cycles as one array add.
 
 :class:`NtxStepper` is the cycle model of one NTX for one run, over
 addresses only; the scalar cycle engine
@@ -23,15 +24,15 @@ which is what lets the cluster reach ~87 % of its peak.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import AbstractSet, Deque, List, Optional, Tuple
 
 from repro.core.commands import NtxCommand
 from repro.core.controller import NtxController
-from repro.core.fpu import FpuStats, NtxFpu
+from repro.core.fpu import FpuStats
 from repro.softfloat.pcs import PcsConfig
 
-__all__ = ["NtxConfig", "NtxStats", "Ntx", "NtxStepper"]
+__all__ = ["NtxConfig", "NtxStats", "STAT_COLUMNS", "NtxStepper"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,8 @@ class NtxConfig:
 
 @dataclass
 class NtxStats:
-    """Aggregate statistics of one NTX instance."""
+    """The statistics of one NTX: the first columns of its row of
+    :attr:`repro.cluster.cluster.Cluster.ntx_stats`, in field order."""
 
     commands: int = 0
     iterations: int = 0
@@ -86,40 +88,18 @@ class NtxStats:
     active_cycles: int = 0
     stall_cycles: int = 0
 
-    @property
-    def total_cycles(self) -> int:
-        return self.active_cycles + self.stall_cycles
 
-    @property
-    def utilization(self) -> float:
-        """Fraction of busy cycles in which a micro-op retired."""
-        total = self.total_cycles
-        return self.active_cycles / total if total else 0.0
-
-
-class Ntx:
-    """One NTX streaming co-processor: its configuration and statistics."""
-
-    def __init__(self, config: Optional[NtxConfig] = None, ntx_id: int = 0) -> None:
-        self.config = config or NtxConfig()
-        self.ntx_id = ntx_id
-        self.stats = NtxStats()
-        #: The FPU's counters, kept here so the data plane credits them
-        #: wholesale without building the datapath.
-        self.fpu_stats = FpuStats()
-        self._fpu: Optional[NtxFpu] = None
-
-    @property
-    def fpu(self) -> NtxFpu:
-        """The FPU/partial-carry-save datapath, built on first use: only
-        the data plane's per-op fallback
-        (:func:`repro.core.vecops.execute_functional`) steps it."""
-        if self._fpu is None:
-            self._fpu = NtxFpu(self.config.pcs, stats=self.fpu_stats)
-        return self._fpu
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Ntx(id={self.ntx_id})"
+#: The columns of a cluster's per-NTX counter array: the :class:`NtxStats`
+#: fields, then the :class:`~repro.core.fpu.FpuStats` fields, each in
+#: ``astuple`` order.
+STAT_COLUMNS: Tuple[str, ...] = tuple(
+    column.name for column in fields(NtxStats) + fields(FpuStats)
+)
+#: Indices of the columns the engines credit one by one.
+ITERATIONS, FLOPS, TCDM_READS, TCDM_WRITES, ACTIVE_CYCLES, STALL_CYCLES = map(
+    STAT_COLUMNS.index,
+    ("iterations", "flops", "tcdm_reads", "tcdm_writes", "active_cycles", "stall_cycles"),
+)
 
 
 #: One micro-op in the operand FIFOs: ``[reads pending, store address or

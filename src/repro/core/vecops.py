@@ -684,17 +684,18 @@ def _store_values(
     raise ValueError(f"unhandled opcode {opcode!r}")  # pragma: no cover
 
 
-def execute_functional(ntx, command: NtxCommand, memory) -> None:
+def execute_functional(fpu, command: NtxCommand, memory) -> None:
     """Exact per-op fallback: controller walk + soft-float FPU.
 
     Runs ``command`` to completion against ``memory`` (anything with
-    ``read_f32``/``write_f32``) on ``ntx``'s FPU, which counts its own
-    issues; every other statistic is the caller's to credit.  The one
-    per-op executor of the library: the data plane runs it for the
-    commands its array kernels refuse.
+    ``read_f32``/``write_f32``) on ``fpu`` (an
+    :class:`~repro.core.fpu.NtxFpu`), whose state the command's first
+    micro-op re-initialises, so one FPU serves any sequence of commands;
+    the statistics are the caller's to credit.  The one per-op executor of
+    the library: the data plane runs it for the commands its array
+    kernels refuse.
     """
     controller = NtxController(command)
-    fpu = ntx.fpu
     opcode = command.opcode
     scalar = command.scalar
     for op in controller.micro_ops():

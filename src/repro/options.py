@@ -87,9 +87,9 @@ class ExecutionOptions:
 
     def __post_init__(self) -> None:
         if self.engine is not None:
-            from repro.cluster.engine import get_engine  # avoid import cycle
+            from repro.cluster.engine import resolve_engine  # avoid import cycle
 
-            get_engine(self.engine)  # unknown names raise listing the choices
+            resolve_engine(self.engine)  # unknown names raise listing the choices
         for name in ("memoize", "quick", "trace"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a boolean")

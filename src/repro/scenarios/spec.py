@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from typing import TYPE_CHECKING, Any, Dict, Mapping
 
-from repro.cluster.engine import DEFAULT_ENGINE, get_engine
+from repro.cluster.engine import DEFAULT_ENGINE, resolve_engine
 from repro.scenarios.families import FAMILIES
 
 if TYPE_CHECKING:
@@ -83,7 +83,7 @@ class ScenarioSpec:
                 f"unknown workload family {self.family!r}; "
                 f"available families: {tuple(FAMILIES)}"
             )
-        get_engine(self.engine)
+        resolve_engine(self.engine)
         if self.num_tiles < 0:
             raise ValueError("tile count must be non-negative")
         merged = self.merged_params()  # unknown shape parameters fail here too

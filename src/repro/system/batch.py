@@ -70,10 +70,10 @@ Statistics are mirrored so every run reports what the cluster DMA engine
 would have: its transfer, byte and busy-cycle counters, the AXI port and
 one TCDM and one HMC access per row are credited per member on its own
 cluster from the shared transfer geometry, and cached per-NTX
-active/stall cycles per member too.  Data-plane access counters of a
-multi-cluster group are accounted wholesale on the group's representative
-cluster — aggregate totals match exactly; nothing in the system reports
-reads the per-cluster breakdown.
+active/stall cycles per member too.  The data plane credits each
+member's NTX and TCDM counters on its own cluster as well, so deferring
+moves no counter between clusters: every cluster reports what the inline
+walk leaves on it.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.sim import ClusterSimulator, SimulationResult
+from repro.cluster.sim import ClusterSimulator, SimulationResult, timing_signature
 from repro.cluster.tiling import (
     HmcRows,
     ProgramJobs,
@@ -106,6 +106,7 @@ from repro.cluster.tiling import (
     program_facts,
 )
 from repro.cluster.vecsim import live_stack
+from repro.core.ntx import ACTIVE_CYCLES, STALL_CYCLES
 from repro.core.vecops import CommandPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
@@ -372,12 +373,9 @@ def plan_tiles(
         jobs = program.jobs(num_ntx)
         signature = None
         if program.commands:
-            # Every cluster of a system shares one configuration, so any
-            # of them signs for all.
-            signer = ClusterSimulator(work[0].cluster, engine=engine)
-            signature = _HashedKey(
-                signer.timing_signature(jobs, stagger_cycles=config.stagger_cycles)
-            )
+            signature = _HashedKey(timing_signature(
+                engine, config.cluster, jobs, stagger_cycles=config.stagger_cycles
+            ))
         return _ProgramPlan(program, jobs, signature)
 
     key = ("walk", engine, config.stagger_cycles, config.cluster)
@@ -537,10 +535,10 @@ class _Walk:
         ``live``: one tile on its cluster's live TCDM, a stack one tile
         high; a miss (``timing`` is ``None``) only runs so.  Otherwise a
         fresh zeroed stack over the program's word span, one column per
-        member, with the first member's cluster representing the group.
-        Each transfer is staged for every member at once and credited per
-        member.  Compute is an engine run on a miss, recorded in the cache;
-        on a hit the data plane over the stack plus the cached per-NTX
+        member.  Each transfer is staged for every member at once and
+        credited per member.  Compute is an engine run on a miss, recorded
+        in the cache; on a hit the data plane over the stack, crediting
+        each member on its own cluster, plus the cached per-NTX
         active/stall cycles.
         """
         config = self.config
@@ -572,15 +570,14 @@ class _Walk:
                 if self.cache is not None and plan.signature is not None:
                     self.cache.put(plan.signature, timing)
             else:
-                simulator.run_data_plane(plan.jobs, None if live else stack, base)
+                owners = None if live else [
+                    self.work[member.work_index].cluster for member in members
+                ]
+                simulator.run_data_plane(plan.jobs, None if live else stack, base, owners)
+                cycles = np.array((timing.per_ntx_active, timing.per_ntx_stall)).T
                 for work_index, count in per_item.items():
-                    for ntx, active, stall in zip(
-                        self.work[work_index].cluster.ntx,
-                        timing.per_ntx_active,
-                        timing.per_ntx_stall,
-                    ):
-                        ntx.stats.active_cycles += active * count
-                        ntx.stats.stall_cycles += stall * count
+                    stats = self.work[work_index].cluster.ntx_stats
+                    stats[:, [ACTIVE_CYCLES, STALL_CYCLES]] += cycles * count
 
         # Members' DMA-out regions are disjoint by the workload contract,
         # so the order they are written in cannot matter.

@@ -41,9 +41,11 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro.cluster.cluster import ClusterConfig
 from repro.cluster.tiling import TileProgram, TileSchedule, program_facts
+from repro.core.commands import NUM_LOOPS, AguConfig, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.ntx import NtxConfig
 from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import HmcConfig
+from repro.mem.tcdm import TcdmConfig
 from repro.options import ExecutionOptions
 from repro.scenarios import ScenarioSpec, build_workload, run_scenario
 from repro.system import ClusterAssignment, SystemConfig, SystemSimulator
@@ -262,10 +264,7 @@ class TestRawHazardTiles:
         def counters(simulator):
             return [
                 (
-                    [
-                        (dataclasses.astuple(ntx.stats), dataclasses.astuple(ntx.fpu_stats))
-                        for ntx in cluster.ntx
-                    ],
+                    cluster.ntx_stats.tolist(),
                     cluster.tcdm.bank_accesses.tolist(),
                     (cluster.tcdm.memory.reads, cluster.tcdm.memory.writes),
                 )
@@ -399,9 +398,9 @@ def _topology_runs(topology):
 
 class TestWalkerAccounting:
     """A run with stacked replay reports the same statistics as the inline
-    walk: DMA/AXI and per-NTX counters per cluster, data-plane memory
-    counters in aggregate (a multi-cluster group books its accesses on the
-    group's representative cluster)."""
+    walk, cluster by cluster: DMA/AXI, per-NTX and TCDM counters (each
+    member of a multi-cluster group is credited on its own cluster), and
+    the shared HMC's."""
 
     @pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPOLOGY_IDS)
     def test_per_cluster_dma_and_axi_counters_match(self, topology):
@@ -418,24 +417,27 @@ class TestWalkerAccounting:
     def test_per_ntx_active_and_stall_cycles_match(self, topology):
         (ref_sim, _, _), (sim, _, _) = _topology_runs(topology)
         for ref, cluster in zip(ref_sim.clusters, sim.clusters):
-            for ref_ntx, ntx in zip(ref.ntx, cluster.ntx):
-                assert ntx.stats.active_cycles == ref_ntx.stats.active_cycles
-                assert ntx.stats.stall_cycles == ref_ntx.stats.stall_cycles
+            assert np.array_equal(cluster.ntx_stats, ref.ntx_stats)
 
     @pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPOLOGY_IDS)
     def test_aggregate_memory_counters_match(self, topology):
         (ref_sim, _, _), (sim, _, _) = _topology_runs(topology)
 
-        def totals(simulator):
-            tcdm = [cluster.tcdm.memory for cluster in simulator.clusters]
+        def counters(simulator):
             return (
-                sum(memory.reads for memory in tcdm),
-                sum(memory.writes for memory in tcdm),
+                [
+                    (
+                        cluster.tcdm.memory.reads,
+                        cluster.tcdm.memory.writes,
+                        cluster.tcdm.bank_accesses.tolist(),
+                    )
+                    for cluster in simulator.clusters
+                ],
                 simulator.hmc.memory.reads,
                 simulator.hmc.memory.writes,
             )
 
-        assert totals(sim) == totals(ref_sim)
+        assert counters(sim) == counters(ref_sim)
 
     def test_metrics_count_stacked_groups_and_tiles(self):
         """Eight identical tiles on one cluster: one miss, then the seven
@@ -667,28 +669,24 @@ def _walk_case(case, engine, memoize):
         ))
     result = simulator.run(tiles)
     digest = hashlib.sha256(hmc.memory.data).hexdigest()
-    return digest, _timing_view(result), _counter_totals(simulator)
+    return digest, _timing_view(result), _cluster_counters(simulator)
 
 
-def _counter_totals(simulator):
-    """Every cluster counter summed over the system's clusters, per NTX
-    index and per TCDM bank: a batched group's counters land on its
-    representative cluster, so only the totals are the walk's."""
-
-    def counters(cluster):
-        values = []
-        for ntx in cluster.ntx:
-            values += dataclasses.astuple(ntx.stats) + dataclasses.astuple(ntx.fpu_stats)
-        return values + [
-            *cluster.tcdm.bank_accesses.tolist(),
+def _cluster_counters(simulator):
+    """Every counter of every cluster of the system, per cluster: each
+    member of a batched group is credited on its own cluster."""
+    return [
+        [
+            cluster.ntx_stats.tolist(),
+            cluster.tcdm.bank_accesses.tolist(),
             cluster.tcdm.memory.reads,
             cluster.tcdm.memory.writes,
-            *dataclasses.astuple(cluster.dma.stats),
+            dataclasses.astuple(cluster.dma.stats),
             cluster.axi.busy_cycles,
             cluster.axi.bytes_transferred,
         ]
-
-    return [sum(column) for column in zip(*map(counters, simulator.clusters))]
+        for cluster in simulator.clusters
+    ]
 
 
 def _assert_no_option_changes_the_walk(case):
@@ -702,7 +700,44 @@ class TestProgramFuzz:
     """Drawn tile programs through the whole system walk — DMA staging,
     the self-containment gate, stacked groups, the timing cache and the
     HMC — under every engine x memoize combination: each leaves the
-    scalar no-cache walk's HMC bytes, timing and counters."""
+    scalar no-cache walk's HMC bytes, timing and every cluster's
+    counters."""
+
+    def test_a_stacked_group_credits_each_member_on_its_own_cluster(self):
+        """Three tiles of one MAC on two clusters: with the cache, the two
+        hits stack into one group whose members sit on different
+        clusters, and each cluster must count the commands it ran (a
+        group once credited them all to its first member's cluster)."""
+        config = ClusterConfig(
+            num_ntx=1,
+            tcdm=TcdmConfig(size_bytes=4 * 4 * 512, num_banks=4),
+            ntx=NtxConfig(
+                command_setup_cycles=0, writeback_drain_cycles=0,
+                data_fifo_depth=1, writeback_fifo_depth=1,
+            ),
+        )
+        base = config.tcdm.base_address
+        at_base = AguConfig(base, (0,) * NUM_LOOPS)
+        mac = NtxCommand(
+            opcode=NtxOpcode.MAC, loops=LoopConfig.nest(1),
+            agu0=at_base, agu1=at_base, agu2=at_base, writeback=False,
+        )
+        case = dict(
+            system=SystemConfig(
+                num_vaults=1, clusters_per_vault=2, cluster=config,
+                hmc=HmcConfig(capacity_bytes=1 << 20),
+            ),
+            programs=[dict(
+                commands=[mac],
+                placements=None,
+                transfers_in=[DmaTransfer(0, base, config.tcdm.size_bytes)],
+                transfers_out=[],
+            )],
+            num_tiles=3,
+            region=config.tcdm.size_bytes + 4 * 64 + 64,
+            seed=0,
+        )
+        _assert_no_option_changes_the_walk(case)
 
     @seed(20190326)
     @settings(max_examples=20, deadline=None)

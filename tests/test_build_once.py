@@ -21,7 +21,6 @@
 
 import hashlib
 import json
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from repro.cluster import timing_core
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core import fpu as fpu_module
 from repro.core import registers as registers_module
+from repro.core.ntx import STAT_COLUMNS
 from repro.kernels.conv import conv2d_commands, conv2d_f64, conv2d_reference, conv3d_reference
 from repro.mem import memory as memory_module
 from repro.mem.hmc import Hmc
@@ -320,8 +320,9 @@ def test_dnn_golden_equals_the_per_channel_loop(
 # --------------------------------------------------------------------------- #
 
 #: name -> (sha256[:16] of the JSON list, over every cluster and NTX, of
-#: ``[*astuple(ntx.stats), *astuple(ntx.fpu_stats)]``; each cluster's
-#: ``total_flops_executed``) after a 2-tile run.  Both engines leave these.
+#: the NTX's row of ``cluster.ntx_stats`` (its ``NtxStats`` then its
+#: ``FpuStats`` counters); each cluster's ``total_flops_executed``) after a
+#: 2-tile run.  Both engines leave these.
 STATS = {
     "conv-tiled": ("0b6e5007d2997f98", [2160, 2160, 0, 0, 0, 0, 0, 0]),
     "matmul-tiled": ("3835cfe60556bf0a", [1920, 1920, 0, 0, 0, 0, 0, 0]),
@@ -365,9 +366,8 @@ def test_a_vectorized_run_builds_no_register_file_fpu_or_l2(name, constructions)
     assert constructions["regs"] == constructions["l2"] == 0
     if timing_core.mac_kernel() is not None:
         assert constructions["fpu"] == 0
-    else:  # without the compiled MAC kernel, MACs walk the FPU per op
-        num_ntx = sum(len(cluster.ntx) for cluster in outcome.simulator.clusters)
-        assert constructions["fpu"] <= num_ntx
+    else:  # without the compiled MAC kernel, MACs walk one FPU per cluster
+        assert constructions["fpu"] <= len(outcome.simulator.clusters)
 
 
 def test_the_scalar_engine_builds_no_fpu(constructions):
@@ -380,7 +380,7 @@ def test_the_scalar_engine_builds_no_fpu(constructions):
     assert constructions["regs"] == constructions["l2"] == 0
     if timing_core.mac_kernel() is not None:
         assert constructions["fpu"] == 0
-        assert all(ntx._fpu is None for ntx in outcome.simulator.clusters[0].ntx)
+        assert "fpu" not in vars(outcome.simulator.clusters[0])
 
 
 @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
@@ -388,11 +388,7 @@ def test_the_scalar_engine_builds_no_fpu(constructions):
 def test_per_ntx_statistics_are_unchanged(engine, name):
     outcome = run_scenario(name, num_tiles=2, options=ExecutionOptions(engine=engine))
     clusters = outcome.simulator.clusters
-    table = [
-        [*astuple(ntx.stats), *astuple(ntx.fpu_stats)]
-        for cluster in clusters
-        for ntx in cluster.ntx
-    ]
+    table = [row for cluster in clusters for row in cluster.ntx_stats.tolist()]
     digest = hashlib.sha256(json.dumps(table).encode()).hexdigest()[:16]
     assert (digest, [c.total_flops_executed for c in clusters]) == (
         STATS[name][0],
@@ -402,7 +398,8 @@ def test_per_ntx_statistics_are_unchanged(engine, name):
 
 def test_the_functional_offload_builds_what_it_uses_once():
     cluster = Cluster(ClusterConfig(num_ntx=2))
-    assert "ntx_regs" not in vars(cluster) and "l2" not in vars(cluster)
+    for name in ("ntx_regs", "l2", "bus", "fpu"):
+        assert name not in vars(cluster)
     regs = cluster.ntx_regs
     assert len(regs) == 2 and cluster.ntx_regs is regs
     assert cluster.l2 is cluster.l2
@@ -417,7 +414,11 @@ def test_the_functional_offload_builds_what_it_uses_once():
     assert np.array_equal(
         cluster.stage_out(base + 100 * 4, (2, 2)), conv2d_reference(image, weights)
     )
-    ntx = cluster.ntx[1]
-    assert ntx.fpu.stats is ntx.fpu_stats and ntx.fpu_stats.macs == 36
-    assert cluster.ntx[0]._fpu is None
+    # The MAC ran on the array data plane (or, without the compiled
+    # kernel, on the cluster's one FPU); NTX 1 is credited, NTX 0 not.
+    macs = cluster.ntx_stats[:, STAT_COLUMNS.index("macs")]
+    assert macs.tolist() == [0, 36]
     assert cluster.ntx_regs is regs
+    assert "bus" not in vars(cluster)
+    cpu = cluster.load_program("ebreak")
+    assert cpu.bus is cluster.bus is cluster.bus

@@ -13,7 +13,8 @@ from repro.core.commands import (
 )
 from repro.core.controller import NtxController
 from repro.core.golden import GoldenMemory, golden_address, golden_execute
-from repro.core.ntx import Ntx
+from repro.core.fpu import NtxFpu
+from repro.core.ntx import STAT_COLUMNS
 from repro.core.vecops import execute_functional
 
 
@@ -104,7 +105,7 @@ class TestExecutorAgainstGolden:
         golden_execute(command, golden_mem)
 
         ntx_mem = GoldenMemory(dict(values))
-        execute_functional(Ntx(), command, ntx_mem)
+        execute_functional(NtxFpu(), command, ntx_mem)
 
         store_addresses = {
             addr for addr in golden_mem.words if addr >= 0x200
@@ -135,7 +136,7 @@ class TestExecutorAgainstGolden:
             store_level=1,
         )
         memory = GoldenMemory(values)
-        execute_functional(Ntx(), command, memory)
+        execute_functional(NtxFpu(), command, memory)
         result = np.array([memory.read_f32(y_base + 4 * i) for i in range(rows)])
         np.testing.assert_allclose(result, matrix @ x, rtol=1e-5, atol=1e-6)
 
@@ -145,7 +146,7 @@ class TestExecutorAgainstGolden:
         command = _axpy_command(8, base + 0x300, base + 0x000, base + 0x100)
         cluster.offload(command)
         cluster.offload(command)
-        ntx = cluster.ntx[0]
-        assert ntx.stats.commands == 2
-        assert ntx.stats.iterations == 16
-        assert ntx.stats.flops == 32
+        ntx = dict(zip(STAT_COLUMNS, cluster.ntx_stats[0].tolist()))
+        assert ntx["commands"] == 2
+        assert ntx["iterations"] == 16
+        assert ntx["flops"] == 32

@@ -46,6 +46,35 @@ def test_doc_links_are_healthy():
     assert result.returncode == 0, result.stderr
 
 
+def test_stale_name_check_resolves_names_not_just_prefixes():
+    """A ``repro.*`` reference must name a module or a top-level name of
+    one: the ``repro`` prefix alone resolving is not enough."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "check_doc_links", REPO / "scripts" / "check_doc_links.py"
+    )
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    for stale in (
+        "repro.nosuch",
+        "repro.cluster.no_such_module",
+        "repro.core.ntx.NoSuchClass",
+        "repro.cluster.sim.NoSuchName.run",
+    ):
+        assert not check.module_exists(stale), stale
+    for live in (
+        "repro.cluster",
+        "repro.cluster.sim",
+        "repro.cluster.sim.ClusterSimulator",
+        "repro.cluster.sim.ClusterSimulator.run",
+        "repro.cluster.ClusterSimulator",  # a lazy package export
+        "repro.core.ntx.STAT_COLUMNS",
+        "repro.cluster.vecsim._Accounts",
+    ):
+        assert check.module_exists(live), live
+
+
 def test_every_public_module_has_a_docstring():
     """Satellite: module-level docstrings are mandatory across the package."""
     missing = []

@@ -3,8 +3,9 @@
 Every ``run_*`` helper of the kernel library is checked against the same
 commands walked per op (:func:`repro.core.vecops.execute_functional`) on a
 twin cluster whose ``drain_ntx`` credits each command the way the per-op
-offload path did: outputs, TCDM bytes, every ``NtxStats`` and ``FpuStats``
-field, bank accesses and memory counters must be equal.  The examples'
+offload path did: outputs, TCDM bytes, every per-NTX counter (the
+``NtxStats`` and ``FpuStats`` columns of ``Cluster.ntx_stats``), bank
+accesses and memory counters must be equal.  The examples'
 CI runner (``scripts/run_example.py``) fails on any fallback the data
 plane or the timing core counts.
 """
@@ -20,7 +21,8 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.commands import AguConfig, LoopConfig, NtxCommand, NtxOpcode
-from repro.core.ntx import NtxStats
+from repro.core.fpu import FpuStats
+from repro.core.ntx import STAT_COLUMNS, NtxStats
 from repro.core.registers import RegisterMap
 from repro.core.vecops import execute_functional
 from repro.kernels.blas import run_axpy, run_gemm, run_gemv
@@ -37,20 +39,21 @@ _SPECIALS = np.array(
 
 def _walk_drain(cluster, ntx_id):
     """The per-op reference of ``Cluster.drain_ntx``: walk every queued
-    command and credit its statistics at ideal timing."""
+    command on the cluster's FPU and credit its statistics at ideal
+    timing, the FPU counters as the FPU counted them."""
     regs = cluster.ntx_regs[ntx_id]
-    ntx = cluster.ntx[ntx_id]
+    fpu = cluster.fpu
     while (command := regs.next_command()) is not None:
-        execute_functional(ntx, command, cluster.tcdm)
+        before = dataclasses.astuple(fpu.stats)
+        execute_functional(fpu, command, cluster.tcdm)
         ideal = cluster.config.ntx.ideal_cycles(command)
-        stats = ntx.stats
-        stats.commands += 1
-        stats.iterations += command.total_iterations
-        stats.flops += command.flops
-        stats.tcdm_reads += command.tcdm_reads
-        stats.tcdm_writes += command.tcdm_writes
-        stats.ideal_cycles += ideal
-        stats.active_cycles += ideal
+        stats = NtxStats(
+            commands=1, iterations=command.total_iterations, flops=command.flops,
+            tcdm_reads=command.tcdm_reads, tcdm_writes=command.tcdm_writes,
+            ideal_cycles=ideal, active_cycles=ideal,
+        )
+        fpu_counts = np.subtract(dataclasses.astuple(fpu.stats), before)
+        cluster.ntx_stats[ntx_id] += (*dataclasses.astuple(stats), *fpu_counts)
 
 
 def _data(rng, kind, *shape):
@@ -90,8 +93,7 @@ def _observed(cluster, result):
     return {
         "output": np.asarray(result, dtype=np.float32).tobytes(),
         "tcdm": bytes(tcdm.memory.data),
-        "stats": [dataclasses.asdict(ntx.stats) for ntx in cluster.ntx],
-        "fpu": [dataclasses.asdict(ntx.fpu_stats) for ntx in cluster.ntx],
+        "stats": cluster.ntx_stats.tolist(),
         "bank_accesses": tcdm.bank_accesses.tolist(),
         "memory": (tcdm.memory.reads, tcdm.memory.writes),
     }
@@ -109,7 +111,7 @@ def test_kernel_library_matches_the_per_op_walk(kernel, kind):
         result = _KERNELS[kernel](cluster, lambda *shape: _data(rng, kind, *shape))
         observed.append(_observed(cluster, result))
     on_data_plane, walked = observed
-    assert any(stats["commands"] for stats in on_data_plane["stats"])
+    assert any(row[0] for row in on_data_plane["stats"])  # commands
     for field in walked:
         assert on_data_plane[field] == walked[field], field
 
@@ -119,10 +121,14 @@ def test_stats_credit_every_field_at_ideal_timing():
     run_axpy(cluster, 2.0, np.ones(16, np.float32), np.ones(16, np.float32), ntx_id=2)
     config = cluster.config.ntx
     ideal = config.command_setup_cycles + 16 + config.writeback_drain_cycles
-    assert cluster.ntx[2].stats == NtxStats(
+    assert NtxStats(*cluster.ntx_stats[2, :8].tolist()) == NtxStats(
         commands=1, iterations=16, flops=32, tcdm_reads=48, tcdm_writes=16,
         ideal_cycles=ideal, active_cycles=ideal, stall_cycles=0,
     )
+    assert FpuStats(*cluster.ntx_stats[2, 8:].tolist()) == FpuStats(
+        issues=16, macs=16, writebacks=16
+    )
+    assert not cluster.ntx_stats[[0, 1, 3, 4, 5, 6, 7]].any()
 
 
 def test_dependent_commands_queued_through_the_bus_run_in_order(cluster):
@@ -162,7 +168,7 @@ def test_dependent_commands_queued_through_the_bus_run_in_order(cluster):
     assert regs.command_queue.is_empty and not regs.busy
     np.testing.assert_array_equal(cluster.stage_out(copy, (n,)), x)
     np.testing.assert_array_equal(cluster.stage_out(dst, (n,)), x + y)
-    assert cluster.ntx[0].stats.commands == 2
+    assert cluster.ntx_stats[0, STAT_COLUMNS.index("commands")] == 2
 
 
 _RAW_HAZARD_EXAMPLE = """

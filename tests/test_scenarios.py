@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import ClusterConfig
-from repro.cluster.engine import available_engines, get_engine
+from repro.cluster.engine import available_engines, resolve_engine
 from repro.mem.hmc import Hmc
 from repro.options import ExecutionOptions
 from repro.scenarios import (
@@ -127,9 +127,9 @@ class TestRegistry:
     def test_engine_registry_round_trip(self):
         assert set(available_engines()) >= {"scalar", "vectorized"}
         for name in available_engines():
-            assert get_engine(name).name == name
+            assert resolve_engine(name) == name
         with pytest.raises(ValueError, match="scalar"):
-            get_engine("bogus")
+            resolve_engine("bogus")
 
 
 class TestPlacements:

@@ -287,9 +287,7 @@ def test_batched_group_falling_back_per_tile_matches_the_inline_walk(monkeypatch
     assert (batched.hmc.memory.reads, batched.hmc.memory.writes) == (
         inline.hmc.memory.reads, inline.hmc.memory.writes
     )
-    for ref_ntx, ntx in zip(ref.ntx, got.ntx):
-        assert vars(ntx.stats) == vars(ref_ntx.stats)
-        assert vars(ntx.fpu.stats) == vars(ref_ntx.fpu.stats)
+    assert np.array_equal(got.ntx_stats, ref.ntx_stats)
 
 
 # -- staging between the HMC and the stack -------------------------------------
@@ -365,10 +363,6 @@ def _staging_workload(hmc, num_tiles, layout):
     return tiles
 
 
-def _summed(values):
-    return {key: sum(value[key] for value in values) for key in values[0]}
-
-
 @pytest.mark.parametrize("topology", [(1, 1), (2, 2)], ids=["1x1", "2x2"])
 @pytest.mark.parametrize("layout", ["uniform", "scattered"])
 @pytest.mark.parametrize("group", [2, 32, 33])
@@ -434,26 +428,10 @@ def test_staging_paths_match_the_inline_walk(monkeypatch, topology, layout, grou
         assert (got.axi.busy_cycles, got.axi.bytes_transferred) == (
             ref.axi.busy_cycles, ref.axi.bytes_transferred
         )
-        for ntx, ref_ntx in zip(got.ntx, ref.ntx):
-            assert (ntx.stats.active_cycles, ntx.stats.stall_cycles) == (
-                ref_ntx.stats.active_cycles, ref_ntx.stats.stall_cycles
-            )
-    # Data-plane counters of a multi-cluster group land on its
-    # representative cluster: they agree in aggregate.
-    assert np.array_equal(
-        sum(c.tcdm.bank_accesses for c in batched.clusters),
-        sum(c.tcdm.bank_accesses for c in inline.clusters),
-    )
-    for side in ("reads", "writes"):
-        assert sum(getattr(c.tcdm.memory, side) for c in batched.clusters) == sum(
-            getattr(c.tcdm.memory, side) for c in inline.clusters
+        # Each member of a multi-cluster group is credited on its own
+        # cluster: every counter agrees cluster by cluster.
+        assert np.array_equal(got.ntx_stats, ref.ntx_stats)
+        assert np.array_equal(got.tcdm.bank_accesses, ref.tcdm.bank_accesses)
+        assert (got.tcdm.memory.reads, got.tcdm.memory.writes) == (
+            ref.tcdm.memory.reads, ref.tcdm.memory.writes
         )
-    for ntx_id in range(len(inline.clusters[0].ntx)):
-        for attribute in ("stats", "fpu"):
-            def counters(sim):
-                return _summed([
-                    vars(getattr(c.ntx[ntx_id], attribute).stats
-                         if attribute == "fpu" else c.ntx[ntx_id].stats)
-                    for c in sim.clusters
-                ])
-            assert counters(batched) == counters(inline)

@@ -280,14 +280,14 @@ class TestScenarioEngineParity:
                 assert np.array_equal(produced, golden), (name, run)
 
     def test_registry_lists_both_engines(self):
-        from repro.cluster.engine import get_engine
+        from repro.cluster.engine import describe_engines, resolve_engine
 
         names = available_engines()
         assert "scalar" in names and "vectorized" in names
+        descriptions = describe_engines()
         for name in names:
-            engine = get_engine(name)
-            assert engine.name == name
-            assert engine.description
+            assert resolve_engine(name) == name
+            assert descriptions[name]
 
 
 class TestTilingMemoization:

@@ -35,6 +35,7 @@ from repro.core.commands import (
     NtxOpcode,
 )
 from repro.core.controller import NtxController
+from repro.core.ntx import ACTIVE_CYCLES, STALL_CYCLES, STAT_COLUMNS
 from repro.core import vecops
 from repro.core.vecops import command_plan, execute_functional
 from repro.kernels.blas import axpy_commands
@@ -276,8 +277,10 @@ class TestEdgeConfigurations:
             cycle_counts[engine] = result.cycles
         assert cycle_counts["vectorized"] == cycle_counts["scalar"]
 
-    def test_fallback_path_does_not_double_count_fpu_stats(self):
-        """The exact fallback issues the real FPU; stats must count once."""
+    def test_fallback_path_credits_the_walks_fpu_stats_once(self):
+        """The exact fallback steps the cluster's FPU, whose own counts are
+        nobody's: the data plane credits the command's FPU statistics
+        once, as the walk counted them."""
         n = 8
 
         def build(cluster):
@@ -306,15 +309,16 @@ class TestEdgeConfigurations:
         # per-op walk: buf[0] propagates through the chain.
         functional = Cluster()
         jobs, outs, shape = build(functional)
-        execute_functional(functional.ntx[0], jobs[0][1], functional.tcdm)
+        execute_functional(functional.fpu, jobs[0][1], functional.tcdm)
         expected = functional.stage_out(outs[0], shape)
+        assert astuple(functional.fpu.stats) == (n, 0, 0, n)
 
         cluster = Cluster()
         jobs, outs, shape = build(cluster)
         ClusterSimulator(cluster, engine="vectorized").run(jobs)
         np.testing.assert_array_equal(cluster.stage_out(outs[0], shape), expected)
-        assert cluster.ntx[0].fpu.stats.issues == n
-        assert cluster.ntx[0].fpu.stats.writebacks == n
+        fpu = STAT_COLUMNS.index("issues")
+        assert tuple(cluster.ntx_stats[0, fpu:].tolist()) == astuple(functional.fpu.stats)
 
 
 #: Without a C compiler every MAC walks per op by design, counted as
@@ -366,7 +370,7 @@ class TestFallbackCounter:
         view = np.frombuffer(cluster.tcdm.memory.data, dtype="<f4")[:, None]
         return not execute_streams_batched(
             command, command_plan(command), view, cluster.tcdm.base,
-            cluster.ntx[0].config.pcs, _mac_write_back(),
+            cluster.config.ntx.pcs, _mac_write_back(),
         )
 
     def test_raw_hazard_command_is_counted(self):
@@ -387,10 +391,10 @@ class TestFallbackCounter:
         staged = (memory.reads, memory.writes)
         cluster.offload(command, ntx_id=2)
         assert by_reason() == {"raw_hazard": 1.0}
-        fpu_stats = cluster.ntx[2].fpu_stats
-        assert fpu_stats.issues == fpu_stats.writebacks == 8
+        stats = dict(zip(STAT_COLUMNS, cluster.ntx_stats[2].tolist()))
+        assert stats["issues"] == stats["writebacks"] == 8
         assert (memory.reads - staged[0], memory.writes - staged[1]) == (8, 8)
-        assert cluster.ntx[2].stats.commands == 1
+        assert stats["commands"] == 1
         # The walk runs in program order: word 0 propagates down the chain.
         np.testing.assert_array_equal(
             cluster.stage_out(buf, (9,)), np.ones(9, dtype=np.float32)
@@ -406,7 +410,7 @@ class TestFallbackCounter:
         stack = np.zeros((cluster.tcdm.size // 4, 3), dtype=np.float32)
         assert not execute_streams_batched(
             command, command_plan(command), stack, cluster.tcdm.base,
-            cluster.ntx[0].config.pcs, _mac_write_back(),
+            cluster.config.ntx.pcs, _mac_write_back(),
         )
         assert by_reason() == {"raw_hazard": 1.0}
 
@@ -460,14 +464,14 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="scalar"):
             ClusterSimulator(Cluster(), engine="quantum")
 
-    def test_simulator_resolves_through_the_registry(self):
-        from repro.cluster.engine import available_engines, get_engine
+    def test_simulator_resolves_the_engine_name(self):
+        from repro.cluster.engine import available_engines, resolve_engine
 
         assert ClusterSimulator(Cluster()).engine == "vectorized"
+        assert resolve_engine() == "vectorized"
         for name in available_engines():
-            simulator = ClusterSimulator(Cluster(), engine=name)
-            assert simulator.engine == name
-            assert simulator._engine is get_engine(name)
+            assert ClusterSimulator(Cluster(), engine=name).engine == name
+            assert resolve_engine(name) == name
 
     def test_timing_signature_starts_with_the_engine_name(self):
         cluster = Cluster()
@@ -554,7 +558,7 @@ def _engine_run(case, engine):
         result,
         interconnect.stats,
         interconnect._rr_offset,
-        [(n.stats.active_cycles, n.stats.stall_cycles) for n in cluster.ntx],
+        cluster.ntx_stats[:, [ACTIVE_CYCLES, STALL_CYCLES]].tolist(),
     )
 
 
@@ -699,7 +703,7 @@ def _counters(simulator):
     cluster = simulator.cluster
     tcdm = cluster.tcdm
     return (
-        [(astuple(ntx.stats), astuple(ntx.fpu_stats)) for ntx in cluster.ntx],
+        cluster.ntx_stats.tolist(),
         tcdm.bank_accesses.tolist(),
         (tcdm.memory.reads, tcdm.memory.writes),
         simulator.interconnect.stats,
@@ -749,10 +753,12 @@ class TestHandBuiltHazards:
         simulator = ClusterSimulator(cluster, engine="scalar")
         simulator.run(jobs)
         plan = command_plan(jobs[0][1])
-        stats = cluster.ntx[0].stats
-        assert (stats.tcdm_reads, stats.tcdm_writes) == (plan.num_reads, plan.num_stores)
+        stats = dict(zip(STAT_COLUMNS, cluster.ntx_stats[0].tolist()))
+        assert (stats["tcdm_reads"], stats["tcdm_writes"]) == (
+            plan.num_reads, plan.num_stores
+        )
         assert cluster.tcdm.memory.reads == plan.num_reads
-        assert cluster.ntx[0].fpu_stats.issues == plan.total
+        assert stats["issues"] == plan.total
         assert simulator.interconnect.requests < plan.num_reads + plan.num_stores
 
 
