@@ -169,10 +169,8 @@ class Cluster:
 
         regs = self.ntx_regs[ntx_id]
         while (command := regs.next_command()) is not None:
-            regs.set_busy(True)
             run_data_plane(self, [(ntx_id, command)])
             self.ntx_stats[ntx_id, ACTIVE_CYCLES] += self.config.ntx.ideal_cycles(command)
-        regs.set_busy(False)
 
     def drain_all_ntx(self) -> None:
         for ntx_id in range(self.config.num_ntx):

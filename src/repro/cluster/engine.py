@@ -44,8 +44,8 @@ __all__ = [
 DEFAULT_ENGINE = "vectorized"
 
 #: ``name -> description`` of every engine: the vectorized engine times a
-#: run with the compiled loop wherever that loop models it, the scalar
-#: engine always with :func:`scalar_loop`.
+#: run with the compiled loop (with :func:`scalar_loop` when the library
+#: is unavailable), the scalar engine always with :func:`scalar_loop`.
 _ENGINES: Dict[str, str] = {
     "vectorized": (
         "NumPy streams and data plane, compiled C timing core (default, ~200x faster)"

@@ -155,8 +155,8 @@ class ClusterSimulator:
         """Simulate until every queued command has completed.
 
         Both engines run through :func:`repro.cluster.vecsim.run_cycles`;
-        the vectorized engine lets the compiled loop time the runs it
-        models.
+        the vectorized engine lets the compiled loop time the run.  A
+        read-after-write hazard raises :class:`ValueError`.
         """
         from repro.cluster.vecsim import run_cycles
 

@@ -7,14 +7,14 @@
  * engine's timing model (repro.cluster.engine.scalar_loop, which steps a
  * repro.core.ntx.NtxStepper per NTX) over precomputed bank ids and
  * integer state; hot-path integer divisions become multiplications and
- * compares (all operands are non-negative there).  It covers the per-NTX phase machine
- * (idle -> setup -> run -> drain), the operand-FIFO run-ahead window, one
- * retirement per cycle, write-back backpressure, background DMA beats and
- * rotating-priority per-bank arbitration.  It leaves out store-to-load
- * forwarding and the shared grant of one address to two ports; the
- * engine hands the runs that could meet either to the scalar loop.  On
- * every other input its counters equal the scalar loop's;
- * tests/test_vecsim.py fuzzes the two against each other.
+ * compares (all operands are non-negative there).  It covers the per-NTX
+ * phase machine (idle -> setup -> run -> drain), the operand-FIFO
+ * run-ahead window, one retirement per cycle, write-back backpressure,
+ * background DMA beats, rotating-priority per-bank arbitration and the
+ * shared grant of one address to every port of an NTX presenting it.
+ * The engines refuse commands that read their own earlier stores.  On
+ * every input its counters equal the scalar loop's; tests/test_vecsim.py
+ * fuzzes the two against each other.
  *
  * Inputs (all owned by the caller):
  *   cfg          machine and run parameters;
@@ -23,7 +23,8 @@
  *   commands     TC_COLUMNS int64 values per command (see the enum);
  *                a negative stream offset means the port is absent;
  *   streams      every command's per-port bank ids and init positions,
- *                concatenated.
+ *                concatenated (and read addresses, as int32, where read
+ *                ports share an address).
  * Outputs: per_ntx[i] / per_ntx[num_ntx + i] receive NTX i's active /
  * stall cycles, *out the run counters.
  *
@@ -59,6 +60,9 @@ enum {
     COL_INIT,           /* offset of the init-read bank ids, or -1 */
     COL_INIT_TS,        /* offset of the init-read iteration indices */
     COL_STORE,          /* offset of the store bank ids, or -1 */
+    COL_ADDR0,          /* offset of the read-port-0 addresses, or -1 */
+    COL_ADDR1,          /* offset of the read-port-1 addresses, or -1 */
+    COL_INIT_ADDR,      /* offset of the init-read addresses, or -1 */
     TC_COLUMNS
 };
 
@@ -99,6 +103,12 @@ typedef struct {
     const int32_t *init;
     const int32_t *init_ts;
     const int32_t *store;
+    const int32_t *addr0, *addr1, *init_addr; /* where read ports share */
+    int shared;
+    /* Later ports presenting an earlier port's address this cycle, served
+     * by its grant (one master's requests tie, the first presented wins):
+     * bit 0 p1 after p0, bit 1 init after p0, bit 2 init after p1. */
+    int follow;
     int64_t pos0, pos1, rpos, wpos, retired;
     int64_t active, stall;
 } ntx_state;
@@ -187,6 +197,7 @@ int tc_run(const tc_config *cfg, const int64_t *queue_start,
             ntx_state *s = &states[i];
             const int64_t *plan;
             int64_t limit, slot_base;
+            int at0, at1, at_init;
 
             if (s->phase == IDLE) {
                 if (s->next_command >= s->end_command)
@@ -203,6 +214,11 @@ int tc_run(const tc_config *cfg, const int64_t *queue_start,
                 s->init = port(streams, plan[COL_INIT]);
                 s->init_ts = port(streams, plan[COL_INIT_TS]);
                 s->store = port(streams, plan[COL_STORE]);
+                s->addr0 = port(streams, plan[COL_ADDR0]);
+                s->addr1 = port(streams, plan[COL_ADDR1]);
+                s->init_addr = port(streams, plan[COL_INIT_ADDR]);
+                s->shared = s->addr0 || s->addr1 || s->init_addr;
+                s->follow = 0;
                 /* A zero-cycle setup phase starts streaming immediately. */
                 s->phase = cfg->setup_cycles > 0 ? SETUP : RUN;
                 s->setup_left = cfg->setup_cycles;
@@ -216,12 +232,15 @@ int tc_run(const tc_config *cfg, const int64_t *queue_start,
             plan = s->plan;
             limit = s->retired + cfg->window;
             slot_base = i << 2;
-            if (s->p0 && s->pos0 < plan[COL_TOTAL] && s->pos0 < limit)
+            at0 = s->p0 && s->pos0 < plan[COL_TOTAL] && s->pos0 < limit;
+            at1 = s->p1 && s->pos1 < plan[COL_TOTAL] && s->pos1 < limit;
+            at_init = s->init && s->rpos < plan[COL_NUM_INIT_READS]
+                      && s->init_ts[s->rpos] < limit;
+            if (at0)
                 PRESENT(s->p0[s->pos0], slot_base, i);
-            if (s->p1 && s->pos1 < plan[COL_TOTAL] && s->pos1 < limit)
+            if (at1)
                 PRESENT(s->p1[s->pos1], slot_base | 1, i);
-            if (s->init && s->rpos < plan[COL_NUM_INIT_READS]
-                && s->init_ts[s->rpos] < limit) {
+            if (at_init) {
                 PRESENT(s->init[s->rpos], slot_base | 2, i);
             } else if (plan[COL_NUM_STORES] > 0) {
                 int64_t retired = s->retired < plan[COL_TOTAL] ? s->retired
@@ -229,6 +248,13 @@ int tc_run(const tc_config *cfg, const int64_t *queue_start,
                 /* retired // period_store > wpos */
                 if (retired >= (s->wpos + 1) * plan[COL_PERIOD_STORE])
                     PRESENT(s->store[s->wpos], slot_base | 3, i);
+            }
+            if (s->shared) {
+                int p1_p0 = at0 && at1 && s->addr0[s->pos0] == s->addr1[s->pos1];
+                int init_p0 = at_init && at0 && s->addr0[s->pos0] == s->init_addr[s->rpos];
+                int init_p1 = at_init && at1 && !init_p0
+                              && s->addr1[s->pos1] == s->init_addr[s->rpos];
+                s->follow = p1_p0 | init_p0 << 1 | init_p1 << 2;
             }
         }
 
@@ -261,8 +287,12 @@ int tc_run(const tc_config *cfg, const int64_t *queue_start,
                     continue;
                 s = &states[slot >> 2];
                 switch (slot & 3) {
-                case 0: s->pos0++; break;
-                case 1: s->pos1++; break;
+                case 0:
+                    s->pos0++;
+                    s->pos1 += s->follow & 1;
+                    s->rpos += s->follow >> 1 & 1;
+                    break;
+                case 1: s->pos1++; s->rpos += s->follow >> 2; break;
                 case 2: s->rpos++; break;
                 default: s->wpos++; break;
                 }
@@ -368,7 +398,7 @@ done:
  * A block is one accumulator lifetime: period_init iterations, with a
  * write-back at the end of every period_store iterations.  Its stores
  * are staged in a buffer and written to the stack when the block ends.
- * The caller refuses commands with a read of an earlier store of the same
+ * The engines refuse commands with a read of an earlier store of the same
  * command, so no read of a block can observe any store of the command,
  * and staging changes nothing.
  *

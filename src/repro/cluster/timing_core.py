@@ -54,7 +54,7 @@ SOURCE = Path(__file__).with_name("timing_core.c")
 CFLAGS = ("-O2", "-ftree-vectorize", "-ffp-contract=off", "-shared", "-fPIC")
 
 #: Columns of the per-command table (``enum`` in ``timing_core.c``).
-_COLUMNS = 10
+_COLUMNS = 13
 _EXCEEDED = 1
 _NO_MEMORY = -1
 
@@ -222,7 +222,8 @@ class TimingInput:
     """Every NTX's queue of :class:`~repro.core.vecops.BankStreams`, in
     issue order, laid out once for the compiled loop: a queue-start index
     per NTX and one row of ``_COLUMNS`` integers per command, whose stream
-    offsets index the concatenation of ``chunks``.  The arrays are
+    offsets index the concatenation of ``chunks`` (read addresses only
+    where read ports share one, for the shared grant).  The arrays are
     read-only, so a tile program keeps its input for every run of it.
     The streams themselves are concatenated per run (:meth:`streams`, a
     few microseconds): kept, they would duplicate the plans' bank
@@ -253,7 +254,8 @@ class TimingInput:
                     plan.num_init_reads, plan.num_stores,
                     place(plan.p0_banks), place(plan.p1_banks),
                     place(plan.init_banks), place(plan.init_ts),
-                    place(plan.store_banks),
+                    place(plan.store_banks), place(plan.p0_addrs),
+                    place(plan.p1_addrs), place(plan.init_addrs),
                 ))
             starts.append(len(rows))
         self.starts = _frozen(np.array(starts, dtype=np.int64))

@@ -11,7 +11,7 @@ splits the work into phases so the per-cycle loop touches almost nothing:
 
 1. **Command plans** (:func:`repro.core.vecops.command_plan`): the
    complete address stream of every TCDM port of every command, its
-   hazard verdicts and its bank projection are compiled once per
+   verdicts and its bank projection are compiled once per
    distinct command and shared read-only by every run of the process.
    Request generation inside the cycle loop reduces to indexing the plan's
    int32 bank streams (:class:`~repro.core.vecops.BankStreams`).
@@ -26,9 +26,8 @@ splits the work into phases so the per-cycle loop touches almost nothing:
    system walker stages straight from and back to the HMC and the kernel
    updates in place.  There is one mode: every store is bit-identical to
    the soft-float reference on every input, in program order.  Commands
-   the kernel refuses (a read-after-write hazard, an address off the
-   stack, a MAC without the compiled library) run through the exact
-   per-op executor.
+   the kernel refuses (an address off the stack or unaligned, a MAC
+   without the compiled library) run through the exact per-op executor.
 3. **Timing core**: a lean per-cycle loop that models the same machine
    as the scalar loop — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
@@ -39,16 +38,13 @@ splits the work into phases so the per-cycle loop touches almost nothing:
    with :mod:`ctypes` (see :mod:`repro.cluster.timing_core`); one C call
    runs every cycle of a run.
 
-The compiled loop leaves out two behaviours of the scalar loop:
-store-to-load forwarding across the write-back FIFO, and the shared grant
-when two ports of one NTX present the same address in one cycle.  A run
-that could meet either — a command with a read-after-write hazard
-(``raw_hazard``) or with two read ports sharing an address
-(``shared_reads``) — and every run without the compiled library are timed
-by the scalar loop instead, and counted in
-``repro_timing_core_fallbacks_total{reason}``.  So the timing is
-cycle-exact against the scalar engine on every input, and
-``tests/test_vecsim.py`` fuzzes the compiled loop against it.
+A command that reads an address it stored at an earlier iteration
+(``raw_hazard``) is refused where every execution enters
+(:func:`plans_per_ntx`).  The compiled loop models the scalar loop on
+every other input, and the scalar loop times a vectorized run only
+without the compiled library (counted in
+``repro_timing_core_fallbacks_total{reason}``); ``tests/test_vecsim.py``
+fuzzes the two against each other.
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ from repro.core.vecops import (
 from repro.obs import metrics as _metrics
 
 
-__all__ = ["run_cycles", "run_data_plane", "live_stack"]
+__all__ = ["plans_per_ntx", "run_cycles", "run_data_plane", "live_stack"]
 
 T = TypeVar("T")
 
@@ -98,28 +94,46 @@ _FALLBACKS = _metrics.counter(
 _Queue = List[Tuple[NtxCommand, CommandPlan]]
 
 
-def _plans_per_ntx(cluster, jobs: Sequence[Tuple[int, NtxCommand]]) -> Sequence[_Queue]:
+def plans_per_ntx(
+    num_ntx: int, jobs: Sequence[Tuple[int, NtxCommand]]
+) -> Sequence[_Queue]:
     """Each NTX's commands with their plans, in issue order.
 
     Jobs of a :class:`~repro.cluster.tiling.TileProgram` carry it, and
-    the program keeps its plans; any other job list is planned here.
+    the program keeps its plans and its verdict; any other job list is
+    planned here.  Every execution enters here, before writing anything,
+    and a read-after-write hazard raises :class:`ValueError`.
     """
-    num_ntx = cluster.config.num_ntx
     if isinstance(jobs, ProgramJobs) and jobs.num_ntx == num_ntx:
-        return jobs.program.plans(num_ntx)
-    jobs_per_ntx: List[_Queue] = [[] for _ in range(num_ntx)]
-    for ntx_id, command in jobs:
-        if not 0 <= ntx_id < num_ntx:
-            raise ValueError(f"NTX index {ntx_id} out of range")
-        jobs_per_ntx[ntx_id].append((command, command_plan(command)))
-    return jobs_per_ntx
+        queues = jobs.program.plans(num_ntx)
+    else:
+        queues = [[] for _ in range(num_ntx)]
+        for ntx_id, command in jobs:
+            if not 0 <= ntx_id < num_ntx:
+                raise ValueError(f"NTX index {ntx_id} out of range")
+            queues[ntx_id].append((command, command_plan(command)))
+    hazard = _program_fact(jobs, ("raw-hazard", num_ntx), lambda: _raw_hazard(queues))
+    if hazard is not None:
+        raise ValueError("NTX {}: command {!r} reads an address it stored at an earlier "
+                         "iteration (read-after-write hazard)".format(*hazard))
+    return queues
+
+
+def _raw_hazard(queues: Sequence[_Queue]) -> Optional[Tuple[int, NtxCommand]]:
+    """The NTX and the first command of ``queues`` that reads its own
+    earlier store, if any."""
+    return next((
+        (ntx_id, command) for ntx_id, plans in enumerate(queues)
+        for command, plan in plans if plan.raw_hazard
+    ), None)
 
 
 def _program_fact(jobs, key: tuple, derive: Callable[[], T]) -> T:
-    """``derive()``, kept on the jobs' program under ``key`` when the jobs
-    come from one (``key`` pins everything else it depends on)."""
+    """``derive()``, kept on the jobs' program when the jobs come from one,
+    under ``key`` and the NTX count the jobs were placed for (``key`` pins
+    everything else it depends on)."""
     if isinstance(jobs, ProgramJobs):
-        return jobs.program.derived(key, derive)
+        return jobs.program.derived((*key, jobs.num_ntx), derive)
     return derive()
 
 
@@ -282,7 +296,7 @@ def run_data_plane(
     if owners is None:
         owners = [cluster] * num_tiles
     mac = _mac_write_back()
-    queues = _plans_per_ntx(cluster, jobs)
+    queues = plans_per_ntx(cluster.config.num_ntx, jobs)
     pcs = cluster.config.ntx.pcs
     walked = []
     for plans in queues:
@@ -298,37 +312,6 @@ def run_data_plane(
     )
     for owner, count in Counter(owners).items():
         accounts.credit(owner, count, walked)
-
-
-def _timing_hazard(queues: Sequence[_Queue]) -> Optional[str]:
-    """The first verdict, if any, under which a command of ``queues`` may
-    meet a behaviour the compiled loop does not model."""
-    plans = [plan for queue in queues for _, plan in queue]
-    if any(plan.raw_hazard for plan in plans):
-        return "raw_hazard"
-    if any(plan.shared_reads for plan in plans):
-        return "shared_reads"
-    return None
-
-
-def _compiled_timing(jobs, queues: Sequence[_Queue], params: TimingParams):
-    """``jobs``' counters from the compiled loop, or ``None`` where it
-    cannot time them (counted by reason): a command with a hazard verdict
-    it does not model, or no compiled library."""
-    hazard = _program_fact(jobs, ("timing-hazard",), lambda: _timing_hazard(queues))
-    loop = None if hazard else timing_core.load()
-    if loop is None:
-        _FALLBACKS.inc(reason=hazard or timing_core.unavailable_reason())
-        return None
-    base, num_banks = params.tcdm_base, params.num_banks
-    timing_input = _program_fact(
-        jobs,
-        ("timing-input", len(queues), base, num_banks),
-        lambda: TimingInput([
-            [plan.banks(base, num_banks) for _, plan in plans] for plans in queues
-        ]),
-    )
-    return loop(timing_input, params)
 
 
 def timing_params(
@@ -367,9 +350,9 @@ def run_cycles(
     The data plane writes ``jobs``' data and credits every statistic but
     the cycles; then a cycle loop times the run over addresses only, and
     its counters are credited to the interconnect and the co-processors.
-    With ``compiled``, the compiled loop times every run it models; the
-    rest, and every run without ``compiled``, are timed by
-    :func:`repro.cluster.engine.scalar_loop`, to the same counters.
+    With ``compiled``, the compiled loop times the run; without it, or
+    without the compiled library (counted by reason),
+    :func:`repro.cluster.engine.scalar_loop` does, to the same counters.
     """
     from repro.cluster.engine import scalar_loop
     from repro.cluster.sim import SimulationResult
@@ -381,10 +364,21 @@ def run_cycles(
     simulator.run_data_plane(jobs)
     flops, iterations = (stats[:, (FLOPS, ITERATIONS)].sum(axis=0) - before).tolist()
 
-    queues = _plans_per_ntx(cluster, jobs)
+    queues = plans_per_ntx(cluster.config.num_ntx, jobs)
     params = timing_params(simulator, max_cycles, dma_requests_per_cycle, stagger_cycles)
-    counters = _compiled_timing(jobs, queues, params) if compiled else None
-    if counters is None:
+    loop = timing_core.load() if compiled else None
+    if loop is not None:
+        base, num_banks = params.tcdm_base, params.num_banks
+        counters = loop(_program_fact(
+            jobs,
+            ("timing-input", len(queues), base, num_banks),
+            lambda: TimingInput([
+                [plan.banks(base, num_banks) for _, plan in plans] for plans in queues
+            ]),
+        ), params)
+    else:
+        if compiled:
+            _FALLBACKS.inc(reason=timing_core.unavailable_reason())
         counters = scalar_loop(
             [[command for command, _ in plans] for plans in queues], params
         )

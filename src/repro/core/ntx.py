@@ -7,7 +7,8 @@ the :class:`~repro.core.fpu.FpuStats` counters.  Every execution of a
 command — both cycle engines, timing-cache hits, batched replay and
 :meth:`repro.cluster.cluster.Cluster.offload` — writes its data through
 the one shared data plane (:func:`repro.cluster.vecsim.run_data_plane`),
-which credits every statistic but the cycles as one array add.
+which credits every statistic but the cycles as one array add, and
+refuses a command that reads its own earlier store.
 
 :class:`NtxStepper` is the cycle model of one NTX for one run, over
 addresses only; the scalar cycle engine
@@ -115,9 +116,10 @@ class NtxStepper:
     the three TCDM ports presents at most one request per cycle: AGU0 and
     AGU1 the oldest outstanding read of their address FIFO, AGU2 its
     oldest init read or — with no read waiting — the oldest entry of the
-    write-back FIFO.  A read of an address the write-back FIFO holds is
-    forwarded from it and presents no request.  ``active`` / ``stall``
-    count the busy cycles that did / did not make progress.
+    write-back FIFO; a grant serves every port presenting its address.
+    No read waits on a store: the engines refuse such commands.
+    ``active`` / ``stall`` count the busy cycles that did / did not make
+    progress.
     """
 
     __slots__ = (
@@ -225,12 +227,12 @@ class NtxStepper:
         controller = self._controller
         if controller is None:
             return
-        inflight, ports, writebacks = self._inflight, self._ports, self._writebacks
+        inflight, ports = self._inflight, self._ports
         while len(inflight) < self._window and not controller.done:
             op = controller.step()
             entry = [0, op.store, op.last]
             for queue, address in zip(ports, (op.read0, op.read1, op.init_read)):
-                if address is not None and address not in writebacks:
+                if address is not None:
                     entry[0] += 1
                     queue.append((entry, address))
             inflight.append(entry)

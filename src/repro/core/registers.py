@@ -157,7 +157,6 @@ class NtxRegisterFile:
     def __init__(self) -> None:
         self._staged = _StagedConfig()
         self.command_queue: Fifo[NtxCommand] = Fifo(self.QUEUE_DEPTH, name="cmd_queue")
-        self._busy = False
         self.commands_issued = 0
         self.rejected_writes = 0
 
@@ -165,12 +164,9 @@ class NtxRegisterFile:
 
     @property
     def busy(self) -> bool:
-        """Whether a command is executing or pending."""
-        return self._busy or not self.command_queue.is_empty
-
-    def set_busy(self, busy: bool) -> None:
-        """The execution engine reports whether it is currently running."""
-        self._busy = busy
+        """Whether a command is pending: the cluster runs each command to
+        completion as soon as it is queued (``Cluster.drain_ntx``)."""
+        return not self.command_queue.is_empty
 
     # -- bus interface -----------------------------------------------------------
 

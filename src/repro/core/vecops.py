@@ -49,12 +49,13 @@ soft-float walk (:func:`execute_functional`) on every input:
   COPY/MASK/MAX/MIN quiet signalling NaNs as the FPU's float conversions
   do.
 
-Commands run through the per-op path instead when the plan records a
-read-after-write hazard (``raw_hazard``), when an address lies off the
-stack or is unaligned (``outside_tcdm``), and — MACs only — when the
+Commands run through the per-op path instead when an address lies off
+the stack or is unaligned (``outside_tcdm``), and — MACs only — when the
 compiled library is unavailable (its reason: ``no_compiler``,
 ``build_failed`` or ``load_failed``).  Every such fallback is counted in
-``repro_dataplane_fallbacks_total{reason}``.
+``repro_dataplane_fallbacks_total{reason}``.  The engines refuse a
+command with a read-after-write hazard before it gets here, so
+gather-before-scatter is exact.
 
 The plans built here drive the shared data plane, the vectorized timing
 engine (:mod:`repro.cluster.vecsim`) and the self-containment gate of
@@ -132,13 +133,17 @@ class BankStreams:
     The bank streams are contiguous int32 arrays (``None`` for an absent
     or empty port), the layout the compiled timing core reads directly;
     ``accesses`` is the command's access count per bank, which the data
-    plane credits to the TCDM counters.  Every array is read-only.
+    plane credits to the TCDM counters.  Only where read ports share an
+    address (``plan.shared_reads``) do ``p0_addrs``/``p1_addrs``/
+    ``init_addrs`` hold their 32-bit addresses as int32, for the shared
+    grant.  Every array is read-only.
     """
 
     __slots__ = (
         "total", "period_init", "period_store", "num_init_reads",
         "num_stores", "has_store", "p0_banks", "p1_banks", "init_banks",
-        "init_ts", "store_banks", "accesses",
+        "init_ts", "store_banks", "accesses", "p0_addrs", "p1_addrs",
+        "init_addrs",
     )
 
     def __init__(self, plan: "CommandPlan", base: int, num_banks: int) -> None:
@@ -164,6 +169,12 @@ class BankStreams:
         self.num_stores = plan.num_stores
         self.has_store = self.num_stores > 0
         self.accesses = _frozen(accesses)
+
+        self.p0_addrs, self.p1_addrs, self.init_addrs = (
+            _frozen(addresses.astype(np.uint32).view(np.int32))
+            if plan.shared_reads and addresses is not None and len(addresses) else None
+            for addresses in plan.read_ports
+        )
 
 
 class WordStreams:
@@ -214,21 +225,20 @@ class CommandPlan:
     The verdicts: ``lo``/``hi`` bound every address the command presents
     (``None`` when it presents none) and ``residue`` is their common
     ``address % 4`` (``-1`` when they differ), which together answer
-    :meth:`in_span`.  ``own_reads`` holds, per read port (operand 0,
-    operand 1, init), a mask of the reads that observe an earlier store
-    of the same command, or ``None`` when no read does; ``raw_hazard`` is
-    whether any does.  ``shared_reads`` is whether two read ports present
-    a common address, which the scalar engine grants to both ports at
-    once.  :meth:`banks` projects the streams onto one TCDM's
-    banks, lazily and once per ``(base, num_banks)``, and :meth:`words`
-    onto the rows of a stack, once per ``base``.
+    :meth:`in_span`.  ``raw_hazard`` is whether a read observes an
+    earlier store of the same command, which the engines refuse.
+    ``shared_reads`` is whether two read ports present a common address,
+    which one grant may serve for both ports at once.  :meth:`banks`
+    projects the streams onto one TCDM's banks, lazily and once per
+    ``(base, num_banks)``, and :meth:`words` onto the rows of a stack,
+    once per ``base``.
     """
 
     __slots__ = (
         "total", "read0", "read1", "agu2", "init_ts", "init_read_addrs",
         "store_ts", "store_addrs", "period_init", "period_store",
         "store_columns", "num_reads", "num_stores", "lo", "hi", "residue",
-        "own_reads", "raw_hazard", "shared_reads", "_banks", "_words",
+        "raw_hazard", "shared_reads", "_banks", "_words",
     )
 
     def __init__(self, command: NtxCommand) -> None:
@@ -284,20 +294,12 @@ class CommandPlan:
         stores = [self.store_addrs] if len(store_ts) else []
         self.num_reads = sum(len(addresses) for addresses in reads)
         self.num_stores = len(store_ts)
-        read_bounds, store_bounds = _bounds(reads), _bounds(stores)
         self.lo, self.hi = _bounds(reads + stores)
         # The common ``address % 4`` of every address, or -1.
         self.residue = int(self.lo) % _WORD if self.lo is not None else 0
         if any(np.any(addresses % _WORD != self.residue) for addresses in reads + stores):
             self.residue = -1
-        self.own_reads: Tuple[Optional[np.ndarray], ...] = (None, None, None)
-        # Disjoint read and store ranges (every conv) cannot hazard; only
-        # overlapping ones pay for the store index.
-        if read_bounds[0] is not None and store_bounds[0] is not None and (
-            read_bounds[0] <= store_bounds[1] and store_bounds[0] <= read_bounds[1]
-        ):
-            self.own_reads = _own_store_reads(self)
-        self.raw_hazard = any(mask is not None for mask in self.own_reads)
+        self.raw_hazard = _reads_an_own_store(self)
         self.shared_reads = _shares_an_address(reads)
         self._banks: Dict[Tuple[int, int], BankStreams] = {}
         self._words: Dict[int, WordStreams] = {}
@@ -363,41 +365,27 @@ def _shares_an_address(streams: Sequence[np.ndarray]) -> bool:
     )
 
 
-def _own_store_reads(plan: CommandPlan) -> Tuple[Optional[np.ndarray], ...]:
-    """Per read port, the mask of reads that observe an earlier store of
-    the same command, or ``None`` where no read does.
-
-    A read at iteration ``t`` of an address first stored at iteration
-    ``s < t`` must see the stored value; gather-before-scatter execution
-    would return the stale memory contents instead.  Reads that precede
-    (or coincide with) the first store of their address — e.g. AXPY's
-    init read of ``y[i]`` in the same iteration that stores ``y[i]`` —
-    are not.  One store index (each stored address and its earliest store
-    iteration) serves every port.
-    """
-    store_addrs = plan.store_addrs
-    if len(store_addrs) == 0:
-        return (None, None, None)
-    store_order = np.argsort(store_addrs, kind="stable")
-    unique_addrs, first_index = np.unique(store_addrs[store_order], return_index=True)
-    # store_ts is ascending, so the earliest store of an address is the
-    # minimum store_ts among its occurrences.
-    first_ts = np.minimum.reduceat(plan.store_ts[store_order], first_index)
-
-    def observed(addresses: Optional[np.ndarray], times: np.ndarray):
-        if addresses is None or len(addresses) == 0:
-            return None
-        slot = np.searchsorted(unique_addrs, addresses)
-        slot = np.minimum(slot, len(unique_addrs) - 1)
-        mask = (unique_addrs[slot] == addresses) & (times > first_ts[slot])
-        return _frozen(mask) if mask.any() else None
-
+def _reads_an_own_store(plan: CommandPlan) -> bool:
+    """Whether a read at iteration ``t`` sees an address first stored at
+    an iteration ``s < t`` of the same command (a read-after-write
+    hazard, which the engines refuse).  A read in the iteration of the
+    first store — AXPY's init read of ``y[i]`` — is not one."""
+    if not plan.num_stores:
+        return False
+    # store_ts ascends, so each address's first occurrence is its earliest store.
+    stored, first = np.unique(plan.store_addrs, return_index=True)
+    first_ts = plan.store_ts[first]
     every = np.arange(plan.total, dtype=np.int64)
-    return (
-        observed(plan.read0, every),
-        observed(plan.read1, every),
-        observed(plan.init_read_addrs, plan.init_ts),
-    )
+    for addresses, times in zip(plan.read_ports, (every, every, plan.init_ts)):
+        # A read range disjoint from the stores' (every conv) cannot hazard.
+        if addresses is None or len(addresses) == 0 or not (
+            addresses.min() <= stored[-1] and stored[0] <= addresses.max()
+        ):
+            continue
+        slot = np.minimum(np.searchsorted(stored, addresses), len(stored) - 1)
+        if ((stored[slot] == addresses) & (times > first_ts[slot])).any():
+            return True
+    return False
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -468,17 +456,16 @@ def execute_streams_batched(
     is the reason it is unavailable, and MACs are refused under it.  The
     live TCDM's word view (``view[:, None]``) is a stack of one.
 
-    Every store is bit-identical to the per-op walk.  Returns ``False``
-    (counted by reason, the stack untouched) when the command needs that
-    walk instead: a RAW hazard inside the command, addresses off the
-    stack or unaligned, or a MAC without the compiled library.  No access
-    counters are touched here.
+    Every store is bit-identical to the per-op walk; the command must
+    not read its own earlier stores (``plan.raw_hazard``, which the
+    engines refuse before calling here).  Returns ``False`` (counted by
+    reason, the stack untouched) when the command needs that walk
+    instead: addresses off the stack or unaligned, or a MAC without the
+    compiled library.  No access counters are touched here.
     """
     words, tiles = stack.shape
     if not plan.in_span(base, words):
         return _fall_back("outside_tcdm")
-    if plan.raw_hazard:
-        return _fall_back("raw_hazard")
     if not plan.num_stores:
         return True
     streams = plan.words(base)

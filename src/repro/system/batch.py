@@ -46,25 +46,23 @@ the walker defers hits and stacks them:
 
 Before any state changes, every tile's DMA rows must lie in the HMC on
 one side and in the TCDM on the other (:func:`_check_staging`); a tile
-that stages elsewhere raises :class:`IndexError` naming it, with and
-without a timing cache.
+that stages elsewhere raises :class:`IndexError` naming it, and a
+command with a read-after-write hazard :class:`ValueError`.
 
 Bit-exactness of deferring rests on a conservative **self-containment
 gate** checked per tile program, read-only, before anything executes:
 every word a tile's commands read must be covered by its own DMA-in
-transfers or by stores of earlier commands of the same tile (own-command
-RAW reads resolve like the unbatched fast path), and every byte its
-DMA-out transfers push back must be covered by its DMA-in data or its
-command stores.  A self-contained tile computes the same result on a
+transfers or by stores of earlier commands of the same tile, and every
+byte its DMA-out transfers push back must be covered by its DMA-in data
+or its command stores.  A self-contained tile computes the same result on a
 zero-initialised private image as on the residue-carrying shared TCDM.
 If *any* tile of a run fails the gate, the walk defers nothing and runs
 every tile inline, so correctness never depends on the gate being clever.
 The gate reads each command's shared plan
-(:func:`repro.core.vecops.command_plan`) — its address bounds and the
-reads it records as observing the command's own stores — the same plan
-the data plane and the timing core run from.  Its verdict is a function
-of the program and the TCDM geometry, so the program keeps it and a warm
-program is not walked again.
+(:func:`repro.core.vecops.command_plan`) — its address bounds and
+streams — the same plan the data plane and the timing core run from.
+Its verdict is a function of the program and the TCDM geometry, so the
+program keeps it and a warm program is not walked again.
 
 Statistics are mirrored so every run reports what the cluster DMA engine
 would have: its transfer, byte and busy-cycle counters, the AXI port and
@@ -105,9 +103,8 @@ from repro.cluster.tiling import (
     TileSchedule,
     program_facts,
 )
-from repro.cluster.vecsim import live_stack
+from repro.cluster.vecsim import live_stack, plans_per_ntx
 from repro.core.ntx import ACTIVE_CYCLES, STALL_CYCLES
-from repro.core.vecops import CommandPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.system.config import SystemConfig
@@ -261,27 +258,6 @@ def _check_staging(config: SystemConfig, work: Sequence[ClusterAssignment]) -> N
                 )
 
 
-def _reads_resolved(plan: CommandPlan, cov_words: np.ndarray, base: int) -> bool:
-    """Whether every read of one in-span command has a deterministic
-    in-image source.
-
-    A read resolves if its word is covered in ``cov_words`` (one flag per
-    TCDM word: fully written by DMA-in data or by an earlier command's
-    store) *or* it observes an earlier store of the same command (the
-    own-command RAW case the unbatched executor handles exactly), which
-    the plan records per read.
-    """
-    for addresses, own in zip(plan.read_ports, plan.own_reads):
-        if addresses is None or len(addresses) == 0:
-            continue
-        resolved = cov_words[(addresses - base) >> 2]
-        if own is not None:
-            resolved |= own
-        if not resolved.all():
-            return False
-    return True
-
-
 def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
     """Whether every tile of ``program`` computes identically on a zeroed
     private image: a function of the program and the TCDM geometry alone
@@ -309,7 +285,10 @@ def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
     words = size // _WORD
     for plans in program.plans(config.cluster.num_ntx):
         for _, plan in plans:
-            if not (plan.in_span(base, words) and _reads_resolved(plan, cov_words, base)):
+            if not plan.in_span(base, words) or not all(
+                cov_words[(addresses - base) >> 2].all()
+                for addresses in plan.read_ports if addresses is not None
+            ):
                 return False
             if plan.num_stores:
                 stored = (plan.store_addrs - base) >> 2
@@ -371,6 +350,7 @@ def plan_tiles(
 
     def derive(program: TileProgram) -> _ProgramPlan:
         jobs = program.jobs(num_ntx)
+        plans_per_ntx(num_ntx, jobs)
         signature = None
         if program.commands:
             signature = _HashedKey(timing_signature(
@@ -412,8 +392,9 @@ def walk_tiles(
     bandwidth-contention stretch) from the per-tile cycle lists.
 
     Raises :class:`IndexError` naming a tile that stages outside the HMC
-    or the TCDM before anything runs.  With ``cache`` present and every
-    tile passing the self-containment gate, the walk runs inside a
+    or the TCDM, and :class:`ValueError` naming a command with a
+    read-after-write hazard, before anything runs.  With ``cache``
+    present and every tile passing the self-containment gate, the walk runs inside a
     ``batched-replay`` span and defers hits into stacked groups, whichever
     the engine.  Otherwise every tile runs inline, each cluster inside a
     ``cluster-tiles`` span — after the ``batched-replay`` span of the gate

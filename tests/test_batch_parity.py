@@ -221,62 +221,34 @@ def _shift_tiles(hmc, num_tiles=4, n=16):
 
 
 class TestRawHazardTiles:
-    """A program with a read-after-write hazard memoizes like any other:
-    both engines write through the one data plane, in program order, so a
-    cache miss and the replay of a hit write the same bytes."""
-
-    @staticmethod
-    def _run(engine, memoize):
-        simulator = SystemSimulator(
-            SystemConfig(num_vaults=1, clusters_per_vault=1),
-            options=ExecutionOptions(engine=engine, memoize=memoize),
-        )
-        result = simulator.run(_shift_tiles(simulator.hmc))
-        return simulator, _hmc_bytes(simulator).copy(), _timing_view(result)
+    """A program with a read-after-write hazard is refused with
+    ``ValueError`` under every engine and memoize setting before any tile
+    runs: the HMC, every TCDM and every counter stay as they were."""
 
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_memoize_on_and_off_leave_the_same_hmc_bytes(self, engine):
-        _, off_bytes, off_timing = self._run(engine, memoize=False)
-        simulator, on_bytes, on_timing = self._run(engine, memoize=True)
-        assert np.array_equal(on_bytes, off_bytes)
-        assert on_timing == off_timing
-        cache = simulator.timing_cache
-        assert (cache.misses, cache.hits) == (1, 3)
-
-    def test_the_engines_write_program_order(self):
-        """``x[k + 1] = x[k]`` in program order copies ``x[0]`` through
-        the whole buffer, whichever engine times the run."""
-        _, scalar_bytes, scalar_timing = self._run("scalar", memoize=False)
-        simulator, vectorized_bytes, vectorized_timing = self._run(
-            "vectorized", memoize=False
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_refused_before_anything_runs(self, engine, memoize):
+        simulator = SystemSimulator(
+            SystemConfig(
+                num_vaults=1, clusters_per_vault=2,
+                hmc=HmcConfig(capacity_bytes=1 << 20),
+            ),
+            options=ExecutionOptions(engine=engine, memoize=memoize),
         )
-        assert np.array_equal(scalar_bytes, vectorized_bytes)
-        assert scalar_timing == vectorized_timing
-        hmc = simulator.hmc
-        for tile in range(4):
-            out = hmc.memory.load_array(hmc.base + 1024 * tile + 512, (17,))
-            np.testing.assert_array_equal(out, np.full(17, 100 * tile + 1, np.float32))
+        tiles = _shift_tiles(simulator.hmc)
 
-    def test_no_option_changes_a_counter(self):
-        """NTX and FPU statistics, TCDM bank accesses and memory counts
-        are the same for every engine, memoize on and off."""
+        def state():
+            return (
+                _hmc_bytes(simulator).tobytes(),
+                [bytes(cluster.tcdm.memory.data) for cluster in simulator.clusters],
+                _cluster_counters(simulator),
+            )
 
-        def counters(simulator):
-            return [
-                (
-                    cluster.ntx_stats.tolist(),
-                    cluster.tcdm.bank_accesses.tolist(),
-                    (cluster.tcdm.memory.reads, cluster.tcdm.memory.writes),
-                )
-                for cluster in simulator.clusters
-            ]
-
-        runs = [
-            counters(self._run(engine, memoize)[0])
-            for engine in ("scalar", "vectorized")
-            for memoize in (False, True)
-        ]
-        assert all(run == runs[0] for run in runs)
+        before = state()
+        with pytest.raises(ValueError, match="NTX 0: .*read-after-write hazard"):
+            simulator.run(tiles)
+        assert state() == before
+        assert len(simulator.timing_cache) == 0
 
 
 #: Without a C compiler every MAC walks per op by design, counted as
@@ -667,7 +639,13 @@ def _walk_case(case, engine, memoize):
             transfers_out=[moved(t, "dst") for t in program["transfers_out"]],
             placements=program["placements"],
         ))
-    result = simulator.run(tiles)
+    before = hashlib.sha256(hmc.memory.data).hexdigest(), _cluster_counters(simulator)
+    try:
+        result = simulator.run(tiles)
+    except ValueError as error:
+        # A read-after-write hazard: refused before any tile runs.
+        assert (hashlib.sha256(hmc.memory.data).hexdigest(), _cluster_counters(simulator)) == before
+        return "refused", str(error)
     digest = hashlib.sha256(hmc.memory.data).hexdigest()
     return digest, _timing_view(result), _cluster_counters(simulator)
 

@@ -22,8 +22,6 @@ from repro.core.vecops import PLAN_CACHE_SIZE, command_plan
 from repro.kernels.blas import axpy_commands
 from repro.kernels.conv import conv2d_commands
 
-from dma_tiles import tile_from_transfers
-
 _BASE = Cluster().tcdm.base
 
 
@@ -60,9 +58,10 @@ def _arrays(plan):
     banks = plan.banks(_BASE, 32)
     arrays = [
         plan.read0, plan.read1, plan.agu2, plan.init_ts, plan.init_read_addrs,
-        plan.store_ts, plan.store_addrs, plan.store_columns, *plan.own_reads,
+        plan.store_ts, plan.store_addrs, plan.store_columns,
         banks.p0_banks, banks.p1_banks, banks.init_banks, banks.init_ts,
-        banks.store_banks, banks.accesses,
+        banks.store_banks, banks.accesses, banks.p0_addrs, banks.p1_addrs,
+        banks.init_addrs,
     ]
     return [array for array in arrays if array is not None]
 
@@ -221,16 +220,9 @@ def test_range_check_matches_the_full_hazard_verdict():
     overlapping = 0
     for command in commands:
         plan = vecops.CommandPlan(command)
-        full = vecops._own_store_reads(plan)
         reference = _observed_reference(plan)
-        for own, searched, expected in zip(plan.own_reads, full, reference):
-            if expected is None or not expected.any():
-                assert own is None and searched is None
-            else:
-                assert np.array_equal(own, expected)
-                assert np.array_equal(searched, expected)
         hazard = any(mask is not None and mask.any() for mask in reference)
-        assert plan.raw_hazard == hazard
+        assert plan.raw_hazard == vecops._reads_an_own_store(plan) == hazard
         verdicts[hazard] += 1
         reads = [a for a in plan.read_ports if a is not None and len(a)]
         if reads and plan.num_stores:
@@ -356,41 +348,6 @@ def test_gate_verdicts_are_kept_per_program(monkeypatch):
     assert len(walks) == 1
     assert not batch.passes_gate(simulator.config, _gate_inputs(simulator, unstaged)[1])
     assert len(walks) == 1
-
-
-def test_gate_resolves_reads_of_the_commands_own_stores():
-    """A running sum ``out[i] = out[i-1] * a`` reads, from its second
-    iteration on, the word it stored one iteration earlier: the gate
-    takes those reads as resolved through the plan, and only the first,
-    ``out[-1]``, needs staging."""
-    from repro.mem.dma import DmaTransfer
-    from repro.system import batch
-    from repro.system.config import SystemConfig
-
-    config = SystemConfig()
-    hmc = config.hmc.base_address
-    scalar, seed_word, out = _BASE, _BASE + 64, _BASE + 68
-    command = NtxCommand(
-        opcode=NtxOpcode.MUL,
-        loops=LoopConfig.nest(8),
-        agu0=AguConfig(base=seed_word, strides=(4, 0, 0, 0, 0)),
-        agu1=AguConfig.stationary(scalar),
-        agu2=AguConfig(base=out, strides=(4, 0, 0, 0, 0)),
-    )
-    assert command_plan(command).raw_hazard
-    stage = [
-        DmaTransfer(src=hmc, dst=scalar, row_bytes=4),
-        DmaTransfer(src=hmc + 64, dst=seed_word, row_bytes=4),
-    ]
-    result = [DmaTransfer(src=out, dst=hmc + 128, row_bytes=32)]
-    tile = tile_from_transfers(
-        transfers_in=stage, commands=[command], transfers_out=result
-    )
-    assert batch._tcdm_self_contained(config, tile.program)
-    unseeded = tile_from_transfers(
-        transfers_in=stage[:1], commands=[command], transfers_out=result
-    )
-    assert not batch._tcdm_self_contained(config, unseeded.program)
 
 
 def test_hashed_batch_keys_behave_as_plain_tuples():

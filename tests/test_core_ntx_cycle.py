@@ -105,19 +105,6 @@ class TestCycleLevelTiming:
             config.writeback_drain_cycles
         )
 
-    def test_forwarded_read_presents_no_request(self):
-        """``x[k + 4] = x[k]`` reads the word stored four iterations
-        earlier, one operand-FIFO window back: the store is still in the
-        write-back FIFO, which serves the read, so it never reaches the
-        TCDM.  The same copy into a disjoint buffer presents every read."""
-        n = 16
-        _, _, disjoint = _step_granting_all(_copy_command(n, 0x0, 0x100))
-        assert disjoint == [4 * k for k in range(n)]
-        _, _, shifted = _step_granting_all(_copy_command(n, 0x0, 0x10))
-        assert shifted[:4] == [0x0, 0x4, 0x8, 0xC]
-        assert len(shifted) < n
-        assert set(shifted) < set(disjoint)
-
     def test_stall_when_requests_denied(self):
         stepper = NtxStepper()
         stepper.start(_dot_command(8))

@@ -93,7 +93,6 @@ class TestRegisterFile:
         assert status & 1  # busy because a command is queued
         assert status >> 1 == 1  # one queued command
         regs.next_command()
-        regs.set_busy(False)
         assert regs.read(RegisterMap.STATUS) == 0
 
     def test_readback_of_staged_registers(self):

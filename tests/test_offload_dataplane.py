@@ -171,19 +171,42 @@ def test_dependent_commands_queued_through_the_bus_run_in_order(cluster):
     assert cluster.ntx_stats[0, STAT_COLUMNS.index("commands")] == 2
 
 
-_RAW_HAZARD_EXAMPLE = """
+def test_a_read_after_write_command_from_the_bus_is_refused(cluster):
+    """The control core's store to CMD starts a COPY that reads the word
+    its previous iteration stored: the store raises before the command
+    writes anything, and the NTX is left idle."""
+    buf = cluster.tcdm.alloc_layout([9 * 4])[0]
+    cluster.stage_in(buf, np.arange(1, 10, dtype=np.float32))
+    before = bytes(cluster.tcdm.memory.data), cluster.ntx_stats.tolist()
+    regs = cluster.ntx_regs[0]
+    regs.stage_command(NtxCommand(
+        opcode=NtxOpcode.COPY,
+        loops=LoopConfig.nest(8),
+        agu0=AguConfig(base=buf, strides=(4, 0, 0, 0, 0)),
+        agu2=AguConfig(base=buf + 4, strides=(4, 0, 0, 0, 0)),
+    ))
+    window = cluster.amap.ntx_window(0, cluster.config.num_ntx)
+    with pytest.raises(ValueError, match="read-after-write hazard"):
+        cluster.bus.write_u32(
+            window + RegisterMap.CMD, RegisterMap.opcode_to_value(NtxOpcode.COPY)
+        )
+    assert (bytes(cluster.tcdm.memory.data), cluster.ntx_stats.tolist()) == before
+    assert not regs.busy
+
+
+_UNALIGNED_EXAMPLE = """
 import numpy as np
 from repro import Cluster
 from repro.core.commands import AguConfig, LoopConfig, NtxCommand, NtxOpcode
 
 cluster = Cluster()
-buf = cluster.tcdm.base
-cluster.stage_in(buf, np.arange(1, 10, dtype=np.float32))
+src, dst = cluster.tcdm.alloc_layout([9 * 4, 8 * 4])
+cluster.stage_in(src, np.arange(1, 10, dtype=np.float32))
 cluster.offload(NtxCommand(
     opcode=NtxOpcode.COPY,
     loops=LoopConfig.nest(8),
-    agu0=AguConfig(base=buf, strides=(4, 0, 0, 0, 0)),
-    agu2=AguConfig(base=buf + 4, strides=(4, 0, 0, 0, 0)),
+    agu0=AguConfig(base=src + 2, strides=(4, 0, 0, 0, 0)),
+    agu2=AguConfig(base=dst, strides=(4, 0, 0, 0, 0)),
 ))
 """
 
@@ -203,8 +226,8 @@ def test_example_runner_passes_an_example_without_fallbacks():
 
 
 def test_example_runner_fails_on_a_silent_fallback(tmp_path):
-    example = tmp_path / "raw_hazard.py"
-    example.write_text(_RAW_HAZARD_EXAMPLE, encoding="utf-8")
+    example = tmp_path / "unaligned.py"
+    example.write_text(_UNALIGNED_EXAMPLE, encoding="utf-8")
     done = _run_example(example)
     assert done.returncode == 1
-    assert "repro_dataplane_fallbacks_total{'reason': 'raw_hazard'} = 1" in done.stderr
+    assert "repro_dataplane_fallbacks_total{'reason': 'outside_tcdm'} = 1" in done.stderr
