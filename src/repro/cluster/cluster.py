@@ -15,7 +15,12 @@ commands through the NTX register files (used by the kernel library, the
 examples and the RISC-V control core on the embedded ISS) and executes them
 on the cycle engines' shared data plane at ideal timing; the cycle-level
 simulator (:mod:`repro.cluster.sim`) runs the same commands with TCDM
-contention.
+contention.  Every path holds to one command policy
+(:func:`repro.cluster.vecsim.plans_per_ntx`): an NTX streams words of its
+cluster's TCDM and nothing else, so a command that presents an address
+off the TCDM or not word-aligned, or that reads an address it stored at
+an earlier iteration, raises :class:`ValueError` naming its NTX before it
+writes anything.
 """
 
 from __future__ import annotations
@@ -112,8 +117,8 @@ class Cluster:
 
     # The L2, the cluster bus and the NTX register files serve the control
     # core and :meth:`offload` only, and the FPU the data plane's per-op
-    # walk only; a cycle-engine run touches none of them unless a command
-    # walks, so each is built on first use.
+    # walk only; a cycle-engine run touches none of them unless a MAC
+    # walks without the compiled library, so each is built on first use.
 
     @cached_property
     def bus(self) -> ClusterBus:
@@ -145,7 +150,8 @@ class Cluster:
 
     def offload(self, command: NtxCommand, ntx_id: int = 0) -> None:
         """Issue ``command`` to NTX ``ntx_id`` through its register file
-        and run it to completion (see :meth:`drain_ntx`)."""
+        and run it to completion (see :meth:`drain_ntx`); a refused
+        command raises :class:`ValueError` and writes nothing."""
         if not 0 <= ntx_id < self.config.num_ntx:
             raise ValueError(f"NTX index {ntx_id} out of range")
         self.ntx_regs[ntx_id].issue(command)

@@ -136,9 +136,6 @@ class ClusterSimulator:
       against.
     """
 
-    #: Master indices: NTX co-processors first, then the DMA, then the core.
-    DMA_MASTER_OFFSET = 0
-
     def __init__(self, cluster: Cluster, engine: str = DEFAULT_ENGINE) -> None:
         self.engine = resolve_engine(engine)
         self.cluster = cluster
@@ -156,7 +153,10 @@ class ClusterSimulator:
 
         Both engines run through :func:`repro.cluster.vecsim.run_cycles`;
         the vectorized engine lets the compiled loop time the run.  A
-        read-after-write hazard raises :class:`ValueError`.
+        command that presents an address that is no TCDM word or reads
+        its own earlier store raises :class:`ValueError`
+        (:func:`repro.cluster.vecsim.plans_per_ntx`) before anything is
+        written.
         """
         from repro.cluster.vecsim import run_cycles
 
@@ -165,20 +165,7 @@ class ClusterSimulator:
             compiled=self.engine == "vectorized",
         )
 
-    # -- timing-cache hooks (used by repro.system.memo) ---------------------
-
-    def timing_signature(
-        self,
-        jobs: Jobs,
-        dma_requests_per_cycle: float = 0.0,
-        stagger_cycles: int = 7,
-    ) -> tuple:
-        """:func:`timing_signature` of ``jobs`` on this simulator's engine
-        and cluster configuration."""
-        return timing_signature(
-            self.engine, self.cluster.config, jobs, dma_requests_per_cycle,
-            stagger_cycles,
-        )
+    # -- the timing-cache hit path (used by repro.system.batch) -------------
 
     def run_data_plane(
         self,

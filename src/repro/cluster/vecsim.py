@@ -25,9 +25,9 @@ splits the work into phases so the per-cycle loop touches almost nothing:
    stack of one, and a batched replay group a stack of many, which the
    system walker stages straight from and back to the HMC and the kernel
    updates in place.  There is one mode: every store is bit-identical to
-   the soft-float reference on every input, in program order.  Commands
-   the kernel refuses (an address off the stack or unaligned, a MAC
-   without the compiled library) run through the exact per-op executor.
+   the soft-float reference on every input, in program order.  Only a
+   MAC without the compiled library runs through the exact per-op
+   executor, on each tile's column of the stack.
 3. **Timing core**: a lean per-cycle loop that models the same machine
    as the scalar loop — per-port head-of-line requests, the
    operand-FIFO run-ahead window, one retirement per cycle, write-back
@@ -38,9 +38,11 @@ splits the work into phases so the per-cycle loop touches almost nothing:
    with :mod:`ctypes` (see :mod:`repro.cluster.timing_core`); one C call
    runs every cycle of a run.
 
-A command that reads an address it stored at an earlier iteration
-(``raw_hazard``) is refused where every execution enters
-(:func:`plans_per_ntx`).  The compiled loop models the scalar loop on
+One command policy holds where every execution enters
+(:func:`plans_per_ntx`): a command that presents an address that is no
+word of its cluster's TCDM — off it, or not word-aligned — or that reads
+an address it stored at an earlier iteration (``raw_hazard``) is refused
+before anything is written.  The compiled loop models the scalar loop on
 every other input, and the scalar loop times a vectorized run only
 without the compiled library (counted in
 ``repro_timing_core_fallbacks_total{reason}``); ``tests/test_vecsim.py``
@@ -72,7 +74,6 @@ from repro.core.ntx import (
 )
 from repro.core.vecops import (
     CommandPlan,
-    _account_accesses,
     command_plan,
     execute_functional,
     execute_streams_batched,
@@ -83,6 +84,8 @@ from repro.obs import metrics as _metrics
 __all__ = ["plans_per_ntx", "run_cycles", "run_data_plane", "live_stack"]
 
 T = TypeVar("T")
+
+_WORD = 4
 
 _FALLBACKS = _metrics.counter(
     "repro_timing_core_fallbacks_total",
@@ -95,15 +98,19 @@ _Queue = List[Tuple[NtxCommand, CommandPlan]]
 
 
 def plans_per_ntx(
-    num_ntx: int, jobs: Sequence[Tuple[int, NtxCommand]]
+    config, jobs: Sequence[Tuple[int, NtxCommand]]
 ) -> Sequence[_Queue]:
-    """Each NTX's commands with their plans, in issue order.
+    """Each NTX's commands with their plans, in issue order, on a cluster
+    of configuration ``config``.
 
     Jobs of a :class:`~repro.cluster.tiling.TileProgram` carry it, and
     the program keeps its plans and its verdict; any other job list is
-    planned here.  Every execution enters here, before writing anything,
-    and a read-after-write hazard raises :class:`ValueError`.
+    planned here.  Every execution enters here, before writing anything:
+    a command that presents an address that is no word of the TCDM (off
+    it, or not word-aligned) or that reads an address it stored at an
+    earlier iteration raises :class:`ValueError` naming its NTX.
     """
+    num_ntx = config.num_ntx
     if isinstance(jobs, ProgramJobs) and jobs.num_ntx == num_ntx:
         queues = jobs.program.plans(num_ntx)
     else:
@@ -112,20 +119,31 @@ def plans_per_ntx(
             if not 0 <= ntx_id < num_ntx:
                 raise ValueError(f"NTX index {ntx_id} out of range")
             queues[ntx_id].append((command, command_plan(command)))
-    hazard = _program_fact(jobs, ("raw-hazard", num_ntx), lambda: _raw_hazard(queues))
-    if hazard is not None:
-        raise ValueError("NTX {}: command {!r} reads an address it stored at an earlier "
-                         "iteration (read-after-write hazard)".format(*hazard))
+    base, size = config.tcdm.base_address, config.tcdm.size_bytes
+    refusal = _program_fact(
+        jobs, ("refusal", base, size), lambda: _refusal(queues, base, size)
+    )
+    if refusal is not None:
+        raise ValueError(refusal)
     return queues
 
 
-def _raw_hazard(queues: Sequence[_Queue]) -> Optional[Tuple[int, NtxCommand]]:
-    """The NTX and the first command of ``queues`` that reads its own
-    earlier store, if any."""
-    return next((
-        (ntx_id, command) for ntx_id, plans in enumerate(queues)
-        for command, plan in plans if plan.raw_hazard
-    ), None)
+def _refusal(queues: Sequence[_Queue], base: int, size: int) -> Optional[str]:
+    """Why the first refused command of ``queues`` is refused on a TCDM of
+    ``size`` bytes at ``base``, naming its NTX, or ``None``."""
+    for ntx_id, plans in enumerate(queues):
+        for command, plan in plans:
+            if plan.lo is not None and (plan.lo < base or plan.hi + _WORD > base + size):
+                why = f"presents an address off the TCDM [{base:#010x}, {base + size:#010x})"
+            elif plan.lo is not None and plan.residue != base % _WORD:
+                why = "presents an address that is not word-aligned"
+            elif plan.raw_hazard:
+                why = ("reads an address it stored at an earlier iteration "
+                       "(read-after-write hazard)")
+            else:
+                continue
+            return f"NTX {ntx_id}: command {command!r} {why}"
+    return None
 
 
 def _program_fact(jobs, key: tuple, derive: Callable[[], T]) -> T:
@@ -160,11 +178,9 @@ class _Accounts:
     ``per_ntx`` is the per-NTX counter array of one execution (rows and
     columns as :attr:`~repro.cluster.cluster.Cluster.ntx_stats`, cycles
     left at zero); ``accesses`` / ``reads`` / ``writes`` are the TCDM
-    bank-access and memory counts of every command.  The TCDM totals
-    assume the array data plane ran every command; :meth:`credit` takes
-    back the share of the commands the per-op walk ran (it counts its
-    own).  A function of the job list and the cluster configuration
-    alone, so a program keeps it.
+    bank-access and memory counts of every command, whichever path ran
+    it.  A function of the job list and the cluster configuration alone,
+    so a program keeps it.
     """
 
     __slots__ = ("per_ntx", "accesses", "reads", "writes")
@@ -193,47 +209,31 @@ class _Accounts:
         self.reads = int(per_ntx[:, TCDM_READS].sum())
         self.writes = int(per_ntx[:, TCDM_WRITES].sum())
 
-    def credit(self, cluster, count: int, walked: Sequence[CommandPlan]) -> None:
-        """Credit ``count`` executions to ``cluster``; ``walked`` lists the
-        plan of every command the per-op walk ran on it."""
+    def credit(self, cluster, count: int) -> None:
+        """Credit ``count`` executions to ``cluster``."""
         cluster.ntx_stats += self.per_ntx * count
         tcdm = cluster.tcdm
         tcdm.bank_accesses += self.accesses * count
         tcdm.memory.reads += self.reads * count
         tcdm.memory.writes += self.writes * count
-        for plan in walked:
-            # The per-op walk counted its own TCDM accesses.
-            _account_accesses(tcdm, plan, count=-count)
 
 
-class _ImageTcdm:
-    """Adapter presenting one tile's private TCDM image as a scratchpad.
+class _Column:
+    """One tile's column of a word-major stack (word 0 at address
+    ``base``) as the ``read_f32`` / ``write_f32`` memory of the per-op
+    walk.  It counts nothing: the data plane credits every run
+    wholesale."""
 
-    The per-op fallback executor reads and writes through ``read_f32`` /
-    ``write_f32``; this adapter serves those from the tile's column of the
-    word-major stack (word 0 at address ``base``) while mirroring the
-    access counters onto its cluster's TCDM, so a command of a batched
-    group that falls back per tile accounts exactly like the unbatched
-    path.
-    """
+    __slots__ = ("_view", "_base")
 
-    __slots__ = ("_view", "_base", "_tcdm")
-
-    def __init__(self, view: np.ndarray, base: int, tcdm) -> None:
+    def __init__(self, view: np.ndarray, base: int) -> None:
         self._view = view
         self._base = base
-        self._tcdm = tcdm
 
     def read_f32(self, address: int) -> float:
-        tcdm = self._tcdm
-        tcdm.bank_accesses[tcdm.bank_of(address)] += 1
-        tcdm.memory.reads += 1
         return float(self._view[(address - self._base) >> 2])
 
     def write_f32(self, address: int, value: float) -> None:
-        tcdm = self._tcdm
-        tcdm.bank_accesses[tcdm.bank_of(address)] += 1
-        tcdm.memory.writes += 1
         self._view[(address - self._base) >> 2] = np.float32(value)
 
 
@@ -270,48 +270,60 @@ def run_data_plane(
 
     ``stack`` is a word-major ``(words, tiles)`` float32 stack of private
     TCDM images whose row ``w`` holds the word at byte address
-    ``base + 4 * w`` of every tile, covering every word the commands
-    touch; every tile executes the same ``jobs``, so each command is one
-    stacked dispatch (:func:`repro.core.vecops.execute_streams_batched`)
-    updating the stack in place, MACs as registers of the NTX
-    accumulator geometry.  Without ``stack`` the live TCDM is the stack,
-    one tile high (:func:`live_stack`).
+    ``base + 4 * w`` of every tile; every tile executes the same ``jobs``,
+    so each command is one stacked dispatch
+    (:func:`repro.core.vecops.execute_streams_batched`) updating the stack
+    in place, MACs as registers of the NTX accumulator geometry.  Without
+    ``stack`` the live TCDM is the stack, one tile high
+    (:func:`live_stack`).  A stack that misses a word the commands touch
+    raises :class:`ValueError`, as :func:`plans_per_ntx` does for a
+    refused command, before anything is written.  A MAC without the
+    compiled library walks per op on each tile's column (:class:`_Column`).
 
     ``owners`` names the cluster each tile of ``stack`` belongs to (by
-    default ``cluster``, whose configuration every owner shares).  A
-    command the kernel refuses (see :mod:`repro.core.vecops`) runs
-    through the exact per-op executor instead: on the live TCDM, or tile
-    by tile through :class:`_ImageTcdm` on each tile's column of the
-    stack, mirroring its accesses on its owner's TCDM.
-
+    default ``cluster``, whose configuration every owner shares).
     Statistics are accounted wholesale — the job list's totals (kept on
     its program, see :class:`_Accounts`) times the number of tiles each
     owner has on the stack — onto each owner; the caller credits the
     cycles.
     """
-    live = stack is None
-    if live:
+    queues = plans_per_ntx(cluster.config, jobs)
+    if stack is None:
         stack, base = live_stack(cluster.tcdm)
-    num_tiles = stack.shape[1]
+    else:
+        _check_stack(queues, stack, base, cluster.tcdm.base)
     if owners is None:
-        owners = [cluster] * num_tiles
+        owners = [cluster] * stack.shape[1]
     mac = _mac_write_back()
-    queues = plans_per_ntx(cluster.config.num_ntx, jobs)
     pcs = cluster.config.ntx.pcs
-    walked = []
     for plans in queues:
         for command, plan in plans:
-            if execute_streams_batched(command, plan, stack, base, pcs, mac):
-                continue
-            for tile, owner in enumerate(owners):
-                image = owner.tcdm if live else _ImageTcdm(stack[:, tile], base, owner.tcdm)
-                execute_functional(owner.fpu, command, image)
-            walked.append(plan)
+            if not execute_streams_batched(command, plan, stack, base, pcs, mac):
+                for column in stack.T:
+                    execute_functional(cluster.fpu, command, _Column(column, base))
     accounts = _program_fact(
         jobs, ("accounts", cluster.config), lambda: _Accounts(cluster.config, queues)
     )
     for owner, count in Counter(owners).items():
-        accounts.credit(owner, count, walked)
+        accounts.credit(owner, count)
+
+
+def _check_stack(
+    queues: Sequence[_Queue], stack: np.ndarray, base: int, tcdm_base: int
+) -> None:
+    """Raise :class:`ValueError` unless ``stack``, whose row 0 holds the
+    TCDM word at ``base``, holds every word ``queues`` touch."""
+    spans = [(plan.lo, plan.hi) for plans in queues for _, plan in plans
+             if plan.lo is not None]
+    end = base + _WORD * stack.shape[0]
+    if spans and (
+        (base - tcdm_base) % _WORD
+        or min(lo for lo, _ in spans) < base
+        or max(hi for _, hi in spans) + _WORD > end
+    ):
+        raise ValueError(
+            f"the stack [{base:#010x}, {end:#010x}) misses a TCDM word the commands touch"
+        )
 
 
 def timing_params(
@@ -364,7 +376,7 @@ def run_cycles(
     simulator.run_data_plane(jobs)
     flops, iterations = (stats[:, (FLOPS, ITERATIONS)].sum(axis=0) - before).tolist()
 
-    queues = plans_per_ntx(cluster.config.num_ntx, jobs)
+    queues = plans_per_ntx(cluster.config, jobs)
     params = timing_params(simulator, max_cycles, dma_requests_per_cycle, stagger_cycles)
     loop = timing_core.load() if compiled else None
     if loop is not None:

@@ -54,10 +54,6 @@ class MicroOp:
     def num_reads(self) -> int:
         return sum(addr is not None for addr in (self.read0, self.read1, self.init_read))
 
-    @property
-    def num_writes(self) -> int:
-        return int(self.store is not None)
-
 
 class NtxController:
     """Decodes one :class:`NtxCommand` into a stream of micro-operations."""
@@ -69,10 +65,6 @@ class NtxController:
         self._agu1 = AddressGenerationUnit(command.agu1)
         self._agu2 = AddressGenerationUnit(command.agu2)
         self._issued = 0
-
-    @property
-    def total_micro_ops(self) -> int:
-        return self.command.total_iterations
 
     @property
     def done(self) -> bool:

@@ -183,13 +183,5 @@ class NtxFpu:
         return self._acc
 
     @property
-    def alu_register(self) -> float:
-        return self._alu_register
-
-    @property
     def best_index(self) -> int:
         return self._best_index
-
-    @property
-    def index_counter(self) -> int:
-        return self._index_counter

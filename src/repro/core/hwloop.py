@@ -73,10 +73,6 @@ class HardwareLoopNest:
         return tuple(self._indices)
 
     @property
-    def iterations_done(self) -> int:
-        return self._iterations_done
-
-    @property
     def total_iterations(self) -> int:
         return self._total
 

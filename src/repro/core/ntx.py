@@ -52,9 +52,6 @@ class NtxConfig:
     #: Additional pipeline latency at the end of a command (merge of the
     #: partial-carry-save segments plus rounding of the last write-back).
     writeback_drain_cycles: int = 5
-    #: Depth of the address FIFOs between the AGUs and the TCDM ports; this
-    #: is how far the address generation may run ahead of the FPU.
-    address_fifo_depth: int = 4
     #: Depth of the read-data FIFOs between the TCDM and the FPU.
     data_fifo_depth: int = 4
     #: Depth of the write-back FIFO.

@@ -15,12 +15,13 @@ hoisted out of the cycle loop entirely:
   is divisible by the product of the inner loop counts, so the wrap level
   of every cycle, and from it every AGU address, falls out of a handful
   of vector operations.  It also carries what every consumer used to
-  rederive from those streams: the address bounds behind the span check,
-  the read-after-write verdict (a read observing an *earlier* store of the
-  same command), whether two read ports share an address, the access
-  counts, per TCDM geometry the int32 bank streams the timing core reads
-  (:class:`BankStreams`), and per stack
-  base the word-index streams the data plane reads (:class:`WordStreams`).
+  rederive from those streams: the address bounds and word residue
+  behind the TCDM-word check, the read-after-write verdict (a read
+  observing an *earlier* store of the same command), whether two read
+  ports share an address, the access counts, per TCDM geometry the int32
+  bank streams the timing core reads (:class:`BankStreams`), and per
+  stack base the word-index streams the data plane reads
+  (:class:`WordStreams`).
   The data plane, the timing engine (:mod:`repro.cluster.vecsim`) and the
   batched-replay gate (:mod:`repro.system.batch`) all read the same plan.
   The cache's hits, misses and size are published once per system run
@@ -49,13 +50,14 @@ soft-float walk (:func:`execute_functional`) on every input:
   COPY/MASK/MAX/MIN quiet signalling NaNs as the FPU's float conversions
   do.
 
-Commands run through the per-op path instead when an address lies off
-the stack or is unaligned (``outside_tcdm``), and — MACs only — when the
-compiled library is unavailable (its reason: ``no_compiler``,
-``build_failed`` or ``load_failed``).  Every such fallback is counted in
-``repro_dataplane_fallbacks_total{reason}``.  The engines refuse a
-command with a read-after-write hazard before it gets here, so
-gather-before-scatter is exact.
+Only a MAC runs through the per-op path instead, when the compiled
+library is unavailable (its reason: ``no_compiler``, ``build_failed`` or
+``load_failed``); every such fallback is counted in
+``repro_dataplane_fallbacks_total{reason}``.  The engines refuse, before
+a command gets here, any command that presents an address that is no
+word of its cluster's TCDM or that reads its own earlier store
+(:func:`repro.cluster.vecsim.plans_per_ntx`), so every address is a
+row of the stack and gather-before-scatter is exact.
 
 The plans built here drive the shared data plane, the vectorized timing
 engine (:mod:`repro.cluster.vecsim`) and the self-containment gate of
@@ -92,7 +94,7 @@ _QUIET_BIT = np.uint32(0x00400000)
 
 _FALLBACKS = _metrics.counter(
     "repro_dataplane_fallbacks_total",
-    "Commands the array data plane handed to the exact per-op executor",
+    "MACs the array data plane handed to the exact per-op executor",
     labelnames=("reason",),
 )
 
@@ -112,12 +114,6 @@ _PLAN_ENTRIES = _metrics.gauge(
 _PUBLISH_LOCK = threading.Lock()
 #: The cache's ``(hits, misses)`` as last published.
 _published = [0, 0]
-
-
-def _fall_back(reason: str) -> bool:
-    """Count one fast-path refusal under ``reason``; always ``False``."""
-    _FALLBACKS.inc(reason=reason)
-    return False
 
 
 #: Distinct commands whose plans stay cached (least recently used go
@@ -224,9 +220,10 @@ class CommandPlan:
 
     The verdicts: ``lo``/``hi`` bound every address the command presents
     (``None`` when it presents none) and ``residue`` is their common
-    ``address % 4`` (``-1`` when they differ), which together answer
-    :meth:`in_span`.  ``raw_hazard`` is whether a read observes an
-    earlier store of the same command, which the engines refuse.
+    ``address % 4`` (``-1`` when they differ), which together say whether
+    every address is a word of a TCDM.  ``raw_hazard`` is whether a read
+    observes an earlier store of the same command.  The engines refuse a
+    command on either verdict (:func:`repro.cluster.vecsim.plans_per_ntx`).
     ``shared_reads`` is whether two read ports present a common address,
     which one grant may serve for both ports at once.  :meth:`banks`
     projects the streams onto one TCDM's banks, lazily and once per
@@ -308,17 +305,6 @@ class CommandPlan:
     def read_ports(self) -> Tuple[Optional[np.ndarray], ...]:
         """The read streams: operand 0, operand 1, init reads."""
         return (self.read0, self.read1, self.init_read_addrs)
-
-    def in_span(self, base: int, words: int) -> bool:
-        """Whether every address is a word-aligned word of the
-        ``words``-word span starting at ``base``."""
-        if self.lo is None:
-            return True
-        return (
-            self.lo >= base
-            and self.hi + _WORD <= base + words * _WORD
-            and self.residue == base % _WORD
-        )
 
     def banks(self, base: int, num_banks: int) -> BankStreams:
         """The bank projection onto a TCDM at ``base`` with ``num_banks``."""
@@ -421,19 +407,6 @@ def _agu_addresses(base: int, selected_stride: np.ndarray) -> np.ndarray:
     return (base + addresses) & _ADDRESS_MASK
 
 
-def _account_accesses(tcdm, plan: CommandPlan, count: int = 1) -> None:
-    """Mirror the per-access counters the scalar data path maintains.
-
-    ``count`` multiplies the whole command's access pattern — the batched
-    replay path accounts one command executed over ``count`` stacked tiles
-    in a single call.
-    """
-    accesses = plan.banks(tcdm.base, tcdm.config.num_banks).accesses
-    tcdm.bank_accesses += accesses * count
-    tcdm.memory.reads += plan.num_reads * count
-    tcdm.memory.writes += plan.num_stores * count
-
-
 def execute_streams_batched(
     command: NtxCommand,
     plan: CommandPlan,
@@ -456,22 +429,22 @@ def execute_streams_batched(
     is the reason it is unavailable, and MACs are refused under it.  The
     live TCDM's word view (``view[:, None]``) is a stack of one.
 
-    Every store is bit-identical to the per-op walk; the command must
-    not read its own earlier stores (``plan.raw_hazard``, which the
-    engines refuse before calling here).  Returns ``False`` (counted by
-    reason, the stack untouched) when the command needs that walk
-    instead: addresses off the stack or unaligned, or a MAC without the
-    compiled library.  No access counters are touched here.
+    Every store is bit-identical to the per-op walk.  Every address the
+    command presents must be a row of the stack, and the command must not
+    read its own earlier stores: the engines refuse any other command
+    before calling here (:func:`repro.cluster.vecsim.plans_per_ntx`).
+    Returns ``False`` (counted by reason, the stack untouched) when the
+    command is a MAC without the compiled library, which the caller walks
+    per op instead.  No access counters are touched here.
     """
-    words, tiles = stack.shape
-    if not plan.in_span(base, words):
-        return _fall_back("outside_tcdm")
+    tiles = stack.shape[1]
     if not plan.num_stores:
         return True
     streams = plan.words(base)
     if command.opcode is NtxOpcode.MAC:
         if isinstance(mac, str):
-            return _fall_back(mac)
+            _FALLBACKS.inc(reason=mac)
+            return False
         mac(stack, plan, streams, pcs)
         return True
 
@@ -679,8 +652,8 @@ def execute_functional(fpu, command: NtxCommand, memory) -> None:
     :class:`~repro.core.fpu.NtxFpu`), whose state the command's first
     micro-op re-initialises, so one FPU serves any sequence of commands;
     the statistics are the caller's to credit.  The one per-op executor of
-    the library: the data plane runs it for the commands its array
-    kernels refuse.
+    the library: the data plane runs it for MACs without the compiled
+    library.
     """
     controller = NtxController(command)
     opcode = command.opcode

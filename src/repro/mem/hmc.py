@@ -35,8 +35,6 @@ class HmcConfig:
 
     #: Number of vaults (vertical slices) in the cube.
     num_vaults: int = 32
-    #: DRAM banks per vault (4 dies x 4 banks in HMC 2.0 lingo, simplified).
-    banks_per_vault: int = 4
     #: Total cube capacity in bytes.  The real device holds 1 GB; the model
     #: defaults to 64 MiB, which every workload fits in.  The backing
     #: memory is zero-on-demand, so the capacity costs address space only:

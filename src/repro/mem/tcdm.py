@@ -32,9 +32,6 @@ class TcdmConfig:
     num_banks: int = 32
     word_bytes: int = 4
     base_address: int = 0x1000_0000
-    #: Read latency in cycles seen by the NTX streamers (the FIFO depths of
-    #: Figure 2 were dimensioned for a one-cycle latency).
-    read_latency: int = 1
 
     def __post_init__(self) -> None:
         if self.size_bytes % (self.num_banks * self.word_bytes) != 0:

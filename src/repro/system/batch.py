@@ -46,8 +46,11 @@ the walker defers hits and stacks them:
 
 Before any state changes, every tile's DMA rows must lie in the HMC on
 one side and in the TCDM on the other (:func:`_check_staging`); a tile
-that stages elsewhere raises :class:`IndexError` naming it, and a
-command with a read-after-write hazard :class:`ValueError`.
+that stages elsewhere raises :class:`IndexError` naming it.  Every
+program's commands pass the one command policy
+(:func:`repro.cluster.vecsim.plans_per_ntx`) then too: a command that
+presents an address that is no word of the TCDM or reads its own
+earlier store raises :class:`ValueError` naming its NTX.
 
 Bit-exactness of deferring rests on a conservative **self-containment
 gate** checked per tile program, read-only, before anything executes:
@@ -59,8 +62,9 @@ zero-initialised private image as on the residue-carrying shared TCDM.
 If *any* tile of a run fails the gate, the walk defers nothing and runs
 every tile inline, so correctness never depends on the gate being clever.
 The gate reads each command's shared plan
-(:func:`repro.core.vecops.command_plan`) — its address bounds and
-streams — the same plan the data plane and the timing core run from.
+(:func:`repro.core.vecops.command_plan`) — its address streams, every
+one a TCDM word by the command policy — the same plan the data plane
+and the timing core run from.
 Its verdict is a function of the program and the TCDM geometry, so the
 program keeps it and a warm program is not walked again.
 
@@ -261,7 +265,8 @@ def _check_staging(config: SystemConfig, work: Sequence[ClusterAssignment]) -> N
 def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
     """Whether every tile of ``program`` computes identically on a zeroed
     private image: a function of the program and the TCDM geometry alone
-    (its DMA rows lie in the TCDM, :func:`_check_staging`).
+    (its DMA rows lie in the TCDM, :func:`_check_staging`, and its
+    commands present TCDM words only, :func:`plan_tiles`).
 
     Coverage is kept twice and updated in place: ``covered`` per byte (for
     the DMA-out check, which may move partial words) and ``cov_words`` per
@@ -282,10 +287,9 @@ def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
     cov_bytes = covered.reshape(-1, _WORD)
     # A word is covered when all four of its byte flags are.
     cov_words = covered.view(np.uint32) == _ALL_BYTES
-    words = size // _WORD
     for plans in program.plans(config.cluster.num_ntx):
         for _, plan in plans:
-            if not plan.in_span(base, words) or not all(
+            if not all(
                 cov_words[(addresses - base) >> 2].all()
                 for addresses in plan.read_ports if addresses is not None
             ):
@@ -344,13 +348,14 @@ def plan_tiles(
     Both are functions of the tile's program and of the run's engine,
     stagger and cluster configuration, so the program keeps them
     (:func:`~repro.cluster.tiling.program_facts`): a warm program signs
-    nothing again.
+    nothing again.  A program with a command the command policy refuses
+    raises :class:`ValueError` (:func:`~repro.cluster.vecsim.plans_per_ntx`).
     """
     num_ntx = config.cluster.num_ntx
 
     def derive(program: TileProgram) -> _ProgramPlan:
         jobs = program.jobs(num_ntx)
-        plans_per_ntx(num_ntx, jobs)
+        plans_per_ntx(config.cluster, jobs)
         signature = None
         if program.commands:
             signature = _HashedKey(timing_signature(
@@ -392,8 +397,8 @@ def walk_tiles(
     bandwidth-contention stretch) from the per-tile cycle lists.
 
     Raises :class:`IndexError` naming a tile that stages outside the HMC
-    or the TCDM, and :class:`ValueError` naming a command with a
-    read-after-write hazard, before anything runs.  With ``cache``
+    or the TCDM, and :class:`ValueError` naming a command the command
+    policy refuses, before anything runs.  With ``cache``
     present and every tile passing the self-containment gate, the walk runs inside a
     ``batched-replay`` span and defers hits into stacked groups, whichever
     the engine.  Otherwise every tile runs inline, each cluster inside a

@@ -13,8 +13,7 @@ executing the data plane — bit-exactness is preserved because only the
 timing is cached, never the data.
 
 The cache key is produced by
-:meth:`repro.cluster.sim.ClusterSimulator.timing_signature`, which
-canonicalizes the engine, the stagger, the full cluster configuration and
+:func:`repro.cluster.sim.timing_signature`, which canonicalizes the engine, the stagger, the full cluster configuration and
 each command's :attr:`~repro.core.commands.NtxCommand.timing_signature`
 (loop nest, AGU bases/strides, init/store levels — everything but the data).
 Keys are values, so a cache shared across simulators hits for equal
@@ -71,6 +70,7 @@ class TileTimingCache:
 
     def put(self, key: tuple, timing: SimulationResult) -> None:
         self._entries[key] = timing
+
     @property
     def lookups(self) -> int:
         return self.hits + self.misses

@@ -43,6 +43,7 @@ from repro.cluster.cluster import ClusterConfig
 from repro.cluster.tiling import TileProgram, TileSchedule, program_facts
 from repro.core.commands import NUM_LOOPS, AguConfig, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.ntx import NtxConfig
+from repro.core.vecops import command_plan
 from repro.mem.dma import DmaTransfer
 from repro.mem.hmc import HmcConfig
 from repro.mem.tcdm import TcdmConfig
@@ -192,19 +193,29 @@ class TestMemoOffVsOnArbitraryData:
         _assert_matches_reference(memo_off, memo_on)
 
 
-def _shift_tiles(hmc, num_tiles=4, n=16):
-    """Tiles of one in-place COPY, ``x[k + 1] = x[k]`` over ``n`` words: a
-    read-after-write hazard inside the operand-FIFO window.  Tile ``t``
-    stages ``100 t + 1, 100 t + 2, ...``."""
-    from repro.core.commands import AguConfig, LoopConfig, NtxCommand, NtxOpcode
-    from repro.mem.dma import DmaTransfer
+#: kind -> (the store base of the tiles' COPY, given its read base and
+#: the TCDM's end; the refusal's message).
+REFUSED = {
+    # ``x[k + 1] = x[k]``: a hazard inside the operand-FIFO window.
+    "hazard": (lambda buf, end: buf + 4, "read-after-write hazard"),
+    # The last eight stores pass the end of the TCDM.
+    "off-tcdm": (lambda buf, end: end - 32, "off the TCDM"),
+    "unaligned": (lambda buf, end: buf + 2, "not word-aligned"),
+}
 
-    buf = ClusterConfig().tcdm.base_address
-    shift = NtxCommand(
+
+def _refused_tiles(hmc, kind, num_tiles=4, n=16):
+    """Tiles of one COPY of ``n`` words that the command policy refuses
+    as ``kind``.  Tile ``t`` stages ``100 t + 1, 100 t + 2, ...``."""
+    tcdm = ClusterConfig().tcdm
+    buf = tcdm.base_address
+    copy = NtxCommand(
         opcode=NtxOpcode.COPY,
         loops=LoopConfig.nest(n),
         agu0=AguConfig(base=buf, strides=(4, 0, 0, 0, 0)),
-        agu2=AguConfig(base=buf + 4, strides=(4, 0, 0, 0, 0)),
+        agu2=AguConfig(
+            base=REFUSED[kind][0](buf, buf + tcdm.size_bytes), strides=(4, 0, 0, 0, 0)
+        ),
     )
     tiles = []
     for tile in range(num_tiles):
@@ -212,7 +223,7 @@ def _shift_tiles(hmc, num_tiles=4, n=16):
         hmc.memory.store_array(region, 100 * tile + np.arange(1, n + 2, dtype=np.float32))
         tiles.append(tile_from_transfers(
             transfers_in=[DmaTransfer(src=region, dst=buf, row_bytes=4 * (n + 1))],
-            commands=[shift],
+            commands=[copy],
             transfers_out=[
                 DmaTransfer(src=buf, dst=region + 512, row_bytes=4 * (n + 1))
             ],
@@ -221,13 +232,16 @@ def _shift_tiles(hmc, num_tiles=4, n=16):
 
 
 class TestRawHazardTiles:
-    """A program with a read-after-write hazard is refused with
+    """A program the command policy refuses — a read-after-write hazard,
+    an address off the TCDM or not word-aligned — is refused with
     ``ValueError`` under every engine and memoize setting before any tile
-    runs: the HMC, every TCDM and every counter stay as they were."""
+    runs: the HMC, every TCDM and every counter stay as they were, and
+    nothing is cached."""
 
+    @pytest.mark.parametrize("kind", sorted(REFUSED))
     @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
     @pytest.mark.parametrize("memoize", [False, True])
-    def test_refused_before_anything_runs(self, engine, memoize):
+    def test_refused_before_anything_runs(self, engine, memoize, kind):
         simulator = SystemSimulator(
             SystemConfig(
                 num_vaults=1, clusters_per_vault=2,
@@ -235,7 +249,7 @@ class TestRawHazardTiles:
             ),
             options=ExecutionOptions(engine=engine, memoize=memoize),
         )
-        tiles = _shift_tiles(simulator.hmc)
+        tiles = _refused_tiles(simulator.hmc, kind)
 
         def state():
             return (
@@ -245,10 +259,18 @@ class TestRawHazardTiles:
             )
 
         before = state()
-        with pytest.raises(ValueError, match="NTX 0: .*read-after-write hazard"):
+        with pytest.raises(ValueError, match=f"NTX 0: .*{REFUSED[kind][1]}"):
             simulator.run(tiles)
         assert state() == before
         assert len(simulator.timing_cache) == 0
+
+    def test_plan_tiles_refuses(self):
+        config = SystemConfig(num_vaults=1, clusters_per_vault=1)
+        simulator = SystemSimulator(config)
+        tiles = _refused_tiles(simulator.hmc, "off-tcdm", num_tiles=1)
+        work = [ClusterAssignment(0, 0, simulator.clusters[0], [(0, tiles[0])])]
+        with pytest.raises(ValueError, match="NTX 0: .*off the TCDM"):
+            plan_tiles(config, "vectorized", work)
 
 
 #: Without a C compiler every MAC walks per op by design, counted as
@@ -570,9 +592,10 @@ def _draw_transfer(draw, config, window, inbound):
 def _walker_cases(draw):
     """A system of drawn clusters and tiles of 1-2 drawn programs.
 
-    Each program's commands come from the timing fuzz's draws, with their
-    placements or spread round-robin; its DMA-in may stage the whole TCDM
-    (so the self-containment gate can pass) and adds partial, strided
+    Each program's commands come from the timing fuzz's draws, those the
+    command policy refuses left out (the refusal tests cover them), with
+    their placements or spread round-robin; its DMA-in may stage the whole
+    TCDM (so the self-containment gate can pass) and adds partial, strided
     transfers, and its DMA-out pushes back partial, strided rows that may
     overlap the inbound ones in the HMC.  Transfers carry offsets into
     each tile's own HMC region."""
@@ -580,7 +603,10 @@ def _walker_cases(draw):
     window = 64
     programs = []
     for _ in range(draw(st.integers(1, 2))):
-        jobs = draw_jobs(draw, config)
+        jobs = [
+            (ntx_id, command) for ntx_id, command in draw_jobs(draw, config)
+            if not command_plan(command).raw_hazard
+        ]
         placed = draw(st.booleans())
         inbound = [
             _draw_transfer(draw, config, window, inbound=True)
@@ -639,13 +665,7 @@ def _walk_case(case, engine, memoize):
             transfers_out=[moved(t, "dst") for t in program["transfers_out"]],
             placements=program["placements"],
         ))
-    before = hashlib.sha256(hmc.memory.data).hexdigest(), _cluster_counters(simulator)
-    try:
-        result = simulator.run(tiles)
-    except ValueError as error:
-        # A read-after-write hazard: refused before any tile runs.
-        assert (hashlib.sha256(hmc.memory.data).hexdigest(), _cluster_counters(simulator)) == before
-        return "refused", str(error)
+    result = simulator.run(tiles)
     digest = hashlib.sha256(hmc.memory.data).hexdigest()
     return digest, _timing_view(result), _cluster_counters(simulator)
 

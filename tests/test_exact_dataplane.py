@@ -27,7 +27,6 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.sim import ClusterSimulator
-from repro.cluster.vecsim import _ImageTcdm
 from repro.core.commands import AguConfig, InitSource, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.ntx import STAT_COLUMNS, NtxConfig
 from repro.core.vecops import command_plan, execute_functional
@@ -224,14 +223,16 @@ def _assert_both_engines_match_the_walk(command, words, config=None):
 
 def _assert_stack_matches_the_walk(command, stack, config=None):
     """Both engines' stacked replay of ``stack`` against the per-op walk of
-    each tile's column, counters summed over the tiles."""
-    base = Cluster().tcdm.base
+    each tile's column, loaded in turn into one reference TCDM, whose
+    counters sum over the tiles."""
     expected = stack.copy()
     ref = Cluster(config)
-    for tile in range(stack.shape[1]):
-        execute_functional(
-            ref.fpu, command, _ImageTcdm(expected[:, tile], base, ref.tcdm)
-        )
+    base = ref.tcdm.base
+    image = np.frombuffer(ref.tcdm.memory.data, dtype=np.float32)[: len(stack)]
+    for column in expected.T:
+        image[:] = column
+        execute_functional(ref.fpu, command, ref.tcdm)
+        column[:] = image
     for engine in ENGINES:
         got = Cluster(config)
         replayed = stack.copy()

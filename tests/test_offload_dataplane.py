@@ -171,43 +171,77 @@ def test_dependent_commands_queued_through_the_bus_run_in_order(cluster):
     assert cluster.ntx_stats[0, STAT_COLUMNS.index("commands")] == 2
 
 
+def _refused_from_the_bus(cluster, command, message):
+    """The control core's store to CMD starts ``command`` on NTX 0: the
+    store raises ``message`` before the command writes anything, and the
+    NTX is left idle."""
+    tcdm = cluster.tcdm
+    before = (
+        bytes(tcdm.memory.data), cluster.ntx_stats.tolist(),
+        tcdm.bank_accesses.tolist(), (tcdm.memory.reads, tcdm.memory.writes),
+    )
+    regs = cluster.ntx_regs[0]
+    regs.stage_command(command)
+    window = cluster.amap.ntx_window(0, cluster.config.num_ntx)
+    with pytest.raises(ValueError, match=f"NTX 0: .*{message}"):
+        cluster.bus.write_u32(
+            window + RegisterMap.CMD, RegisterMap.opcode_to_value(command.opcode)
+        )
+    assert (
+        bytes(tcdm.memory.data), cluster.ntx_stats.tolist(),
+        tcdm.bank_accesses.tolist(), (tcdm.memory.reads, tcdm.memory.writes),
+    ) == before
+    assert not regs.busy
+
+
 def test_a_read_after_write_command_from_the_bus_is_refused(cluster):
-    """The control core's store to CMD starts a COPY that reads the word
-    its previous iteration stored: the store raises before the command
-    writes anything, and the NTX is left idle."""
+    """A COPY that reads the word its previous iteration stored."""
     buf = cluster.tcdm.alloc_layout([9 * 4])[0]
     cluster.stage_in(buf, np.arange(1, 10, dtype=np.float32))
-    before = bytes(cluster.tcdm.memory.data), cluster.ntx_stats.tolist()
-    regs = cluster.ntx_regs[0]
-    regs.stage_command(NtxCommand(
+    _refused_from_the_bus(cluster, NtxCommand(
         opcode=NtxOpcode.COPY,
         loops=LoopConfig.nest(8),
         agu0=AguConfig(base=buf, strides=(4, 0, 0, 0, 0)),
         agu2=AguConfig(base=buf + 4, strides=(4, 0, 0, 0, 0)),
-    ))
-    window = cluster.amap.ntx_window(0, cluster.config.num_ntx)
-    with pytest.raises(ValueError, match="read-after-write hazard"):
-        cluster.bus.write_u32(
-            window + RegisterMap.CMD, RegisterMap.opcode_to_value(NtxOpcode.COPY)
-        )
-    assert (bytes(cluster.tcdm.memory.data), cluster.ntx_stats.tolist()) == before
-    assert not regs.busy
+    ), "read-after-write hazard")
 
 
-_UNALIGNED_EXAMPLE = """
+def test_an_off_tcdm_command_from_the_bus_is_refused(cluster):
+    """A COPY whose last four stores pass the end of the TCDM."""
+    src = cluster.tcdm.alloc_layout([8 * 4])[0]
+    cluster.stage_in(src, np.arange(1, 9, dtype=np.float32))
+    end = cluster.tcdm.base + cluster.tcdm.size
+    _refused_from_the_bus(cluster, NtxCommand(
+        opcode=NtxOpcode.COPY,
+        loops=LoopConfig.nest(8),
+        agu0=AguConfig(base=src, strides=(4, 0, 0, 0, 0)),
+        agu2=AguConfig(base=end - 16, strides=(4, 0, 0, 0, 0)),
+    ), "off the TCDM")
+
+
+#: An example that offloads one MAC with the compiled library made
+#: unavailable, so the data plane walks it per op.
+_WALKING_EXAMPLE = """
 import numpy as np
 from repro import Cluster
+from repro.cluster import timing_core
 from repro.core.commands import AguConfig, LoopConfig, NtxCommand, NtxOpcode
 
+timing_core._find_compiler = lambda: None
 cluster = Cluster()
-src, dst = cluster.tcdm.alloc_layout([9 * 4, 8 * 4])
-cluster.stage_in(src, np.arange(1, 10, dtype=np.float32))
+x, y, out = cluster.tcdm.alloc_layout([8 * 4, 8 * 4, 4])
+cluster.stage_in(x, np.arange(1, 9, dtype=np.float32))
+cluster.stage_in(y, np.full(8, 0.5, dtype=np.float32))
 cluster.offload(NtxCommand(
-    opcode=NtxOpcode.COPY,
+    opcode=NtxOpcode.MAC,
     loops=LoopConfig.nest(8),
-    agu0=AguConfig(base=src + 2, strides=(4, 0, 0, 0, 0)),
-    agu2=AguConfig(base=dst, strides=(4, 0, 0, 0, 0)),
+    agu0=AguConfig(base=x, strides=(4, 0, 0, 0, 0)),
+    agu1=AguConfig(base=y, strides=(4, 0, 0, 0, 0)),
+    agu2=AguConfig(base=out, strides=(0, 0, 0, 0, 0)),
+    init_level=1,
+    store_level=1,
 ))
+assert cluster.stage_out(out, (1,))[0] == 18.0
 """
 
 
@@ -226,8 +260,8 @@ def test_example_runner_passes_an_example_without_fallbacks():
 
 
 def test_example_runner_fails_on_a_silent_fallback(tmp_path):
-    example = tmp_path / "unaligned.py"
-    example.write_text(_UNALIGNED_EXAMPLE, encoding="utf-8")
+    example = tmp_path / "walking.py"
+    example.write_text(_WALKING_EXAMPLE, encoding="utf-8")
     done = _run_example(example)
-    assert done.returncode == 1
-    assert "repro_dataplane_fallbacks_total{'reason': 'outside_tcdm'} = 1" in done.stderr
+    assert done.returncode == 1, done.stderr
+    assert "repro_dataplane_fallbacks_total{'reason': 'no_compiler'} = 1" in done.stderr

@@ -6,9 +6,10 @@ statistics on every input.  Both engines write through the one data
 plane, so the timing is what differs between their loops: the compiled
 timing core models the whole scalar loop, the shared grant of one address
 to two ports included, and a fuzz over raw command streams compares the
-two engines field by field.  A command that reads its own earlier store
-(a read-after-write hazard) is refused by both, before anything is
-written.
+two engines field by field.  A command that presents an address that is
+no word of the TCDM (off it, or not word-aligned) or that reads its own
+earlier store (a read-after-write hazard) is refused by both, and by every
+other entry point, before anything is written.
 """
 
 import os
@@ -26,7 +27,7 @@ from repro.cluster import timing_core, vecsim
 from repro.cluster.engine import scalar_loop
 from repro.cluster.timing_core import TimingCounters, TimingInput
 from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.cluster.sim import ClusterSimulator
+from repro.cluster.sim import ClusterSimulator, timing_signature
 from repro.cluster.tiling import TileProgram
 from repro.core.commands import (
     AguConfig,
@@ -282,24 +283,23 @@ class TestEdgeConfigurations:
             cycle_counts[engine] = result.cycles
         assert cycle_counts["vectorized"] == cycle_counts["scalar"]
 
-    def test_fallback_path_credits_the_walks_fpu_stats_once(self):
+    def test_fallback_path_credits_the_walks_fpu_stats_once(self, no_library):
         """The exact fallback steps the cluster's FPU, whose own counts are
         nobody's: the data plane credits the command's FPU statistics
-        once, as the walk counted them."""
+        once, as the walk counted them, and the TCDM counters as the
+        walk's accesses on the TCDM counted them."""
         n = 8
-        # Unaligned reads: the array kernel refuses (``outside_tcdm``) and
-        # the exact per-op path runs.
+        # Without the library the data plane walks every MAC per op.
         functional = Cluster()
-        command = _unaligned_copy(functional, n)
-        execute_functional(functional.fpu, command, functional.tcdm)
-        expected = bytes(functional.tcdm.memory.data)
-        assert astuple(functional.fpu.stats) == (n, 0, 0, n)
+        execute_functional(functional.fpu, _dot(functional, n), functional.tcdm)
+        assert astuple(functional.fpu.stats) == (n, n, 0, 1)
 
         cluster = Cluster()
-        ClusterSimulator(cluster, engine="vectorized").run([(0, _unaligned_copy(cluster, n))])
-        assert bytes(cluster.tcdm.memory.data) == expected
+        ClusterSimulator(cluster, engine="vectorized").run([(0, _dot(cluster, n))])
+        assert bytes(cluster.tcdm.memory.data) == bytes(functional.tcdm.memory.data)
         fpu = STAT_COLUMNS.index("issues")
         assert tuple(cluster.ntx_stats[0, fpu:].tolist()) == astuple(functional.fpu.stats)
+        assert _tcdm_counters(cluster) == _tcdm_counters(functional)
 
 
     def test_program_facts_follow_the_ntx_count_of_their_jobs(self):
@@ -319,9 +319,35 @@ class TestEdgeConfigurations:
         assert run(program.jobs(8)) == run(list(program.jobs(8)))
 
 
+@pytest.fixture
+def no_library(monkeypatch):
+    """The compiled library unavailable (``no_compiler``): the data plane
+    walks every MAC per op."""
+    monkeypatch.setattr(timing_core, "_find_compiler", lambda: None)
+    monkeypatch.setattr(timing_core, "_STATE", None)
+    assert timing_core.mac_kernel() is None
+
+
+def _dot(cluster, n=8):
+    """A MAC of two ``n``-word vectors into one word: without the compiled
+    library the data plane walks it per op."""
+    x, y, out = cluster.tcdm.alloc_layout([n * 4, n * 4, 4])
+    cluster.stage_in(x, np.arange(1, n + 1, dtype=np.float32) / 3)
+    cluster.stage_in(y, np.linspace(-1, 2, n, dtype=np.float32))
+    return NtxCommand(
+        opcode=NtxOpcode.MAC,
+        loops=LoopConfig.nest(n),
+        agu0=AguConfig(base=x, strides=(4, 0, 0, 0, 0)),
+        agu1=AguConfig(base=y, strides=(4, 0, 0, 0, 0)),
+        agu2=AguConfig(base=out, strides=(0, 0, 0, 0, 0)),
+        init_level=1,
+        store_level=1,
+    )
+
+
 def _unaligned_copy(cluster, n=8):
-    """A COPY whose reads sit two bytes off word alignment: the array data
-    plane refuses it (``outside_tcdm``), so the exact per-op walk runs."""
+    """A COPY whose reads sit two bytes off word alignment: no word of the
+    TCDM."""
     src, dst = cluster.tcdm.alloc_layout([(n + 1) * 4, n * 4])
     cluster.stage_in(src, np.arange(1, n + 2, dtype=np.float32))
     return NtxCommand(
@@ -332,19 +358,35 @@ def _unaligned_copy(cluster, n=8):
     )
 
 
+def _off_tcdm_copy(cluster, n=8):
+    """A COPY whose last ``n // 2`` stores pass the end of the TCDM."""
+    src = cluster.tcdm.alloc_layout([n * 4])[0]
+    cluster.stage_in(src, np.arange(1, n + 1, dtype=np.float32))
+    end = cluster.tcdm.base + cluster.tcdm.size
+    return NtxCommand(
+        opcode=NtxOpcode.COPY,
+        loops=LoopConfig.nest(n),
+        agu0=AguConfig(base=src, strides=(4, 0, 0, 0, 0)),
+        agu2=AguConfig(base=end - 4 * (n // 2), strides=(4, 0, 0, 0, 0)),
+    )
+
+
 #: Without a C compiler every MAC walks per op by design, counted as
 #: ``no_compiler`` with the walk's bytes: the fallback checks leave that
 #: reason out on such a host and still see every other.
 _NO_COMPILER = () if shutil.which("cc") else ("no_compiler",)
 
 
-def _fallbacks(name="repro_dataplane_fallbacks_total"):
-    """Fallback counter ``name`` by reason (metrics switched on)."""
+def _fallbacks(name="repro_dataplane_fallbacks_total", skipped=None):
+    """Fallback counter ``name`` by reason (metrics switched on), leaving
+    out the ``skipped`` reasons (by default the data plane's
+    ``no_compiler`` on a host without a C compiler)."""
     from repro.obs import metrics
 
     metrics.set_metrics_enabled(True)
     counter = metrics.REGISTRY.get(name)
-    skipped = _NO_COMPILER if name == "repro_dataplane_fallbacks_total" else ()
+    if skipped is None:
+        skipped = _NO_COMPILER if name == "repro_dataplane_fallbacks_total" else ()
 
     def by_reason():
         return {
@@ -369,33 +411,63 @@ def _shift_copy(cluster, n=8):
     )
 
 
-class TestReadAfterWriteRefusal:
-    """A command that reads an address it stored at an earlier iteration
-    is refused with ``ValueError`` naming its NTX, by both engines, the
-    data plane alone and ``Cluster.offload`` (which the ISS bus drives),
-    before any byte or counter is written."""
+#: kind -> (the command on a fresh cluster, the refusal's message).
+REFUSED = {
+    "hazard": (_shift_copy, "read-after-write hazard"),
+    "off-tcdm": (_off_tcdm_copy, r"off the TCDM \[0x10000000, 0x10010000\)"),
+    "unaligned": (_unaligned_copy, "not word-aligned"),
+}
 
-    @pytest.mark.parametrize("entry", ["scalar", "vectorized", "data_plane", "offload"])
-    def test_every_entry_point_refuses_before_writing(self, entry):
-        dataplane = _fallbacks()
+
+class TestReadAfterWriteRefusal:
+    """One command policy: a command that reads an address it stored at
+    an earlier iteration, or presents an address off the TCDM or not
+    word-aligned, is refused with ``ValueError`` naming its NTX, by both
+    engines, the data plane alone (a timing-cache hit), a stacked replay
+    and ``Cluster.offload`` (which the ISS bus drives), before any byte
+    or counter is written."""
+
+    @pytest.mark.parametrize("kind", sorted(REFUSED))
+    @pytest.mark.parametrize(
+        "entry", ["scalar", "vectorized", "data_plane", "stack", "offload"]
+    )
+    def test_every_entry_point_refuses_before_writing(self, entry, kind):
+        dataplane = _fallbacks(skipped=())
         timing = _fallbacks("repro_timing_core_fallbacks_total")
         cluster = Cluster()
-        command = _shift_copy(cluster)
-        assert command_plan(command).raw_hazard
+        draw, message = REFUSED[kind]
+        command = draw(cluster)
+        assert command_plan(command).raw_hazard == (kind == "hazard")
         engine = "scalar" if entry == "scalar" else "vectorized"
         simulator = ClusterSimulator(cluster, engine=engine)
-        before = bytes(cluster.tcdm.memory.data), _counters(simulator)
+        stack = np.ones((cluster.tcdm.size // 4, 3), dtype=np.float32)
+        before = bytes(cluster.tcdm.memory.data), _counters(simulator), stack.tobytes()
         run = {
             "scalar": lambda: simulator.run([(2, command)]),
             "vectorized": lambda: simulator.run([(2, command)]),
             "data_plane": lambda: simulator.run_data_plane([(2, command)]),
+            "stack": lambda: simulator.run_data_plane(
+                [(2, command)], stack, cluster.tcdm.base
+            ),
             "offload": lambda: cluster.offload(command, ntx_id=2),
         }[entry]
-        with pytest.raises(ValueError, match="NTX 2: .*read-after-write hazard"):
+        with pytest.raises(ValueError, match=f"NTX 2: .*{message}"):
             run()
-        assert (bytes(cluster.tcdm.memory.data), _counters(simulator)) == before
+        after = bytes(cluster.tcdm.memory.data), _counters(simulator), stack.tobytes()
+        assert after == before
         assert dataplane() == {} and timing() == {}
         assert not cluster.ntx_regs[2].busy
+
+    def test_a_stack_that_misses_a_word_is_refused(self):
+        """A stack whose rows miss a word the commands touch raises before
+        anything is written."""
+        cluster = Cluster()
+        command = _dot(cluster)
+        stack = np.ones((4, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="misses a TCDM word"):
+            ClusterSimulator(cluster).run_data_plane([(0, command)], stack, cluster.tcdm.base)
+        assert (stack == 1).all()
+        assert not cluster.ntx_stats.any()
 
     def test_the_forwarding_case_is_refused_by_both_engines(self):
         """A COPY storing four words ahead of its reads: each read would
@@ -407,7 +479,8 @@ class TestReadAfterWriteRefusal:
 
 
 class TestFallbackCounter:
-    """Every refusal of the array data plane is counted, with its reason."""
+    """Every MAC the array data plane hands to the per-op walk is counted,
+    with the library's reason."""
 
     @staticmethod
     def _refused(command, cluster):
@@ -422,41 +495,47 @@ class TestFallbackCounter:
             cluster.config.ntx.pcs, _mac_write_back(),
         )
 
-    def test_offloaded_unaligned_command_walks_per_op_and_is_counted(self):
-        by_reason = _fallbacks()
+    def test_offloaded_mac_without_the_library_walks_per_op_and_is_counted(
+        self, no_library
+    ):
+        by_reason = _fallbacks(skipped=())
         functional = Cluster()
-        execute_functional(functional.fpu, _unaligned_copy(functional), functional.tcdm)
+        execute_functional(functional.fpu, _dot(functional), functional.tcdm)
         cluster = Cluster()
-        command = _unaligned_copy(cluster)
+        command = _dot(cluster)
         memory = cluster.tcdm.memory
         staged = (memory.reads, memory.writes)
         cluster.offload(command, ntx_id=2)
-        assert by_reason() == {"outside_tcdm": 1.0}
+        assert by_reason() == {"no_compiler": 1.0}
         stats = dict(zip(STAT_COLUMNS, cluster.ntx_stats[2].tolist()))
-        assert stats["issues"] == stats["writebacks"] == 8
-        assert (memory.reads - staged[0], memory.writes - staged[1]) == (8, 8)
+        assert (stats["issues"], stats["macs"], stats["writebacks"]) == (8, 8, 1)
+        assert (memory.reads - staged[0], memory.writes - staged[1]) == (16, 1)
         assert stats["commands"] == 1
         assert bytes(memory.data) == bytes(functional.tcdm.memory.data)
+        assert _tcdm_counters(cluster) == _tcdm_counters(functional)
 
-    def test_batched_refusal_is_counted_once_per_stack(self):
+    def test_batched_refusal_is_counted_once_per_stack(self, no_library):
         from repro.cluster.vecsim import _mac_write_back
         from repro.core.vecops import execute_streams_batched
 
-        by_reason = _fallbacks()
+        by_reason = _fallbacks(skipped=())
         cluster = Cluster()
-        command = _unaligned_copy(cluster)
+        command = _dot(cluster)
         stack = np.zeros((cluster.tcdm.size // 4, 3), dtype=np.float32)
         assert not execute_streams_batched(
             command, command_plan(command), stack, cluster.tcdm.base,
             cluster.config.ntx.pcs, _mac_write_back(),
         )
-        assert by_reason() == {"outside_tcdm": 1.0}
+        assert not stack.any()
+        assert by_reason() == {"no_compiler": 1.0}
 
-    def test_outside_tcdm_is_counted_and_a_nan_compare_replays(self):
-        """An unaligned command is refused; a MAX over a NaN is not (the
-        comparator's NaN rule is an array formula) and stores the walk's
-        value."""
-        by_reason = _fallbacks()
+    def test_a_mac_without_the_library_is_counted_and_a_nan_compare_replays(
+        self, no_library
+    ):
+        """A MAC is refused without the library; a MAX over a NaN is not
+        (the comparator's NaN rule is an array formula) and stores the
+        walk's value."""
+        by_reason = _fallbacks(skipped=())
         cluster = Cluster()
         src, dst = cluster.tcdm.alloc_layout([16, 4])
         cluster.stage_in(src, np.array([1.0, np.nan, 3.0, 0.5], np.float32))
@@ -470,14 +549,8 @@ class TestFallbackCounter:
         )
         assert not self._refused(maximum, cluster)
         assert cluster.stage_out(dst, (1,))[0] == 3.0
-        unaligned = NtxCommand(
-            opcode=NtxOpcode.COPY,
-            loops=LoopConfig.nest(2),
-            agu0=AguConfig(base=src + 2, strides=(4, 0, 0, 0, 0)),
-            agu2=AguConfig(base=dst, strides=(0, 0, 0, 0, 0)),
-        )
-        assert self._refused(unaligned, cluster)
-        assert by_reason() == {"outside_tcdm": 1.0}
+        assert self._refused(_dot(cluster), cluster)
+        assert by_reason() == {"no_compiler": 1.0}
 
     def test_fast_path_counts_nothing(self):
         by_reason = _fallbacks()
@@ -517,8 +590,7 @@ class TestEngineSelection:
                                 cluster.tcdm.base)[0]
         jobs = [(0, command)]
         for engine in ("scalar", "vectorized"):
-            signature = ClusterSimulator(cluster, engine=engine).timing_signature(jobs)
-            assert signature[0] == engine
+            assert timing_signature(engine, cluster.config, jobs)[0] == engine
 
     def test_vectorized_honours_max_cycles(self):
         cluster = Cluster()
@@ -733,16 +805,20 @@ def _shared_grant_case(cluster, n=32):
     ]
 
 
+def _tcdm_counters(cluster):
+    """``cluster``'s TCDM bank accesses and memory reads/writes."""
+    tcdm = cluster.tcdm
+    return tcdm.bank_accesses.tolist(), (tcdm.memory.reads, tcdm.memory.writes)
+
+
 def _counters(simulator):
     """Every counter a run leaves on ``simulator``'s cluster: NTX and FPU
     statistics, TCDM bank accesses and memory reads/writes, and the
     interconnect's statistics."""
     cluster = simulator.cluster
-    tcdm = cluster.tcdm
     return (
         cluster.ntx_stats.tolist(),
-        tcdm.bank_accesses.tolist(),
-        (tcdm.memory.reads, tcdm.memory.writes),
+        *_tcdm_counters(cluster),
         simulator.interconnect.stats,
     )
 
@@ -759,7 +835,7 @@ class TestSharedGrant:
         n, num_ntx = jobs[0][1].total_iterations, cluster.config.num_ntx
         assert command_plan(jobs[0][1]).shared_reads
         params = vecsim.timing_params(ClusterSimulator(cluster), 1_000_000, 0.0, 7)
-        queues = vecsim.plans_per_ntx(num_ntx, jobs)
+        queues = vecsim.plans_per_ntx(cluster.config, jobs)
         base, num_banks = params.tcdm_base, params.num_banks
         compiled = timing_core.load()(
             TimingInput([[plan.banks(base, num_banks) for _, plan in queue]
