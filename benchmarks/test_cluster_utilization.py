@@ -7,7 +7,6 @@ paper's ~13 % band and the achieved throughput near the ~17.4 Gflop/s
 """
 
 import numpy as np
-import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.sim import ClusterSimulator

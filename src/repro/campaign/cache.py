@@ -12,7 +12,9 @@ touch the same file (and when they do, the ``fcntl``-locked
 whole).  Loading reuses the hardened ``ResultStore`` parser: a truncated
 final line is tolerated, corruption anywhere else raises
 :class:`~repro.campaign.store.ResultStoreError` naming the shard file and
-1-based line.
+1-based line.  While a campaign run holds the cache
+(:meth:`GlobalResultCache.held`), each shard file it writes is opened
+once and that handle serves every later put of the run.
 
 Cache entries are stamped with :func:`spec_schema_version` — a hash of
 the :class:`~repro.scenarios.spec.ScenarioSpec` field set — and entries
@@ -31,9 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.campaign.store import ResultStore
 from repro.obs import metrics as _metrics
@@ -97,6 +100,7 @@ class GlobalResultCache:
         #: Schema stamp written into (and required of) every entry.
         self.schema = spec_schema_version()
         self._shards: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        self._stores: Dict[str, ResultStore] = {}
 
     # -- sharding -------------------------------------------------------------
 
@@ -107,14 +111,19 @@ class GlobalResultCache:
 
     def shard_path(self, point_id: str) -> Path:
         """The shard file a record with this id lives in."""
-        return self.root / f"shard-{self._shard_key(point_id)}.jsonl"
+        return self._store(self._shard_key(point_id)).path
+
+    def _store(self, key: str) -> ResultStore:
+        store = self._stores.get(key)
+        if store is None:
+            store = self._stores[key] = ResultStore(self.root / f"shard-{key}.jsonl")
+        return store
 
     def _load(self, key: str) -> Dict[str, Dict[str, Any]]:
         if key not in self._shards:
-            store = ResultStore(self.root / f"shard-{key}.jsonl")
             self._shards[key] = {
                 record["point_id"]: record
-                for record in store.records()
+                for record in self._store(key).records()
                 if record.get("schema") == self.schema
             }
         return self._shards[key]
@@ -152,10 +161,20 @@ class GlobalResultCache:
             raise ValueError("a cache record needs a point_id")
         stamped = dict(record)
         stamped["schema"] = self.schema
-        stored = ResultStore(self.shard_path(point_id)).append(stamped)
-        self._load(self._shard_key(point_id))[point_id] = stored
+        key = self._shard_key(point_id)
+        stored = self._store(key).append(stamped)
+        self._load(key)[point_id] = stored
         _RESULT_PUTS.inc()
         return self._strip(stored)
+
+    @contextmanager
+    def held(self) -> Iterator["GlobalResultCache"]:
+        """Hold every shard store for the block (:meth:`ResultStore.held`):
+        a shard is opened on its first put and closed when the block exits."""
+        with ExitStack() as stack:
+            for key in _HEX + "x":
+                stack.enter_context(self._store(key).held())
+            yield self
 
     def refresh(self) -> None:
         """Drop the warm in-process layer (reload other writers' appends)."""

@@ -22,11 +22,18 @@ re-presented (name/axes/spec rewritten for the current sweep) into the
 local store.  Every record the cache serves lands in the store in one
 locked write per call (:meth:`~repro.campaign.store.ResultStore.extend`);
 executed points are still appended one by one as each completes.
+
+For the whole call the store and the cache are held
+(:meth:`~repro.campaign.store.ResultStore.held`): each file the run
+writes is opened once, on its first write, and every handle is closed
+when the call returns or raises.  Each record is still locked, written
+and flushed before the next point starts.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -162,7 +169,8 @@ def run_campaign(
     fires; each executed point is appended on its own as it completes,
     so a kill still loses at most the point in flight.  Callbacks fire
     once per point: first every resumed or served point in expansion
-    order, then every executed one.
+    order, then every executed one.  Each file the call writes is opened
+    once and closed before the call returns or raises.
     """
     from repro.campaign.store import ResultStore
 
@@ -212,31 +220,36 @@ def run_campaign(
                 _POINTS.inc(outcome="cached")
                 continue
         pending.append(point)
-    # Every served record lands in one locked write, before any callback.
-    for record in store.extend(served.values()):
-        stored[record["point_id"]] = record
-    cached = len(served)
-    skipped = len(accounted) - cached
-    if on_point is not None:
-        for point_id in accounted:
-            on_point(stored[point_id], False)
-    if max_points is not None:
-        pending = pending[: max(0, max_points)]
-
-    start = time.perf_counter()
-    warm = timing_cache if timing_cache is not None else TileTimingCache()
-    # The engine is already in the point specs (a sweep may set it per axis).
-    point_options = ExecutionOptions(memoize=options.memoize)
-    for point in pending:
-        with _trace.span("point", name=point.spec.name):
-            outcome = run_scenario(point.spec, options=point_options, timing_cache=warm)
-        record = store.append(point_record(point, outcome, outcome.run_seconds))
-        stored[record["point_id"]] = record
+    with ExitStack() as held:
+        # One append handle per file this call writes, closed however it ends.
+        held.enter_context(store.held())
         if result_cache is not None:
-            result_cache.put(record)
-        _POINTS.inc(outcome="executed")
+            held.enter_context(result_cache.held())
+        # Every served record lands in one locked write, before any callback.
+        for record in store.extend(served.values()):
+            stored[record["point_id"]] = record
+        cached = len(served)
+        skipped = len(accounted) - cached
         if on_point is not None:
-            on_point(record, True)
+            for point_id in accounted:
+                on_point(stored[point_id], False)
+        if max_points is not None:
+            pending = pending[: max(0, max_points)]
+
+        start = time.perf_counter()
+        warm = timing_cache if timing_cache is not None else TileTimingCache()
+        # The engine is already in the point specs (a sweep may set it per axis).
+        point_options = ExecutionOptions(memoize=options.memoize)
+        for point in pending:
+            with _trace.span("point", name=point.spec.name):
+                outcome = run_scenario(point.spec, options=point_options, timing_cache=warm)
+            record = store.append(point_record(point, outcome, outcome.run_seconds))
+            stored[record["point_id"]] = record
+            if result_cache is not None:
+                result_cache.put(record)
+            _POINTS.inc(outcome="executed")
+            if on_point is not None:
+                on_point(record, True)
 
     run_seconds = time.perf_counter() - start
     _trace.TRACER.record(

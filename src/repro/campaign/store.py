@@ -9,7 +9,10 @@ simply skips every point whose id is already on disk and finishes the
 rest.  The campaign runner writes the records the global result cache
 served in one locked write per call, and still appends each executed
 point on its own as soon as it completes, so a kill loses at most the
-point in flight.  Corruption anywhere *else* in the file is not a
+point in flight.  During a run the store is :meth:`~ResultStore.held`:
+the file is opened on its first write and that one handle serves every
+later write until the run ends; outside a hold each write opens and
+closes the file.  Corruption anywhere *else* in the file is not a
 truncation artefact (appends never rewrite earlier lines) but damage — a
 bad merge, a stray editor, a disk fault — so an ill-formed interior line
 raises :class:`ResultStoreError` naming the line number instead of
@@ -25,8 +28,9 @@ which select records by the *current* expansion's ids.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterable, List
+from typing import IO, Any, Dict, Iterable, Iterator, List, Optional
 
 try:  # POSIX only; appends stay un-locked (but still atomic lines) elsewhere
     import fcntl
@@ -45,6 +49,9 @@ class ResultStore:
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
+        self._held = False
+        #: The append handle a hold keeps open, once the hold has written.
+        self._handle: Optional[IO[bytes]] = None
 
     def exists(self) -> bool:
         return self.path.is_file()
@@ -108,6 +115,29 @@ class ResultStore:
 
     # -- writing --------------------------------------------------------------
 
+    @contextmanager
+    def held(self) -> Iterator["ResultStore"]:
+        """Keep one append handle open for every write inside the block.
+
+        The file is opened on the first write of the block (not at all
+        if nothing is written) and closed when the block exits, normally
+        or by an exception.  Every write still takes the lock, writes its
+        records and flushes on its own, so a kill inside the block loses
+        at most the write in flight and other writers still interleave
+        whole records.  Entering a store that is already held is a no-op.
+        """
+        if self._held:
+            yield self
+            return
+        self._held = True
+        try:
+            yield self
+        finally:
+            self._held = False
+            handle, self._handle = self._handle, None
+            if handle is not None:
+                handle.close()
+
     def append(self, record: Dict[str, Any]) -> Dict[str, Any]:
         """Append one completed point, flushed immediately: :meth:`extend`
         of one record."""
@@ -121,12 +151,15 @@ class ResultStore:
         processes appending to the same store or global-cache file —
         interleave whole batches of records instead of corrupting each
         other's lines.  ``flock`` binds to the open file description, so
-        the same lock also serializes threads within one process.  A
+        the same lock also serializes threads within one process that
+        write through different :class:`ResultStore` objects.  A
         writer that ignores the lock (or a non-POSIX platform, where
         ``fcntl`` is unavailable) falls back to one buffered write per
         call, with any torn line caught by the :class:`ResultStoreError` /
         truncated-tail diagnostics of :meth:`records`.  No records, no
-        write: the file is not even created.
+        write: the file is not even created.  Inside :meth:`held` the
+        write goes through the held handle; otherwise the file is opened
+        and closed around it.
 
         Returns the records as they will read back from disk (the JSON
         round trip canonicalizes tuples to lists), so callers that keep
@@ -139,14 +172,27 @@ class ResultStore:
             lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         if not lines:
             return []
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
+        handle = self._handle or self._open()
+        if self._held:
+            self._handle = handle
+        try:
             if fcntl is not None:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
-                handle.write("".join(line + "\n" for line in lines))
+                handle.write("".join(line + "\n" for line in lines).encode("utf-8"))
                 handle.flush()
             finally:
                 if fcntl is not None:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        return [json.loads(line) for line in lines]
+        finally:
+            if not self._held:
+                handle.close()
+        return json.loads("[" + ",".join(lines) + "]")
+
+    def _open(self) -> IO[bytes]:
+        """The file opened for appending; its directory is made on demand."""
+        try:
+            return open(self.path, "ab")
+        except FileNotFoundError:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            return open(self.path, "ab")

@@ -11,8 +11,7 @@ later polls a status register that eventually reads idle.
 
 from __future__ import annotations
 
-import struct
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.cluster.addressmap import AddressMap
 from repro.mem.dma import DmaTransfer

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterator
 
 __all__ = [
     "NtxOpcode",

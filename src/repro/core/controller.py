@@ -50,10 +50,6 @@ class MicroOp:
     store: Optional[int]
     last: bool
 
-    @property
-    def num_reads(self) -> int:
-        return sum(addr is not None for addr in (self.read0, self.read1, self.init_read))
-
 
 class NtxController:
     """Decodes one :class:`NtxCommand` into a stream of micro-operations."""

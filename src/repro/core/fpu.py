@@ -175,13 +175,3 @@ class NtxFpu:
             # The index is written back as a float, as the datapath is 32 bit FP.
             return float(self._best_index)
         return _to_f32(self._alu_register)
-
-    # -- inspection ----------------------------------------------------------------
-
-    @property
-    def accumulator(self) -> PcsAccumulator:
-        return self._acc
-
-    @property
-    def best_index(self) -> int:
-        return self._best_index

@@ -11,7 +11,6 @@ that cycle and what triggers accumulator initialisation and write-back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.commands import LOOP_COUNTER_BITS, LoopConfig
 

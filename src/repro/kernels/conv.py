@@ -12,7 +12,7 @@ CONV kernels firmly in the compute-bound region of Figure 5.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

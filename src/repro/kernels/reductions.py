@@ -10,8 +10,6 @@ mentions in its conclusion.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.cluster.cluster import Cluster

@@ -16,7 +16,7 @@ exactly like the double-buffering scheme of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 __all__ = ["DmaConfig", "DmaTransfer", "DmaEngine"]

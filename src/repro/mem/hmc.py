@@ -21,7 +21,7 @@ We model the HMC at the level the paper's evaluation needs it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.mem.memory import Memory

@@ -11,9 +11,8 @@ co-processors dominate, the RISC-V core and the interconnect fill the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.cluster.cluster import ClusterConfig
 from repro.perf.technology import TECH_22FDX, Technology, scale_area
 
 __all__ = ["ClusterAreaModel", "SystemAreaModel"]

@@ -12,7 +12,6 @@ AXPY 16 sits well below AXPY 16384 at the same operational intensity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 

@@ -11,7 +11,7 @@ with the symbol table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.riscv.registers import reg_index

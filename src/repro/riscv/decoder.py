@@ -10,7 +10,6 @@ control code needs (RI5CY's DSP extensions are not used by the NTX driver).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["Instruction", "DecodeError", "decode"]
 

@@ -23,7 +23,7 @@ conventional FPU that rounds after every FMA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.softfloat.ieee754 import Float32, RoundingMode
 

@@ -275,10 +275,7 @@ def _tcdm_self_contained(config: SystemConfig, program: TileProgram) -> bool:
     """
     tcdm_cfg = config.cluster.tcdm
     base = tcdm_cfg.base_address
-    size = tcdm_cfg.size_bytes
-    if size % _WORD:  # pragma: no cover - TCDM sizes are word multiples
-        return False
-    covered = np.zeros(size, dtype=bool)
+    covered = np.zeros(tcdm_cfg.size_bytes, dtype=bool)
 
     for rows in program.dma_in:
         for dst in rows.row_addresses():

@@ -45,6 +45,17 @@ def _isolated_obs_state():
 
 
 @pytest.fixture
+def no_library(monkeypatch) -> None:
+    """The compiled library unavailable (``no_compiler``), as on a host
+    without a C compiler: the data plane walks every MAC per op."""
+    from repro.cluster import timing_core
+
+    monkeypatch.setattr(timing_core, "_find_compiler", lambda: None)
+    monkeypatch.setattr(timing_core, "_STATE", None)
+    assert timing_core.mac_kernel() is None
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for reproducible tests."""
     return np.random.default_rng(0xC0FFEE)

@@ -3,11 +3,16 @@ result store, exact resume after interruption, cross-engine parity of
 every shipped campaign family, the global content-addressed result
 cache, and the analysis layer's perf-model overlay."""
 
+import builtins
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import multiprocessing
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -827,6 +832,127 @@ class TestCampaignResultCache:
             assert record["axes"] == dict(point.axis_values)
             # Stored specs are JSON round-tripped (tuples -> lists).
             assert record["spec"] == json.loads(json.dumps(point.spec.to_dict()))
+
+
+
+def _watch_appends(monkeypatch, root):
+    """Count the append-mode opens of files under ``root`` and keep every
+    handle they return, through both ``open`` and ``Path.open``."""
+    opened = {}
+    real_open = io.open
+
+    def watching(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if "a" in mode and Path(file).is_relative_to(root):
+            opened.setdefault(Path(file), []).append(handle)
+        return handle
+
+    monkeypatch.setattr(builtins, "open", watching)
+    monkeypatch.setattr(io, "open", watching)
+    return opened
+
+
+class TestHeldHandles:
+    """A campaign run writes each file through one handle, opened on its
+    first write and closed when the run returns or raises; every record is
+    still locked, written and flushed before the next point starts."""
+
+    def test_cold_campaign_opens_each_written_file_once(self, tmp_path, monkeypatch):
+        opened = _watch_appends(monkeypatch, tmp_path)
+        outcome = run_campaign(
+            tiny_sweep(), store_path=tmp_path / "s.jsonl", cache=GlobalResultCache(tmp_path / "c")
+        )
+        assert outcome.executed_points == 4
+        written = {tmp_path / "s.jsonl"} | set((tmp_path / "c").glob("shard-*.jsonl"))
+        assert set(opened) == written
+        assert {path: len(handles) for path, handles in opened.items()} == dict.fromkeys(
+            written, 1
+        )
+        assert all(handle.closed for handles in opened.values() for handle in handles)
+
+    def test_on_point_reader_already_sees_the_record_in_store_and_shard(self, tmp_path):
+        store, cache_dir = tmp_path / "s.jsonl", tmp_path / "c"
+        seen = []
+
+        def reader(record, fresh):
+            assert fresh
+            assert ResultStore(store).by_point()[record["point_id"]] == record
+            assert GlobalResultCache(cache_dir).get(record["point_id"]) == record
+            seen.append(record["point_id"])
+
+        outcome = run_campaign(
+            tiny_sweep(), store_path=store, cache=GlobalResultCache(cache_dir), on_point=reader
+        )
+        assert seen == [point.id for point in outcome.points]
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_raising_on_point_leaves_k_records_and_closes_every_handle(
+        self, tmp_path, monkeypatch, points
+    ):
+        opened = _watch_appends(monkeypatch, tmp_path)
+        store, cache_dir = tmp_path / "s.jsonl", tmp_path / "c"
+
+        class Kill(Exception):
+            pass
+
+        def killer(record, fresh):
+            if len(ResultStore(store).records()) == points:
+                raise Kill()
+
+        with pytest.raises(Kill):
+            run_campaign(
+                tiny_sweep(), store_path=store, cache=GlobalResultCache(cache_dir), on_point=killer
+            )
+        assert len(ResultStore(store).records()) == points
+        assert GlobalResultCache(cache_dir).entries() == points
+        assert opened and all(
+            handle.closed for handles in opened.values() for handle in handles
+        )
+
+    def test_held_store_opens_on_first_write_and_closes_on_exit(self, tmp_path, monkeypatch):
+        opened = _watch_appends(monkeypatch, tmp_path)
+        store = ResultStore(tmp_path / "sub" / "s.jsonl")
+        with store.held():
+            with store.held():  # re-entering is a no-op
+                pass
+            assert not store.path.exists()
+            store.append({"point_id": "a"})
+            store.extend([{"point_id": "b"}, {"point_id": "c"}])
+            assert [r["point_id"] for r in ResultStore(store.path).records()] == list("abc")
+        assert [handle.closed for handle in opened[store.path]] == [True]
+        store.append({"point_id": "d"})  # outside a hold: open, write, close
+        assert [handle.closed for handle in opened[store.path]] == [True, True]
+
+    def test_held_writers_on_one_path_interleave_only_whole_lines(self, tmp_path):
+        """More held writers than cores, switching threads often: each
+        record is its own locked write, so no line is torn or lost."""
+        path = tmp_path / "s.jsonl"
+        writers, records = 4, 150
+
+        def write(worker):
+            store = ResultStore(path)
+            with store.held():
+                for index in range(records):
+                    store.append({"point_id": f"w{worker}-{index:03d}", "pad": _PAD})
+
+        threads = [threading.Thread(target=write, args=(worker,)) for worker in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        lines = path.read_bytes().splitlines()
+        assert len(lines) == writers * records
+        ids = [json.loads(line)["point_id"] for line in lines]
+        for worker in range(writers):
+            assert [pid for pid in ids if pid.startswith(f"w{worker}-")] == [
+                f"w{worker}-{index:03d}" for index in range(records)
+            ]
 
 
 QUICK = ExecutionOptions(quick=True)

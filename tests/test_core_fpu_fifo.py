@@ -1,7 +1,5 @@
 """Unit tests for the NTX FPU datapath and the elastic FIFOs."""
 
-import math
-
 import pytest
 
 from repro.core.commands import NtxOpcode

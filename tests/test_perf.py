@@ -1,7 +1,5 @@
 """Performance/area/energy model tests against the paper's published figures."""
 
-import math
-
 import pytest
 
 from repro.kernels.blas import axpy_spec, gemm_spec

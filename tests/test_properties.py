@@ -12,7 +12,7 @@ from repro.core.golden import golden_address
 from repro.core.hwloop import HardwareLoopNest
 from repro.mem.dma import DmaEngine, DmaTransfer
 from repro.mem.memory import Memory
-from repro.mem.tcdm import Tcdm, TcdmConfig
+from repro.mem.tcdm import Tcdm
 from repro.riscv.assembler import assemble
 from repro.riscv.decoder import decode
 from repro.scenarios import ScenarioSpec, run_scenario

@@ -1,7 +1,6 @@
 """Unit tests for the bit-exact IEEE-754 binary32 helpers."""
 
 import math
-import struct
 
 import numpy as np
 import pytest

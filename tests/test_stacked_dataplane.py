@@ -11,6 +11,10 @@ store columns per block, non-lattice data with signed zeros and
 infinities, and stacks of 1, 2 and 400 tiles on both sides of the
 walk/accumulate choice.
 
+The MAC cases also run with the compiled library withheld, on every
+host: the data plane then walks each tile per op, on a cluster whose
+TCDM starts at the commands' base, and must give the same bytes.
+
 The second half runs a batched group holding a command that falls back
 to the per-op executor tile by tile (a MAC while the compiled kernel is
 withheld, as on a host without a C compiler) and a MAX over a NaN, which
@@ -18,26 +22,30 @@ the stacked kernel replays itself, and checks it against the inline
 walk: same HMC bytes, same access counters.
 """
 
-import shutil
-
 import numpy as np
 import pytest
 
-from repro.cluster.cluster import Cluster
+from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.vecsim import _mac_write_back, run_data_plane
 from repro.core import vecops
 from repro.core.commands import AguConfig, InitSource, LoopConfig, NtxCommand, NtxOpcode
 from repro.core.vecops import command_plan, execute_streams_batched
+from repro.mem.tcdm import TcdmConfig
 from repro.softfloat.ieee754 import Float32
 from repro.softfloat.pcs import PcsConfig
 
 from dma_tiles import tile_from_transfers
 
 _BASE = 0x400
+#: A TCDM at ``_BASE`` large enough for the tallest command's three regions.
+_TCDM = TcdmConfig(size_bytes=256 * 1024, base_address=_BASE)
 #: Innermost loop count and store blocks per init block of every command.
 _INNER, _STORE_BLOCKS = 3, 2
 #: (tiles, init blocks): each stack height on both sides of the choice.
 STACKS = [(1, 5), (1, 2100), (2, 5), (2, 1100), (400, 5), (400, 6)]
+#: The per-op walk has no walk/accumulate choice: one and several tiles,
+#: and the tallest layout, which spans most of ``_TCDM``.
+WALK_STACKS = [(1, 5), (2, 5), (1, 2100)]
 
 
 def _command(opcode, blocks, init_source, store_level):
@@ -167,13 +175,24 @@ def _replay(command, plan, stack):
     mac = _mac_write_back()
     if execute_streams_batched(command, plan, stack, _BASE, PcsConfig(), mac):
         return
-    assert command.opcode is NtxOpcode.MAC and shutil.which("cc") is None
-    run_data_plane(Cluster(), [(0, command)], stack, _BASE)
+    assert command.opcode is NtxOpcode.MAC and isinstance(mac, str)  # the reason
+    run_data_plane(Cluster(ClusterConfig(tcdm=_TCDM)), [(0, command)], stack, _BASE)
 
 
 @pytest.mark.parametrize("tiles,blocks", STACKS)
 @pytest.mark.parametrize("opcode", list(NtxOpcode), ids=lambda op: op.value)
 def test_stacked_kernel_is_bit_equal_to_tile_major_formulas(opcode, tiles, blocks):
+    _check_against_oracle(opcode, tiles, blocks)
+
+
+@pytest.mark.parametrize("tiles,blocks", WALK_STACKS)
+def test_mac_walk_without_the_library_is_bit_equal_to_tile_major_formulas(
+    no_library, tiles, blocks
+):
+    _check_against_oracle(NtxOpcode.MAC, tiles, blocks)
+
+
+def _check_against_oracle(opcode, tiles, blocks):
     rng = np.random.default_rng([tiles, blocks, list(NtxOpcode).index(opcode)])
     for init_source in (InitSource.ZERO, InitSource.AGU2):
         for store_level in (0, 1, 2):

@@ -319,15 +319,6 @@ class TestEdgeConfigurations:
         assert run(program.jobs(8)) == run(list(program.jobs(8)))
 
 
-@pytest.fixture
-def no_library(monkeypatch):
-    """The compiled library unavailable (``no_compiler``): the data plane
-    walks every MAC per op."""
-    monkeypatch.setattr(timing_core, "_find_compiler", lambda: None)
-    monkeypatch.setattr(timing_core, "_STATE", None)
-    assert timing_core.mac_kernel() is None
-
-
 def _dot(cluster, n=8):
     """A MAC of two ``n``-word vectors into one word: without the compiled
     library the data plane walks it per op."""
